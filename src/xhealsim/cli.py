@@ -356,9 +356,13 @@ def cmd_run(args: argparse.Namespace) -> int:
     seeds = [args.seed]
     if args.seeds:
         seeds = [int(s) for s in args.seeds.split(",")]
-        if len(seeds) > 1 and args.out != "-" and "{seed}" not in args.out:
-            print("multiple seeds need '{seed}' in --out", file=sys.stderr)
-            return 2
+        # one file per seed, or the seeds overwrite (and race on) one path
+        paths = {"--out": args.out if args.out != "-" else None,
+                 "--snapshot": args.snapshot, "--record": args.record}
+        for flag, path in paths.items():
+            if len(seeds) > 1 and path and "{seed}" not in path:
+                print(f"multiple seeds need '{{seed}}' in {flag}", file=sys.stderr)
+                return 2
     results: list[tuple[int, list[str]]] = []
     if args.jobs > 1 and len(seeds) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:

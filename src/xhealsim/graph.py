@@ -17,11 +17,14 @@ Node ids are non-negative integers and are never reused after deletion.
 """
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
+
+import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover
     from .adversary import Event
@@ -372,11 +375,6 @@ def density(view: ColoredGraph | ShadowGraph, subset: Iterable[int]) -> Fraction
     return Fraction(twice_edges // 2, len(s))
 
 
-def induced_edges(view: ColoredGraph | ShadowGraph, subset: Iterable[int]) -> set[EdgeKey]:
-    s = set(subset)
-    return {edge_key(u, v) for u in s for v in view.neighbors(u) & s if u < v}
-
-
 def is_connected(view: ColoredGraph | ShadowGraph) -> bool:
     """True for graphs with at most one node or a single component."""
     nodes = view.node_set
@@ -394,14 +392,79 @@ def is_connected(view: ColoredGraph | ShadowGraph) -> bool:
     return len(seen) == len(nodes)
 
 
-def bfs_distances(view: ColoredGraph | ShadowGraph, source: int) -> dict[int, int]:
-    """Hop counts from *source* to every reachable node of the view."""
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        cur = queue.popleft()
-        for nb in view.neighbors(cur):
-            if nb not in dist:
-                dist[nb] = dist[cur] + 1
-                queue.append(nb)
-    return dist
+class Csr(NamedTuple):
+    """Compressed sparse row snapshot of a view's adjacency.
+
+    Node ``ids[i]`` (sorted ascending) sits at position ``i``; its
+    neighbors' positions are ``indices[indptr[i]:indptr[i + 1]]``.
+    """
+
+    ids: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+
+    @classmethod
+    def of(cls, view: ColoredGraph | ShadowGraph) -> "Csr":
+        order = sorted(view.node_set)
+        ids = np.array(order, dtype=np.int64)
+        degrees = np.fromiter((len(view.neighbors(v)) for v in order),
+                              dtype=np.int64, count=len(order))
+        indptr = np.zeros(len(order) + 1, dtype=np.int64)
+        np.cumsum(degrees, out=indptr[1:])
+        flat = np.fromiter(itertools.chain.from_iterable(map(view.neighbors, order)),
+                           dtype=np.int64, count=int(indptr[-1]))
+        return cls(ids, indptr, np.searchsorted(ids, flat))
+
+    def lookup(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Positions of the node ids *values* and a mask of those present."""
+        pos = np.searchsorted(self.ids, values)
+        found = pos < len(self.ids)
+        found[found] = self.ids[pos[found]] == values[found]
+        return pos, found
+
+    def positions(self, nodes: Iterable[int]) -> np.ndarray:
+        """Positions of *nodes*, which must all be present."""
+        values = np.fromiter(nodes, dtype=np.int64)
+        pos, found = self.lookup(values)
+        if not found.all():
+            raise UnknownNode(f"node {values[~found][0]} not present")
+        return pos
+
+    def edge_ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """Endpoint positions (u < v) of every edge, once each."""
+        tails = np.repeat(np.arange(len(self.ids)), np.diff(self.indptr))
+        forward = tails < self.indices
+        return tails[forward], self.indices[forward]
+
+
+def bfs_distances(csr: Csr, sources: np.ndarray) -> np.ndarray:
+    """Hop counts from each source position to every position of *csr*.
+
+    Level-synchronous BFS from all *sources* at once: row ``i`` of the
+    int32 result holds the distances from ``sources[i]``, -1 where the
+    node is unreachable.  The frontier is a boolean sources x nodes
+    matrix (kept flat), so memory grows with ``len(sources)``; callers
+    pass sources in small blocks.
+    """
+    n = len(csr.ids)
+    dist = np.full((len(sources), n), -1, dtype=np.int32)
+    flat_dist = dist.reshape(-1)
+    frontier = np.zeros(dist.size, dtype=bool)
+    frontier[np.arange(len(sources)) * n + sources] = True
+    flat_dist[frontier] = 0
+    degrees = np.diff(csr.indptr)
+    level = 0
+    while True:
+        cells = np.flatnonzero(frontier)
+        if not cells.size:
+            return dist
+        level += 1
+        rows, cols = np.divmod(cells, n)
+        counts = degrees[cols]
+        ends = np.cumsum(counts)
+        # position in csr.indices of every (frontier cell, neighbor) pair
+        slots = np.arange(ends[-1]) - np.repeat(ends - counts - csr.indptr[cols], counts)
+        frontier = np.zeros(dist.size, dtype=bool)
+        frontier[np.repeat(rows * n, counts) + csr.indices[slots]] = True
+        frontier &= flat_dist < 0
+        flat_dist[frontier] = level

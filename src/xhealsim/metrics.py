@@ -17,11 +17,11 @@ import numpy as np
 from . import expander
 from .graph import (
     ColoredGraph,
+    Csr,
+    EmptySubset,
     ShadowGraph,
     bfs_distances,
-    density,
     edge_key,
-    induced_edges,
     is_connected,
 )
 
@@ -30,6 +30,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 LAMBDA_SIZE_CAP = 500
 ALL_PAIRS_LIMIT = 60
+BFS_BLOCK = 32  # sources per batched BFS; bounds its sources x nodes frontier
 
 
 class MetricsError(Exception):
@@ -134,19 +135,78 @@ def mandatory_subsets(healer: "Healer") -> list[frozenset[int]]:
     return subsets
 
 
+@dataclass
+class _SubsetCounts:
+    """Exact per-subset edge counts, one entry per subset in order.
+
+    ``live`` and ``base`` count the induced live and baseline edges,
+    ``size`` the members and ``degree_sum`` their full-baseline degrees.
+    ``missing`` holds the baseline edges between two live nodes that are
+    not live, sorted; ``mask`` marks each subset's members by position
+    in ``ids`` (the sorted live node ids).
+    """
+
+    ids: np.ndarray
+    mask: np.ndarray
+    live: np.ndarray
+    base: np.ndarray
+    size: np.ndarray
+    degree_sum: np.ndarray
+    missing: np.ndarray
+
+
+def _subset_counts(graph: ColoredGraph, shadow: ShadowGraph,
+                   subsets: list[frozenset[int]]) -> _SubsetCounts:
+    """Count every subset's induced edges in both views at once.
+
+    Raises ``EmptySubset`` or ``UnknownNode`` for the first subset that
+    is empty or holds a node missing from the live graph.
+    """
+    live, base = Csr.of(graph), Csr.of(shadow)
+    mask = np.zeros((len(subsets), len(live.ids)), dtype=bool)
+    for row, subset in zip(mask, subsets):
+        if not subset:
+            raise EmptySubset("density of the empty set is undefined")
+        row[live.positions(subset)] = True
+    lu, lv = live.edge_ends()
+    bu, bv = base.edge_ends()
+    # baseline edges between two live nodes, relabelled to live positions;
+    # both id lists are sorted, so the relabelling keeps u < v and order
+    bu, found_u = live.lookup(base.ids[bu])
+    bv, found_v = live.lookup(base.ids[bv])
+    both = found_u & found_v
+    bu, bv = bu[both], bv[both]
+    n = len(live.ids)
+    base_codes = bu * n + bv
+    missing = np.sort(base_codes[~np.isin(base_codes, lu * n + lv)])
+    degrees = np.diff(base.indptr)[base.positions(live.ids)]
+    return _SubsetCounts(
+        ids=live.ids,
+        mask=mask,
+        live=(mask[:, lu] & mask[:, lv]).sum(axis=1, dtype=np.int64),
+        base=(mask[:, bu] & mask[:, bv]).sum(axis=1, dtype=np.int64),
+        size=mask.sum(axis=1, dtype=np.int64),
+        degree_sum=mask.astype(np.int64) @ degrees,
+        missing=np.stack([missing // n, missing % n], axis=1),
+    )
+
+
 def check_density_lower(graph: ColoredGraph, shadow: ShadowGraph,
                         subsets: Iterable[frozenset[int]]) -> list[str]:
     """Live induced density must dominate the baseline density on every
     subset of alive nodes; checked through the stronger statement that
     the baseline's induced edges are a subset of the live ones."""
+    subsets = list(subsets)
+    counts = _subset_counts(graph, shadow, subsets)
+    mu, mv = counts.missing[:, 0], counts.missing[:, 1]
     violations = []
-    for subset in subsets:
-        live_edges = induced_edges(graph, subset)
-        base_edges = induced_edges(shadow, subset)
-        if not base_edges <= live_edges:
-            missing = sorted(base_edges - live_edges)
-            violations.append(f"S={sorted(subset)}: baseline edges {missing} not live")
-        if density(graph, subset) < density(shadow, subset):
+    for i, subset in enumerate(subsets):
+        if len(mu):
+            inside = counts.mask[i, mu] & counts.mask[i, mv]
+            if inside.any():
+                missing = [tuple(e) for e in counts.ids[counts.missing[inside]].tolist()]
+                violations.append(f"S={sorted(subset)}: baseline edges {missing} not live")
+        if counts.live[i] < counts.base[i]:
             violations.append(f"S={sorted(subset)}: live density below baseline")
     return violations
 
@@ -158,21 +218,21 @@ def check_density_upper(graph: ColoredGraph, shadow: ShadowGraph, kappa: int,
     Per subset: live density <= baseline density + kappa * (sum of
     baseline degrees) / (2|S|) + kappa/2, with baseline degrees counted
     in the full shadow.  For the whole live node set: live density <=
-    (kappa + 1) * induced baseline density + kappa/2.
+    (kappa + 1) * induced baseline density + kappa/2.  Both are compared
+    after multiplying through by 2|S|, in integers.
     """
-    violations = []
+    subsets = list(subsets)
     alive = frozenset(shadow.alive)
-    for subset in subsets:
-        deg_sum = sum(shadow.degree(v) for v in subset)
-        bound = (density(shadow, subset)
-                 + Fraction(kappa * deg_sum, 2 * len(subset))
-                 + Fraction(kappa, 2))
-        if density(graph, subset) > bound:
-            violations.append(f"S={sorted(subset)}: per-subset upper bound broken")
+    counts = _subset_counts(graph, shadow, subsets + [alive] if alive else subsets)
+    twice_live = 2 * counts.live
+    twice_bound = 2 * counts.base + kappa * counts.degree_sum + kappa * counts.size
+    broken = np.flatnonzero(twice_live[:len(subsets)] > twice_bound[:len(subsets)])
+    violations = [f"S={sorted(subsets[i])}: per-subset upper bound broken" for i in broken]
     if alive:
-        whole = density(graph, alive)
-        bound_whole = (kappa + 1) * density(shadow, alive) + Fraction(kappa, 2)
-        if whole > bound_whole:
+        live, base, n = (int(counts.live[-1]), int(counts.base[-1]), len(alive))
+        if 2 * live > 2 * (kappa + 1) * base + kappa * n:
+            whole = Fraction(live, n)
+            bound_whole = (kappa + 1) * Fraction(base, n) + Fraction(kappa, 2)
             violations.append(
                 f"graph density {whole} exceeds (kappa+1)*baseline+kappa/2 = {bound_whole}")
     return violations
@@ -214,21 +274,19 @@ def stretch(graph: ColoredGraph, shadow: ShadowGraph, pair_samples: int,
                  for j in range(i + 1, len(alive))]
     else:
         pairs = [tuple(sorted(rng.sample(alive, 2))) for _ in range(pair_samples)]
-    live_cache: dict[int, dict[int, int]] = {}
-    shadow_cache: dict[int, dict[int, int]] = {}
+    row: dict[int, int] = {}  # source -> its row in the distance matrices
+    rows = [row.setdefault(u, len(row)) for u, _ in pairs]
+    targets = [v for _, v in pairs]
+    base_csr, live_csr = Csr.of(shadow), Csr.of(graph)
+    base_dist = _source_distances(base_csr, list(row))[rows, base_csr.positions(targets)]
+    live_dist = _source_distances(live_csr, list(row))[rows, live_csr.positions(targets)]
     worst: Fraction | None = None
     violations = []
     evaluated = 0
-    for u, v in pairs:
-        if u not in shadow_cache:
-            shadow_cache[u] = bfs_distances(shadow, u)
-        base_d = shadow_cache[u].get(v)
-        if base_d is None:
+    for (u, v), base_d, live_d in zip(pairs, base_dist.tolist(), live_dist.tolist()):
+        if base_d < 0:
             continue
-        if u not in live_cache:
-            live_cache[u] = bfs_distances(graph, u)
-        live_d = live_cache[u].get(v)
-        if live_d is None:
+        if live_d < 0:
             violations.append(f"pair ({u},{v}) connected in baseline but not live")
             continue
         evaluated += 1
@@ -236,6 +294,16 @@ def stretch(graph: ColoredGraph, shadow: ShadowGraph, pair_samples: int,
         if worst is None or ratio > worst:
             worst = ratio
     return worst, violations, evaluated
+
+
+def _source_distances(csr: Csr, sources: list[int]) -> np.ndarray:
+    """Distance rows from each source, by batched BFS over blocks of
+    ``BFS_BLOCK`` sources."""
+    src = csr.positions(sources)
+    dist = np.empty((len(src), len(csr.ids)), dtype=np.int32)
+    for lo in range(0, len(src), BFS_BLOCK):
+        dist[lo:lo + BFS_BLOCK] = bfs_distances(csr, src[lo:lo + BFS_BLOCK])
+    return dist
 
 
 def stretch_bound(n_alive: int, constant: int) -> int | None:

@@ -8,9 +8,11 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 from fractions import Fraction
 
-from xhealsim.graph import ColoredGraph
+from xhealsim.graph import ColoredGraph, density, edge_key
+from xhealsim.metrics import ALL_PAIRS_LIMIT
 
 
 def density_oracle(has_edge, subset) -> Fraction:
@@ -33,6 +35,92 @@ def expansion_oracle(adjacency: dict[int, set[int]]) -> Fraction:
             if best is None or cand < best:
                 best = cand
     return best
+
+
+def bfs_oracle(view, source: int) -> dict[int, int]:
+    """Hop counts from *source* to every reachable node, one node at a time."""
+    dist = {source: 0}
+    queue = deque([source])
+    while queue:
+        cur = queue.popleft()
+        for nb in view.neighbors(cur):
+            if nb not in dist:
+                dist[nb] = dist[cur] + 1
+                queue.append(nb)
+    return dist
+
+
+def induced_edges_oracle(view, subset) -> set[tuple[int, int]]:
+    s = set(subset)
+    return {edge_key(u, v) for u in s for v in view.neighbors(u) & s if u < v}
+
+
+def density_lower_oracle(graph, shadow, subsets) -> list[str]:
+    """Set-based twin of ``metrics.check_density_lower``."""
+    violations = []
+    for subset in subsets:
+        live_edges = induced_edges_oracle(graph, subset)
+        base_edges = induced_edges_oracle(shadow, subset)
+        if not base_edges <= live_edges:
+            missing = sorted(base_edges - live_edges)
+            violations.append(f"S={sorted(subset)}: baseline edges {missing} not live")
+        if density(graph, subset) < density(shadow, subset):
+            violations.append(f"S={sorted(subset)}: live density below baseline")
+    return violations
+
+
+def density_upper_oracle(graph, shadow, kappa, subsets) -> list[str]:
+    """``Fraction``-based twin of ``metrics.check_density_upper``."""
+    violations = []
+    alive = frozenset(shadow.alive)
+    for subset in subsets:
+        deg_sum = sum(shadow.degree(v) for v in subset)
+        bound = (density(shadow, subset)
+                 + Fraction(kappa * deg_sum, 2 * len(subset))
+                 + Fraction(kappa, 2))
+        if density(graph, subset) > bound:
+            violations.append(f"S={sorted(subset)}: per-subset upper bound broken")
+    if alive:
+        whole = density(graph, alive)
+        bound_whole = (kappa + 1) * density(shadow, alive) + Fraction(kappa, 2)
+        if whole > bound_whole:
+            violations.append(
+                f"graph density {whole} exceeds (kappa+1)*baseline+kappa/2 = {bound_whole}")
+    return violations
+
+
+def stretch_oracle(graph, shadow, pair_samples, rng):
+    """Per-source BFS twin of ``metrics.stretch``, same pairs and draws."""
+    alive = sorted(shadow.alive)
+    if len(alive) < 2:
+        return None, [], 0
+    if len(alive) <= ALL_PAIRS_LIMIT:
+        pairs = [(alive[i], alive[j]) for i in range(len(alive))
+                 for j in range(i + 1, len(alive))]
+    else:
+        pairs = [tuple(sorted(rng.sample(alive, 2))) for _ in range(pair_samples)]
+    live_cache: dict[int, dict[int, int]] = {}
+    shadow_cache: dict[int, dict[int, int]] = {}
+    worst = None
+    violations = []
+    evaluated = 0
+    for u, v in pairs:
+        if u not in shadow_cache:
+            shadow_cache[u] = bfs_oracle(shadow, u)
+        base_d = shadow_cache[u].get(v)
+        if base_d is None:
+            continue
+        if u not in live_cache:
+            live_cache[u] = bfs_oracle(graph, u)
+        live_d = live_cache[u].get(v)
+        if live_d is None:
+            violations.append(f"pair ({u},{v}) connected in baseline but not live")
+            continue
+        evaluated += 1
+        ratio = Fraction(live_d, base_d)
+        if worst is None or ratio > worst:
+            worst = ratio
+    return worst, violations, evaluated
 
 
 def random_adjacency(n: int, p: float, rng: random.Random) -> dict[int, set[int]]:

@@ -157,6 +157,24 @@ def test_run_multi_seed_needs_placeholder(tmp_path, capsys):
     assert (tmp_path / "r1.csv").exists() and (tmp_path / "r2.csv").exists()
 
 
+def test_run_multi_seed_needs_placeholder_in_snapshot_and_record(tmp_path, capsys):
+    trace = tmp_path / "t.jsonl"
+    run_cli(["gen", "--strategy", "uniform", "--n0", "10", "--steps", "5",
+             "--seed", "1", "-o", str(trace)])
+    base = ["run", "--trace", str(trace), "--seeds", "1,2",
+            "-o", str(tmp_path / "r{seed}.csv")]
+    for flag in ("--snapshot", "--record"):
+        capsys.readouterr()
+        assert run_cli(base + [flag, str(tmp_path / "one.json")]) == 2
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "one.json").exists()
+    assert run_cli(base + ["--snapshot", str(tmp_path / "s{seed}.json"),
+                           "--record", str(tmp_path / "t{seed}.jsonl")]) == 0
+    for seed in (1, 2):
+        assert json.loads((tmp_path / f"s{seed}.json").read_text())["seed"] == seed
+        assert (tmp_path / f"t{seed}.jsonl").exists()
+
+
 def test_run_parallel_jobs_match_sequential(tmp_path):
     trace = tmp_path / "t.jsonl"
     run_cli(["gen", "--strategy", "uniform", "--n0", "15", "--steps", "20",

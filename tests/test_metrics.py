@@ -233,5 +233,7 @@ def test_shadow_distances_use_dead_intermediates():
     sh = ShadowGraph()
     sh.seed_initial([0, 1, 2], [(0, 1), (0, 2)])
     sh.apply(Event("del", 0))
-    from xhealsim.graph import bfs_distances
-    assert bfs_distances(sh, 1)[2] == 2
+    from xhealsim.graph import Csr, bfs_distances
+    csr = Csr.of(sh)
+    dist = bfs_distances(csr, csr.positions([1]))
+    assert dist[0, csr.positions([2])[0]] == 2

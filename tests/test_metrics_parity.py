@@ -1,0 +1,135 @@
+"""The array-based density and stretch checks against their set-based twins.
+
+``metrics.check_density_lower``, ``check_density_upper`` and ``stretch``
+work on numpy edge and CSR arrays; the oracles in ``helpers`` are the
+straightforward per-subset and per-source versions.  Both must return
+exactly the same values: violation lists, worst ratio and pair count.
+"""
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import (density_lower_oracle, density_upper_oracle, graph_from_edges,
+                     stretch_oracle)
+from xhealsim.adversary import Event, Strategy, gen_trace
+from xhealsim.engine import Healer
+from xhealsim.expander import ExpanderConfig
+from xhealsim.graph import EmptySubset, ShadowGraph, UnknownNode
+from xhealsim.metrics import (check_density_lower, check_density_upper,
+                              mandatory_subsets, sample_subsets, stretch)
+
+KAPPA = 6
+
+
+def checks_and_oracles(healer: Healer, seed: int, t: int, samples: int = 100,
+                       pairs: int = 200):
+    """(new, oracle) results of the three checks at one state."""
+    graph, shadow = healer.graph, healer.shadow
+    subsets = mandatory_subsets(healer)
+    subsets += sample_subsets(shadow.alive, samples, random.Random(f"{seed}/density/{t}"))
+    new = (check_density_lower(graph, shadow, subsets),
+           check_density_upper(graph, shadow, KAPPA, subsets),
+           stretch(graph, shadow, pairs, random.Random(f"{seed}/stretch/{t}")))
+    old = (density_lower_oracle(graph, shadow, subsets),
+           density_upper_oracle(graph, shadow, KAPPA, subsets),
+           stretch_oracle(graph, shadow, pairs, random.Random(f"{seed}/stretch/{t}")))
+    return new, old
+
+
+def replay(n0: int, steps: int, seed: int, insert_fraction: float = 0.4,
+           fault: str | None = None, checkpoint_every: int = 1):
+    """Yield (t, healer) at t=0 and at every checkpoint of a uniform trace."""
+    trace = gen_trace(Strategy("uniform", insert_fraction=insert_fraction),
+                      n0, steps, seed, kappa=KAPPA)
+    healer = Healer.from_initial(trace.initial_nodes, trace.initial_edges,
+                                 ExpanderConfig(kappa=KAPPA),
+                                 random.Random(f"{seed}/engine"), fault=fault)
+    yield 0, healer
+    for t, event in enumerate(trace.events, start=1):
+        healer.handle_event(event)
+        if t % checkpoint_every == 0 or t == steps:
+            yield t, healer
+
+
+@settings(max_examples=40, deadline=None)
+@given(n0=st.integers(1, 14), steps=st.integers(0, 25), seed=st.integers(0, 10_000),
+       insert_fraction=st.sampled_from([0.2, 0.4, 0.7]),
+       fault=st.sampled_from([None, "skip-heal", "drop-black-edge"]),
+       samples=st.integers(0, 12))
+def test_parity_on_generated_small_states(n0, steps, seed, insert_fraction, fault, samples):
+    for t, healer in replay(n0, steps, seed, insert_fraction, fault):
+        new, old = checks_and_oracles(healer, seed, t, samples=samples)
+        assert new == old, (t, fault)
+
+
+@pytest.mark.parametrize("fault", ["skip-heal", "drop-black-edge"])
+def test_parity_on_faulted_runs_with_violations(fault):
+    flagged = 0
+    for t, healer in replay(30, 50, 2, insert_fraction=0.3, fault=fault,
+                            checkpoint_every=5):
+        new, old = checks_and_oracles(healer, 2, t)
+        assert new == old, t
+        flagged += bool(old[0] or old[2][1])
+    assert flagged  # the faults must reach the density or stretch verdicts
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7])
+def test_parity_at_every_acceptance_checkpoint(seed):
+    for t, healer in replay(50, 300, seed, checkpoint_every=10):
+        new, old = checks_and_oracles(healer, seed, t)
+        assert new == old, t
+
+
+def test_parity_with_sampled_stretch_pairs():
+    # above ALL_PAIRS_LIMIT alive nodes stretch samples its pairs
+    for t, healer in replay(150, 60, 5, checkpoint_every=20):
+        assert len(healer.shadow.alive) > 60
+        new, old = checks_and_oracles(healer, 5, t, samples=20)
+        assert new == old, t
+        assert new[2][2] > 0
+
+
+@pytest.mark.parametrize("check", ["lower", "upper"])
+def test_density_checks_reject_bad_subsets(check):
+    healer = Healer.from_initial([0, 1, 2, 3], [(0, 1), (0, 2), (0, 3)],
+                                 ExpanderConfig(), random.Random(0))
+    healer.handle_event(Event("del", 0))
+
+    def run(subsets):
+        if check == "lower":
+            return check_density_lower(healer.graph, healer.shadow, subsets)
+        return check_density_upper(healer.graph, healer.shadow, KAPPA, subsets)
+
+    assert run([frozenset([1, 2])]) == []
+    with pytest.raises(UnknownNode):
+        run([frozenset([1, 2]), frozenset([0, 1])])   # 0 is dead
+    with pytest.raises(UnknownNode):
+        run([frozenset([1, 99])])                      # 99 never existed
+    with pytest.raises(EmptySubset):
+        run([frozenset([1]), frozenset()])
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 12), dead=st.sets(st.integers(0, 11)),
+       base_p=st.floats(0, 1), live_p=st.floats(0, 1), kappa=st.integers(0, 2),
+       seed=st.integers(0, 10_000))
+def test_parity_on_arbitrary_graph_pairs(n, dead, base_p, live_p, kappa, seed):
+    # unrelated live and baseline graphs reach every violation message
+    rng = random.Random(seed)
+    shadow = ShadowGraph()
+    shadow.seed_initial(range(n), [(u, v) for u in range(n) for v in range(u + 1, n)
+                                   if rng.random() < base_p])
+    for v in sorted(dead & set(range(n))):
+        shadow.apply(Event("del", v))
+    alive = sorted(shadow.alive)
+    graph = graph_from_edges(alive, [(u, v) for i, u in enumerate(alive)
+                                     for v in alive[i + 1:] if rng.random() < live_p])
+    subsets = sample_subsets(alive, 15, rng)
+    assert (check_density_lower(graph, shadow, subsets)
+            == density_lower_oracle(graph, shadow, subsets))
+    assert (check_density_upper(graph, shadow, kappa, subsets)
+            == density_upper_oracle(graph, shadow, kappa, subsets))
+    assert (stretch(graph, shadow, 20, random.Random(seed))
+            == stretch_oracle(graph, shadow, 20, random.Random(seed)))
