@@ -10,7 +10,7 @@ monotone subgraph density, connectivity, expansion, and stretch.
 from .adversary import Event, Strategy, Trace, decode_trace, encode_trace, gen_trace
 from .engine import Cloud, CloudRegistry, Healer, RepairCounters, coherence_errors
 from .expander import CloudTopology, ExpanderConfig, build_topology, expansion_exact
-from .graph import BLACK, CloudKind, ColoredGraph, ShadowGraph, density, is_connected
+from .graph import BLACK, CloudKind, ColoredGraph, ShadowGraph, is_connected
 from .metrics import MetricsReport, evaluate
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "build_topology",
     "coherence_errors",
     "decode_trace",
-    "density",
     "encode_trace",
     "evaluate",
     "expansion_exact",

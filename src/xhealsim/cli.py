@@ -37,10 +37,10 @@ from .adversary import (
 )
 from .engine import Cloud, FAULTS, Healer, InvalidEvent, coherence_errors
 from .expander import CloudTopology, ExpanderConfig, ExpanderError, TopologyKind
-from .graph import CloudKind, EdgeRecord, GraphError, edge_key
+from .graph import CloudKind, GraphError, edge_key
 from .metrics import MetricsReport, evaluate
 
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 REPORT_COLUMNS = [
     "t", "n_alive", "connected_shadow", "connected_live", "connectivity_ok",
@@ -169,14 +169,8 @@ def _checkpoint(healer: Healer, t: int, cfg: RunConfig) -> MetricsReport:
 
 def snapshot_state(healer: Healer, seed: int) -> dict:
     """Versioned JSON-ready dump of the full healer state."""
-    edges = []
-    for rec in sorted(healer.graph.edges(), key=lambda r: r.key):
-        edges.append({
-            "u": rec.u, "v": rec.v,
-            "colors": sorted(rec.colors),
-            "kinds": {str(c): k.value for c, k in sorted(rec.kinds.items())},
-            "marked": rec.marked,
-        })
+    edges = [{"u": rec.u, "v": rec.v, "colors": sorted(rec.colors)}
+             for rec in sorted(healer.graph.edges(), key=lambda r: r.key)]
     clouds = []
     for cid in sorted(healer.registry.clouds):
         cloud = healer.registry.clouds[cid]
@@ -186,9 +180,7 @@ def snapshot_state(healer: Healer, seed: int) -> dict:
             "members": sorted(cloud.members),
             "topology": {
                 "kind": cloud.topology.kind.value,
-                "members": list(cloud.topology.members),
                 "edges": [[u, v] for u, v in cloud.topology.edge_list],
-                "kappa": cloud.topology.kappa,
                 "certified": _fmt_fraction(cloud.topology.certified_expansion),
             },
         })
@@ -220,6 +212,8 @@ def snapshot_state(healer: Healer, seed: int) -> dict:
 def load_snapshot(data: dict) -> tuple[Healer, int]:
     """Rebuild a Healer from a snapshot dict.  Raises ValueError on
     structural problems; semantic damage surfaces in coherence checks."""
+    if not isinstance(data, dict):
+        raise ValueError("snapshot is not a JSON object")
     if data.get("v") != SNAPSHOT_VERSION:
         raise ValueError(f"snapshot version {data.get('v')!r} not supported")
     cfg = ExpanderConfig(
@@ -230,34 +224,20 @@ def load_snapshot(data: dict) -> tuple[Healer, int]:
     )
     seed = int(data["seed"])
     healer = Healer(cfg, random.Random(f"{seed}/engine"))
-    for v in data["shadow"]["nodes"]:
-        healer.shadow.nodes.add(int(v))
-        healer.shadow._adj[int(v)] = set()
-    for u, v in data["shadow"]["edges"]:
-        healer.shadow.edges.add(edge_key(int(u), int(v)))
-        healer.shadow._adj[int(u)].add(int(v))
-        healer.shadow._adj[int(v)].add(int(u))
+    healer.shadow.seed_initial([int(v) for v in data["shadow"]["nodes"]],
+                               [(int(u), int(v)) for u, v in data["shadow"]["edges"]])
     healer.shadow.alive = {int(v) for v in data["shadow"]["alive"]}
     for v in data["nodes"]:
         healer.graph.add_node(int(v))
     for rec in data["edges"]:
-        u, v = int(rec["u"]), int(rec["v"])
-        record = EdgeRecord(
-            *edge_key(u, v),
-            colors={int(c) for c in rec["colors"]},
-            kinds={int(c): CloudKind(k) for c, k in rec["kinds"].items()},
-            marked=bool(rec["marked"]),
-        )
-        healer.graph._edges[record.key] = record
-        healer.graph._adj[u].add(v)
-        healer.graph._adj[v].add(u)
+        # a colorless edge still loads, for the coherence check to report
+        healer.graph.add_edge(int(rec["u"]), int(rec["v"]),
+                              colors=[int(c) for c in rec["colors"]])
     for entry in data["clouds"]:
         topo = entry["topology"]
         topology = CloudTopology(
             kind=TopologyKind(topo["kind"]),
-            members=tuple(int(m) for m in topo["members"]),
             edge_list=[edge_key(int(u), int(v)) for u, v in topo["edges"]],
-            kappa=int(topo["kappa"]),
             certified_expansion=Fraction(topo["certified"]),
         )
         cloud = Cloud(int(entry["id"]), CloudKind(entry["kind"]),
@@ -269,7 +249,12 @@ def load_snapshot(data: dict) -> tuple[Healer, int]:
         healer.registry.duty[int(node)] = int(f)
     healer.next_cloud_id = int(data["next_cloud_id"])
     healer.last_black_neighbors = {int(v) for v in data.get("last_black_neighbors", [])}
-    for name, value in data["counters"].items():
+    counters = data["counters"]
+    names = set(healer.counters.as_dict())
+    if set(counters) != names:
+        raise ValueError(f"snapshot counters: unknown {sorted(set(counters) - names)}, "
+                         f"missing {sorted(names - set(counters))}")
+    for name, value in counters.items():
         setattr(healer.counters, name, int(value))
     return healer, seed
 
@@ -392,7 +377,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
         healer, seed = load_snapshot(data)
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError, GraphError) as exc:
         print(f"malformed snapshot: {exc}", file=sys.stderr)
         return 2
     problems = coherence_errors(healer)

@@ -14,11 +14,12 @@ node:
   cloud when no free node can be found), and the remaining unbridged
   primaries get a new secondary.
 
-Rebuilds never touch black edges: a cloud's color is stripped from its
-edges first, edges that drain to colorless are only *marked*, the new
-topology reuses whatever edges it can, and a final purge deletes the
-marked edges that stayed colorless.  Edge preservation therefore holds
-by construction, not by luck.
+An edge's colors are its only state.  Rebuilds never touch black
+edges: a cloud's color is stripped from its edges first, the strip
+returns the keys that drained to colorless, the new topology reuses
+whatever edges it can, and a final purge deletes those of the drained
+keys that are still colorless.  Edge preservation therefore holds by
+construction, not by luck.
 """
 from __future__ import annotations
 
@@ -34,10 +35,7 @@ from .graph import (
     ColoredGraph,
     EdgeKey,
     EdgeRecord,
-    EnsureResult,
-    PurgeResult,
     ShadowGraph,
-    StripResult,
     black_neighbors,
     edge_key,
 )
@@ -55,10 +53,6 @@ class Cloud:
     kind: CloudKind
     members: set[int]
     topology: CloudTopology
-
-    @property
-    def color(self) -> int:
-        return self.id
 
 
 class CloudRegistry:
@@ -190,7 +184,7 @@ class Healer:
         for v in node_list:
             healer.graph.add_node(v)
         for u, v in sorted(edge_key(a, b) for a, b in edges):
-            healer.graph.add_black_edge(u, v)
+            healer.graph.add_edge(u, v)
         return healer
 
     # -- event entry point ----------------------------------------------
@@ -224,7 +218,7 @@ class Healer:
         self.shadow.apply(event)
         self.graph.add_node(event.node)
         for nb in sorted(event.neighbors):
-            self.graph.add_black_edge(event.node, nb)
+            self.graph.add_edge(event.node, nb)
         self.counters.inserts += 1
 
     def _delete(self, v: int) -> None:
@@ -238,7 +232,7 @@ class Healer:
 
         if self.fault == "skip-heal":
             return
-        self._dispatch_repair(v, removed, blacks, v_primary, v_secondary, lost_roles)
+        self._dispatch_repair(removed, blacks, v_primary, v_secondary, lost_roles)
         if self.fault == "drop-black-edge":
             self._drop_one_black_edge()
 
@@ -247,9 +241,10 @@ class Healer:
     def _scrub_dead_node(self, v: int) -> tuple[list[int], list[int], dict[int, int]]:
         """Remove *v* from every registry structure.
 
-        Returns v's primary cloud ids, secondary cloud ids, and the map
-        secondary-id -> primary-id for bridge roles v held, all of which
-        the repair dispatch needs.
+        Returns v's primary cloud ids, secondary cloud ids (read before
+        any emptied cloud retires), and the map secondary-id ->
+        primary-id for bridge roles v held, all of which the repair
+        dispatch needs.
         """
         reg = self.registry
         lost_roles: dict[int, int] = {}
@@ -266,20 +261,19 @@ class Healer:
             (v_primary if cloud.kind is CloudKind.PRIMARY else v_secondary).append(cid)
             cloud.members.discard(v)
             reg._unlink(v, cid)
-            topo = cloud.topology
-            topo.members = tuple(m for m in topo.members if m != v)
-            topo.edge_list = [e for e in topo.edge_list if v not in e]
+            cloud.topology.edge_list = [e for e in cloud.topology.edge_list if v not in e]
             if not cloud.members:
                 reg.retire(cid)
         return v_primary, v_secondary, lost_roles
 
     # -- dispatch ---------------------------------------------------------
 
-    def _dispatch_repair(self, v: int, removed: list[EdgeRecord], blacks: list[int],
+    def _dispatch_repair(self, removed: list[EdgeRecord], blacks: list[int],
                          v_primary: list[int], v_secondary: list[int],
                          lost_roles: dict[int, int]) -> None:
+        # every lost cloud color is a cloud the dead node was a member
+        # of, so it sits in v_primary or v_secondary
         lost_colors = {c for rec in removed for c in rec.colors if c != BLACK}
-        lost_kinds = {rec.kinds[c] for rec in removed for c in rec.colors if c != BLACK}
 
         if not lost_colors:
             self.counters.branch_all_black += 1
@@ -287,11 +281,9 @@ class Healer:
                 self._build_cloud(blacks, CloudKind.PRIMARY)
             return
 
-        if CloudKind.SECONDARY not in lost_kinds:
+        if not lost_colors & set(v_secondary):
             self.counters.branch_primary += 1
-            affected = sorted(c for c in lost_colors
-                              if c in self.registry.clouds
-                              and self.registry.clouds[c].kind is CloudKind.PRIMARY)
+            affected = sorted(c for c in lost_colors if c in self.registry.clouds)
             self._fix_primary_clouds(affected)
             participants = [c for c in affected if c in self.registry.clouds]
             self._make_secondary_cloud(participants, blacks)
@@ -337,13 +329,11 @@ class Healer:
             # a single self-contained region (or none) needs no tie;
             # folds always carry members, so none are pending here
             return
-        self.graph.begin_repair_phase()
-        marked = self._strip_cloud_edges(folds)
+        drained = self._strip_cloud_edges(folds)
         for f in folds:
             reg.retire(f)
         self._make_secondary_cloud(participants, loose)
-        self._purge_marked(marked)
-        self.graph.end_repair_phase()
+        self._purge(drained)
 
     # -- repair subroutines ----------------------------------------------
 
@@ -353,13 +343,11 @@ class Healer:
         live = [cid for cid in sorted(set(cloud_ids)) if cid in self.registry.clouds]
         if not live:
             return
-        self.graph.begin_repair_phase()
-        marked = self._strip_cloud_edges(live)
+        drained = self._strip_cloud_edges(live)
         for cid in live:
             self._build_cloud(sorted(self.registry.clouds[cid].members),
                               CloudKind.PRIMARY, color=cid)
-        self._purge_marked(marked)
-        self.graph.end_repair_phase()
+        self._purge(drained)
 
     def _make_secondary_cloud(self, cloud_ids: Sequence[int],
                               extra_members: Sequence[int]) -> None:
@@ -416,11 +404,9 @@ class Healer:
             if not cloud.members:
                 return None
             new_members = sorted(cloud.members)
-        self.graph.begin_repair_phase()
-        marked = self._strip_cloud_edges([fid])
+        drained = self._strip_cloud_edges([fid])
         self._build_cloud(new_members, CloudKind.SECONDARY, color=fid)
-        self._purge_marked(marked)
-        self.graph.end_repair_phase()
+        self._purge(drained)
         return None
 
     def _merge_into_primary(self, cloud_ids: Sequence[int],
@@ -433,13 +419,11 @@ class Healer:
             union |= self.registry.clouds[cid].members
         if not union:
             return None
-        self.graph.begin_repair_phase()
-        marked = self._strip_cloud_edges(live)
+        drained = self._strip_cloud_edges(live)
         for cid in live:
             self.registry.retire(cid)
         merged = self._build_cloud(sorted(union), CloudKind.PRIMARY)
-        self._purge_marked(marked)
-        self.graph.end_repair_phase()
+        self._purge(drained)
         self.counters.merges += 1
         return merged
 
@@ -488,8 +472,7 @@ class Healer:
             self.counters.clouds_rebuilt += 1
         topology = build_topology(member_list, self.cfg, self.rng)
         for u, v in topology.edge_list:
-            outcome = self.graph.ensure_edge_color(u, v, color, kind)
-            if outcome is EnsureResult.CREATED:
+            if self.graph.ensure_edge_color(u, v, color):
                 self.counters.edges_created += 1
             else:
                 self.counters.edges_reused += 1
@@ -497,21 +480,18 @@ class Healer:
         return color
 
     def _strip_cloud_edges(self, cloud_ids: Sequence[int]) -> list[EdgeKey]:
-        """Remove each cloud's color from its recorded edges, marking
-        the ones that drain colorless as deletion candidates."""
-        marked: set[EdgeKey] = set()
+        """Remove each cloud's color from its recorded edges; return the
+        sorted keys of the edges that drained colorless."""
+        drained: set[EdgeKey] = set()
         for cid in cloud_ids:
             for u, v in sorted(self.registry.clouds[cid].topology.edge_list):
-                if self.graph.strip_color(u, v, cid) is StripResult.NOW_EMPTY:
-                    self.graph.mark_edge(u, v)
-                    marked.add(edge_key(u, v))
-        return sorted(marked)
+                if self.graph.strip_color(u, v, cid):
+                    drained.add(edge_key(u, v))
+        return sorted(drained)
 
-    def _purge_marked(self, marked: Sequence[EdgeKey]) -> None:
-        """Delete marked edges nobody recolored; unmark the reused ones."""
-        for u, v in marked:
-            if self.graph.purge_if_colorless(u, v) is PurgeResult.DELETED:
-                self.counters.edges_deleted += 1
+    def _purge(self, drained: Sequence[EdgeKey]) -> None:
+        """Delete the drained edges that no rebuild recolored."""
+        self.counters.edges_deleted += self.graph.purge_colorless(drained)
 
     # -- fault injection ----------------------------------------------------
 
@@ -520,30 +500,24 @@ class Healer:
         if not candidates:
             return
         u, v = self.rng.choice(candidates)
-        rec = self.graph.edge(u, v)
-        rec.colors.discard(BLACK)
-        if rec.colors:
-            return
-        rec.marked = True
-        self.graph.purge_if_colorless(u, v)
+        self.graph.strip_color(u, v, BLACK)
+        self.graph.purge_colorless([(u, v)])
 
 
 # -- coherence oracle ---------------------------------------------------
 
 
-def expected_edge_state(healer: Healer) -> dict[EdgeKey, tuple[set[int], dict[int, CloudKind]]]:
+def expected_edge_state(healer: Healer) -> dict[EdgeKey, set[int]]:
     """Reconstruct, from the shadow and the registry alone, the color
-    set and kind map every live edge is supposed to carry."""
-    expected: dict[EdgeKey, tuple[set[int], dict[int, CloudKind]]] = {}
+    set every live edge is supposed to carry."""
+    expected: dict[EdgeKey, set[int]] = {}
     alive = healer.shadow.alive
     for u, v in healer.shadow.edges:
         if u in alive and v in alive:
-            expected[edge_key(u, v)] = ({BLACK}, {})
+            expected[edge_key(u, v)] = {BLACK}
     for cid, cloud in healer.registry.clouds.items():
         for key in cloud.topology.edge_list:
-            colors, kinds = expected.setdefault(key, (set(), {}))
-            colors.add(cid)
-            kinds[cid] = cloud.kind
+            expected.setdefault(key, set()).add(cid)
     return expected
 
 
@@ -551,8 +525,8 @@ def coherence_errors(healer: Healer) -> list[str]:
     """Full cross-check of graph, shadow, and registry.
 
     Empty result means: the graph's color sets are exactly what the
-    registry implies, structural indexes agree, and no repair-phase
-    debris (marked or colorless edges) is left behind.
+    registry implies, structural indexes agree, and no colorless edge
+    is left behind.
     """
     errs = healer.graph.integrity_errors()
     errs.extend(healer.registry.validation_errors(set(healer.shadow.alive)))
@@ -565,11 +539,7 @@ def coherence_errors(healer: Healer) -> list[str]:
             errs.append(f"edge {key} expected but missing from graph")
         elif key not in expected:
             errs.append(f"edge {key} present but unexplained by registry/shadow")
-        else:
-            colors, kinds = expected[key]
-            if actual[key].colors != colors:
-                errs.append(f"edge {key} colors {sorted(actual[key].colors)} "
-                            f"!= expected {sorted(colors)}")
-            if actual[key].kinds != kinds:
-                errs.append(f"edge {key} kind map mismatch")
+        elif actual[key].colors != expected[key]:
+            errs.append(f"edge {key} colors {sorted(actual[key].colors)} "
+                        f"!= expected {sorted(expected[key])}")
     return errs

@@ -10,7 +10,7 @@ that.
 from __future__ import annotations
 
 import random
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -70,9 +70,7 @@ class ExpanderConfig:
 @dataclass
 class CloudTopology:
     kind: TopologyKind
-    members: tuple[int, ...]
     edge_list: list[EdgeKey]
-    kappa: int
     certified_expansion: Fraction
 
 
@@ -165,19 +163,6 @@ def _cheeger_lower_bound(adjacency: Mapping[int, AbstractSet[int]]) -> Fraction:
     return Fraction(int(safe * (1 << 32)), 1 << 33)
 
 
-def certify_expansion(
-    members: Sequence[int], edge_list: Sequence[EdgeKey], cfg: ExpanderConfig
-) -> Fraction:
-    """Expansion certificate for an explicit topology: exact when small
-    enough, spectral lower bound otherwise, zero for degenerate sizes."""
-    if len(members) < 2:
-        return Fraction(0)
-    adj = _as_adjacency(members, edge_list)
-    if len(members) <= cfg.exact_limit:
-        return expansion_exact(adj, limit=cfg.exact_limit)
-    return _cheeger_lower_bound(adj)
-
-
 def _as_adjacency(members: Sequence[int], edge_list: Sequence[EdgeKey]
                   ) -> dict[int, set[int]]:
     adj: dict[int, set[int]] = {v: set() for v in members}
@@ -193,7 +178,8 @@ def _gate_certificate(adj: dict[int, set[int]], cfg: ExpanderConfig) -> Fraction
     The spectral bound is a few eigensolver milliseconds and usually
     already beats alpha_target; the exponential exact cut enumeration
     only runs when the spectral bound falls short and the graph is small
-    enough.  Both are valid lower bounds on the true expansion.
+    enough.  Both are valid lower bounds on the true expansion, so a
+    disconnected graph (expansion 0) never clears the positive target.
     """
     cert = _cheeger_lower_bound(adj)
     if cert < cfg.alpha_target and len(adj) <= cfg.exact_limit:
@@ -239,31 +225,16 @@ def _pairing_attempt(n: int, kappa: int, rng: random.Random) -> set[tuple[int, i
     return edges
 
 
-def _connected(n: int, edges: set[tuple[int, int]]) -> bool:
-    adj: dict[int, set[int]] = {i: set() for i in range(n)}
-    for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        cur = queue.popleft()
-        for nb in adj[cur]:
-            if nb not in seen:
-                seen.add(nb)
-                queue.append(nb)
-    return len(seen) == n
-
-
 def build_topology(
     members: Sequence[int], cfg: ExpanderConfig, rng: random.Random
 ) -> CloudTopology:
     """Design the edge set of a cloud over *members*.
 
     Up to kappa+1 members the cloud is a clique (its exact expansion is
-    recorded but never gated).  Beyond that, kappa-regular candidates
-    are sampled until one is simple, connected, and certifies expansion
-    at least ``alpha_target``.  Deterministic for a fixed rng state.
+    recorded but never gated).  Beyond that, simple kappa-regular
+    candidates are sampled until one certifies expansion at least
+    ``alpha_target``, which also proves it connected.  Deterministic for
+    a fixed rng state.
     """
     ordered = list(members)
     if len(set(ordered)) != len(ordered):
@@ -278,24 +249,17 @@ def build_topology(
         # a clique's minimum cut ratio is attained by a half split:
         # |S|*(m-|S|)/|S| = m - |S|, smallest at |S| = floor(m/2)
         cert = Fraction(0) if m < 2 else Fraction(m - m // 2)
-        return CloudTopology(TopologyKind.CLIQUE, tuple(ranked), edge_list, cfg.kappa, cert)
+        return CloudTopology(TopologyKind.CLIQUE, edge_list, cert)
 
     for _ in range(cfg.max_retries):
         idx_edges = _pairing_attempt(m, cfg.kappa, rng)
-        if idx_edges is None or not _connected(m, idx_edges):
+        if idx_edges is None:
             continue
         edge_list = sorted(edge_key(ranked[i], ranked[j]) for i, j in idx_edges)
         cert = _gate_certificate(_as_adjacency(ranked, edge_list), cfg)
         if cert >= cfg.alpha_target:
-            return CloudTopology(
-                TopologyKind.REGULAR_EXPANDER, tuple(ranked), edge_list, cfg.kappa, cert
-            )
+            return CloudTopology(TopologyKind.REGULAR_EXPANDER, edge_list, cert)
     raise RetriesExhausted(
         f"no {cfg.kappa}-regular candidate on {m} nodes certified "
         f"expansion >= {cfg.alpha_target} within {cfg.max_retries} tries"
     )
-
-
-def verify_cloud(topology: CloudTopology, cfg: ExpanderConfig) -> Fraction:
-    """Recompute the expansion certificate of a built topology."""
-    return certify_expansion(list(topology.members), topology.edge_list, cfg)

@@ -21,7 +21,6 @@ import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -61,10 +60,6 @@ class ColorAbsent(GraphError):
     pass
 
 
-class NotMarked(GraphError):
-    pass
-
-
 class EmptySubset(GraphError):
     pass
 
@@ -74,21 +69,6 @@ class CloudKind(Enum):
     SECONDARY = "secondary"
 
 
-class EnsureResult(Enum):
-    CREATED = "created"
-    REUSED = "reused"
-
-
-class StripResult(Enum):
-    NOW_EMPTY = "now_empty"
-    STILL_COLORED = "still_colored"
-
-
-class PurgeResult(Enum):
-    DELETED = "deleted"
-    KEPT = "kept"
-
-
 def edge_key(u: int, v: int) -> EdgeKey:
     """Canonical unordered representation of an edge."""
     return (u, v) if u < v else (v, u)
@@ -96,21 +76,17 @@ def edge_key(u: int, v: int) -> EdgeKey:
 
 @dataclass
 class EdgeRecord:
-    """One undirected edge plus its color bookkeeping.
+    """One undirected edge and the colors that keep it alive.
 
-    ``kinds`` annotates every non-black color with the role (primary or
-    secondary) of the cloud using the edge.  The same physical edge can
-    serve one primary and one secondary cloud at once, so the role is
-    stored per color rather than as a single field.  ``marked`` flags a
-    deletion candidate inside a repair phase; outside a phase it is
-    always False.
+    ``BLACK`` stands for an original or adversary edge, every other
+    color for the id of a cloud whose topology uses the edge.  The
+    colors are the edge's whole state: a cloud's kind is read from the
+    registry, and an edge is deleted once its color set is empty.
     """
 
     u: int
     v: int
     colors: set[Color] = field(default_factory=set)
-    kinds: dict[Color, CloudKind] = field(default_factory=dict)
-    marked: bool = False
 
     @property
     def key(self) -> EdgeKey:
@@ -135,21 +111,6 @@ class ColoredGraph:
     def __init__(self) -> None:
         self._adj: dict[int, set[int]] = {}
         self._edges: dict[EdgeKey, EdgeRecord] = {}
-        # Depth of nested repair brackets; while positive, the "no
-        # colorless / marked edges" invariant is suspended between the
-        # strip and purge passes.
-        self._phase_depth: int = 0
-
-    @property
-    def in_repair_phase(self) -> bool:
-        return self._phase_depth > 0
-
-    def begin_repair_phase(self) -> None:
-        self._phase_depth += 1
-
-    def end_repair_phase(self) -> None:
-        assert self._phase_depth > 0, "unbalanced repair phase"
-        self._phase_depth -= 1
 
     # -- nodes ---------------------------------------------------------
 
@@ -211,8 +172,9 @@ class ColoredGraph:
     def edge_count(self) -> int:
         return len(self._edges)
 
-    def add_black_edge(self, u: int, v: int) -> None:
-        """Wire a fresh adversary/original edge.  The pair must be new."""
+    def add_edge(self, u: int, v: int, colors: Iterable[Color] = (BLACK,)) -> None:
+        """Wire a fresh edge carrying *colors* (by default an original or
+        adversary edge).  The pair must be new."""
         if u == v:
             raise SelfLoop(f"({u},{u})")
         if u not in self._adj or v not in self._adj:
@@ -220,54 +182,43 @@ class ColoredGraph:
         key = edge_key(u, v)
         if key in self._edges:
             raise GraphError(f"edge {key} already exists")
-        self._edges[key] = EdgeRecord(key[0], key[1], colors={BLACK})
+        self._edges[key] = EdgeRecord(key[0], key[1], colors=set(colors))
         self._adj[u].add(v)
         self._adj[v].add(u)
 
-    def ensure_edge_color(self, u: int, v: int, color: Color, kind: CloudKind) -> EnsureResult:
+    def ensure_edge_color(self, u: int, v: int, color: Color) -> bool:
         """Give the pair (u, v) the cloud color *color*, reusing any
-        existing edge, otherwise creating one."""
-        if u == v:
-            raise SelfLoop(f"({u},{u})")
-        if u not in self._adj or v not in self._adj:
-            raise UnknownNode(f"endpoint of ({u},{v}) not present")
+        existing edge, otherwise creating one.  True when created."""
         if color == BLACK:
             raise ValueError("cloud colors only; black edges come from insertions")
-        key = edge_key(u, v)
-        rec = self._edges.get(key)
+        rec = self._edges.get(edge_key(u, v))
         if rec is not None:
             rec.colors.add(color)
-            rec.kinds[color] = kind
-            return EnsureResult.REUSED
-        self._edges[key] = EdgeRecord(key[0], key[1], colors={color}, kinds={color: kind})
-        self._adj[u].add(v)
-        self._adj[v].add(u)
-        return EnsureResult.CREATED
+            return False
+        self.add_edge(u, v, colors=(color,))
+        return True
 
-    def strip_color(self, u: int, v: int, color: Color) -> StripResult:
-        """Remove *color* from the edge; report whether it drained."""
+    def strip_color(self, u: int, v: int, color: Color) -> bool:
+        """Remove *color* from the edge.  True when the edge drained to
+        colorless; it stays in the graph until ``purge_colorless``."""
         rec = self.edge(u, v)
         if color not in rec.colors:
             raise ColorAbsent(f"edge {rec.key} does not carry color {color}")
         rec.colors.discard(color)
-        rec.kinds.pop(color, None)
-        return StripResult.NOW_EMPTY if not rec.colors else StripResult.STILL_COLORED
+        return not rec.colors
 
-    def mark_edge(self, u: int, v: int) -> None:
-        self.edge(u, v).marked = True
-
-    def purge_if_colorless(self, u: int, v: int) -> PurgeResult:
-        """Delete a marked edge if nothing recolored it, else unmark it."""
-        rec = self.edge(u, v)
-        if not rec.marked:
-            raise NotMarked(f"edge {rec.key} is not marked")
-        if rec.colors:
-            rec.marked = False
-            return PurgeResult.KEPT
-        del self._edges[rec.key]
-        self._adj[rec.u].discard(rec.v)
-        self._adj[rec.v].discard(rec.u)
-        return PurgeResult.DELETED
+    def purge_colorless(self, keys: Iterable[EdgeKey]) -> int:
+        """Delete those of the edges *keys* that are still colorless;
+        return how many went."""
+        deleted = 0
+        for u, v in keys:
+            rec = self.edge(u, v)
+            if not rec.colors:
+                del self._edges[rec.key]
+                self._adj[rec.u].discard(rec.v)
+                self._adj[rec.v].discard(rec.u)
+                deleted += 1
+        return deleted
 
     # -- integrity -----------------------------------------------------
 
@@ -284,14 +235,8 @@ class ColoredGraph:
                     errs.append(f"edge {key} endpoint {end} missing")
                 elif rec.other(end) not in self._adj[end]:
                     errs.append(f"edge {key} missing from adjacency of {end}")
-            nonblack = {c for c in rec.colors if c != BLACK}
-            if set(rec.kinds) != nonblack:
-                errs.append(f"edge {key} kinds {set(rec.kinds)} != non-black colors {nonblack}")
-            if not self.in_repair_phase:
-                if not rec.colors:
-                    errs.append(f"edge {key} colorless outside repair phase")
-                if rec.marked:
-                    errs.append(f"edge {key} marked outside repair phase")
+            if not rec.colors:
+                errs.append(f"edge {key} colorless")
         for v, nbrs in self._adj.items():
             for nb in nbrs:
                 if edge_key(v, nb) not in self._edges:
@@ -360,19 +305,6 @@ class ShadowGraph:
             self.edges.add(edge_key(u, v))
             self._adj[u].add(v)
             self._adj[v].add(u)
-
-
-def density(view: ColoredGraph | ShadowGraph, subset: Iterable[int]) -> Fraction:
-    """Induced edge count over subset size, as an exact rational."""
-    s = set(subset)
-    if not s:
-        raise EmptySubset("density of the empty set is undefined")
-    twice_edges = 0
-    for u in s:
-        if u not in view:
-            raise UnknownNode(f"node {u} not in view")
-        twice_edges += len(view.neighbors(u) & s)
-    return Fraction(twice_edges // 2, len(s))
 
 
 def is_connected(view: ColoredGraph | ShadowGraph) -> bool:

@@ -15,6 +15,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, AbstractSet
 import numpy as np
 
 from . import expander
+from .expander import TooLarge
 from .graph import (
     ColoredGraph,
     Csr,
@@ -34,10 +35,6 @@ BFS_BLOCK = 32  # sources per batched BFS; bounds its sources x nodes frontier
 
 
 class MetricsError(Exception):
-    pass
-
-
-class TooLarge(MetricsError):
     pass
 
 
@@ -67,10 +64,7 @@ def lambda2(view: ColoredGraph | ShadowGraph, cap: int = LAMBDA_SIZE_CAP) -> flo
 def expansion(view: ColoredGraph | ShadowGraph, exact_limit: int = 20) -> Fraction:
     """Exact edge expansion of the view over its own node set."""
     nodes = sorted(view.node_set)
-    if len(nodes) > exact_limit:
-        raise TooLarge(f"{len(nodes)} nodes exceeds exact limit {exact_limit}")
-    return expander.expansion_exact({v: view.neighbors(v) for v in nodes},
-                                    limit=exact_limit)
+    return expander.expansion_exact({v: view.neighbors(v) for v in nodes}, limit=exact_limit)
 
 
 # -- per-bound checks ----------------------------------------------------

@@ -11,8 +11,22 @@ import random
 from collections import deque
 from fractions import Fraction
 
-from xhealsim.graph import ColoredGraph, density, edge_key
+from xhealsim.expander import ExpanderConfig, _cheeger_lower_bound, expansion_exact
+from xhealsim.graph import ColoredGraph, EmptySubset, UnknownNode, edge_key
 from xhealsim.metrics import ALL_PAIRS_LIMIT
+
+
+def density(view, subset) -> Fraction:
+    """Induced edge count over subset size, as an exact rational."""
+    s = set(subset)
+    if not s:
+        raise EmptySubset("density of the empty set is undefined")
+    twice_edges = 0
+    for u in s:
+        if u not in view:
+            raise UnknownNode(f"node {u} not in view")
+        twice_edges += len(view.neighbors(u) & s)
+    return Fraction(twice_edges // 2, len(s))
 
 
 def density_oracle(has_edge, subset) -> Fraction:
@@ -123,6 +137,21 @@ def stretch_oracle(graph, shadow, pair_samples, rng):
     return worst, violations, evaluated
 
 
+def certificate_oracle(members, edge_list, cfg: ExpanderConfig) -> Fraction:
+    """Recomputed expansion certificate of a cloud topology: exact up to
+    ``cfg.exact_limit`` members, the spectral lower bound beyond, zero
+    for fewer than two members."""
+    if len(members) < 2:
+        return Fraction(0)
+    adj: dict[int, set[int]] = {v: set() for v in members}
+    for u, v in edge_list:
+        adj[u].add(v)
+        adj[v].add(u)
+    if len(members) <= cfg.exact_limit:
+        return expansion_exact(adj, limit=cfg.exact_limit)
+    return _cheeger_lower_bound(adj)
+
+
 def random_adjacency(n: int, p: float, rng: random.Random) -> dict[int, set[int]]:
     adj: dict[int, set[int]] = {i: set() for i in range(n)}
     for i in range(n):
@@ -138,7 +167,7 @@ def graph_from_edges(nodes, edges) -> ColoredGraph:
     for v in nodes:
         g.add_node(v)
     for u, v in edges:
-        g.add_black_edge(u, v)
+        g.add_edge(u, v)
     return g
 
 

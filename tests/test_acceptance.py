@@ -12,13 +12,13 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import (complete_adjacency, cycle_adjacency, density_oracle,
-                     expansion_oracle, random_adjacency)
+from helpers import (certificate_oracle, complete_adjacency, cycle_adjacency, density,
+                     density_oracle, expansion_oracle, random_adjacency)
 from xhealsim import cli
 from xhealsim.adversary import Strategy, gen_trace, initial_graph, next_event
 from xhealsim.engine import Healer, coherence_errors
-from xhealsim.expander import ExpanderConfig, build_topology, verify_cloud
-from xhealsim.graph import density, edge_key
+from xhealsim.expander import ExpanderConfig, build_topology
+from xhealsim.graph import edge_key
 from xhealsim.metrics import (
     check_connectivity,
     check_degree_bound,
@@ -244,8 +244,9 @@ def test_expander_builder():
                     frontier.append(nb)
         if len(reached) != n:
             problems.append((i, n, "disconnected"))
-        if verify_cloud(topo, cfg) < Fraction(1):
-            problems.append((i, n, f"certificate {verify_cloud(topo, cfg)}"))
+        cert = certificate_oracle(members, topo.edge_list, cfg)
+        if cert < Fraction(1):
+            problems.append((i, n, f"certificate {cert}"))
     conclude("expander-builder", not problems,
              "100 builds, n in [8,40], simple + regular + connected + certified >= 1"
              if not problems else str(problems[:5]))

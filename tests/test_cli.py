@@ -1,3 +1,4 @@
+import copy
 import json
 
 from xhealsim import cli
@@ -99,21 +100,27 @@ def test_verify_snapshot_roundtrip(tmp_path, capsys):
                     "--trace", str(trace)]) == 0
 
 
-def test_verify_detects_corrupted_color(tmp_path, capsys):
+def small_snapshot(tmp_path):
     trace = tmp_path / "t.jsonl"
     snap = tmp_path / "s.json"
     run_cli(["gen", "--strategy", "uniform", "--n0", "20", "--steps", "30",
              "--seed", "5", "-o", str(trace)])
     run_cli(["run", "--trace", str(trace), "--seed", "5",
              "--snapshot", str(snap), "-o", str(tmp_path / "r.csv")])
-    data = json.loads(snap.read_text())
-    victim = data["edges"][0]
-    victim["colors"] = victim["colors"] + [424242]
-    victim["kinds"] = dict(victim["kinds"], **{"424242": "primary"})
-    snap.write_text(json.dumps(data))
-    code = run_cli(["verify", "--snapshot", str(snap)])
-    assert code == 1
-    assert "VIOLATION" in capsys.readouterr().err
+    return json.loads(snap.read_text())
+
+
+def test_verify_detects_corrupted_color(tmp_path, capsys):
+    data = small_snapshot(tmp_path)
+    stray = data["edges"][0]["colors"] + [424242]
+    for name, colors in (("stray", stray), ("colorless", [])):
+        victim = copy.deepcopy(data)
+        victim["edges"][0]["colors"] = colors
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(victim))
+        capsys.readouterr()
+        assert run_cli(["verify", "--snapshot", str(path)]) == 1, name
+        assert "VIOLATION" in capsys.readouterr().err
 
 
 def test_verify_missing_or_malformed_snapshot(tmp_path, capsys):
@@ -124,6 +131,23 @@ def test_verify_missing_or_malformed_snapshot(tmp_path, capsys):
     wrong_version = tmp_path / "v9.json"
     wrong_version.write_text('{"v": 9}')
     assert run_cli(["verify", "--snapshot", str(wrong_version)]) == 2
+    not_object = tmp_path / "list.json"
+    not_object.write_text("[]")
+    assert run_cli(["verify", "--snapshot", str(not_object)]) == 2
+    data = small_snapshot(tmp_path)
+    broken = {
+        "v1": lambda d: d.update(v=1),
+        "unknown-counter": lambda d: d["counters"].update(bogus_counter=0),
+        "missing-counter": lambda d: d["counters"].pop("merges"),
+    }
+    for name, damage in broken.items():
+        victim = copy.deepcopy(data)
+        damage(victim)
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(victim))
+        capsys.readouterr()
+        assert run_cli(["verify", "--snapshot", str(path)]) == 2, name
+        assert "malformed snapshot" in capsys.readouterr().err
 
 
 def test_report_summary_and_ordering(tmp_path, capsys):

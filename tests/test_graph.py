@@ -1,29 +1,26 @@
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import density_oracle, graph_from_edges, random_adjacency
+import xhealsim
+from helpers import density, density_oracle, graph_from_edges, random_adjacency
 from xhealsim.adversary import Event
 from xhealsim.graph import (
     BLACK,
-    CloudKind,
     ColoredGraph,
     ColorAbsent,
     DuplicateNode,
     EmptySubset,
-    EnsureResult,
-    NotMarked,
-    PurgeResult,
     SelfLoop,
     ShadowGraph,
-    StripResult,
     UnknownEdge,
     UnknownNode,
     black_neighbors,
-    density,
     edge_key,
     is_connected,
 )
@@ -49,10 +46,9 @@ def test_remove_node_returns_records():
 
 def test_remove_node_keeps_color_sets_intact():
     g = graph_from_edges([0, 1], [(0, 1)])
-    g.ensure_edge_color(0, 1, 1, CloudKind.PRIMARY)
+    g.ensure_edge_color(0, 1, 1)
     (rec,) = g.remove_node(0)
     assert rec.colors == {BLACK, 1}
-    assert rec.kinds == {1: CloudKind.PRIMARY}
 
 
 def test_remove_isolated_node():
@@ -65,33 +61,32 @@ def test_remove_isolated_node():
 
 def test_ensure_edge_color_reuse_and_create():
     g = graph_from_edges([0, 1, 2], [(0, 1)])
-    assert g.ensure_edge_color(0, 1, 7, CloudKind.PRIMARY) is EnsureResult.REUSED
+    assert g.ensure_edge_color(0, 1, 7) is False  # reused
     assert g.edge(0, 1).colors == {BLACK, 7}
-    assert g.ensure_edge_color(1, 2, 7, CloudKind.PRIMARY) is EnsureResult.CREATED
+    assert g.ensure_edge_color(1, 2, 7) is True  # created
     assert g.edge(1, 2).colors == {7}
     with pytest.raises(SelfLoop):
-        g.ensure_edge_color(1, 1, 7, CloudKind.PRIMARY)
+        g.ensure_edge_color(1, 1, 7)
     with pytest.raises(UnknownNode):
-        g.ensure_edge_color(0, 9, 7, CloudKind.PRIMARY)
+        g.ensure_edge_color(0, 9, 7)
     with pytest.raises(ValueError):
-        g.ensure_edge_color(0, 1, BLACK, CloudKind.PRIMARY)
+        g.ensure_edge_color(0, 1, BLACK)
 
 
 def test_strip_color_variants():
     g = graph_from_edges([0, 1], [(0, 1)])
-    g.ensure_edge_color(0, 1, 3, CloudKind.PRIMARY)
-    assert g.strip_color(0, 1, 3) is StripResult.STILL_COLORED
+    g.ensure_edge_color(0, 1, 3)
+    assert g.strip_color(0, 1, 3) is False  # still black
     assert g.edge(0, 1).colors == {BLACK}
-    assert g.edge(0, 1).kinds == {}
 
     g2 = ColoredGraph()
     for v in (0, 1):
         g2.add_node(v)
-    g2.ensure_edge_color(0, 1, 3, CloudKind.SECONDARY)
-    g2.ensure_edge_color(0, 1, 5, CloudKind.SECONDARY)
-    assert g2.strip_color(0, 1, 3) is StripResult.STILL_COLORED
+    g2.ensure_edge_color(0, 1, 3)
+    g2.ensure_edge_color(0, 1, 5)
+    assert g2.strip_color(0, 1, 3) is False
     assert g2.edge(0, 1).colors == {5}
-    assert g2.strip_color(0, 1, 5) is StripResult.NOW_EMPTY
+    assert g2.strip_color(0, 1, 5) is True  # drained
 
     with pytest.raises(ColorAbsent):
         g.strip_color(0, 1, 99)
@@ -103,22 +98,20 @@ def test_purge_if_colorless():
     g = ColoredGraph()
     for v in (0, 1):
         g.add_node(v)
-    g.begin_repair_phase()
-    g.ensure_edge_color(0, 1, 3, CloudKind.PRIMARY)
+    g.ensure_edge_color(0, 1, 3)
     g.strip_color(0, 1, 3)
-    g.mark_edge(0, 1)
-    assert g.purge_if_colorless(0, 1) is PurgeResult.DELETED
+    assert g.integrity_errors() == ["edge (0, 1) colorless"]
+    assert g.purge_colorless([(0, 1)]) == 1
     assert not g.has_edge(0, 1)
 
-    g.ensure_edge_color(0, 1, 3, CloudKind.PRIMARY)
+    g.ensure_edge_color(0, 1, 3)
     g.strip_color(0, 1, 3)
-    g.mark_edge(0, 1)
-    g.ensure_edge_color(0, 1, 9, CloudKind.SECONDARY)  # recolored during rebuild
-    assert g.purge_if_colorless(0, 1) is PurgeResult.KEPT
-    assert g.has_edge(0, 1) and not g.edge(0, 1).marked
+    g.ensure_edge_color(0, 1, 9)  # recolored during rebuild
+    assert g.purge_colorless([(0, 1)]) == 0
+    assert g.has_edge(0, 1) and g.integrity_errors() == []
 
-    with pytest.raises(NotMarked):
-        g.purge_if_colorless(0, 1)
+    with pytest.raises(UnknownEdge):
+        g.purge_colorless([(0, 5)])
 
 
 def test_black_neighbors():
@@ -128,8 +121,8 @@ def test_black_neighbors():
     assert black_neighbors([], 0) == set()
 
     g2 = graph_from_edges([0, 1, 2], [(0, 1)])
-    g2.ensure_edge_color(0, 1, 1, CloudKind.PRIMARY)
-    g2.ensure_edge_color(0, 2, 1, CloudKind.PRIMARY)
+    g2.ensure_edge_color(0, 1, 1)
+    g2.ensure_edge_color(0, 2, 1)
     removed = g2.remove_node(0)
     assert black_neighbors(removed, 0) == {1}
 
@@ -216,11 +209,10 @@ def test_shadow_is_append_only(script):
         assert sh.alive <= sh.nodes
 
 
-def test_kinds_keyset_tracks_nonblack_colors():
-    g = graph_from_edges([0, 1], [(0, 1)])
-    g.ensure_edge_color(0, 1, 4, CloudKind.SECONDARY)
-    rec = g.edge(0, 1)
-    assert set(rec.kinds) == {4}
-    g.strip_color(0, 1, 4)
-    assert set(rec.kinds) == set()
-    assert g.integrity_errors() == []
+def test_only_graph_module_touches_graph_internals():
+    src = Path(xhealsim.__file__).parent
+    offenders = [f"{path.name}:{no}"
+                 for path in sorted(src.glob("*.py")) if path.name != "graph.py"
+                 for no, line in enumerate(path.read_text().splitlines(), start=1)
+                 if re.search(r"\._(adj|edges)\b", line)]
+    assert offenders == []

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import (complete_adjacency, cycle_adjacency, density_oracle,
+from helpers import (complete_adjacency, cycle_adjacency, density, density_oracle,
                      graph_from_edges)
 from xhealsim.adversary import Event
 from xhealsim.engine import Healer
@@ -41,10 +41,8 @@ def test_edge_preservation_clean_and_faulted():
 
     # plant a fault: remove a live black edge behind the healer's back
     h.handle_event(Event("ins", 4, (1, 2)))
-    rec = h.graph.edge(1, 4)
-    rec.colors.discard(BLACK)
-    rec.marked = True
-    h.graph.purge_if_colorless(1, 4)
+    h.graph.strip_color(1, 4, BLACK)
+    h.graph.purge_colorless([(1, 4)])
     ok, missing = check_edge_preservation(h.graph, h.shadow)
     assert not ok and missing == [(1, 4)]
 
@@ -64,10 +62,8 @@ def test_density_lower_singleton_and_fault():
 
     h2 = healed_star()
     h2.handle_event(Event("ins", 4, (1, 2)))
-    rec = h2.graph.edge(1, 4)
-    rec.colors.discard(BLACK)
-    rec.marked = True
-    h2.graph.purge_if_colorless(1, 4)
+    h2.graph.strip_color(1, 4, BLACK)
+    h2.graph.purge_colorless([(1, 4)])
     viols = check_density_lower(h2.graph, h2.shadow, [frozenset([1, 2, 4])])
     assert viols
 
@@ -78,7 +74,6 @@ def test_density_upper_hand_computed_bound():
     h = healed_star()
     subset = frozenset([1, 2, 3])
     assert check_density_upper(h.graph, h.shadow, 6, [subset]) == []
-    from xhealsim.graph import density
     assert density(h.graph, subset) == 1
     assert density(h.shadow, subset) == 0
 
