@@ -9,7 +9,7 @@ Subcommands:
 * ``report``  summarize one or more CSV report files
 
 Exit codes: 0 all checks passed, 1 an invariant was violated, 2 usage,
-I/O, or parse errors.
+I/O, or parse errors, 3 a cloud could not be certified within its retries.
 """
 from __future__ import annotations
 
@@ -36,7 +36,13 @@ from .adversary import (
     validate_trace,
 )
 from .engine import Cloud, FAULTS, Healer, InvalidEvent, coherence_errors
-from .expander import CloudTopology, ExpanderConfig, ExpanderError, TopologyKind
+from .expander import (
+    CloudTopology,
+    ExpanderConfig,
+    ExpanderError,
+    RetriesExhausted,
+    TopologyKind,
+)
 from .graph import CloudKind, GraphError, edge_key
 from .metrics import MetricsReport, evaluate
 
@@ -507,6 +513,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except RetriesExhausted as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except (AdversaryError, ExpanderError, GraphError, InvalidEvent,
             OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

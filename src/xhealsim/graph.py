@@ -111,6 +111,7 @@ class ColoredGraph:
     def __init__(self) -> None:
         self._adj: dict[int, set[int]] = {}
         self._edges: dict[EdgeKey, EdgeRecord] = {}
+        self._csr: Csr | None = None  # see Csr.of; dropped on adjacency change
 
     # -- nodes ---------------------------------------------------------
 
@@ -130,6 +131,7 @@ class ColoredGraph:
     def add_node(self, v: int) -> None:
         if v in self._adj:
             raise DuplicateNode(f"node {v} already present")
+        self._csr = None
         self._adj[v] = set()
 
     def remove_node(self, v: int) -> list[EdgeRecord]:
@@ -140,6 +142,7 @@ class ColoredGraph:
         """
         if v not in self._adj:
             raise UnknownNode(f"node {v} not present")
+        self._csr = None
         removed = []
         for nb in sorted(self._adj[v]):
             removed.append(self._edges.pop(edge_key(v, nb)))
@@ -182,6 +185,7 @@ class ColoredGraph:
         key = edge_key(u, v)
         if key in self._edges:
             raise GraphError(f"edge {key} already exists")
+        self._csr = None
         self._edges[key] = EdgeRecord(key[0], key[1], colors=set(colors))
         self._adj[u].add(v)
         self._adj[v].add(u)
@@ -214,6 +218,7 @@ class ColoredGraph:
         for u, v in keys:
             rec = self.edge(u, v)
             if not rec.colors:
+                self._csr = None
                 del self._edges[rec.key]
                 self._adj[rec.u].discard(rec.v)
                 self._adj[rec.v].discard(rec.u)
@@ -257,6 +262,7 @@ class ShadowGraph:
         self.edges: set[EdgeKey] = set()
         self.alive: set[int] = set()
         self._adj: dict[int, set[int]] = {}
+        self._csr: Csr | None = None  # see Csr.of; dropped on adjacency change
 
     @property
     def node_set(self) -> set[int]:
@@ -280,6 +286,7 @@ class ShadowGraph:
         if event.is_insert:
             if event.node in self.nodes:
                 raise DuplicateNode(f"node {event.node} already recorded")
+            self._csr = None
             self.nodes.add(event.node)
             self._adj[event.node] = set()
             self.alive.add(event.node)
@@ -295,6 +302,7 @@ class ShadowGraph:
             self.alive.discard(event.node)
 
     def seed_initial(self, nodes: Iterable[int], edges: Iterable[EdgeKey]) -> None:
+        self._csr = None
         for v in nodes:
             if v in self.nodes:
                 raise DuplicateNode(f"node {v} already recorded")
@@ -328,7 +336,9 @@ class Csr(NamedTuple):
     """Compressed sparse row snapshot of a view's adjacency.
 
     Node ``ids[i]`` (sorted ascending) sits at position ``i``; its
-    neighbors' positions are ``indices[indptr[i]:indptr[i + 1]]``.
+    neighbors' positions are ``indices[indptr[i]:indptr[i + 1]]``.  The
+    arrays are read-only, because ``of`` hands the same snapshot to every
+    caller until the view's adjacency changes.
     """
 
     ids: np.ndarray
@@ -337,15 +347,22 @@ class Csr(NamedTuple):
 
     @classmethod
     def of(cls, view: ColoredGraph | ShadowGraph) -> "Csr":
-        order = sorted(view.node_set)
-        ids = np.array(order, dtype=np.int64)
-        degrees = np.fromiter((len(view.neighbors(v)) for v in order),
-                              dtype=np.int64, count=len(order))
-        indptr = np.zeros(len(order) + 1, dtype=np.int64)
-        np.cumsum(degrees, out=indptr[1:])
-        flat = np.fromiter(itertools.chain.from_iterable(map(view.neighbors, order)),
-                           dtype=np.int64, count=int(indptr[-1]))
-        return cls(ids, indptr, np.searchsorted(ids, flat))
+        """The snapshot of *view*, cached on it until a node or an edge
+        is added or deleted (recoloring an edge keeps it)."""
+        if view._csr is None:
+            order = sorted(view.node_set)
+            ids = np.array(order, dtype=np.int64)
+            degrees = np.fromiter((len(view.neighbors(v)) for v in order),
+                                  dtype=np.int64, count=len(order))
+            indptr = np.zeros(len(order) + 1, dtype=np.int64)
+            np.cumsum(degrees, out=indptr[1:])
+            flat = np.fromiter(itertools.chain.from_iterable(map(view.neighbors, order)),
+                               dtype=np.int64, count=int(indptr[-1]))
+            csr = cls(ids, indptr, np.searchsorted(ids, flat))
+            for array in csr:
+                array.flags.writeable = False
+            view._csr = csr
+        return view._csr
 
     def lookup(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Positions of the node ids *values* and a mask of those present."""
@@ -369,34 +386,44 @@ class Csr(NamedTuple):
         return tails[forward], self.indices[forward]
 
 
-def bfs_distances(csr: Csr, sources: np.ndarray) -> np.ndarray:
-    """Hop counts from each source position to every position of *csr*.
+def bfs_distances(csr: Csr, sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Hop count from ``sources[i]`` to ``targets[i]`` (positions in
+    *csr*) for each pair, as int32, -1 where the target is unreachable.
 
-    Level-synchronous BFS from all *sources* at once: row ``i`` of the
-    int32 result holds the distances from ``sources[i]``, -1 where the
-    node is unreachable.  The frontier is a boolean sources x nodes
-    matrix (kept flat), so memory grows with ``len(sources)``; callers
-    pass sources in small blocks.
+    One bit-parallel BFS serves every distinct source: node ``x`` keeps
+    one bit per source in ``frontier[x]`` (uint64 words), and a level
+    ORs each node's neighbors' words together, so it walks every edge
+    once for all sources.  A pair is resolved at the level its source's
+    bit first reaches its target; the walk stops when every pair is
+    resolved or the frontier is empty.
     """
-    n = len(csr.ids)
-    dist = np.full((len(sources), n), -1, dtype=np.int32)
-    flat_dist = dist.reshape(-1)
-    frontier = np.zeros(dist.size, dtype=bool)
-    frontier[np.arange(len(sources)) * n + sources] = True
-    flat_dist[frontier] = 0
-    degrees = np.diff(csr.indptr)
+    dist = np.full(len(sources), -1, dtype=np.int32)
+    if not len(sources):
+        return dist
+    unique, column = np.unique(sources, return_inverse=True)
+    slot = np.arange(len(unique))
+    slot_word = slot // 64
+    slot_bit = np.left_shift(np.uint64(1), (slot % 64).astype(np.uint64))
+    frontier = np.zeros((len(csr.ids), (len(unique) + 63) // 64), dtype=np.uint64)
+    frontier[unique, slot_word] = slot_bit
+    seen = frontier.copy()
+    word, bit = slot_word[column], slot_bit[column]
+    # reduceat gives a degree-0 row its successor's first word, so only
+    # rows with neighbors are reduced; the rest keep an empty frontier
+    has_neighbors = np.diff(csr.indptr) > 0
+    starts = csr.indptr[:-1][has_neighbors]
+    pending = np.arange(len(sources))
     level = 0
     while True:
-        cells = np.flatnonzero(frontier)
-        if not cells.size:
+        hit = (frontier[targets[pending], word[pending]] & bit[pending]) != 0
+        dist[pending[hit]] = level
+        pending = pending[~hit]
+        if not pending.size or not starts.size:
             return dist
+        reached = np.zeros_like(frontier)
+        reached[has_neighbors] = np.bitwise_or.reduceat(frontier[csr.indices], starts, axis=0)
+        frontier = reached & ~seen
+        if not frontier.any():
+            return dist
+        seen |= frontier
         level += 1
-        rows, cols = np.divmod(cells, n)
-        counts = degrees[cols]
-        ends = np.cumsum(counts)
-        # position in csr.indices of every (frontier cell, neighbor) pair
-        slots = np.arange(ends[-1]) - np.repeat(ends - counts - csr.indptr[cols], counts)
-        frontier = np.zeros(dist.size, dtype=bool)
-        frontier[np.repeat(rows * n, counts) + csr.indices[slots]] = True
-        frontier &= flat_dist < 0
-        flat_dist[frontier] = level

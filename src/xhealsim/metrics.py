@@ -7,6 +7,7 @@ context only, never asserted.
 """
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -21,8 +22,8 @@ from .graph import (
     Csr,
     EmptySubset,
     ShadowGraph,
+    UnknownNode,
     bfs_distances,
-    edge_key,
     is_connected,
 )
 
@@ -31,7 +32,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 LAMBDA_SIZE_CAP = 500
 ALL_PAIRS_LIMIT = 60
-BFS_BLOCK = 32  # sources per batched BFS; bounds its sources x nodes frontier
 
 
 class MetricsError(Exception):
@@ -73,11 +73,35 @@ def expansion(view: ColoredGraph | ShadowGraph, exact_limit: int = 20) -> Fracti
 def check_edge_preservation(graph: ColoredGraph, shadow: ShadowGraph
                             ) -> tuple[bool, list[tuple[int, int]]]:
     """Every baseline edge between two alive nodes must still be live."""
-    violations = []
-    for u, v in shadow.edges:
-        if u in shadow.alive and v in shadow.alive and not graph.has_edge(u, v):
-            violations.append(edge_key(u, v))
-    return (not violations, sorted(violations))
+    missing = _missing_edges(graph, shadow)
+    return (not len(missing), [tuple(e) for e in missing.tolist()])
+
+
+def _missing_edges(graph: ColoredGraph, shadow: ShadowGraph) -> np.ndarray:
+    """Baseline edges between two alive nodes that are not live, as
+    sorted ``(u, v)`` id rows with ``u < v``."""
+    base = Csr.of(shadow)
+    n = len(base.ids)
+    bu, bv = base.edge_ends()
+    alive = np.zeros(n, dtype=bool)
+    alive[base.positions(shadow.alive)] = True
+    keep = alive[bu] & alive[bv]
+    codes = bu[keep] * n + bv[keep]
+    lu, lv = _edges_within(Csr.of(graph), base)
+    # both code lists are duplicate-free; saying so also skips np.unique,
+    # whose first call imports numpy.ma (about 2 MB resident)
+    missing = np.sort(codes[np.isin(codes, lu * n + lv, assume_unique=True, invert=True)])
+    return base.ids[np.stack(np.divmod(missing, n), axis=1)]
+
+
+def _edges_within(src: Csr, dst: Csr) -> tuple[np.ndarray, np.ndarray]:
+    """Edges of *src* with both ends in *dst*, as positions in *dst*;
+    both id lists are sorted, so the relabelling keeps u < v."""
+    u, v = src.edge_ends()
+    u, found_u = dst.lookup(src.ids[u])
+    v, found_v = dst.lookup(src.ids[v])
+    both = found_u & found_v
+    return u[both], v[both]
 
 
 def check_degree_bound(graph: ColoredGraph, shadow: ShadowGraph, kappa: int
@@ -129,79 +153,64 @@ def mandatory_subsets(healer: "Healer") -> list[frozenset[int]]:
     return subsets
 
 
-@dataclass
-class _SubsetCounts:
-    """Exact per-subset edge counts, one entry per subset in order.
-
-    ``live`` and ``base`` count the induced live and baseline edges,
-    ``size`` the members and ``degree_sum`` their full-baseline degrees.
-    ``missing`` holds the baseline edges between two live nodes that are
-    not live, sorted; ``mask`` marks each subset's members by position
-    in ``ids`` (the sorted live node ids).
-    """
-
-    ids: np.ndarray
-    mask: np.ndarray
-    live: np.ndarray
-    base: np.ndarray
-    size: np.ndarray
-    degree_sum: np.ndarray
-    missing: np.ndarray
-
-
-def _subset_counts(graph: ColoredGraph, shadow: ShadowGraph,
-                   subsets: list[frozenset[int]]) -> _SubsetCounts:
-    """Count every subset's induced edges in both views at once.
+def _membership(live: Csr, subsets: list[frozenset[int]]) -> np.ndarray:
+    """Boolean subset x node mask over the positions of *live*.
 
     Raises ``EmptySubset`` or ``UnknownNode`` for the first subset that
     is empty or holds a node missing from the live graph.
     """
-    live, base = Csr.of(graph), Csr.of(shadow)
+    sizes = np.fromiter(map(len, subsets), dtype=np.int64, count=len(subsets))
+    values = np.fromiter(itertools.chain.from_iterable(subsets), dtype=np.int64,
+                         count=int(sizes.sum()))
+    pos, found = live.lookup(values)
+    empty = np.flatnonzero(sizes == 0)
+    unknown = np.flatnonzero(~found)
+    # subset of each member value, to tell which problem comes first
+    owner = np.repeat(np.arange(len(subsets)), sizes)
+    if empty.size and (not unknown.size or empty[0] < owner[unknown[0]]):
+        raise EmptySubset("density of the empty set is undefined")
+    if unknown.size:
+        raise UnknownNode(f"node {values[unknown[0]]} not present")
     mask = np.zeros((len(subsets), len(live.ids)), dtype=bool)
-    for row, subset in zip(mask, subsets):
-        if not subset:
-            raise EmptySubset("density of the empty set is undefined")
-        row[live.positions(subset)] = True
-    lu, lv = live.edge_ends()
-    bu, bv = base.edge_ends()
-    # baseline edges between two live nodes, relabelled to live positions;
-    # both id lists are sorted, so the relabelling keeps u < v and order
-    bu, found_u = live.lookup(base.ids[bu])
-    bv, found_v = live.lookup(base.ids[bv])
-    both = found_u & found_v
-    bu, bv = bu[both], bv[both]
-    n = len(live.ids)
-    base_codes = bu * n + bv
-    missing = np.sort(base_codes[~np.isin(base_codes, lu * n + lv)])
-    degrees = np.diff(base.indptr)[base.positions(live.ids)]
-    return _SubsetCounts(
-        ids=live.ids,
-        mask=mask,
-        live=(mask[:, lu] & mask[:, lv]).sum(axis=1, dtype=np.int64),
-        base=(mask[:, bu] & mask[:, bv]).sum(axis=1, dtype=np.int64),
-        size=mask.sum(axis=1, dtype=np.int64),
-        degree_sum=mask.astype(np.int64) @ degrees,
-        missing=np.stack([missing // n, missing % n], axis=1),
-    )
+    mask[owner, pos] = True
+    return mask
+
+
+def _induced(mask: np.ndarray, ends: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Per mask row, the number of edges with both *ends* inside."""
+    u, v = ends
+    return (mask[:, u] & mask[:, v]).sum(axis=1, dtype=np.int64)
 
 
 def check_density_lower(graph: ColoredGraph, shadow: ShadowGraph,
                         subsets: Iterable[frozenset[int]]) -> list[str]:
     """Live induced density must dominate the baseline density on every
     subset of alive nodes; checked through the stronger statement that
-    the baseline's induced edges are a subset of the live ones."""
+    the baseline's induced edges are a subset of the live ones.
+
+    Only subsets holding a missing baseline edge are counted: without
+    one, E_base(S) is a subset of E_live(S), so live density cannot fall
+    below the baseline's.
+    """
     subsets = list(subsets)
-    counts = _subset_counts(graph, shadow, subsets)
-    mu, mv = counts.missing[:, 0], counts.missing[:, 1]
+    live = Csr.of(graph)
+    mask = _membership(live, subsets)
+    missing = _missing_edges(graph, shadow)
+    pos, found = live.lookup(missing.reshape(-1))
+    in_live = found.reshape(-1, 2).all(axis=1)
+    missing, pos = missing[in_live], pos.reshape(-1, 2)[in_live]
+    inside = mask[:, pos[:, 0]] & mask[:, pos[:, 1]]
+    touched = np.flatnonzero(inside.any(axis=1))
+    if not touched.size:
+        return []
+    live_count = _induced(mask[touched], live.edge_ends())
+    base_count = _induced(mask[touched], _edges_within(Csr.of(shadow), live))
     violations = []
-    for i, subset in enumerate(subsets):
-        if len(mu):
-            inside = counts.mask[i, mu] & counts.mask[i, mv]
-            if inside.any():
-                missing = [tuple(e) for e in counts.ids[counts.missing[inside]].tolist()]
-                violations.append(f"S={sorted(subset)}: baseline edges {missing} not live")
-        if counts.live[i] < counts.base[i]:
-            violations.append(f"S={sorted(subset)}: live density below baseline")
+    for row, i in enumerate(touched.tolist()):
+        edges = [tuple(e) for e in missing[inside[i]].tolist()]
+        violations.append(f"S={sorted(subsets[i])}: baseline edges {edges} not live")
+        if live_count[row] < base_count[row]:
+            violations.append(f"S={sorted(subsets[i])}: live density below baseline")
     return violations
 
 
@@ -217,16 +226,20 @@ def check_density_upper(graph: ColoredGraph, shadow: ShadowGraph, kappa: int,
     """
     subsets = list(subsets)
     alive = frozenset(shadow.alive)
-    counts = _subset_counts(graph, shadow, subsets + [alive] if alive else subsets)
-    twice_live = 2 * counts.live
-    twice_bound = 2 * counts.base + kappa * counts.degree_sum + kappa * counts.size
-    broken = np.flatnonzero(twice_live[:len(subsets)] > twice_bound[:len(subsets)])
+    live, base = Csr.of(graph), Csr.of(shadow)
+    mask = _membership(live, subsets + [alive] if alive else subsets)
+    live_count = _induced(mask, live.edge_ends())
+    base_count = _induced(mask, _edges_within(base, live))
+    degrees = np.diff(base.indptr)[base.positions(live.ids)]
+    twice_bound = (2 * base_count + kappa * (mask.astype(np.int64) @ degrees)
+                   + kappa * mask.sum(axis=1, dtype=np.int64))
+    broken = np.flatnonzero((2 * live_count > twice_bound)[:len(subsets)])
     violations = [f"S={sorted(subsets[i])}: per-subset upper bound broken" for i in broken]
     if alive:
-        live, base, n = (int(counts.live[-1]), int(counts.base[-1]), len(alive))
-        if 2 * live > 2 * (kappa + 1) * base + kappa * n:
-            whole = Fraction(live, n)
-            bound_whole = (kappa + 1) * Fraction(base, n) + Fraction(kappa, 2)
+        live_n, base_n, n = int(live_count[-1]), int(base_count[-1]), len(alive)
+        if 2 * live_n > 2 * (kappa + 1) * base_n + kappa * n:
+            whole = Fraction(live_n, n)
+            bound_whole = (kappa + 1) * Fraction(base_n, n) + Fraction(kappa, 2)
             violations.append(
                 f"graph density {whole} exceeds (kappa+1)*baseline+kappa/2 = {bound_whole}")
     return violations
@@ -268,36 +281,26 @@ def stretch(graph: ColoredGraph, shadow: ShadowGraph, pair_samples: int,
                  for j in range(i + 1, len(alive))]
     else:
         pairs = [tuple(sorted(rng.sample(alive, 2))) for _ in range(pair_samples)]
-    row: dict[int, int] = {}  # source -> its row in the distance matrices
-    rows = [row.setdefault(u, len(row)) for u, _ in pairs]
+    sources = [u for u, _ in pairs]
     targets = [v for _, v in pairs]
     base_csr, live_csr = Csr.of(shadow), Csr.of(graph)
-    base_dist = _source_distances(base_csr, list(row))[rows, base_csr.positions(targets)]
-    live_dist = _source_distances(live_csr, list(row))[rows, live_csr.positions(targets)]
-    worst: Fraction | None = None
-    violations = []
-    evaluated = 0
-    for (u, v), base_d, live_d in zip(pairs, base_dist.tolist(), live_dist.tolist()):
-        if base_d < 0:
-            continue
-        if live_d < 0:
-            violations.append(f"pair ({u},{v}) connected in baseline but not live")
-            continue
-        evaluated += 1
-        ratio = Fraction(live_d, base_d)
-        if worst is None or ratio > worst:
-            worst = ratio
-    return worst, violations, evaluated
-
-
-def _source_distances(csr: Csr, sources: list[int]) -> np.ndarray:
-    """Distance rows from each source, by batched BFS over blocks of
-    ``BFS_BLOCK`` sources."""
-    src = csr.positions(sources)
-    dist = np.empty((len(src), len(csr.ids)), dtype=np.int32)
-    for lo in range(0, len(src), BFS_BLOCK):
-        dist[lo:lo + BFS_BLOCK] = bfs_distances(csr, src[lo:lo + BFS_BLOCK])
-    return dist
+    base_dist = bfs_distances(base_csr, base_csr.positions(sources),
+                              base_csr.positions(targets))
+    live_dist = bfs_distances(live_csr, live_csr.positions(sources),
+                              live_csr.positions(targets))
+    connected = base_dist >= 0
+    cut = np.flatnonzero(connected & (live_dist < 0))
+    violations = [f"pair ({pairs[i][0]},{pairs[i][1]}) connected in baseline but not live"
+                  for i in cut.tolist()]
+    both = connected & (live_dist >= 0)
+    evaluated = int(both.sum())
+    if not evaluated:
+        return None, violations, evaluated
+    live_d, base_d = live_dist[both], base_dist[both]
+    # hop counts are below n, so two distinct ratios differ by at least
+    # 1/n^2: the float argmax picks an exactly worst pair
+    i = int(np.argmax(live_d / base_d))
+    return Fraction(int(live_d[i]), int(base_d[i])), violations, evaluated
 
 
 def stretch_bound(n_alive: int, constant: int) -> int | None:

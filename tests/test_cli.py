@@ -66,6 +66,17 @@ def test_run_fault_detected(tmp_path, capsys):
         assert "VIOLATION" in err
 
 
+def test_run_certification_failure_exits_3(tmp_path, capsys):
+    # alpha_target=1 cannot be certified on this trace's 78-node clouds
+    trace = tmp_path / "t.jsonl"
+    assert run_cli(["gen", "--strategy", "uniform", "--n0", "200", "--steps", "300",
+                    "--seed", "4", "-o", str(trace)]) == 0
+    code = run_cli(["run", "--trace", str(trace), "--seed", "4",
+                    "-o", str(tmp_path / "r.csv")])
+    assert code == 3
+    assert "certified expansion" in capsys.readouterr().err
+
+
 def test_run_requires_trace_or_strategy(tmp_path, capsys):
     assert run_cli(["run", "-o", "-"]) == 2
 

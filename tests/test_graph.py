@@ -3,23 +3,26 @@ import re
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import xhealsim
-from helpers import density, density_oracle, graph_from_edges, random_adjacency
+from helpers import bfs_oracle, density, density_oracle, graph_from_edges, random_adjacency
 from xhealsim.adversary import Event
 from xhealsim.graph import (
     BLACK,
     ColoredGraph,
     ColorAbsent,
+    Csr,
     DuplicateNode,
     EmptySubset,
     SelfLoop,
     ShadowGraph,
     UnknownEdge,
     UnknownNode,
+    bfs_distances,
     black_neighbors,
     edge_key,
     is_connected,
@@ -214,5 +217,135 @@ def test_only_graph_module_touches_graph_internals():
     offenders = [f"{path.name}:{no}"
                  for path in sorted(src.glob("*.py")) if path.name != "graph.py"
                  for no, line in enumerate(path.read_text().splitlines(), start=1)
-                 if re.search(r"\._(adj|edges)\b", line)]
+                 if re.search(r"\._(adj|edges|csr)\b", line)]
     assert offenders == []
+
+
+# -- CSR snapshots ----------------------------------------------------------
+
+
+def snapshot_adjacency(csr: Csr) -> dict[int, set[int]]:
+    """The adjacency a snapshot encodes, keyed by node id."""
+    return {int(v): set(csr.ids[csr.indices[csr.indptr[i]:csr.indptr[i + 1]]].tolist())
+            for i, v in enumerate(csr.ids)}
+
+
+def view_adjacency(view) -> dict[int, set[int]]:
+    return {v: set(view.neighbors(v)) for v in view.node_set}
+
+
+def _purge_edge(g):
+    g.strip_color(0, 1, BLACK)
+    assert g.purge_colorless([(0, 1)]) == 1
+
+
+LIVE_MUTATIONS = {
+    "add_node": lambda g: g.add_node(9),
+    "remove_node": lambda g: g.remove_node(1),
+    "add_edge": lambda g: g.add_edge(0, 3),
+    "ensure_edge_color": lambda g: g.ensure_edge_color(0, 3, 5),
+    "purge_colorless": _purge_edge,
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(LIVE_MUTATIONS))
+def test_live_snapshot_is_rebuilt_after_each_adjacency_change(mutation):
+    g = graph_from_edges([0, 1, 2, 3], [(0, 1), (1, 2), (2, 3)])
+    before = Csr.of(g)
+    assert Csr.of(g) is before
+    LIVE_MUTATIONS[mutation](g)
+    after = Csr.of(g)
+    assert snapshot_adjacency(after) == view_adjacency(g) != snapshot_adjacency(before)
+    assert Csr.of(g) is after
+
+
+def test_recoloring_keeps_the_live_snapshot():
+    g = graph_from_edges([0, 1, 2], [(0, 1), (1, 2)])
+    g.ensure_edge_color(0, 1, 5)
+    snap = Csr.of(g)
+    assert g.strip_color(0, 1, 5) is False
+    assert g.strip_color(0, 1, BLACK) is True  # drained, not yet purged
+    assert Csr.of(g) is snap
+    g.ensure_edge_color(0, 1, 7)
+    assert g.purge_colorless([(0, 1)]) == 0  # recolored, so kept
+    assert Csr.of(g) is snap
+    assert snapshot_adjacency(snap) == view_adjacency(g)
+    with pytest.raises(ValueError):
+        snap.indices[0] = 2  # shared between callers, so read-only
+
+
+SHADOW_MUTATIONS = {
+    "insert": lambda sh: sh.apply(Event("ins", 5, (0, 2))),
+    "seed_initial": lambda sh: sh.seed_initial([7, 8], [(7, 8), (0, 7)]),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(SHADOW_MUTATIONS))
+def test_shadow_snapshot_is_rebuilt_after_each_adjacency_change(mutation):
+    sh = ShadowGraph()
+    sh.seed_initial([0, 1, 2], [(0, 1), (1, 2)])
+    before = Csr.of(sh)
+    SHADOW_MUTATIONS[mutation](sh)
+    after = Csr.of(sh)
+    assert snapshot_adjacency(after) == view_adjacency(sh) != snapshot_adjacency(before)
+    assert Csr.of(sh) is after
+    sh.apply(Event("del", 1))  # a deletion only toggles liveness
+    assert Csr.of(sh) is after
+
+
+# -- pair distances -----------------------------------------------------------
+
+
+def oracle_distances(view, pairs) -> list[int]:
+    return [bfs_oracle(view, u).get(v, -1) for u, v in pairs]
+
+
+def pair_distances(view, pairs) -> list[int]:
+    csr = Csr.of(view)
+    dist = bfs_distances(csr, csr.positions([u for u, _ in pairs]),
+                         csr.positions([v for _, v in pairs]))
+    assert dist.dtype == np.int32
+    return dist.tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 100), p=st.floats(0, 0.12), seed=st.integers(0, 10_000),
+       pair_count=st.integers(0, 300), shadow=st.booleans())
+def test_bfs_distances_match_per_source_oracle(n, p, seed, pair_count, shadow):
+    rng = random.Random(seed)
+    ids = [3 * i + 1 for i in range(n)]  # sparse ids exercise the position lookup
+    edges = [(u, v) for i, u in enumerate(ids) for v in ids[i + 1:] if rng.random() < p]
+    if shadow:
+        view = ShadowGraph()
+        view.seed_initial(ids, edges)
+        for v in rng.sample(ids, n // 2):
+            view.apply(Event("del", v))  # dead nodes still relay baseline paths
+        pool = sorted(view.alive)
+    else:
+        view = graph_from_edges(ids, edges)
+        pool = ids
+    if not pool:
+        return
+    pairs = [(rng.choice(pool), rng.choice(pool)) for _ in range(pair_count)]
+    pairs += [(pool[0], pool[0])]  # source == target
+    assert pair_distances(view, pairs) == oracle_distances(view, pairs)
+
+
+def test_bfs_distances_across_several_words():
+    # a 150-node path plus a triangle and isolated nodes: 150 distinct
+    # sources fill three 64-bit words
+    path = list(range(150))
+    edges = list(zip(path, path[1:])) + [(200, 201), (201, 202), (200, 202)]
+    g = graph_from_edges(path + [200, 201, 202, 300, 301], edges)
+    rng = random.Random(4)
+    pairs = [(u, rng.choice(path)) for u in path] + [(u, 149 - u) for u in path]
+    pairs += [(0, 200), (200, 202), (300, 300), (300, 301), (5, 301), (149, 0)]
+    got = pair_distances(g, pairs)
+    assert got == oracle_distances(g, pairs)
+    assert got[-6:] == [-1, 1, 0, -1, -1, 149]
+
+
+def test_bfs_distances_with_no_pairs_or_no_edges():
+    g = graph_from_edges([0, 1], [])
+    assert pair_distances(g, []) == []
+    assert pair_distances(g, [(0, 1), (1, 1)]) == [-1, 0]

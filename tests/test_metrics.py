@@ -6,7 +6,9 @@ import pytest
 
 from helpers import (complete_adjacency, cycle_adjacency, density, density_oracle,
                      graph_from_edges)
-from xhealsim.adversary import Event
+from xhealsim import metrics
+from xhealsim.adversary import Event, Strategy, gen_trace
+from xhealsim.cli import RunConfig, run_trace
 from xhealsim.engine import Healer
 from xhealsim.expander import ExpanderConfig
 from xhealsim.graph import BLACK, ShadowGraph, edge_key
@@ -45,6 +47,26 @@ def test_edge_preservation_clean_and_faulted():
     h.graph.purge_colorless([(1, 4)])
     ok, missing = check_edge_preservation(h.graph, h.shadow)
     assert not ok and missing == [(1, 4)]
+
+
+@pytest.mark.parametrize("fault", ["skip-heal", "drop-black-edge"])
+def test_reports_hold_python_ints_not_numpy_scalars(fault, monkeypatch):
+    # numpy 2 prints a leaked scalar as np.int64(7), changing report text
+    seen = []
+
+    def recording(graph, shadow):
+        result = check_edge_preservation(graph, shadow)
+        seen.append(result)
+        return result
+
+    monkeypatch.setattr(metrics, "check_edge_preservation", recording)
+    trace = gen_trace(Strategy("uniform", insert_fraction=0.3), 30, 50, 2)
+    _, reports = run_trace(trace, RunConfig(seed=2), fault=fault)
+    detail = [line for rep in reports for line in rep.violation_detail]
+    assert detail and not [line for line in detail if "np." in line]
+    edges = [e for _, missing in seen for e in missing]
+    assert all(type(end) is int for e in edges for end in e)
+    assert edges or fault == "skip-heal"
 
 
 def test_degree_bound_isolated_insert_has_kappa_slack():
@@ -230,5 +252,5 @@ def test_shadow_distances_use_dead_intermediates():
     sh.apply(Event("del", 0))
     from xhealsim.graph import Csr, bfs_distances
     csr = Csr.of(sh)
-    dist = bfs_distances(csr, csr.positions([1]))
-    assert dist[0, csr.positions([2])[0]] == 2
+    dist = bfs_distances(csr, csr.positions([1, 2]), csr.positions([2, 1]))
+    assert dist.tolist() == [2, 2]

@@ -109,6 +109,11 @@ def test_density_checks_reject_bad_subsets(check):
         run([frozenset([1, 99])])                      # 99 never existed
     with pytest.raises(EmptySubset):
         run([frozenset([1]), frozenset()])
+    # the first bad subset decides which error is raised
+    with pytest.raises(UnknownNode):
+        run([frozenset([1, 99]), frozenset()])
+    with pytest.raises(EmptySubset):
+        run([frozenset([2]), frozenset(), frozenset([99])])
 
 
 @settings(max_examples=60, deadline=None)
