@@ -100,6 +100,16 @@ def _insert_event(alive: list[int], next_id: int, degree: int, rng: random.Rando
     return Event("ins", next_id, nbrs)
 
 
+def _oblivious_event(strategy: Strategy, alive: list[int], next_id: int,
+                     rng: random.Random) -> Event:
+    """The uniform and delete-only rule over a sorted, non-empty alive
+    list: insert with probability ``insert_fraction`` (never for
+    delete-only, which draws no coin), else delete a uniform node."""
+    if strategy.name != "delete-only" and rng.random() < strategy.insert_fraction:
+        return _insert_event(alive, next_id, strategy.insert_degree, rng)
+    return Event("del", rng.choice(alive))
+
+
 def next_event(strategy: Strategy, state: "Healer", rng: random.Random) -> Event:
     """Pick the next adversarial move against live simulator state.
 
@@ -108,14 +118,13 @@ def next_event(strategy: Strategy, state: "Healer", rng: random.Random) -> Event
     alive = sorted(state.shadow.alive)
     next_id = (max(state.shadow.nodes) + 1) if state.shadow.nodes else 0
     if not alive:
-        if strategy.insert_fraction > 0.0:
+        if strategy.insert_fraction > 0.0 and strategy.name != "delete-only":
             return Event("ins", next_id, ())
         raise EmptyNetwork("no alive node to delete")
+    if not strategy.adaptive:
+        return _oblivious_event(strategy, alive, next_id, rng)
     if rng.random() < strategy.insert_fraction:
         return _insert_event(alive, next_id, strategy.insert_degree, rng)
-
-    if strategy.name in ("uniform", "delete-only"):
-        return Event("del", rng.choice(alive))
     if strategy.name == "target-bridge":
         holders = sorted(set(state.registry.duty) & state.shadow.alive)
         if holders:
@@ -151,15 +160,20 @@ def initial_graph(n0: int, rng: random.Random, extra_edge_frac: float = 0.5
     return nodes, sorted(edges)
 
 
+def check_run_length(strategy: Strategy, n0: int, steps: int) -> None:
+    """Reject a run shape the strategy cannot play out, before event 1."""
+    if n0 < 1 or steps < 0:
+        raise InvalidParams("need n0 >= 1 and steps >= 0")
+    if strategy.name == "delete-only" and steps > n0:
+        raise InvalidParams("delete-only cannot delete more nodes than exist")
+
+
 def gen_trace(strategy: Strategy, n0: int, steps: int, seed: int,
               kappa: int = 6, extra_edge_frac: float = 0.5) -> Trace:
     """Materialize a non-adaptive trace, reproducible from its inputs."""
     if strategy.adaptive:
         raise InvalidParams(f"{strategy.name} inspects live state; run it online")
-    if n0 < 1 or steps < 0:
-        raise InvalidParams("need n0 >= 1 and steps >= 0")
-    if strategy.name == "delete-only" and steps > n0:
-        raise InvalidParams("delete-only cannot delete more nodes than exist")
+    check_run_length(strategy, n0, steps)
     rng = random.Random(f"{seed}/trace")
     nodes, edges = initial_graph(n0, rng, extra_edge_frac)
     alive = set(nodes)
@@ -168,10 +182,8 @@ def gen_trace(strategy: Strategy, n0: int, steps: int, seed: int,
     for _ in range(steps):
         if not alive:
             ev = Event("ins", next_id, ())
-        elif strategy.name != "delete-only" and rng.random() < strategy.insert_fraction:
-            ev = _insert_event(sorted(alive), next_id, strategy.insert_degree, rng)
         else:
-            ev = Event("del", rng.choice(sorted(alive)))
+            ev = _oblivious_event(strategy, sorted(alive), next_id, rng)
         events.append(ev)
         if ev.is_insert:
             alive.add(ev.node)

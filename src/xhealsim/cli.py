@@ -20,7 +20,7 @@ import io
 import json
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,6 +28,7 @@ from .adversary import (
     AdversaryError,
     Strategy,
     Trace,
+    check_run_length,
     decode_trace,
     encode_trace,
     gen_trace,
@@ -35,7 +36,7 @@ from .adversary import (
     next_event,
     validate_trace,
 )
-from .engine import Cloud, FAULTS, Healer, InvalidEvent, coherence_errors
+from .engine import Cloud, FAULTS, Healer, InvalidEvent, RepairCounters, coherence_errors
 from .expander import (
     CloudTopology,
     ExpanderConfig,
@@ -48,24 +49,19 @@ from .metrics import MetricsReport, evaluate
 
 SNAPSHOT_VERSION = 2
 
-REPORT_COLUMNS = [
-    "t", "n_alive", "connected_shadow", "connected_live", "connectivity_ok",
-    "edge_preservation_ok", "degree_slack_min", "degree_violations",
-    "density_violations", "density_ub_violations", "expansion_live",
-    "expansion_shadow", "expansion_ok", "lambda2_live", "max_stretch",
-    "stretch_bound", "stretch_ok", "events", "inserts", "deletes",
-    "branch_all_black", "branch_primary", "branch_secondary", "clouds_built",
-    "clouds_rebuilt", "merges", "bridges_borrowed", "free_node_misses",
-    "edges_created", "edges_reused", "edges_deleted",
-]
+# one column per scalar report field, then one per repair counter
+_METRIC_COLUMNS = [f.name for f in fields(MetricsReport)
+                   if f.name not in ("repair_counters", "violation_detail")]
+_COUNTER_COLUMNS = [f.name for f in fields(RepairCounters)]
+REPORT_COLUMNS = _METRIC_COLUMNS + _COUNTER_COLUMNS
 
 
 @dataclass
 class RunConfig:
-    kappa: int = 6
-    alpha_target: Fraction = Fraction(1)
-    exact_limit: int = 20
-    max_retries: int = 64
+    kappa: int = ExpanderConfig.kappa
+    alpha_target: Fraction = ExpanderConfig.alpha_target
+    exact_limit: int = ExpanderConfig.exact_limit
+    max_retries: int = ExpanderConfig.max_retries
     seed: int = 0
     checkpoint_every: int = 10
     density_samples: int = 100
@@ -79,8 +75,7 @@ class RunConfig:
                 raise ValueError(f"{name} must be positive")
 
     def expander(self) -> ExpanderConfig:
-        return ExpanderConfig(kappa=self.kappa, alpha_target=self.alpha_target,
-                              exact_limit=self.exact_limit, max_retries=self.max_retries)
+        return ExpanderConfig(**{f.name: getattr(self, f.name) for f in fields(ExpanderConfig)})
 
 
 def _fmt_fraction(value: Fraction) -> str:
@@ -100,16 +95,9 @@ def _fmt_cell(value) -> str:
 
 
 def report_row(report: MetricsReport) -> list[str]:
-    base = [report.t, report.n_alive, report.connected_shadow,
-            report.connected_live, report.connectivity_ok,
-            report.edge_preservation_ok, report.degree_slack_min,
-            report.degree_violations, report.density_violations,
-            report.density_ub_violations, report.expansion_live,
-            report.expansion_shadow, report.expansion_ok, report.lambda2_live,
-            report.max_stretch, report.stretch_bound, report.stretch_ok]
-    counters = report.repair_counters
-    base.extend(counters[name] for name in REPORT_COLUMNS[len(base):])
-    return [_fmt_cell(v) for v in base]
+    values = [getattr(report, name) for name in _METRIC_COLUMNS]
+    values.extend(report.repair_counters[name] for name in _COUNTER_COLUMNS)
+    return [_fmt_cell(v) for v in values]
 
 
 def render_report_csv(reports: list[MetricsReport]) -> str:
@@ -144,6 +132,7 @@ def run_adaptive(strategy: Strategy, n0: int, steps: int, cfg: RunConfig,
                  fault: str | None = None
                  ) -> tuple[Healer, list[MetricsReport], Trace]:
     """Drive a strategy online against live state, recording the trace."""
+    check_run_length(strategy, n0, steps)
     rng_trace = random.Random(f"{cfg.seed}/trace")
     nodes, edges = initial_graph(n0, rng_trace)
     rng_engine = random.Random(f"{cfg.seed}/engine")
@@ -193,12 +182,8 @@ def snapshot_state(healer: Healer, seed: int) -> dict:
     return {
         "v": SNAPSHOT_VERSION,
         "seed": seed,
-        "config": {
-            "kappa": healer.cfg.kappa,
-            "alpha_target": _fmt_fraction(healer.cfg.alpha_target),
-            "exact_limit": healer.cfg.exact_limit,
-            "max_retries": healer.cfg.max_retries,
-        },
+        "config": {name: _fmt_fraction(value) if isinstance(value, Fraction) else value
+                   for name, value in asdict(healer.cfg).items()},
         "next_cloud_id": healer.next_cloud_id,
         "nodes": sorted(healer.graph.node_set),
         "edges": edges,
@@ -222,12 +207,8 @@ def load_snapshot(data: dict) -> tuple[Healer, int]:
         raise ValueError("snapshot is not a JSON object")
     if data.get("v") != SNAPSHOT_VERSION:
         raise ValueError(f"snapshot version {data.get('v')!r} not supported")
-    cfg = ExpanderConfig(
-        kappa=int(data["config"]["kappa"]),
-        alpha_target=Fraction(data["config"]["alpha_target"]),
-        exact_limit=int(data["config"]["exact_limit"]),
-        max_retries=int(data["config"]["max_retries"]),
-    )
+    cfg = ExpanderConfig(**{f.name: type(f.default)(data["config"][f.name])
+                            for f in fields(ExpanderConfig)})
     seed = int(data["seed"])
     healer = Healer(cfg, random.Random(f"{seed}/engine"))
     healer.shadow.seed_initial([int(v) for v in data["shadow"]["nodes"]],
@@ -248,7 +229,7 @@ def load_snapshot(data: dict) -> tuple[Healer, int]:
         )
         cloud = Cloud(int(entry["id"]), CloudKind(entry["kind"]),
                       {int(m) for m in entry["members"]}, topology)
-        healer.registry.put(cloud)
+        healer.registry.clouds[cloud.id] = cloud
     for f, c, node in data["bridges"]:
         healer.registry.bridges[(int(f), int(c))] = int(node)
     for node, f in data["duty"]:
@@ -269,28 +250,17 @@ def load_snapshot(data: dict) -> tuple[Healer, int]:
 
 
 def _add_run_config_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--kappa", type=int, default=6)
-    parser.add_argument("--alpha-target", type=Fraction, default=Fraction(1),
-                        metavar="P/Q")
-    parser.add_argument("--exact-limit", type=int, default=20)
-    parser.add_argument("--max-retries", type=int, default=64)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--checkpoint-every", type=int, default=10)
-    parser.add_argument("--density-samples", type=int, default=100)
-    parser.add_argument("--stretch-pairs", type=int, default=200)
-    parser.add_argument("--stretch-constant", type=int, default=4)
+    """One ``--flag`` per RunConfig field, typed and defaulted by it."""
+    for f in fields(RunConfig):
+        kind = type(f.default)
+        parser.add_argument("--" + f.name.replace("_", "-"), type=kind, default=f.default,
+                            metavar="P/Q" if kind is Fraction else None)
 
 
-def _run_config(args: argparse.Namespace, seed: int | None = None) -> RunConfig:
-    return RunConfig(
-        kappa=args.kappa, alpha_target=args.alpha_target,
-        exact_limit=args.exact_limit, max_retries=args.max_retries,
-        seed=args.seed if seed is None else seed,
-        checkpoint_every=args.checkpoint_every,
-        density_samples=args.density_samples,
-        stretch_pairs=args.stretch_pairs,
-        stretch_constant=args.stretch_constant,
-    )
+def _run_config(args: argparse.Namespace, seed: int) -> RunConfig:
+    values = {f.name: getattr(args, f.name) for f in fields(RunConfig)}
+    values["seed"] = seed
+    return RunConfig(**values)
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -386,11 +356,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except (json.JSONDecodeError, KeyError, TypeError, ValueError, GraphError) as exc:
         print(f"malformed snapshot: {exc}", file=sys.stderr)
         return 2
+    cfg = RunConfig(seed=seed, **asdict(healer.cfg))
     problems = coherence_errors(healer)
-    report = evaluate(healer, healer.counters.events, seed)
+    report = _checkpoint(healer, healer.counters.events, cfg)
     problems.extend(report.violation_detail)
     if args.trace:
-        problems.extend(_replay_mismatch(args, healer, seed))
+        problems.extend(_replay_mismatch(args, healer, cfg))
     for line in problems:
         print(f"VIOLATION {line}", file=sys.stderr)
     if not problems:
@@ -400,11 +371,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 1 if problems else 0
 
 
-def _replay_mismatch(args: argparse.Namespace, healer: Healer, seed: int) -> list[str]:
+def _replay_mismatch(args: argparse.Namespace, healer: Healer, cfg: RunConfig) -> list[str]:
     trace = decode_trace(Path(args.trace).read_text(encoding="utf-8"))
-    cfg = RunConfig(kappa=healer.cfg.kappa, alpha_target=healer.cfg.alpha_target,
-                    exact_limit=healer.cfg.exact_limit,
-                    max_retries=healer.cfg.max_retries, seed=seed)
     replayed, _ = run_trace(trace, cfg)
     problems = []
     want = {rec.key: (frozenset(rec.colors)) for rec in replayed.graph.edges()}

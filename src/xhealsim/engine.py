@@ -60,32 +60,13 @@ class CloudRegistry:
 
     def __init__(self) -> None:
         self.clouds: dict[int, Cloud] = {}
-        self.memberships: dict[int, set[int]] = {}
         # (secondary id, primary id) -> the node representing that primary
         self.bridges: dict[tuple[int, int], int] = {}
         # node -> the one secondary cloud occupying it
         self.duty: dict[int, int] = {}
 
-    def put(self, cloud: Cloud) -> None:
-        old = self.clouds.get(cloud.id)
-        if old is not None:
-            for m in old.members - cloud.members:
-                self._unlink(m, cloud.id)
-        self.clouds[cloud.id] = cloud
-        for m in cloud.members:
-            self.memberships.setdefault(m, set()).add(cloud.id)
-
-    def _unlink(self, node: int, cid: int) -> None:
-        entry = self.memberships.get(node)
-        if entry is not None:
-            entry.discard(cid)
-            if not entry:
-                del self.memberships[node]
-
     def retire(self, cid: int) -> None:
         cloud = self.clouds.pop(cid)
-        for m in cloud.members:
-            self._unlink(m, cid)
         for key in [k for k in self.bridges if cid in k]:
             del self.bridges[key]
         if cloud.kind is CloudKind.SECONDARY:
@@ -93,7 +74,7 @@ class CloudRegistry:
                 del self.duty[node]
 
     def clouds_of(self, node: int) -> set[int]:
-        return set(self.memberships.get(node, ()))
+        return {cid for cid, cloud in self.clouds.items() if node in cloud.members}
 
     def bridged_primaries(self, secondary_id: int) -> set[int]:
         return {c for (f, c) in self.bridges if f == secondary_id}
@@ -110,13 +91,6 @@ class CloudRegistry:
             for u, v in cloud.topology.edge_list:
                 if u not in cloud.members or v not in cloud.members:
                     errs.append(f"cloud {cid} topology edge ({u},{v}) leaves member set")
-            for m in cloud.members:
-                if cid not in self.memberships.get(m, ()):
-                    errs.append(f"membership index misses {m} in cloud {cid}")
-        for node, cids in self.memberships.items():
-            for cid in cids:
-                if cid not in self.clouds or node not in self.clouds[cid].members:
-                    errs.append(f"stale membership {node} -> {cid}")
         for (f, c), node in self.bridges.items():
             if f not in self.clouds or self.clouds[f].kind is not CloudKind.SECONDARY:
                 errs.append(f"bridge entry ({f},{c}) has no secondary cloud")
@@ -260,7 +234,6 @@ class Healer:
             cloud = reg.clouds[cid]
             (v_primary if cloud.kind is CloudKind.PRIMARY else v_secondary).append(cid)
             cloud.members.discard(v)
-            reg._unlink(v, cid)
             cloud.topology.edge_list = [e for e in cloud.topology.edge_list if v not in e]
             if not cloud.members:
                 reg.retire(cid)
@@ -436,16 +409,13 @@ class Healer:
         for node in sorted(cloud.members):
             if node not in reg.duty and node not in reserved:
                 return node
-        neighbor_cids = sorted({
-            other
-            for m in cloud.members
-            for other in reg.clouds_of(m)
-            if other != cid and reg.clouds[other].kind is CloudKind.PRIMARY
-        })
+        primary = CloudKind.PRIMARY  # one enum lookup, not one per live cloud
         candidates = sorted({
             node
-            for other in neighbor_cids
-            for node in reg.clouds[other].members
+            for other in reg.clouds.values()
+            if other.kind is primary and other is not cloud
+            and not cloud.members.isdisjoint(other.members)
+            for node in other.members
             if node not in reg.duty and node not in reserved
         })
         if candidates:
@@ -476,7 +446,7 @@ class Healer:
                 self.counters.edges_created += 1
             else:
                 self.counters.edges_reused += 1
-        self.registry.put(Cloud(color, kind, set(member_list), topology))
+        self.registry.clouds[color] = Cloud(color, kind, set(member_list), topology)
         return color
 
     def _strip_cloud_edges(self, cloud_ids: Sequence[int]) -> list[EdgeKey]:

@@ -122,9 +122,6 @@ class ColoredGraph:
     def __contains__(self, node: int) -> bool:
         return node in self._adj
 
-    def node_count(self) -> int:
-        return len(self._adj)
-
     def nodes(self) -> Iterator[int]:
         return iter(self._adj)
 
@@ -159,9 +156,6 @@ class ColoredGraph:
 
     def degree(self, v: int) -> int:
         return len(self.neighbors(v))
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return edge_key(u, v) in self._edges
 
     def edge(self, u: int, v: int) -> EdgeRecord:
         try:

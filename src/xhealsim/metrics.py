@@ -251,10 +251,6 @@ class ConnectivityVerdict:
     live_connected: bool
 
     @property
-    def vacuous(self) -> bool:
-        return not self.shadow_connected
-
-    @property
     def ok(self) -> bool:
         return self.live_connected or not self.shadow_connected
 
@@ -337,24 +333,12 @@ class MetricsReport:
     repair_counters: dict[str, int] = field(default_factory=dict)
     violation_detail: list[str] = field(default_factory=list)
 
-    @property
-    def clean(self) -> bool:
-        return (self.edge_preservation_ok
-                and self.connectivity_ok
-                and self.degree_violations == 0
-                and self.density_violations == 0
-                and self.density_ub_violations == 0
-                and self.expansion_ok is not False
-                and self.stretch_ok is not False)
-
 
 def evaluate(healer: "Healer", t: int, seed: int, *,
              density_samples: int = 100,
              stretch_pairs: int = 200,
              stretch_constant: int = 4,
-             exact_limit: int | None = None,
-             lambda_cap: int = LAMBDA_SIZE_CAP,
-             alpha_target: Fraction | None = None) -> MetricsReport:
+             exact_limit: int | None = None) -> MetricsReport:
     """Run every check against the current state and assemble a report.
 
     Sampling rngs are derived from (seed, t), so a checkpoint's verdict
@@ -362,7 +346,7 @@ def evaluate(healer: "Healer", t: int, seed: int, *,
     """
     graph, shadow = healer.graph, healer.shadow
     limit = exact_limit if exact_limit is not None else healer.cfg.exact_limit
-    alpha = alpha_target if alpha_target is not None else healer.cfg.alpha_target
+    alpha = healer.cfg.alpha_target
     detail: list[str] = []
 
     preserved, missing = check_edge_preservation(graph, shadow)
@@ -395,8 +379,8 @@ def evaluate(healer: "Healer", t: int, seed: int, *,
             detail.append(f"expansion: live {exp_live} < min({alpha}, {exp_shadow})")
 
     lam = None
-    if 2 <= len(shadow.alive) <= lambda_cap:
-        lam = lambda2(graph, lambda_cap)
+    if 2 <= len(shadow.alive) <= LAMBDA_SIZE_CAP:
+        lam = lambda2(graph)
 
     rng_stretch = random.Random(f"{seed}/stretch/{t}")
     worst, stretch_viols, _ = stretch(graph, shadow, stretch_pairs, rng_stretch)

@@ -148,7 +148,8 @@ def test_target_bridge_prefers_duty_holder():
 def test_empty_network_raises_for_pure_deleters():
     h = _healer_with([0], [])
     h.handle_event(Event("del", 0))
-    with pytest.raises(EmptyNetwork):
-        next_event(Strategy("delete-only"), h, random.Random(0))
+    for deleter in (Strategy("delete-only"), Strategy("delete-only", insert_fraction=0.4)):
+        with pytest.raises(EmptyNetwork):
+            next_event(deleter, h, random.Random(0))
     ev = next_event(Strategy("uniform", insert_fraction=0.5), h, random.Random(0))
     assert ev.is_insert and ev.neighbors == ()

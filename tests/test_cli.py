@@ -2,6 +2,7 @@ import copy
 import json
 
 from xhealsim import cli
+from xhealsim.adversary import Strategy, decode_trace, encode_trace, gen_trace
 
 
 def run_cli(args):
@@ -39,6 +40,24 @@ def test_run_delete_only_trace_to_empty(tmp_path):
     final = rows[-1].split(",")
     assert final[header.index("n_alive")] == "0"
     assert final[header.index("t")] == "12"
+
+
+def test_run_delete_only_online_never_inserts(tmp_path):
+    # --insert-fraction keeps its default 0.4, which delete-only ignores
+    rec = tmp_path / "rec.jsonl"
+    assert run_cli(["run", "--strategy", "delete-only", "--n0", "30", "--steps", "20",
+                    "--seed", "1", "--record", str(rec), "-o", str(tmp_path / "r.csv")]) == 0
+    events = decode_trace(rec.read_text()).events
+    assert len(events) == 20 and not any(ev.is_insert for ev in events)
+
+
+def test_run_delete_only_overlong_rejected_before_event_1(tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    code = run_cli(["run", "--strategy", "delete-only", "--n0", "5", "--steps", "6",
+                    "-o", str(out)])
+    assert code == 2
+    assert "delete-only cannot delete more nodes than exist" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_reports_are_byte_identical_for_same_seed(tmp_path):
@@ -109,6 +128,22 @@ def test_verify_snapshot_roundtrip(tmp_path, capsys):
     assert "coherent" in out
     assert run_cli(["verify", "--snapshot", str(snap),
                     "--trace", str(trace)]) == 0
+
+
+def test_verify_repeats_the_runs_final_checkpoint(tmp_path, capsys):
+    # 74 nodes survive, so stretch samples its pairs: the lines depend on
+    # the seed, t and the checkpoint settings verify shares with run
+    trace = gen_trace(Strategy("uniform", insert_fraction=0.4), 80, 40, 1)
+    path, snap = tmp_path / "t.jsonl", tmp_path / "s.json"
+    path.write_text(encode_trace(trace))
+    assert run_cli(["run", "--trace", str(path), "--seed", "1", "--fault", "skip-heal",
+                    "--snapshot", str(snap), "-o", str(tmp_path / "r.csv")]) == 1
+    _, reports = cli.run_trace(trace, cli.RunConfig(seed=1), fault="skip-heal")
+    capsys.readouterr()
+    assert run_cli(["verify", "--snapshot", str(snap)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [f"VIOLATION {line}" for line in reports[-1].violation_detail]
+    assert sum("stretch: pair" in line for line in lines) == 16
 
 
 def small_snapshot(tmp_path):

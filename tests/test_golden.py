@@ -1,20 +1,27 @@
-"""Golden digests of the CSV reports, pinned across refactors.
+"""Golden digests of the CSV reports and of one final snapshot, pinned
+across refactors.
 
 The determinism tests compare two runs of the same code; these compare
 today's output with constants recorded before the engine's internals
 last changed, so a refactor that shifts one RNG draw, one counter or one
 verdict fails here.  ``lambda2_live`` is the one floating-point column
 and may move in its last digits with the BLAS build, so it is dropped
-before hashing.
+before hashing.  The snapshot holds no float: a spectral certificate is
+the eigenvalue rounded down to a multiple of 2^-33, which a last-digit
+move changes only when it crosses a rounding step.
 """
 import csv
 import hashlib
 import io
+import json
+import random
+from fractions import Fraction
 
 import pytest
 
 from xhealsim import cli
 from xhealsim.adversary import Strategy, gen_trace
+from xhealsim.engine import Healer
 
 GOLDEN = {
     "uniform-0":
@@ -28,6 +35,11 @@ GOLDEN = {
     "target-bridge-3":
         "e1b30ae4d2fcda3d4036b5ae2209bb104180d121384d6118b05fc767336a2163",
 }
+
+# final state after a churn-mid-sized uniform trace: n0=500, 750 events,
+# alpha 1/2, seed 0; clouds reach 145 members, so membership scans and
+# borrowed bridges are exercised at scale
+SNAPSHOT_GOLDEN = "6040855ab76a73da802ed85c56cc5327fc39d7113f77acbcdcbc3402f38fd0a7"
 
 
 def csv_digest(reports) -> str:
@@ -54,3 +66,14 @@ def run_case(name: str):
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_report_csv_matches_golden_digest(name):
     assert csv_digest(run_case(name)) == GOLDEN[name]
+
+
+def test_final_snapshot_matches_golden_digest():
+    trace = gen_trace(Strategy("uniform", insert_fraction=0.4), 500, 750, 0)
+    cfg = cli.RunConfig(alpha_target=Fraction(1, 2), seed=0)
+    healer = Healer.from_initial(trace.initial_nodes, trace.initial_edges,
+                                 cfg.expander(), random.Random("0/engine"))
+    for event in trace.events:
+        healer.handle_event(event)
+    text = json.dumps(cli.snapshot_state(healer, 0), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == SNAPSHOT_GOLDEN

@@ -107,7 +107,7 @@ def test_density_checks_match_oracle_on_untouched_graph():
     subsets = sample_subsets(h.shadow.alive, 20, rng)
     assert check_density_lower(h.graph, h.shadow, subsets) == []
     for s in subsets:
-        assert density_oracle(h.graph.has_edge, s) == density_oracle(
+        assert density_oracle(lambda u, v: v in h.graph.neighbors(u), s) == density_oracle(
             lambda u, v: edge_key(u, v) in h.shadow.edges, s)
 
 
@@ -197,11 +197,11 @@ def test_stretch_bound_values():
 def test_connectivity_verdicts():
     h = healed_star()
     verdict = check_connectivity(h.graph, h.shadow)
-    assert verdict.ok and verdict.shadow_connected and not verdict.vacuous
+    assert verdict.ok and verdict.shadow_connected
 
     h.handle_event(Event("ins", 4, ()))   # isolated insert: baseline splits
     verdict = check_connectivity(h.graph, h.shadow)
-    assert verdict.vacuous and verdict.ok
+    assert not verdict.shadow_connected and verdict.ok
 
     h2 = Healer.from_initial([0, 1, 2], [(0, 1), (0, 2)], ExpanderConfig(),
                              random.Random(0), fault="skip-heal")
@@ -213,7 +213,7 @@ def test_connectivity_verdicts():
 def test_evaluate_produces_clean_report():
     h = healed_star()
     report = evaluate(h, 1, seed=0)
-    assert report.clean
+    assert not report.violation_detail
     assert report.n_alive == 3
     assert report.edge_preservation_ok
     assert report.max_stretch == Fraction(1, 2)
@@ -230,7 +230,6 @@ def test_evaluate_flags_faulty_state():
                             ExpanderConfig(), random.Random(0), fault="skip-heal")
     h.handle_event(Event("del", 2))
     report = evaluate(h, 1, seed=0)
-    assert not report.clean
     assert not report.connectivity_ok
     assert report.violation_detail
 
@@ -240,7 +239,7 @@ def test_empty_network_report():
     h.handle_event(Event("del", 0))
     report = evaluate(h, 1, seed=0)
     assert report.n_alive == 0
-    assert report.clean
+    assert not report.violation_detail
     assert report.degree_slack_min is None
     assert report.max_stretch is None
 
