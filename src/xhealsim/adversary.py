@@ -164,8 +164,9 @@ def check_run_length(strategy: Strategy, n0: int, steps: int) -> None:
     """Reject a run shape the strategy cannot play out, before event 1."""
     if n0 < 1 or steps < 0:
         raise InvalidParams("need n0 >= 1 and steps >= 0")
-    if strategy.name == "delete-only" and steps > n0:
-        raise InvalidParams("delete-only cannot delete more nodes than exist")
+    if (strategy.name == "delete-only" or strategy.insert_fraction == 0) and steps > n0:
+        raise InvalidParams(f"{strategy.name} cannot delete more nodes than exist "
+                            "without inserting")
 
 
 def gen_trace(strategy: Strategy, n0: int, steps: int, seed: int,

@@ -9,7 +9,8 @@ Subcommands:
 * ``report``  summarize one or more CSV report files
 
 Exit codes: 0 all checks passed, 1 an invariant was violated, 2 usage,
-I/O, or parse errors, 3 a cloud could not be certified within its retries.
+I/O, or parse errors, 3 a cloud could not be certified within its
+retries, which leaves the healer as it was before the failing event.
 """
 from __future__ import annotations
 
@@ -228,7 +229,7 @@ def load_snapshot(data: dict) -> tuple[Healer, int]:
             certified_expansion=Fraction(topo["certified"]),
         )
         cloud = Cloud(int(entry["id"]), CloudKind(entry["kind"]),
-                      {int(m) for m in entry["members"]}, topology)
+                      frozenset(int(m) for m in entry["members"]), topology)
         healer.registry.clouds[cloud.id] = cloud
     for f, c, node in data["bridges"]:
         healer.registry.bridges[(int(f), int(c))] = int(node)

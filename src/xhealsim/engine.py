@@ -14,17 +14,17 @@ node:
   cloud when no free node can be found), and the remaining unbridged
   primaries get a new secondary.
 
-An edge's colors are its only state.  Rebuilds never touch black
-edges: a cloud's color is stripped from its edges first, the strip
-returns the keys that drained to colorless, the new topology reuses
-whatever edges it can, and a final purge deletes those of the drained
-keys that are still colorless.  Edge preservation therefore holds by
-construction, not by luck.
+A repair is planned on a copy of the registry, its edge edits recorded
+as steps, and only then applied to the graph, so a plan that raises (a
+cloud that cannot be certified) changes nothing.  An edge's colors are
+its only state: a step strips the old clouds' colors, colors the new
+topologies' edges (reusing any that exist) and deletes the stripped
+edges left colorless.  Black is never stripped, so no black edge goes.
 """
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Iterable, Sequence
 
 from .adversary import Event
@@ -47,11 +47,11 @@ class InvalidEvent(Exception):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class Cloud:
     id: int
     kind: CloudKind
-    members: set[int]
+    members: frozenset[int]
     topology: CloudTopology
 
 
@@ -64,6 +64,13 @@ class CloudRegistry:
         self.bridges: dict[tuple[int, int], int] = {}
         # node -> the one secondary cloud occupying it
         self.duty: dict[int, int] = {}
+
+    def copy(self) -> "CloudRegistry":
+        """New dicts sharing the clouds, which are replaced, never mutated."""
+        twin = CloudRegistry()
+        twin.clouds, twin.bridges, twin.duty = (
+            self.clouds.copy(), self.bridges.copy(), self.duty.copy())
+        return twin
 
     def retire(self, cid: int) -> None:
         cloud = self.clouds.pop(cid)
@@ -109,6 +116,14 @@ class CloudRegistry:
 
 
 @dataclass
+class EdgeStep:
+    """Strip old clouds' colors, color built clouds' edges, then purge the drained edges."""
+
+    stripped: list[Cloud] = field(default_factory=list)
+    built: list[Cloud] = field(default_factory=list)
+
+
+@dataclass
 class RepairCounters:
     """Cumulative per-run tallies; edge counts proxy repair cost."""
 
@@ -147,6 +162,8 @@ class Healer:
         self.counters = RepairCounters()
         self.next_cloud_id = 0
         self.last_black_neighbors: set[int] = set()
+        # graph edits planned for the delete in progress; the last is open
+        self.steps: list[EdgeStep] = []
 
     @classmethod
     def from_initial(cls, nodes: Iterable[int], edges: Iterable[EdgeKey],
@@ -166,13 +183,12 @@ class Healer:
     def handle_event(self, event: Event) -> None:
         if event.is_insert:
             self._validate_insert(event)
-            self.counters.events += 1
             self._insert(event)
         else:
             if event.node not in self.shadow.alive:
                 raise InvalidEvent(f"delete of non-alive node {event.node}")
-            self.counters.events += 1
             self._delete(event.node)
+        self.counters.events += 1
 
     def _validate_insert(self, event: Event) -> None:
         v = event.node
@@ -196,17 +212,26 @@ class Healer:
         self.counters.inserts += 1
 
     def _delete(self, v: int) -> None:
-        self.shadow.apply(Event("del", v))
-        removed = self.graph.remove_node(v)
-        self.counters.deletes += 1
+        """Plan the repair on a registry copy, then apply it; a failed plan changes nothing."""
+        removed = [self.graph.edge(v, nb) for nb in sorted(self.graph.neighbors(v))]
         blacks = sorted(black_neighbors(removed, v))
+        committed = self.registry, vars(self.counters).copy(), self.next_cloud_id
+        self.registry = self.registry.copy()
+        self.counters.deletes += 1
+        self.steps = [EdgeStep()]
+        try:
+            v_primary, v_secondary, lost_roles = self._scrub_dead_node(v)
+            if self.fault != "skip-heal":
+                self._dispatch_repair(removed, blacks, v_primary, v_secondary, lost_roles)
+        except BaseException:
+            registry, counts, self.next_cloud_id = committed
+            self.registry, self.counters = registry, RepairCounters(**counts)
+            raise
+        self.shadow.apply(Event("del", v))
+        self.graph.remove_node(v)
         self.last_black_neighbors = set(blacks)
-
-        v_primary, v_secondary, lost_roles = self._scrub_dead_node(v)
-
-        if self.fault == "skip-heal":
-            return
-        self._dispatch_repair(removed, blacks, v_primary, v_secondary, lost_roles)
+        for step in self.steps:
+            self._apply(step)
         if self.fault == "drop-black-edge":
             self._drop_one_black_edge()
 
@@ -233,9 +258,10 @@ class Healer:
         for cid in member_of:
             cloud = reg.clouds[cid]
             (v_primary if cloud.kind is CloudKind.PRIMARY else v_secondary).append(cid)
-            cloud.members.discard(v)
-            cloud.topology.edge_list = [e for e in cloud.topology.edge_list if v not in e]
-            if not cloud.members:
+            topology = replace(cloud.topology, edge_list=[
+                e for e in cloud.topology.edge_list if v not in e])
+            reg.clouds[cid] = replace(cloud, members=cloud.members - {v}, topology=topology)
+            if not reg.clouds[cid].members:
                 reg.retire(cid)
         return v_primary, v_secondary, lost_roles
 
@@ -302,11 +328,11 @@ class Healer:
             # a single self-contained region (or none) needs no tie;
             # folds always carry members, so none are pending here
             return
-        drained = self._strip_cloud_edges(folds)
+        self._strip(folds)
         for f in folds:
             reg.retire(f)
         self._make_secondary_cloud(participants, loose)
-        self._purge(drained)
+        self._purge()
 
     # -- repair subroutines ----------------------------------------------
 
@@ -316,11 +342,11 @@ class Healer:
         live = [cid for cid in sorted(set(cloud_ids)) if cid in self.registry.clouds]
         if not live:
             return
-        drained = self._strip_cloud_edges(live)
+        self._strip(live)
         for cid in live:
             self._build_cloud(sorted(self.registry.clouds[cid].members),
                               CloudKind.PRIMARY, color=cid)
-        self._purge(drained)
+        self._purge()
 
     def _make_secondary_cloud(self, cloud_ids: Sequence[int],
                               extra_members: Sequence[int]) -> None:
@@ -377,9 +403,9 @@ class Healer:
             if not cloud.members:
                 return None
             new_members = sorted(cloud.members)
-        drained = self._strip_cloud_edges([fid])
+        self._strip([fid])
         self._build_cloud(new_members, CloudKind.SECONDARY, color=fid)
-        self._purge(drained)
+        self._purge()
         return None
 
     def _merge_into_primary(self, cloud_ids: Sequence[int],
@@ -392,11 +418,11 @@ class Healer:
             union |= self.registry.clouds[cid].members
         if not union:
             return None
-        drained = self._strip_cloud_edges(live)
+        self._strip(live)
         for cid in live:
             self.registry.retire(cid)
         merged = self._build_cloud(sorted(union), CloudKind.PRIMARY)
-        self._purge(drained)
+        self._purge()
         self.counters.merges += 1
         return merged
 
@@ -428,9 +454,9 @@ class Healer:
 
     def _build_cloud(self, members: Sequence[int], kind: CloudKind,
                      color: int | None = None) -> int | None:
-        """Design a topology over *members* and realize it edge by edge,
-        reusing existing edges.  A fresh color registers a new cloud; an
-        existing color rebuilds that cloud in place."""
+        """Design a topology over *members* and plan its edges.  A fresh
+        color registers a new cloud; an existing color rebuilds that
+        cloud in place."""
         member_list = sorted(set(members))
         if not member_list:
             return None
@@ -441,27 +467,30 @@ class Healer:
         else:
             self.counters.clouds_rebuilt += 1
         topology = build_topology(member_list, self.cfg, self.rng)
-        for u, v in topology.edge_list:
-            if self.graph.ensure_edge_color(u, v, color):
-                self.counters.edges_created += 1
-            else:
-                self.counters.edges_reused += 1
-        self.registry.clouds[color] = Cloud(color, kind, set(member_list), topology)
+        self.registry.clouds[color] = Cloud(color, kind, frozenset(member_list), topology)
+        self.steps[-1].built.append(self.registry.clouds[color])
         return color
 
-    def _strip_cloud_edges(self, cloud_ids: Sequence[int]) -> list[EdgeKey]:
-        """Remove each cloud's color from its recorded edges; return the
-        sorted keys of the edges that drained colorless."""
-        drained: set[EdgeKey] = set()
-        for cid in cloud_ids:
-            for u, v in sorted(self.registry.clouds[cid].topology.edge_list):
-                if self.graph.strip_color(u, v, cid):
-                    drained.add(edge_key(u, v))
-        return sorted(drained)
+    def _strip(self, cloud_ids: Sequence[int]) -> None:
+        self.steps[-1].stripped.extend(self.registry.clouds[cid] for cid in cloud_ids)
 
-    def _purge(self, drained: Sequence[EdgeKey]) -> None:
-        """Delete the drained edges that no rebuild recolored."""
-        self.counters.edges_deleted += self.graph.purge_colorless(drained)
+    def _purge(self) -> None:
+        """End the open step, so that no later step recolors its drained edges."""
+        self.steps.append(EdgeStep())
+
+    def _apply(self, step: EdgeStep) -> None:
+        drained: set[EdgeKey] = set()
+        for cloud in step.stripped:
+            for u, v in sorted(cloud.topology.edge_list):
+                if self.graph.strip_color(u, v, cloud.id):
+                    drained.add(edge_key(u, v))
+        for cloud in step.built:
+            for u, v in cloud.topology.edge_list:
+                if self.graph.ensure_edge_color(u, v, cloud.id):
+                    self.counters.edges_created += 1
+                else:
+                    self.counters.edges_reused += 1
+        self.counters.edges_deleted += self.graph.purge_colorless(sorted(drained))
 
     # -- fault injection ----------------------------------------------------
 

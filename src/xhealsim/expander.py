@@ -251,6 +251,7 @@ def build_topology(
         cert = Fraction(0) if m < 2 else Fraction(m - m // 2)
         return CloudTopology(TopologyKind.CLIQUE, edge_list, cert)
 
+    best = Fraction(0)  # a draw that dead-ends certifies nothing
     for _ in range(cfg.max_retries):
         idx_edges = _pairing_attempt(m, cfg.kappa, rng)
         if idx_edges is None:
@@ -259,7 +260,12 @@ def build_topology(
         cert = _gate_certificate(_as_adjacency(ranked, edge_list), cfg)
         if cert >= cfg.alpha_target:
             return CloudTopology(TopologyKind.REGULAR_EXPANDER, edge_list, cert)
+        best = max(best, cert)
+    # lambda2/2 of large random kappa-regular graphs tends to this (Friedman, Alon-Boppana)
+    ceiling = (cfg.kappa - 2 * (cfg.kappa - 1) ** 0.5) / 2
     raise RetriesExhausted(
         f"no {cfg.kappa}-regular candidate on {m} nodes certified "
-        f"expansion >= {cfg.alpha_target} within {cfg.max_retries} tries"
+        f"expansion >= {cfg.alpha_target} within {cfg.max_retries} tries "
+        f"(best certificate {float(best):.3f}; large random {cfg.kappa}-regular "
+        f"ceiling (kappa-2*sqrt(kappa-1))/2 = {ceiling:.3f})"
     )

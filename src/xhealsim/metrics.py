@@ -334,18 +334,14 @@ class MetricsReport:
     violation_detail: list[str] = field(default_factory=list)
 
 
-def evaluate(healer: "Healer", t: int, seed: int, *,
-             density_samples: int = 100,
-             stretch_pairs: int = 200,
-             stretch_constant: int = 4,
-             exact_limit: int | None = None) -> MetricsReport:
+def evaluate(healer: "Healer", t: int, seed: int, *, density_samples: int,
+             stretch_pairs: int, stretch_constant: int, exact_limit: int) -> MetricsReport:
     """Run every check against the current state and assemble a report.
 
     Sampling rngs are derived from (seed, t), so a checkpoint's verdict
     does not depend on when other checkpoints ran.
     """
     graph, shadow = healer.graph, healer.shadow
-    limit = exact_limit if exact_limit is not None else healer.cfg.exact_limit
     alpha = healer.cfg.alpha_target
     detail: list[str] = []
 
@@ -369,10 +365,10 @@ def evaluate(healer: "Healer", t: int, seed: int, *,
 
     exp_live = exp_shadow = None
     exp_ok: bool | None = None
-    if 2 <= len(shadow.alive) <= limit:
-        exp_live = expansion(graph, limit)
-    if 2 <= len(shadow.nodes) <= limit:
-        exp_shadow = expansion(shadow, limit)
+    if 2 <= len(shadow.alive) <= exact_limit:
+        exp_live = expansion(graph, exact_limit)
+    if 2 <= len(shadow.nodes) <= exact_limit:
+        exp_shadow = expansion(shadow, exact_limit)
     if exp_live is not None and exp_shadow is not None:
         exp_ok = exp_live >= min(alpha, exp_shadow)
         if not exp_ok:

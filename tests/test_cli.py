@@ -1,5 +1,6 @@
 import copy
 import json
+import re
 
 from xhealsim import cli
 from xhealsim.adversary import Strategy, decode_trace, encode_trace, gen_trace
@@ -60,6 +61,18 @@ def test_run_delete_only_overlong_rejected_before_event_1(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_never_inserting_runs_rejected_before_event_1_by_gen_and_run(tmp_path, capsys):
+    # at insert fraction 0, uniform only deletes, like delete-only
+    shape = ["--strategy", "uniform", "--insert-fraction", "0", "--n0", "3", "--steps", "5"]
+    trace, out = tmp_path / "t.jsonl", tmp_path / "r.csv"
+    assert run_cli(["gen", *shape, "-o", str(trace)]) == 2
+    gen_err = capsys.readouterr().err
+    assert "uniform cannot delete more nodes than exist" in gen_err
+    assert run_cli(["run", *shape, "-o", str(out)]) == 2
+    assert capsys.readouterr().err == gen_err
+    assert not trace.exists() and not out.exists()
+
+
 def test_run_reports_are_byte_identical_for_same_seed(tmp_path):
     trace = tmp_path / "t.jsonl"
     run_cli(["gen", "--strategy", "uniform", "--n0", "25", "--steps", "60",
@@ -93,7 +106,12 @@ def test_run_certification_failure_exits_3(tmp_path, capsys):
     code = run_cli(["run", "--trace", str(trace), "--seed", "4",
                     "-o", str(tmp_path / "r.csv")])
     assert code == 3
-    assert "certified expansion" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "certified expansion" in err
+    # the cloud size, the best certificate over the draws and the ceiling
+    best = re.search(r"on 78 nodes .* \(best certificate (0\.\d{3});", err)
+    assert best and float(best.group(1)) < 1
+    assert "(kappa-2*sqrt(kappa-1))/2 = 0.764" in err
 
 
 def test_run_requires_trace_or_strategy(tmp_path, capsys):

@@ -1,21 +1,33 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from xhealsim.adversary import Event
+from xhealsim import cli
+from xhealsim.adversary import Event, Strategy, gen_trace
 from xhealsim.engine import (
+    EdgeStep,
     Healer,
     InvalidEvent,
     coherence_errors,
     expected_edge_state,
 )
-from xhealsim.expander import ExpanderConfig
+from xhealsim.expander import ExpanderConfig, RetriesExhausted
 from xhealsim.graph import BLACK, CloudKind, is_connected
 
 
 def make_healer(nodes, edges, seed=0, fault=None, **cfg):
     return Healer.from_initial(nodes, edges, ExpanderConfig(**cfg),
                                random.Random(seed), fault=fault)
+
+
+def plan_and_apply(h, planner, *args):
+    """Run one repair planner outside an event as a delete runs its
+    plan: record the graph edits as steps, then apply them in order."""
+    h.steps = [EdgeStep()]
+    planner(*args)
+    for step in h.steps:
+        h._apply(step)
 
 
 def test_insert_wires_black_edges_only():
@@ -170,7 +182,7 @@ def test_make_secondary_merges_when_no_free_node():
     (pid,) = h.registry.clouds
     h.registry.duty[1] = 99
     h.registry.duty[2] = 99
-    h._make_secondary_cloud([pid], [])
+    plan_and_apply(h, h._make_secondary_cloud, [pid], [])
     assert h.counters.merges == 1
     assert pid not in h.registry.clouds
     merged = [c for c in h.registry.clouds.values() if c.kind is CloudKind.PRIMARY]
@@ -182,14 +194,15 @@ def test_merge_includes_black_participants():
     h.handle_event(Event("del", 0))
     (pid,) = h.registry.clouds
     h.registry.duty.update({1: 99, 2: 99, 3: 99})
-    h._make_secondary_cloud([pid], [3])
+    plan_and_apply(h, h._make_secondary_cloud, [pid], [3])
     merged = [c for c in h.registry.clouds.values() if c.kind is CloudKind.PRIMARY]
     assert len(merged) == 1 and merged[0].members == {1, 2, 3}
 
 
 def trio_of_bridged_primaries():
     """Three healed star regions, then one secondary cloud bridging all
-    three primaries (built directly to keep the layout predictable)."""
+    three primaries (planned and applied directly to keep the layout
+    predictable)."""
     nodes = list(range(12))
     edges = [(0, 1), (0, 2), (3, 4), (3, 5), (6, 7), (6, 8),
              (1, 4), (4, 7), (2, 9), (5, 10), (8, 11)]
@@ -198,7 +211,7 @@ def trio_of_bridged_primaries():
     h.handle_event(Event("del", 3))   # P2 = {4,5}
     h.handle_event(Event("del", 6))   # P3 = {7,8}
     p1, p2, p3 = sorted(h.registry.clouds)
-    h._make_secondary_cloud([p1, p2, p3], [])
+    plan_and_apply(h, h._make_secondary_cloud, [p1, p2, p3], [])
     (fid,) = [c.id for c in h.registry.clouds.values()
               if c.kind is CloudKind.SECONDARY]
     return h, (p1, p2, p3), fid
@@ -235,6 +248,38 @@ def test_fix_secondary_merges_when_no_replacement_exists():
     assert merged, "expected one big merged primary cloud"
     assert coherence_errors(h) == []
     assert is_connected(h.graph)
+
+
+def assert_failed_event_changes_nothing(h, event, seed):
+    before = cli.snapshot_state(h, seed)
+    with pytest.raises(RetriesExhausted):
+        h.handle_event(event)
+    assert coherence_errors(h) == []
+    assert cli.snapshot_state(h, seed) == before
+
+
+def test_certification_failure_on_a_real_trace_changes_nothing():
+    # at alpha 1, event 281 of this trace rebuilds a 78-member cloud and
+    # no 6-regular draw certifies it (the exit-3 trace of the CLI tests)
+    trace = gen_trace(Strategy("uniform", insert_fraction=0.4), 200, 300, 4)
+    h = Healer.from_initial(trace.initial_nodes, trace.initial_edges,
+                            cli.RunConfig(seed=4).expander(), random.Random("4/engine"))
+    for event in trace.events[:280]:
+        h.handle_event(event)
+    assert_failed_event_changes_nothing(h, trace.events[280], 4)
+
+
+def test_certification_failure_after_a_planned_rebuild_changes_nothing():
+    # at kappa 4 and alpha 100 only cliques (up to 5 members) certify.
+    # Deleting 0 builds the clique {1,2,3}; deleting 1 plans its rebuild
+    # over {2,3} as a finished step, then fails on the next one: the
+    # secondary cloud of free node 2 and black neighbors 4..8
+    h = make_healer(list(range(9)), [(0, 1), (0, 2), (0, 3)] + [(1, b) for b in range(4, 9)],
+                    kappa=4, alpha_target=Fraction(100), max_retries=4)
+    h.handle_event(Event("del", 0))
+    assert_failed_event_changes_nothing(h, Event("del", 1), 0)
+    assert len(h.steps) == 2 and [c.members for c in h.steps[0].built] == [{2, 3}]
+    assert not h.steps[1].built
 
 
 def test_replay_determinism():

@@ -28,6 +28,10 @@ from xhealsim.metrics import (
     stretch_bound,
 )
 
+# the checkpoint settings of a default run
+CHECKPOINT = {name: getattr(RunConfig(), name) for name in
+              ("density_samples", "stretch_pairs", "stretch_constant", "exact_limit")}
+
 
 def healed_star(fault=None):
     healer = Healer.from_initial([0, 1, 2, 3], [(0, 1), (0, 2), (0, 3)],
@@ -212,7 +216,7 @@ def test_connectivity_verdicts():
 
 def test_evaluate_produces_clean_report():
     h = healed_star()
-    report = evaluate(h, 1, seed=0)
+    report = evaluate(h, 1, seed=0, **CHECKPOINT)
     assert not report.violation_detail
     assert report.n_alive == 3
     assert report.edge_preservation_ok
@@ -229,7 +233,7 @@ def test_evaluate_flags_faulty_state():
                             [(0, 1), (1, 2), (2, 3), (3, 4)],
                             ExpanderConfig(), random.Random(0), fault="skip-heal")
     h.handle_event(Event("del", 2))
-    report = evaluate(h, 1, seed=0)
+    report = evaluate(h, 1, seed=0, **CHECKPOINT)
     assert not report.connectivity_ok
     assert report.violation_detail
 
@@ -237,7 +241,7 @@ def test_evaluate_flags_faulty_state():
 def test_empty_network_report():
     h = Healer.from_initial([0], [], ExpanderConfig(), random.Random(0))
     h.handle_event(Event("del", 0))
-    report = evaluate(h, 1, seed=0)
+    report = evaluate(h, 1, seed=0, **CHECKPOINT)
     assert report.n_alive == 0
     assert not report.violation_detail
     assert report.degree_slack_min is None
