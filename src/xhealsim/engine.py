@@ -19,7 +19,8 @@ as steps, and only then applied to the graph, so a plan that raises (a
 cloud that cannot be certified) changes nothing.  An edge's colors are
 its only state: a step strips the old clouds' colors, colors the new
 topologies' edges (reusing any that exist) and deletes the stripped
-edges left colorless.  Black is never stripped, so no black edge goes.
+edges left colorless, all in one ``ColoredGraph.recolor`` call.  Black
+is never stripped, so no black edge goes.
 """
 from __future__ import annotations
 
@@ -479,18 +480,12 @@ class Healer:
         self.steps.append(EdgeStep())
 
     def _apply(self, step: EdgeStep) -> None:
-        drained: set[EdgeKey] = set()
-        for cloud in step.stripped:
-            for u, v in sorted(cloud.topology.edge_list):
-                if self.graph.strip_color(u, v, cloud.id):
-                    drained.add(edge_key(u, v))
-        for cloud in step.built:
-            for u, v in cloud.topology.edge_list:
-                if self.graph.ensure_edge_color(u, v, cloud.id):
-                    self.counters.edges_created += 1
-                else:
-                    self.counters.edges_reused += 1
-        self.counters.edges_deleted += self.graph.purge_colorless(sorted(drained))
+        created, reused, deleted = self.graph.recolor(
+            [(cloud.id, cloud.topology.edge_list) for cloud in step.stripped],
+            [(cloud.id, cloud.topology.edge_list) for cloud in step.built])
+        self.counters.edges_created += created
+        self.counters.edges_reused += reused
+        self.counters.edges_deleted += deleted
 
     # -- fault injection ----------------------------------------------------
 
@@ -498,9 +493,7 @@ class Healer:
         candidates = sorted(rec.key for rec in self.graph.edges() if BLACK in rec.colors)
         if not candidates:
             return
-        u, v = self.rng.choice(candidates)
-        self.graph.strip_color(u, v, BLACK)
-        self.graph.purge_colorless([(u, v)])
+        self.graph.recolor([(BLACK, [self.rng.choice(candidates)])], [])
 
 
 # -- coherence oracle ---------------------------------------------------

@@ -5,7 +5,9 @@ kappa-regular graphs sampled with the pairing model and accepted only
 once an expansion certificate clears the configured target.  The
 certificate is the exact edge expansion (brute force over all cuts) up
 to ``exact_limit`` nodes, and the spectral lower bound lambda2/2 beyond
-that.
+that.  A candidate is drawn and certified on positions 0..m-1 and mapped
+to member ids only once accepted.  The pairing shuffle makes exactly the
+draws of ``random.Random.shuffle``, inlined (see ``partial_shuffle``).
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Mapping, Sequence, AbstractSet
+from typing import AbstractSet, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -163,7 +165,7 @@ def _cheeger_lower_bound(adjacency: Mapping[int, AbstractSet[int]]) -> Fraction:
     return Fraction(int(safe * (1 << 32)), 1 << 33)
 
 
-def _as_adjacency(members: Sequence[int], edge_list: Sequence[EdgeKey]
+def _as_adjacency(members: Iterable[int], edge_list: Iterable[EdgeKey]
                   ) -> dict[int, set[int]]:
     adj: dict[int, set[int]] = {v: set() for v in members}
     for u, v in edge_list:
@@ -185,6 +187,26 @@ def _gate_certificate(adj: dict[int, set[int]], cfg: ExpanderConfig) -> Fraction
     if cert < cfg.alpha_target and len(adj) <= cfg.exact_limit:
         cert = expansion_exact(adj, limit=cfg.exact_limit)
     return cert
+
+
+def partial_shuffle(items: list, count: int, rng: random.Random) -> None:
+    """Fisher-Yates from the back over the last *count* positions: each
+    takes a uniform pick from itself and the positions before it.
+
+    The draws are CPython's ``_randbelow_with_getrandbits``, made inline
+    to save two method calls a swap.  ``count = len(items) - 1`` is
+    exactly ``rng.shuffle(items)``; ``count = k`` makes the draws of
+    ``rng.sample(items, k)`` when it keeps a pool, and leaves its picks,
+    in reverse order, in the last k positions.
+    """
+    getrandbits = rng.getrandbits
+    for i in range(len(items) - 1, len(items) - 1 - count, -1):
+        bound = i + 1
+        bits = bound.bit_length()
+        j = getrandbits(bits)
+        while j >= bound:
+            j = getrandbits(bits)
+        items[i], items[j] = items[j], items[i]
 
 
 def _pairing_attempt(n: int, kappa: int, rng: random.Random) -> set[tuple[int, int]] | None:
@@ -209,7 +231,7 @@ def _pairing_attempt(n: int, kappa: int, rng: random.Random) -> set[tuple[int, i
         if rounds > 200:
             return None
         potential: dict[int, int] = defaultdict(int)
-        rng.shuffle(stubs)
+        partial_shuffle(stubs, len(stubs) - 1, rng)  # rng.shuffle(stubs)
         it = iter(stubs)
         for s1, s2 in zip(it, it):
             if s1 > s2:
@@ -256,9 +278,11 @@ def build_topology(
         idx_edges = _pairing_attempt(m, cfg.kappa, rng)
         if idx_edges is None:
             continue
-        edge_list = sorted(edge_key(ranked[i], ranked[j]) for i, j in idx_edges)
-        cert = _gate_certificate(_as_adjacency(ranked, edge_list), cfg)
+        # certified on positions 0..m-1: ranked is sorted, so mapping
+        # positions to members keeps the order, the Laplacian and every cut
+        cert = _gate_certificate(_as_adjacency(range(m), idx_edges), cfg)
         if cert >= cfg.alpha_target:
+            edge_list = [(ranked[i], ranked[j]) for i, j in sorted(idx_edges)]
             return CloudTopology(TopologyKind.REGULAR_EXPANDER, edge_list, cert)
         best = max(best, cert)
     # lambda2/2 of large random kappa-regular graphs tends to this (Friedman, Alon-Boppana)

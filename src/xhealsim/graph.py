@@ -7,7 +7,9 @@ Two graph values drive every run:
   or were wired in by the adversary, and each non-black color is the id
   of one healing cloud that uses the edge.  An edge stays alive as long
   as at least one color needs it; the healer only ever deletes an edge
-  whose color set has drained to empty.
+  whose color set has drained to empty.  All of one repair step's edge
+  edits (strip old colors, color new edges, purge drained ones) are one
+  ``recolor`` call.
 
 * ``ShadowGraph`` is the deletion-free baseline: every node ever seen
   and every black edge ever created, kept forever.  All invariant checks
@@ -74,7 +76,7 @@ def edge_key(u: int, v: int) -> EdgeKey:
     return (u, v) if u < v else (v, u)
 
 
-@dataclass
+@dataclass(slots=True)
 class EdgeRecord:
     """One undirected edge and the colors that keep it alive.
 
@@ -131,21 +133,16 @@ class ColoredGraph:
         self._csr = None
         self._adj[v] = set()
 
-    def remove_node(self, v: int) -> list[EdgeRecord]:
-        """Drop *v* and all incident edges.
-
-        Returns the removed edge records with their color sets intact so
-        the healer can dispatch on what was lost.
-        """
+    def remove_node(self, v: int) -> None:
+        """Drop *v* and all incident edges.  A caller that needs the lost
+        edges' colors reads them with ``edge`` first."""
         if v not in self._adj:
             raise UnknownNode(f"node {v} not present")
         self._csr = None
-        removed = []
         for nb in sorted(self._adj[v]):
-            removed.append(self._edges.pop(edge_key(v, nb)))
+            del self._edges[edge_key(v, nb)]
             self._adj[nb].discard(v)
         del self._adj[v]
-        return removed
 
     # -- edges ---------------------------------------------------------
 
@@ -184,40 +181,62 @@ class ColoredGraph:
         self._adj[u].add(v)
         self._adj[v].add(u)
 
-    def ensure_edge_color(self, u: int, v: int, color: Color) -> bool:
-        """Give the pair (u, v) the cloud color *color*, reusing any
-        existing edge, otherwise creating one.  True when created."""
-        if color == BLACK:
-            raise ValueError("cloud colors only; black edges come from insertions")
-        rec = self._edges.get(edge_key(u, v))
-        if rec is not None:
-            rec.colors.add(color)
-            return False
-        self.add_edge(u, v, colors=(color,))
-        return True
+    def recolor(self, strip: Iterable[tuple[Color, Iterable[EdgeKey]]],
+                paint: Iterable[tuple[Color, Iterable[EdgeKey]]]) -> tuple[int, int, int]:
+        """One repair step's edge edits, in three phases.
 
-    def strip_color(self, u: int, v: int, color: Color) -> bool:
-        """Remove *color* from the edge.  True when the edge drained to
-        colorless; it stays in the graph until ``purge_colorless``."""
-        rec = self.edge(u, v)
-        if color not in rec.colors:
-            raise ColorAbsent(f"edge {rec.key} does not carry color {color}")
-        rec.colors.discard(color)
-        return not rec.colors
-
-    def purge_colorless(self, keys: Iterable[EdgeKey]) -> int:
-        """Delete those of the edges *keys* that are still colorless;
-        return how many went."""
+        Each ``(color, keys)`` of *strip* takes *color* off its edges,
+        which must exist and carry it.  Each ``(color, keys)`` of *paint*
+        gives its edges the cloud color *color*, reusing an existing edge
+        or creating one.  Last, the stripped edges left colorless are
+        deleted.  Keys are canonical (``u < v``, as ``edge_key`` gives).
+        Returns the counts of edges created, reused and deleted.
+        """
+        edges, adj = self._edges, self._adj
+        drained = []
+        for color, keys in strip:
+            for key in keys:
+                rec = edges.get(key)
+                if rec is None:
+                    raise UnknownEdge(f"no edge {key}")
+                colors = rec.colors
+                if color not in colors:
+                    raise ColorAbsent(f"edge {key} does not carry color {color}")
+                colors.remove(color)
+                if not colors:
+                    drained.append(key)
+        created = reused = 0
+        for color, keys in paint:
+            if color == BLACK:
+                raise ValueError("cloud colors only; black edges come from insertions")
+            for key in keys:
+                rec = edges.get(key)
+                if rec is not None:
+                    rec.colors.add(color)
+                    reused += 1
+                    continue
+                u, v = key
+                if u == v:
+                    raise SelfLoop(f"({u},{u})")
+                if u > v:
+                    raise GraphError(f"edge key {key} is not canonical")
+                if u not in adj or v not in adj:
+                    raise UnknownNode(f"endpoint of ({u},{v}) not present")
+                self._csr = None
+                edges[key] = EdgeRecord(u, v, {color})
+                adj[u].add(v)
+                adj[v].add(u)
+                created += 1
         deleted = 0
-        for u, v in keys:
-            rec = self.edge(u, v)
+        for key in drained:
+            rec = edges[key]
             if not rec.colors:
                 self._csr = None
-                del self._edges[rec.key]
-                self._adj[rec.u].discard(rec.v)
-                self._adj[rec.v].discard(rec.u)
+                del edges[key]
+                adj[rec.u].discard(rec.v)
+                adj[rec.v].discard(rec.u)
                 deleted += 1
-        return deleted
+        return created, reused, deleted
 
     # -- integrity -----------------------------------------------------
 

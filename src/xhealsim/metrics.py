@@ -8,6 +8,7 @@ context only, never asserted.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -44,11 +45,12 @@ def lambda2_of_adjacency(adjacency: Mapping[int, AbstractSet[int]]) -> float:
     order = sorted(adjacency)
     index = {v: i for i, v in enumerate(order)}
     n = len(order)
+    degrees = np.fromiter(map(len, map(adjacency.__getitem__, order)), dtype=np.intp, count=n)
+    heads = np.fromiter((index[nb] for v in order for nb in adjacency[v]),
+                        dtype=np.intp, count=int(degrees.sum()))
     lap = np.zeros((n, n))
-    for v, nbrs in adjacency.items():
-        lap[index[v], index[v]] = len(nbrs)
-        for nb in nbrs:
-            lap[index[v], index[nb]] = -1.0
+    np.fill_diagonal(lap, degrees)
+    lap[np.repeat(np.arange(n), degrees), heads] = -1.0
     return float(np.linalg.eigvalsh(lap)[1])
 
 
@@ -124,14 +126,44 @@ def check_degree_bound(graph: ColoredGraph, shadow: ShadowGraph, kappa: int
 
 def sample_subsets(alive: Iterable[int], samples: int, rng: random.Random
                    ) -> list[frozenset[int]]:
-    """Uniform random size in [1, n], then uniform members."""
+    """Uniform random size in [1, n], then uniform members.
+
+    Draws exactly as ``rng.sample(pool, rng.randint(1, n))`` per subset
+    does in CPython, inlined over ``getrandbits``: ``sample`` keeps a pool
+    of unpicked members (a partial shuffle) when that list is smaller
+    than a set of the picks (its ``setsize`` rule), else it redraws
+    picked positions.  Each frozenset is built in ``sample``'s selection
+    order.
+    """
     pool = sorted(alive)
-    if not pool:
+    n = len(pool)
+    if not n:
         return []
+    getrandbits = rng.getrandbits
+    n_bits = n.bit_length()
     out = []
     for _ in range(samples):
-        size = rng.randint(1, len(pool))
-        out.append(frozenset(rng.sample(pool, size)))
+        size = getrandbits(n_bits)
+        while size >= n:
+            size = getrandbits(n_bits)
+        size += 1
+        setsize = 21
+        if size > 5:
+            setsize += 4 ** math.ceil(math.log(size * 3, 4))
+        if n <= setsize:
+            picks = pool[:]
+            expander.partial_shuffle(picks, size, rng)
+            out.append(frozenset(reversed(picks[n - size:])))
+        else:
+            chosen: list[int] = []
+            taken: set[int] = set()
+            for _ in range(size):
+                j = getrandbits(n_bits)
+                while j >= n or j in taken:
+                    j = getrandbits(n_bits)
+                taken.add(j)
+                chosen.append(pool[j])
+            out.append(frozenset(chosen))
     return out
 
 

@@ -2,17 +2,27 @@
 
 Everything here deliberately avoids the production code paths it is
 used to check: densities count pairs, expansion enumerates subsets in
-descending size order, graphs are built edge by edge.
+descending size order, graphs are built edge by edge.  The per-edge
+recoloring calls and the stdlib-drawing pairing and subset samplers are
+the code paths the library inlined, kept here as its references.
 """
 from __future__ import annotations
 
 import itertools
 import random
-from collections import deque
+from collections import defaultdict, deque
 from fractions import Fraction
 
 from xhealsim.expander import ExpanderConfig, _cheeger_lower_bound, expansion_exact
-from xhealsim.graph import ColoredGraph, EmptySubset, UnknownNode, edge_key
+from xhealsim.graph import (
+    BLACK,
+    ColorAbsent,
+    ColoredGraph,
+    EmptySubset,
+    UnknownEdge,
+    UnknownNode,
+    edge_key,
+)
 from xhealsim.metrics import ALL_PAIRS_LIMIT
 
 
@@ -177,3 +187,107 @@ def cycle_adjacency(n: int) -> dict[int, set[int]]:
 
 def complete_adjacency(n: int) -> dict[int, set[int]]:
     return {i: {j for j in range(n) if j != i} for i in range(n)}
+
+
+# -- references for the inlined hot loops ------------------------------------
+
+
+def ensure_edge_color(g: ColoredGraph, u: int, v: int, color: int) -> bool:
+    """Give the pair (u, v) the cloud color *color*, reusing any existing
+    edge, otherwise creating one.  True when created."""
+    if color == BLACK:
+        raise ValueError("cloud colors only; black edges come from insertions")
+    try:
+        g.edge(u, v).colors.add(color)
+        return False
+    except UnknownEdge:
+        g.add_edge(u, v, colors=(color,))
+        return True
+
+
+def strip_color(g: ColoredGraph, u: int, v: int, color: int) -> bool:
+    """Remove *color* from the edge; True when it drained to colorless."""
+    rec = g.edge(u, v)
+    if color not in rec.colors:
+        raise ColorAbsent(f"edge {rec.key} does not carry color {color}")
+    rec.colors.discard(color)
+    return not rec.colors
+
+
+def purge_colorless(g: ColoredGraph, keys) -> int:
+    """Delete those of the edges *keys* that are still colorless."""
+    deleted = 0
+    for u, v in keys:
+        rec = g.edge(u, v)
+        if not rec.colors:
+            g._csr = None
+            del g._edges[rec.key]
+            g._adj[rec.u].discard(rec.v)
+            g._adj[rec.v].discard(rec.u)
+            deleted += 1
+    return deleted
+
+
+def recolor_oracle(g: ColoredGraph, strip, paint) -> tuple[int, int, int]:
+    """``ColoredGraph.recolor`` one edge call at a time: strip each
+    color's edges in sorted order, color the painted ones, then purge
+    the drained keys in sorted order."""
+    drained = set()
+    for color, keys in strip:
+        for u, v in sorted(keys):
+            if strip_color(g, u, v, color):
+                drained.add(edge_key(u, v))
+    created = reused = 0
+    for color, keys in paint:
+        for u, v in keys:
+            if ensure_edge_color(g, u, v, color):
+                created += 1
+            else:
+                reused += 1
+    return created, reused, purge_colorless(g, sorted(drained))
+
+
+def pairing_attempt_oracle(n: int, kappa: int, rng: random.Random):
+    """``expander._pairing_attempt`` drawing through ``rng.shuffle``."""
+
+    def suitable(edges, potential) -> bool:
+        if not potential:
+            return True
+        stubs = list(potential)
+        for i, s1 in enumerate(stubs):
+            for s2 in stubs[i + 1:]:
+                if (min(s1, s2), max(s1, s2)) not in edges:
+                    return True
+        return False
+
+    edges: set[tuple[int, int]] = set()
+    stubs = list(range(n)) * kappa
+    rounds = 0
+    while stubs:
+        rounds += 1
+        if rounds > 200:
+            return None
+        potential: dict[int, int] = defaultdict(int)
+        rng.shuffle(stubs)
+        it = iter(stubs)
+        for s1, s2 in zip(it, it):
+            if s1 > s2:
+                s1, s2 = s2, s1
+            if s1 != s2 and (s1, s2) not in edges:
+                edges.add((s1, s2))
+            else:
+                potential[s1] += 1
+                potential[s2] += 1
+        if not suitable(edges, potential):
+            return None
+        stubs = [node for node, count in potential.items() for _ in range(count)]
+    return edges
+
+
+def sample_subsets_oracle(alive, samples: int, rng: random.Random) -> list[frozenset[int]]:
+    """``metrics.sample_subsets`` drawing through ``randint`` and ``sample``."""
+    pool = sorted(alive)
+    if not pool:
+        return []
+    return [frozenset(rng.sample(pool, rng.randint(1, len(pool))))
+            for _ in range(samples)]

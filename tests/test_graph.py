@@ -18,6 +18,7 @@ from xhealsim.graph import (
     Csr,
     DuplicateNode,
     EmptySubset,
+    GraphError,
     SelfLoop,
     ShadowGraph,
     UnknownEdge,
@@ -39,95 +40,101 @@ def test_add_node_basics():
         g.add_node(0)
 
 
-def test_remove_node_returns_records():
+def incident(g, v):
+    """The records of *v*'s edges, read before ``remove_node`` drops them."""
+    return [g.edge(v, nb) for nb in sorted(g.neighbors(v))]
+
+
+def test_remove_node_drops_incident_edges():
     g = graph_from_edges([0, 1, 2, 3], [(0, 1), (0, 2), (0, 3)])
-    removed = g.remove_node(0)
+    removed = incident(g, 0)
+    assert g.remove_node(0) is None
     assert len(removed) == 3
     assert all(rec.colors == {BLACK} for rec in removed)
     assert g.node_set == {1, 2, 3} and g.edge_count() == 0
+    assert all(g.neighbors(v) == set() for v in (1, 2, 3))
 
 
 def test_remove_node_keeps_color_sets_intact():
     g = graph_from_edges([0, 1], [(0, 1)])
-    g.ensure_edge_color(0, 1, 1)
-    (rec,) = g.remove_node(0)
+    g.recolor([], [(1, [(0, 1)])])
+    (rec,) = incident(g, 0)
+    g.remove_node(0)
     assert rec.colors == {BLACK, 1}
 
 
 def test_remove_isolated_node():
     g = ColoredGraph()
     g.add_node(5)
-    assert g.remove_node(5) == []
+    g.remove_node(5)
+    assert g.node_set == set()
     with pytest.raises(UnknownNode):
         g.remove_node(5)
 
 
 def test_ensure_edge_color_reuse_and_create():
     g = graph_from_edges([0, 1, 2], [(0, 1)])
-    assert g.ensure_edge_color(0, 1, 7) is False  # reused
+    assert g.recolor([], [(7, [(0, 1)])]) == (0, 1, 0)  # reused
     assert g.edge(0, 1).colors == {BLACK, 7}
-    assert g.ensure_edge_color(1, 2, 7) is True  # created
+    assert g.recolor([], [(7, [(1, 2)])]) == (1, 0, 0)  # created
     assert g.edge(1, 2).colors == {7}
+    assert g.recolor([], [(8, [(0, 2), (1, 2)]), (9, [(0, 2)])]) == (1, 2, 0)
+    assert g.edge(0, 2).colors == {8, 9}
     with pytest.raises(SelfLoop):
-        g.ensure_edge_color(1, 1, 7)
+        g.recolor([], [(7, [(1, 1)])])
     with pytest.raises(UnknownNode):
-        g.ensure_edge_color(0, 9, 7)
+        g.recolor([], [(7, [(0, 9)])])
+    with pytest.raises(GraphError):
+        g.recolor([], [(7, [(2, 0)])])  # keys are canonical
     with pytest.raises(ValueError):
-        g.ensure_edge_color(0, 1, BLACK)
+        g.recolor([], [(BLACK, [(0, 1)])])
+    assert g.integrity_errors() == []
 
 
 def test_strip_color_variants():
     g = graph_from_edges([0, 1], [(0, 1)])
-    g.ensure_edge_color(0, 1, 3)
-    assert g.strip_color(0, 1, 3) is False  # still black
+    g.recolor([], [(3, [(0, 1)])])
+    assert g.recolor([(3, [(0, 1)])], []) == (0, 0, 0)  # still black
     assert g.edge(0, 1).colors == {BLACK}
 
     g2 = ColoredGraph()
     for v in (0, 1):
         g2.add_node(v)
-    g2.ensure_edge_color(0, 1, 3)
-    g2.ensure_edge_color(0, 1, 5)
-    assert g2.strip_color(0, 1, 3) is False
+    g2.recolor([], [(3, [(0, 1)]), (5, [(0, 1)])])
+    assert g2.recolor([(3, [(0, 1)])], []) == (0, 0, 0)
     assert g2.edge(0, 1).colors == {5}
-    assert g2.strip_color(0, 1, 5) is True  # drained
+    assert g2.recolor([(5, [(0, 1)])], []) == (0, 0, 1)  # drained, so deleted
+    assert g2.edge_count() == 0 and g2.integrity_errors() == []
 
     with pytest.raises(ColorAbsent):
-        g.strip_color(0, 1, 99)
+        g.recolor([(99, [(0, 1)])], [])
     with pytest.raises(UnknownEdge):
-        g.strip_color(0, 99, 3)
+        g.recolor([(3, [(0, 99)])], [])
 
 
 def test_purge_if_colorless():
     g = ColoredGraph()
-    for v in (0, 1):
+    for v in (0, 1, 2):
         g.add_node(v)
-    g.ensure_edge_color(0, 1, 3)
-    g.strip_color(0, 1, 3)
-    assert g.integrity_errors() == ["edge (0, 1) colorless"]
-    assert g.purge_colorless([(0, 1)]) == 1
-    assert 1 not in g.neighbors(0)
+    g.recolor([], [(3, [(0, 1), (1, 2)])])
+    assert g.recolor([(3, [(0, 1), (1, 2)])], []) == (0, 0, 2)
+    assert 1 not in g.neighbors(0) and 1 not in g.neighbors(2)
 
-    g.ensure_edge_color(0, 1, 3)
-    g.strip_color(0, 1, 3)
-    g.ensure_edge_color(0, 1, 9)  # recolored during rebuild
-    assert g.purge_colorless([(0, 1)]) == 0
-    assert 1 in g.neighbors(0) and g.integrity_errors() == []
-
-    with pytest.raises(UnknownEdge):
-        g.purge_colorless([(0, 5)])
+    g.recolor([], [(3, [(0, 1), (1, 2)])])
+    # a rebuild in the same step recolors (0, 1), so only (1, 2) goes
+    assert g.recolor([(3, [(0, 1), (1, 2)])], [(9, [(0, 1)])]) == (0, 1, 1)
+    assert g.neighbors(1) == {0} and g.edge(0, 1).colors == {9}
+    assert g.integrity_errors() == []
 
 
 def test_black_neighbors():
     g = graph_from_edges([0, 1, 2, 3], [(0, 1), (0, 2), (0, 3)])
-    removed = g.remove_node(0)
-    assert black_neighbors(removed, 0) == {1, 2, 3}
+    assert black_neighbors(incident(g, 0), 0) == {1, 2, 3}
     assert black_neighbors([], 0) == set()
 
     g2 = graph_from_edges([0, 1, 2], [(0, 1)])
-    g2.ensure_edge_color(0, 1, 1)
-    g2.ensure_edge_color(0, 2, 1)
-    removed = g2.remove_node(0)
-    assert black_neighbors(removed, 0) == {1}
+    g2.recolor([], [(1, [(0, 1), (0, 2)])])
+    assert black_neighbors(incident(g2, 0), 0) == {1}
 
 
 @pytest.mark.parametrize("edges,subset,expected", [
@@ -234,17 +241,13 @@ def view_adjacency(view) -> dict[int, set[int]]:
     return {v: set(view.neighbors(v)) for v in view.node_set}
 
 
-def _purge_edge(g):
-    g.strip_color(0, 1, BLACK)
-    assert g.purge_colorless([(0, 1)]) == 1
-
-
 LIVE_MUTATIONS = {
     "add_node": lambda g: g.add_node(9),
     "remove_node": lambda g: g.remove_node(1),
     "add_edge": lambda g: g.add_edge(0, 3),
-    "ensure_edge_color": lambda g: g.ensure_edge_color(0, 3, 5),
-    "purge_colorless": _purge_edge,
+    # a recolor that creates an edge, and one that deletes an edge
+    "ensure_edge_color": lambda g: g.recolor([], [(5, [(0, 3)])]),
+    "purge_colorless": lambda g: g.recolor([(BLACK, [(0, 1)])], []),
 }
 
 
@@ -261,13 +264,12 @@ def test_live_snapshot_is_rebuilt_after_each_adjacency_change(mutation):
 
 def test_recoloring_keeps_the_live_snapshot():
     g = graph_from_edges([0, 1, 2], [(0, 1), (1, 2)])
-    g.ensure_edge_color(0, 1, 5)
+    g.recolor([], [(5, [(0, 1)])])
     snap = Csr.of(g)
-    assert g.strip_color(0, 1, 5) is False
-    assert g.strip_color(0, 1, BLACK) is True  # drained, not yet purged
+    assert g.recolor([(5, [(0, 1)])], []) == (0, 0, 0)
     assert Csr.of(g) is snap
-    g.ensure_edge_color(0, 1, 7)
-    assert g.purge_colorless([(0, 1)]) == 0  # recolored, so kept
+    # drained by the strip, recolored by the paint, so kept
+    assert g.recolor([(BLACK, [(0, 1)])], [(7, [(0, 1)])]) == (0, 1, 0)
     assert Csr.of(g) is snap
     assert snapshot_adjacency(snap) == view_adjacency(g)
     with pytest.raises(ValueError):

@@ -1,0 +1,131 @@
+"""The inlined hot loops against the code paths they replaced.
+
+``expander.partial_shuffle`` (and so ``_pairing_attempt``) and
+``metrics.sample_subsets`` draw from ``getrandbits`` directly instead of
+through ``Random.shuffle``, ``randint`` and ``sample``; each must return
+the same values and leave the generator in the same state, or every
+cloud and every checkpoint after it changes.  ``ColoredGraph.recolor``
+makes a repair step's edge edits in one call; a healer driven through it
+must match one driven through the per-edge calls in ``helpers``.
+"""
+import math
+import random
+import types
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from helpers import pairing_attempt_oracle, recolor_oracle, sample_subsets_oracle
+from xhealsim.adversary import Strategy, gen_trace
+from xhealsim.engine import Healer
+from xhealsim.expander import (ExpanderConfig, RetriesExhausted, _pairing_attempt,
+                               partial_shuffle)
+from xhealsim.metrics import sample_subsets
+
+# sizes at the edges of a getrandbits width, plus the small lists
+EDGE_SIZES = [0, 1, 2, 3, 4, 5, 6, 7, 8, 63, 64, 65, 1023, 1024, 1025]
+sizes = st.one_of(st.sampled_from(EDGE_SIZES), st.integers(0, 1100))
+seeds = st.integers(0, 2**32 - 1)
+
+
+@settings(max_examples=120, deadline=None)
+@given(n=sizes, seed=seeds)
+def test_shuffle_draws_like_random_shuffle(n, seed):
+    ours, ref = random.Random(seed), random.Random(seed)
+    items = list(range(n))
+    expected = items[:]
+    partial_shuffle(items, max(n - 1, 0), ours)
+    ref.shuffle(expected)
+    assert items == expected
+    assert ours.getstate() == ref.getstate()
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=sizes, kappa=st.sampled_from([4, 6, 8]), seed=seeds)
+@example(n=0, kappa=6, seed=0).via("empty stub list")
+@example(n=5, kappa=6, seed=1).via("too few members: dead end")
+@example(n=7, kappa=6, seed=2).via("the clique size")
+def test_pairing_attempt_draws_like_random_shuffle(n, kappa, seed):
+    ours, ref = random.Random(seed), random.Random(seed)
+    assert _pairing_attempt(n, kappa, ours) == pairing_attempt_oracle(n, kappa, ref)
+    assert ours.getstate() == ref.getstate()
+
+
+@settings(max_examples=120, deadline=None)
+@given(n=sizes, samples=st.integers(0, 30), seed=seeds)
+def test_sample_subsets_draw_like_randint_and_sample(n, samples, seed):
+    alive = random.Random(n).sample(range(2 * n + 1), n)  # sparse, unsorted ids
+    ours, ref = random.Random(seed), random.Random(seed)
+    got = sample_subsets(alive, samples, ours)
+    want = sample_subsets_oracle(alive, samples, ref)
+    assert got == want
+    # same insertion order too, so even iteration over a subset repeats
+    assert [list(s) for s in got] == [list(s) for s in want]
+    assert ours.getstate() == ref.getstate()
+
+
+def sample_keeps_a_pool(n: int, k: int) -> bool:
+    """``Random.sample``'s branch rule: a pool list when n items take less
+    room than a set of k picks, else a set of picked positions."""
+    setsize = 21
+    if k > 5:
+        setsize += 4 ** math.ceil(math.log(k * 3, 4))
+    return n <= setsize
+
+
+@pytest.mark.parametrize("n", [21, 22, 85, 86, 277, 278, 886, 1045, 1046])
+def test_sample_subsets_at_the_sample_branch_boundaries(n):
+    # sample's setsize is 21, 85, 277 or 1045 for the sizes drawn here;
+    # n equal to it still keeps a pool, one more redraws positions
+    ours, ref = random.Random(n), random.Random(n)
+    got = sample_subsets(range(n), 200, ours)
+    assert got == sample_subsets_oracle(range(n), 200, ref)
+    assert ours.getstate() == ref.getstate()
+    branches = {sample_keeps_a_pool(n, len(s)) for s in got}
+    assert branches == ({True} if n == 21 else {True, False})
+
+
+def replay_pair(n0: int, steps: int, seed: int, fault: str | None):
+    """Yield a healer applying steps with ``recolor`` and one applying
+    them per edge, after each event of one uniform trace."""
+    trace = gen_trace(Strategy("uniform", insert_fraction=0.4), n0, steps, seed)
+    cfg = ExpanderConfig(alpha_target=Fraction(1, 2))
+    healers = [Healer.from_initial(trace.initial_nodes, trace.initial_edges, cfg,
+                                   random.Random(seed), fault=fault) for _ in range(2)]
+    batched, per_edge = healers
+    per_edge.graph.recolor = types.MethodType(recolor_oracle, per_edge.graph)
+    for event in trace.events:
+        outcomes = []
+        for healer in healers:
+            try:
+                healer.handle_event(event)
+                outcomes.append(None)
+            except RetriesExhausted as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+        if outcomes[0] is not None:
+            return
+        yield batched, per_edge
+
+
+def edge_state(healer):
+    graph = healer.graph
+    return ([(rec.key, rec.colors) for rec in graph.edges()],
+            {v: list(graph.neighbors(v)) for v in graph.nodes()})
+
+
+@settings(max_examples=30, deadline=None)
+@given(n0=st.integers(1, 40), steps=st.integers(0, 60), seed=st.integers(0, 10_000),
+       fault=st.sampled_from([None, "skip-heal", "drop-black-edge"]))
+@example(n0=40, steps=60, seed=3, fault=None).via("rebuilds, merges and reuse")
+@example(n0=40, steps=60, seed=3, fault="skip-heal")
+@example(n0=40, steps=60, seed=3, fault="drop-black-edge")
+def test_recolor_matches_per_edge_calls_on_healer_states(n0, steps, seed, fault):
+    for batched, per_edge in replay_pair(n0, steps, seed, fault):
+        # colors, edge insertion order and adjacency iteration order
+        assert edge_state(batched) == edge_state(per_edge)
+        assert batched.counters == per_edge.counters
+        assert batched.graph.integrity_errors() == []
+        assert per_edge.graph.integrity_errors() == []

@@ -47,8 +47,7 @@ def test_edge_preservation_clean_and_faulted():
 
     # plant a fault: remove a live black edge behind the healer's back
     h.handle_event(Event("ins", 4, (1, 2)))
-    h.graph.strip_color(1, 4, BLACK)
-    h.graph.purge_colorless([(1, 4)])
+    assert h.graph.recolor([(BLACK, [(1, 4)])], []) == (0, 0, 1)
     ok, missing = check_edge_preservation(h.graph, h.shadow)
     assert not ok and missing == [(1, 4)]
 
@@ -88,8 +87,7 @@ def test_density_lower_singleton_and_fault():
 
     h2 = healed_star()
     h2.handle_event(Event("ins", 4, (1, 2)))
-    h2.graph.strip_color(1, 4, BLACK)
-    h2.graph.purge_colorless([(1, 4)])
+    assert h2.graph.recolor([(BLACK, [(1, 4)])], []) == (0, 0, 1)
     viols = check_density_lower(h2.graph, h2.shadow, [frozenset([1, 2, 4])])
     assert viols
 
