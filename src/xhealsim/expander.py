@@ -3,11 +3,15 @@
 Small member sets become cliques; larger ones become seeded random
 kappa-regular graphs sampled with the pairing model and accepted only
 once an expansion certificate clears the configured target.  The
-certificate is the exact edge expansion (brute force over all cuts) up
-to ``exact_limit`` nodes, and the spectral lower bound lambda2/2 beyond
-that.  A candidate is drawn and certified on positions 0..m-1 and mapped
-to member ids only once accepted.  The pairing shuffle makes exactly the
-draws of ``random.Random.shuffle``, inlined (see ``partial_shuffle``).
+certificate is the exact edge expansion up to ``exact_limit`` nodes, and
+the spectral lower bound lambda2/2 beyond that.  The exact expansion
+enumerates every cut but keeps only the smallest cut count of each side
+size, then minimizes count over small-side size in exact fractions; a
+fixed block of 2^LOW_BLOCK_BITS tabulated cut masks bounds its memory at
+every size it accepts.  A candidate is drawn and certified on positions
+0..m-1 and mapped to member ids only once accepted.  The pairing shuffle
+makes exactly the draws of ``random.Random.shuffle``, inlined (see
+``partial_shuffle``).
 """
 from __future__ import annotations
 
@@ -44,6 +48,13 @@ class TopologyKind(Enum):
     REGULAR_EXPANDER = "regular_expander"
 
 
+# Largest graph expansion_exact enumerates.  Its memory is fixed by the
+# low block, but its time doubles per node past it (tens of ms at 26).
+HARD_ENUMERATION_CEILING = 26
+# Nodes after the first whose cut masks expansion_exact tabulates at once.
+LOW_BLOCK_BITS = 14
+
+
 @dataclass(frozen=True)
 class ExpanderConfig:
     """Tuning knobs for cloud construction.
@@ -51,6 +62,8 @@ class ExpanderConfig:
     ``kappa`` must be even (odd regular graphs are not realizable on odd
     member counts) and at least 4.  ``alpha_target`` is the expansion a
     non-clique cloud has to certify before it is accepted.
+    ``exact_limit`` is the largest cloud certified by exact cut
+    enumeration, at most HARD_ENUMERATION_CEILING.
     """
 
     kappa: int = 6
@@ -63,8 +76,9 @@ class ExpanderConfig:
             raise ValueError(f"kappa must be even and >= 4, got {self.kappa}")
         if self.alpha_target <= 0:
             raise ValueError("alpha_target must be positive")
-        if self.exact_limit < 2:
-            raise ValueError("exact_limit must be >= 2")
+        if not 2 <= self.exact_limit <= HARD_ENUMERATION_CEILING:
+            raise ValueError(f"exact_limit must be in [2, {HARD_ENUMERATION_CEILING}], "
+                             f"got {self.exact_limit}")
         if self.max_retries < 1:
             raise ValueError("max_retries must be >= 1")
 
@@ -76,16 +90,21 @@ class CloudTopology:
     certified_expansion: Fraction
 
 
-HARD_ENUMERATION_CEILING = 26
-
-
-def expansion_exact(adjacency: Mapping[int, AbstractSet[int]], limit: int = 20) -> Fraction:
+def expansion_exact(adjacency: Mapping[int, AbstractSet[int]], limit: int) -> Fraction:
     """Exact edge expansion: minimum over all cuts with the small side
     at most half the nodes of crossing-edge count over small-side size.
 
-    Every unordered cut is visited once, as the side containing the
-    first node; inner-edge counts are built by a vectorized recurrence
-    on the highest set bit.  Memory grows as 2^n, so n is capped at 26
+    Every unordered cut is visited once, as the side S containing the
+    first node, and only the smallest cut count of each size |S| is
+    kept: the expansion is the minimum over sizes s of
+    ``min_cut[s] / min(s, n-s)``, compared in integers.  The next
+    ``LOW_BLOCK_BITS`` nodes form a low block whose masks are tabulated
+    once (size, cut count, and each node's neighbours inside), sorted by
+    size; the other nodes are walked in Gray-code order, so each step
+    toggles one node, moves every tabulated cut by twice that node's
+    neighbours in the low part and takes one minimum per size.  Memory
+    stays near n * 2^LOW_BLOCK_BITS small integers; time doubles per
+    node beyond the block, so n is capped at HARD_ENUMERATION_CEILING
     regardless of *limit*.
     """
     n = len(adjacency)
@@ -96,59 +115,66 @@ def expansion_exact(adjacency: Mapping[int, AbstractSet[int]], limit: int = 20) 
                        f"{min(limit, HARD_ENUMERATION_CEILING)}")
     order = sorted(adjacency)
     index = {v: i for i, v in enumerate(order)}
-    nbr_idx: list[list[int]] = [[] for _ in range(n)]
-    for v, nbrs in adjacency.items():
-        for nb in nbrs:
-            nbr_idx[index[v]].append(index[nb])
+    nbr_idx = [[index[nb] for nb in adjacency[v]] for v in order]
     deg = [len(nb) for nb in nbr_idx]
+    twice_adj = np.zeros((n, n), dtype=np.int16)  # what a joining neighbour adds
+    twice_adj[[i for i, row in enumerate(nbr_idx) for _ in row],
+              [j for row in nbr_idx for j in row]] = 2
 
-    # m encodes the subset S(m) = {0} union {b+1 : bit b of m set}
-    total = 1 << (n - 1)
-    ar = np.arange(total, dtype=np.int32)
-    sizes = np.zeros(total, dtype=np.int16)
-    vol = np.zeros(total, dtype=np.int16)
-    inner = np.zeros(total, dtype=np.int16)
+    # low mask m encodes S(m) = {0} union {b+1 : bit b of m set}
+    low = min(n - 1, LOW_BLOCK_BITS)
+    width = 1 << low
+    sizes = np.empty(width, dtype=np.int16)
+    cut = np.empty(width, dtype=np.int16)
+    twice_inside = np.empty((n, width), dtype=np.int16)  # 2 * |N(y) & S(m)| at [y, m]
     sizes[0] = 1
-    vol[0] = deg[0]
-    for h in range(n - 1):
-        lo = 1 << h
-        node = h + 1
-        sizes[lo:2 * lo] = sizes[:lo] + 1
-        vol[lo:2 * lo] = vol[:lo] + deg[node]
-        gained = np.zeros(lo, dtype=np.int16)
-        for j in nbr_idx[node]:
-            if j == 0:
-                gained += 1
-            elif j < node:
-                gained += ((ar[:lo] >> (j - 1)) & 1).astype(np.int16)
-        inner[lo:2 * lo] = inner[:lo] + gained
-    cross = vol - 2 * inner
+    cut[0] = deg[0]
+    twice_inside[:, 0] = twice_adj[:, 0]
+    for b in range(low):
+        lo = 1 << b
+        node = b + 1
+        np.add(sizes[:lo], 1, out=sizes[lo:2 * lo])
+        np.subtract(cut[:lo], twice_inside[node, :lo], out=cut[lo:2 * lo])
+        cut[lo:2 * lo] += deg[node]
+        np.add(twice_inside[:, :lo], twice_adj[:, node:node + 1],
+               out=twice_inside[:, lo:2 * lo])
 
-    # Crossing counts and sizes are small integers, so float64 quotients
-    # are correctly rounded and distinct ratios differ by at least
-    # 1/(half^2), far above rounding error: the float argmin is the
-    # exact minimum, recovered below as an exact fraction.
-    half = n // 2
-    best: Fraction | None = None
-    chunk = 1 << 22
-    for lo in range(0, total, chunk):
-        size_c = sizes[lo:lo + chunk].astype(np.float64)
-        cross_c = cross[lo:lo + chunk].astype(np.float64)
-        own = np.full(size_c.shape, np.inf)
-        np.divide(cross_c, size_c, out=own, where=size_c <= half)
-        comp_size = n - size_c
-        comp = np.full(size_c.shape, np.inf)
-        np.divide(cross_c, comp_size, out=comp,
-                  where=(comp_size >= 1) & (comp_size <= half))
-        for ratios, denom in ((own, size_c), (comp, comp_size)):
-            pos = int(ratios.argmin())
-            if ratios[pos] == np.inf:
-                continue
-            cand = Fraction(int(cross[lo + pos]), int(denom[pos]))
-            if best is None or cand < best:
-                best = cand
-    assert best is not None
-    return best
+    by_size = np.argsort(sizes, kind="stable")
+    starts = np.searchsorted(sizes[by_size], np.arange(1, low + 2))
+    steps = twice_inside[low + 1:, by_size]
+
+    # high node low+1+b joins S with bit b of h; H(h) is that high part
+    # and h_cut its own cut count.  cur[m] is the cut count of S(m) less
+    # twice its edges to H(h), which both counts hold but which do not
+    # cross, so cut(S(m) | H(h)) = cur[m] + h_cut.
+    cur = cut[by_size]
+    high = n - 1 - low
+    hi_nbrs = [sum(1 << (j - low - 1) for j in nbr_idx[low + 1 + b] if j > low)
+               for b in range(high)]
+    min_cut = np.full(n + 1, n * n, dtype=np.int32)  # above any cut count
+    h = h_cut = 0
+    for step in range(1 << high):
+        if step:
+            b = (step & -step).bit_length() - 1
+            gain = deg[low + 1 + b] - 2 * (hi_nbrs[b] & h).bit_count()
+            h ^= 1 << b
+            if h >> b & 1:
+                h_cut += gain
+                cur -= steps[b]
+            else:
+                h_cut -= gain
+                cur += steps[b]
+        size = h.bit_count()
+        per_size = min_cut[size + 1:size + low + 2]
+        np.minimum(per_size, np.minimum.reduceat(cur, starts) + h_cut, out=per_size)
+
+    # smallest min_cut[s] / min(s, n-s), compared by cross-multiplying
+    best_cut, best_side = n * n, 1
+    for s, c in enumerate(min_cut[1:n].tolist(), start=1):
+        side = min(s, n - s)
+        if c * best_side < best_cut * side:
+            best_cut, best_side = c, side
+    return Fraction(best_cut, best_side)
 
 
 def _cheeger_lower_bound(adjacency: Mapping[int, AbstractSet[int]]) -> Fraction:

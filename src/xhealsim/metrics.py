@@ -63,7 +63,7 @@ def lambda2(view: ColoredGraph | ShadowGraph, cap: int = LAMBDA_SIZE_CAP) -> flo
     return lambda2_of_adjacency({v: view.neighbors(v) for v in nodes})
 
 
-def expansion(view: ColoredGraph | ShadowGraph, exact_limit: int = 20) -> Fraction:
+def expansion(view: ColoredGraph | ShadowGraph, exact_limit: int) -> Fraction:
     """Exact edge expansion of the view over its own node set."""
     nodes = sorted(view.node_set)
     return expander.expansion_exact({v: view.neighbors(v) for v in nodes}, limit=exact_limit)

@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the production code paths it is
 used to check: densities count pairs, expansion enumerates subsets in
-descending size order, graphs are built edge by edge.  The per-edge
+descending size order (or, for larger graphs, tabulates every cut as
+the replaced kernel did), graphs are built edge by edge.  The per-edge
 recoloring calls and the stdlib-drawing pairing and subset samplers are
 the code paths the library inlined, kept here as its references.
 """
@@ -12,6 +13,8 @@ import itertools
 import random
 from collections import defaultdict, deque
 from fractions import Fraction
+
+import numpy as np
 
 from xhealsim.expander import ExpanderConfig, _cheeger_lower_bound, expansion_exact
 from xhealsim.graph import (
@@ -56,6 +59,59 @@ def expansion_oracle(adjacency: dict[int, set[int]]) -> Fraction:
             inside = set(combo)
             crossing = sum(1 for u in inside for v in adjacency[u] if v not in inside)
             cand = Fraction(crossing, k)
+            if best is None or cand < best:
+                best = cand
+    return best
+
+
+def expansion_exact_oracle(adjacency: dict[int, set[int]]) -> Fraction:
+    """The whole-table kernel ``expansion_exact`` replaced: every cut
+    containing the first node gets its size and cut count in 2^(n-1)
+    entry arrays, and a float argmin per side picks the minimum ratio.
+    Memory grows as 2^n (about 110 MB at 22 nodes)."""
+    n = len(adjacency)
+    order = sorted(adjacency)
+    index = {v: i for i, v in enumerate(order)}
+    nbr_idx: list[list[int]] = [[] for _ in range(n)]
+    for v, nbrs in adjacency.items():
+        for nb in nbrs:
+            nbr_idx[index[v]].append(index[nb])
+    deg = [len(nb) for nb in nbr_idx]
+
+    # m encodes the subset S(m) = {0} union {b+1 : bit b of m set}
+    total = 1 << (n - 1)
+    ar = np.arange(total, dtype=np.int32)
+    sizes = np.zeros(total, dtype=np.int16)
+    vol = np.zeros(total, dtype=np.int16)
+    inner = np.zeros(total, dtype=np.int16)
+    sizes[0] = 1
+    vol[0] = deg[0]
+    for h in range(n - 1):
+        lo = 1 << h
+        node = h + 1
+        sizes[lo:2 * lo] = sizes[:lo] + 1
+        vol[lo:2 * lo] = vol[:lo] + deg[node]
+        gained = np.zeros(lo, dtype=np.int16)
+        for j in nbr_idx[node]:
+            if j == 0:
+                gained += 1
+            elif j < node:
+                gained += ((ar[:lo] >> (j - 1)) & 1).astype(np.int16)
+        inner[lo:2 * lo] = inner[:lo] + gained
+    cross = vol - 2 * inner
+
+    # small integer quotients are correctly rounded and distinct ratios
+    # differ by far more than rounding error, so the float argmin is exact
+    half = n // 2
+    sizes_f = sizes.astype(np.float64)
+    cross_f = cross.astype(np.float64)
+    best = None
+    for denom in (sizes_f, n - sizes_f):
+        ratios = np.full(total, np.inf)
+        np.divide(cross_f, denom, out=ratios, where=(denom >= 1) & (denom <= half))
+        pos = int(ratios.argmin())
+        if ratios[pos] != np.inf:
+            cand = Fraction(int(cross[pos]), int(denom[pos]))
             if best is None or cand < best:
                 best = cand
     return best

@@ -73,6 +73,18 @@ def test_never_inserting_runs_rejected_before_event_1_by_gen_and_run(tmp_path, c
     assert not trace.exists() and not out.exists()
 
 
+def test_run_rejects_exact_limit_beyond_ceiling_before_event_1(tmp_path, capsys):
+    trace, out, rec = tmp_path / "t.jsonl", tmp_path / "r.csv", tmp_path / "rec.jsonl"
+    assert run_cli(["gen", "--strategy", "uniform", "--n0", "30", "--steps", "20",
+                    "--seed", "1", "-o", str(trace)]) == 0
+    capsys.readouterr()
+    for source in (["--trace", str(trace)], ["--strategy", "uniform", "--n0", "30"]):
+        assert run_cli(["run", *source, "--steps", "20", "--seed", "1",
+                        "--exact-limit", "30", "--record", str(rec), "-o", str(out)]) == 2
+        assert "exact_limit must be in [2, 26], got 30" in capsys.readouterr().err
+        assert not out.exists() and not rec.exists()
+
+
 def test_run_reports_are_byte_identical_for_same_seed(tmp_path):
     trace = tmp_path / "t.jsonl"
     run_cli(["gen", "--strategy", "uniform", "--n0", "25", "--steps", "60",
@@ -203,6 +215,7 @@ def test_verify_missing_or_malformed_snapshot(tmp_path, capsys):
         "v1": lambda d: d.update(v=1),
         "unknown-counter": lambda d: d["counters"].update(bogus_counter=0),
         "missing-counter": lambda d: d["counters"].pop("merges"),
+        "exact-limit-over-ceiling": lambda d: d["config"].update(exact_limit=30),
     }
     for name, damage in broken.items():
         victim = copy.deepcopy(data)

@@ -1,10 +1,20 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from helpers import certificate_oracle, expansion_oracle, random_adjacency
+from helpers import (
+    certificate_oracle,
+    expansion_exact_oracle,
+    expansion_oracle,
+    random_adjacency,
+)
+from xhealsim import expander
 from xhealsim.expander import (
+    HARD_ENUMERATION_CEILING,
     ExpanderConfig,
     RetriesExhausted,
     TooLarge,
@@ -22,6 +32,14 @@ def test_config_validation():
         ExpanderConfig(kappa=2)
     with pytest.raises(ValueError):
         ExpanderConfig(alpha_target=Fraction(0))
+
+
+def test_config_rejects_exact_limit_beyond_the_enumeration_ceiling():
+    assert ExpanderConfig(exact_limit=HARD_ENUMERATION_CEILING).exact_limit == 26
+    with pytest.raises(ValueError, match="exact_limit must be in"):
+        ExpanderConfig(exact_limit=HARD_ENUMERATION_CEILING + 1)
+    with pytest.raises(ValueError, match="exact_limit must be in"):
+        ExpanderConfig(exact_limit=1)
 
 
 def test_clique_branch():
@@ -121,3 +139,69 @@ def test_verify_cloud_recomputes_certificates():
     big = build_topology(list(range(30)), cfg, random.Random(3))
     # spectral path, still a lower bound
     assert certificate_oracle(range(30), big.edge_list, cfg) >= 0
+
+
+@st.composite
+def graphs(draw, min_nodes, max_nodes):
+    """Adjacency over non-contiguous ids, any edge density, isolated
+    nodes and several components included."""
+    n = draw(st.integers(min_nodes, max_nodes))
+    ids = sorted(draw(st.sets(st.integers(0, 10_000), min_size=n, max_size=n)))
+    p = draw(st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.9, 1.0]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    adj = {v: set() for v in ids}
+    for i, u in enumerate(ids):
+        for v in ids[i + 1:]:
+            if rng.random() < p:
+                adj[u].add(v)
+                adj[v].add(u)
+    return adj
+
+
+def pendant_pair(core: int) -> dict[int, set[int]]:
+    """A clique on ids 0..core-1 and a path core-1 - core - core+1: the
+    minimum, 1/2, is the pendant pair, the side without node 0."""
+    adj = {i: {j for j in range(core) if j != i} for i in range(core)}
+    adj[core - 1].add(core)
+    adj[core] = {core - 1, core + 1}
+    adj[core + 1] = {core}
+    return adj
+
+
+@settings(max_examples=80, deadline=None)
+@given(adj=graphs(2, 12), block=st.sampled_from([1, 2, 3, expander.LOW_BLOCK_BITS]))
+@example(adj={3: set(), 10: {20}, 20: {10}}, block=1)  # isolated node
+@example(adj={1: {4, 7}, 4: {1, 7}, 7: {1, 4}, 9: {12}, 12: {9}}, block=2)  # two parts
+@example(adj=pendant_pair(5), block=2)
+def test_expansion_exact_matches_subset_enumeration(adj, block):
+    # a block of 1-3 nodes leaves most nodes to the Gray-code walk
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(expander, "LOW_BLOCK_BITS", block)
+        assert expansion_exact(adj, limit=12) == expansion_oracle(adj)
+
+
+@settings(max_examples=30, deadline=None)
+@given(adj=graphs(13, 22))
+@example(adj=pendant_pair(14))  # 16 nodes, the pair past the 14-node block
+@example(adj={v: set() for v in range(15)})  # the block is exactly nodes 1..14
+@example(adj={v: set() for v in range(16)})  # one node past the block
+def test_expansion_exact_matches_whole_table_kernel(adj):
+    assert expansion_exact(adj, limit=22) == expansion_exact_oracle(adj)
+
+
+def circulant(n: int, offsets: tuple[int, ...]) -> dict[int, set[int]]:
+    return {i: {(i + d) % n for d in offsets} | {(i - d) % n for d in offsets}
+            for i in range(n)}
+
+
+@pytest.mark.parametrize("n", [24, HARD_ENUMERATION_CEILING])
+def test_expansion_exact_memory_is_bounded(n):
+    adj = circulant(n, (1, 2, 5))  # 6-regular
+    tracemalloc.start()
+    try:
+        value = expansion_exact(adj, limit=n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < value <= 6
+    assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MB at n={n}"

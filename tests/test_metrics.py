@@ -124,19 +124,19 @@ def test_mandatory_subsets_cover_healing_sites():
 
 def test_expansion_views():
     k4 = graph_from_edges(range(4), [(i, j) for i in range(4) for j in range(i + 1, 4)])
-    assert expansion(k4) == Fraction(2)
+    assert expansion(k4, 10) == Fraction(2)
     two_edges = graph_from_edges(range(4), [(0, 1), (2, 3)])
-    assert expansion(two_edges) == Fraction(0)
+    assert expansion(two_edges, 10) == Fraction(0)
     c6 = graph_from_edges(range(6), [(i, (i + 1) % 6) for i in range(6)])
-    assert expansion(c6) == Fraction(2, 3)
+    assert expansion(c6, 10) == Fraction(2, 3)
 
 
 def test_expansion_counts_dead_shadow_nodes():
     h = healed_star()
     # shadow keeps the deleted hub: star on 4 nodes has expansion 1
-    assert expansion(h.shadow) == Fraction(1)
+    assert expansion(h.shadow, 10) == Fraction(1)
     # live clique on the three leaves: ceil(3/2) = 2 crossing / 1
-    assert expansion(h.graph) == Fraction(2)
+    assert expansion(h.graph, 10) == Fraction(2)
 
 
 def test_lambda2_closed_forms():
