@@ -116,7 +116,7 @@ def next_event(strategy: Strategy, state: "Healer", rng: random.Random) -> Event
     Deterministic given the rng stream, so adaptive runs replay exactly.
     """
     alive = sorted(state.shadow.alive)
-    next_id = (max(state.shadow.nodes) + 1) if state.shadow.nodes else 0
+    next_id = 0 if state.shadow.max_node is None else state.shadow.max_node + 1
     if not alive:
         if strategy.insert_fraction > 0.0 and strategy.name != "delete-only":
             return Event("ins", next_id, ())

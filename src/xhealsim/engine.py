@@ -195,7 +195,7 @@ class Healer:
         v = event.node
         if v in self.shadow.nodes:
             raise InvalidEvent(f"node id {v} was already used")
-        if self.shadow.nodes and v <= max(self.shadow.nodes):
+        if self.shadow.max_node is not None and v <= self.shadow.max_node:
             raise InvalidEvent(f"node ids must be strictly increasing, got {v}")
         if v in event.neighbors:
             raise InvalidEvent("a node cannot neighbor itself")

@@ -15,6 +15,7 @@ makes exactly the draws of ``random.Random.shuffle``, inlined (see
 """
 from __future__ import annotations
 
+import itertools
 import random
 from collections import defaultdict
 from dataclasses import dataclass
@@ -177,8 +178,9 @@ def expansion_exact(adjacency: Mapping[int, AbstractSet[int]], limit: int) -> Fr
     return Fraction(best_cut, best_side)
 
 
-def _cheeger_lower_bound(adjacency: Mapping[int, AbstractSet[int]]) -> Fraction:
-    """lambda2/2 as a conservative exact rational.
+def _cheeger_lower_bound(n: int, u: np.ndarray, v: np.ndarray) -> Fraction:
+    """lambda2/2 of the graph on positions 0..n-1 with edges
+    ``(u[i], v[i])``, as a conservative exact rational.
 
     The eigenvalue itself is floating point; rounding down at 32
     fractional bits keeps the certificate a valid lower bound well below
@@ -186,7 +188,7 @@ def _cheeger_lower_bound(adjacency: Mapping[int, AbstractSet[int]]) -> Fraction:
     """
     from .metrics import lambda2_of_adjacency  # deferred: metrics imports us
 
-    lam = lambda2_of_adjacency(adjacency)
+    lam = lambda2_of_adjacency(n, u, v)
     safe = max(0.0, lam - 1e-8)
     return Fraction(int(safe * (1 << 32)), 1 << 33)
 
@@ -200,8 +202,9 @@ def _as_adjacency(members: Iterable[int], edge_list: Iterable[EdgeKey]
     return adj
 
 
-def _gate_certificate(adj: dict[int, set[int]], cfg: ExpanderConfig) -> Fraction:
-    """Cheapest certificate that can clear the acceptance gate.
+def _gate_certificate(m: int, edges: set[EdgeKey], cfg: ExpanderConfig) -> Fraction:
+    """Cheapest certificate that can clear the acceptance gate for the
+    graph on positions 0..m-1 with *edges*.
 
     The spectral bound is a few eigensolver milliseconds and usually
     already beats alpha_target; the exponential exact cut enumeration
@@ -209,9 +212,11 @@ def _gate_certificate(adj: dict[int, set[int]], cfg: ExpanderConfig) -> Fraction
     enough.  Both are valid lower bounds on the true expansion, so a
     disconnected graph (expansion 0) never clears the positive target.
     """
-    cert = _cheeger_lower_bound(adj)
-    if cert < cfg.alpha_target and len(adj) <= cfg.exact_limit:
-        cert = expansion_exact(adj, limit=cfg.exact_limit)
+    ends = np.fromiter(itertools.chain.from_iterable(edges), dtype=np.intp,
+                       count=2 * len(edges))
+    cert = _cheeger_lower_bound(m, ends[0::2], ends[1::2])
+    if cert < cfg.alpha_target and m <= cfg.exact_limit:
+        cert = expansion_exact(_as_adjacency(range(m), edges), limit=cfg.exact_limit)
     return cert
 
 
@@ -220,19 +225,23 @@ def partial_shuffle(items: list, count: int, rng: random.Random) -> None:
     takes a uniform pick from itself and the positions before it.
 
     The draws are CPython's ``_randbelow_with_getrandbits``, made inline
-    to save two method calls a swap.  ``count = len(items) - 1`` is
-    exactly ``rng.shuffle(items)``; ``count = k`` makes the draws of
+    to save two method calls a swap, with the bit width worked out once
+    for each run of positions that shares it.  ``count = len(items) - 1``
+    is exactly ``rng.shuffle(items)``; ``count = k`` makes the draws of
     ``rng.sample(items, k)`` when it keeps a pool, and leaves its picks,
     in reverse order, in the last k positions.
     """
     getrandbits = rng.getrandbits
-    for i in range(len(items) - 1, len(items) - 1 - count, -1):
-        bound = i + 1
-        bits = bound.bit_length()
-        j = getrandbits(bits)
-        while j >= bound:
+    i, stop = len(items) - 1, len(items) - 1 - count
+    while i > stop:
+        bits = (i + 1).bit_length()
+        low = max(stop, (1 << (bits - 1)) - 2)
+        for i in range(i, low, -1):
             j = getrandbits(bits)
-        items[i], items[j] = items[j], items[i]
+            while j > i:
+                j = getrandbits(bits)
+            items[i], items[j] = items[j], items[i]
+        i = low
 
 
 def _pairing_attempt(n: int, kappa: int, rng: random.Random) -> set[tuple[int, int]] | None:
@@ -306,7 +315,7 @@ def build_topology(
             continue
         # certified on positions 0..m-1: ranked is sorted, so mapping
         # positions to members keeps the order, the Laplacian and every cut
-        cert = _gate_certificate(_as_adjacency(range(m), idx_edges), cfg)
+        cert = _gate_certificate(m, idx_edges, cfg)
         if cert >= cfg.alpha_target:
             edge_list = [(ranked[i], ranked[j]) for i, j in sorted(idx_edges)]
             return CloudTopology(TopologyKind.REGULAR_EXPANDER, edge_list, cert)

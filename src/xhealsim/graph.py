@@ -274,6 +274,7 @@ class ShadowGraph:
         self.nodes: set[int] = set()
         self.edges: set[EdgeKey] = set()
         self.alive: set[int] = set()
+        self.max_node: int | None = None  # largest id ever recorded
         self._adj: dict[int, set[int]] = {}
         self._csr: Csr | None = None  # see Csr.of; dropped on adjacency change
 
@@ -301,6 +302,7 @@ class ShadowGraph:
                 raise DuplicateNode(f"node {event.node} already recorded")
             self._csr = None
             self.nodes.add(event.node)
+            self.max_node = max(event.node, event.node if self.max_node is None else self.max_node)
             self._adj[event.node] = set()
             self.alive.add(event.node)
             for nb in event.neighbors:
@@ -320,6 +322,7 @@ class ShadowGraph:
             if v in self.nodes:
                 raise DuplicateNode(f"node {v} already recorded")
             self.nodes.add(v)
+            self.max_node = max(v, v if self.max_node is None else self.max_node)
             self._adj[v] = set()
             self.alive.add(v)
         for u, v in edges:

@@ -4,6 +4,14 @@ Every quantity a verdict depends on (degrees, densities, expansion,
 distances) is computed in exact integer or rational arithmetic; the
 spectral gap is the one floating-point value and is reported for
 context only, never asserted.
+
+A checkpoint builds its density subsets once, as a ``Subsets``: the
+mandatory ones (alive set, clouds, last black neighbourhood) and the
+sampled ones, which ``sample_subsets`` draws as positions into the
+sorted alive nodes.  Their members become one flat array of positions
+in the live CSR snapshot and one node-major boolean mask (node x
+subset), which both density checks read; member ids are turned back
+into sorted Python ints only for the subsets a violation names.
 """
 from __future__ import annotations
 
@@ -12,7 +20,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Mapping, AbstractSet
+from typing import TYPE_CHECKING, AbstractSet, Iterable, Sequence
 
 import numpy as np
 
@@ -39,28 +47,25 @@ class MetricsError(Exception):
     pass
 
 
-def lambda2_of_adjacency(adjacency: Mapping[int, AbstractSet[int]]) -> float:
-    """Second-smallest eigenvalue of the combinatorial Laplacian, via a
-    dense symmetric eigensolver (documented tolerance ~1e-9)."""
-    order = sorted(adjacency)
-    index = {v: i for i, v in enumerate(order)}
-    n = len(order)
-    degrees = np.fromiter(map(len, map(adjacency.__getitem__, order)), dtype=np.intp, count=n)
-    heads = np.fromiter((index[nb] for v in order for nb in adjacency[v]),
-                        dtype=np.intp, count=int(degrees.sum()))
+def lambda2_of_adjacency(n: int, u: np.ndarray, v: np.ndarray) -> float:
+    """Second-smallest eigenvalue of the combinatorial Laplacian of the
+    graph on positions 0..n-1 whose edges ``(u[i], v[i])`` are listed
+    once each, via a dense symmetric eigensolver (documented tolerance
+    ~1e-9)."""
     lap = np.zeros((n, n))
-    np.fill_diagonal(lap, degrees)
-    lap[np.repeat(np.arange(n), degrees), heads] = -1.0
+    lap[u, v] = lap[v, u] = -1.0
+    np.fill_diagonal(lap, np.count_nonzero(lap, axis=1))
     return float(np.linalg.eigvalsh(lap)[1])
 
 
 def lambda2(view: ColoredGraph | ShadowGraph, cap: int = LAMBDA_SIZE_CAP) -> float:
-    nodes = sorted(view.node_set)
-    if len(nodes) < 2:
+    csr = Csr.of(view)
+    n = len(csr.ids)
+    if n < 2:
         raise MetricsError("lambda2 needs at least 2 nodes")
-    if len(nodes) > cap:
-        raise TooLarge(f"{len(nodes)} nodes exceeds spectral size cap {cap}")
-    return lambda2_of_adjacency({v: view.neighbors(v) for v in nodes})
+    if n > cap:
+        raise TooLarge(f"{n} nodes exceeds spectral size cap {cap}")
+    return lambda2_of_adjacency(n, *csr.edge_ends())
 
 
 def expansion(view: ColoredGraph | ShadowGraph, exact_limit: int) -> Fraction:
@@ -111,60 +116,65 @@ def check_degree_bound(graph: ColoredGraph, shadow: ShadowGraph, kappa: int
     """Per-node slack of degree(x) <= kappa * baseline_degree(x) + kappa.
 
     Returns the minimum slack over alive nodes (None when empty) and the
-    nodes with negative slack.
+    nodes with negative slack, in node order.
     """
-    min_slack: int | None = None
-    violations = []
-    for v in sorted(shadow.alive):
-        slack = kappa * shadow.degree(v) + kappa - graph.degree(v)
-        if min_slack is None or slack < min_slack:
-            min_slack = slack
-        if slack < 0:
-            violations.append((v, slack))
-    return min_slack, violations
+    base, live = Csr.of(shadow), Csr.of(graph)
+    is_alive = np.zeros(len(base.ids), dtype=bool)
+    is_alive[base.positions(shadow.alive)] = True
+    alive = np.flatnonzero(is_alive)
+    ids = base.ids[alive]
+    pos, found = live.lookup(ids)
+    if not found.all():
+        raise UnknownNode(f"node {ids[~found][0]} not present")
+    slack = kappa * np.diff(base.indptr)[alive] + kappa - np.diff(live.indptr)[pos]
+    negative = np.flatnonzero(slack < 0)
+    violations = list(zip(ids[negative].tolist(), slack[negative].tolist()))
+    return (int(slack.min()) if len(slack) else None), violations
 
 
-def sample_subsets(alive: Iterable[int], samples: int, rng: random.Random
-                   ) -> list[frozenset[int]]:
-    """Uniform random size in [1, n], then uniform members.
+def sample_subsets(n: int, samples: int, rng: random.Random
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Subsets of the positions 0..n-1: a uniform random size in [1, n],
+    then uniform members.
 
-    Draws exactly as ``rng.sample(pool, rng.randint(1, n))`` per subset
-    does in CPython, inlined over ``getrandbits``: ``sample`` keeps a pool
-    of unpicked members (a partial shuffle) when that list is smaller
+    Returns every subset's positions, one subset after another, as one
+    int64 array, and the subset sizes.  Draws exactly as
+    ``rng.sample(range(n), rng.randint(1, n))`` per subset does in
+    CPython, inlined over ``getrandbits``: ``sample`` keeps a pool of
+    unpicked positions (a partial shuffle) when that list is smaller
     than a set of the picks (its ``setsize`` rule), else it redraws
-    picked positions.  Each frozenset is built in ``sample``'s selection
-    order.
+    picked positions.  Each subset's positions are in ``sample``'s
+    selection order.
     """
-    pool = sorted(alive)
-    n = len(pool)
     if not n:
-        return []
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
     getrandbits = rng.getrandbits
     n_bits = n.bit_length()
-    out = []
-    for _ in range(samples):
+    everyone = list(range(n))
+    picks: list[int] = []
+    sizes = np.zeros(samples, dtype=np.int64)
+    for s in range(samples):
         size = getrandbits(n_bits)
         while size >= n:
             size = getrandbits(n_bits)
         size += 1
+        sizes[s] = size
         setsize = 21
         if size > 5:
             setsize += 4 ** math.ceil(math.log(size * 3, 4))
         if n <= setsize:
-            picks = pool[:]
-            expander.partial_shuffle(picks, size, rng)
-            out.append(frozenset(reversed(picks[n - size:])))
+            pool = everyone[:]
+            expander.partial_shuffle(pool, size, rng)
+            picks.extend(reversed(pool[n - size:]))
         else:
-            chosen: list[int] = []
             taken: set[int] = set()
             for _ in range(size):
                 j = getrandbits(n_bits)
                 while j >= n or j in taken:
                     j = getrandbits(n_bits)
                 taken.add(j)
-                chosen.append(pool[j])
-            out.append(frozenset(chosen))
-    return out
+                picks.append(j)
+    return np.fromiter(picks, dtype=np.int64, count=len(picks)), sizes
 
 
 def mandatory_subsets(healer: "Healer") -> list[frozenset[int]]:
@@ -185,37 +195,81 @@ def mandatory_subsets(healer: "Healer") -> list[frozenset[int]]:
     return subsets
 
 
-def _membership(live: Csr, subsets: list[frozenset[int]]) -> np.ndarray:
-    """Boolean subset x node mask over the positions of *live*.
+@dataclass(frozen=True, eq=False)
+class Subsets:
+    """The node subsets both density checks inspect at one checkpoint.
 
-    Raises ``EmptySubset`` or ``UnknownNode`` for the first subset that
-    is empty or holds a node missing from the live graph.
+    ``members`` lists every subset's positions in the live snapshot
+    ``live``, one subset after another, and ``sizes`` how many belong to
+    each.  ``mask`` holds the same membership node-major: ``mask[x, i]``
+    is True when the node at position ``x`` is in subset ``i``, so the
+    rows of an edge's two ends AND into the subsets that hold the edge.
     """
-    sizes = np.fromiter(map(len, subsets), dtype=np.int64, count=len(subsets))
-    values = np.fromiter(itertools.chain.from_iterable(subsets), dtype=np.int64,
-                         count=int(sizes.sum()))
-    pos, found = live.lookup(values)
-    empty = np.flatnonzero(sizes == 0)
-    unknown = np.flatnonzero(~found)
-    # subset of each member value, to tell which problem comes first
-    owner = np.repeat(np.arange(len(subsets)), sizes)
-    if empty.size and (not unknown.size or empty[0] < owner[unknown[0]]):
-        raise EmptySubset("density of the empty set is undefined")
-    if unknown.size:
-        raise UnknownNode(f"node {values[unknown[0]]} not present")
-    mask = np.zeros((len(subsets), len(live.ids)), dtype=bool)
-    mask[owner, pos] = True
-    return mask
+
+    live: Csr
+    sizes: np.ndarray
+    members: np.ndarray
+    mask: np.ndarray
+
+    @classmethod
+    def of(cls, graph: ColoredGraph, fixed: Sequence[AbstractSet[int]],
+           pool: Iterable[int] = (),
+           sampled: tuple[np.ndarray, np.ndarray] | None = None) -> "Subsets":
+        """The subsets *fixed*, then those that *sampled* (as returned by
+        ``sample_subsets``) drew as positions into ``sorted(pool)``.
+
+        Raises ``EmptySubset`` or ``UnknownNode`` for the first subset
+        that is empty or holds a node missing from *graph*.
+        """
+        live = Csr.of(graph)
+        ids = np.array(sorted(pool), dtype=np.int64)
+        picks, pick_sizes = sampled if sampled is not None else (ids[:0], ids[:0])
+        fixed_sizes = np.fromiter(map(len, fixed), dtype=np.int64, count=len(fixed))
+        values = np.fromiter(itertools.chain.from_iterable(fixed), dtype=np.int64,
+                             count=int(fixed_sizes.sum()))
+        fixed_pos, fixed_found = live.lookup(values)
+        pool_pos, pool_found = live.lookup(ids)
+        sizes = np.concatenate((fixed_sizes, pick_sizes))
+        members = np.concatenate((fixed_pos, pool_pos[picks]))
+        found = np.concatenate((fixed_found, pool_found[picks]))
+        empty = np.flatnonzero(sizes == 0)
+        unknown = np.flatnonzero(~found)
+        # subset of each member, to tell which problem comes first
+        owner = np.repeat(np.arange(len(sizes)), sizes)
+        if empty.size and (not unknown.size or empty[0] < owner[unknown[0]]):
+            raise EmptySubset("density of the empty set is undefined")
+        if unknown.size:
+            node = np.concatenate((values, ids[picks]))[unknown[0]]
+            raise UnknownNode(f"node {node} not present")
+        mask = np.zeros((len(live.ids), len(sizes)), dtype=bool)
+        mask[members, owner] = True
+        return cls(live, sizes, members, mask)
+
+    def __len__(self) -> int:
+        return len(self.sizes)
+
+    def over(self, graph: ColoredGraph) -> Csr:
+        """The live snapshot, which must still be *graph*'s current one."""
+        if Csr.of(graph) is not self.live:
+            raise MetricsError("subsets were built on another graph or an earlier state")
+        return self.live
+
+    def sorted_ids(self, i: int) -> list[int]:
+        """The node ids of subset *i*, ascending."""
+        start = int(self.sizes[:i].sum())
+        # live.ids is sorted, so sorted positions give sorted ids
+        return self.live.ids[np.sort(self.members[start:start + self.sizes[i]])].tolist()
 
 
 def _induced(mask: np.ndarray, ends: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Per mask row, the number of edges with both *ends* inside."""
+    """Per column of a node-major mask, the number of edges with both
+    *ends* inside."""
     u, v = ends
-    return (mask[:, u] & mask[:, v]).sum(axis=1, dtype=np.int64)
+    return (mask[u] & mask[v]).sum(axis=0, dtype=np.int64)
 
 
 def check_density_lower(graph: ColoredGraph, shadow: ShadowGraph,
-                        subsets: Iterable[frozenset[int]]) -> list[str]:
+                        subsets: Subsets) -> list[str]:
     """Live induced density must dominate the baseline density on every
     subset of alive nodes; checked through the stronger statement that
     the baseline's induced edges are a subset of the live ones.
@@ -224,30 +278,32 @@ def check_density_lower(graph: ColoredGraph, shadow: ShadowGraph,
     one, E_base(S) is a subset of E_live(S), so live density cannot fall
     below the baseline's.
     """
-    subsets = list(subsets)
-    live = Csr.of(graph)
-    mask = _membership(live, subsets)
+    live = subsets.over(graph)
     missing = _missing_edges(graph, shadow)
+    if not len(missing):
+        return []
     pos, found = live.lookup(missing.reshape(-1))
     in_live = found.reshape(-1, 2).all(axis=1)
     missing, pos = missing[in_live], pos.reshape(-1, 2)[in_live]
-    inside = mask[:, pos[:, 0]] & mask[:, pos[:, 1]]
-    touched = np.flatnonzero(inside.any(axis=1))
+    inside = subsets.mask[pos[:, 0]] & subsets.mask[pos[:, 1]]
+    touched = np.flatnonzero(inside.any(axis=0))
     if not touched.size:
         return []
-    live_count = _induced(mask[touched], live.edge_ends())
-    base_count = _induced(mask[touched], _edges_within(Csr.of(shadow), live))
+    held = subsets.mask[:, touched]
+    live_count = _induced(held, live.edge_ends())
+    base_count = _induced(held, _edges_within(Csr.of(shadow), live))
     violations = []
-    for row, i in enumerate(touched.tolist()):
-        edges = [tuple(e) for e in missing[inside[i]].tolist()]
-        violations.append(f"S={sorted(subsets[i])}: baseline edges {edges} not live")
-        if live_count[row] < base_count[row]:
-            violations.append(f"S={sorted(subsets[i])}: live density below baseline")
+    for col, i in enumerate(touched.tolist()):
+        members = subsets.sorted_ids(i)
+        edges = [tuple(e) for e in missing[inside[:, i]].tolist()]
+        violations.append(f"S={members}: baseline edges {edges} not live")
+        if live_count[col] < base_count[col]:
+            violations.append(f"S={members}: live density below baseline")
     return violations
 
 
 def check_density_upper(graph: ColoredGraph, shadow: ShadowGraph, kappa: int,
-                        subsets: Iterable[frozenset[int]]) -> list[str]:
+                        subsets: Subsets) -> list[str]:
     """Two exact upper bounds on healed density.
 
     Per subset: live density <= baseline density + kappa * (sum of
@@ -256,19 +312,28 @@ def check_density_upper(graph: ColoredGraph, shadow: ShadowGraph, kappa: int,
     (kappa + 1) * induced baseline density + kappa/2.  Both are compared
     after multiplying through by 2|S|, in integers.
     """
-    subsets = list(subsets)
-    alive = frozenset(shadow.alive)
-    live, base = Csr.of(graph), Csr.of(shadow)
-    mask = _membership(live, subsets + [alive] if alive else subsets)
-    live_count = _induced(mask, live.edge_ends())
-    base_count = _induced(mask, _edges_within(base, live))
-    degrees = np.diff(base.indptr)[base.positions(live.ids)]
-    twice_bound = (2 * base_count + kappa * (mask.astype(np.int64) @ degrees)
-                   + kappa * mask.sum(axis=1, dtype=np.int64))
-    broken = np.flatnonzero((2 * live_count > twice_bound)[:len(subsets)])
-    violations = [f"S={sorted(subsets[i])}: per-subset upper bound broken" for i in broken]
+    live, base = subsets.over(graph), Csr.of(shadow)
+    live_ends, base_ends = live.edge_ends(), _edges_within(base, live)
+    members, sizes = subsets.members, subsets.sizes
+    starts = np.cumsum(sizes) - sizes
+    base_degrees = np.diff(base.indptr)[base.positions(live.ids)]
+    slack = kappa * np.add.reduceat(base_degrees[members], starts) + kappa * sizes
+    # twice S's live edges are at most its live degree sum, so a subset
+    # whose live degrees fit within the slack alone keeps the bound
+    doubt = np.flatnonzero(
+        np.add.reduceat(np.diff(live.indptr)[members], starts) > slack)
+    held = subsets.mask[:, doubt]
+    broken = doubt[2 * _induced(held, live_ends)
+                   > 2 * _induced(held, base_ends) + slack[doubt]]
+    violations = [f"S={subsets.sorted_ids(i)}: per-subset upper bound broken"
+                  for i in broken.tolist()]
+    alive = shadow.alive
     if alive:
-        live_n, base_n, n = int(live_count[-1]), int(base_count[-1]), len(alive)
+        in_alive = np.zeros((len(live.ids), 1), dtype=bool)
+        in_alive[live.positions(alive)] = True
+        live_n = int(_induced(in_alive, live_ends)[0])
+        base_n = int(_induced(in_alive, base_ends)[0])
+        n = len(alive)
         if 2 * live_n > 2 * (kappa + 1) * base_n + kappa * n:
             whole = Fraction(live_n, n)
             bound_whole = (kappa + 1) * Fraction(base_n, n) + Fraction(kappa, 2)
@@ -384,8 +449,8 @@ def evaluate(healer: "Healer", t: int, seed: int, *, density_samples: int,
     detail.extend(f"degree: node {v} slack {s}" for v, s in degree_viols)
 
     rng_density = random.Random(f"{seed}/density/{t}")
-    subsets = mandatory_subsets(healer)
-    subsets.extend(sample_subsets(shadow.alive, density_samples, rng_density))
+    subsets = Subsets.of(graph, mandatory_subsets(healer), shadow.alive,
+                         sample_subsets(len(shadow.alive), density_samples, rng_density))
     lower_viols = check_density_lower(graph, shadow, subsets)
     upper_viols = check_density_upper(graph, shadow, healer.cfg.kappa, subsets)
     detail.extend(f"density: {v}" for v in lower_viols)

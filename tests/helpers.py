@@ -215,7 +215,7 @@ def certificate_oracle(members, edge_list, cfg: ExpanderConfig) -> Fraction:
         adj[v].add(u)
     if len(members) <= cfg.exact_limit:
         return expansion_exact(adj, limit=cfg.exact_limit)
-    return _cheeger_lower_bound(adj)
+    return _cheeger_lower_bound(*index_arrays(adj))
 
 
 def random_adjacency(n: int, p: float, rng: random.Random) -> dict[int, set[int]]:
@@ -243,6 +243,16 @@ def cycle_adjacency(n: int) -> dict[int, set[int]]:
 
 def complete_adjacency(n: int) -> dict[int, set[int]]:
     return {i: {j for j in range(n) if j != i} for i in range(n)}
+
+
+def index_arrays(adj) -> tuple[int, np.ndarray, np.ndarray]:
+    """Node count and endpoint positions (u < v) of every edge of *adj*,
+    its nodes numbered in sorted order: the arguments of
+    ``metrics.lambda2_of_adjacency``."""
+    index = {v: i for i, v in enumerate(sorted(adj))}
+    pairs = [(index[u], index[v]) for u in adj for v in adj[u] if index[u] < index[v]]
+    ends = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+    return len(index), ends[:, 0], ends[:, 1]
 
 
 # -- references for the inlined hot loops ------------------------------------
@@ -340,10 +350,20 @@ def pairing_attempt_oracle(n: int, kappa: int, rng: random.Random):
     return edges
 
 
-def sample_subsets_oracle(alive, samples: int, rng: random.Random) -> list[frozenset[int]]:
-    """``metrics.sample_subsets`` drawing through ``randint`` and ``sample``."""
+def sample_subsets_oracle(alive, samples: int, rng: random.Random) -> list[list[int]]:
+    """``metrics.sample_subsets`` drawing through ``randint`` and ``sample``
+    from ``sorted(alive)``; each subset's ids in selection order."""
     pool = sorted(alive)
     if not pool:
         return []
-    return [frozenset(rng.sample(pool, rng.randint(1, len(pool))))
-            for _ in range(samples)]
+    return [rng.sample(pool, rng.randint(1, len(pool))) for _ in range(samples)]
+
+
+def picked_ids(alive, sampled: tuple[np.ndarray, np.ndarray]) -> list[list[int]]:
+    """The subsets ``metrics.sample_subsets(len(alive), ...)`` drew, as
+    ids of ``sorted(alive)`` in selection order."""
+    pool = sorted(alive)
+    picks, sizes = sampled
+    starts = np.cumsum(sizes) - sizes
+    return [[pool[p] for p in picks[s:s + k].tolist()]
+            for s, k in zip(starts.tolist(), sizes.tolist())]

@@ -13,13 +13,14 @@ from fractions import Fraction
 import pytest
 
 from helpers import (certificate_oracle, complete_adjacency, cycle_adjacency, density,
-                     density_oracle, expansion_oracle, random_adjacency)
+                     density_oracle, expansion_oracle, index_arrays, random_adjacency)
 from xhealsim import cli
 from xhealsim.adversary import Strategy, gen_trace, initial_graph, next_event
 from xhealsim.engine import Healer, coherence_errors
 from xhealsim.expander import ExpanderConfig, build_topology
 from xhealsim.graph import edge_key
 from xhealsim.metrics import (
+    Subsets,
     check_connectivity,
     check_degree_bound,
     check_density_lower,
@@ -79,9 +80,10 @@ def drive(healer: Healer, events, seed: int, total: int,
             result.coherence_failures.append((seed, t, mismatches[:3]))
         if t % checkpoint_every == 0 or t == total:
             result.checkpoints += 1
-            subsets = mandatory_subsets(healer)
-            subsets += sample_subsets(healer.shadow.alive, 100,
-                                      random.Random(f"{seed}/density/{t}"))
+            alive = healer.shadow.alive
+            subsets = Subsets.of(healer.graph, mandatory_subsets(healer), alive,
+                                 sample_subsets(len(alive), 100,
+                                                random.Random(f"{seed}/density/{t}")))
             lower = check_density_lower(healer.graph, healer.shadow, subsets)
             if lower:
                 result.density_failures.append((seed, t, lower[:2]))
@@ -262,11 +264,11 @@ def test_metric_oracles():
         if expansion_exact(adj, limit=10) != expansion_oracle(adj):
             problems.append(("expansion", trial))
     for n in range(2, 13):
-        if abs(lambda2_of_adjacency(complete_adjacency(n)) - n) > 1e-6:
+        if abs(lambda2_of_adjacency(*index_arrays(complete_adjacency(n))) - n) > 1e-6:
             problems.append(("lambda2-complete", n))
     for n in range(3, 13):
         want = 2 - 2 * math.cos(2 * math.pi / n)
-        if abs(lambda2_of_adjacency(cycle_adjacency(n)) - want) > 1e-6:
+        if abs(lambda2_of_adjacency(*index_arrays(cycle_adjacency(n))) - want) > 1e-6:
             problems.append(("lambda2-cycle", n))
     for trial in range(20):
         n = rng.randint(2, 12)

@@ -41,6 +41,12 @@ GOLDEN = {
 # borrowed bridges are exercised at scale
 SNAPSHOT_GOLDEN = "6040855ab76a73da802ed85c56cc5327fc39d7113f77acbcdcbc3402f38fd0a7"
 
+# every report's violation_detail lines, which the CSV digests omit, for
+# a faulted n0=400 uniform run (300 events, drop-black-edge, alpha 1/2,
+# a checkpoint every 50): 1079 lines, 560 of them from the lower density
+# check, each naming a subset's members and its missing edges
+DETAIL_GOLDEN = "84c1a47749758265dbfc20e9a6b034e1aea23e923580b516682dbe068b5d226a"
+
 
 def csv_digest(reports) -> str:
     rows = list(csv.reader(io.StringIO(cli.render_report_csv(reports))))
@@ -77,3 +83,11 @@ def test_final_snapshot_matches_golden_digest():
         healer.handle_event(event)
     text = json.dumps(cli.snapshot_state(healer, 0), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == SNAPSHOT_GOLDEN
+
+
+def test_violation_detail_matches_golden_digest():
+    trace = gen_trace(Strategy("uniform", insert_fraction=0.4), 400, 300, 0)
+    cfg = cli.RunConfig(alpha_target=Fraction(1, 2), seed=0, checkpoint_every=50)
+    _, reports = cli.run_trace(trace, cfg, fault="drop-black-edge")
+    lines = "\n".join(line for r in reports for line in r.violation_detail)
+    assert hashlib.sha256(lines.encode()).hexdigest() == DETAIL_GOLDEN

@@ -17,7 +17,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import pairing_attempt_oracle, recolor_oracle, sample_subsets_oracle
+from helpers import (pairing_attempt_oracle, picked_ids, recolor_oracle,
+                     sample_subsets_oracle)
 from xhealsim.adversary import Strategy, gen_trace
 from xhealsim.engine import Healer
 from xhealsim.expander import (ExpanderConfig, RetriesExhausted, _pairing_attempt,
@@ -58,11 +59,9 @@ def test_pairing_attempt_draws_like_random_shuffle(n, kappa, seed):
 def test_sample_subsets_draw_like_randint_and_sample(n, samples, seed):
     alive = random.Random(n).sample(range(2 * n + 1), n)  # sparse, unsorted ids
     ours, ref = random.Random(seed), random.Random(seed)
-    got = sample_subsets(alive, samples, ours)
-    want = sample_subsets_oracle(alive, samples, ref)
-    assert got == want
-    # same insertion order too, so even iteration over a subset repeats
-    assert [list(s) for s in got] == [list(s) for s in want]
+    got = picked_ids(alive, sample_subsets(n, samples, ours))
+    # same members in the same selection order
+    assert got == sample_subsets_oracle(alive, samples, ref)
     assert ours.getstate() == ref.getstate()
 
 
@@ -80,7 +79,7 @@ def test_sample_subsets_at_the_sample_branch_boundaries(n):
     # sample's setsize is 21, 85, 277 or 1045 for the sizes drawn here;
     # n equal to it still keeps a pool, one more redraws positions
     ours, ref = random.Random(n), random.Random(n)
-    got = sample_subsets(range(n), 200, ours)
+    got = picked_ids(range(n), sample_subsets(n, 200, ours))
     assert got == sample_subsets_oracle(range(n), 200, ref)
     assert ours.getstate() == ref.getstate()
     branches = {sample_keeps_a_pool(n, len(s)) for s in got}

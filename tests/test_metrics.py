@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import (complete_adjacency, cycle_adjacency, density, density_oracle,
-                     graph_from_edges)
+                     graph_from_edges, index_arrays, picked_ids)
 from xhealsim import metrics
 from xhealsim.adversary import Event, Strategy, gen_trace
 from xhealsim.cli import RunConfig, run_trace
@@ -13,6 +13,7 @@ from xhealsim.engine import Healer
 from xhealsim.expander import ExpanderConfig
 from xhealsim.graph import BLACK, ShadowGraph, edge_key
 from xhealsim.metrics import (
+    Subsets,
     check_connectivity,
     check_degree_bound,
     check_density_lower,
@@ -82,13 +83,14 @@ def test_degree_bound_isolated_insert_has_kappa_slack():
 
 def test_density_lower_singleton_and_fault():
     h = healed_star()
-    assert check_density_lower(h.graph, h.shadow, [frozenset([1])]) == []
-    assert check_density_lower(h.graph, h.shadow, [frozenset([1, 2, 3])]) == []
+    subsets = Subsets.of(h.graph, [frozenset([1]), frozenset([1, 2, 3])])
+    assert check_density_lower(h.graph, h.shadow, subsets) == []
 
     h2 = healed_star()
     h2.handle_event(Event("ins", 4, (1, 2)))
     assert h2.graph.recolor([(BLACK, [(1, 4)])], []) == (0, 0, 1)
-    viols = check_density_lower(h2.graph, h2.shadow, [frozenset([1, 2, 4])])
+    viols = check_density_lower(h2.graph, h2.shadow,
+                                Subsets.of(h2.graph, [frozenset([1, 2, 4])]))
     assert viols
 
 
@@ -97,7 +99,7 @@ def test_density_upper_hand_computed_bound():
     # density 0, bound 0 + 6*3/(2*3) + 3 = 6
     h = healed_star()
     subset = frozenset([1, 2, 3])
-    assert check_density_upper(h.graph, h.shadow, 6, [subset]) == []
+    assert check_density_upper(h.graph, h.shadow, 6, Subsets.of(h.graph, [subset])) == []
     assert density(h.graph, subset) == 1
     assert density(h.shadow, subset) == 0
 
@@ -105,10 +107,10 @@ def test_density_upper_hand_computed_bound():
 def test_density_checks_match_oracle_on_untouched_graph():
     h = Healer.from_initial(list(range(6)), [(i, (i + 1) % 6) for i in range(6)],
                             ExpanderConfig(), random.Random(0))
-    rng = random.Random(1)
-    subsets = sample_subsets(h.shadow.alive, 20, rng)
-    assert check_density_lower(h.graph, h.shadow, subsets) == []
-    for s in subsets:
+    alive = h.shadow.alive
+    sampled = sample_subsets(len(alive), 20, random.Random(1))
+    assert check_density_lower(h.graph, h.shadow, Subsets.of(h.graph, [], alive, sampled)) == []
+    for s in picked_ids(alive, sampled):
         assert density_oracle(lambda u, v: v in h.graph.neighbors(u), s) == density_oracle(
             lambda u, v: edge_key(u, v) in h.shadow.edges, s)
 
@@ -140,12 +142,12 @@ def test_expansion_counts_dead_shadow_nodes():
 
 
 def test_lambda2_closed_forms():
-    assert abs(lambda2_of_adjacency({0: {1}, 1: {0}}) - 2.0) < 1e-9
+    assert abs(lambda2_of_adjacency(*index_arrays({0: {1}, 1: {0}})) - 2.0) < 1e-9
     for n in range(2, 13):
-        km = lambda2_of_adjacency(complete_adjacency(n))
+        km = lambda2_of_adjacency(*index_arrays(complete_adjacency(n)))
         assert abs(km - n) < 1e-6
     for n in range(3, 13):
-        cn = lambda2_of_adjacency(cycle_adjacency(n))
+        cn = lambda2_of_adjacency(*index_arrays(cycle_adjacency(n)))
         assert abs(cn - (2 - 2 * math.cos(2 * math.pi / n))) < 1e-6
 
 

@@ -1,24 +1,28 @@
 """The array-based density and stretch checks against their set-based twins.
 
 ``metrics.check_density_lower``, ``check_density_upper`` and ``stretch``
-work on numpy edge and CSR arrays; the oracles in ``helpers`` are the
-straightforward per-subset and per-source versions.  Both must return
-exactly the same values: violation lists, worst ratio and pair count.
+work on numpy edge and CSR arrays and a node-major subset mask; the
+oracles in ``helpers`` are the straightforward per-subset and per-source
+versions, fed frozensets drawn through ``random.Random.sample``.  Both
+must return exactly the same values: violation lists, worst ratio and
+pair count.
 """
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (density_lower_oracle, density_upper_oracle, graph_from_edges,
-                     stretch_oracle)
+                     picked_ids, sample_subsets_oracle, stretch_oracle)
 from xhealsim.adversary import Event, Strategy, gen_trace
 from xhealsim.engine import Healer
 from xhealsim.expander import ExpanderConfig
 from xhealsim.graph import EmptySubset, ShadowGraph, UnknownNode
-from xhealsim.metrics import (check_density_lower, check_density_upper,
-                              mandatory_subsets, sample_subsets, stretch)
+from xhealsim.metrics import (MetricsError, Subsets, check_density_lower,
+                              check_density_upper, mandatory_subsets, sample_subsets,
+                              stretch)
 
 KAPPA = 6
 
@@ -27,13 +31,18 @@ def checks_and_oracles(healer: Healer, seed: int, t: int, samples: int = 100,
                        pairs: int = 200):
     """(new, oracle) results of the three checks at one state."""
     graph, shadow = healer.graph, healer.shadow
-    subsets = mandatory_subsets(healer)
-    subsets += sample_subsets(shadow.alive, samples, random.Random(f"{seed}/density/{t}"))
+    rng_name = f"{seed}/density/{t}"
+    subsets = Subsets.of(graph, mandatory_subsets(healer), shadow.alive,
+                         sample_subsets(len(shadow.alive), samples, random.Random(rng_name)))
+    drawn = sample_subsets_oracle(shadow.alive, samples, random.Random(rng_name))
+    frozen = mandatory_subsets(healer) + [frozenset(s) for s in drawn]
+    assert len(subsets) == len(frozen)
+    assert [subsets.sorted_ids(i) for i in range(len(subsets))] == [sorted(s) for s in frozen]
     new = (check_density_lower(graph, shadow, subsets),
            check_density_upper(graph, shadow, KAPPA, subsets),
            stretch(graph, shadow, pairs, random.Random(f"{seed}/stretch/{t}")))
-    old = (density_lower_oracle(graph, shadow, subsets),
-           density_upper_oracle(graph, shadow, KAPPA, subsets),
+    old = (density_lower_oracle(graph, shadow, frozen),
+           density_upper_oracle(graph, shadow, KAPPA, frozen),
            stretch_oracle(graph, shadow, pairs, random.Random(f"{seed}/stretch/{t}")))
     return new, old
 
@@ -97,7 +106,8 @@ def test_density_checks_reject_bad_subsets(check):
                                  ExpanderConfig(), random.Random(0))
     healer.handle_event(Event("del", 0))
 
-    def run(subsets):
+    def run(fixed, pool=(), sampled=None):
+        subsets = Subsets.of(healer.graph, fixed, pool, sampled)
         if check == "lower":
             return check_density_lower(healer.graph, healer.shadow, subsets)
         return check_density_upper(healer.graph, healer.shadow, KAPPA, subsets)
@@ -114,6 +124,24 @@ def test_density_checks_reject_bad_subsets(check):
         run([frozenset([1, 99]), frozenset()])
     with pytest.raises(EmptySubset):
         run([frozenset([2]), frozenset(), frozenset([99])])
+    # sampled subsets follow the fixed ones; positions 1, 0 of [0, 1, 2] hold dead 0
+    sampled = (np.array([1, 0]), np.array([2]))
+    with pytest.raises(UnknownNode):
+        run([frozenset([1])], [0, 1, 2], sampled)
+    with pytest.raises(EmptySubset):
+        run([frozenset()], [0, 1, 2], sampled)
+    assert run([], [0, 1, 2], (np.array([1, 2]), np.array([2]))) == []
+
+
+def test_density_checks_reject_subsets_of_an_earlier_state():
+    healer = Healer.from_initial([0, 1, 2], [(0, 1), (1, 2)], ExpanderConfig(),
+                                 random.Random(0))
+    subsets = Subsets.of(healer.graph, [frozenset([0, 1])])
+    healer.handle_event(Event("ins", 3, (0,)))
+    with pytest.raises(MetricsError):
+        check_density_lower(healer.graph, healer.shadow, subsets)
+    with pytest.raises(MetricsError):
+        check_density_upper(healer.graph, healer.shadow, KAPPA, subsets)
 
 
 @settings(max_examples=60, deadline=None)
@@ -131,10 +159,12 @@ def test_parity_on_arbitrary_graph_pairs(n, dead, base_p, live_p, kappa, seed):
     alive = sorted(shadow.alive)
     graph = graph_from_edges(alive, [(u, v) for i, u in enumerate(alive)
                                      for v in alive[i + 1:] if rng.random() < live_p])
-    subsets = sample_subsets(alive, 15, rng)
+    sampled = sample_subsets(len(alive), 15, rng)
+    subsets = Subsets.of(graph, [], alive, sampled)
+    frozen = [frozenset(s) for s in picked_ids(alive, sampled)]
     assert (check_density_lower(graph, shadow, subsets)
-            == density_lower_oracle(graph, shadow, subsets))
+            == density_lower_oracle(graph, shadow, frozen))
     assert (check_density_upper(graph, shadow, kappa, subsets)
-            == density_upper_oracle(graph, shadow, kappa, subsets))
+            == density_upper_oracle(graph, shadow, kappa, frozen))
     assert (stretch(graph, shadow, 20, random.Random(seed))
             == stretch_oracle(graph, shadow, 20, random.Random(seed)))
