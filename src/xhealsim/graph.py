@@ -332,7 +332,8 @@ class ShadowGraph:
 
 
 def is_connected(view: ColoredGraph | ShadowGraph) -> bool:
-    """True for graphs with at most one node or a single component."""
+    """True for graphs with at most one node or a single component; the
+    set-based reference for ``csr_connected``."""
     nodes = view.node_set
     if len(nodes) <= 1:
         return True
@@ -400,6 +401,33 @@ class Csr(NamedTuple):
         tails = np.repeat(np.arange(len(self.ids)), np.diff(self.indptr))
         forward = tails < self.indices
         return tails[forward], self.indices[forward]
+
+
+def csr_connected(csr: Csr) -> bool:
+    """True for snapshots with at most one node or a single component.
+
+    A level-synchronous BFS from position 0: each level gathers the
+    ``indices`` of the frontier's rows and marks them in a bool mask,
+    whose unseen positions are the next frontier.
+    """
+    n = len(csr.ids)
+    seen = np.zeros(n, dtype=bool)
+    frontier = np.zeros(min(n, 1), dtype=np.int64)
+    seen[frontier] = True
+    reached = len(frontier)
+    while frontier.size and reached < n:
+        starts = csr.indptr[frontier]
+        lengths = csr.indptr[frontier + 1] - starts
+        # entry j of the gathered rows sits at indices[start of its row + j
+        # - entries gathered before its row]
+        rows = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+        level = np.zeros(n, dtype=bool)
+        level[csr.indices[rows + np.arange(len(rows))]] = True
+        level &= ~seen
+        seen |= level
+        frontier = np.flatnonzero(level)
+        reached += len(frontier)
+    return reached == n
 
 
 def bfs_distances(csr: Csr, sources: np.ndarray, targets: np.ndarray) -> np.ndarray:

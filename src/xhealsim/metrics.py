@@ -12,6 +12,12 @@ sorted alive nodes.  Their members become one flat array of positions
 in the live CSR snapshot and one node-major boolean mask (node x
 subset), which both density checks read; member ids are turned back
 into sorted Python ints only for the subsets a violation names.
+
+``evaluate`` draws the sampled subsets only when a baseline edge between
+alive nodes is missing or an alive node is over its degree budget.
+Otherwise no subset can break a density bound: every baseline edge of S
+is live, and 2|E_live(S)| <= sum over S of live_deg <= sum over S of
+(kappa * base_deg + kappa), the slack of the per-subset upper bound.
 """
 from __future__ import annotations
 
@@ -33,7 +39,7 @@ from .graph import (
     ShadowGraph,
     UnknownNode,
     bfs_distances,
-    is_connected,
+    csr_connected,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -79,14 +85,11 @@ def expansion(view: ColoredGraph | ShadowGraph, exact_limit: int) -> Fraction:
 
 def check_edge_preservation(graph: ColoredGraph, shadow: ShadowGraph
                             ) -> tuple[bool, list[tuple[int, int]]]:
-    """Every baseline edge between two alive nodes must still be live."""
-    missing = _missing_edges(graph, shadow)
-    return (not len(missing), [tuple(e) for e in missing.tolist()])
+    """Every baseline edge between two alive nodes must still be live.
 
-
-def _missing_edges(graph: ColoredGraph, shadow: ShadowGraph) -> np.ndarray:
-    """Baseline edges between two alive nodes that are not live, as
-    sorted ``(u, v)`` id rows with ``u < v``."""
+    Returns the verdict and the edges that are not, as ``(u, v)`` with
+    ``u < v``, in sorted order.
+    """
     base = Csr.of(shadow)
     n = len(base.ids)
     bu, bv = base.edge_ends()
@@ -98,7 +101,8 @@ def _missing_edges(graph: ColoredGraph, shadow: ShadowGraph) -> np.ndarray:
     # both code lists are duplicate-free; saying so also skips np.unique,
     # whose first call imports numpy.ma (about 2 MB resident)
     missing = np.sort(codes[np.isin(codes, lu * n + lv, assume_unique=True, invert=True)])
-    return base.ids[np.stack(np.divmod(missing, n), axis=1)]
+    edges = base.ids[np.stack(np.divmod(missing, n), axis=1)]
+    return (not len(edges), [tuple(e) for e in edges.tolist()])
 
 
 def _edges_within(src: Csr, dst: Csr) -> tuple[np.ndarray, np.ndarray]:
@@ -269,22 +273,25 @@ def _induced(mask: np.ndarray, ends: tuple[np.ndarray, np.ndarray]) -> np.ndarra
 
 
 def check_density_lower(graph: ColoredGraph, shadow: ShadowGraph,
-                        subsets: Subsets) -> list[str]:
+                        subsets: Subsets, missing: Sequence[tuple[int, int]]
+                        ) -> list[str]:
     """Live induced density must dominate the baseline density on every
     subset of alive nodes; checked through the stronger statement that
     the baseline's induced edges are a subset of the live ones.
 
-    Only subsets holding a missing baseline edge are counted: without
-    one, E_base(S) is a subset of E_live(S), so live density cannot fall
-    below the baseline's.
+    *missing* lists the baseline edges between alive nodes that are not
+    live, as ``check_edge_preservation`` returns them for this state.
+    Only subsets holding one of them are counted: without one, E_base(S)
+    is a subset of E_live(S), so live density cannot fall below the
+    baseline's.
     """
     live = subsets.over(graph)
-    missing = _missing_edges(graph, shadow)
-    if not len(missing):
+    if not missing:
         return []
-    pos, found = live.lookup(missing.reshape(-1))
+    edges = np.array(missing, dtype=np.int64).reshape(-1, 2)
+    pos, found = live.lookup(edges.reshape(-1))
     in_live = found.reshape(-1, 2).all(axis=1)
-    missing, pos = missing[in_live], pos.reshape(-1, 2)[in_live]
+    edges, pos = edges[in_live], pos.reshape(-1, 2)[in_live]
     inside = subsets.mask[pos[:, 0]] & subsets.mask[pos[:, 1]]
     touched = np.flatnonzero(inside.any(axis=0))
     if not touched.size:
@@ -295,8 +302,8 @@ def check_density_lower(graph: ColoredGraph, shadow: ShadowGraph,
     violations = []
     for col, i in enumerate(touched.tolist()):
         members = subsets.sorted_ids(i)
-        edges = [tuple(e) for e in missing[inside[:, i]].tolist()]
-        violations.append(f"S={members}: baseline edges {edges} not live")
+        held_edges = [tuple(e) for e in edges[inside[:, i]].tolist()]
+        violations.append(f"S={members}: baseline edges {held_edges} not live")
         if live_count[col] < base_count[col]:
             violations.append(f"S={members}: live density below baseline")
     return violations
@@ -354,7 +361,7 @@ class ConnectivityVerdict:
 
 def check_connectivity(graph: ColoredGraph, shadow: ShadowGraph) -> ConnectivityVerdict:
     """Baseline connected (over all nodes ever) must imply live connected."""
-    return ConnectivityVerdict(is_connected(shadow), is_connected(graph))
+    return ConnectivityVerdict(csr_connected(Csr.of(shadow)), csr_connected(Csr.of(graph)))
 
 
 def stretch(graph: ColoredGraph, shadow: ShadowGraph, pair_samples: int,
@@ -437,6 +444,16 @@ def evaluate(healer: "Healer", t: int, seed: int, *, density_samples: int,
 
     Sampling rngs are derived from (seed, t), so a checkpoint's verdict
     does not depend on when other checkpoints ran.
+
+    The random density subsets are drawn only when one of them can break
+    a bound, that is when a baseline edge between alive nodes is missing
+    or an alive node is over its degree budget; otherwise both density
+    checks run on the mandatory subsets alone.  With no missing edge,
+    E_base(S) is a subset of E_live(S) for every S of alive nodes, so the
+    lower bound holds.  With every degree in budget, for every S
+    2|E_live(S)| <= sum over S of live_deg <= sum over S of
+    (kappa * base_deg + kappa), the slack of the per-subset upper bound,
+    so that bound holds too.  A drawn family is drawn exactly as before.
     """
     graph, shadow = healer.graph, healer.shadow
     alpha = healer.cfg.alpha_target
@@ -448,10 +465,14 @@ def evaluate(healer: "Healer", t: int, seed: int, *, density_samples: int,
     slack, degree_viols = check_degree_bound(graph, shadow, healer.cfg.kappa)
     detail.extend(f"degree: node {v} slack {s}" for v, s in degree_viols)
 
-    rng_density = random.Random(f"{seed}/density/{t}")
-    subsets = Subsets.of(graph, mandatory_subsets(healer), shadow.alive,
-                         sample_subsets(len(shadow.alive), density_samples, rng_density))
-    lower_viols = check_density_lower(graph, shadow, subsets)
+    fixed = mandatory_subsets(healer)
+    if preserved and not degree_viols:
+        subsets = Subsets.of(graph, fixed)
+    else:
+        rng_density = random.Random(f"{seed}/density/{t}")
+        subsets = Subsets.of(graph, fixed, shadow.alive,
+                             sample_subsets(len(shadow.alive), density_samples, rng_density))
+    lower_viols = check_density_lower(graph, shadow, subsets, missing)
     upper_viols = check_density_upper(graph, shadow, healer.cfg.kappa, subsets)
     detail.extend(f"density: {v}" for v in lower_viols)
     detail.extend(f"density-upper: {v}" for v in upper_viols)

@@ -84,7 +84,7 @@ def drive(healer: Healer, events, seed: int, total: int,
             subsets = Subsets.of(healer.graph, mandatory_subsets(healer), alive,
                                  sample_subsets(len(alive), 100,
                                                 random.Random(f"{seed}/density/{t}")))
-            lower = check_density_lower(healer.graph, healer.shadow, subsets)
+            lower = check_density_lower(healer.graph, healer.shadow, subsets, missing)
             if lower:
                 result.density_failures.append((seed, t, lower[:2]))
             upper = check_density_upper(healer.graph, healer.shadow, KAPPA, subsets)

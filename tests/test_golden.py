@@ -47,6 +47,12 @@ SNAPSHOT_GOLDEN = "6040855ab76a73da802ed85c56cc5327fc39d7113f77acbcdcbc3402f38fd
 # check, each naming a subset's members and its missing edges
 DETAIL_GOLDEN = "84c1a47749758265dbfc20e9a6b034e1aea23e923580b516682dbe068b5d226a"
 
+# the CSV and every violation_detail line of an unfaulted n0=500 uniform
+# run (750 events, alpha 1/2, a checkpoint every 50) whose checkpoints at
+# t=450, 500 and 550 find a node over its degree budget, so the random
+# density subsets are drawn there
+DEGREE_GOLDEN = "a544594cd2cc14d76159bbbb3d88abd0be2e534b800b5ecb3621702587fdcc84"
+
 
 def csv_digest(reports) -> str:
     rows = list(csv.reader(io.StringIO(cli.render_report_csv(reports))))
@@ -91,3 +97,13 @@ def test_violation_detail_matches_golden_digest():
     _, reports = cli.run_trace(trace, cfg, fault="drop-black-edge")
     lines = "\n".join(line for r in reports for line in r.violation_detail)
     assert hashlib.sha256(lines.encode()).hexdigest() == DETAIL_GOLDEN
+
+
+def test_degree_violating_run_matches_golden_digest():
+    trace = gen_trace(Strategy("uniform", insert_fraction=0.4), 500, 750, 2)
+    cfg = cli.RunConfig(kappa=6, alpha_target=Fraction(1, 2), seed=2, checkpoint_every=50)
+    _, reports = cli.run_trace(trace, cfg)
+    assert [r.t for r in reports if r.degree_violations] == [450, 500, 550]
+    text = "\n".join([csv_digest(reports)]
+                     + [line for r in reports for line in r.violation_detail])
+    assert hashlib.sha256(text.encode()).hexdigest() == DEGREE_GOLDEN

@@ -25,6 +25,7 @@ from xhealsim.graph import (
     UnknownNode,
     bfs_distances,
     black_neighbors,
+    csr_connected,
     edge_key,
     is_connected,
 )
@@ -178,6 +179,39 @@ def test_is_connected():
 
     c6 = graph_from_edges(range(6), [(i, (i + 1) % 6) for i in range(6)])
     assert is_connected(c6)
+
+
+def test_csr_connected_edge_cases():
+    assert csr_connected(Csr.of(ColoredGraph()))
+    assert csr_connected(Csr.of(graph_from_edges([5], [])))
+    assert not csr_connected(Csr.of(graph_from_edges([0, 1, 2], [(0, 1)])))  # isolated 2
+    triangles = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
+    assert not csr_connected(Csr.of(graph_from_edges(range(6), triangles)))
+    assert csr_connected(Csr.of(graph_from_edges(range(6), triangles + [(2, 3)])))
+    # a shadow keeps its dead nodes, so a dead hub still joins the leaves
+    sh = ShadowGraph()
+    sh.seed_initial(range(4), [(0, 1), (0, 2), (0, 3)])
+    sh.apply(Event("del", 0))
+    assert csr_connected(Csr.of(sh))
+    assert not csr_connected(Csr.of(graph_from_edges(sorted(sh.alive), [])))
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(0, 14), p=st.floats(0, 1), split=st.integers(0, 14),
+       dead=st.sets(st.integers(0, 13)), seed=st.integers(0, 10_000))
+def test_csr_connected_matches_is_connected(n, p, split, dead, seed):
+    # edges never cross position *split*, so two components are common
+    rng = random.Random(seed)
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+             if (u < split) == (v < split) and rng.random() < p]
+    sh = ShadowGraph()
+    sh.seed_initial(range(n), edges)
+    for v in sorted(dead & set(range(n))):
+        sh.apply(Event("del", v))
+    live = graph_from_edges(sorted(sh.alive), [(u, v) for u, v in edges
+                                                if u in sh.alive and v in sh.alive])
+    for view in (live, sh):
+        assert csr_connected(Csr.of(view)) == is_connected(view)
 
 
 def test_shadow_apply():

@@ -84,13 +84,15 @@ def test_degree_bound_isolated_insert_has_kappa_slack():
 def test_density_lower_singleton_and_fault():
     h = healed_star()
     subsets = Subsets.of(h.graph, [frozenset([1]), frozenset([1, 2, 3])])
-    assert check_density_lower(h.graph, h.shadow, subsets) == []
+    assert check_density_lower(h.graph, h.shadow, subsets, []) == []
 
     h2 = healed_star()
     h2.handle_event(Event("ins", 4, (1, 2)))
     assert h2.graph.recolor([(BLACK, [(1, 4)])], []) == (0, 0, 1)
+    _, missing = check_edge_preservation(h2.graph, h2.shadow)
+    assert missing == [(1, 4)]
     viols = check_density_lower(h2.graph, h2.shadow,
-                                Subsets.of(h2.graph, [frozenset([1, 2, 4])]))
+                                Subsets.of(h2.graph, [frozenset([1, 2, 4])]), missing)
     assert viols
 
 
@@ -109,7 +111,9 @@ def test_density_checks_match_oracle_on_untouched_graph():
                             ExpanderConfig(), random.Random(0))
     alive = h.shadow.alive
     sampled = sample_subsets(len(alive), 20, random.Random(1))
-    assert check_density_lower(h.graph, h.shadow, Subsets.of(h.graph, [], alive, sampled)) == []
+    assert check_edge_preservation(h.graph, h.shadow) == (True, [])
+    assert check_density_lower(h.graph, h.shadow, Subsets.of(h.graph, [], alive, sampled),
+                               []) == []
     for s in picked_ids(alive, sampled):
         assert density_oracle(lambda u, v: v in h.graph.neighbors(u), s) == density_oracle(
             lambda u, v: edge_key(u, v) in h.shadow.edges, s)

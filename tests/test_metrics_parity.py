@@ -6,6 +6,11 @@ oracles in ``helpers`` are the straightforward per-subset and per-source
 versions, fed frozensets drawn through ``random.Random.sample``.  Both
 must return exactly the same values: violation lists, worst ratio and
 pair count.
+
+``metrics.evaluate`` draws its random density subsets only when a
+missing edge or a node over its degree budget lets one break a bound;
+its density lines must equal those of both checks on the always-drawn
+family.
 """
 import random
 
@@ -17,12 +22,13 @@ from hypothesis import strategies as st
 from helpers import (density_lower_oracle, density_upper_oracle, graph_from_edges,
                      picked_ids, sample_subsets_oracle, stretch_oracle)
 from xhealsim.adversary import Event, Strategy, gen_trace
+from xhealsim.cli import RunConfig
 from xhealsim.engine import Healer
 from xhealsim.expander import ExpanderConfig
 from xhealsim.graph import EmptySubset, ShadowGraph, UnknownNode
-from xhealsim.metrics import (MetricsError, Subsets, check_density_lower,
-                              check_density_upper, mandatory_subsets, sample_subsets,
-                              stretch)
+from xhealsim.metrics import (MetricsError, Subsets, check_degree_bound, check_density_lower,
+                              check_density_upper, check_edge_preservation, evaluate,
+                              mandatory_subsets, sample_subsets, stretch)
 
 KAPPA = 6
 
@@ -38,7 +44,8 @@ def checks_and_oracles(healer: Healer, seed: int, t: int, samples: int = 100,
     frozen = mandatory_subsets(healer) + [frozenset(s) for s in drawn]
     assert len(subsets) == len(frozen)
     assert [subsets.sorted_ids(i) for i in range(len(subsets))] == [sorted(s) for s in frozen]
-    new = (check_density_lower(graph, shadow, subsets),
+    new = (check_density_lower(graph, shadow, subsets,
+                               check_edge_preservation(graph, shadow)[1]),
            check_density_upper(graph, shadow, KAPPA, subsets),
            stretch(graph, shadow, pairs, random.Random(f"{seed}/stretch/{t}")))
     old = (density_lower_oracle(graph, shadow, frozen),
@@ -109,7 +116,8 @@ def test_density_checks_reject_bad_subsets(check):
     def run(fixed, pool=(), sampled=None):
         subsets = Subsets.of(healer.graph, fixed, pool, sampled)
         if check == "lower":
-            return check_density_lower(healer.graph, healer.shadow, subsets)
+            return check_density_lower(healer.graph, healer.shadow, subsets,
+                                       check_edge_preservation(healer.graph, healer.shadow)[1])
         return check_density_upper(healer.graph, healer.shadow, KAPPA, subsets)
 
     assert run([frozenset([1, 2])]) == []
@@ -139,7 +147,8 @@ def test_density_checks_reject_subsets_of_an_earlier_state():
     subsets = Subsets.of(healer.graph, [frozenset([0, 1])])
     healer.handle_event(Event("ins", 3, (0,)))
     with pytest.raises(MetricsError):
-        check_density_lower(healer.graph, healer.shadow, subsets)
+        check_density_lower(healer.graph, healer.shadow, subsets,
+                            check_edge_preservation(healer.graph, healer.shadow)[1])
     with pytest.raises(MetricsError):
         check_density_upper(healer.graph, healer.shadow, KAPPA, subsets)
 
@@ -162,9 +171,90 @@ def test_parity_on_arbitrary_graph_pairs(n, dead, base_p, live_p, kappa, seed):
     sampled = sample_subsets(len(alive), 15, rng)
     subsets = Subsets.of(graph, [], alive, sampled)
     frozen = [frozenset(s) for s in picked_ids(alive, sampled)]
-    assert (check_density_lower(graph, shadow, subsets)
+    assert (check_density_lower(graph, shadow, subsets,
+                                check_edge_preservation(graph, shadow)[1])
             == density_lower_oracle(graph, shadow, frozen))
     assert (check_density_upper(graph, shadow, kappa, subsets)
             == density_upper_oracle(graph, shadow, kappa, frozen))
     assert (stretch(graph, shadow, 20, random.Random(seed))
             == stretch_oracle(graph, shadow, 20, random.Random(seed)))
+
+
+def eager_density(healer: Healer, seed: int, t: int, samples: int):
+    """Density counts and lines of both checks on the family that draws
+    its random subsets at every checkpoint."""
+    graph, shadow = healer.graph, healer.shadow
+    subsets = Subsets.of(graph, mandatory_subsets(healer), shadow.alive,
+                         sample_subsets(len(shadow.alive), samples,
+                                        random.Random(f"{seed}/density/{t}")))
+    lower = check_density_lower(graph, shadow, subsets,
+                                check_edge_preservation(graph, shadow)[1])
+    upper = check_density_upper(graph, shadow, healer.cfg.kappa, subsets)
+    return (len(lower), len(upper),
+            [f"density: {v}" for v in lower] + [f"density-upper: {v}" for v in upper])
+
+
+def reported_density(healer: Healer, seed: int, t: int, samples: int):
+    cfg = RunConfig(density_samples=samples)
+    report = evaluate(healer, t, seed, density_samples=samples, stretch_pairs=cfg.stretch_pairs,
+                      stretch_constant=cfg.stretch_constant, exact_limit=cfg.exact_limit)
+    return (report.density_violations, report.density_ub_violations,
+            [line for line in report.violation_detail
+             if line.startswith(("density: ", "density-upper: "))])
+
+
+@settings(max_examples=30, deadline=None)
+@given(n0=st.integers(1, 14), steps=st.integers(0, 25), seed=st.integers(0, 10_000),
+       fault=st.sampled_from([None, "skip-heal", "drop-black-edge"]),
+       samples=st.integers(1, 30))
+def test_evaluate_density_matches_always_drawn_family(n0, steps, seed, fault, samples):
+    for t, healer in replay(n0, steps, seed, fault=fault, checkpoint_every=3):
+        assert reported_density(healer, seed, t, samples) == eager_density(
+            healer, seed, t, samples), (t, fault)
+
+
+def test_evaluate_reports_a_sampled_subset_over_the_degree_budget():
+    # nodes 0-9 are isolated in the baseline but a live clique: degree 9
+    # against a budget of kappa = 4.  The whole alive set keeps its
+    # per-subset bound (2*45 <= 4*25), so only sampled subsets heavy in
+    # clique members break it.
+    healer = Healer.from_initial(range(25), [], ExpanderConfig(kappa=4), random.Random(0))
+    for u in range(10):
+        for v in range(u + 1, 10):
+            healer.graph.add_edge(u, v, colors=(0,))
+    assert len(check_degree_bound(healer.graph, healer.shadow, 4)[1]) == 10
+    mandatory = Subsets.of(healer.graph, mandatory_subsets(healer))
+    assert check_density_upper(healer.graph, healer.shadow, 4, mandatory) == []
+    reported = reported_density(healer, 3, 0, 100)
+    assert reported[1] > 0
+    assert reported == eager_density(healer, 3, 0, 100)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 12), dead=st.sets(st.integers(0, 11)), base_p=st.floats(0, 1),
+       live_p=st.floats(0, 1), kappa=st.integers(0, 2), seed=st.integers(0, 10_000),
+       fixed=st.lists(st.sets(st.integers(0, 11), min_size=1), max_size=4))
+def test_degree_budget_keeps_every_subset_within_the_upper_bound(
+        n, dead, base_p, live_p, kappa, seed, fixed):
+    rng = random.Random(seed)
+    shadow = ShadowGraph()
+    shadow.seed_initial(range(n), [(u, v) for u in range(n) for v in range(u + 1, n)
+                                   if rng.random() < base_p])
+    for v in sorted(dead & set(range(n))):
+        shadow.apply(Event("del", v))
+    alive = sorted(shadow.alive)
+    # live edges, each added only while both ends stay within budget
+    budget = {v: kappa * shadow.degree(v) + kappa for v in alive}
+    live_edges = []
+    for i, u in enumerate(alive):
+        for v in alive[i + 1:]:
+            if budget[u] and budget[v] and rng.random() < live_p:
+                budget[u] -= 1
+                budget[v] -= 1
+                live_edges.append((u, v))
+    graph = graph_from_edges(alive, live_edges)
+    assert check_degree_bound(graph, shadow, kappa)[1] == []
+    family = [s for s in fixed if s <= shadow.alive]
+    subsets = Subsets.of(graph, family, alive, sample_subsets(len(alive), 20, rng))
+    lines = check_density_upper(graph, shadow, kappa, subsets)
+    assert not [line for line in lines if line.startswith("S=")]
