@@ -8,9 +8,9 @@ bounds that property buys: edge preservation, bounded degree growth,
 monotone subgraph density, connectivity, expansion, and stretch.
 """
 from .adversary import Event, Strategy, Trace, decode_trace, encode_trace, gen_trace
-from .engine import Cloud, CloudRegistry, Healer, RepairCounters, coherence_errors
+from .engine import Cloud, CloudKind, CloudRegistry, Healer, RepairCounters, coherence_errors
 from .expander import CloudTopology, ExpanderConfig, build_topology, expansion_exact
-from .graph import BLACK, CloudKind, ColoredGraph, ShadowGraph, is_connected
+from .graph import BLACK, ColoredGraph, ShadowGraph
 from .metrics import MetricsReport, evaluate
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "evaluate",
     "expansion_exact",
     "gen_trace",
-    "is_connected",
 ]
 
 __version__ = "0.1.0"

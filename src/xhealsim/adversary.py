@@ -8,6 +8,7 @@ online against the engine, one event at a time.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from dataclasses import dataclass, field
@@ -232,6 +233,17 @@ def _parse_line(line_no: int, raw: str) -> dict:
     return obj
 
 
+def _node_ids(line_no: int, values: object, what: str) -> list[int]:
+    """*values* if it is a list of node ids, non-negative JSON integers
+    taken as written: a string, a float or a bool is rejected, never
+    coerced.  Checked a list at a time, so the ids cost no Python call
+    each."""
+    if type(values) is not list or values and (set(map(type, values)) != {int}
+                                               or min(values) < 0):
+        raise ParseError(line_no, f"{what} must be a list of non-negative integers")
+    return values
+
+
 def decode_trace(text: str) -> Trace:
     """Parse the wire format back into a Trace, validating as it goes."""
     lines = [ln for ln in text.splitlines()]
@@ -244,38 +256,38 @@ def decode_trace(text: str) -> Trace:
     version = header.get("v")
     if version != TRACE_VERSION:
         raise VersionMismatch(f"trace version {version!r}, expected {TRACE_VERSION}")
-    for key in ("kappa", "seed", "strategy"):
+    for key, kind in (("kappa", int), ("seed", int), ("strategy", str)):
         if key not in header:
             raise ParseError(1, f"header missing {key!r}")
+        if type(header[key]) is not kind:
+            raise ParseError(1, f"header {key!r} must be a JSON {kind.__name__}")
 
     init = _parse_line(2, lines[1])
     if "nodes" not in init or "edges" not in init:
         raise ParseError(2, "initial line needs 'nodes' and 'edges'")
-    nodes = [int(v) for v in init["nodes"]]
-    edges = []
-    for pair in init["edges"]:
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ParseError(2, f"bad edge {pair!r}")
-        edges.append(edge_key(int(pair[0]), int(pair[1])))
+    nodes = _node_ids(2, init["nodes"], "nodes")
+    pairs = init["edges"]
+    if type(pairs) is not list or pairs and (set(map(type, pairs)) != {list}
+                                             or set(map(len, pairs)) != {2}):
+        raise ParseError(2, "edges must be a list of [u, v] pairs")
+    _node_ids(2, list(itertools.chain.from_iterable(pairs)), "edge endpoints")
+    edges = [edge_key(u, v) for u, v in pairs]
 
     events = []
     for line_no, raw in enumerate(lines[2:], start=3):
         obj = _parse_line(line_no, raw)
-        op = obj.get("op")
+        op, node = obj.get("op"), obj.get("node")
+        # _node_ids' rule for one id, inline: a call per event shows in decoding
+        if type(node) is not int or node < 0:
+            raise ParseError(line_no, f"node {node!r} is not a non-negative integer")
         if op == "ins":
-            try:
-                events.append(Event("ins", int(obj["node"]),
-                                    tuple(int(x) for x in obj.get("nbrs", []))))
-            except (KeyError, TypeError, ValueError):
-                raise ParseError(line_no, "bad insert record") from None
+            nbrs = _node_ids(line_no, obj.get("nbrs", []), "nbrs")
+            events.append(Event("ins", node, tuple(nbrs)))
         elif op == "del":
-            try:
-                events.append(Event("del", int(obj["node"])))
-            except (KeyError, TypeError, ValueError):
-                raise ParseError(line_no, "bad delete record") from None
+            events.append(Event("del", node))
         else:
             raise ParseError(line_no, f"unknown op {op!r}")
-    return Trace(int(header["kappa"]), int(header["seed"]), str(header["strategy"]),
+    return Trace(header["kappa"], header["seed"], header["strategy"],
                  dict(header.get("params", {})), nodes, edges, events)
 
 

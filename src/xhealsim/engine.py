@@ -26,13 +26,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, fields, replace
+from enum import Enum
 from typing import Iterable, Sequence
 
 from .adversary import Event
 from .expander import CloudTopology, ExpanderConfig, build_topology
 from .graph import (
     BLACK,
-    CloudKind,
     ColoredGraph,
     EdgeKey,
     EdgeRecord,
@@ -46,6 +46,11 @@ FAULTS = ("skip-heal", "drop-black-edge")
 
 class InvalidEvent(Exception):
     pass
+
+
+class CloudKind(Enum):
+    PRIMARY = "primary"
+    SECONDARY = "secondary"
 
 
 @dataclass(frozen=True)
@@ -282,15 +287,15 @@ class Healer:
             return
 
         if not lost_colors & set(v_secondary):
+            # a lost color sits on an edge at a surviving member, so its
+            # cloud is still registered, and a rebuild retires nothing
             self.counters.branch_primary += 1
-            affected = sorted(c for c in lost_colors if c in self.registry.clouds)
-            self._fix_primary_clouds(affected)
-            participants = [c for c in affected if c in self.registry.clouds]
-            self._make_secondary_cloud(participants, blacks)
+            self._rebuild(lost_colors)
+            self._make_secondary_cloud(lost_colors, blacks)
             return
 
         self.counters.branch_secondary += 1
-        self._fix_primary_clouds(v_primary)
+        self._rebuild(v_primary)
         merged_ids: list[int] = []
         for f in sorted(lost_roles):
             merged = self._fix_secondary_cloud(f, lost_roles[f])
@@ -315,12 +320,13 @@ class Healer:
             if reachable:
                 anchors.append(reachable[0])
                 if f not in lost_roles:
-                    self._fix_secondary_cloud(f, None)
+                    self._rebuild([f])
             else:
                 folds.append(f)
         leftovers = {c for c in v_primary if c in reg.clouds and c not in bridged}
-        participants = sorted(leftovers | set(anchors)
-                              | {m for m in merged_ids if m in reg.clouds})
+        # a merge result is a fresh primary no bridge names, so no later
+        # merge retires it
+        participants = sorted(leftovers | set(anchors) | set(merged_ids))
         fold_nodes: set[int] = set()
         for f in folds:
             fold_nodes |= reg.clouds[f].members
@@ -337,29 +343,27 @@ class Healer:
 
     # -- repair subroutines ----------------------------------------------
 
-    def _fix_primary_clouds(self, cloud_ids: Sequence[int]) -> None:
-        """Rebuild each listed primary cloud over its surviving members,
-        reusing edges across all of them before purging."""
-        live = [cid for cid in sorted(set(cloud_ids)) if cid in self.registry.clouds]
-        if not live:
-            return
+    def _rebuild(self, cloud_ids: Iterable[int]) -> None:
+        """Re-draw each listed cloud that is still registered over its
+        current members, with its registered kind and color, reusing
+        edges across all of them before purging.  A cloud the scrub
+        retired (the dead node was its last member) is skipped."""
+        reg = self.registry
+        live = [cid for cid in sorted(set(cloud_ids)) if cid in reg.clouds]
         self._strip(live)
         for cid in live:
-            self._build_cloud(sorted(self.registry.clouds[cid].members),
-                              CloudKind.PRIMARY, color=cid)
+            self._build_cloud(reg.clouds[cid].members, reg.clouds[cid].kind, color=cid)
         self._purge()
 
-    def _make_secondary_cloud(self, cloud_ids: Sequence[int],
-                              extra_members: Sequence[int]) -> None:
+    def _make_secondary_cloud(self, cloud_ids: Iterable[int],
+                              extra_members: Iterable[int]) -> None:
         """Bridge one free node per participant cloud, plus any loose
         nodes (black neighbors, folded members), into a fresh secondary
         cloud.  If any participant has no reachable free node,
-        everything merges instead."""
-        cids = [cid for cid in sorted(set(cloud_ids))
-                if cid in self.registry.clouds and self.registry.clouds[cid].members]
+        everything merges instead.  The participants are registered and
+        at least one participant or loose node is given."""
+        cids = sorted(set(cloud_ids))
         extras = sorted(set(extra_members))
-        if not cids and not extras:
-            return
         picks: dict[int, int] = {}
         reserved: set[int] = set()
         for cid in cids:
@@ -371,7 +375,6 @@ class Healer:
             reserved.add(free)
         members = sorted(set(picks.values()) | set(extras))
         fid = self._build_cloud(members, CloudKind.SECONDARY)
-        assert fid is not None
         for cid in sorted(picks):
             self.registry.bridges[(fid, cid)] = picks[cid]
             self.registry.duty[picks[cid]] = fid
@@ -380,45 +383,35 @@ class Healer:
             # that duty; it still joins here as a plain member
             self.registry.duty.setdefault(node, fid)
 
-    def _fix_secondary_cloud(self, fid: int, lost_primary: int | None) -> int | None:
-        """Repair secondary cloud *fid* after it lost the deleted node.
-
-        When the node was the bridge of some primary cloud, a free
-        replacement is drafted (merging everything if none exists);
-        either way the cloud is rebuilt over its surviving members.
-        Returns the id of the merge result when a merge happened.
-        """
+    def _fix_secondary_cloud(self, fid: int, lost_primary: int) -> int | None:
+        """Repair secondary cloud *fid* after the deleted node, its bridge
+        to primary *lost_primary*, died: draft a free replacement and
+        rebuild the cloud with it, or merge everything if none exists.
+        The scrub or an earlier merge may have retired either cloud.
+        Returns the id of the merge result when a merge happened."""
         reg = self.registry
         if fid not in reg.clouds:
             return None
-        cloud = reg.clouds[fid]
-        if lost_primary is not None and lost_primary in reg.clouds:
+        if lost_primary in reg.clouds:
             replacement = self._pick_free_node(lost_primary, set())
             if replacement is None:
                 merge_list = sorted({fid, lost_primary} | reg.bridged_primaries(fid))
                 return self._merge_into_primary(merge_list, extra_nodes=())
             reg.duty[replacement] = fid
             reg.bridges[(fid, lost_primary)] = replacement
-            new_members = sorted(cloud.members | {replacement})
-        else:
-            if not cloud.members:
-                return None
-            new_members = sorted(cloud.members)
-        self._strip([fid])
-        self._build_cloud(new_members, CloudKind.SECONDARY, color=fid)
-        self._purge()
+            cloud = reg.clouds[fid]
+            reg.clouds[fid] = replace(cloud, members=cloud.members | {replacement})
+        self._rebuild([fid])
         return None
 
     def _merge_into_primary(self, cloud_ids: Sequence[int],
-                            extra_nodes: Sequence[int]) -> int | None:
-        """Collapse the listed clouds (and any loose nodes) into one
-        fresh primary cloud, retiring the constituents."""
-        live = [cid for cid in sorted(set(cloud_ids)) if cid in self.registry.clouds]
+                            extra_nodes: Sequence[int]) -> int:
+        """Collapse the listed clouds, which must be registered, and any
+        loose nodes into one fresh primary cloud, retiring the clouds."""
+        live = sorted(set(cloud_ids))
         union = set(extra_nodes)
         for cid in live:
             union |= self.registry.clouds[cid].members
-        if not union:
-            return None
         self._strip(live)
         for cid in live:
             self.registry.retire(cid)
@@ -453,14 +446,12 @@ class Healer:
 
     # -- edge lifecycle ----------------------------------------------------
 
-    def _build_cloud(self, members: Sequence[int], kind: CloudKind,
-                     color: int | None = None) -> int | None:
-        """Design a topology over *members* and plan its edges.  A fresh
-        color registers a new cloud; an existing color rebuilds that
-        cloud in place."""
+    def _build_cloud(self, members: Iterable[int], kind: CloudKind,
+                     color: int | None = None) -> int:
+        """Design a topology over the non-empty *members* and plan its
+        edges.  A fresh color registers a new cloud; an existing color
+        rebuilds that cloud in place."""
         member_list = sorted(set(members))
-        if not member_list:
-            return None
         if color is None:
             color = self.next_cloud_id
             self.next_cloud_id += 1

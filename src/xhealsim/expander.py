@@ -21,7 +21,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import AbstractSet, Iterable, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -91,9 +91,11 @@ class CloudTopology:
     certified_expansion: Fraction
 
 
-def expansion_exact(adjacency: Mapping[int, AbstractSet[int]], limit: int) -> Fraction:
-    """Exact edge expansion: minimum over all cuts with the small side
-    at most half the nodes of crossing-edge count over small-side size.
+def expansion_exact(n: int, u: np.ndarray, v: np.ndarray, limit: int) -> Fraction:
+    """Exact edge expansion of the graph on positions 0..n-1 whose edges
+    ``(u[i], v[i])`` are listed once each: minimum over all cuts with the
+    small side at most half the nodes of crossing-edge count over
+    small-side size.
 
     Every unordered cut is visited once, as the side S containing the
     first node, and only the smallest cut count of each size |S| is
@@ -108,19 +110,14 @@ def expansion_exact(adjacency: Mapping[int, AbstractSet[int]], limit: int) -> Fr
     node beyond the block, so n is capped at HARD_ENUMERATION_CEILING
     regardless of *limit*.
     """
-    n = len(adjacency)
     if n < 2:
         raise ZeroNodes(f"expansion needs >= 2 nodes, got {n}")
     if n > min(limit, HARD_ENUMERATION_CEILING):
         raise TooLarge(f"{n} nodes exceeds exact enumeration limit "
                        f"{min(limit, HARD_ENUMERATION_CEILING)}")
-    order = sorted(adjacency)
-    index = {v: i for i, v in enumerate(order)}
-    nbr_idx = [[index[nb] for nb in adjacency[v]] for v in order]
-    deg = [len(nb) for nb in nbr_idx]
+    deg = (np.bincount(u, minlength=n) + np.bincount(v, minlength=n)).tolist()
     twice_adj = np.zeros((n, n), dtype=np.int16)  # what a joining neighbour adds
-    twice_adj[[i for i, row in enumerate(nbr_idx) for _ in row],
-              [j for row in nbr_idx for j in row]] = 2
+    twice_adj[u, v] = twice_adj[v, u] = 2
 
     # low mask m encodes S(m) = {0} union {b+1 : bit b of m set}
     low = min(n - 1, LOW_BLOCK_BITS)
@@ -150,8 +147,8 @@ def expansion_exact(adjacency: Mapping[int, AbstractSet[int]], limit: int) -> Fr
     # cross, so cut(S(m) | H(h)) = cur[m] + h_cut.
     cur = cut[by_size]
     high = n - 1 - low
-    hi_nbrs = [sum(1 << (j - low - 1) for j in nbr_idx[low + 1 + b] if j > low)
-               for b in range(high)]
+    # bit b of hi_nbrs[c] is set when high nodes b and c are neighbours
+    hi_nbrs = ((twice_adj[low + 1:, low + 1:] > 0) @ (1 << np.arange(high))).tolist()
     min_cut = np.full(n + 1, n * n, dtype=np.int32)  # above any cut count
     h = h_cut = 0
     for step in range(1 << high):
@@ -193,15 +190,6 @@ def _cheeger_lower_bound(n: int, u: np.ndarray, v: np.ndarray) -> Fraction:
     return Fraction(int(safe * (1 << 32)), 1 << 33)
 
 
-def _as_adjacency(members: Iterable[int], edge_list: Iterable[EdgeKey]
-                  ) -> dict[int, set[int]]:
-    adj: dict[int, set[int]] = {v: set() for v in members}
-    for u, v in edge_list:
-        adj[u].add(v)
-        adj[v].add(u)
-    return adj
-
-
 def _gate_certificate(m: int, edges: set[EdgeKey], cfg: ExpanderConfig) -> Fraction:
     """Cheapest certificate that can clear the acceptance gate for the
     graph on positions 0..m-1 with *edges*.
@@ -214,9 +202,10 @@ def _gate_certificate(m: int, edges: set[EdgeKey], cfg: ExpanderConfig) -> Fract
     """
     ends = np.fromiter(itertools.chain.from_iterable(edges), dtype=np.intp,
                        count=2 * len(edges))
-    cert = _cheeger_lower_bound(m, ends[0::2], ends[1::2])
+    u, v = ends[0::2], ends[1::2]
+    cert = _cheeger_lower_bound(m, u, v)
     if cert < cfg.alpha_target and m <= cfg.exact_limit:
-        cert = expansion_exact(_as_adjacency(range(m), edges), limit=cfg.exact_limit)
+        cert = expansion_exact(m, u, v, limit=cfg.exact_limit)
     return cert
 
 

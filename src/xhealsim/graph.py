@@ -20,9 +20,7 @@ Node ids are non-negative integers and are never reused after deletion.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -64,11 +62,6 @@ class ColorAbsent(GraphError):
 
 class EmptySubset(GraphError):
     pass
-
-
-class CloudKind(Enum):
-    PRIMARY = "primary"
-    SECONDARY = "secondary"
 
 
 def edge_key(u: int, v: int) -> EdgeKey:
@@ -326,27 +319,12 @@ class ShadowGraph:
             self._adj[v] = set()
             self.alive.add(v)
         for u, v in edges:
+            try:
+                self._adj[u].add(v)
+                self._adj[v].add(u)
+            except KeyError:
+                raise UnknownNode(f"endpoint of ({u},{v}) never existed") from None
             self.edges.add(edge_key(u, v))
-            self._adj[u].add(v)
-            self._adj[v].add(u)
-
-
-def is_connected(view: ColoredGraph | ShadowGraph) -> bool:
-    """True for graphs with at most one node or a single component; the
-    set-based reference for ``csr_connected``."""
-    nodes = view.node_set
-    if len(nodes) <= 1:
-        return True
-    start = next(iter(nodes))
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        cur = queue.popleft()
-        for nb in view.neighbors(cur):
-            if nb not in seen:
-                seen.add(nb)
-                queue.append(nb)
-    return len(seen) == len(nodes)
 
 
 class Csr(NamedTuple):

@@ -76,8 +76,8 @@ def lambda2(view: ColoredGraph | ShadowGraph, cap: int = LAMBDA_SIZE_CAP) -> flo
 
 def expansion(view: ColoredGraph | ShadowGraph, exact_limit: int) -> Fraction:
     """Exact edge expansion of the view over its own node set."""
-    nodes = sorted(view.node_set)
-    return expander.expansion_exact({v: view.neighbors(v) for v in nodes}, limit=exact_limit)
+    csr = Csr.of(view)
+    return expander.expansion_exact(len(csr.ids), *csr.edge_ends(), limit=exact_limit)
 
 
 # -- per-bound checks ----------------------------------------------------

@@ -117,6 +117,24 @@ def expansion_exact_oracle(adjacency: dict[int, set[int]]) -> Fraction:
     return best
 
 
+def is_connected(view) -> bool:
+    """True for graphs with at most one node or a single component; the
+    set-based reference for ``graph.csr_connected``."""
+    nodes = view.node_set
+    if len(nodes) <= 1:
+        return True
+    start = next(iter(nodes))
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        cur = queue.popleft()
+        for nb in view.neighbors(cur):
+            if nb not in seen:
+                seen.add(nb)
+                queue.append(nb)
+    return len(seen) == len(nodes)
+
+
 def bfs_oracle(view, source: int) -> dict[int, int]:
     """Hop counts from *source* to every reachable node, one node at a time."""
     dist = {source: 0}
@@ -214,7 +232,7 @@ def certificate_oracle(members, edge_list, cfg: ExpanderConfig) -> Fraction:
         adj[u].add(v)
         adj[v].add(u)
     if len(members) <= cfg.exact_limit:
-        return expansion_exact(adj, limit=cfg.exact_limit)
+        return expansion_exact(*index_arrays(adj), limit=cfg.exact_limit)
     return _cheeger_lower_bound(*index_arrays(adj))
 
 
@@ -247,8 +265,8 @@ def complete_adjacency(n: int) -> dict[int, set[int]]:
 
 def index_arrays(adj) -> tuple[int, np.ndarray, np.ndarray]:
     """Node count and endpoint positions (u < v) of every edge of *adj*,
-    its nodes numbered in sorted order: the arguments of
-    ``metrics.lambda2_of_adjacency``."""
+    its nodes numbered in sorted order: the graph arguments of
+    ``metrics.lambda2_of_adjacency`` and ``expander.expansion_exact``."""
     index = {v: i for i, v in enumerate(sorted(adj))}
     pairs = [(index[u], index[v]) for u in adj for v in adj[u] if index[u] < index[v]]
     ends = np.array(pairs, dtype=np.intp).reshape(-1, 2)

@@ -261,7 +261,7 @@ def test_metric_oracles():
     for trial in range(50):
         n = rng.randint(2, 10)
         adj = random_adjacency(n, 0.5, rng)
-        if expansion_exact(adj, limit=10) != expansion_oracle(adj):
+        if expansion_exact(*index_arrays(adj), limit=10) != expansion_oracle(adj):
             problems.append(("expansion", trial))
     for n in range(2, 13):
         if abs(lambda2_of_adjacency(*index_arrays(complete_adjacency(n))) - n) > 1e-6:

@@ -19,8 +19,7 @@ from xhealsim.adversary import (
 )
 from xhealsim.engine import Healer
 from xhealsim.expander import ExpanderConfig
-from xhealsim.graph import is_connected
-from helpers import graph_from_edges
+from helpers import graph_from_edges, is_connected
 
 
 def test_strategy_validation():

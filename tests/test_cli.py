@@ -4,6 +4,7 @@ import re
 
 from xhealsim import cli
 from xhealsim.adversary import Strategy, decode_trace, encode_trace, gen_trace
+from xhealsim.engine import coherence_errors
 
 
 def run_cli(args):
@@ -225,6 +226,68 @@ def test_verify_missing_or_malformed_snapshot(tmp_path, capsys):
         capsys.readouterr()
         assert run_cli(["verify", "--snapshot", str(path)]) == 2, name
         assert "malformed snapshot" in capsys.readouterr().err
+
+
+def test_verify_reports_an_incoherent_snapshot_line_by_line(tmp_path, capsys):
+    # metrics cannot run on these states; every coherence line is still
+    # printed and the exit is 1, not a usage error
+    data = small_snapshot(tmp_path)
+    dead = min(set(data["shadow"]["nodes"]) - set(data["shadow"]["alive"]))
+    broken = {
+        "dead-cloud-member": lambda d: d["clouds"][0]["members"].append(dead),
+        "extra-alive": lambda d: d["shadow"]["alive"].append(dead),
+        "alive-never-seen": lambda d: d["shadow"]["alive"].append(10**6),
+    }
+    for name, damage in broken.items():
+        victim = copy.deepcopy(data)
+        damage(victim)
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(victim))
+        expected = coherence_errors(cli.load_snapshot(victim)[0])
+        capsys.readouterr()
+        assert run_cli(["verify", "--snapshot", str(path)]) == 1, name
+        lines = capsys.readouterr().err.splitlines()
+        assert expected, name
+        assert lines[:len(expected)] == [f"VIOLATION {e}" for e in expected], name
+        assert lines[len(expected):] == [lines[-1]], name
+        assert lines[-1].startswith("VIOLATION metrics: not evaluated (node "), name
+
+
+def test_report_rejects_a_csv_that_is_not_a_report(tmp_path, capsys):
+    trace, good = tmp_path / "t.jsonl", tmp_path / "good.csv"
+    run_cli(["gen", "--strategy", "uniform", "--n0", "20", "--steps", "20",
+             "--seed", "6", "-o", str(trace)])
+    run_cli(["run", "--trace", str(trace), "--seed", "6", "-o", str(good)])
+    header, first, *rest = good.read_text().splitlines()
+    foreign = tmp_path / "foreign.csv"
+    foreign.write_text("t,n_alive\n0,20\n")
+    short_row = tmp_path / "short.csv"
+    short_row.write_text("\n".join([header, first.rsplit(",", 1)[0], *rest]) + "\n")
+    for path, message in ((foreign, "not a report, missing columns connected_shadow"),
+                          (short_row, "line 2 does not match the header")):
+        capsys.readouterr()
+        assert run_cli(["report", str(path)]) == 2, path.name
+        assert message in capsys.readouterr().err
+
+
+def test_run_rejects_malformed_trace_input_before_event_1(tmp_path, capsys):
+    header = '{"v":1,"kappa":6,"seed":0,"strategy":"uniform","params":{}}'
+    initial = '{"nodes":[0,1,2,3],"edges":[[0,1],[1,2],[2,3]]}'
+    traces = {
+        "unknown-endpoint": [header, '{"nodes":[0,1,2,3],"edges":[[0,1],[1,9]]}',
+                             '{"t":1,"op":"del","node":0}'],
+        "string-nbrs": [header, initial, '{"t":1,"op":"ins","node":4,"nbrs":"12"}'],
+        "float-node": [header, initial, '{"t":1,"op":"del","node":2.7}'],
+        "bool-node": [header, initial, '{"t":1,"op":"del","node":true}'],
+        "string-kappa": [header.replace("6", '"6"'), initial, '{"t":1,"op":"del","node":0}'],
+    }
+    for name, lines in traces.items():
+        path, out = tmp_path / f"{name}.jsonl", tmp_path / f"{name}.csv"
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run_cli(["run", "--trace", str(path), "-o", str(out)]) == 2, name
+        assert capsys.readouterr().err.startswith("error: "), name
+        assert not out.exists(), name
 
 
 def test_report_summary_and_ordering(tmp_path, capsys):

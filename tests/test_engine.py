@@ -6,6 +6,7 @@ import pytest
 from xhealsim import cli
 from xhealsim.adversary import Event, Strategy, gen_trace
 from xhealsim.engine import (
+    CloudKind,
     EdgeStep,
     Healer,
     InvalidEvent,
@@ -13,7 +14,8 @@ from xhealsim.engine import (
     expected_edge_state,
 )
 from xhealsim.expander import ExpanderConfig, RetriesExhausted
-from xhealsim.graph import BLACK, CloudKind, is_connected
+from xhealsim.graph import BLACK
+from helpers import is_connected
 
 
 def make_healer(nodes, edges, seed=0, fault=None, **cfg):

@@ -10,6 +10,7 @@ from helpers import (
     certificate_oracle,
     expansion_exact_oracle,
     expansion_oracle,
+    index_arrays,
     random_adjacency,
 )
 from xhealsim import expander
@@ -72,7 +73,7 @@ def test_clique_certificates_match_exact_expansion():
         for u, v in topo.edge_list:
             adj[u].add(v)
             adj[v].add(u)
-        assert topo.certified_expansion == expansion_exact(adj, limit=10)
+        assert topo.certified_expansion == expansion_exact(*index_arrays(adj), limit=10)
 
 
 def test_expander_branch_regular_and_deterministic():
@@ -105,16 +106,16 @@ def test_retries_exhausted():
     ({0: {1}, 1: {0}, 2: {3}, 3: {2}}, Fraction(0)),                   # disconnected
 ])
 def test_expansion_exact_known_values(adjacency, expected):
-    assert expansion_exact(adjacency, limit=10) == expected
+    assert expansion_exact(*index_arrays(adjacency), limit=10) == expected
 
 
 def test_expansion_exact_errors():
     with pytest.raises(ZeroNodes):
-        expansion_exact({0: set()}, limit=10)
+        expansion_exact(*index_arrays({0: set()}), limit=10)
     with pytest.raises(TooLarge):
-        expansion_exact({i: set() for i in range(11)}, limit=10)
+        expansion_exact(*index_arrays({i: set() for i in range(11)}), limit=10)
     with pytest.raises(TooLarge):
-        expansion_exact({i: set() for i in range(27)}, limit=40)  # hard ceiling
+        expansion_exact(*index_arrays({i: set() for i in range(27)}), limit=40)  # hard ceiling
 
 
 def test_expansion_exact_matches_independent_enumerator():
@@ -122,7 +123,7 @@ def test_expansion_exact_matches_independent_enumerator():
     for _ in range(25):
         n = rng.randint(2, 10)
         adj = random_adjacency(n, 0.5, rng)
-        assert expansion_exact(adj, limit=10) == expansion_oracle(adj)
+        assert expansion_exact(*index_arrays(adj), limit=10) == expansion_oracle(adj)
 
 
 def test_verify_cloud_recomputes_certificates():
@@ -177,7 +178,7 @@ def test_expansion_exact_matches_subset_enumeration(adj, block):
     # a block of 1-3 nodes leaves most nodes to the Gray-code walk
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(expander, "LOW_BLOCK_BITS", block)
-        assert expansion_exact(adj, limit=12) == expansion_oracle(adj)
+        assert expansion_exact(*index_arrays(adj), limit=12) == expansion_oracle(adj)
 
 
 @settings(max_examples=30, deadline=None)
@@ -186,7 +187,7 @@ def test_expansion_exact_matches_subset_enumeration(adj, block):
 @example(adj={v: set() for v in range(15)})  # the block is exactly nodes 1..14
 @example(adj={v: set() for v in range(16)})  # one node past the block
 def test_expansion_exact_matches_whole_table_kernel(adj):
-    assert expansion_exact(adj, limit=22) == expansion_exact_oracle(adj)
+    assert expansion_exact(*index_arrays(adj), limit=22) == expansion_exact_oracle(adj)
 
 
 def circulant(n: int, offsets: tuple[int, ...]) -> dict[int, set[int]]:
@@ -196,10 +197,10 @@ def circulant(n: int, offsets: tuple[int, ...]) -> dict[int, set[int]]:
 
 @pytest.mark.parametrize("n", [24, HARD_ENUMERATION_CEILING])
 def test_expansion_exact_memory_is_bounded(n):
-    adj = circulant(n, (1, 2, 5))  # 6-regular
+    graph = index_arrays(circulant(n, (1, 2, 5)))  # 6-regular
     tracemalloc.start()
     try:
-        value = expansion_exact(adj, limit=n)
+        value = expansion_exact(*graph, limit=n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -9,7 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import xhealsim
-from helpers import bfs_oracle, density, density_oracle, graph_from_edges, random_adjacency
+from helpers import (
+    bfs_oracle,
+    density,
+    density_oracle,
+    graph_from_edges,
+    is_connected,
+    random_adjacency,
+)
 from xhealsim.adversary import Event
 from xhealsim.graph import (
     BLACK,
@@ -27,7 +34,6 @@ from xhealsim.graph import (
     black_neighbors,
     csr_connected,
     edge_key,
-    is_connected,
 )
 
 

@@ -3,9 +3,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import (complete_adjacency, cycle_adjacency, density, density_oracle,
-                     graph_from_edges, index_arrays, picked_ids)
+                     expansion_oracle, graph_from_edges, index_arrays, picked_ids)
 from xhealsim import metrics
 from xhealsim.adversary import Event, Strategy, gen_trace
 from xhealsim.cli import RunConfig, run_trace
@@ -143,6 +145,31 @@ def test_expansion_counts_dead_shadow_nodes():
     assert expansion(h.shadow, 10) == Fraction(1)
     # live clique on the three leaves: ceil(3/2) = 2 crossing / 1
     assert expansion(h.graph, 10) == Fraction(2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ids=st.sets(st.integers(0, 60), min_size=2, max_size=10),
+       dead=st.sets(st.integers(0, 60)), base_p=st.floats(0, 1), live_p=st.floats(0, 1),
+       seed=st.integers(0, 10_000))
+@example(ids={5, 17, 40, 41}, dead={17}, base_p=1.0, live_p=0.0, seed=0)  # isolated live
+@example(ids={3, 9, 30}, dead=set(), base_p=0.0, live_p=1.0, seed=0)  # isolated shadow
+def test_expansion_matches_subset_enumeration_on_views(ids, dead, base_p, live_p, seed):
+    # sparse ids, so CSR positions differ from ids; the shadow keeps its
+    # dead nodes, which the live graph has dropped
+    rng = random.Random(seed)
+    order = sorted(ids)
+    shadow = ShadowGraph()
+    shadow.seed_initial(order, [(u, v) for i, u in enumerate(order) for v in order[i + 1:]
+                                if rng.random() < base_p])
+    for v in sorted(dead & ids):
+        shadow.apply(Event("del", v))
+    alive = sorted(shadow.alive)
+    graph = graph_from_edges(alive, [(u, v) for i, u in enumerate(alive)
+                                     for v in alive[i + 1:] if rng.random() < live_p])
+    for view in (graph, shadow):
+        if len(view.node_set) >= 2:
+            adjacency = {v: view.neighbors(v) for v in view.node_set}
+            assert expansion(view, 10) == expansion_oracle(adjacency)
 
 
 def test_lambda2_closed_forms():
