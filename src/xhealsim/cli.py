@@ -18,8 +18,10 @@ import argparse
 import concurrent.futures
 import csv
 import io
+import itertools
 import json
 import random
+import re
 import sys
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
@@ -35,6 +37,7 @@ from .adversary import (
     gen_trace,
     initial_graph,
     next_event,
+    node_ids,
     validate_trace,
 )
 from .engine import (
@@ -53,7 +56,7 @@ from .expander import (
     RetriesExhausted,
     TopologyKind,
 )
-from .graph import GraphError, edge_key
+from .graph import BLACK, GraphError, edge_key
 from .metrics import MetricsReport, evaluate
 
 SNAPSHOT_VERSION = 2
@@ -209,49 +212,91 @@ def snapshot_state(healer: Healer, seed: int) -> dict:
     }
 
 
+def _snapshot_count(value: object, what: str) -> int:
+    """*value* if it is a non-negative JSON integer as written, never
+    coerced: ``node_ids``' rule for one id or count."""
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{what} {value!r} is not a non-negative integer")
+    return value
+
+
+def _snapshot_fraction(value: object, what: str) -> Fraction:
+    """*value* if it is a non-negative ``p/q`` string, the form
+    ``_fmt_fraction`` writes; a float, a sign or a zero q is refused."""
+    if type(value) is not str or not re.fullmatch(r"[0-9]+/0*[1-9][0-9]*", value):
+        raise ValueError(f"{what} {value!r} is not a non-negative fraction p/q")
+    return Fraction(value)
+
+
+def _snapshot_rows(values: object, width: int, what: str) -> list[list[int]]:
+    """*values* if it is a list of *width*-long lists of node ids."""
+    if type(values) is not list or values and (set(map(type, values)) != {list}
+                                               or set(map(len, values)) != {width}):
+        raise ValueError(f"{what} must be a list of {width}-element lists")
+    node_ids(list(itertools.chain.from_iterable(values)), what)
+    return values
+
+
 def load_snapshot(data: dict) -> tuple[Healer, int]:
     """Rebuild a Healer from a snapshot dict.  Raises ValueError on
-    structural problems; semantic damage surfaces in coherence checks."""
+    structural problems, among them an id or count that is not a
+    non-negative JSON integer as written (checked as ``decode_trace``
+    checks node ids, with no coercion) and a certificate that is not a
+    non-negative fraction string; semantic damage surfaces in
+    coherence checks."""
     if not isinstance(data, dict):
         raise ValueError("snapshot is not a JSON object")
     if data.get("v") != SNAPSHOT_VERSION:
         raise ValueError(f"snapshot version {data.get('v')!r} not supported")
-    cfg = ExpanderConfig(**{f.name: type(f.default)(data["config"][f.name])
-                            for f in fields(ExpanderConfig)})
-    seed = int(data["seed"])
+    config = data["config"]
+    cfg = ExpanderConfig(**{
+        f.name: (_snapshot_fraction if type(f.default) is Fraction else _snapshot_count)(
+            config[f.name], f"config {f.name}")
+        for f in fields(ExpanderConfig)})
+    seed = data["seed"]
+    if type(seed) is not int:  # run takes any integer seed, negative too
+        raise ValueError(f"seed {seed!r} is not an integer")
     healer = Healer(cfg, random.Random(f"{seed}/engine"))
-    healer.shadow.seed_initial([int(v) for v in data["shadow"]["nodes"]],
-                               [(int(u), int(v)) for u, v in data["shadow"]["edges"]])
-    healer.shadow.alive = {int(v) for v in data["shadow"]["alive"]}
-    for v in data["nodes"]:
-        healer.graph.add_node(int(v))
+    shadow = data["shadow"]
+    healer.shadow.seed_initial(node_ids(shadow["nodes"], "shadow nodes"),
+                               _snapshot_rows(shadow["edges"], 2, "shadow edges"))
+    healer.shadow.alive = set(node_ids(shadow["alive"], "shadow alive"))
+    for v in node_ids(data["nodes"], "nodes"):
+        healer.graph.add_node(v)
     for rec in data["edges"]:
+        u, v = node_ids([rec["u"], rec["v"]], "edge endpoints")
+        colors = rec["colors"]
+        if type(colors) is not list or any(type(c) is not int or c < BLACK for c in colors):
+            raise ValueError(f"edge ({u},{v}) colors must be a list of integers >= {BLACK}")
         # a colorless edge still loads, for the coherence check to report
-        healer.graph.add_edge(int(rec["u"]), int(rec["v"]),
-                              colors=[int(c) for c in rec["colors"]])
+        healer.graph.add_edge(u, v, colors=colors)
     for entry in data["clouds"]:
         topo = entry["topology"]
+        cid = _snapshot_count(entry["id"], "cloud id")
         topology = CloudTopology(
             kind=TopologyKind(topo["kind"]),
-            edge_list=[edge_key(int(u), int(v)) for u, v in topo["edges"]],
-            certified_expansion=Fraction(topo["certified"]),
+            edge_list=[edge_key(u, v) for u, v in
+                       _snapshot_rows(topo["edges"], 2, f"cloud {cid} edges")],
+            certified_expansion=_snapshot_fraction(topo["certified"],
+                                                   f"cloud {cid} certificate"),
         )
-        cloud = Cloud(int(entry["id"]), CloudKind(entry["kind"]),
-                      frozenset(int(m) for m in entry["members"]), topology)
+        cloud = Cloud(cid, CloudKind(entry["kind"]),
+                      frozenset(node_ids(entry["members"], f"cloud {cid} members")), topology)
         healer.registry.clouds[cloud.id] = cloud
-    for f, c, node in data["bridges"]:
-        healer.registry.bridges[(int(f), int(c))] = int(node)
-    for node, f in data["duty"]:
-        healer.registry.duty[int(node)] = int(f)
-    healer.next_cloud_id = int(data["next_cloud_id"])
-    healer.last_black_neighbors = {int(v) for v in data.get("last_black_neighbors", [])}
+    for f, c, node in _snapshot_rows(data["bridges"], 3, "bridges"):
+        healer.registry.bridges[(f, c)] = node
+    for node, f in _snapshot_rows(data["duty"], 2, "duty"):
+        healer.registry.duty[node] = f
+    healer.next_cloud_id = _snapshot_count(data["next_cloud_id"], "next_cloud_id")
+    healer.last_black_neighbors = set(node_ids(data.get("last_black_neighbors", []),
+                                               "last_black_neighbors"))
     counters = data["counters"]
     names = set(healer.counters.as_dict())
     if set(counters) != names:
         raise ValueError(f"snapshot counters: unknown {sorted(set(counters) - names)}, "
                          f"missing {sorted(names - set(counters))}")
     for name, value in counters.items():
-        setattr(healer.counters, name, int(value))
+        setattr(healer.counters, name, _snapshot_count(value, f"counter {name}"))
     return healer, seed
 
 

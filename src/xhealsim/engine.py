@@ -30,7 +30,7 @@ from enum import Enum
 from typing import Iterable, Sequence
 
 from .adversary import Event
-from .expander import CloudTopology, ExpanderConfig, build_topology
+from .expander import CloudTopology, ExpanderConfig, TopologyKind, build_topology
 from .graph import (
     BLACK,
     ColoredGraph,
@@ -508,11 +508,17 @@ def coherence_errors(healer: Healer) -> list[str]:
     """Full cross-check of graph, shadow, and registry.
 
     Empty result means: the graph's color sets are exactly what the
-    registry implies, structural indexes agree, and no colorless edge
-    is left behind.
+    registry implies, structural indexes agree, no colorless edge is
+    left behind, and every expander cloud's certificate clears
+    ``alpha_target``.
     """
     errs = healer.graph.integrity_errors()
     errs.extend(healer.registry.validation_errors(set(healer.shadow.alive)))
+    alpha = healer.cfg.alpha_target
+    for cid, cloud in healer.registry.clouds.items():
+        cert = cloud.topology.certified_expansion
+        if cloud.topology.kind is TopologyKind.REGULAR_EXPANDER and cert < alpha:
+            errs.append(f"cloud {cid} certified expansion {cert} below alpha_target {alpha}")
     if healer.graph.node_set != healer.shadow.alive:
         errs.append("live node set differs from shadow alive set")
     expected = expected_edge_state(healer)

@@ -2,9 +2,12 @@
 
 Small member sets become cliques; larger ones become seeded random
 kappa-regular graphs sampled with the pairing model and accepted only
-once an expansion certificate clears the configured target.  The
-certificate is the exact edge expansion up to ``exact_limit`` nodes, and
-the spectral lower bound lambda2/2 beyond that.  The exact expansion
+once an expansion certificate clears the configured target.  At every
+size the first test is a spectral gate: one Cholesky factorization
+proves lambda2 large enough that lambda2/2 clears the target (Cheeger),
+with no eigensolve.  Only a draw that fails the gate is measured: by
+the exact edge expansion when it has at most ``exact_limit`` nodes, by
+the spectral lower bound lambda2/2 otherwise.  The exact expansion
 enumerates every cut but keeps only the smallest cut count of each side
 size, then minimizes count over small-side size in exact fractions; a
 fixed block of 2^LOW_BLOCK_BITS tabulated cut masks bounds its memory at
@@ -16,6 +19,7 @@ makes exactly the draws of ``random.Random.shuffle``, inlined (see
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from collections import defaultdict
 from dataclasses import dataclass
@@ -190,23 +194,51 @@ def _cheeger_lower_bound(n: int, u: np.ndarray, v: np.ndarray) -> Fraction:
     return Fraction(int(safe * (1 << 32)), 1 << 33)
 
 
-def _gate_certificate(m: int, edges: set[EdgeKey], cfg: ExpanderConfig) -> Fraction:
-    """Cheapest certificate that can clear the acceptance gate for the
-    graph on positions 0..m-1 with *edges*.
+def _spectral_gate(n: int, u: np.ndarray, v: np.ndarray, alpha: Fraction) -> bool:
+    """Whether ``_cheeger_lower_bound(n, u, v) >= alpha``, decided by
+    one Cholesky factorization instead of an eigensolve.
 
-    The spectral bound is a few eigensolver milliseconds and usually
-    already beats alpha_target; the exponential exact cut enumeration
-    only runs when the spectral bound falls short and the graph is small
-    enough.  Both are valid lower bounds on the true expansion, so a
-    disconnected graph (expansion 0) never clears the positive target.
+    That bound clears *alpha* exactly when lambda2 >= s, with s =
+    ceil(alpha * 2^33) / 2^32 + 1e-8 undoing its rounding.  With L the
+    Laplacian and J the all-ones matrix, M = L + ((s+1)/n) J - s I maps
+    the all-ones vector to itself and every other eigenvector of L to
+    (lambda_i - s) times it, so M is positive definite, and factors,
+    exactly when lambda2 > s: the two tests differ only on an exact tie.
+    A disconnected graph has lambda2 = 0 and never passes.
+    """
+    s = math.ceil(alpha * (1 << 33)) / (1 << 32) + 1e-8
+    shift = (s + 1) / n
+    gram = np.full((n, n), shift)
+    gram[u, v] = gram[v, u] = shift - 1.0
+    gram.flat[::n + 1] += np.bincount(u, minlength=n) + np.bincount(v, minlength=n) - s
+    try:
+        np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _gate_certificate(m: int, edges: set[EdgeKey], cfg: ExpanderConfig) -> Fraction:
+    """Expansion certificate of the graph on positions 0..m-1 with
+    *edges*, measured only as far as the acceptance gate needs.
+
+    The spectral gate runs first at every size and, when it passes,
+    ``alpha_target`` itself is the certificate: the gate proved it, and
+    no eigenvalue is computed.  A draw that fails the gate is measured
+    for the retry message: exactly by cut enumeration when m is at most
+    ``exact_limit`` (a small graph can clear the target on cuts that
+    lambda2 cannot prove), by lambda2/2 otherwise.  Every certificate is
+    a lower bound on the true expansion, so a disconnected graph
+    (expansion 0) never clears the positive target.
     """
     ends = np.fromiter(itertools.chain.from_iterable(edges), dtype=np.intp,
                        count=2 * len(edges))
     u, v = ends[0::2], ends[1::2]
-    cert = _cheeger_lower_bound(m, u, v)
-    if cert < cfg.alpha_target and m <= cfg.exact_limit:
-        cert = expansion_exact(m, u, v, limit=cfg.exact_limit)
-    return cert
+    if _spectral_gate(m, u, v, cfg.alpha_target):
+        return cfg.alpha_target
+    if m <= cfg.exact_limit:
+        return expansion_exact(m, u, v, limit=cfg.exact_limit)
+    return _cheeger_lower_bound(m, u, v)
 
 
 def partial_shuffle(items: list, count: int, rng: random.Random) -> None:
@@ -279,8 +311,10 @@ def build_topology(
     Up to kappa+1 members the cloud is a clique (its exact expansion is
     recorded but never gated).  Beyond that, simple kappa-regular
     candidates are sampled until one certifies expansion at least
-    ``alpha_target``, which also proves it connected.  Deterministic for
-    a fixed rng state.
+    ``alpha_target``, which also proves it connected; the cloud records
+    that certificate: ``alpha_target`` after a spectral gate pass, the
+    exact expansion after an exact one.  Deterministic for a fixed rng
+    state.
     """
     ordered = list(members)
     if len(set(ordered)) != len(ordered):

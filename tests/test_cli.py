@@ -217,6 +217,15 @@ def test_verify_missing_or_malformed_snapshot(tmp_path, capsys):
         "unknown-counter": lambda d: d["counters"].update(bogus_counter=0),
         "missing-counter": lambda d: d["counters"].pop("merges"),
         "exact-limit-over-ceiling": lambda d: d["config"].update(exact_limit=30),
+        # ids are taken as written, as a trace's are, never coerced
+        "string-ids": lambda d: (d.update(nodes=[str(v) for v in d["nodes"]]),
+                                 d["shadow"]["nodes"].__setitem__(0, 0.25)),
+        "string-shadow-ids": lambda d: d["shadow"]["nodes"].__setitem__(0, "0"),
+        "float-cloud-member": lambda d: d["clouds"][0]["members"].__setitem__(0, 0.0),
+        "negative-certificate": lambda d: d["clouds"][0]["topology"].update(certified="-3/1"),
+        "float-certificate": lambda d: d["clouds"][0]["topology"].update(certified=0.5),
+        "zero-denominator": lambda d: d["clouds"][0]["topology"].update(certified="1/0"),
+        "string-counter": lambda d: d["counters"].update(merges="0"),
     }
     for name, damage in broken.items():
         victim = copy.deepcopy(data)
@@ -226,6 +235,21 @@ def test_verify_missing_or_malformed_snapshot(tmp_path, capsys):
         capsys.readouterr()
         assert run_cli(["verify", "--snapshot", str(path)]) == 2, name
         assert "malformed snapshot" in capsys.readouterr().err
+
+
+def test_verify_flags_an_expander_cloud_certified_below_alpha_target(tmp_path, capsys):
+    trace = gen_trace(Strategy("uniform", insert_fraction=0.4), 50, 300, 0)
+    healer, _ = cli.run_trace(trace, cli.RunConfig(seed=0, checkpoint_every=300))
+    data = cli.snapshot_state(healer, 0)
+    expander = next(c for c in data["clouds"] if c["topology"]["kind"] == "regular_expander")
+    assert expander["topology"]["certified"] == "1/1"  # the alpha_target the gate proved
+    expander["topology"]["certified"] = "99/100"
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run_cli(["verify", "--snapshot", str(path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"VIOLATION cloud {expander['id']} certified expansion 99/100 below alpha_target 1"]
 
 
 def test_verify_reports_an_incoherent_snapshot_line_by_line(tmp_path, capsys):

@@ -1,7 +1,9 @@
+import math
 import random
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -13,7 +15,7 @@ from helpers import (
     index_arrays,
     random_adjacency,
 )
-from xhealsim import expander
+from xhealsim import expander, metrics
 from xhealsim.expander import (
     HARD_ENUMERATION_CEILING,
     ExpanderConfig,
@@ -21,6 +23,9 @@ from xhealsim.expander import (
     TooLarge,
     TopologyKind,
     ZeroNodes,
+    _cheeger_lower_bound,
+    _pairing_attempt,
+    _spectral_gate,
     build_topology,
     expansion_exact,
 )
@@ -97,6 +102,95 @@ def test_retries_exhausted():
     cfg = ExpanderConfig(kappa=4, alpha_target=Fraction(50), max_retries=3)
     with pytest.raises(RetriesExhausted):
         build_topology(list(range(10)), cfg, random.Random(0))
+
+
+GATE_ALPHAS = [Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(3, 4), Fraction(1)]
+
+
+def on_positions(m: int, edges) -> tuple[int, np.ndarray, np.ndarray]:
+    """Graph arguments for the edges of a graph on positions 0..m-1."""
+    ends = np.array(sorted(edges), dtype=np.intp).reshape(-1, 2)
+    return m, ends[:, 0], ends[:, 1]
+
+
+def regular_draw(m: int, kappa: int, rng: random.Random):
+    """Graph arguments of the first pairing draw on m nodes that does
+    not dead-end, as build_topology hands them to the gate."""
+    while (edges := _pairing_attempt(m, kappa, rng)) is None:
+        pass
+    return on_positions(m, edges)
+
+
+@pytest.mark.parametrize("kappa", [4, 6, 8])
+def test_spectral_gate_agrees_with_the_rounded_cheeger_bound(kappa):
+    rng = random.Random(kappa)
+    for m in range(kappa + 2, 201, 3):
+        graph = regular_draw(m, kappa, rng)
+        cert = _cheeger_lower_bound(*graph)
+        for alpha in GATE_ALPHAS:
+            assert _spectral_gate(*graph, alpha) == (cert >= alpha), (m, alpha, cert)
+
+
+def cycle(n: int):
+    return index_arrays({i: {(i - 1) % n, (i + 1) % n} for i in range(n)})
+
+
+def clique(n: int):
+    return index_arrays({i: set(range(n)) - {i} for i in range(n)})
+
+
+def test_spectral_gate_at_the_rounding_step_of_a_known_spectrum():
+    # the certificate lambda2/2 rounded as _cheeger_lower_bound rounds it:
+    # the gate passes at it and 2^-33 below, and fails 2^-33 above and at
+    # a target between two rounding steps, which the rounded bound misses
+    known = ([(f"C{n}", cycle(n), 2 - 2 * math.cos(2 * math.pi / n)) for n in range(8, 60)]
+             + [(f"K{n}", clique(n), n) for n in range(3, 41)])
+    step = Fraction(1, 2**33)
+    for name, graph, lam in known:
+        cert = Fraction(int((lam - 1e-8) * 2**32), 2**33)
+        assert _cheeger_lower_bound(*graph) == cert, name
+        assert _spectral_gate(*graph, cert), name
+        assert _spectral_gate(*graph, cert - step), name
+        assert not _spectral_gate(*graph, cert + step), name
+        assert not _spectral_gate(*graph, cert + step / 2), name
+
+
+def test_spectral_gate_fails_a_disconnected_graph():
+    two_cliques = {i: {j for j in range(10) if j != i and j // 5 == i // 5} for i in range(10)}
+    for alpha in [Fraction(1, 2**30)] + GATE_ALPHAS:
+        assert not _spectral_gate(*index_arrays(two_cliques), alpha)
+
+
+def test_build_topology_records_the_bound_its_certificate_proved():
+    # alpha 1 on 10-14 nodes of degree 4: lambda2/2 clears it on some
+    # draws, only the exact cut enumeration on others
+    cfg = ExpanderConfig(kappa=4, alpha_target=Fraction(1))
+    passes = set()
+    for m in (10, 12, 14):
+        for seed in range(6):
+            topo = build_topology(list(range(m)), cfg, random.Random(seed))
+            graph = on_positions(m, topo.edge_list)
+            if _spectral_gate(*graph, cfg.alpha_target):
+                passes.add("spectral")
+                assert topo.certified_expansion == cfg.alpha_target
+            else:
+                passes.add("exact")
+                assert topo.certified_expansion == expansion_exact(*graph, limit=20) >= 1
+    assert passes == {"spectral", "exact"}
+
+
+def test_eigensolve_runs_only_for_draws_that_fail_the_gate(monkeypatch):
+    verdicts, solves = [], []
+    gate, solve = expander._spectral_gate, metrics.lambda2_of_adjacency
+    monkeypatch.setattr(expander, "_spectral_gate",
+                        lambda *args: verdicts.append(gate(*args)) or verdicts[-1])
+    monkeypatch.setattr(metrics, "lambda2_of_adjacency",
+                        lambda *args: solves.append(solve(*args)) or solves[-1])
+    cfg = ExpanderConfig(kappa=4, alpha_target=Fraction(2, 5))
+    for seed in range(6):
+        build_topology(list(range(40)), cfg, random.Random(seed))
+    assert verdicts.count(True) == 6 and verdicts.count(False) > 0
+    assert len(solves) == verdicts.count(False)
 
 
 @pytest.mark.parametrize("adjacency,expected", [

@@ -6,9 +6,10 @@ today's output with constants recorded before the engine's internals
 last changed, so a refactor that shifts one RNG draw, one counter or one
 verdict fails here.  ``lambda2_live`` is the one floating-point column
 and may move in its last digits with the BLAS build, so it is dropped
-before hashing.  The snapshot holds no float: a spectral certificate is
-the eigenvalue rounded down to a multiple of 2^-33, which a last-digit
-move changes only when it crosses a rounding step.
+before hashing.  The snapshot holds no float: a cloud records its exact
+expansion, or ``alpha_target`` when the spectral gate proved that bound,
+so floating-point noise in the gate changes the snapshot only when it
+flips a draw's verdict.
 """
 import csv
 import hashlib
@@ -39,7 +40,7 @@ GOLDEN = {
 # final state after a churn-mid-sized uniform trace: n0=500, 750 events,
 # alpha 1/2, seed 0; clouds reach 145 members, so membership scans and
 # borrowed bridges are exercised at scale
-SNAPSHOT_GOLDEN = "6040855ab76a73da802ed85c56cc5327fc39d7113f77acbcdcbc3402f38fd0a7"
+SNAPSHOT_GOLDEN = "1d512538e9aaf46dbf525a7e0806d3602cc2d3e95e78985444a80c4aef746ab3"
 
 # every report's violation_detail lines, which the CSV digests omit, for
 # a faulted n0=400 uniform run (300 events, drop-black-edge, alpha 1/2,
