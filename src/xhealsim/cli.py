@@ -59,7 +59,7 @@ from .expander import (
 from .graph import BLACK, GraphError, edge_key
 from .metrics import MetricsReport, evaluate
 
-SNAPSHOT_VERSION = 2
+SNAPSHOT_VERSION = 3
 
 # one column per scalar report field, then one per repair counter
 _METRIC_COLUMNS = [f.name for f in fields(MetricsReport)
@@ -88,6 +88,11 @@ class RunConfig:
 
     def expander(self) -> ExpanderConfig:
         return ExpanderConfig(**{f.name: getattr(self, f.name) for f in fields(ExpanderConfig)})
+
+
+# the RunConfig fields a checkpoint reads besides the expander's, which a
+# snapshot records so that verify re-checks it as run did
+CHECKPOINT_SETTINGS = ("density_samples", "stretch_pairs", "stretch_constant")
 
 
 def _fmt_fraction(value: Fraction) -> str:
@@ -174,8 +179,10 @@ def _checkpoint(healer: Healer, t: int, cfg: RunConfig) -> MetricsReport:
 # -- snapshots --------------------------------------------------------------
 
 
-def snapshot_state(healer: Healer, seed: int) -> dict:
-    """Versioned JSON-ready dump of the full healer state."""
+def snapshot_state(healer: Healer, seed: int, cfg: RunConfig | None = None) -> dict:
+    """Versioned JSON-ready dump of the full healer state, with the
+    checkpoint settings of *cfg* (``RunConfig``'s defaults if None)."""
+    checkpoint = cfg if cfg is not None else RunConfig()
     edges = [{"u": rec.u, "v": rec.v, "colors": sorted(rec.colors)}
              for rec in sorted(healer.graph.edges(), key=lambda r: r.key)]
     clouds = []
@@ -196,6 +203,7 @@ def snapshot_state(healer: Healer, seed: int) -> dict:
         "seed": seed,
         "config": {name: _fmt_fraction(value) if isinstance(value, Fraction) else value
                    for name, value in asdict(healer.cfg).items()},
+        "checkpoint": {name: getattr(checkpoint, name) for name in CHECKPOINT_SETTINGS},
         "next_cloud_id": healer.next_cloud_id,
         "nodes": sorted(healer.graph.node_set),
         "edges": edges,
@@ -237,12 +245,14 @@ def _snapshot_rows(values: object, width: int, what: str) -> list[list[int]]:
     return values
 
 
-def load_snapshot(data: dict) -> tuple[Healer, int]:
-    """Rebuild a Healer from a snapshot dict.  Raises ValueError on
-    structural problems, among them an id or count that is not a
-    non-negative JSON integer as written (checked as ``decode_trace``
-    checks node ids, with no coercion) and a certificate that is not a
-    non-negative fraction string; semantic damage surfaces in
+def load_snapshot(data: dict) -> tuple[Healer, RunConfig]:
+    """Rebuild a Healer from a snapshot dict, with the run settings a
+    checkpoint of it needs: seed, expander config and checkpoint
+    settings.  Raises ValueError on structural problems, among them an
+    id or count that is not a non-negative JSON integer as written
+    (checked as ``decode_trace`` checks node ids, with no coercion), a
+    checkpoint setting that is not positive and a certificate that is
+    not a non-negative fraction string; semantic damage surfaces in
     coherence checks."""
     if not isinstance(data, dict):
         raise ValueError("snapshot is not a JSON object")
@@ -282,7 +292,7 @@ def load_snapshot(data: dict) -> tuple[Healer, int]:
         )
         cloud = Cloud(cid, CloudKind(entry["kind"]),
                       frozenset(node_ids(entry["members"], f"cloud {cid} members")), topology)
-        healer.registry.clouds[cloud.id] = cloud
+        healer.registry.store(cloud)
     for f, c, node in _snapshot_rows(data["bridges"], 3, "bridges"):
         healer.registry.bridges[(f, c)] = node
     for node, f in _snapshot_rows(data["duty"], 2, "duty"):
@@ -297,7 +307,9 @@ def load_snapshot(data: dict) -> tuple[Healer, int]:
                          f"missing {sorted(names - set(counters))}")
     for name, value in counters.items():
         setattr(healer.counters, name, _snapshot_count(value, f"counter {name}"))
-    return healer, seed
+    checkpoint = {name: _snapshot_count(data["checkpoint"][name], f"checkpoint {name}")
+                  for name in CHECKPOINT_SETTINGS}
+    return healer, RunConfig(seed=seed, **asdict(cfg), **checkpoint)
 
 
 # -- subcommands -------------------------------------------------------------
@@ -347,7 +359,7 @@ def _run_one_seed(args: argparse.Namespace, seed: int) -> tuple[int, list[str]]:
         Path(_expand_seed(args.record, seed)).write_text(
             encode_trace(recorded), encoding="utf-8")
     if args.snapshot:
-        payload = json.dumps(snapshot_state(healer, seed), sort_keys=True, indent=0)
+        payload = json.dumps(snapshot_state(healer, seed, cfg), sort_keys=True)
         Path(_expand_seed(args.snapshot, seed)).write_text(payload, encoding="utf-8")
     csv_text = render_report_csv(reports)
     if args.out == "-":
@@ -406,11 +418,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return 2
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
-        healer, seed = load_snapshot(data)
+        healer, cfg = load_snapshot(data)
     except (json.JSONDecodeError, KeyError, TypeError, ValueError, GraphError) as exc:
         print(f"malformed snapshot: {exc}", file=sys.stderr)
         return 2
-    cfg = RunConfig(seed=seed, **asdict(healer.cfg))
     problems = coherence_errors(healer)
     try:
         problems.extend(_checkpoint(healer, healer.counters.events, cfg).violation_detail)
@@ -481,7 +492,7 @@ def cmd_report(args: argparse.Namespace) -> int:
                 for r in rows if r["expansion_live"] != "skipped"]
         print(f"  expansion (live|baseline): {' '.join(traj) if traj else 'skipped'}")
         print(f"  merges: {final['merges']}  clouds built: {final['clouds_built']} "
-              f"rebuilt: {final['clouds_rebuilt']}")
+              f"rebuilt: {final['clouds_rebuilt']} spliced: {final['clouds_spliced']}")
         bad = [r["t"] for r in rows if _row_dirty(r)]
         if bad:
             code = 1

@@ -14,13 +14,22 @@ node:
   cloud when no free node can be found), and the remaining unbridged
   primaries get a new secondary.
 
+A rebuilt expander cloud is spliced first: the dead member's cloud
+neighbors are re-paired, or its replacement bridge takes its edges, and
+the result is certified like a fresh draw; only when that fails is the
+cloud redrawn whole (``expander.build_topology``).  A free node is one
+with no bridge duty and a slot left in its cloud budget: a node may be
+held by at most one cloud more than it has dead baseline neighbors
+(``budget_errors``), which keeps the degree bound.
+
 A repair is planned on a copy of the registry, its edge edits recorded
 as steps, and only then applied to the graph, so a plan that raises (a
 cloud that cannot be certified) changes nothing.  An edge's colors are
-its only state: a step strips the old clouds' colors, colors the new
-topologies' edges (reusing any that exist) and deletes the stripped
-edges left colorless, all in one ``ColoredGraph.recolor`` call.  Black
-is never stripped, so no black edge goes.
+its only state: a step strips the old clouds' colors from the edges
+their new topologies drop, colors the edges they add (reusing any that
+exist) and deletes the stripped edges left colorless, all in one
+``ColoredGraph.recolor`` call.  Black is never stripped, so no black
+edge goes.
 """
 from __future__ import annotations
 
@@ -66,35 +75,59 @@ class CloudRegistry:
 
     def __init__(self) -> None:
         self.clouds: dict[int, Cloud] = {}
+        # node -> ids of the clouds holding it; kept by store and retire
+        self.member_of: dict[int, frozenset[int]] = {}
         # (secondary id, primary id) -> the node representing that primary
         self.bridges: dict[tuple[int, int], int] = {}
-        # node -> the one secondary cloud occupying it
+        # bridge node -> the one secondary cloud it bridges into
         self.duty: dict[int, int] = {}
 
     def copy(self) -> "CloudRegistry":
-        """New dicts sharing the clouds, which are replaced, never mutated."""
+        """New dicts sharing the clouds and index entries, which are
+        replaced, never mutated."""
         twin = CloudRegistry()
-        twin.clouds, twin.bridges, twin.duty = (
-            self.clouds.copy(), self.bridges.copy(), self.duty.copy())
+        twin.clouds, twin.member_of, twin.bridges, twin.duty = (
+            self.clouds.copy(), self.member_of.copy(), self.bridges.copy(),
+            self.duty.copy())
         return twin
+
+    def store(self, cloud: Cloud) -> None:
+        """Register *cloud*, replacing any cloud of its id, and re-index
+        the members it gained or lost."""
+        old = self.clouds.get(cloud.id)
+        before = old.members if old is not None else frozenset()
+        self.clouds[cloud.id] = cloud
+        for node in cloud.members - before:
+            self.member_of[node] = self.member_of.get(node, frozenset()) | {cloud.id}
+        for node in before - cloud.members:
+            self._unindex(node, cloud.id)
 
     def retire(self, cid: int) -> None:
         cloud = self.clouds.pop(cid)
+        for node in cloud.members:
+            self._unindex(node, cid)
         for key in [k for k in self.bridges if cid in k]:
             del self.bridges[key]
         if cloud.kind is CloudKind.SECONDARY:
             for node in [n for n, f in self.duty.items() if f == cid]:
                 del self.duty[node]
 
-    def clouds_of(self, node: int) -> set[int]:
-        return {cid for cid, cloud in self.clouds.items() if node in cloud.members}
+    def _unindex(self, node: int, cid: int) -> None:
+        held = self.member_of[node] - {cid}
+        if held:
+            self.member_of[node] = held
+        else:
+            del self.member_of[node]
 
     def bridged_primaries(self, secondary_id: int) -> set[int]:
         return {c for (f, c) in self.bridges if f == secondary_id}
 
     def validation_errors(self, alive: set[int]) -> list[str]:
         errs = []
+        indexed: dict[int, set[int]] = {}
         for cid, cloud in self.clouds.items():
+            for node in cloud.members:
+                indexed.setdefault(node, set()).add(cid)
             if cid != cloud.id:
                 errs.append(f"cloud {cid} stored under wrong id")
             if not cloud.members:
@@ -118,6 +151,11 @@ class CloudRegistry:
                 errs.append(f"duty of {node} points to missing secondary {f}")
             elif node not in self.clouds[f].members:
                 errs.append(f"duty holder {node} not a member of secondary {f}")
+        for node in sorted(set(indexed) | set(self.member_of)):
+            if indexed.get(node, set()) != self.member_of.get(node, set()):
+                errs.append(f"node {node} indexed in clouds "
+                            f"{sorted(self.member_of.get(node, ()))} but member of "
+                            f"{sorted(indexed.get(node, ()))}")
         return errs
 
 
@@ -141,6 +179,7 @@ class RepairCounters:
     branch_secondary: int = 0
     clouds_built: int = 0
     clouds_rebuilt: int = 0
+    clouds_spliced: int = 0
     merges: int = 0
     bridges_borrowed: int = 0
     free_node_misses: int = 0
@@ -170,6 +209,9 @@ class Healer:
         self.last_black_neighbors: set[int] = set()
         # graph edits planned for the delete in progress; the last is open
         self.steps: list[EdgeStep] = []
+        # the node whose delete is being planned, and its black neighbors
+        self.dying: int | None = None
+        self.dying_blacks: frozenset[int] = frozenset()
 
     @classmethod
     def from_initial(cls, nodes: Iterable[int], edges: Iterable[EdgeKey],
@@ -225,6 +267,7 @@ class Healer:
         self.registry = self.registry.copy()
         self.counters.deletes += 1
         self.steps = [EdgeStep()]
+        self.dying, self.dying_blacks = v, frozenset(blacks)
         try:
             v_primary, v_secondary, lost_roles = self._scrub_dead_node(v)
             if self.fault != "skip-heal":
@@ -233,6 +276,8 @@ class Healer:
             registry, counts, self.next_cloud_id = committed
             self.registry, self.counters = registry, RepairCounters(**counts)
             raise
+        finally:
+            self.dying, self.dying_blacks = None, frozenset()
         self.shadow.apply(Event("del", v))
         self.graph.remove_node(v)
         self.last_black_neighbors = set(blacks)
@@ -259,14 +304,13 @@ class Healer:
                 del reg.bridges[(f, c)]
         reg.duty.pop(v, None)
 
-        member_of = sorted(reg.clouds_of(v))
         v_primary, v_secondary = [], []
-        for cid in member_of:
+        for cid in sorted(reg.member_of.get(v, ())):
             cloud = reg.clouds[cid]
             (v_primary if cloud.kind is CloudKind.PRIMARY else v_secondary).append(cid)
             topology = replace(cloud.topology, edge_list=[
                 e for e in cloud.topology.edge_list if v not in e])
-            reg.clouds[cid] = replace(cloud, members=cloud.members - {v}, topology=topology)
+            reg.store(replace(cloud, members=cloud.members - {v}, topology=topology))
             if not reg.clouds[cid].members:
                 reg.retire(cid)
         return v_primary, v_secondary, lost_roles
@@ -344,15 +388,19 @@ class Healer:
     # -- repair subroutines ----------------------------------------------
 
     def _rebuild(self, cloud_ids: Iterable[int]) -> None:
-        """Re-draw each listed cloud that is still registered over its
+        """Re-design each listed cloud that is still registered over its
         current members, with its registered kind and color, reusing
-        edges across all of them before purging.  A cloud the scrub
-        retired (the dead node was its last member) is skipped."""
+        edges across all of them before purging.  The registered
+        topology, scrubbed of the dead node, is handed to
+        ``build_topology``, which splices it when it can and redraws it
+        otherwise.  A cloud the scrub retired (the dead node was its last
+        member) is skipped."""
         reg = self.registry
         live = [cid for cid in sorted(set(cloud_ids)) if cid in reg.clouds]
         self._strip(live)
         for cid in live:
-            self._build_cloud(reg.clouds[cid].members, reg.clouds[cid].kind, color=cid)
+            cloud = reg.clouds[cid]
+            self._build_cloud(cloud.members, cloud.kind, color=cid, previous=cloud.topology)
         self._purge()
 
     def _make_secondary_cloud(self, cloud_ids: Iterable[int],
@@ -375,13 +423,10 @@ class Healer:
             reserved.add(free)
         members = sorted(set(picks.values()) | set(extras))
         fid = self._build_cloud(members, CloudKind.SECONDARY)
+        # loose nodes take no duty: a dead neighbor pays for their slot
         for cid in sorted(picks):
             self.registry.bridges[(fid, cid)] = picks[cid]
             self.registry.duty[picks[cid]] = fid
-        for node in extras:
-            # a loose node that already bridges another secondary keeps
-            # that duty; it still joins here as a plain member
-            self.registry.duty.setdefault(node, fid)
 
     def _fix_secondary_cloud(self, fid: int, lost_primary: int) -> int | None:
         """Repair secondary cloud *fid* after the deleted node, its bridge
@@ -400,7 +445,7 @@ class Healer:
             reg.duty[replacement] = fid
             reg.bridges[(fid, lost_primary)] = replacement
             cloud = reg.clouds[fid]
-            reg.clouds[fid] = replace(cloud, members=cloud.members | {replacement})
+            reg.store(replace(cloud, members=cloud.members | {replacement}))
         self._rebuild([fid])
         return None
 
@@ -421,46 +466,70 @@ class Healer:
         return merged
 
     def _pick_free_node(self, cid: int, reserved: set[int]) -> int | None:
-        """Smallest-id member of the cloud with no secondary duty, else
-        the smallest-id free node of a primary cloud sharing a member
-        (borrowed), else None."""
+        """Smallest-id free node of the cloud, else the smallest-id free
+        node of a primary cloud sharing a member (borrowed), else None.
+
+        A free node holds no secondary duty, is not *reserved*, and has
+        a slot left for the cloud it is drafted into (``_has_free_slot``).
+        """
         reg = self.registry
         cloud = reg.clouds[cid]
         for node in sorted(cloud.members):
-            if node not in reg.duty and node not in reserved:
+            if node not in reg.duty and node not in reserved and self._has_free_slot(node):
                 return node
-        primary = CloudKind.PRIMARY  # one enum lookup, not one per live cloud
+        primary = CloudKind.PRIMARY
+        sharing = {other for node in cloud.members for other in reg.member_of[node]}
+        sharing.discard(cid)
         candidates = sorted({
             node
-            for other in reg.clouds.values()
-            if other.kind is primary and other is not cloud
-            and not cloud.members.isdisjoint(other.members)
-            for node in other.members
+            for other in sharing if reg.clouds[other].kind is primary
+            for node in reg.clouds[other].members
             if node not in reg.duty and node not in reserved
         })
-        if candidates:
-            self.counters.bridges_borrowed += 1
-            return candidates[0]
+        for node in candidates:
+            if self._has_free_slot(node):
+                self.counters.bridges_borrowed += 1
+                return node
         self.counters.free_node_misses += 1
         return None
+
+    def _has_free_slot(self, node: int) -> bool:
+        """Whether *node* may be drafted into one more cloud by the
+        repair of ``dying`` and keep its cloud budget (see
+        ``budget_errors``).
+
+        Its clouds held, plus one when it is a black neighbor of the
+        dying node (it also joins that repair's new secondary cloud as a
+        loose member), must not exceed its dead baseline neighbors,
+        counting the dying node.
+        """
+        held = len(self.registry.member_of.get(node, ())) + (node in self.dying_blacks)
+        dead = self.shadow.dead_degree(node) + (self.dying in self.shadow.neighbors(node))
+        return held <= dead
 
     # -- edge lifecycle ----------------------------------------------------
 
     def _build_cloud(self, members: Iterable[int], kind: CloudKind,
-                     color: int | None = None) -> int:
+                     color: int | None = None,
+                     previous: CloudTopology | None = None) -> int:
         """Design a topology over the non-empty *members* and plan its
         edges.  A fresh color registers a new cloud; an existing color
-        rebuilds that cloud in place."""
+        rebuilds that cloud in place from its *previous* topology, by a
+        splice or a redraw."""
         member_list = sorted(set(members))
         if color is None:
             color = self.next_cloud_id
             self.next_cloud_id += 1
             self.counters.clouds_built += 1
-        else:
-            self.counters.clouds_rebuilt += 1
-        topology = build_topology(member_list, self.cfg, self.rng)
-        self.registry.clouds[color] = Cloud(color, kind, frozenset(member_list), topology)
-        self.steps[-1].built.append(self.registry.clouds[color])
+        topology = build_topology(member_list, self.cfg, self.rng, previous=previous)
+        if previous is not None:
+            if topology.spliced:
+                self.counters.clouds_spliced += 1
+            else:
+                self.counters.clouds_rebuilt += 1
+        cloud = Cloud(color, kind, frozenset(member_list), topology)
+        self.registry.store(cloud)
+        self.steps[-1].built.append(cloud)
         return color
 
     def _strip(self, cloud_ids: Sequence[int]) -> None:
@@ -471,9 +540,22 @@ class Healer:
         self.steps.append(EdgeStep())
 
     def _apply(self, step: EdgeStep) -> None:
-        created, reused, deleted = self.graph.recolor(
-            [(cloud.id, cloud.topology.edge_list) for cloud in step.stripped],
-            [(cloud.id, cloud.topology.edge_list) for cloud in step.built])
+        """Recolor the graph by the step's per-color difference: a cloud
+        stripped and built in the same step loses only the edges its new
+        topology drops and gains only those it adds.  The graph ends as
+        after stripping every old edge and painting every new one, since
+        an edge a cloud keeps would be repainted before the purge; it is
+        just no longer counted as reused."""
+        old = {cloud.id: cloud.topology.edge_list for cloud in step.stripped}
+        kept = {cloud.id: set(old[cloud.id]).intersection(cloud.topology.edge_list)
+                for cloud in step.built if cloud.id in old}
+
+        def changed(cloud: Cloud) -> tuple[int, list[EdgeKey]]:
+            keep, edges = kept.get(cloud.id), cloud.topology.edge_list
+            return cloud.id, edges if keep is None else [e for e in edges if e not in keep]
+
+        created, reused, deleted = self.graph.recolor(map(changed, step.stripped),
+                                                      map(changed, step.built))
         self.counters.edges_created += created
         self.counters.edges_reused += reused
         self.counters.edges_deleted += deleted
@@ -504,16 +586,44 @@ def expected_edge_state(healer: Healer) -> dict[EdgeKey, set[int]]:
     return expected
 
 
+def budget_errors(healer: Healer) -> list[str]:
+    """Alive nodes over their cloud budget.
+
+    A node x held by p(x) primary and s(x) secondary clouds, with dead(x)
+    dead baseline neighbors, must have ``p(x) + s(x) <= dead(x) + 1``:
+    its live black degree is its baseline degree less dead(x), and each
+    cloud adds at most kappa edges, so the budget gives the degree bound
+    ``kappa * baseline_degree + kappa``.  Only alive nodes the shadow
+    knows are counted; a dead or unknown cloud member is reported by the
+    registry and shadow checks.
+    """
+    shadow = healer.shadow
+    held: dict[int, list[int]] = {}
+    for cloud in healer.registry.clouds.values():
+        for node in cloud.members:
+            held.setdefault(node, [0, 0])[cloud.kind is CloudKind.SECONDARY] += 1
+    errs = []
+    for node in sorted(held):
+        if node not in shadow.alive or node not in shadow:
+            continue
+        (p, s), dead = held[node], shadow.dead_degree(node)
+        if p + s > dead + 1:
+            errs.append(f"node {node} holds {p} primary and {s} secondary clouds, "
+                        f"over its budget of {dead} dead baseline neighbors + 1")
+    return errs
+
+
 def coherence_errors(healer: Healer) -> list[str]:
     """Full cross-check of graph, shadow, and registry.
 
     Empty result means: the graph's color sets are exactly what the
     registry implies, structural indexes agree, no colorless edge is
-    left behind, and every expander cloud's certificate clears
-    ``alpha_target``.
+    left behind, every expander cloud's certificate clears
+    ``alpha_target``, and every node keeps its cloud budget.
     """
     errs = healer.graph.integrity_errors()
     errs.extend(healer.registry.validation_errors(set(healer.shadow.alive)))
+    errs.extend(budget_errors(healer))
     alpha = healer.cfg.alpha_target
     for cid, cloud in healer.registry.clouds.items():
         cert = cloud.topology.certified_expansion

@@ -2,7 +2,11 @@
 
 Small member sets become cliques; larger ones become seeded random
 kappa-regular graphs sampled with the pairing model and accepted only
-once an expansion certificate clears the configured target.  At every
+once an expansion certificate clears the configured target.  A cloud
+that lost one member is spliced before any draw: the departed member's
+kappa neighbours are re-paired with kappa/2 new edges, or its
+replacement takes its kappa edges, and the result must clear the same
+certificate; only if it does not is the cloud redrawn whole.  At every
 size the first test is a spectral gate: one Cholesky factorization
 proves lambda2 large enough that lambda2/2 clears the target (Cheeger),
 with no eigensolve.  Only a draw that fails the gate is measured: by
@@ -58,6 +62,8 @@ class TopologyKind(Enum):
 HARD_ENUMERATION_CEILING = 26
 # Nodes after the first whose cut masks expansion_exact tabulates at once.
 LOW_BLOCK_BITS = 14
+# Shuffles a splice tries before it gives up on pairing only non-neighbours.
+SPLICE_TRIES = 8
 
 
 @dataclass(frozen=True)
@@ -90,9 +96,17 @@ class ExpanderConfig:
 
 @dataclass
 class CloudTopology:
+    """A cloud's edges and the expansion certificate they were accepted on.
+
+    ``spliced`` records how this build went: True when the edges were
+    mended from the cloud's previous topology instead of drawn.  It is
+    not part of a snapshot, which loads every topology as not spliced.
+    """
+
     kind: TopologyKind
     edge_list: list[EdgeKey]
     certified_expansion: Fraction
+    spliced: bool = False
 
 
 def expansion_exact(n: int, u: np.ndarray, v: np.ndarray, limit: int) -> Fraction:
@@ -218,22 +232,19 @@ def _spectral_gate(n: int, u: np.ndarray, v: np.ndarray, alpha: Fraction) -> boo
     return True
 
 
-def _gate_certificate(m: int, edges: set[EdgeKey], cfg: ExpanderConfig) -> Fraction:
-    """Expansion certificate of the graph on positions 0..m-1 with
-    *edges*, measured only as far as the acceptance gate needs.
+def _gate_certificate(m: int, u: np.ndarray, v: np.ndarray, cfg: ExpanderConfig) -> Fraction:
+    """Expansion certificate of the graph on positions 0..m-1 with edges
+    ``(u[i], v[i])``, measured only as far as the acceptance gate needs.
 
     The spectral gate runs first at every size and, when it passes,
     ``alpha_target`` itself is the certificate: the gate proved it, and
-    no eigenvalue is computed.  A draw that fails the gate is measured
+    no eigenvalue is computed.  A graph that fails the gate is measured
     for the retry message: exactly by cut enumeration when m is at most
     ``exact_limit`` (a small graph can clear the target on cuts that
     lambda2 cannot prove), by lambda2/2 otherwise.  Every certificate is
     a lower bound on the true expansion, so a disconnected graph
     (expansion 0) never clears the positive target.
     """
-    ends = np.fromiter(itertools.chain.from_iterable(edges), dtype=np.intp,
-                       count=2 * len(edges))
-    u, v = ends[0::2], ends[1::2]
     if _spectral_gate(m, u, v, cfg.alpha_target):
         return cfg.alpha_target
     if m <= cfg.exact_limit:
@@ -303,18 +314,71 @@ def _pairing_attempt(n: int, kappa: int, rng: random.Random) -> set[tuple[int, i
     return edges
 
 
+def _splice(previous: CloudTopology, ranked: list[int], cfg: ExpanderConfig,
+            rng: random.Random) -> CloudTopology | None:
+    """Mend *previous*, a kappa-regular cloud topology that lost one
+    member, into one on the sorted members *ranked*, or return None.
+
+    The departed member's kappa cloud neighbours are one edge short.
+    When every other member has degree kappa, the kappa short ones are
+    shuffled and joined in adjacent pairs, kappa/2 new edges; a shuffle
+    that pairs two existing neighbours is redone, up to SPLICE_TRIES
+    times.  When one more member has degree 0, a replacement joining in
+    the departed member's place, it takes those kappa edges.  Any other
+    shape, a clash on every try, or a result that fails the gate of
+    ``_gate_certificate`` gives None.  An accepted result is simple and
+    kappa-regular on exactly *ranked*.
+    """
+    kappa, m = cfg.kappa, len(ranked)
+    ids = np.array(ranked, dtype=np.int64)
+    ends = np.array(previous.edge_list, dtype=np.int64).reshape(-1, 2)
+    pos = np.minimum(np.searchsorted(ids, ends), m - 1)
+    if not (ids[pos] == ends).all():
+        return None  # an edge leaves the member set
+    deg = np.bincount(pos.ravel(), minlength=m)
+    short = np.flatnonzero(deg != kappa).tolist()
+    short_deg = sorted(deg[short].tolist())
+    if short_deg == [kappa - 1] * kappa:
+        existing = set(previous.edge_list)
+        for _ in range(SPLICE_TRIES):
+            partial_shuffle(short, kappa - 1, rng)  # rng.shuffle(short)
+            it = iter(short)
+            pairs = [(a, b) if a < b else (b, a) for a, b in zip(it, it)]
+            if existing.isdisjoint((ranked[a], ranked[b]) for a, b in pairs):
+                break
+        else:
+            return None
+    elif short_deg == [0] + [kappa - 1] * kappa:
+        (newcomer,) = (p for p in short if deg[p] == 0)
+        pairs = [(a, newcomer) if a < newcomer else (newcomer, a)
+                 for a in short if a != newcomer]
+    else:
+        return None
+    added = np.array(pairs, dtype=np.int64)
+    cert = _gate_certificate(m, np.concatenate([pos[:, 0], added[:, 0]]),
+                             np.concatenate([pos[:, 1], added[:, 1]]), cfg)
+    if cert < cfg.alpha_target:
+        return None
+    edge_list = sorted(previous.edge_list + [(ranked[a], ranked[b]) for a, b in pairs])
+    return CloudTopology(TopologyKind.REGULAR_EXPANDER, edge_list, cert, spliced=True)
+
+
 def build_topology(
-    members: Sequence[int], cfg: ExpanderConfig, rng: random.Random
+    members: Sequence[int], cfg: ExpanderConfig, rng: random.Random,
+    previous: CloudTopology | None = None,
 ) -> CloudTopology:
     """Design the edge set of a cloud over *members*.
 
     Up to kappa+1 members the cloud is a clique (its exact expansion is
-    recorded but never gated).  Beyond that, simple kappa-regular
-    candidates are sampled until one certifies expansion at least
-    ``alpha_target``, which also proves it connected; the cloud records
-    that certificate: ``alpha_target`` after a spectral gate pass, the
-    exact expansion after an exact one.  Deterministic for a fixed rng
-    state.
+    recorded but never gated).  Beyond that, when *previous* is the
+    cloud's regular-expander topology less one departed member, a splice
+    that re-pairs that member's neighbours is tried first (see
+    ``_splice``).  Otherwise, or when the splice fails, simple
+    kappa-regular candidates are sampled until one certifies expansion
+    at least ``alpha_target``, which also proves it connected; the cloud
+    records that certificate: ``alpha_target`` after a spectral gate
+    pass, the exact expansion after an exact one.  Deterministic for a
+    fixed rng state.
     """
     ordered = list(members)
     if len(set(ordered)) != len(ordered):
@@ -331,6 +395,11 @@ def build_topology(
         cert = Fraction(0) if m < 2 else Fraction(m - m // 2)
         return CloudTopology(TopologyKind.CLIQUE, edge_list, cert)
 
+    if previous is not None and previous.kind is TopologyKind.REGULAR_EXPANDER:
+        spliced = _splice(previous, ranked, cfg, rng)
+        if spliced is not None:
+            return spliced
+
     best = Fraction(0)  # a draw that dead-ends certifies nothing
     for _ in range(cfg.max_retries):
         idx_edges = _pairing_attempt(m, cfg.kappa, rng)
@@ -338,7 +407,9 @@ def build_topology(
             continue
         # certified on positions 0..m-1: ranked is sorted, so mapping
         # positions to members keeps the order, the Laplacian and every cut
-        cert = _gate_certificate(m, idx_edges, cfg)
+        ends = np.fromiter(itertools.chain.from_iterable(idx_edges), dtype=np.intp,
+                           count=2 * len(idx_edges))
+        cert = _gate_certificate(m, ends[0::2], ends[1::2], cfg)
         if cert >= cfg.alpha_target:
             edge_list = [(ranked[i], ranked[j]) for i, j in sorted(idx_edges)]
             return CloudTopology(TopologyKind.REGULAR_EXPANDER, edge_list, cert)

@@ -287,6 +287,11 @@ class ShadowGraph:
         """Degree in the full baseline (dead neighbors included)."""
         return len(self.neighbors(v))
 
+    def dead_degree(self, v: int) -> int:
+        """Baseline neighbors of *v* that are no longer alive."""
+        alive = self.alive
+        return sum(nb not in alive for nb in self.neighbors(v))
+
     def apply(self, event: "Event") -> None:
         """Record an adversarial event: inserts append, deletes only
         toggle liveness."""

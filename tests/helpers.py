@@ -331,6 +331,19 @@ def recolor_oracle(g: ColoredGraph, strip, paint) -> tuple[int, int, int]:
     return created, reused, purge_colorless(g, sorted(drained))
 
 
+def apply_full_oracle(healer, step) -> None:
+    """``Healer._apply`` as a full strip and paint: every stripped
+    cloud's edges lose its color and every built cloud's edges take it,
+    so an edge a rebuilt cloud keeps is stripped, repainted and counted
+    as reused."""
+    created, reused, deleted = healer.graph.recolor(
+        [(cloud.id, cloud.topology.edge_list) for cloud in step.stripped],
+        [(cloud.id, cloud.topology.edge_list) for cloud in step.built])
+    healer.counters.edges_created += created
+    healer.counters.edges_reused += reused
+    healer.counters.edges_deleted += deleted
+
+
 def pairing_attempt_oracle(n: int, kappa: int, rng: random.Random):
     """``expander._pairing_attempt`` drawing through ``rng.shuffle``."""
 

@@ -112,18 +112,18 @@ def test_run_fault_detected(tmp_path, capsys):
 
 
 def test_run_certification_failure_exits_3(tmp_path, capsys):
-    # alpha_target=1 cannot be certified on this trace's 78-node clouds
+    # alpha_target=1 cannot be certified on this trace's 80-node clouds
     trace = tmp_path / "t.jsonl"
-    assert run_cli(["gen", "--strategy", "uniform", "--n0", "200", "--steps", "300",
-                    "--seed", "4", "-o", str(trace)]) == 0
-    code = run_cli(["run", "--trace", str(trace), "--seed", "4",
+    assert run_cli(["gen", "--strategy", "uniform", "--n0", "200", "--steps", "400",
+                    "--seed", "1", "-o", str(trace)]) == 0
+    code = run_cli(["run", "--trace", str(trace), "--seed", "1",
                     "-o", str(tmp_path / "r.csv")])
     assert code == 3
     err = capsys.readouterr().err
     assert "certified expansion" in err
     # the cloud size, the best certificate over the draws and the ceiling
-    best = re.search(r"on 78 nodes .* \(best certificate (0\.\d{3});", err)
-    assert best and float(best.group(1)) < 1
+    best = re.search(r"on (\d+) nodes .* \(best certificate (0\.\d{3});", err)
+    assert best and int(best.group(1)) > 20 and float(best.group(2)) < 1
     assert "(kappa-2*sqrt(kappa-1))/2 = 0.764" in err
 
 
@@ -175,6 +175,17 @@ def test_verify_repeats_the_runs_final_checkpoint(tmp_path, capsys):
     lines = capsys.readouterr().err.splitlines()
     assert lines == [f"VIOLATION {line}" for line in reports[-1].violation_detail]
     assert sum("stretch: pair" in line for line in lines) == 16
+    # the snapshot keeps the run's checkpoint settings for verify
+    assert run_cli(["run", "--trace", str(path), "--seed", "1", "--fault", "skip-heal",
+                    "--stretch-pairs", "50", "--density-samples", "7",
+                    "--snapshot", str(snap), "-o", str(tmp_path / "r.csv")]) == 1
+    cfg = cli.RunConfig(seed=1, stretch_pairs=50, density_samples=7)
+    _, reports = cli.run_trace(trace, cfg, fault="skip-heal")
+    capsys.readouterr()
+    assert run_cli(["verify", "--snapshot", str(snap)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [f"VIOLATION {line}" for line in reports[-1].violation_detail]
+    assert 0 < sum("stretch: pair" in line for line in lines) < 16
 
 
 def small_snapshot(tmp_path):
@@ -214,6 +225,10 @@ def test_verify_missing_or_malformed_snapshot(tmp_path, capsys):
     data = small_snapshot(tmp_path)
     broken = {
         "v1": lambda d: d.update(v=1),
+        "v2": lambda d: d.update(v=2),
+        "no-checkpoint-settings": lambda d: d.pop("checkpoint"),
+        "zero-stretch-pairs": lambda d: d["checkpoint"].update(stretch_pairs=0),
+        "string-density-samples": lambda d: d["checkpoint"].update(density_samples="100"),
         "unknown-counter": lambda d: d["counters"].update(bogus_counter=0),
         "missing-counter": lambda d: d["counters"].pop("merges"),
         "exact-limit-over-ceiling": lambda d: d["config"].update(exact_limit=30),

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from xhealsim.engine import (
     EdgeStep,
     Healer,
     InvalidEvent,
+    budget_errors,
     coherence_errors,
     expected_edge_state,
 )
@@ -137,6 +139,9 @@ def test_secondary_branch_repairs_bridge_loss():
     h.handle_event(Event("del", 3))     # P2 = {4,5}
     h.handle_event(Event("del", 1))     # branch 2: fixes P1, bridges it, black nbr 4
     assert h.counters.branch_primary == 1
+    # the bridge takes duty; the loose black neighbor 4 takes none
+    assert h.registry.duty == {node: f for (f, _), node in h.registry.bridges.items()}
+    assert 4 not in h.registry.duty
     h.handle_event(Event("del", 2))     # branch 3: 2 carries secondary color
     assert h.counters.branch_secondary == 1
     assert coherence_errors(h) == []
@@ -261,14 +266,14 @@ def assert_failed_event_changes_nothing(h, event, seed):
 
 
 def test_certification_failure_on_a_real_trace_changes_nothing():
-    # at alpha 1, event 281 of this trace rebuilds a 78-member cloud and
-    # no 6-regular draw certifies it (the exit-3 trace of the CLI tests)
-    trace = gen_trace(Strategy("uniform", insert_fraction=0.4), 200, 300, 4)
+    # at alpha 1, event 342 of this trace needs an 81-member cloud and no
+    # 6-regular draw certifies it (the exit-3 trace of the CLI tests)
+    trace = gen_trace(Strategy("uniform", insert_fraction=0.4), 200, 400, 1)
     h = Healer.from_initial(trace.initial_nodes, trace.initial_edges,
-                            cli.RunConfig(seed=4).expander(), random.Random("4/engine"))
-    for event in trace.events[:280]:
+                            cli.RunConfig(seed=1).expander(), random.Random("1/engine"))
+    for event in trace.events[:341]:
         h.handle_event(event)
-    assert_failed_event_changes_nothing(h, trace.events[280], 4)
+    assert_failed_event_changes_nothing(h, trace.events[341], 1)
 
 
 def test_certification_failure_after_a_planned_rebuild_changes_nothing():
@@ -355,3 +360,73 @@ def test_degree_bound_hand_example():
     slack, violations = check_degree_bound(h.graph, h.shadow, 6)
     assert violations == []
     assert slack == 10
+
+
+@pytest.mark.parametrize("n0,seed,alpha", [
+    (50, 9, Fraction(1)),        # budget broke at t=40 under the old free-node rule
+    (100, 3, Fraction(1)),       # degree bound broke at t=122
+    (500, 2, Fraction(1, 2)),    # degree bound broke at t=450
+])
+def test_every_event_keeps_the_cloud_budget_and_the_degree_bound(n0, seed, alpha):
+    trace = gen_trace(Strategy("uniform", insert_fraction=0.4), n0,
+                      750 if n0 == 500 else 300, seed)
+    cfg = cli.RunConfig(seed=seed, alpha_target=alpha)
+    h = Healer.from_initial(trace.initial_nodes, trace.initial_edges, cfg.expander(),
+                            random.Random(f"{seed}/engine"))
+    kappa, alive = cfg.kappa, h.shadow.alive
+    for t, event in enumerate(trace.events, start=1):
+        h.handle_event(event)
+        assert budget_errors(h) == [], t
+        over = [x for x in alive
+                if h.graph.degree(x) > kappa * h.shadow.degree(x) + kappa]
+        assert over == [], t
+    assert coherence_errors(h) == []
+
+
+def test_budget_errors_name_a_node_over_its_budget():
+    # node 1 lost one baseline neighbor, so it may hold two clouds
+    h = make_healer([0, 1, 2, 3], [(0, 1), (0, 2), (0, 3)])
+    h.handle_event(Event("del", 0))
+    (pid,) = h.registry.clouds
+    assert budget_errors(h) == []
+    for extra in range(2):
+        h.registry.store(replace(h.registry.clouds[pid], id=100 + extra))
+    assert budget_errors(h) == [
+        f"node {x} holds 3 primary and 0 secondary clouds, "
+        "over its budget of 1 dead baseline neighbors + 1" for x in (1, 2, 3)]
+
+
+def test_free_slot_counts_the_dying_node_and_a_loose_membership():
+    # 4 lost its baseline neighbor 3 and holds two clouds, a full budget.
+    # The dying node 5 is also its baseline neighbor and pays for one
+    # more cloud, unless 4 is one of 5's black neighbors, which join the
+    # new secondary as loose members anyway
+    h = make_healer(list(range(6)), [(3, 0), (3, 4), (4, 5), (5, 1)])
+    h.handle_event(Event("del", 3))  # primary {0, 4}
+    (pid,) = h.registry.clouds
+    h.registry.store(replace(h.registry.clouds[pid], id=pid + 1))
+    assert not h._has_free_slot(4)  # 2 held, 1 dead
+    h.dying = 5
+    assert h._has_free_slot(4)  # 2 held, 2 dead counting the dying node
+    h.dying_blacks = frozenset({1, 4})
+    assert not h._has_free_slot(4)  # 2 held and 1 loose, 2 dead
+
+
+def test_a_cloud_that_loses_one_member_is_spliced_with_kappa_half_new_edges():
+    # the hub's 14 leaves form a 6-regular cloud; when leaf 1 dies its six
+    # cloud neighbors are re-paired by three new edges, the rest is kept
+    h = make_healer(list(range(15)), [(0, leaf) for leaf in range(1, 15)])
+    h.handle_event(Event("del", 0))
+    (pid,) = h.registry.clouds
+    before = set(h.registry.clouds[pid].topology.edge_list)
+    orphans = {u if v == 1 else v for u, v in before if 1 in (u, v)}
+    created, reused = h.counters.edges_created, h.counters.edges_reused
+    h.handle_event(Event("del", 1))
+    after = set(h.registry.clouds[pid].topology.edge_list)
+    assert before - after == {e for e in before if 1 in e}
+    assert len(after - before) == 3 and all(set(e) <= orphans for e in after - before)
+    c = h.counters
+    assert (c.clouds_spliced, c.clouds_rebuilt) == (1, 0)
+    # only the new edges are painted; the kept ones are not counted as reused
+    assert (c.edges_created - created, c.edges_reused - reused, c.edges_deleted) == (3, 0, 0)
+    assert coherence_errors(h) == []

@@ -1,6 +1,7 @@
 import math
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +19,7 @@ from helpers import (
 from xhealsim import expander, metrics
 from xhealsim.expander import (
     HARD_ENUMERATION_CEILING,
+    CloudTopology,
     ExpanderConfig,
     RetriesExhausted,
     TooLarge,
@@ -300,3 +302,115 @@ def test_expansion_exact_memory_is_bounded(n):
         tracemalloc.stop()
     assert 0 < value <= 6
     assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MB at n={n}"
+
+
+def without(topology, node):
+    """*topology* as the engine hands it back after *node* died: the
+    dead member's edges scrubbed, everything else kept."""
+    return CloudTopology(topology.kind, [e for e in topology.edge_list if node not in e],
+                         topology.certified_expansion)
+
+
+def expander_topology(adjacency, cfg):
+    edges = sorted({(min(u, v), max(u, v)) for u in adjacency for v in adjacency[u]})
+    return CloudTopology(TopologyKind.REGULAR_EXPANDER, edges, cfg.alpha_target)
+
+
+def degrees(edge_list):
+    return Counter(end for edge in edge_list for end in edge)
+
+
+@pytest.mark.parametrize("kappa,m", [(4, 12), (6, 16), (6, 30), (8, 40)])
+def test_splice_keeps_a_simple_regular_cloud_on_exactly_its_members(kappa, m):
+    cfg = ExpanderConfig(kappa=kappa, alpha_target=Fraction(1, 2))
+    for seed in range(5):
+        rng = random.Random(seed)
+        previous = build_topology(list(range(m)), cfg, rng)
+        gone = seed % m
+        neighbours = {u if v == gone else v for u, v in previous.edge_list if gone in (u, v)}
+        members = [x for x in range(m) if x != gone]
+        scrubbed = without(previous, gone)
+        topo = build_topology(members, cfg, rng, previous=scrubbed)
+        assert topo.spliced and topo.kind is TopologyKind.REGULAR_EXPANDER
+        assert topo.edge_list == sorted(set(topo.edge_list))
+        assert degrees(topo.edge_list) == {x: kappa for x in members}
+        added = set(topo.edge_list) - set(scrubbed.edge_list)
+        assert set(scrubbed.edge_list) <= set(topo.edge_list) and len(added) == kappa // 2
+        assert {end for edge in added for end in edge} == neighbours
+        assert certificate_oracle(members, topo.edge_list, cfg) >= cfg.alpha_target
+
+
+def test_splice_pairs_only_nodes_that_are_not_yet_neighbours():
+    # in the circulant C_12(1, 2), node 0's neighbours 1, 2, 10, 11 are
+    # joined by 1-2, 10-11 and 11-1, so of the three ways to pair them
+    # only {1-10, 2-11} adds no existing edge
+    cfg = ExpanderConfig(kappa=4, alpha_target=Fraction(1, 2))
+    scrubbed = without(expander_topology(circulant(12, (1, 2)), cfg), 0)
+    spliced = 0
+    for seed in range(20):
+        topo = build_topology(list(range(1, 12)), cfg, random.Random(seed), previous=scrubbed)
+        if topo.spliced:
+            spliced += 1
+            assert set(topo.edge_list) - set(scrubbed.edge_list) == {(1, 10), (2, 11)}
+        else:  # eight shuffles clashed, each with odds 2/3
+            assert degrees(topo.edge_list) == {x: 4 for x in range(1, 12)}
+    assert spliced >= 15
+
+
+def test_splice_that_cannot_avoid_an_existing_edge_falls_back_to_a_redraw():
+    # node 0's neighbours 1-4 form a K4, so every pairing clashes
+    cfg = ExpanderConfig(kappa=4, alpha_target=Fraction(1, 2))
+    adjacency = {i: {j for j in range(5) if j != i} for i in range(5)}
+    adjacency.update({5 + i: {5 + j for j in nbrs} for i, nbrs in circulant(10, (1, 2)).items()})
+    scrubbed = without(expander_topology(adjacency, cfg), 0)
+    topo = build_topology(list(range(1, 15)), cfg, random.Random(0), previous=scrubbed)
+    assert not topo.spliced and topo.kind is TopologyKind.REGULAR_EXPANDER
+    assert degrees(topo.edge_list) == {x: 4 for x in range(1, 15)}
+
+
+def test_replacement_inherits_the_departed_members_edges():
+    cfg = ExpanderConfig(kappa=6, alpha_target=Fraction(1, 2))
+    previous = build_topology(list(range(30)), cfg, random.Random(4))
+    gone, newcomer = 7, 99
+    scrubbed = without(previous, gone)
+    members = [x for x in range(30) if x != gone] + [newcomer]
+    topo = build_topology(members, cfg, random.Random(5), previous=scrubbed)
+    assert topo.spliced
+    inherited = {(min(u, v), max(u, v)) for u, v in
+                 ((newcomer if u == gone else u, newcomer if v == gone else v)
+                  for u, v in previous.edge_list)}
+    assert topo.edge_list == sorted(inherited)
+
+
+def test_splice_that_fails_the_gate_falls_back_to_the_redraw_loop(monkeypatch):
+    cfg = ExpanderConfig(kappa=6, alpha_target=Fraction(1, 2))
+    previous = build_topology(list(range(30)), cfg, random.Random(1))
+    members = list(range(1, 30))
+    gate, states = expander._gate_certificate, []
+
+    def failing_first(m, u, v, cfg):
+        if not states:  # the splice's certificate: the shuffle has drawn
+            states.append(rng.getstate())
+            return Fraction(0)
+        return gate(m, u, v, cfg)
+
+    monkeypatch.setattr(expander, "_gate_certificate", failing_first)
+    rng = random.Random(2)
+    topo = build_topology(members, cfg, rng, previous=without(previous, 0))
+    assert not topo.spliced and states
+    # the same draws as a build without a previous topology from there on
+    redraw = random.Random()
+    redraw.setstate(states[0])
+    assert topo == build_topology(members, cfg, redraw)
+
+
+def test_splice_applies_only_to_one_member_lost_from_a_regular_expander():
+    cfg = ExpanderConfig(kappa=6, alpha_target=Fraction(1, 2))
+    previous = build_topology(list(range(30)), cfg, random.Random(1))
+    two_gone = without(without(previous, 0), 1)
+    clique = CloudTopology(TopologyKind.CLIQUE, previous.edge_list, Fraction(15))
+    for members, given in [(list(range(2, 30)), two_gone),         # two lost
+                           (list(range(30)), previous),            # none lost
+                           (list(range(1, 30)), without(clique, 0)),  # not an expander
+                           (list(range(2, 30)), without(previous, 0))]:  # edge leaves members
+        assert not build_topology(members, cfg, random.Random(3), previous=given).spliced

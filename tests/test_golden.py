@@ -26,33 +26,33 @@ from xhealsim.engine import Healer
 
 GOLDEN = {
     "uniform-0":
-        "c3dbc3e35a5255435d261d08d49dbf42afb3dd466cb0ec6b39fe6470fd2796a6",
+        "c2573a5b2503ff6125f8bce4d32da503f8979045f0b0fcf6eafdfa7b1c123c55",
     "uniform-1":
-        "1fac73828e2b9241e2f677804920e7be831be151684996cd07d99517e02dc0ea",
+        "b69de7687c47d7900b2ada470a397f99bdaca241acc5c0e09083e3f5db038dfd",
     "uniform-2":
-        "f2ee64129600a4a98bd7590d1399828601f358efb2197c2cba264d66fa1c6015",
+        "f99d01a82dd3cf67cc4f9c9dd7c91ac5db234f172a8634aafbfd79c9b022e2bb",
     "uniform-0-drop-black-edge":
-        "14a5a48f7f6a1603505ac04a85534e4485cb6f8183977c16bae98736c0137304",
+        "0f89d77706f4307745a59033fc9f693299a4c5b304c538a87221a53c94f2598c",
     "target-bridge-3":
-        "e1b30ae4d2fcda3d4036b5ae2209bb104180d121384d6118b05fc767336a2163",
+        "3c93076983595f9768032bb13e45dd5f3281c28073d6cf71d53c38da627b35fe",
 }
 
 # final state after a churn-mid-sized uniform trace: n0=500, 750 events,
-# alpha 1/2, seed 0; clouds reach 145 members, so membership scans and
-# borrowed bridges are exercised at scale
-SNAPSHOT_GOLDEN = "1d512538e9aaf46dbf525a7e0806d3602cc2d3e95e78985444a80c4aef746ab3"
+# alpha 1/2, seed 0; clouds reach 155 members, so the membership index,
+# splices and borrowed bridges are exercised at scale
+SNAPSHOT_GOLDEN = "64193fdca3ee88b2b385b2acf119eecc83eabc7eca0d7d28ac8d24aba8461663"
 
 # every report's violation_detail lines, which the CSV digests omit, for
 # a faulted n0=400 uniform run (300 events, drop-black-edge, alpha 1/2,
-# a checkpoint every 50): 1079 lines, 560 of them from the lower density
-# check, each naming a subset's members and its missing edges
-DETAIL_GOLDEN = "84c1a47749758265dbfc20e9a6b034e1aea23e923580b516682dbe068b5d226a"
+# a checkpoint every 50): 1081 lines, 567 of them from the density
+# checks, each naming a subset's members and its missing edges
+DETAIL_GOLDEN = "41ddc4140ffbfae67407819d6116a0474ef9794710c590f014cab4f547b6c7a9"
 
-# the CSV and every violation_detail line of an unfaulted n0=500 uniform
-# run (750 events, alpha 1/2, a checkpoint every 50) whose checkpoints at
-# t=450, 500 and 550 find a node over its degree budget, so the random
-# density subsets are drawn there
-DEGREE_GOLDEN = "a544594cd2cc14d76159bbbb3d88abd0be2e534b800b5ecb3621702587fdcc84"
+# the CSV and every violation_detail line of a faulted n0=500 uniform run
+# (750 events, drop-black-edge, alpha 1/2, a checkpoint every 50): a
+# missing baseline edge at every checkpoint after t=0 makes each draw its
+# random density subsets, with no node over its degree budget
+DRAW_GOLDEN = "c47cdfcf4255bf1e960fe4b14e20095b4b05d032d181e6ac77ebfb2e41f0ef7d"
 
 
 def csv_digest(reports) -> str:
@@ -100,11 +100,12 @@ def test_violation_detail_matches_golden_digest():
     assert hashlib.sha256(lines.encode()).hexdigest() == DETAIL_GOLDEN
 
 
-def test_degree_violating_run_matches_golden_digest():
+def test_density_draw_run_matches_golden_digest():
     trace = gen_trace(Strategy("uniform", insert_fraction=0.4), 500, 750, 2)
     cfg = cli.RunConfig(kappa=6, alpha_target=Fraction(1, 2), seed=2, checkpoint_every=50)
-    _, reports = cli.run_trace(trace, cfg)
-    assert [r.t for r in reports if r.degree_violations] == [450, 500, 550]
+    _, reports = cli.run_trace(trace, cfg, fault="drop-black-edge")
+    assert not any(r.edge_preservation_ok for r in reports[1:])
+    assert not any(r.degree_violations for r in reports)
     text = "\n".join([csv_digest(reports)]
                      + [line for r in reports for line in r.violation_detail])
-    assert hashlib.sha256(text.encode()).hexdigest() == DEGREE_GOLDEN
+    assert hashlib.sha256(text.encode()).hexdigest() == DRAW_GOLDEN

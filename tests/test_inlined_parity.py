@@ -7,6 +7,8 @@ the same values and leave the generator in the same state, or every
 cloud and every checkpoint after it changes.  ``ColoredGraph.recolor``
 makes a repair step's edge edits in one call; a healer driven through it
 must match one driven through the per-edge calls in ``helpers``.
+``Healer._apply`` recolors only what a rebuilt cloud changed; a healer
+driven through it must match one that strips and repaints every edge.
 """
 import math
 import random
@@ -17,8 +19,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import (pairing_attempt_oracle, picked_ids, recolor_oracle,
-                     sample_subsets_oracle)
+from helpers import (apply_full_oracle, pairing_attempt_oracle, picked_ids,
+                     recolor_oracle, sample_subsets_oracle)
 from xhealsim.adversary import Strategy, gen_trace
 from xhealsim.engine import Healer
 from xhealsim.expander import (ExpanderConfig, RetriesExhausted, _pairing_attempt,
@@ -86,15 +88,14 @@ def test_sample_subsets_at_the_sample_branch_boundaries(n):
     assert branches == ({True} if n == 21 else {True, False})
 
 
-def replay_pair(n0: int, steps: int, seed: int, fault: str | None):
-    """Yield a healer applying steps with ``recolor`` and one applying
-    them per edge, after each event of one uniform trace."""
+def replay_pair(n0: int, steps: int, seed: int, fault: str | None, reference):
+    """Yield a healer as it is and one that *reference* patched, after
+    each event of one uniform trace."""
     trace = gen_trace(Strategy("uniform", insert_fraction=0.4), n0, steps, seed)
     cfg = ExpanderConfig(alpha_target=Fraction(1, 2))
     healers = [Healer.from_initial(trace.initial_nodes, trace.initial_edges, cfg,
                                    random.Random(seed), fault=fault) for _ in range(2)]
-    batched, per_edge = healers
-    per_edge.graph.recolor = types.MethodType(recolor_oracle, per_edge.graph)
+    reference(healers[1])
     for event in trace.events:
         outcomes = []
         for healer in healers:
@@ -106,7 +107,15 @@ def replay_pair(n0: int, steps: int, seed: int, fault: str | None):
         assert outcomes[0] == outcomes[1]
         if outcomes[0] is not None:
             return
-        yield batched, per_edge
+        yield healers
+
+
+def per_edge_recolor(healer):
+    healer.graph.recolor = types.MethodType(recolor_oracle, healer.graph)
+
+
+def full_strip_and_paint(healer):
+    healer._apply = types.MethodType(apply_full_oracle, healer)
 
 
 def edge_state(healer):
@@ -122,9 +131,37 @@ def edge_state(healer):
 @example(n0=40, steps=60, seed=3, fault="skip-heal")
 @example(n0=40, steps=60, seed=3, fault="drop-black-edge")
 def test_recolor_matches_per_edge_calls_on_healer_states(n0, steps, seed, fault):
-    for batched, per_edge in replay_pair(n0, steps, seed, fault):
+    for batched, per_edge in replay_pair(n0, steps, seed, fault, per_edge_recolor):
         # colors, edge insertion order and adjacency iteration order
         assert edge_state(batched) == edge_state(per_edge)
         assert batched.counters == per_edge.counters
         assert batched.graph.integrity_errors() == []
         assert per_edge.graph.integrity_errors() == []
+
+
+def assert_apply_parity(n0: int, steps: int, seed: int, fault: str | None):
+    """The graph, every counter but edges_reused and the registry agree
+    after each event; the full path counts at least as many reuses.
+    Returns the last pair of healers."""
+    last = None
+    for diffed, full in replay_pair(n0, steps, seed, fault, full_strip_and_paint):
+        assert edge_state(diffed) == edge_state(full)
+        ours, ref = diffed.counters.as_dict(), full.counters.as_dict()
+        assert ours.pop("edges_reused") <= ref.pop("edges_reused")
+        assert ours == ref
+        assert diffed.registry.clouds == full.registry.clouds
+        last = diffed, full
+    return last
+
+
+@settings(max_examples=30, deadline=None)
+@given(n0=st.integers(1, 80), steps=st.integers(0, 80), seed=st.integers(0, 10_000),
+       fault=st.sampled_from([None, "skip-heal", "drop-black-edge"]))
+def test_apply_by_color_difference_matches_full_strip_and_paint(n0, steps, seed, fault):
+    assert_apply_parity(n0, steps, seed, fault)
+
+
+def test_apply_parity_on_a_trace_that_splices_clouds():
+    diffed, full = assert_apply_parity(200, 200, 1, None)
+    assert diffed.counters.clouds_spliced > 0
+    assert diffed.counters.edges_reused < full.counters.edges_reused
