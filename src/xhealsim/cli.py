@@ -10,7 +10,8 @@ Subcommands:
 
 Exit codes: 0 all checks passed, 1 an invariant was violated, 2 usage,
 I/O, or parse errors, 3 a cloud could not be certified within its
-retries, which leaves the healer as it was before the failing event.
+retries: the failed repair plan is dropped, so the healer is as it was
+before the failing event but for its random stream, which has moved on.
 """
 from __future__ import annotations
 
@@ -298,7 +299,7 @@ def load_snapshot(data: dict) -> tuple[Healer, RunConfig]:
     for node, f in _snapshot_rows(data["duty"], 2, "duty"):
         healer.registry.duty[node] = f
     healer.next_cloud_id = _snapshot_count(data["next_cloud_id"], "next_cloud_id")
-    healer.last_black_neighbors = set(node_ids(data.get("last_black_neighbors", []),
+    healer.last_black_neighbors = set(node_ids(data["last_black_neighbors"],
                                                "last_black_neighbors"))
     counters = data["counters"]
     names = set(healer.counters.as_dict())
@@ -380,6 +381,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     if bool(args.trace) == bool(args.strategy):
         print("run needs exactly one of --trace or --strategy", file=sys.stderr)
         return 2
+    if args.jobs < 1:
+        print(f"--jobs must be at least 1, got {args.jobs}", file=sys.stderr)
+        return 2
     seeds = [args.seed]
     if args.seeds:
         seeds = [int(s) for s in args.seeds.split(",")]
@@ -391,8 +395,10 @@ def cmd_run(args: argparse.Namespace) -> int:
                 print(f"multiple seeds need '{{seed}}' in {flag}", file=sys.stderr)
                 return 2
     results: list[tuple[int, list[str]]] = []
-    if args.jobs > 1 and len(seeds) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # the pool starts all its workers at once, so start no more than seeds
+    workers = min(args.jobs, len(seeds))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_seed_worker,
                                     [(vars(args), s) for s in seeds]))
     else:

@@ -22,14 +22,15 @@ with no bridge duty and a slot left in its cloud budget: a node may be
 held by at most one cloud more than it has dead baseline neighbors
 (``budget_errors``), which keeps the degree bound.
 
-A repair is planned on a copy of the registry, its edge edits recorded
-as steps, and only then applied to the graph, so a plan that raises (a
-cloud that cannot be certified) changes nothing.  An edge's colors are
-its only state: a step strips the old clouds' colors from the edges
-their new topologies drop, colors the edges they add (reusing any that
-exist) and deletes the stripped edges left colorless, all in one
-``ColoredGraph.recolor`` call.  Black is never stripped, so no black
-edge goes.
+Each delete is planned as one value, a ``Plan`` with its own registry,
+counters and next cloud id and the edge edits recorded as steps; the
+healer then takes its state and applies its steps to the graph, so a
+plan that raises (a cloud that cannot be certified) is dropped with
+nothing to restore.  An edge's colors are its only state: a step strips
+the old clouds' colors from the edges their new topologies drop, colors
+the edges they add (reusing any that exist) and deletes the stripped
+edges left colorless, all in one ``ColoredGraph.recolor`` call.  Black
+is never stripped, so no black edge goes.
 """
 from __future__ import annotations
 
@@ -44,7 +45,6 @@ from .graph import (
     BLACK,
     ColoredGraph,
     EdgeKey,
-    EdgeRecord,
     ShadowGraph,
     black_neighbors,
     edge_key,
@@ -207,11 +207,6 @@ class Healer:
         self.counters = RepairCounters()
         self.next_cloud_id = 0
         self.last_black_neighbors: set[int] = set()
-        # graph edits planned for the delete in progress; the last is open
-        self.steps: list[EdgeStep] = []
-        # the node whose delete is being planned, and its black neighbors
-        self.dying: int | None = None
-        self.dying_blacks: frozenset[int] = frozenset()
 
     @classmethod
     def from_initial(cls, nodes: Iterable[int], edges: Iterable[EdgeKey],
@@ -260,43 +255,85 @@ class Healer:
         self.counters.inserts += 1
 
     def _delete(self, v: int) -> None:
-        """Plan the repair on a registry copy, then apply it; a failed plan changes nothing."""
-        removed = [self.graph.edge(v, nb) for nb in sorted(self.graph.neighbors(v))]
-        blacks = sorted(black_neighbors(removed, v))
-        committed = self.registry, vars(self.counters).copy(), self.next_cloud_id
-        self.registry = self.registry.copy()
+        """Plan the repair, then take the plan; a plan that raises is dropped."""
+        plan = Plan(self, v)
+        if self.fault != "skip-heal":
+            plan.repair()
+        self.registry, self.counters, self.next_cloud_id = (
+            plan.registry, plan.counters, plan.next_cloud_id)
         self.counters.deletes += 1
-        self.steps = [EdgeStep()]
-        self.dying, self.dying_blacks = v, frozenset(blacks)
-        try:
-            v_primary, v_secondary, lost_roles = self._scrub_dead_node(v)
-            if self.fault != "skip-heal":
-                self._dispatch_repair(removed, blacks, v_primary, v_secondary, lost_roles)
-        except BaseException:
-            registry, counts, self.next_cloud_id = committed
-            self.registry, self.counters = registry, RepairCounters(**counts)
-            raise
-        finally:
-            self.dying, self.dying_blacks = None, frozenset()
         self.shadow.apply(Event("del", v))
         self.graph.remove_node(v)
-        self.last_black_neighbors = set(blacks)
-        for step in self.steps:
+        self.last_black_neighbors = set(plan.blacks)
+        for step in plan.steps:
             self._apply(step)
         if self.fault == "drop-black-edge":
             self._drop_one_black_edge()
 
+    # -- edge lifecycle ----------------------------------------------------
+
+    def _apply(self, step: EdgeStep) -> None:
+        """Recolor the graph by the step's per-color difference: a cloud
+        stripped and built in the same step loses only the edges its new
+        topology drops and gains only those it adds.  The graph ends as
+        after stripping every old edge and painting every new one, since
+        an edge a cloud keeps would be repainted before the purge; it is
+        just no longer counted as reused."""
+        old = {cloud.id: cloud.topology.edge_list for cloud in step.stripped}
+        kept = {cloud.id: set(old[cloud.id]).intersection(cloud.topology.edge_list)
+                for cloud in step.built if cloud.id in old}
+
+        def changed(cloud: Cloud) -> tuple[int, list[EdgeKey]]:
+            keep, edges = kept.get(cloud.id), cloud.topology.edge_list
+            return cloud.id, edges if keep is None else [e for e in edges if e not in keep]
+
+        created, reused, deleted = self.graph.recolor(map(changed, step.stripped),
+                                                      map(changed, step.built))
+        self.counters.edges_created += created
+        self.counters.edges_reused += reused
+        self.counters.edges_deleted += deleted
+
+    # -- fault injection ----------------------------------------------------
+
+    def _drop_one_black_edge(self) -> None:
+        candidates = sorted(rec.key for rec in self.graph.edges() if BLACK in rec.colors)
+        if not candidates:
+            return
+        self.graph.recolor([(BLACK, [self.rng.choice(candidates)])], [])
+
+
+class Plan:
+    """Every decision of one delete's repair, made on copies of the
+    healer's registry, counters and next cloud id before any is applied.
+    It changes nothing of the healer but the state of its random stream.
+    """
+
+    def __init__(self, healer: Healer, dying: int | None = None) -> None:
+        self.cfg, self.rng, self.shadow = healer.cfg, healer.rng, healer.shadow
+        self.registry = healer.registry.copy()
+        self.counters = RepairCounters(**vars(healer.counters))
+        self.next_cloud_id = healer.next_cloud_id
+        # graph edits in the order they apply; the last is open
+        self.steps = [EdgeStep()]
+        # the node whose delete is planned, the edges it takes with it
+        # and the endpoints of the black ones
+        self.dying = dying
+        self.removed = [] if dying is None else [
+            healer.graph.edge(dying, nb) for nb in sorted(healer.graph.neighbors(dying))]
+        self.blacks = frozenset(black_neighbors(self.removed, dying))
+        self.primaries, self.secondaries, self.lost_roles = self._scrub_dead_node()
+
     # -- bookkeeping when a node dies ------------------------------------
 
-    def _scrub_dead_node(self, v: int) -> tuple[list[int], list[int], dict[int, int]]:
-        """Remove *v* from every registry structure.
+    def _scrub_dead_node(self) -> tuple[list[int], list[int], dict[int, int]]:
+        """Remove the dying node from every registry structure.
 
-        Returns v's primary cloud ids, secondary cloud ids (read before
+        Returns its primary cloud ids, secondary cloud ids (read before
         any emptied cloud retires), and the map secondary-id ->
-        primary-id for bridge roles v held, all of which the repair
+        primary-id for bridge roles it held, all of which the repair
         dispatch needs.
         """
-        reg = self.registry
+        reg, v = self.registry, self.dying
         lost_roles: dict[int, int] = {}
         for (f, c), node in list(reg.bridges.items()):
             if node == v:
@@ -317,32 +354,31 @@ class Healer:
 
     # -- dispatch ---------------------------------------------------------
 
-    def _dispatch_repair(self, removed: list[EdgeRecord], blacks: list[int],
-                         v_primary: list[int], v_secondary: list[int],
-                         lost_roles: dict[int, int]) -> None:
+    def repair(self) -> None:
+        """Plan the repair branch that the dying node's lost edge colors select."""
         # every lost cloud color is a cloud the dead node was a member
-        # of, so it sits in v_primary or v_secondary
-        lost_colors = {c for rec in removed for c in rec.colors if c != BLACK}
+        # of, so it sits in primaries or secondaries
+        lost_colors = {c for rec in self.removed for c in rec.colors if c != BLACK}
 
         if not lost_colors:
             self.counters.branch_all_black += 1
-            if blacks:
-                self._build_cloud(blacks, CloudKind.PRIMARY)
+            if self.blacks:
+                self._build_cloud(self.blacks, CloudKind.PRIMARY)
             return
 
-        if not lost_colors & set(v_secondary):
+        if not lost_colors & set(self.secondaries):
             # a lost color sits on an edge at a surviving member, so its
             # cloud is still registered, and a rebuild retires nothing
             self.counters.branch_primary += 1
             self._rebuild(lost_colors)
-            self._make_secondary_cloud(lost_colors, blacks)
+            self._make_secondary_cloud(lost_colors, self.blacks)
             return
 
         self.counters.branch_secondary += 1
-        self._rebuild(v_primary)
+        self._rebuild(self.primaries)
         merged_ids: list[int] = []
-        for f in sorted(lost_roles):
-            merged = self._fix_secondary_cloud(f, lost_roles[f])
+        for f in sorted(self.lost_roles):
+            merged = self._fix_secondary_cloud(f, self.lost_roles[f])
             if merged is not None:
                 merged_ids.append(merged)
         # The new secondary must tie together every region the deleted
@@ -356,25 +392,25 @@ class Healer:
         bridged: set[int] = set()
         anchors: list[int] = []
         folds: list[int] = []
-        for f in sorted(set(v_secondary)):
+        for f in sorted(set(self.secondaries)):
             if f not in reg.clouds:
                 continue
             reachable = sorted(reg.bridged_primaries(f))
             bridged |= set(reachable)
             if reachable:
                 anchors.append(reachable[0])
-                if f not in lost_roles:
+                if f not in self.lost_roles:
                     self._rebuild([f])
             else:
                 folds.append(f)
-        leftovers = {c for c in v_primary if c in reg.clouds and c not in bridged}
+        leftovers = {c for c in self.primaries if c in reg.clouds and c not in bridged}
         # a merge result is a fresh primary no bridge names, so no later
         # merge retires it
         participants = sorted(leftovers | set(anchors) | set(merged_ids))
         fold_nodes: set[int] = set()
         for f in folds:
             fold_nodes |= reg.clouds[f].members
-        loose = sorted(set(blacks) | fold_nodes)
+        loose = sorted(self.blacks | fold_nodes)
         if not loose and len(participants) <= 1:
             # a single self-contained region (or none) needs no tie;
             # folds always carry members, so none are pending here
@@ -503,11 +539,11 @@ class Healer:
         loose member), must not exceed its dead baseline neighbors,
         counting the dying node.
         """
-        held = len(self.registry.member_of.get(node, ())) + (node in self.dying_blacks)
+        held = len(self.registry.member_of.get(node, ())) + (node in self.blacks)
         dead = self.shadow.dead_degree(node) + (self.dying in self.shadow.neighbors(node))
         return held <= dead
 
-    # -- edge lifecycle ----------------------------------------------------
+    # -- planned edge edits ------------------------------------------------
 
     def _build_cloud(self, members: Iterable[int], kind: CloudKind,
                      color: int | None = None,
@@ -521,9 +557,9 @@ class Healer:
             color = self.next_cloud_id
             self.next_cloud_id += 1
             self.counters.clouds_built += 1
-        topology = build_topology(member_list, self.cfg, self.rng, previous=previous)
+        topology, spliced = build_topology(member_list, self.cfg, self.rng, previous=previous)
         if previous is not None:
-            if topology.spliced:
+            if spliced:
                 self.counters.clouds_spliced += 1
             else:
                 self.counters.clouds_rebuilt += 1
@@ -538,35 +574,6 @@ class Healer:
     def _purge(self) -> None:
         """End the open step, so that no later step recolors its drained edges."""
         self.steps.append(EdgeStep())
-
-    def _apply(self, step: EdgeStep) -> None:
-        """Recolor the graph by the step's per-color difference: a cloud
-        stripped and built in the same step loses only the edges its new
-        topology drops and gains only those it adds.  The graph ends as
-        after stripping every old edge and painting every new one, since
-        an edge a cloud keeps would be repainted before the purge; it is
-        just no longer counted as reused."""
-        old = {cloud.id: cloud.topology.edge_list for cloud in step.stripped}
-        kept = {cloud.id: set(old[cloud.id]).intersection(cloud.topology.edge_list)
-                for cloud in step.built if cloud.id in old}
-
-        def changed(cloud: Cloud) -> tuple[int, list[EdgeKey]]:
-            keep, edges = kept.get(cloud.id), cloud.topology.edge_list
-            return cloud.id, edges if keep is None else [e for e in edges if e not in keep]
-
-        created, reused, deleted = self.graph.recolor(map(changed, step.stripped),
-                                                      map(changed, step.built))
-        self.counters.edges_created += created
-        self.counters.edges_reused += reused
-        self.counters.edges_deleted += deleted
-
-    # -- fault injection ----------------------------------------------------
-
-    def _drop_one_black_edge(self) -> None:
-        candidates = sorted(rec.key for rec in self.graph.edges() if BLACK in rec.colors)
-        if not candidates:
-            return
-        self.graph.recolor([(BLACK, [self.rng.choice(candidates)])], [])
 
 
 # -- coherence oracle ---------------------------------------------------

@@ -94,19 +94,17 @@ class ExpanderConfig:
             raise ValueError("max_retries must be >= 1")
 
 
-@dataclass
+@dataclass(frozen=True)
 class CloudTopology:
     """A cloud's edges and the expansion certificate they were accepted on.
 
-    ``spliced`` records how this build went: True when the edges were
-    mended from the cloud's previous topology instead of drawn.  It is
-    not part of a snapshot, which loads every topology as not spliced.
+    Frozen, and its edge list never mutated: registry copies and repair
+    plans share one topology until a rebuild replaces it.
     """
 
     kind: TopologyKind
     edge_list: list[EdgeKey]
     certified_expansion: Fraction
-    spliced: bool = False
 
 
 def expansion_exact(n: int, u: np.ndarray, v: np.ndarray, limit: int) -> Fraction:
@@ -360,14 +358,15 @@ def _splice(previous: CloudTopology, ranked: list[int], cfg: ExpanderConfig,
     if cert < cfg.alpha_target:
         return None
     edge_list = sorted(previous.edge_list + [(ranked[a], ranked[b]) for a, b in pairs])
-    return CloudTopology(TopologyKind.REGULAR_EXPANDER, edge_list, cert, spliced=True)
+    return CloudTopology(TopologyKind.REGULAR_EXPANDER, edge_list, cert)
 
 
 def build_topology(
     members: Sequence[int], cfg: ExpanderConfig, rng: random.Random,
     previous: CloudTopology | None = None,
-) -> CloudTopology:
-    """Design the edge set of a cloud over *members*.
+) -> tuple[CloudTopology, bool]:
+    """Design the edge set of a cloud over *members*; the flag says
+    whether it was spliced from *previous* instead of drawn.
 
     Up to kappa+1 members the cloud is a clique (its exact expansion is
     recorded but never gated).  Beyond that, when *previous* is the
@@ -393,12 +392,12 @@ def build_topology(
         # a clique's minimum cut ratio is attained by a half split:
         # |S|*(m-|S|)/|S| = m - |S|, smallest at |S| = floor(m/2)
         cert = Fraction(0) if m < 2 else Fraction(m - m // 2)
-        return CloudTopology(TopologyKind.CLIQUE, edge_list, cert)
+        return CloudTopology(TopologyKind.CLIQUE, edge_list, cert), False
 
     if previous is not None and previous.kind is TopologyKind.REGULAR_EXPANDER:
         spliced = _splice(previous, ranked, cfg, rng)
         if spliced is not None:
-            return spliced
+            return spliced, True
 
     best = Fraction(0)  # a draw that dead-ends certifies nothing
     for _ in range(cfg.max_retries):
@@ -412,7 +411,7 @@ def build_topology(
         cert = _gate_certificate(m, ends[0::2], ends[1::2], cfg)
         if cert >= cfg.alpha_target:
             edge_list = [(ranked[i], ranked[j]) for i, j in sorted(idx_edges)]
-            return CloudTopology(TopologyKind.REGULAR_EXPANDER, edge_list, cert)
+            return CloudTopology(TopologyKind.REGULAR_EXPANDER, edge_list, cert), False
         best = max(best, cert)
     # lambda2/2 of large random kappa-regular graphs tends to this (Friedman, Alon-Boppana)
     ceiling = (cfg.kappa - 2 * (cfg.kappa - 1) ** 0.5) / 2

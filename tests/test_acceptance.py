@@ -221,7 +221,7 @@ def test_expander_builder():
     for i in range(100):
         n = 8 + (i % 33)
         members = list(range(n))
-        topo = build_topology(members, cfg, random.Random(f"builder/{i}"))
+        topo, _ = build_topology(members, cfg, random.Random(f"builder/{i}"))
         degrees = {v: 0 for v in members}
         seen = set()
         for u, v in topo.edge_list:

@@ -241,6 +241,8 @@ def test_verify_missing_or_malformed_snapshot(tmp_path, capsys):
         "float-certificate": lambda d: d["clouds"][0]["topology"].update(certified=0.5),
         "zero-denominator": lambda d: d["clouds"][0]["topology"].update(certified="1/0"),
         "string-counter": lambda d: d["counters"].update(merges="0"),
+        # metrics fixes this density subset, so a default would check another family
+        "no-last-black-neighbors": lambda d: d.pop("last_black_neighbors"),
     }
     for name, damage in broken.items():
         victim = copy.deepcopy(data)
@@ -389,3 +391,40 @@ def test_run_parallel_jobs_match_sequential(tmp_path):
     for seed in (3, 4):
         assert ((tmp_path / f"par{seed}.csv").read_bytes()
                 == (tmp_path / f"seq{seed}.csv").read_bytes())
+
+
+
+def test_run_starts_no_more_workers_than_seeds(tmp_path, monkeypatch, capsys):
+    started = []
+
+    class InlineExecutor:
+        """A ``ProcessPoolExecutor`` that starts no process: it records
+        the worker count asked for and maps in this process."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    trace = tmp_path / "t.jsonl"
+    run_cli(["gen", "--strategy", "uniform", "--n0", "15", "--steps", "20",
+             "--seed", "1", "-o", str(trace)])
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+    argv = ["run", "--trace", str(trace), "-o", str(tmp_path / "r{seed}.csv")]
+    assert run_cli(argv + ["--seeds", "3,4", "--jobs", "8"]) == 0
+    assert run_cli(argv + ["--seeds", "3,4,5", "--jobs", "2"]) == 0
+    assert run_cli(argv + ["--seeds", "3", "--jobs", "8"]) == 0  # one seed: no pool
+    assert started == [2, 2]
+    assert {p.name for p in tmp_path.glob("r*.csv")} == {"r3.csv", "r4.csv", "r5.csv"}
+    capsys.readouterr()
+    for jobs in ("0", "-1"):
+        assert run_cli(argv + ["--seeds", "3,4", "--jobs", jobs]) == 2
+        assert "--jobs must be at least 1" in capsys.readouterr().err
+    assert started == [2, 2]

@@ -8,9 +8,9 @@ from xhealsim import cli
 from xhealsim.adversary import Event, Strategy, gen_trace
 from xhealsim.engine import (
     CloudKind,
-    EdgeStep,
     Healer,
     InvalidEvent,
+    Plan,
     budget_errors,
     coherence_errors,
     expected_edge_state,
@@ -27,10 +27,11 @@ def make_healer(nodes, edges, seed=0, fault=None, **cfg):
 
 def plan_and_apply(h, planner, *args):
     """Run one repair planner outside an event as a delete runs its
-    plan: record the graph edits as steps, then apply them in order."""
-    h.steps = [EdgeStep()]
-    planner(*args)
-    for step in h.steps:
+    plan: plan on a ``Plan``, take its state, then apply its steps."""
+    plan = Plan(h)
+    getattr(plan, planner)(*args)
+    h.registry, h.counters, h.next_cloud_id = plan.registry, plan.counters, plan.next_cloud_id
+    for step in plan.steps:
         h._apply(step)
 
 
@@ -153,10 +154,11 @@ def test_pick_free_node_prefers_own_cloud_smallest_id():
     h.handle_event(Event("del", 0))
     (pid,) = h.registry.clouds
     assert h.registry.clouds[pid].members == {1, 2, 3}
-    assert h._pick_free_node(pid, set()) == 1
-    h.registry.duty[1] = 99
-    assert h._pick_free_node(pid, set()) == 2
-    assert h._pick_free_node(pid, {2}) == 3
+    plan = Plan(h)
+    assert plan._pick_free_node(pid, set()) == 1
+    plan.registry.duty[1] = 99
+    assert plan._pick_free_node(pid, set()) == 2
+    assert plan._pick_free_node(pid, {2}) == 3
 
 
 def test_pick_free_node_borrows_from_neighbor_cloud():
@@ -167,9 +169,10 @@ def test_pick_free_node_borrows_from_neighbor_cloud():
     p1 = next(cid for cid, c in h.registry.clouds.items() if c.members == {1, 2})
     h.registry.duty[1] = 99
     h.registry.duty[2] = 99
-    borrowed = h._pick_free_node(p1, set())
+    plan = Plan(h)
+    borrowed = plan._pick_free_node(p1, set())
     assert borrowed == 4            # smallest free id in the sharing cloud
-    assert h.counters.bridges_borrowed == 1
+    assert plan.counters.bridges_borrowed == 1
 
 
 def test_pick_free_node_null_when_everyone_busy():
@@ -178,8 +181,9 @@ def test_pick_free_node_null_when_everyone_busy():
     (pid,) = h.registry.clouds
     h.registry.duty[1] = 99
     h.registry.duty[2] = 99
-    assert h._pick_free_node(pid, set()) is None
-    assert h.counters.free_node_misses == 1
+    plan = Plan(h)
+    assert plan._pick_free_node(pid, set()) is None
+    assert plan.counters.free_node_misses == 1
 
 
 def test_make_secondary_merges_when_no_free_node():
@@ -189,7 +193,7 @@ def test_make_secondary_merges_when_no_free_node():
     (pid,) = h.registry.clouds
     h.registry.duty[1] = 99
     h.registry.duty[2] = 99
-    plan_and_apply(h, h._make_secondary_cloud, [pid], [])
+    plan_and_apply(h, "_make_secondary_cloud", [pid], [])
     assert h.counters.merges == 1
     assert pid not in h.registry.clouds
     merged = [c for c in h.registry.clouds.values() if c.kind is CloudKind.PRIMARY]
@@ -201,7 +205,7 @@ def test_merge_includes_black_participants():
     h.handle_event(Event("del", 0))
     (pid,) = h.registry.clouds
     h.registry.duty.update({1: 99, 2: 99, 3: 99})
-    plan_and_apply(h, h._make_secondary_cloud, [pid], [3])
+    plan_and_apply(h, "_make_secondary_cloud", [pid], [3])
     merged = [c for c in h.registry.clouds.values() if c.kind is CloudKind.PRIMARY]
     assert len(merged) == 1 and merged[0].members == {1, 2, 3}
 
@@ -218,7 +222,7 @@ def trio_of_bridged_primaries():
     h.handle_event(Event("del", 3))   # P2 = {4,5}
     h.handle_event(Event("del", 6))   # P3 = {7,8}
     p1, p2, p3 = sorted(h.registry.clouds)
-    plan_and_apply(h, h._make_secondary_cloud, [p1, p2, p3], [])
+    plan_and_apply(h, "_make_secondary_cloud", [p1, p2, p3], [])
     (fid,) = [c.id for c in h.registry.clouds.values()
               if c.kind is CloudKind.SECONDARY]
     return h, (p1, p2, p3), fid
@@ -285,8 +289,24 @@ def test_certification_failure_after_a_planned_rebuild_changes_nothing():
                     kappa=4, alpha_target=Fraction(100), max_retries=4)
     h.handle_event(Event("del", 0))
     assert_failed_event_changes_nothing(h, Event("del", 1), 0)
-    assert len(h.steps) == 2 and [c.members for c in h.steps[0].built] == [{2, 3}]
-    assert not h.steps[1].built
+    plan = Plan(h, 1)
+    with pytest.raises(RetriesExhausted):
+        plan.repair()
+    assert len(plan.steps) == 2 and [c.members for c in plan.steps[0].built] == [{2, 3}]
+    assert not plan.steps[1].built
+
+
+def test_a_plan_that_is_not_taken_changes_nothing():
+    # a branch-3 delete of trio_of_bridged_primaries' bridge: the plan
+    # rebuilds, drafts a replacement and counts, all on its own copies
+    h, (p1, p2, p3), fid = trio_of_bridged_primaries()
+    before = cli.snapshot_state(h, 0)
+    plan = Plan(h, h.registry.bridges[(fid, p2)])
+    plan.repair()
+    assert plan.counters.branch_secondary == 1 and plan.steps[0].built
+    assert plan.registry.clouds != h.registry.clouds
+    assert cli.snapshot_state(h, 0) == before
+    assert coherence_errors(h) == []
 
 
 def test_replay_determinism():
@@ -405,11 +425,12 @@ def test_free_slot_counts_the_dying_node_and_a_loose_membership():
     h.handle_event(Event("del", 3))  # primary {0, 4}
     (pid,) = h.registry.clouds
     h.registry.store(replace(h.registry.clouds[pid], id=pid + 1))
-    assert not h._has_free_slot(4)  # 2 held, 1 dead
-    h.dying = 5
-    assert h._has_free_slot(4)  # 2 held, 2 dead counting the dying node
-    h.dying_blacks = frozenset({1, 4})
-    assert not h._has_free_slot(4)  # 2 held and 1 loose, 2 dead
+    plan = Plan(h)
+    assert not plan._has_free_slot(4)  # 2 held, 1 dead
+    plan.dying = 5
+    assert plan._has_free_slot(4)  # 2 held, 2 dead counting the dying node
+    plan.blacks = frozenset({1, 4})
+    assert not plan._has_free_slot(4)  # 2 held and 1 loose, 2 dead
 
 
 def test_a_cloud_that_loses_one_member_is_spliced_with_kappa_half_new_edges():

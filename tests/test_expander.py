@@ -52,22 +52,22 @@ def test_config_rejects_exact_limit_beyond_the_enumeration_ceiling():
 
 def test_clique_branch():
     cfg = ExpanderConfig()
-    topo = build_topology([3, 1, 2], cfg, random.Random(0))
+    topo, _ = build_topology([3, 1, 2], cfg, random.Random(0))
     assert topo.kind is TopologyKind.CLIQUE
     assert topo.edge_list == [(1, 2), (1, 3), (2, 3)]
     assert topo.certified_expansion == Fraction(2)  # ceil(3/2)
 
-    single = build_topology([9], cfg, random.Random(0))
+    single, _ = build_topology([9], cfg, random.Random(0))
     assert single.edge_list == [] and single.certified_expansion == 0
 
 
 def test_clique_boundary_at_kappa_plus_one():
     cfg = ExpanderConfig(kappa=6)
-    at_boundary = build_topology(list(range(7)), cfg, random.Random(1))
+    at_boundary, _ = build_topology(list(range(7)), cfg, random.Random(1))
     assert at_boundary.kind is TopologyKind.CLIQUE
     assert len(at_boundary.edge_list) == 21
 
-    past_boundary = build_topology(list(range(8)), cfg, random.Random(1))
+    past_boundary, _ = build_topology(list(range(8)), cfg, random.Random(1))
     assert past_boundary.kind is TopologyKind.REGULAR_EXPANDER
     assert len(past_boundary.edge_list) == 8 * 6 // 2
 
@@ -75,7 +75,7 @@ def test_clique_boundary_at_kappa_plus_one():
 def test_clique_certificates_match_exact_expansion():
     cfg = ExpanderConfig()
     for m in range(2, 8):
-        topo = build_topology(list(range(m)), cfg, random.Random(0))
+        topo, _ = build_topology(list(range(m)), cfg, random.Random(0))
         adj = {v: set() for v in range(m)}
         for u, v in topo.edge_list:
             adj[u].add(v)
@@ -86,8 +86,8 @@ def test_clique_certificates_match_exact_expansion():
 def test_expander_branch_regular_and_deterministic():
     cfg = ExpanderConfig()
     members = list(range(100, 120))
-    a = build_topology(members, cfg, random.Random(77))
-    b = build_topology(members, cfg, random.Random(77))
+    a, _ = build_topology(members, cfg, random.Random(77))
+    b, _ = build_topology(members, cfg, random.Random(77))
     assert a.edge_list == b.edge_list
     assert len(a.edge_list) == 20 * 6 // 2
     degree = {v: 0 for v in members}
@@ -170,7 +170,7 @@ def test_build_topology_records_the_bound_its_certificate_proved():
     passes = set()
     for m in (10, 12, 14):
         for seed in range(6):
-            topo = build_topology(list(range(m)), cfg, random.Random(seed))
+            topo, _ = build_topology(list(range(m)), cfg, random.Random(seed))
             graph = on_positions(m, topo.edge_list)
             if _spectral_gate(*graph, cfg.alpha_target):
                 passes.add("spectral")
@@ -224,16 +224,16 @@ def test_expansion_exact_matches_independent_enumerator():
 
 def test_verify_cloud_recomputes_certificates():
     cfg = ExpanderConfig()
-    clique4 = build_topology([0, 1, 2, 3], cfg, random.Random(0))
+    clique4, _ = build_topology([0, 1, 2, 3], cfg, random.Random(0))
     assert certificate_oracle(range(4), clique4.edge_list, cfg) == Fraction(2)
-    clique2 = build_topology([0, 1], cfg, random.Random(0))
+    clique2, _ = build_topology([0, 1], cfg, random.Random(0))
     assert certificate_oracle(range(2), clique2.edge_list, cfg) == Fraction(1)
 
     # a C6 presented as a cloud certifies below alpha_target = 1
     c6 = [(i, (i + 1) % 6) for i in range(5)] + [(0, 5)]
     assert certificate_oracle(range(6), c6, cfg) == Fraction(2, 3) < cfg.alpha_target
 
-    big = build_topology(list(range(30)), cfg, random.Random(3))
+    big, _ = build_topology(list(range(30)), cfg, random.Random(3))
     # spectral path, still a lower bound
     assert certificate_oracle(range(30), big.edge_list, cfg) >= 0
 
@@ -325,13 +325,13 @@ def test_splice_keeps_a_simple_regular_cloud_on_exactly_its_members(kappa, m):
     cfg = ExpanderConfig(kappa=kappa, alpha_target=Fraction(1, 2))
     for seed in range(5):
         rng = random.Random(seed)
-        previous = build_topology(list(range(m)), cfg, rng)
+        previous, _ = build_topology(list(range(m)), cfg, rng)
         gone = seed % m
         neighbours = {u if v == gone else v for u, v in previous.edge_list if gone in (u, v)}
         members = [x for x in range(m) if x != gone]
         scrubbed = without(previous, gone)
-        topo = build_topology(members, cfg, rng, previous=scrubbed)
-        assert topo.spliced and topo.kind is TopologyKind.REGULAR_EXPANDER
+        topo, spliced = build_topology(members, cfg, rng, previous=scrubbed)
+        assert spliced and topo.kind is TopologyKind.REGULAR_EXPANDER
         assert topo.edge_list == sorted(set(topo.edge_list))
         assert degrees(topo.edge_list) == {x: kappa for x in members}
         added = set(topo.edge_list) - set(scrubbed.edge_list)
@@ -346,15 +346,16 @@ def test_splice_pairs_only_nodes_that_are_not_yet_neighbours():
     # only {1-10, 2-11} adds no existing edge
     cfg = ExpanderConfig(kappa=4, alpha_target=Fraction(1, 2))
     scrubbed = without(expander_topology(circulant(12, (1, 2)), cfg), 0)
-    spliced = 0
+    splices = 0
     for seed in range(20):
-        topo = build_topology(list(range(1, 12)), cfg, random.Random(seed), previous=scrubbed)
-        if topo.spliced:
-            spliced += 1
+        topo, spliced = build_topology(list(range(1, 12)), cfg, random.Random(seed),
+                                       previous=scrubbed)
+        if spliced:
+            splices += 1
             assert set(topo.edge_list) - set(scrubbed.edge_list) == {(1, 10), (2, 11)}
         else:  # eight shuffles clashed, each with odds 2/3
             assert degrees(topo.edge_list) == {x: 4 for x in range(1, 12)}
-    assert spliced >= 15
+    assert splices >= 15
 
 
 def test_splice_that_cannot_avoid_an_existing_edge_falls_back_to_a_redraw():
@@ -363,19 +364,19 @@ def test_splice_that_cannot_avoid_an_existing_edge_falls_back_to_a_redraw():
     adjacency = {i: {j for j in range(5) if j != i} for i in range(5)}
     adjacency.update({5 + i: {5 + j for j in nbrs} for i, nbrs in circulant(10, (1, 2)).items()})
     scrubbed = without(expander_topology(adjacency, cfg), 0)
-    topo = build_topology(list(range(1, 15)), cfg, random.Random(0), previous=scrubbed)
-    assert not topo.spliced and topo.kind is TopologyKind.REGULAR_EXPANDER
+    topo, spliced = build_topology(list(range(1, 15)), cfg, random.Random(0), previous=scrubbed)
+    assert not spliced and topo.kind is TopologyKind.REGULAR_EXPANDER
     assert degrees(topo.edge_list) == {x: 4 for x in range(1, 15)}
 
 
 def test_replacement_inherits_the_departed_members_edges():
     cfg = ExpanderConfig(kappa=6, alpha_target=Fraction(1, 2))
-    previous = build_topology(list(range(30)), cfg, random.Random(4))
+    previous, _ = build_topology(list(range(30)), cfg, random.Random(4))
     gone, newcomer = 7, 99
     scrubbed = without(previous, gone)
     members = [x for x in range(30) if x != gone] + [newcomer]
-    topo = build_topology(members, cfg, random.Random(5), previous=scrubbed)
-    assert topo.spliced
+    topo, spliced = build_topology(members, cfg, random.Random(5), previous=scrubbed)
+    assert spliced
     inherited = {(min(u, v), max(u, v)) for u, v in
                  ((newcomer if u == gone else u, newcomer if v == gone else v)
                   for u, v in previous.edge_list)}
@@ -384,7 +385,7 @@ def test_replacement_inherits_the_departed_members_edges():
 
 def test_splice_that_fails_the_gate_falls_back_to_the_redraw_loop(monkeypatch):
     cfg = ExpanderConfig(kappa=6, alpha_target=Fraction(1, 2))
-    previous = build_topology(list(range(30)), cfg, random.Random(1))
+    previous, _ = build_topology(list(range(30)), cfg, random.Random(1))
     members = list(range(1, 30))
     gate, states = expander._gate_certificate, []
 
@@ -396,21 +397,22 @@ def test_splice_that_fails_the_gate_falls_back_to_the_redraw_loop(monkeypatch):
 
     monkeypatch.setattr(expander, "_gate_certificate", failing_first)
     rng = random.Random(2)
-    topo = build_topology(members, cfg, rng, previous=without(previous, 0))
-    assert not topo.spliced and states
+    topo, spliced = build_topology(members, cfg, rng, previous=without(previous, 0))
+    assert not spliced and states
     # the same draws as a build without a previous topology from there on
     redraw = random.Random()
     redraw.setstate(states[0])
-    assert topo == build_topology(members, cfg, redraw)
+    assert build_topology(members, cfg, redraw) == (topo, False)
 
 
 def test_splice_applies_only_to_one_member_lost_from_a_regular_expander():
     cfg = ExpanderConfig(kappa=6, alpha_target=Fraction(1, 2))
-    previous = build_topology(list(range(30)), cfg, random.Random(1))
+    previous, _ = build_topology(list(range(30)), cfg, random.Random(1))
     two_gone = without(without(previous, 0), 1)
     clique = CloudTopology(TopologyKind.CLIQUE, previous.edge_list, Fraction(15))
     for members, given in [(list(range(2, 30)), two_gone),         # two lost
                            (list(range(30)), previous),            # none lost
                            (list(range(1, 30)), without(clique, 0)),  # not an expander
                            (list(range(2, 30)), without(previous, 0))]:  # edge leaves members
-        assert not build_topology(members, cfg, random.Random(3), previous=given).spliced
+        _, spliced = build_topology(members, cfg, random.Random(3), previous=given)
+        assert not spliced
