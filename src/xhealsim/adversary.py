@@ -8,13 +8,14 @@ online against the engine, one event at a time.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple
 
-from .graph import EdgeKey, edge_key
+from .graph import MAX_NODE_ID, EdgeKey, edge_key
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import Healer
@@ -59,6 +60,11 @@ class Event(NamedTuple):
     @property
     def is_insert(self) -> bool:
         return self.op == "ins"
+
+
+# Builds an Event from its three fields in C; the named tuple's own
+# constructor is a Python function, a third of a decoded line's cost.
+_event = functools.partial(tuple.__new__, Event)
 
 
 @dataclass
@@ -236,20 +242,33 @@ def _parse_line(line_no: int, raw: str) -> dict:
     return obj
 
 
+# Parses one event line in one call: ``scan_once(raw, 0)`` is the C
+# scanner behind ``json.loads``, without its whitespace and end checks,
+# and returns the value and the index where it ends.
+_scan_once = json.JSONDecoder().scan_once
+
+
 def node_ids(values: object, what: str) -> list[int]:
-    """*values* if it is a list of node ids, non-negative JSON integers
-    taken as written: a string, a float or a bool raises ValueError,
-    never coerced.  Checked a list at a time, so the ids cost no Python
-    call each.  Trace and snapshot loading share this rule."""
+    """*values* if it is a list of node ids, JSON integers in
+    ``[0, MAX_NODE_ID]`` taken as written: a string, a float or a bool
+    raises ValueError, never coerced.  Checked a list at a time, so the
+    ids cost no Python call each.  Trace and snapshot loading share this
+    rule."""
     if type(values) is not list or values and (set(map(type, values)) != {int}
                                                or min(values) < 0):
         raise ValueError(f"{what} must be a list of non-negative integers")
+    if values and max(values) > MAX_NODE_ID:
+        raise ValueError(f"{what} must be at most {MAX_NODE_ID}")
     return values
 
 
 def decode_trace(text: str) -> Trace:
-    """Parse the wire format back into a Trace, validating as it goes."""
-    lines = [ln for ln in text.splitlines()]
+    """Parse the wire format back into a Trace, validating as it goes.
+
+    An event line the C scanner reads whole as one JSON object is taken
+    as read; any other line is parsed again by ``json.loads``, so a
+    line's error reads as it always did."""
+    lines = text.splitlines()
     while lines and not lines[-1].strip():
         lines.pop()
     if len(lines) < 2:
@@ -277,23 +296,30 @@ def decode_trace(text: str) -> Trace:
         node_ids(list(itertools.chain.from_iterable(pairs)), "edge endpoints")
     except ValueError as exc:
         raise ParseError(2, str(exc)) from None
-    edges = [edge_key(u, v) for u, v in pairs]
+    edges = [(u, v) if u < v else (v, u) for u, v in pairs]
 
     events = []
     for line_no, raw in enumerate(lines[2:], start=3):
-        obj = _parse_line(line_no, raw)
+        try:
+            obj, end = _scan_once(raw, 0)
+        except (StopIteration, ValueError):  # no value at 0, or a malformed one
+            obj, end = None, -1
+        if end != len(raw) or type(obj) is not dict:
+            obj = _parse_line(line_no, raw)
         op, node = obj.get("op"), obj.get("node")
         # node_ids' rule for one id, inline: a call per event shows in decoding
-        if type(node) is not int or node < 0:
+        if type(node) is not int or not 0 <= node <= MAX_NODE_ID:
+            if type(node) is int and node > MAX_NODE_ID:
+                raise ParseError(line_no, f"node {node} must be at most {MAX_NODE_ID}")
             raise ParseError(line_no, f"node {node!r} is not a non-negative integer")
         if op == "ins":
             try:
                 nbrs = node_ids(obj.get("nbrs", []), "nbrs")
             except ValueError as exc:
                 raise ParseError(line_no, str(exc)) from None
-            events.append(Event("ins", node, tuple(nbrs)))
+            events.append(_event(("ins", node, tuple(nbrs))))
         elif op == "del":
-            events.append(Event("del", node))
+            events.append(_event(("del", node, ())))
         else:
             raise ParseError(line_no, f"unknown op {op!r}")
     return Trace(header["kappa"], header["seed"], header["strategy"],
@@ -304,18 +330,17 @@ def validate_trace(trace: Trace) -> None:
     """Check that events are individually valid when applied in order."""
     seen = set(trace.initial_nodes)
     alive = set(trace.initial_nodes)
-    for i, ev in enumerate(trace.events, start=1):
-        if ev.is_insert:
-            if ev.node in seen:
-                raise InvalidParams(f"event {i}: node {ev.node} reused")
-            if ev.node in ev.neighbors:
+    for i, (op, node, nbrs) in enumerate(trace.events, start=1):
+        if op == "ins":
+            if node in seen:
+                raise InvalidParams(f"event {i}: node {node} reused")
+            if node in nbrs:
                 raise InvalidParams(f"event {i}: self neighbor")
-            missing = set(ev.neighbors) - alive
-            if missing:
-                raise InvalidParams(f"event {i}: dead neighbors {sorted(missing)}")
-            seen.add(ev.node)
-            alive.add(ev.node)
+            if not alive.issuperset(nbrs):
+                raise InvalidParams(f"event {i}: dead neighbors {sorted(set(nbrs) - alive)}")
+            seen.add(node)
+            alive.add(node)
         else:
-            if ev.node not in alive:
-                raise InvalidParams(f"event {i}: delete of dead node {ev.node}")
-            alive.discard(ev.node)
+            if node not in alive:
+                raise InvalidParams(f"event {i}: delete of dead node {node}")
+            alive.remove(node)

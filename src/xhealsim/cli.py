@@ -57,7 +57,7 @@ from .expander import (
     RetriesExhausted,
     TopologyKind,
 )
-from .graph import BLACK, GraphError, edge_key
+from .graph import BLACK, ColoredGraph, GraphError, edge_key
 from .metrics import MetricsReport, evaluate
 
 SNAPSHOT_VERSION = 3
@@ -272,15 +272,15 @@ def load_snapshot(data: dict) -> tuple[Healer, RunConfig]:
     healer.shadow.seed_initial(node_ids(shadow["nodes"], "shadow nodes"),
                                _snapshot_rows(shadow["edges"], 2, "shadow edges"))
     healer.shadow.alive = set(node_ids(shadow["alive"], "shadow alive"))
-    for v in node_ids(data["nodes"], "nodes"):
-        healer.graph.add_node(v)
-    for rec in data["edges"]:
-        u, v = node_ids([rec["u"], rec["v"]], "edge endpoints")
-        colors = rec["colors"]
+    nodes, records = node_ids(data["nodes"], "nodes"), data["edges"]
+    ends = [(rec["u"], rec["v"]) for rec in records]
+    node_ids(list(itertools.chain.from_iterable(ends)), "edge endpoints")
+    paints = [rec["colors"] for rec in records]
+    for (u, v), colors in zip(ends, paints):
         if type(colors) is not list or any(type(c) is not int or c < BLACK for c in colors):
             raise ValueError(f"edge ({u},{v}) colors must be a list of integers >= {BLACK}")
-        # a colorless edge still loads, for the coherence check to report
-        healer.graph.add_edge(u, v, colors=colors)
+    # a colorless edge still loads, for the coherence check to report
+    healer.graph = ColoredGraph.from_edges(nodes, ends, paints)
     for entry in data["clouds"]:
         topo = entry["topology"]
         cid = _snapshot_count(entry["id"], "cloud id")

@@ -43,11 +43,13 @@ from .adversary import Event
 from .expander import CloudTopology, ExpanderConfig, TopologyKind, build_topology
 from .graph import (
     BLACK,
+    MAX_NODE_ID,
     ColoredGraph,
     EdgeKey,
     ShadowGraph,
     black_neighbors,
     edge_key,
+    initial_views,
 )
 
 FAULTS = ("skip-heal", "drop-black-edge")
@@ -212,13 +214,10 @@ class Healer:
     def from_initial(cls, nodes: Iterable[int], edges: Iterable[EdgeKey],
                      cfg: ExpanderConfig, rng: random.Random,
                      fault: str | None = None) -> "Healer":
+        """A healer whose live graph and baseline are *nodes* joined by the
+        black *edges*; raises what ``graph.initial_views`` raises."""
         healer = cls(cfg, rng, fault)
-        node_list = sorted(nodes)
-        healer.shadow.seed_initial(node_list, edges)
-        for v in node_list:
-            healer.graph.add_node(v)
-        for u, v in sorted(edge_key(a, b) for a, b in edges):
-            healer.graph.add_edge(u, v)
+        healer.graph, healer.shadow = initial_views(sorted(nodes), edges)
         return healer
 
     # -- event entry point ----------------------------------------------
@@ -235,6 +234,8 @@ class Healer:
 
     def _validate_insert(self, event: Event) -> None:
         v = event.node
+        if not 0 <= v <= MAX_NODE_ID:
+            raise InvalidEvent(f"node id {v} is not in [0, {MAX_NODE_ID}]")
         if v in self.shadow.nodes:
             raise InvalidEvent(f"node id {v} was already used")
         if self.shadow.max_node is not None and v <= self.shadow.max_node:

@@ -15,12 +15,14 @@ Two graph values drive every run:
   and every black edge ever created, kept forever.  All invariant checks
   compare the live graph against this baseline.
 
-Node ids are non-negative integers and are never reused after deletion.
+Node ids are non-negative integers up to ``MAX_NODE_ID`` and are never
+reused after deletion.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -34,6 +36,9 @@ BLACK: int = -1
 
 Color = int
 EdgeKey = tuple[int, int]
+
+# The largest node id: CSR snapshots hold ids as int64.
+MAX_NODE_ID: int = 2**63 - 1
 
 
 class GraphError(Exception):
@@ -67,6 +72,16 @@ class EmptySubset(GraphError):
 def edge_key(u: int, v: int) -> EdgeKey:
     """Canonical unordered representation of an edge."""
     return (u, v) if u < v else (v, u)
+
+
+def _first_repeat(items: Iterable) -> object:
+    """The first item of *items* equal to an earlier one, if any."""
+    seen: set = set()
+    for x in items:
+        if x in seen:
+            return x
+        seen.add(x)
+    return None
 
 
 @dataclass(slots=True)
@@ -107,6 +122,39 @@ class ColoredGraph:
         self._adj: dict[int, set[int]] = {}
         self._edges: dict[EdgeKey, EdgeRecord] = {}
         self._csr: Csr | None = None  # see Csr.of; dropped on adjacency change
+
+    @classmethod
+    def from_edges(cls, nodes: Iterable[int], edges: Iterable[tuple[int, int]],
+                   colors: Iterable[Iterable[Color]] | None = None) -> "ColoredGraph":
+        """The graph that ``add_node`` over *nodes*, then ``add_edge`` over
+        *edges* in sorted order, each with its entry of *colors* (black
+        when omitted), would build.  The input is checked as a whole, in
+        ``add_edge``'s order: a self loop raises SelfLoop, an endpoint
+        not in *nodes* UnknownNode, an edge given twice (in either
+        orientation) GraphError and a node given twice DuplicateNode."""
+        graph = cls()
+        nodes = list(nodes)
+        adj = graph._adj = {v: set() for v in nodes}
+        if len(adj) < len(nodes):
+            raise DuplicateNode(f"node {_first_repeat(nodes)} already present")
+        keys = [(u, v) if u < v else (v, u) for u, v in edges]
+        loop = next((u for u, v in keys if u == v), None)
+        if loop is not None:
+            raise SelfLoop(f"self loop ({loop},{loop})")
+        unknown = set(itertools.chain.from_iterable(keys)).difference(adj)
+        if unknown:
+            u, v = next(k for k in keys if k[0] in unknown or k[1] in unknown)
+            raise UnknownNode(f"endpoint of ({u},{v}) not present")
+        if len(set(keys)) < len(keys):
+            u, v = _first_repeat(sorted(keys))
+            raise GraphError(f"edge ({u},{v}) already exists")
+        paints = [(BLACK,)] * len(keys) if colors is None else colors
+        records = graph._edges
+        for (u, v), paint in sorted(zip(keys, paints, strict=True), key=itemgetter(0)):
+            records[u, v] = EdgeRecord(u, v, set(paint))
+            adj[u].add(v)
+            adj[v].add(u)
+        return graph
 
     # -- nodes ---------------------------------------------------------
 
@@ -163,12 +211,12 @@ class ColoredGraph:
         """Wire a fresh edge carrying *colors* (by default an original or
         adversary edge).  The pair must be new."""
         if u == v:
-            raise SelfLoop(f"({u},{u})")
+            raise SelfLoop(f"self loop ({u},{u})")
         if u not in self._adj or v not in self._adj:
             raise UnknownNode(f"endpoint of ({u},{v}) not present")
         key = edge_key(u, v)
         if key in self._edges:
-            raise GraphError(f"edge {key} already exists")
+            raise GraphError(f"edge ({key[0]},{key[1]}) already exists")
         self._csr = None
         self._edges[key] = EdgeRecord(key[0], key[1], colors=set(colors))
         self._adj[u].add(v)
@@ -210,7 +258,7 @@ class ColoredGraph:
                     continue
                 u, v = key
                 if u == v:
-                    raise SelfLoop(f"({u},{u})")
+                    raise SelfLoop(f"self loop ({u},{u})")
                 if u > v:
                     raise GraphError(f"edge key {key} is not canonical")
                 if u not in adj or v not in adj:
@@ -330,6 +378,21 @@ class ShadowGraph:
             except KeyError:
                 raise UnknownNode(f"endpoint of ({u},{v}) never existed") from None
             self.edges.add(edge_key(u, v))
+
+
+def initial_views(nodes: Iterable[int], edges: Iterable[tuple[int, int]]
+                  ) -> tuple[ColoredGraph, ShadowGraph]:
+    """The live graph and the baseline of a run that starts from *nodes*
+    joined by the black *edges*, every node alive.  The baseline is
+    copied from the live graph, which ``ColoredGraph.from_edges`` builds
+    and checks.  Raises what it raises."""
+    graph = ColoredGraph.from_edges(nodes, edges)
+    shadow = ShadowGraph()
+    shadow.nodes, shadow.alive = set(graph._adj), set(graph._adj)
+    shadow.edges = set(graph._edges)
+    shadow.max_node = max(graph._adj, default=None)
+    shadow._adj = {v: set(nbrs) for v, nbrs in graph._adj.items()}
+    return graph, shadow
 
 
 class Csr(NamedTuple):

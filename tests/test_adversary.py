@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xhealsim.adversary import (
     EmptyNetwork,
@@ -19,6 +21,7 @@ from xhealsim.adversary import (
 )
 from xhealsim.engine import Healer
 from xhealsim.expander import ExpanderConfig
+from xhealsim.graph import MAX_NODE_ID
 from helpers import graph_from_edges, is_connected
 
 
@@ -89,6 +92,74 @@ def test_decode_truncated_line_reports_line_number():
     with pytest.raises(ParseError) as err:
         decode_trace("\n".join(lines))
     assert err.value.line_no == len(lines)
+
+
+HEADER = '{"v":1,"kappa":6,"seed":0,"strategy":"uniform","params":{}}'
+INITIAL = '{"nodes":[0,1,2,3],"edges":[[0,1],[1,2],[2,3]]}'
+DEL_0 = '{"t":1,"op":"del","node":0}'
+
+# Event lines after the header and the initial line, and the line number
+# and message of the ParseError they raise, as json.loads worded them
+# when every line went through it.
+DECODE_ERRORS = {
+    "blank middle line": ([DEL_0, "", DEL_0], 4, "bad JSON (Expecting value)"),
+    "truncated line": (['{"t":1,"op":"del","no'], 3,
+                       "bad JSON (Unterminated string starting at)"),
+    "two objects on one line": ([DEL_0 + DEL_0], 3, "bad JSON (Extra data)"),
+    "trailing text": ([DEL_0 + " x"], 3, "bad JSON (Extra data)"),
+    "non-object line": (["[1,2]"], 3, "expected a JSON object"),
+    "number line": (["7"], 3, "expected a JSON object"),
+    # joined as [l1,l2,l3] these three lines are exactly three objects,
+    # so no count of decoded objects could tell them from three events
+    "first of three joined lines": (['{"a":1},{"b":2}', '{"c":[{"d":1}', '{"e":2}]}'], 3,
+                                    "bad JSON (Extra data)"),
+    "second of three joined lines": ([DEL_0, '{"c":[{"d":1}', '{"e":2}]}'], 4,
+                                     "bad JSON (Expecting ',' delimiter)"),
+    "third of three joined lines": ([DEL_0, DEL_0, '{"e":2}]}'], 5, "bad JSON (Extra data)"),
+    "string id": (['{"t":1,"op":"del","node":"0"}'], 3,
+                  "node '0' is not a non-negative integer"),
+    "negative id": (['{"t":1,"op":"del","node":-1}'], 3,
+                    "node -1 is not a non-negative integer"),
+    "missing id": (['{"t":1,"op":"del"}'], 3, "node None is not a non-negative integer"),
+    "unknown op": (['{"t":1,"op":"mv","node":0}'], 3, "unknown op 'mv'"),
+    "string nbrs": (['{"t":1,"op":"ins","node":4,"nbrs":"01"}'], 3,
+                    "nbrs must be a list of non-negative integers"),
+    "mixed nbrs": (['{"t":1,"op":"ins","node":4,"nbrs":[0,"1"]}'], 3,
+                   "nbrs must be a list of non-negative integers"),
+    "huge id": ([f'{{"t":1,"op":"del","node":{MAX_NODE_ID + 1}}}'], 3,
+                f"node {MAX_NODE_ID + 1} must be at most {MAX_NODE_ID}"),
+    "huge nbr": ([f'{{"t":1,"op":"ins","node":4,"nbrs":[0,{MAX_NODE_ID + 1}]}}'], 3,
+                 f"nbrs must be at most {MAX_NODE_ID}"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DECODE_ERRORS))
+def test_decode_errors_name_the_line(case):
+    events, line_no, message = DECODE_ERRORS[case]
+    with pytest.raises(ParseError) as err:
+        decode_trace("\n".join([HEADER, INITIAL, *events]) + "\n")
+    assert (err.value.line_no, str(err.value)) == (line_no, f"line {line_no}: {message}")
+
+
+node_id = st.integers(0, MAX_NODE_ID)
+events = st.one_of(st.builds(Event, st.just("del"), node_id, st.just(())),
+                   st.builds(Event, st.just("ins"), node_id,
+                             st.lists(node_id, max_size=4).map(tuple)))
+traces = st.builds(
+    Trace, kappa=st.integers(), seed=st.integers(), strategy=st.text(max_size=8),
+    params=st.dictionaries(st.text(max_size=4), st.integers(), max_size=3),
+    initial_nodes=st.lists(node_id, max_size=6),
+    initial_edges=st.lists(st.tuples(node_id, node_id).map(sorted).map(tuple), max_size=6),
+    events=st.lists(events, max_size=12))
+
+
+@settings(max_examples=80, deadline=None)
+@given(trace=traces, pads=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                                   min_size=12, max_size=12))
+def test_decode_inverts_encode_with_padded_event_lines(trace, pads):
+    header, initial, *lines = encode_trace(trace).splitlines()
+    padded = [" " * left + line + " " * right for line, (left, right) in zip(lines, pads)]
+    assert decode_trace("\n".join([header, initial, *padded]) + "\n") == trace
 
 
 def test_decode_version_mismatch():

@@ -314,20 +314,40 @@ def test_report_rejects_a_csv_that_is_not_a_report(tmp_path, capsys):
 def test_run_rejects_malformed_trace_input_before_event_1(tmp_path, capsys):
     header = '{"v":1,"kappa":6,"seed":0,"strategy":"uniform","params":{}}'
     initial = '{"nodes":[0,1,2,3],"edges":[[0,1],[1,2],[2,3]]}'
+    first = '{"t":1,"op":"del","node":0}'
+    big = 2**63  # one above the largest id an int64 CSR snapshot holds
     traces = {
-        "unknown-endpoint": [header, '{"nodes":[0,1,2,3],"edges":[[0,1],[1,9]]}',
-                             '{"t":1,"op":"del","node":0}'],
-        "string-nbrs": [header, initial, '{"t":1,"op":"ins","node":4,"nbrs":"12"}'],
-        "float-node": [header, initial, '{"t":1,"op":"del","node":2.7}'],
-        "bool-node": [header, initial, '{"t":1,"op":"del","node":true}'],
-        "string-kappa": [header.replace("6", '"6"'), initial, '{"t":1,"op":"del","node":0}'],
+        "unknown-endpoint": ([header, '{"nodes":[0,1,2,3],"edges":[[0,1],[1,9]]}', first],
+                             "endpoint of (1,9) not present"),
+        "self-loop": ([header, '{"nodes":[0,1,2,3],"edges":[[0,1],[3,3]]}', first],
+                      "self loop (3,3)"),
+        "duplicate-edge": ([header, '{"nodes":[0,1,2,3],"edges":[[1,2],[0,1],[1,2]]}', first],
+                           "edge (1,2) already exists"),
+        "duplicate-edge-flipped": (
+            [header, '{"nodes":[0,1,2,3],"edges":[[1,2],[0,1],[2,1]]}', first],
+            "edge (1,2) already exists"),
+        "duplicate-node": ([header, '{"nodes":[0,1,2,1,3],"edges":[[0,1]]}', first],
+                           "node 1 already present"),
+        "huge-initial-id": ([header, f'{{"nodes":[0,1,{big}],"edges":[[0,1],[1,{big}]]}}',
+                             first],
+                            f"line 2: nodes must be at most {big - 1}"),
+        "huge-event-id": ([header, initial, f'{{"t":1,"op":"ins","node":{big},"nbrs":[0]}}'],
+                          f"line 3: node {big} must be at most {big - 1}"),
+        "string-nbrs": ([header, initial, '{"t":1,"op":"ins","node":4,"nbrs":"12"}'],
+                        "line 3: nbrs must be a list of non-negative integers"),
+        "float-node": ([header, initial, '{"t":1,"op":"del","node":2.7}'],
+                       "line 3: node 2.7 is not a non-negative integer"),
+        "bool-node": ([header, initial, '{"t":1,"op":"del","node":true}'],
+                      "line 3: node True is not a non-negative integer"),
+        "string-kappa": ([header.replace("6", '"6"'), initial, first],
+                         "line 1: header 'kappa' must be a JSON int"),
     }
-    for name, lines in traces.items():
+    for name, (lines, message) in traces.items():
         path, out = tmp_path / f"{name}.jsonl", tmp_path / f"{name}.csv"
         path.write_text("\n".join(lines) + "\n")
         capsys.readouterr()
         assert run_cli(["run", "--trace", str(path), "-o", str(out)]) == 2, name
-        assert capsys.readouterr().err.startswith("error: "), name
+        assert capsys.readouterr().err == f"error: {message}\n", name
         assert not out.exists(), name
 
 

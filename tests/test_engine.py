@@ -58,6 +58,8 @@ def test_insert_validation():
     h.handle_event(Event("ins", 5, (1,)))
     with pytest.raises(InvalidEvent):
         h.handle_event(Event("ins", 4, (1,)))        # ids must increase
+    with pytest.raises(InvalidEvent, match="not in"):
+        h.handle_event(Event("ins", 2**63, (1,)))    # beyond int64 CSR ids
     with pytest.raises(InvalidEvent):
         h.handle_event(Event("del", 0))              # already dead
 

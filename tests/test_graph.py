@@ -187,6 +187,56 @@ def test_is_connected():
     assert is_connected(c6)
 
 
+def sequential_graph(nodes, edges, colors):
+    """``ColoredGraph.from_edges``' reference: one call per node and per
+    edge, edges in sorted order."""
+    g = ColoredGraph()
+    for v in nodes:
+        g.add_node(v)
+    for (u, v), paint in sorted(zip(map(sorted, edges), colors)):
+        g.add_edge(u, v, colors=paint)
+    return g
+
+
+def graph_layout(g: ColoredGraph) -> tuple[list, list]:
+    """Everything iteration order shows: nodes with their neighbor sets
+    in set order, and edge records with their colors in insertion order."""
+    return ([(v, list(g.neighbors(v))) for v in g.nodes()],
+            [(rec.u, rec.v, rec.colors) for rec in g.edges()])
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(0, 40), p=st.floats(0, 1), seed=st.integers(0, 10_000))
+def test_from_edges_builds_what_add_edge_builds(n, p, seed):
+    rng = random.Random(seed)
+    nodes = rng.sample(range(3 * n), n)  # unsorted, sparse ids
+    edges = [(v, u) if rng.random() < 0.5 else (u, v)
+             for i, u in enumerate(nodes) for v in nodes[i + 1:] if rng.random() < p]
+    rng.shuffle(edges)
+    colors = [rng.sample([BLACK, 0, 1, 2], rng.randrange(3)) for _ in edges]
+    built = ColoredGraph.from_edges(nodes, edges, colors)
+    assert graph_layout(built) == graph_layout(sequential_graph(nodes, edges, colors))
+    black = ColoredGraph.from_edges(nodes, edges)
+    assert graph_layout(black) == graph_layout(
+        sequential_graph(nodes, edges, [[BLACK]] * len(edges)))
+    assert black.integrity_errors() == []
+
+
+@pytest.mark.parametrize("nodes, edges, error, message", [
+    ([0, 1, 2, 3], [(0, 1), (3, 3)], SelfLoop, "self loop (3,3)"),
+    ([0, 1, 2], [(1, 2), (0, 1), (1, 2)], GraphError, "edge (1,2) already exists"),
+    ([0, 1, 2], [(1, 2), (0, 1), (2, 1)], GraphError, "edge (1,2) already exists"),
+    ([0, 1, 2], [(0, 1), (1, 9)], UnknownNode, "endpoint of (1,9) not present"),
+    ([0, 1, 2, 1], [(0, 1)], DuplicateNode, "node 1 already present"),
+])
+def test_from_edges_rejects_what_add_edge_rejects(nodes, edges, error, message):
+    with pytest.raises(error) as bulk:
+        ColoredGraph.from_edges(nodes, edges)
+    with pytest.raises(error) as one_by_one:
+        sequential_graph(nodes, edges, [[BLACK]] * len(edges))
+    assert str(bulk.value) == str(one_by_one.value) == message
+
+
 def test_csr_connected_edge_cases():
     assert csr_connected(Csr.of(ColoredGraph()))
     assert csr_connected(Csr.of(graph_from_edges([5], [])))
