@@ -326,18 +326,41 @@ def decode_trace(text: str) -> Trace:
                  dict(header.get("params", {})), nodes, edges, events)
 
 
+def insert_error(node: int, nbrs: tuple[int, ...], used: set[int], max_node: int | None,
+                 alive: set[int]) -> str | None:
+    """Why an insert of *node* wired to *nbrs* is invalid after the ids
+    *used* (largest *max_node*) with the nodes *alive*, or None.  Node
+    ids are never reused and must rise; a node neighbours neither
+    itself nor any node twice, and only alive nodes.  ``validate_trace``
+    and ``Healer.handle_event`` share these rules."""
+    if not 0 <= node <= MAX_NODE_ID:
+        return f"node id {node} is not in [0, {MAX_NODE_ID}]"
+    if node in used:
+        return f"node id {node} was already used"
+    if max_node is not None and node <= max_node:
+        return f"node ids must be strictly increasing, got {node}"
+    if node in nbrs:
+        return "a node cannot neighbor itself"
+    if len(set(nbrs)) != len(nbrs):
+        return "duplicate neighbors in insert"
+    if not alive.issuperset(nbrs):
+        return f"insert wires to non-alive nodes {sorted(set(nbrs) - alive)}"
+    return None
+
+
 def validate_trace(trace: Trace) -> None:
-    """Check that events are individually valid when applied in order."""
+    """Check that events are individually valid when applied in order,
+    by ``insert_error``'s rules but one: that ids rise is left to the
+    healer, which rejects a lower id at its event.  perfbench's crash
+    test replays a trace that breaks only that rule, at event 2, and
+    counts what the crash leaves unreached."""
     seen = set(trace.initial_nodes)
     alive = set(trace.initial_nodes)
     for i, (op, node, nbrs) in enumerate(trace.events, start=1):
         if op == "ins":
-            if node in seen:
-                raise InvalidParams(f"event {i}: node {node} reused")
-            if node in nbrs:
-                raise InvalidParams(f"event {i}: self neighbor")
-            if not alive.issuperset(nbrs):
-                raise InvalidParams(f"event {i}: dead neighbors {sorted(set(nbrs) - alive)}")
+            problem = insert_error(node, nbrs, seen, None, alive)
+            if problem is not None:
+                raise InvalidParams(f"event {i}: {problem}")
             seen.add(node)
             alive.add(node)
         else:

@@ -195,7 +195,7 @@ def snapshot_state(healer: Healer, seed: int, cfg: RunConfig | None = None) -> d
             "members": sorted(cloud.members),
             "topology": {
                 "kind": cloud.topology.kind.value,
-                "edges": [[u, v] for u, v in cloud.topology.edge_list],
+                "edges": [[u, v] for u, v in sorted(cloud.topology.edges)],
                 "certified": _fmt_fraction(cloud.topology.certified_expansion),
             },
         })
@@ -284,10 +284,13 @@ def load_snapshot(data: dict) -> tuple[Healer, RunConfig]:
     for entry in data["clouds"]:
         topo = entry["topology"]
         cid = _snapshot_count(entry["id"], "cloud id")
+        keys = [edge_key(u, v) for u, v in _snapshot_rows(topo["edges"], 2, f"cloud {cid} edges")]
+        edges = frozenset(keys)
+        if len(edges) < len(keys):  # a set would drop the repeat unseen
+            raise ValueError(f"cloud {cid} topology lists an edge twice")
         topology = CloudTopology(
             kind=TopologyKind(topo["kind"]),
-            edge_list=[edge_key(u, v) for u, v in
-                       _snapshot_rows(topo["edges"], 2, f"cloud {cid} edges")],
+            edges=edges,
             certified_expansion=_snapshot_fraction(topo["certified"],
                                                    f"cloud {cid} certificate"),
         )

@@ -14,36 +14,43 @@ node:
   cloud when no free node can be found), and the remaining unbridged
   primaries get a new secondary.
 
-A rebuilt expander cloud is spliced first: the dead member's cloud
-neighbors are re-paired, or its replacement bridge takes its edges, and
-the result is certified like a fresh draw; only when that fails is the
-cloud redrawn whole (``expander.build_topology``).  A free node is one
-with no bridge duty and a slot left in its cloud budget: a node may be
-held by at most one cloud more than it has dead baseline neighbors
-(``budget_errors``), which keeps the degree bound.
+A repair decides membership first and designs topologies last.  The
+branch retires clouds (merges, folds), registers new ones and marks
+surviving ones for a rebuild, none of which reads a topology; then every
+marked or new cloud still registered is designed once, in id order
+(``Plan._design``), so no draw is spent on a cloud the repair does not
+keep.  A rebuilt expander cloud is spliced from its topology scrubbed of
+the dead member, and a merge grows from the largest merged expander
+topology (``expander._splice``); only when that fails is the cloud drawn
+whole (``expander.build_topology``).  A free node is one with no bridge
+duty and a slot left in its cloud budget: a node may be held by at most
+one cloud more than it has dead baseline neighbors (``budget_errors``),
+which keeps the degree bound.
 
 Each delete is planned as one value, a ``Plan`` with its own registry,
-counters and next cloud id and the edge edits recorded as steps; the
-healer then takes its state and applies its steps to the graph, so a
-plan that raises (a cloud that cannot be certified) is dropped with
-nothing to restore.  An edge's colors are its only state: a step strips
-the old clouds' colors from the edges their new topologies drop, colors
-the edges they add (reusing any that exist) and deletes the stripped
-edges left colorless, all in one ``ColoredGraph.recolor`` call.  Black
-is never stripped, so no black edge goes.
+counters and next cloud id and the delete's edge edits recorded as one
+step; the healer then takes its state and applies the step to the graph,
+so a plan that raises (a cloud that cannot be certified) is dropped with
+nothing to restore.  An edge's colors are its only state, and a cloud's
+topology is a frozen set of edges: the step strips each retired cloud's
+color from its edges and each rebuilt cloud's from ``old - new`` only,
+colors ``new - old`` (reusing any edge that exists, a retired cloud's
+too) and deletes the stripped edges left colorless, all in one
+``ColoredGraph.recolor`` call.  Black is never stripped, so no black
+edge goes.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
+from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .adversary import Event
+from .adversary import Event, insert_error
 from .expander import CloudTopology, ExpanderConfig, TopologyKind, build_topology
 from .graph import (
     BLACK,
-    MAX_NODE_ID,
     ColoredGraph,
     EdgeKey,
     ShadowGraph,
@@ -53,6 +60,9 @@ from .graph import (
 )
 
 FAULTS = ("skip-heal", "drop-black-edge")
+
+# the topology a new cloud is registered with until it is designed
+UNDESIGNED = CloudTopology(TopologyKind.CLIQUE, frozenset(), Fraction(0))
 
 
 class InvalidEvent(Exception):
@@ -136,9 +146,10 @@ class CloudRegistry:
                 errs.append(f"cloud {cid} is empty but registered")
             if not cloud.members <= alive:
                 errs.append(f"cloud {cid} has dead members")
-            for u, v in cloud.topology.edge_list:
-                if u not in cloud.members or v not in cloud.members:
-                    errs.append(f"cloud {cid} topology edge ({u},{v}) leaves member set")
+            members = cloud.members
+            for u, v in sorted(e for e in cloud.topology.edges
+                               if e[0] not in members or e[1] not in members):
+                errs.append(f"cloud {cid} topology edge ({u},{v}) leaves member set")
         for (f, c), node in self.bridges.items():
             if f not in self.clouds or self.clouds[f].kind is not CloudKind.SECONDARY:
                 errs.append(f"bridge entry ({f},{c}) has no secondary cloud")
@@ -224,29 +235,17 @@ class Healer:
 
     def handle_event(self, event: Event) -> None:
         if event.is_insert:
-            self._validate_insert(event)
+            shadow = self.shadow
+            problem = insert_error(event.node, event.neighbors, shadow.nodes,
+                                   shadow.max_node, shadow.alive)
+            if problem is not None:
+                raise InvalidEvent(problem)
             self._insert(event)
         else:
             if event.node not in self.shadow.alive:
                 raise InvalidEvent(f"delete of non-alive node {event.node}")
             self._delete(event.node)
         self.counters.events += 1
-
-    def _validate_insert(self, event: Event) -> None:
-        v = event.node
-        if not 0 <= v <= MAX_NODE_ID:
-            raise InvalidEvent(f"node id {v} is not in [0, {MAX_NODE_ID}]")
-        if v in self.shadow.nodes:
-            raise InvalidEvent(f"node id {v} was already used")
-        if self.shadow.max_node is not None and v <= self.shadow.max_node:
-            raise InvalidEvent(f"node ids must be strictly increasing, got {v}")
-        if v in event.neighbors:
-            raise InvalidEvent("a node cannot neighbor itself")
-        if len(set(event.neighbors)) != len(event.neighbors):
-            raise InvalidEvent("duplicate neighbors in insert")
-        dead = set(event.neighbors) - self.shadow.alive
-        if dead:
-            raise InvalidEvent(f"insert wires to non-alive nodes {sorted(dead)}")
 
     def _insert(self, event: Event) -> None:
         self.shadow.apply(event)
@@ -266,8 +265,7 @@ class Healer:
         self.shadow.apply(Event("del", v))
         self.graph.remove_node(v)
         self.last_black_neighbors = set(plan.blacks)
-        for step in plan.steps:
-            self._apply(step)
+        self._apply(plan.step)
         if self.fault == "drop-black-edge":
             self._drop_one_black_edge()
 
@@ -275,21 +273,16 @@ class Healer:
 
     def _apply(self, step: EdgeStep) -> None:
         """Recolor the graph by the step's per-color difference: a cloud
-        stripped and built in the same step loses only the edges its new
-        topology drops and gains only those it adds.  The graph ends as
-        after stripping every old edge and painting every new one, since
-        an edge a cloud keeps would be repainted before the purge; it is
-        just no longer counted as reused."""
-        old = {cloud.id: cloud.topology.edge_list for cloud in step.stripped}
-        kept = {cloud.id: set(old[cloud.id]).intersection(cloud.topology.edge_list)
-                for cloud in step.built if cloud.id in old}
-
-        def changed(cloud: Cloud) -> tuple[int, list[EdgeKey]]:
-            keep, edges = kept.get(cloud.id), cloud.topology.edge_list
-            return cloud.id, edges if keep is None else [e for e in edges if e not in keep]
-
-        created, reused, deleted = self.graph.recolor(map(changed, step.stripped),
-                                                      map(changed, step.built))
+        stripped and built in the same step loses only ``old - new`` and
+        gains only ``new - old``.  The graph ends as after stripping
+        every old edge and painting every new one, since an edge a cloud
+        keeps would be repainted before the purge; it is just no longer
+        counted as reused."""
+        old = {cloud.id: cloud.topology.edges for cloud in step.stripped}
+        new = {cloud.id: cloud.topology.edges for cloud in step.built}
+        created, reused, deleted = self.graph.recolor(
+            [(cid, edges - new[cid] if cid in new else edges) for cid, edges in old.items()],
+            [(cid, edges - old[cid] if cid in old else edges) for cid, edges in new.items()])
         self.counters.edges_created += created
         self.counters.edges_reused += reused
         self.counters.edges_deleted += deleted
@@ -307,6 +300,13 @@ class Plan:
     """Every decision of one delete's repair, made on copies of the
     healer's registry, counters and next cloud id before any is applied.
     It changes nothing of the healer but the state of its random stream.
+
+    The repair first decides membership only: which clouds are retired,
+    which new ones are registered and which are marked for rebuilding,
+    none of which reads a topology.  It then designs, once, every marked
+    or new cloud that is still registered, so no draw is spent on a
+    cloud the repair does not keep, and records all of the delete's
+    edge edits as one ``EdgeStep``.
     """
 
     def __init__(self, healer: Healer, dying: int | None = None) -> None:
@@ -314,8 +314,14 @@ class Plan:
         self.registry = healer.registry.copy()
         self.counters = RepairCounters(**vars(healer.counters))
         self.next_cloud_id = healer.next_cloud_id
-        # graph edits in the order they apply; the last is open
-        self.steps = [EdgeStep()]
+        # clouds of this id or above are new in this plan: no edge of
+        # theirs is in the graph until the plan is applied
+        self.first_new_id = healer.next_cloud_id
+        # the clouds to design over their members at the end of the
+        # repair, if a merge or a fold has not retired them by then
+        self.marked: set[int] = set()
+        # the delete's graph edits
+        self.step = EdgeStep()
         # the node whose delete is planned, the edges it takes with it
         # and the endpoints of the black ones
         self.dying = dying
@@ -343,11 +349,11 @@ class Plan:
         reg.duty.pop(v, None)
 
         v_primary, v_secondary = [], []
+        dying_keys = {rec.key for rec in self.removed}
         for cid in sorted(reg.member_of.get(v, ())):
             cloud = reg.clouds[cid]
             (v_primary if cloud.kind is CloudKind.PRIMARY else v_secondary).append(cid)
-            topology = replace(cloud.topology, edge_list=[
-                e for e in cloud.topology.edge_list if v not in e])
+            topology = replace(cloud.topology, edges=cloud.topology.edges - dying_keys)
             reg.store(replace(cloud, members=cloud.members - {v}, topology=topology))
             if not reg.clouds[cid].members:
                 reg.retire(cid)
@@ -356,7 +362,12 @@ class Plan:
     # -- dispatch ---------------------------------------------------------
 
     def repair(self) -> None:
-        """Plan the repair branch that the dying node's lost edge colors select."""
+        """Plan the repair branch that the dying node's lost edge colors
+        select, then design the clouds it marked and kept."""
+        self._dispatch()
+        self._design()
+
+    def _dispatch(self) -> None:
         # every lost cloud color is a cloud the dead node was a member
         # of, so it sits in primaries or secondaries
         lost_colors = {c for rec in self.removed for c in rec.colors if c != BLACK}
@@ -364,19 +375,19 @@ class Plan:
         if not lost_colors:
             self.counters.branch_all_black += 1
             if self.blacks:
-                self._build_cloud(self.blacks, CloudKind.PRIMARY)
+                self._new_cloud(self.blacks, CloudKind.PRIMARY)
             return
 
         if not lost_colors & set(self.secondaries):
             # a lost color sits on an edge at a surviving member, so its
-            # cloud is still registered, and a rebuild retires nothing
+            # cloud is still registered
             self.counters.branch_primary += 1
-            self._rebuild(lost_colors)
+            self.marked |= lost_colors
             self._make_secondary_cloud(lost_colors, self.blacks)
             return
 
         self.counters.branch_secondary += 1
-        self._rebuild(self.primaries)
+        self.marked.update(self.primaries)
         merged_ids: list[int] = []
         for f in sorted(self.lost_roles):
             merged = self._fix_secondary_cloud(f, self.lost_roles[f])
@@ -401,12 +412,12 @@ class Plan:
             if reachable:
                 anchors.append(reachable[0])
                 if f not in self.lost_roles:
-                    self._rebuild([f])
+                    self.marked.add(f)
             else:
                 folds.append(f)
         leftovers = {c for c in self.primaries if c in reg.clouds and c not in bridged}
         # a merge result is a fresh primary no bridge names, so no later
-        # merge retires it
+        # secondary repair retires it
         participants = sorted(leftovers | set(anchors) | set(merged_ids))
         fold_nodes: set[int] = set()
         for f in folds:
@@ -416,29 +427,10 @@ class Plan:
             # a single self-contained region (or none) needs no tie;
             # folds always carry members, so none are pending here
             return
-        self._strip(folds)
-        for f in folds:
-            reg.retire(f)
+        self._retire(folds)
         self._make_secondary_cloud(participants, loose)
-        self._purge()
 
     # -- repair subroutines ----------------------------------------------
-
-    def _rebuild(self, cloud_ids: Iterable[int]) -> None:
-        """Re-design each listed cloud that is still registered over its
-        current members, with its registered kind and color, reusing
-        edges across all of them before purging.  The registered
-        topology, scrubbed of the dead node, is handed to
-        ``build_topology``, which splices it when it can and redraws it
-        otherwise.  A cloud the scrub retired (the dead node was its last
-        member) is skipped."""
-        reg = self.registry
-        live = [cid for cid in sorted(set(cloud_ids)) if cid in reg.clouds]
-        self._strip(live)
-        for cid in live:
-            cloud = reg.clouds[cid]
-            self._build_cloud(cloud.members, cloud.kind, color=cid, previous=cloud.topology)
-        self._purge()
 
     def _make_secondary_cloud(self, cloud_ids: Iterable[int],
                               extra_members: Iterable[int]) -> None:
@@ -459,7 +451,7 @@ class Plan:
             picks[cid] = free
             reserved.add(free)
         members = sorted(set(picks.values()) | set(extras))
-        fid = self._build_cloud(members, CloudKind.SECONDARY)
+        fid = self._new_cloud(members, CloudKind.SECONDARY)
         # loose nodes take no duty: a dead neighbor pays for their slot
         for cid in sorted(picks):
             self.registry.bridges[(fid, cid)] = picks[cid]
@@ -468,7 +460,8 @@ class Plan:
     def _fix_secondary_cloud(self, fid: int, lost_primary: int) -> int | None:
         """Repair secondary cloud *fid* after the deleted node, its bridge
         to primary *lost_primary*, died: draft a free replacement and
-        rebuild the cloud with it, or merge everything if none exists.
+        mark the cloud for rebuilding with it, or merge everything if
+        none exists.
         The scrub or an earlier merge may have retired either cloud.
         Returns the id of the merge result when a merge happened."""
         reg = self.registry
@@ -483,24 +476,25 @@ class Plan:
             reg.bridges[(fid, lost_primary)] = replacement
             cloud = reg.clouds[fid]
             reg.store(replace(cloud, members=cloud.members | {replacement}))
-        self._rebuild([fid])
+        self.marked.add(fid)
         return None
 
     def _merge_into_primary(self, cloud_ids: Sequence[int],
                             extra_nodes: Sequence[int]) -> int:
         """Collapse the listed clouds, which must be registered, and any
-        loose nodes into one fresh primary cloud, retiring the clouds."""
+        loose nodes into one fresh primary cloud, retiring the clouds.
+        The merge is designed from the largest of their regular-expander
+        topologies, the others' members joining it as newcomers (see
+        ``expander._splice``), or drawn afresh when that fails."""
         live = sorted(set(cloud_ids))
-        union = set(extra_nodes)
-        for cid in live:
-            union |= self.registry.clouds[cid].members
-        self._strip(live)
-        for cid in live:
-            self.registry.retire(cid)
-        merged = self._build_cloud(sorted(union), CloudKind.PRIMARY)
-        self._purge()
+        clouds = [self.registry.clouds[cid] for cid in live]
+        union = set(extra_nodes).union(*(cloud.members for cloud in clouds))
+        largest = max((c.topology for c in clouds
+                       if c.topology.kind is TopologyKind.REGULAR_EXPANDER),
+                      key=lambda topology: len(topology.edges), default=UNDESIGNED)
+        self._retire(live)
         self.counters.merges += 1
-        return merged
+        return self._new_cloud(union, CloudKind.PRIMARY, grow_from=largest)
 
     def _pick_free_node(self, cid: int, reserved: set[int]) -> int | None:
         """Smallest-id free node of the cloud, else the smallest-id free
@@ -546,35 +540,51 @@ class Plan:
 
     # -- planned edge edits ------------------------------------------------
 
-    def _build_cloud(self, members: Iterable[int], kind: CloudKind,
-                     color: int | None = None,
-                     previous: CloudTopology | None = None) -> int:
-        """Design a topology over the non-empty *members* and plan its
-        edges.  A fresh color registers a new cloud; an existing color
-        rebuilds that cloud in place from its *previous* topology, by a
-        splice or a redraw."""
-        member_list = sorted(set(members))
-        if color is None:
-            color = self.next_cloud_id
-            self.next_cloud_id += 1
-            self.counters.clouds_built += 1
-        topology, spliced = build_topology(member_list, self.cfg, self.rng, previous=previous)
-        if previous is not None:
-            if spliced:
-                self.counters.clouds_spliced += 1
-            else:
-                self.counters.clouds_rebuilt += 1
-        cloud = Cloud(color, kind, frozenset(member_list), topology)
-        self.registry.store(cloud)
-        self.steps[-1].built.append(cloud)
+    def _new_cloud(self, members: Iterable[int], kind: CloudKind,
+                   grow_from: CloudTopology = UNDESIGNED) -> int:
+        """Register a cloud of a fresh color over the non-empty *members*
+        and mark it for design, from *grow_from* when that is a regular
+        expander (a merge), from scratch otherwise."""
+        color = self.next_cloud_id
+        self.next_cloud_id += 1
+        self.counters.clouds_built += 1
+        self.registry.store(Cloud(color, kind, frozenset(members), grow_from))
+        self.marked.add(color)
         return color
 
-    def _strip(self, cloud_ids: Sequence[int]) -> None:
-        self.steps[-1].stripped.extend(self.registry.clouds[cid] for cid in cloud_ids)
+    def _retire(self, cloud_ids: Iterable[int]) -> None:
+        """Retire the listed clouds, stripping the colors of those whose
+        edges are in the graph."""
+        for cid in cloud_ids:
+            if cid < self.first_new_id:
+                self.step.stripped.append(self.registry.clouds[cid])
+            self.registry.retire(cid)
 
-    def _purge(self) -> None:
-        """End the open step, so that no later step recolors its drained edges."""
-        self.steps.append(EdgeStep())
+    def _design(self) -> None:
+        """Design each marked cloud that is still registered over its
+        current members, in id order, from its registered topology: a
+        rebuilt cloud's, scrubbed of the dead node, or the one a merge
+        grows from.  ``build_topology`` splices that topology when it
+        can and draws afresh otherwise.  A rebuilt cloud is stripped and
+        built in the one step, so ``Healer._apply`` recolors only its
+        difference."""
+        reg = self.registry
+        for cid in sorted(self.marked):
+            cloud = reg.clouds.get(cid)
+            if cloud is None:
+                continue  # retired by the scrub, a merge or a fold
+            topology, spliced = build_topology(sorted(cloud.members), self.cfg, self.rng,
+                                               previous=cloud.topology)
+            existing = cid < self.first_new_id
+            if spliced:
+                self.counters.clouds_spliced += 1
+            elif existing:
+                self.counters.clouds_rebuilt += 1
+            if existing:
+                self.step.stripped.append(cloud)
+            cloud = replace(cloud, topology=topology)
+            reg.store(cloud)
+            self.step.built.append(cloud)
 
 
 # -- coherence oracle ---------------------------------------------------
@@ -589,7 +599,7 @@ def expected_edge_state(healer: Healer) -> dict[EdgeKey, set[int]]:
         if u in alive and v in alive:
             expected[edge_key(u, v)] = {BLACK}
     for cid, cloud in healer.registry.clouds.items():
-        for key in cloud.topology.edge_list:
+        for key in cloud.topology.edges:
             expected.setdefault(key, set()).add(cid)
     return expected
 

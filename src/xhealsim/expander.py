@@ -2,11 +2,14 @@
 
 Small member sets become cliques; larger ones become seeded random
 kappa-regular graphs sampled with the pairing model and accepted only
-once an expansion certificate clears the configured target.  A cloud
-that lost one member is spliced before any draw: the departed member's
-kappa neighbours are re-paired with kappa/2 new edges, or its
-replacement takes its kappa edges, and the result must clear the same
-certificate; only if it does not is the cloud redrawn whole.  At every
+once an expansion certificate clears the configured target.  A
+topology is a frozen set of canonical edge keys.  A cloud designed from
+a previous topology (one that lost a member, or a merge grown from its
+largest cloud) is spliced before any draw, in one degree repair: a
+departed member's kappa neighbours are re-paired with kappa/2 new edges
+or give those edges to the first newcomer, and each further newcomer
+subdivides kappa/2 vertex-disjoint edges.  The result must clear the
+same certificate; only if it does not is the cloud drawn whole.  At every
 size the first test is a spectral gate: one Cholesky factorization
 proves lambda2 large enough that lambda2/2 clears the target (Cheeger),
 with no eigensolve.  Only a draw that fails the gate is measured: by
@@ -33,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import EdgeKey, edge_key
+from .graph import EdgeKey
 
 
 class ExpanderError(Exception):
@@ -98,12 +101,13 @@ class ExpanderConfig:
 class CloudTopology:
     """A cloud's edges and the expansion certificate they were accepted on.
 
-    Frozen, and its edge list never mutated: registry copies and repair
-    plans share one topology until a rebuild replaces it.
+    Frozen, with its edges a frozen set of canonical keys: registry
+    copies and repair plans share one topology until a rebuild replaces
+    it, and a rebuild's edge changes are set differences.
     """
 
     kind: TopologyKind
-    edge_list: list[EdgeKey]
+    edges: frozenset[EdgeKey]
     certified_expansion: Fraction
 
 
@@ -314,51 +318,100 @@ def _pairing_attempt(n: int, kappa: int, rng: random.Random) -> set[tuple[int, i
 
 def _splice(previous: CloudTopology, ranked: list[int], cfg: ExpanderConfig,
             rng: random.Random) -> CloudTopology | None:
-    """Mend *previous*, a kappa-regular cloud topology that lost one
-    member, into one on the sorted members *ranked*, or return None.
+    """Mend *previous*, a kappa-regular cloud topology whose members all
+    stay, into one on the sorted members *ranked*, or return None.
 
-    The departed member's kappa cloud neighbours are one edge short.
-    When every other member has degree kappa, the kappa short ones are
-    shuffled and joined in adjacent pairs, kappa/2 new edges; a shuffle
-    that pairs two existing neighbours is redone, up to SPLICE_TRIES
-    times.  When one more member has degree 0, a replacement joining in
-    the departed member's place, it takes those kappa edges.  Any other
-    shape, a clash on every try, or a result that fails the gate of
-    ``_gate_certificate`` gives None.  An accepted result is simple and
-    kappa-regular on exactly *ranked*.
+    A member one edge short lost a neighbour that left; a newcomer is a
+    member with no edge yet.  Exactly kappa short members (one member
+    left) or none, and any newcomers, are mended in one degree repair:
+    * kappa short members and no newcomer are shuffled and joined in
+      adjacent pairs, kappa/2 new edges; a shuffle that pairs two
+      existing neighbours is redone, up to SPLICE_TRIES times;
+    * with newcomers, the first takes the short members' kappa edges,
+      as a replacement joining in the departed member's place;
+    * each further newcomer x subdivides kappa/2 random vertex-disjoint
+      edges: (a, b) goes, (a, x) and (x, b) come.  An edge whose ends
+      clash with one already picked is redrawn, up to SPLICE_TRIES
+      times.
+    Any other shape, a clash on every try, or a result that fails the
+    gate of ``_gate_certificate`` gives None.  An accepted result is
+    simple, kappa-regular on exactly *ranked*, and keeps every edge of
+    *previous* it did not subdivide.
     """
     kappa, m = cfg.kappa, len(ranked)
     ids = np.array(ranked, dtype=np.int64)
-    ends = np.array(previous.edge_list, dtype=np.int64).reshape(-1, 2)
+    ends = np.fromiter(itertools.chain.from_iterable(previous.edges), dtype=np.int64,
+                       count=2 * len(previous.edges)).reshape(-1, 2)
     pos = np.minimum(np.searchsorted(ids, ends), m - 1)
     if not (ids[pos] == ends).all():
         return None  # an edge leaves the member set
     deg = np.bincount(pos.ravel(), minlength=m)
-    short = np.flatnonzero(deg != kappa).tolist()
-    short_deg = sorted(deg[short].tolist())
-    if short_deg == [kappa - 1] * kappa:
-        existing = set(previous.edge_list)
+    short = np.flatnonzero(deg == kappa - 1).tolist()
+    newcomers = np.flatnonzero(deg == 0).tolist()
+    if (len(short) not in (0, kappa) or not (short or newcomers)
+            or len(short) + len(newcomers) < np.count_nonzero(deg != kappa)):
+        return None
+    if not newcomers:
         for _ in range(SPLICE_TRIES):
             partial_shuffle(short, kappa - 1, rng)  # rng.shuffle(short)
             it = iter(short)
             pairs = [(a, b) if a < b else (b, a) for a, b in zip(it, it)]
-            if existing.isdisjoint((ranked[a], ranked[b]) for a, b in pairs):
+            if previous.edges.isdisjoint((ranked[a], ranked[b]) for a, b in pairs):
                 break
         else:
             return None
-    elif short_deg == [0] + [kappa - 1] * kappa:
-        (newcomer,) = (p for p in short if deg[p] == 0)
-        pairs = [(a, newcomer) if a < newcomer else (newcomer, a)
-                 for a in short if a != newcomer]
     else:
-        return None
-    added = np.array(pairs, dtype=np.int64)
-    cert = _gate_certificate(m, np.concatenate([pos[:, 0], added[:, 0]]),
-                             np.concatenate([pos[:, 1], added[:, 1]]), cfg)
+        pairs = [(a, newcomers[0]) if a < newcomers[0] else (newcomers[0], a)
+                 for a in short]
+        if short:
+            del newcomers[0]
+    codes = pos[:, 0] * m + pos[:, 1]  # edge (a, b), a < b, as a * m + b
+    added = [a * m + b for a, b in pairs]
+    gone: set[int] = set()
+    if newcomers:
+        kept = _subdivide(sorted(codes.tolist()) + added, newcomers, m, kappa, rng)
+        if kept is None:
+            return None
+        before, after = set(codes.tolist()), set(kept)
+        gone, added = before - after, after - before
+        codes = np.array(kept, dtype=np.int64)
+    else:
+        codes = np.concatenate([codes, np.array(added, dtype=np.int64)])
+    cert = _gate_certificate(m, *np.divmod(codes, m), cfg)
     if cert < cfg.alpha_target:
         return None
-    edge_list = sorted(previous.edge_list + [(ranked[a], ranked[b]) for a, b in pairs])
-    return CloudTopology(TopologyKind.REGULAR_EXPANDER, edge_list, cert)
+    edges = previous.edges.difference((ranked[c // m], ranked[c % m]) for c in gone)
+    return CloudTopology(TopologyKind.REGULAR_EXPANDER,
+                         edges.union((ranked[c // m], ranked[c % m]) for c in added), cert)
+
+
+def _subdivide(codes: list[int], newcomers: list[int], m: int, kappa: int,
+               rng: random.Random) -> list[int] | None:
+    """The edges of the graph on positions 0..m-1 whose edges (a, b),
+    a < b, are the codes ``a * m + b`` of *codes*, after each of
+    *newcomers* in turn subdivides kappa/2 random vertex-disjoint edges:
+    (a, b) goes, (a, x) and (x, b) come.  An edge whose ends clash with
+    one already picked is redrawn, up to SPLICE_TRIES times; None when
+    every try clashes."""
+    codes = list(codes)
+    for x in newcomers:
+        picked: list[int] = []
+        touched: list[int] = []
+        for _ in range(kappa // 2):
+            for _ in range(SPLICE_TRIES):
+                i = rng.randrange(len(codes))
+                a, b = divmod(codes[i], m)
+                if a not in touched and b not in touched:
+                    break
+            else:
+                return None
+            touched += (a, b)
+            picked.append(i)
+        for i in sorted(picked, reverse=True):  # swap each with the last, then drop it
+            codes[i] = codes[-1]
+            codes.pop()
+        codes.extend(end * m + x if end < x else x * m + end for end in touched)
+    return codes
 
 
 def build_topology(
@@ -386,13 +439,11 @@ def build_topology(
     ranked = sorted(ordered)
 
     if m <= cfg.kappa + 1:
-        edge_list = sorted(
-            edge_key(ranked[i], ranked[j]) for i in range(m) for j in range(i + 1, m)
-        )
+        edges = frozenset(itertools.combinations(ranked, 2))
         # a clique's minimum cut ratio is attained by a half split:
         # |S|*(m-|S|)/|S| = m - |S|, smallest at |S| = floor(m/2)
         cert = Fraction(0) if m < 2 else Fraction(m - m // 2)
-        return CloudTopology(TopologyKind.CLIQUE, edge_list, cert), False
+        return CloudTopology(TopologyKind.CLIQUE, edges, cert), False
 
     if previous is not None and previous.kind is TopologyKind.REGULAR_EXPANDER:
         spliced = _splice(previous, ranked, cfg, rng)
@@ -410,8 +461,8 @@ def build_topology(
                            count=2 * len(idx_edges))
         cert = _gate_certificate(m, ends[0::2], ends[1::2], cfg)
         if cert >= cfg.alpha_target:
-            edge_list = [(ranked[i], ranked[j]) for i, j in sorted(idx_edges)]
-            return CloudTopology(TopologyKind.REGULAR_EXPANDER, edge_list, cert), False
+            edges = frozenset((ranked[i], ranked[j]) for i, j in idx_edges)
+            return CloudTopology(TopologyKind.REGULAR_EXPANDER, edges, cert), False
         best = max(best, cert)
     # lambda2/2 of large random kappa-regular graphs tends to this (Friedman, Alon-Boppana)
     ceiling = (cfg.kappa - 2 * (cfg.kappa - 1) ** 0.5) / 2

@@ -49,6 +49,10 @@ class DuplicateNode(GraphError):
     pass
 
 
+class NodeIdOutOfRange(GraphError):
+    pass
+
+
 class UnknownNode(GraphError):
     pass
 
@@ -72,6 +76,11 @@ class EmptySubset(GraphError):
 def edge_key(u: int, v: int) -> EdgeKey:
     """Canonical unordered representation of an edge."""
     return (u, v) if u < v else (v, u)
+
+
+def _check_id(v: int) -> None:
+    if not 0 <= v <= MAX_NODE_ID:
+        raise NodeIdOutOfRange(f"node id {v} is not in [0, {MAX_NODE_ID}]")
 
 
 def _first_repeat(items: Iterable) -> object:
@@ -129,11 +138,14 @@ class ColoredGraph:
         """The graph that ``add_node`` over *nodes*, then ``add_edge`` over
         *edges* in sorted order, each with its entry of *colors* (black
         when omitted), would build.  The input is checked as a whole, in
-        ``add_edge``'s order: a self loop raises SelfLoop, an endpoint
-        not in *nodes* UnknownNode, an edge given twice (in either
-        orientation) GraphError and a node given twice DuplicateNode."""
+        the order of those calls: a node id outside [0, MAX_NODE_ID]
+        raises NodeIdOutOfRange, a node given twice DuplicateNode, a self
+        loop SelfLoop, an endpoint not in *nodes* UnknownNode and an edge
+        given twice (in either orientation) GraphError."""
         graph = cls()
         nodes = list(nodes)
+        if nodes and (min(nodes) < 0 or max(nodes) > MAX_NODE_ID):
+            _check_id(next(v for v in nodes if not 0 <= v <= MAX_NODE_ID))
         adj = graph._adj = {v: set() for v in nodes}
         if len(adj) < len(nodes):
             raise DuplicateNode(f"node {_first_repeat(nodes)} already present")
@@ -169,6 +181,7 @@ class ColoredGraph:
         return iter(self._adj)
 
     def add_node(self, v: int) -> None:
+        _check_id(v)
         if v in self._adj:
             raise DuplicateNode(f"node {v} already present")
         self._csr = None

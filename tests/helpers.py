@@ -335,10 +335,20 @@ def apply_full_oracle(healer, step) -> None:
     """``Healer._apply`` as a full strip and paint: every stripped
     cloud's edges lose its color and every built cloud's edges take it,
     so an edge a rebuilt cloud keeps is stripped, repainted and counted
-    as reused."""
+    as reused.  A rebuilt cloud paints the edges it adds first, in the
+    order ``_apply`` iterates them, so that edges are created in the
+    same order."""
+    old = {cloud.id: cloud.topology.edges for cloud in step.stripped}
+
+    def painted(cloud):
+        edges = cloud.topology.edges
+        if cloud.id not in old:
+            return cloud.id, edges
+        return cloud.id, [*(edges - old[cloud.id]), *(edges & old[cloud.id])]
+
     created, reused, deleted = healer.graph.recolor(
-        [(cloud.id, cloud.topology.edge_list) for cloud in step.stripped],
-        [(cloud.id, cloud.topology.edge_list) for cloud in step.built])
+        [(cloud.id, cloud.topology.edges) for cloud in step.stripped],
+        [painted(cloud) for cloud in step.built])
     healer.counters.edges_created += created
     healer.counters.edges_reused += reused
     healer.counters.edges_deleted += deleted

@@ -224,7 +224,7 @@ def test_expander_builder():
         topo, _ = build_topology(members, cfg, random.Random(f"builder/{i}"))
         degrees = {v: 0 for v in members}
         seen = set()
-        for u, v in topo.edge_list:
+        for u, v in topo.edges:
             if u == v or (u, v) in seen:
                 problems.append((i, n, "not simple"))
             seen.add((u, v))
@@ -233,7 +233,7 @@ def test_expander_builder():
         if not all(KAPPA - 1 <= d <= KAPPA + 1 for d in degrees.values()):
             problems.append((i, n, "degree out of range"))
         adj = {v: set() for v in members}
-        for u, v in topo.edge_list:
+        for u, v in topo.edges:
             adj[u].add(v)
             adj[v].add(u)
         reached = {0}
@@ -246,7 +246,7 @@ def test_expander_builder():
                     frontier.append(nb)
         if len(reached) != n:
             problems.append((i, n, "disconnected"))
-        cert = certificate_oracle(members, topo.edge_list, cfg)
+        cert = certificate_oracle(members, topo.edges, cfg)
         if cert < Fraction(1):
             problems.append((i, n, f"certificate {cert}"))
     conclude("expander-builder", not problems,

@@ -211,6 +211,19 @@ def test_verify_detects_corrupted_color(tmp_path, capsys):
         assert "VIOLATION" in capsys.readouterr().err
 
 
+def repeat_topology_edge(data, orient):
+    edges = next(c["topology"]["edges"] for c in data["clouds"] if c["topology"]["edges"])
+    edges.append(orient(list(edges[0])))
+
+
+def test_snapshot_lists_topology_edges_sorted_and_loads_back_to_the_same_dump(tmp_path):
+    data = small_snapshot(tmp_path)
+    topologies = [c["topology"]["edges"] for c in data["clouds"]]
+    assert any(topologies) and all(edges == sorted(edges) for edges in topologies)
+    healer, cfg = cli.load_snapshot(copy.deepcopy(data))
+    assert cli.snapshot_state(healer, 5, cfg) == data
+
+
 def test_verify_missing_or_malformed_snapshot(tmp_path, capsys):
     assert run_cli(["verify", "--snapshot", str(tmp_path / "none.json")]) == 2
     bad = tmp_path / "bad.json"
@@ -243,6 +256,9 @@ def test_verify_missing_or_malformed_snapshot(tmp_path, capsys):
         "string-counter": lambda d: d["counters"].update(merges="0"),
         # metrics fixes this density subset, so a default would check another family
         "no-last-black-neighbors": lambda d: d.pop("last_black_neighbors"),
+        # a topology is a set of edges, which would drop a repeat unseen
+        "topology-edge-twice": lambda d: repeat_topology_edge(d, lambda e: e),
+        "topology-edge-twice-flipped": lambda d: repeat_topology_edge(d, lambda e: e[::-1]),
     }
     for name, damage in broken.items():
         victim = copy.deepcopy(data)
@@ -341,6 +357,14 @@ def test_run_rejects_malformed_trace_input_before_event_1(tmp_path, capsys):
                       "line 3: node True is not a non-negative integer"),
         "string-kappa": ([header.replace("6", '"6"'), initial, first],
                          "line 1: header 'kappa' must be a JSON int"),
+        # the healer's insert rules, checked before event 1 too
+        "insert-repeats-a-neighbour": (
+            [header, initial, first, '{"t":2,"op":"del","node":3}',
+             '{"t":3,"op":"ins","node":4,"nbrs":[1,1]}'],
+            "event 3: duplicate neighbors in insert"),
+        "insert-neighbours-itself": (
+            [header, initial, first, '{"t":2,"op":"ins","node":4,"nbrs":[4]}'],
+            "event 2: a node cannot neighbor itself"),
     }
     for name, (lines, message) in traces.items():
         path, out = tmp_path / f"{name}.jsonl", tmp_path / f"{name}.csv"

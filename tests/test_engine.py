@@ -27,12 +27,13 @@ def make_healer(nodes, edges, seed=0, fault=None, **cfg):
 
 def plan_and_apply(h, planner, *args):
     """Run one repair planner outside an event as a delete runs its
-    plan: plan on a ``Plan``, take its state, then apply its steps."""
+    plan: plan on a ``Plan``, design the clouds it marked, take its
+    state, then apply its step."""
     plan = Plan(h)
     getattr(plan, planner)(*args)
+    plan._design()
     h.registry, h.counters, h.next_cloud_id = plan.registry, plan.counters, plan.next_cloud_id
-    for step in plan.steps:
-        h._apply(step)
+    h._apply(plan.step)
 
 
 def test_insert_wires_black_edges_only():
@@ -71,7 +72,7 @@ def test_all_black_deletion_builds_primary_clique():
     (cloud,) = h.registry.clouds.values()
     assert cloud.kind is CloudKind.PRIMARY and cloud.members == {1, 2, 3}
     assert all(h.graph.edge(u, v).colors == {cloud.id}
-               for u, v in cloud.topology.edge_list)
+               for u, v in cloud.topology.edges)
     assert h.counters.branch_all_black == 1
     assert coherence_errors(h) == []
 
@@ -88,7 +89,7 @@ def test_single_black_neighbor_makes_singleton_cloud():
     h = make_healer([0, 1], [(0, 1)])
     h.handle_event(Event("del", 0))
     (cloud,) = h.registry.clouds.values()
-    assert cloud.members == {1} and cloud.topology.edge_list == []
+    assert cloud.members == {1} and cloud.topology.edges == frozenset()
     assert h.graph.edge_count() == 0
 
 
@@ -110,7 +111,7 @@ def test_primary_only_deletion_rebuilds_and_bridges():
     assert h.counters.branch_primary == 1
     primary = h.registry.clouds[pid]
     assert primary.members == {1, 2, 3}
-    assert sorted(primary.topology.edge_list) == [(1, 2), (1, 3), (2, 3)]
+    assert sorted(primary.topology.edges) == [(1, 2), (1, 3), (2, 3)]
     # a fresh secondary cloud bridges the repaired primary
     secondaries = [c for c in h.registry.clouds.values()
                    if c.kind is CloudKind.SECONDARY]
@@ -284,9 +285,10 @@ def test_certification_failure_on_a_real_trace_changes_nothing():
 
 def test_certification_failure_after_a_planned_rebuild_changes_nothing():
     # at kappa 4 and alpha 100 only cliques (up to 5 members) certify.
-    # Deleting 0 builds the clique {1,2,3}; deleting 1 plans its rebuild
-    # over {2,3} as a finished step, then fails on the next one: the
-    # secondary cloud of free node 2 and black neighbors 4..8
+    # Deleting 0 builds the clique {1,2,3}; deleting 1 marks it for a
+    # rebuild and registers the secondary cloud of free node 2 and black
+    # neighbors 4..8.  The design at the end rebuilds the clique over
+    # {2,3} first, in id order, then fails on the secondary
     h = make_healer(list(range(9)), [(0, 1), (0, 2), (0, 3)] + [(1, b) for b in range(4, 9)],
                     kappa=4, alpha_target=Fraction(100), max_retries=4)
     h.handle_event(Event("del", 0))
@@ -294,8 +296,31 @@ def test_certification_failure_after_a_planned_rebuild_changes_nothing():
     plan = Plan(h, 1)
     with pytest.raises(RetriesExhausted):
         plan.repair()
-    assert len(plan.steps) == 2 and [c.members for c in plan.steps[0].built] == [{2, 3}]
-    assert not plan.steps[1].built
+    assert [c.members for c in plan.step.built] == [{2, 3}]
+    assert [c.members for c in plan.step.stripped] == [{2, 3}]
+
+
+def test_no_plan_designs_a_cloud_it_retires(monkeypatch):
+    # every cloud a plan designs is the one it leaves registered, so no
+    # draw goes to a cloud a merge or a fold retires, or to one designed
+    # twice, on a trace whose repairs merge clouds of up to 80 members
+    repair, designed = Plan.repair, []
+
+    def checked_repair(plan):
+        repair(plan)
+        for cloud in plan.step.built:
+            assert plan.registry.clouds.get(cloud.id) is cloud
+        designed.append(len(plan.step.built))
+
+    monkeypatch.setattr(Plan, "repair", checked_repair)
+    trace = gen_trace(Strategy("uniform", insert_fraction=0.4), 200, 300, 0)
+    cfg = cli.RunConfig(seed=0, alpha_target=Fraction(1, 2))
+    h = Healer.from_initial(trace.initial_nodes, trace.initial_edges, cfg.expander(),
+                            random.Random("0/engine"))
+    for event in trace.events:
+        h.handle_event(event)
+    assert h.counters.merges > 10 and sum(designed) > h.counters.deletes
+    assert coherence_errors(h) == []
 
 
 def test_a_plan_that_is_not_taken_changes_nothing():
@@ -305,7 +330,7 @@ def test_a_plan_that_is_not_taken_changes_nothing():
     before = cli.snapshot_state(h, 0)
     plan = Plan(h, h.registry.bridges[(fid, p2)])
     plan.repair()
-    assert plan.counters.branch_secondary == 1 and plan.steps[0].built
+    assert plan.counters.branch_secondary == 1 and plan.step.built
     assert plan.registry.clouds != h.registry.clouds
     assert cli.snapshot_state(h, 0) == before
     assert coherence_errors(h) == []
@@ -441,11 +466,11 @@ def test_a_cloud_that_loses_one_member_is_spliced_with_kappa_half_new_edges():
     h = make_healer(list(range(15)), [(0, leaf) for leaf in range(1, 15)])
     h.handle_event(Event("del", 0))
     (pid,) = h.registry.clouds
-    before = set(h.registry.clouds[pid].topology.edge_list)
+    before = set(h.registry.clouds[pid].topology.edges)
     orphans = {u if v == 1 else v for u, v in before if 1 in (u, v)}
     created, reused = h.counters.edges_created, h.counters.edges_reused
     h.handle_event(Event("del", 1))
-    after = set(h.registry.clouds[pid].topology.edge_list)
+    after = set(h.registry.clouds[pid].topology.edges)
     assert before - after == {e for e in before if 1 in e}
     assert len(after - before) == 3 and all(set(e) <= orphans for e in after - before)
     c = h.counters

@@ -54,22 +54,22 @@ def test_clique_branch():
     cfg = ExpanderConfig()
     topo, _ = build_topology([3, 1, 2], cfg, random.Random(0))
     assert topo.kind is TopologyKind.CLIQUE
-    assert topo.edge_list == [(1, 2), (1, 3), (2, 3)]
+    assert topo.edges == {(1, 2), (1, 3), (2, 3)}
     assert topo.certified_expansion == Fraction(2)  # ceil(3/2)
 
     single, _ = build_topology([9], cfg, random.Random(0))
-    assert single.edge_list == [] and single.certified_expansion == 0
+    assert single.edges == frozenset() and single.certified_expansion == 0
 
 
 def test_clique_boundary_at_kappa_plus_one():
     cfg = ExpanderConfig(kappa=6)
     at_boundary, _ = build_topology(list(range(7)), cfg, random.Random(1))
     assert at_boundary.kind is TopologyKind.CLIQUE
-    assert len(at_boundary.edge_list) == 21
+    assert len(at_boundary.edges) == 21
 
     past_boundary, _ = build_topology(list(range(8)), cfg, random.Random(1))
     assert past_boundary.kind is TopologyKind.REGULAR_EXPANDER
-    assert len(past_boundary.edge_list) == 8 * 6 // 2
+    assert len(past_boundary.edges) == 8 * 6 // 2
 
 
 def test_clique_certificates_match_exact_expansion():
@@ -77,7 +77,7 @@ def test_clique_certificates_match_exact_expansion():
     for m in range(2, 8):
         topo, _ = build_topology(list(range(m)), cfg, random.Random(0))
         adj = {v: set() for v in range(m)}
-        for u, v in topo.edge_list:
+        for u, v in topo.edges:
             adj[u].add(v)
             adj[v].add(u)
         assert topo.certified_expansion == expansion_exact(*index_arrays(adj), limit=10)
@@ -88,15 +88,15 @@ def test_expander_branch_regular_and_deterministic():
     members = list(range(100, 120))
     a, _ = build_topology(members, cfg, random.Random(77))
     b, _ = build_topology(members, cfg, random.Random(77))
-    assert a.edge_list == b.edge_list
-    assert len(a.edge_list) == 20 * 6 // 2
+    assert a.edges == b.edges
+    assert len(a.edges) == 20 * 6 // 2
     degree = {v: 0 for v in members}
-    for u, v in a.edge_list:
+    for u, v in a.edges:
         assert u != v
         degree[u] += 1
         degree[v] += 1
     assert set(degree.values()) == {6}
-    assert len(set(a.edge_list)) == len(a.edge_list)
+    assert all(u < v for u, v in a.edges)  # canonical keys, so no pair twice
     assert a.certified_expansion >= cfg.alpha_target
 
 
@@ -171,7 +171,7 @@ def test_build_topology_records_the_bound_its_certificate_proved():
     for m in (10, 12, 14):
         for seed in range(6):
             topo, _ = build_topology(list(range(m)), cfg, random.Random(seed))
-            graph = on_positions(m, topo.edge_list)
+            graph = on_positions(m, topo.edges)
             if _spectral_gate(*graph, cfg.alpha_target):
                 passes.add("spectral")
                 assert topo.certified_expansion == cfg.alpha_target
@@ -225,9 +225,9 @@ def test_expansion_exact_matches_independent_enumerator():
 def test_verify_cloud_recomputes_certificates():
     cfg = ExpanderConfig()
     clique4, _ = build_topology([0, 1, 2, 3], cfg, random.Random(0))
-    assert certificate_oracle(range(4), clique4.edge_list, cfg) == Fraction(2)
+    assert certificate_oracle(range(4), clique4.edges, cfg) == Fraction(2)
     clique2, _ = build_topology([0, 1], cfg, random.Random(0))
-    assert certificate_oracle(range(2), clique2.edge_list, cfg) == Fraction(1)
+    assert certificate_oracle(range(2), clique2.edges, cfg) == Fraction(1)
 
     # a C6 presented as a cloud certifies below alpha_target = 1
     c6 = [(i, (i + 1) % 6) for i in range(5)] + [(0, 5)]
@@ -235,7 +235,7 @@ def test_verify_cloud_recomputes_certificates():
 
     big, _ = build_topology(list(range(30)), cfg, random.Random(3))
     # spectral path, still a lower bound
-    assert certificate_oracle(range(30), big.edge_list, cfg) >= 0
+    assert certificate_oracle(range(30), big.edges, cfg) >= 0
 
 
 @st.composite
@@ -306,13 +306,14 @@ def test_expansion_exact_memory_is_bounded(n):
 
 def without(topology, node):
     """*topology* as the engine hands it back after *node* died: the
-    dead member's edges scrubbed, everything else kept."""
-    return CloudTopology(topology.kind, [e for e in topology.edge_list if node not in e],
+    dead member's edges scrubbed, everything else kept (all of it when
+    *node* is None)."""
+    return CloudTopology(topology.kind, frozenset(e for e in topology.edges if node not in e),
                          topology.certified_expansion)
 
 
 def expander_topology(adjacency, cfg):
-    edges = sorted({(min(u, v), max(u, v)) for u in adjacency for v in adjacency[u]})
+    edges = frozenset((min(u, v), max(u, v)) for u in adjacency for v in adjacency[u])
     return CloudTopology(TopologyKind.REGULAR_EXPANDER, edges, cfg.alpha_target)
 
 
@@ -327,17 +328,17 @@ def test_splice_keeps_a_simple_regular_cloud_on_exactly_its_members(kappa, m):
         rng = random.Random(seed)
         previous, _ = build_topology(list(range(m)), cfg, rng)
         gone = seed % m
-        neighbours = {u if v == gone else v for u, v in previous.edge_list if gone in (u, v)}
+        neighbours = {u if v == gone else v for u, v in previous.edges if gone in (u, v)}
         members = [x for x in range(m) if x != gone]
         scrubbed = without(previous, gone)
         topo, spliced = build_topology(members, cfg, rng, previous=scrubbed)
         assert spliced and topo.kind is TopologyKind.REGULAR_EXPANDER
-        assert topo.edge_list == sorted(set(topo.edge_list))
-        assert degrees(topo.edge_list) == {x: kappa for x in members}
-        added = set(topo.edge_list) - set(scrubbed.edge_list)
-        assert set(scrubbed.edge_list) <= set(topo.edge_list) and len(added) == kappa // 2
+        assert all(u < v for u, v in topo.edges)
+        assert degrees(topo.edges) == {x: kappa for x in members}
+        added = set(topo.edges) - set(scrubbed.edges)
+        assert set(scrubbed.edges) <= set(topo.edges) and len(added) == kappa // 2
         assert {end for edge in added for end in edge} == neighbours
-        assert certificate_oracle(members, topo.edge_list, cfg) >= cfg.alpha_target
+        assert certificate_oracle(members, topo.edges, cfg) >= cfg.alpha_target
 
 
 def test_splice_pairs_only_nodes_that_are_not_yet_neighbours():
@@ -352,9 +353,9 @@ def test_splice_pairs_only_nodes_that_are_not_yet_neighbours():
                                        previous=scrubbed)
         if spliced:
             splices += 1
-            assert set(topo.edge_list) - set(scrubbed.edge_list) == {(1, 10), (2, 11)}
+            assert set(topo.edges) - set(scrubbed.edges) == {(1, 10), (2, 11)}
         else:  # eight shuffles clashed, each with odds 2/3
-            assert degrees(topo.edge_list) == {x: 4 for x in range(1, 12)}
+            assert degrees(topo.edges) == {x: 4 for x in range(1, 12)}
     assert splices >= 15
 
 
@@ -366,7 +367,7 @@ def test_splice_that_cannot_avoid_an_existing_edge_falls_back_to_a_redraw():
     scrubbed = without(expander_topology(adjacency, cfg), 0)
     topo, spliced = build_topology(list(range(1, 15)), cfg, random.Random(0), previous=scrubbed)
     assert not spliced and topo.kind is TopologyKind.REGULAR_EXPANDER
-    assert degrees(topo.edge_list) == {x: 4 for x in range(1, 15)}
+    assert degrees(topo.edges) == {x: 4 for x in range(1, 15)}
 
 
 def test_replacement_inherits_the_departed_members_edges():
@@ -379,8 +380,8 @@ def test_replacement_inherits_the_departed_members_edges():
     assert spliced
     inherited = {(min(u, v), max(u, v)) for u, v in
                  ((newcomer if u == gone else u, newcomer if v == gone else v)
-                  for u, v in previous.edge_list)}
-    assert topo.edge_list == sorted(inherited)
+                  for u, v in previous.edges)}
+    assert topo.edges == inherited
 
 
 def test_splice_that_fails_the_gate_falls_back_to_the_redraw_loop(monkeypatch):
@@ -409,10 +410,69 @@ def test_splice_applies_only_to_one_member_lost_from_a_regular_expander():
     cfg = ExpanderConfig(kappa=6, alpha_target=Fraction(1, 2))
     previous, _ = build_topology(list(range(30)), cfg, random.Random(1))
     two_gone = without(without(previous, 0), 1)
-    clique = CloudTopology(TopologyKind.CLIQUE, previous.edge_list, Fraction(15))
+    clique = CloudTopology(TopologyKind.CLIQUE, previous.edges, Fraction(15))
     for members, given in [(list(range(2, 30)), two_gone),         # two lost
                            (list(range(30)), previous),            # none lost
                            (list(range(1, 30)), without(clique, 0)),  # not an expander
                            (list(range(2, 30)), without(previous, 0))]:  # edge leaves members
         _, spliced = build_topology(members, cfg, random.Random(3), previous=given)
         assert not spliced
+
+
+@settings(max_examples=60, deadline=None)
+@given(kappa=st.sampled_from([4, 6, 8]), extra=st.integers(1, 30), drop=st.booleans(),
+       newcomers=st.integers(0, 6), seed=st.integers(0, 2**32 - 1))
+@example(kappa=4, extra=1, drop=True, newcomers=6, seed=0).via("more newcomers than members")
+def test_splice_of_a_lost_member_and_newcomers(kappa, extra, drop, newcomers, seed):
+    # a certified cloud on 0..m-1 loses one member or none and gains
+    # newcomers m..; a splice gives None or a simple kappa-regular
+    # certified cloud on exactly the members that keeps every previous
+    # edge but those a newcomer subdivided
+    cfg = ExpanderConfig(kappa=kappa, alpha_target=Fraction(1, 2))
+    m = kappa + 1 + extra
+    rng = random.Random(seed)
+    previous, _ = build_topology(list(range(m)), cfg, rng)
+    gone = rng.randrange(m) if drop else None
+    scrubbed = without(previous, gone)
+    joined = list(range(m, m + newcomers))
+    members = [x for x in range(m) if x != gone] + joined
+    topo = expander._splice(scrubbed, members, cfg, rng)
+    if not drop and not newcomers:
+        assert topo is None  # nothing to mend
+    if topo is None:
+        return
+    assert topo.kind is TopologyKind.REGULAR_EXPANDER
+    assert all(u < v for u, v in topo.edges)
+    assert degrees(topo.edges) == {x: kappa for x in members}
+    # a subdivided edge's ends each took an edge to a newcomer, which a
+    # later newcomer may have subdivided in turn
+    newcomer_ends = {end for edge in topo.edges if set(edge) & set(joined) for end in edge}
+    subdivided = scrubbed.edges - topo.edges
+    assert {end for edge in subdivided for end in edge} <= newcomer_ends
+    further = newcomers - drop if newcomers else 0
+    assert len(subdivided) <= kappa // 2 * further
+    assert topo.certified_expansion >= cfg.alpha_target
+    assert certificate_oracle(members, topo.edges, cfg) >= cfg.alpha_target
+
+
+def test_a_merge_grows_from_a_cloud_that_lost_a_member():
+    # the first newcomer takes the departed member's kappa edges, each
+    # further one subdivides kappa/2 vertex-disjoint edges
+    cfg = ExpanderConfig(kappa=6, alpha_target=Fraction(1, 2))
+    grown = 0
+    for seed in range(5):
+        rng = random.Random(seed)
+        previous, _ = build_topology(list(range(40)), cfg, rng)
+        scrubbed = without(previous, 0)
+        orphans = {u if v == 0 else v for u, v in previous.edges if 0 in (u, v)}
+        members = list(range(1, 40)) + [50, 51, 52]
+        topo, spliced = build_topology(members, cfg, rng, previous=scrubbed)
+        assert degrees(topo.edges) == {x: 6 for x in members}
+        if spliced:
+            grown += 1
+            # at most three from each of 51 and 52: 52 may subdivide an
+            # edge 51 just took
+            assert 5 <= len(scrubbed.edges - topo.edges) <= 6
+            assert orphans <= {end for edge in topo.edges if {50, 51, 52} & set(edge)
+                               for end in edge}
+    assert grown >= 4

@@ -26,21 +26,22 @@ from xhealsim.engine import Healer
 
 GOLDEN = {
     "uniform-0":
-        "c2573a5b2503ff6125f8bce4d32da503f8979045f0b0fcf6eafdfa7b1c123c55",
+        "e6d5ee88a50bcfd714e8eaa73032ded8cba358ac722d3f38afcc2579d477cfbb",
     "uniform-1":
-        "b69de7687c47d7900b2ada470a397f99bdaca241acc5c0e09083e3f5db038dfd",
+        "7a32ec1f34134d02dc758766532f99a336af590102a37f9513df6e73e6eae479",
     "uniform-2":
-        "f99d01a82dd3cf67cc4f9c9dd7c91ac5db234f172a8634aafbfd79c9b022e2bb",
+        "4fd2b0a9f7309e243343a002d5eb876ffa14f995dd54c478368283ff7583581d",
     "uniform-0-drop-black-edge":
-        "0f89d77706f4307745a59033fc9f693299a4c5b304c538a87221a53c94f2598c",
+        "2a9616b829c8ff59d33fbefeb4286ddfbd07ee5d56f43268d269f509d35bd2e3",
     "target-bridge-3":
-        "3c93076983595f9768032bb13e45dd5f3281c28073d6cf71d53c38da627b35fe",
+        "ded2542c19469a996d3c19773dc09a882d4dbec15ef733a4c9aaa47bc844c8f5",
 }
 
 # final state after a churn-mid-sized uniform trace: n0=500, 750 events,
-# alpha 1/2, seed 0; clouds reach 155 members, so the membership index,
-# splices and borrowed bridges are exercised at scale
-SNAPSHOT_GOLDEN = "64193fdca3ee88b2b385b2acf119eecc83eabc7eca0d7d28ac8d24aba8461663"
+# alpha 1/2, seed 0; its final clouds reach 153 members, so the
+# membership index, splices, merges grown from their largest cloud and
+# borrowed bridges are exercised at scale
+SNAPSHOT_GOLDEN = "6aaddfe054985f6a6185a9b1be1275e143679eab6d6e9eac2121f9dd0a9597a4"
 
 # every report's violation_detail lines, which the CSV digests omit, for
 # a faulted n0=400 uniform run (300 events, drop-black-edge, alpha 1/2,
@@ -52,7 +53,7 @@ DETAIL_GOLDEN = "41ddc4140ffbfae67407819d6116a0474ef9794710c590f014cab4f547b6c7a
 # (750 events, drop-black-edge, alpha 1/2, a checkpoint every 50): a
 # missing baseline edge at every checkpoint after t=0 makes each draw its
 # random density subsets, with no node over its degree budget
-DRAW_GOLDEN = "c47cdfcf4255bf1e960fe4b14e20095b4b05d032d181e6ac77ebfb2e41f0ef7d"
+DRAW_GOLDEN = "f4e39363370187eb4c97e3124b65d62473fab1a3c53585877c9a429dd1f1e4fb"
 
 
 def csv_digest(reports) -> str:

@@ -26,6 +26,7 @@ from xhealsim.graph import (
     DuplicateNode,
     EmptySubset,
     GraphError,
+    NodeIdOutOfRange,
     SelfLoop,
     ShadowGraph,
     UnknownEdge,
@@ -228,6 +229,10 @@ def test_from_edges_builds_what_add_edge_builds(n, p, seed):
     ([0, 1, 2], [(1, 2), (0, 1), (2, 1)], GraphError, "edge (1,2) already exists"),
     ([0, 1, 2], [(0, 1), (1, 9)], UnknownNode, "endpoint of (1,9) not present"),
     ([0, 1, 2, 1], [(0, 1)], DuplicateNode, "node 1 already present"),
+    # ids a CSR snapshot cannot hold as int64, which Csr.of overflowed on
+    ([0, 2**63], [(0, 2**63)], NodeIdOutOfRange,
+     f"node id {2**63} is not in [0, {2**63 - 1}]"),
+    ([0, -1, 2], [(0, -1)], NodeIdOutOfRange, f"node id -1 is not in [0, {2**63 - 1}]"),
 ])
 def test_from_edges_rejects_what_add_edge_rejects(nodes, edges, error, message):
     with pytest.raises(error) as bulk:

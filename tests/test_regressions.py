@@ -17,6 +17,13 @@ EXPECTED_EXIT = {
     "huge-node-id.jsonl": 2,
     # an initial self loop exited 2 with the bare message "(3,3)"
     "initial-self-loop.jsonl": 2,
+    # event 3 inserts node 5 below initial node 9: the healer rejects it
+    # at event 3, after healing events 1 and 2 (validate_trace leaves
+    # the rising-id rule to the healer)
+    "insert-id-below-an-initial-id.jsonl": 2,
+    # event 2 wires node 4 to node 0 twice: exited 2 at event 2, after
+    # healing event 1; validate_trace now rejects it before event 1
+    "insert-repeats-a-neighbour.jsonl": 2,
 }
 
 
