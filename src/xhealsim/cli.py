@@ -60,7 +60,7 @@ from .expander import (
 from .graph import BLACK, ColoredGraph, GraphError, edge_key
 from .metrics import MetricsReport, evaluate
 
-SNAPSHOT_VERSION = 3
+SNAPSHOT_VERSION = 4
 
 # one column per scalar report field, then one per repair counter
 _METRIC_COLUMNS = [f.name for f in fields(MetricsReport)
@@ -215,7 +215,6 @@ def snapshot_state(healer: Healer, seed: int, cfg: RunConfig | None = None) -> d
         },
         "clouds": clouds,
         "bridges": sorted([f, c, node] for (f, c), node in healer.registry.bridges.items()),
-        "duty": sorted([node, f] for node, f in healer.registry.duty.items()),
         "last_black_neighbors": sorted(healer.last_black_neighbors),
         "counters": healer.counters.as_dict(),
     }
@@ -299,8 +298,6 @@ def load_snapshot(data: dict) -> tuple[Healer, RunConfig]:
         healer.registry.store(cloud)
     for f, c, node in _snapshot_rows(data["bridges"], 3, "bridges"):
         healer.registry.bridges[(f, c)] = node
-    for node, f in _snapshot_rows(data["duty"], 2, "duty"):
-        healer.registry.duty[node] = f
     healer.next_cloud_id = _snapshot_count(data["next_cloud_id"], "next_cloud_id")
     healer.last_black_neighbors = set(node_ids(data["last_black_neighbors"],
                                                "last_black_neighbors"))

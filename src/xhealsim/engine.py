@@ -22,10 +22,10 @@ marked or new cloud still registered is designed once, in id order
 keep.  A rebuilt expander cloud is spliced from its topology scrubbed of
 the dead member, and a merge grows from the largest merged expander
 topology (``expander._splice``); only when that fails is the cloud drawn
-whole (``expander.build_topology``).  A free node is one with no bridge
-duty and a slot left in its cloud budget: a node may be held by at most
-one cloud more than it has dead baseline neighbors (``budget_errors``),
-which keeps the degree bound.
+whole (``expander.build_topology``).  A free node is one that holds no
+bridge entry and has a slot left in its cloud budget: a node may be held
+by at most one cloud more than it has dead baseline neighbors
+(``budget_errors``), which keeps the degree bound.
 
 Each delete is planned as one value, a ``Plan`` with its own registry,
 counters and next cloud id and the delete's edge edits recorded as one
@@ -42,6 +42,7 @@ edge goes.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from fractions import Fraction
@@ -83,7 +84,8 @@ class Cloud:
 
 
 class CloudRegistry:
-    """Who is in which cloud, which node bridges what, who is busy."""
+    """Who is in which cloud and which node bridges what; a node that
+    holds a bridge entry is busy."""
 
     def __init__(self) -> None:
         self.clouds: dict[int, Cloud] = {}
@@ -91,16 +93,13 @@ class CloudRegistry:
         self.member_of: dict[int, frozenset[int]] = {}
         # (secondary id, primary id) -> the node representing that primary
         self.bridges: dict[tuple[int, int], int] = {}
-        # bridge node -> the one secondary cloud it bridges into
-        self.duty: dict[int, int] = {}
 
     def copy(self) -> "CloudRegistry":
         """New dicts sharing the clouds and index entries, which are
         replaced, never mutated."""
         twin = CloudRegistry()
-        twin.clouds, twin.member_of, twin.bridges, twin.duty = (
-            self.clouds.copy(), self.member_of.copy(), self.bridges.copy(),
-            self.duty.copy())
+        twin.clouds, twin.member_of, twin.bridges = (
+            self.clouds.copy(), self.member_of.copy(), self.bridges.copy())
         return twin
 
     def store(self, cloud: Cloud) -> None:
@@ -120,9 +119,6 @@ class CloudRegistry:
             self._unindex(node, cid)
         for key in [k for k in self.bridges if cid in k]:
             del self.bridges[key]
-        if cloud.kind is CloudKind.SECONDARY:
-            for node in [n for n, f in self.duty.items() if f == cid]:
-                del self.duty[node]
 
     def _unindex(self, node: int, cid: int) -> None:
         held = self.member_of[node] - {cid}
@@ -157,13 +153,9 @@ class CloudRegistry:
                 errs.append(f"bridge {node} of ({f},{c}) is not in the secondary cloud")
             if c not in self.clouds or self.clouds[c].kind is not CloudKind.PRIMARY:
                 errs.append(f"bridge entry ({f},{c}) has no primary cloud")
-        for node, f in self.duty.items():
-            if node not in alive:
-                errs.append(f"dead node {node} holds duty")
-            if f not in self.clouds or self.clouds[f].kind is not CloudKind.SECONDARY:
-                errs.append(f"duty of {node} points to missing secondary {f}")
-            elif node not in self.clouds[f].members:
-                errs.append(f"duty holder {node} not a member of secondary {f}")
+        for node, count in sorted(Counter(self.bridges.values()).items()):
+            if count > 1:
+                errs.append(f"node {node} holds {count} bridge entries")
         for node in sorted(set(indexed) | set(self.member_of)):
             if indexed.get(node, set()) != self.member_of.get(node, set()):
                 errs.append(f"node {node} indexed in clouds "
@@ -346,7 +338,6 @@ class Plan:
             if node == v:
                 lost_roles[f] = c
                 del reg.bridges[(f, c)]
-        reg.duty.pop(v, None)
 
         v_primary, v_secondary = [], []
         dying_keys = {rec.key for rec in self.removed}
@@ -452,10 +443,9 @@ class Plan:
             reserved.add(free)
         members = sorted(set(picks.values()) | set(extras))
         fid = self._new_cloud(members, CloudKind.SECONDARY)
-        # loose nodes take no duty: a dead neighbor pays for their slot
+        # loose nodes bridge nothing: a dead neighbor pays for their slot
         for cid in sorted(picks):
             self.registry.bridges[(fid, cid)] = picks[cid]
-            self.registry.duty[picks[cid]] = fid
 
     def _fix_secondary_cloud(self, fid: int, lost_primary: int) -> int | None:
         """Repair secondary cloud *fid* after the deleted node, its bridge
@@ -472,7 +462,6 @@ class Plan:
             if replacement is None:
                 merge_list = sorted({fid, lost_primary} | reg.bridged_primaries(fid))
                 return self._merge_into_primary(merge_list, extra_nodes=())
-            reg.duty[replacement] = fid
             reg.bridges[(fid, lost_primary)] = replacement
             cloud = reg.clouds[fid]
             reg.store(replace(cloud, members=cloud.members | {replacement}))
@@ -500,13 +489,14 @@ class Plan:
         """Smallest-id free node of the cloud, else the smallest-id free
         node of a primary cloud sharing a member (borrowed), else None.
 
-        A free node holds no secondary duty, is not *reserved*, and has
-        a slot left for the cloud it is drafted into (``_has_free_slot``).
+        A free node holds no bridge entry, is not *reserved*, and has a
+        slot left for the cloud it is drafted into (``_has_free_slot``).
         """
         reg = self.registry
         cloud = reg.clouds[cid]
+        busy = reserved | set(reg.bridges.values())
         for node in sorted(cloud.members):
-            if node not in reg.duty and node not in reserved and self._has_free_slot(node):
+            if node not in busy and self._has_free_slot(node):
                 return node
         primary = CloudKind.PRIMARY
         sharing = {other for node in cloud.members for other in reg.member_of[node]}
@@ -515,7 +505,7 @@ class Plan:
             node
             for other in sharing if reg.clouds[other].kind is primary
             for node in reg.clouds[other].members
-            if node not in reg.duty and node not in reserved
+            if node not in busy
         })
         for node in candidates:
             if self._has_free_slot(node):

@@ -205,14 +205,14 @@ def test_target_max_degree_picks_star_center():
     assert ev == Event("del", 0)
 
 
-def test_target_bridge_prefers_duty_holder():
+def test_target_bridge_prefers_bridge_holder():
     h = _healer_with([0, 1, 2, 3], [(0, 1), (0, 2), (0, 3)])
     h.handle_event(Event("del", 0))          # primary cloud over 1,2,3
     h.handle_event(Event("del", 1))          # branch 2: secondary gets a bridge
-    assert h.registry.duty
+    assert h.registry.bridges
     ev = next_event(Strategy("target-bridge"), h, random.Random(0))
     assert ev.op == "del"
-    assert ev.node == sorted(h.registry.duty)[0]
+    assert ev.node == sorted(h.registry.bridges.values())[0]
 
 
 def test_empty_network_raises_for_pure_deleters():

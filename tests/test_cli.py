@@ -112,11 +112,12 @@ def test_run_fault_detected(tmp_path, capsys):
 
 
 def test_run_certification_failure_exits_3(tmp_path, capsys):
-    # alpha_target=1 cannot be certified on this trace's 80-node clouds
+    # alpha_target=1 cannot be certified on the 81-node cloud that event
+    # 330 of this trace needs
     trace = tmp_path / "t.jsonl"
     assert run_cli(["gen", "--strategy", "uniform", "--n0", "200", "--steps", "400",
-                    "--seed", "1", "-o", str(trace)]) == 0
-    code = run_cli(["run", "--trace", str(trace), "--seed", "1",
+                    "--seed", "20", "-o", str(trace)]) == 0
+    code = run_cli(["run", "--trace", str(trace), "--seed", "20",
                     "-o", str(tmp_path / "r.csv")])
     assert code == 3
     err = capsys.readouterr().err
@@ -232,6 +233,9 @@ def test_verify_missing_or_malformed_snapshot(tmp_path, capsys):
     wrong_version = tmp_path / "v9.json"
     wrong_version.write_text('{"v": 9}')
     assert run_cli(["verify", "--snapshot", str(wrong_version)]) == 2
+    before_v4 = tmp_path / "v3.json"
+    before_v4.write_text('{"v": 3}')
+    assert run_cli(["verify", "--snapshot", str(before_v4)]) == 2
     not_object = tmp_path / "list.json"
     not_object.write_text("[]")
     assert run_cli(["verify", "--snapshot", str(not_object)]) == 2
@@ -239,6 +243,7 @@ def test_verify_missing_or_malformed_snapshot(tmp_path, capsys):
     broken = {
         "v1": lambda d: d.update(v=1),
         "v2": lambda d: d.update(v=2),
+        "v3": lambda d: d.update(v=3),
         "no-checkpoint-settings": lambda d: d.pop("checkpoint"),
         "zero-stretch-pairs": lambda d: d["checkpoint"].update(stretch_pairs=0),
         "string-density-samples": lambda d: d["checkpoint"].update(density_samples="100"),

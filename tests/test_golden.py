@@ -26,34 +26,34 @@ from xhealsim.engine import Healer
 
 GOLDEN = {
     "uniform-0":
-        "e6d5ee88a50bcfd714e8eaa73032ded8cba358ac722d3f38afcc2579d477cfbb",
+        "47e8a8de5c6b8ca66efd710b63372b6e94c599537a366643776b39d5dcdc7ae5",
     "uniform-1":
-        "7a32ec1f34134d02dc758766532f99a336af590102a37f9513df6e73e6eae479",
+        "0396dd7c943e1689e1250237f9d62f36eb2ee590d4072d0536d7d8042a6c9348",
     "uniform-2":
-        "4fd2b0a9f7309e243343a002d5eb876ffa14f995dd54c478368283ff7583581d",
+        "9f05dab686153f7ceff04d83c39a962c3c5a768c5b64ddfa95c8b114d0ab6453",
     "uniform-0-drop-black-edge":
-        "2a9616b829c8ff59d33fbefeb4286ddfbd07ee5d56f43268d269f509d35bd2e3",
+        "2c9dff2d19fdc8a7776e39ce5456e255782d19f894c83977e39b72fd0fe11bb9",
     "target-bridge-3":
-        "ded2542c19469a996d3c19773dc09a882d4dbec15ef733a4c9aaa47bc844c8f5",
+        "f5155a421cf5b931c32d26d2bb2f6cdbb9e7b26c132952feeffc2baeeae33a8e",
 }
 
 # final state after a churn-mid-sized uniform trace: n0=500, 750 events,
-# alpha 1/2, seed 0; its final clouds reach 153 members, so the
+# alpha 1/2, seed 0; its final clouds reach 80 members, so the
 # membership index, splices, merges grown from their largest cloud and
 # borrowed bridges are exercised at scale
-SNAPSHOT_GOLDEN = "6aaddfe054985f6a6185a9b1be1275e143679eab6d6e9eac2121f9dd0a9597a4"
+SNAPSHOT_GOLDEN = "afce1e2ea6c5eb2bf9da243f2595cc722f4458b22166cf6ff5f9ed19a88b2a0f"
 
 # every report's violation_detail lines, which the CSV digests omit, for
 # a faulted n0=400 uniform run (300 events, drop-black-edge, alpha 1/2,
-# a checkpoint every 50): 1081 lines, 567 of them from the density
+# a checkpoint every 50): 1082 lines, 569 of them from the density
 # checks, each naming a subset's members and its missing edges
-DETAIL_GOLDEN = "41ddc4140ffbfae67407819d6116a0474ef9794710c590f014cab4f547b6c7a9"
+DETAIL_GOLDEN = "c74936579b1fce229db5c8ad6a5a32c48fcdc8467aeb3dd4f48be4e3a565808a"
 
 # the CSV and every violation_detail line of a faulted n0=500 uniform run
 # (750 events, drop-black-edge, alpha 1/2, a checkpoint every 50): a
 # missing baseline edge at every checkpoint after t=0 makes each draw its
 # random density subsets, with no node over its degree budget
-DRAW_GOLDEN = "f4e39363370187eb4c97e3124b65d62473fab1a3c53585877c9a429dd1f1e4fb"
+DRAW_GOLDEN = "5e9fd34a876ca0706d7ac504b310ccf6821f4d921797715239cb3f1f05ad937c"
 
 
 def csv_digest(reports) -> str:
