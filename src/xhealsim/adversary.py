@@ -13,7 +13,7 @@ import itertools
 import json
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Container, NamedTuple
 
 from .graph import MAX_NODE_ID, EdgeKey, edge_key
 
@@ -262,6 +262,16 @@ def node_ids(values: object, what: str) -> list[int]:
     return values
 
 
+def node_id_rows(values: object, width: int, what: str) -> list[list[int]]:
+    """*values* if it is a list of *width*-long lists of node ids, each
+    id checked by ``node_ids``' rule."""
+    if type(values) is not list or values and (set(map(type, values)) != {list}
+                                               or set(map(len, values)) != {width}):
+        raise ValueError(f"{what} must be a list of {width}-element lists")
+    node_ids(list(itertools.chain.from_iterable(values)), what)
+    return values
+
+
 def decode_trace(text: str) -> Trace:
     """Parse the wire format back into a Trace, validating as it goes.
 
@@ -287,13 +297,9 @@ def decode_trace(text: str) -> Trace:
     init = _parse_line(2, lines[1])
     if "nodes" not in init or "edges" not in init:
         raise ParseError(2, "initial line needs 'nodes' and 'edges'")
-    pairs = init["edges"]
     try:
         nodes = node_ids(init["nodes"], "nodes")
-        if type(pairs) is not list or pairs and (set(map(type, pairs)) != {list}
-                                                 or set(map(len, pairs)) != {2}):
-            raise ValueError("edges must be a list of [u, v] pairs")
-        node_ids(list(itertools.chain.from_iterable(pairs)), "edge endpoints")
+        pairs = node_id_rows(init["edges"], 2, "edges")
     except ValueError as exc:
         raise ParseError(2, str(exc)) from None
     edges = [(u, v) if u < v else (v, u) for u, v in pairs]
@@ -326,7 +332,7 @@ def decode_trace(text: str) -> Trace:
                  dict(header.get("params", {})), nodes, edges, events)
 
 
-def insert_error(node: int, nbrs: tuple[int, ...], used: set[int], max_node: int | None,
+def insert_error(node: int, nbrs: tuple[int, ...], used: Container[int], max_node: int | None,
                  alive: set[int]) -> str | None:
     """Why an insert of *node* wired to *nbrs* is invalid after the ids
     *used* (largest *max_node*) with the nodes *alive*, or None.  Node

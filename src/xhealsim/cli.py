@@ -38,6 +38,7 @@ from .adversary import (
     gen_trace,
     initial_graph,
     next_event,
+    node_id_rows,
     node_ids,
     validate_trace,
 )
@@ -57,7 +58,7 @@ from .expander import (
     RetriesExhausted,
     TopologyKind,
 )
-from .graph import BLACK, ColoredGraph, GraphError, edge_key
+from .graph import BLACK, ColoredGraph, GraphError, ShadowGraph, edge_key
 from .metrics import MetricsReport, evaluate
 
 SNAPSHOT_VERSION = 4
@@ -184,8 +185,8 @@ def snapshot_state(healer: Healer, seed: int, cfg: RunConfig | None = None) -> d
     """Versioned JSON-ready dump of the full healer state, with the
     checkpoint settings of *cfg* (``RunConfig``'s defaults if None)."""
     checkpoint = cfg if cfg is not None else RunConfig()
-    edges = [{"u": rec.u, "v": rec.v, "colors": sorted(rec.colors)}
-             for rec in sorted(healer.graph.edges(), key=lambda r: r.key)]
+    edges = [{"u": u, "v": v, "colors": sorted(colors)}
+             for (u, v), colors in sorted(healer.graph.edges())]
     clouds = []
     for cid in sorted(healer.registry.clouds):
         cloud = healer.registry.clouds[cid]
@@ -236,15 +237,6 @@ def _snapshot_fraction(value: object, what: str) -> Fraction:
     return Fraction(value)
 
 
-def _snapshot_rows(values: object, width: int, what: str) -> list[list[int]]:
-    """*values* if it is a list of *width*-long lists of node ids."""
-    if type(values) is not list or values and (set(map(type, values)) != {list}
-                                               or set(map(len, values)) != {width}):
-        raise ValueError(f"{what} must be a list of {width}-element lists")
-    node_ids(list(itertools.chain.from_iterable(values)), what)
-    return values
-
-
 def load_snapshot(data: dict) -> tuple[Healer, RunConfig]:
     """Rebuild a Healer from a snapshot dict, with the run settings a
     checkpoint of it needs: seed, expander config and checkpoint
@@ -268,8 +260,8 @@ def load_snapshot(data: dict) -> tuple[Healer, RunConfig]:
         raise ValueError(f"seed {seed!r} is not an integer")
     healer = Healer(cfg, random.Random(f"{seed}/engine"))
     shadow = data["shadow"]
-    healer.shadow.seed_initial(node_ids(shadow["nodes"], "shadow nodes"),
-                               _snapshot_rows(shadow["edges"], 2, "shadow edges"))
+    healer.shadow = ShadowGraph.from_edges(node_ids(shadow["nodes"], "shadow nodes"),
+                                           node_id_rows(shadow["edges"], 2, "shadow edges"))
     healer.shadow.alive = set(node_ids(shadow["alive"], "shadow alive"))
     nodes, records = node_ids(data["nodes"], "nodes"), data["edges"]
     ends = [(rec["u"], rec["v"]) for rec in records]
@@ -283,7 +275,7 @@ def load_snapshot(data: dict) -> tuple[Healer, RunConfig]:
     for entry in data["clouds"]:
         topo = entry["topology"]
         cid = _snapshot_count(entry["id"], "cloud id")
-        keys = [edge_key(u, v) for u, v in _snapshot_rows(topo["edges"], 2, f"cloud {cid} edges")]
+        keys = [edge_key(u, v) for u, v in node_id_rows(topo["edges"], 2, f"cloud {cid} edges")]
         edges = frozenset(keys)
         if len(edges) < len(keys):  # a set would drop the repeat unseen
             raise ValueError(f"cloud {cid} topology lists an edge twice")
@@ -296,7 +288,7 @@ def load_snapshot(data: dict) -> tuple[Healer, RunConfig]:
         cloud = Cloud(cid, CloudKind(entry["kind"]),
                       frozenset(node_ids(entry["members"], f"cloud {cid} members")), topology)
         healer.registry.store(cloud)
-    for f, c, node in _snapshot_rows(data["bridges"], 3, "bridges"):
+    for f, c, node in node_id_rows(data["bridges"], 3, "bridges"):
         healer.registry.bridges[(f, c)] = node
     healer.next_cloud_id = _snapshot_count(data["next_cloud_id"], "next_cloud_id")
     healer.last_black_neighbors = set(node_ids(data["last_black_neighbors"],
@@ -450,8 +442,8 @@ def _replay_mismatch(args: argparse.Namespace, healer: Healer, cfg: RunConfig) -
     trace = decode_trace(Path(args.trace).read_text(encoding="utf-8"))
     replayed, _ = run_trace(trace, cfg)
     problems = []
-    want = {rec.key: (frozenset(rec.colors)) for rec in replayed.graph.edges()}
-    have = {rec.key: (frozenset(rec.colors)) for rec in healer.graph.edges()}
+    want = {key: frozenset(colors) for key, colors in replayed.graph.edges()}
+    have = {key: frozenset(colors) for key, colors in healer.graph.edges()}
     if want != have:
         problems.append("replayed trace does not reproduce the snapshot's edges")
     if replayed.counters.as_dict() != healer.counters.as_dict():

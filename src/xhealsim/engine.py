@@ -55,7 +55,6 @@ from .graph import (
     ColoredGraph,
     EdgeKey,
     ShadowGraph,
-    black_neighbors,
     edge_key,
     initial_views,
 )
@@ -240,7 +239,7 @@ class Healer:
         self.counters.events += 1
 
     def _insert(self, event: Event) -> None:
-        self.shadow.apply(event)
+        self.shadow.insert(event.node, event.neighbors)
         self.graph.add_node(event.node)
         for nb in sorted(event.neighbors):
             self.graph.add_edge(event.node, nb)
@@ -254,7 +253,7 @@ class Healer:
         self.registry, self.counters, self.next_cloud_id = (
             plan.registry, plan.counters, plan.next_cloud_id)
         self.counters.deletes += 1
-        self.shadow.apply(Event("del", v))
+        self.shadow.alive.remove(v)
         self.graph.remove_node(v)
         self.last_black_neighbors = set(plan.blacks)
         self._apply(plan.step)
@@ -282,7 +281,7 @@ class Healer:
     # -- fault injection ----------------------------------------------------
 
     def _drop_one_black_edge(self) -> None:
-        candidates = sorted(rec.key for rec in self.graph.edges() if BLACK in rec.colors)
+        candidates = sorted(key for key, colors in self.graph.edges() if BLACK in colors)
         if not candidates:
             return
         self.graph.recolor([(BLACK, [self.rng.choice(candidates)])], [])
@@ -314,12 +313,13 @@ class Plan:
         self.marked: set[int] = set()
         # the delete's graph edits
         self.step = EdgeStep()
-        # the node whose delete is planned, the edges it takes with it
-        # and the endpoints of the black ones
+        # the node whose delete is planned, the colors of the edges it
+        # takes with it by neighbour, and the neighbours of the black ones
         self.dying = dying
-        self.removed = [] if dying is None else [
-            healer.graph.edge(dying, nb) for nb in sorted(healer.graph.neighbors(dying))]
-        self.blacks = frozenset(black_neighbors(self.removed, dying))
+        graph = healer.graph
+        self.removed: dict[int, set[int]] = {} if dying is None else {
+            nb: graph.edge(dying, nb) for nb in sorted(graph.neighbors(dying))}
+        self.blacks = frozenset(nb for nb, colors in self.removed.items() if BLACK in colors)
         self.primaries, self.secondaries, self.lost_roles = self._scrub_dead_node()
 
     # -- bookkeeping when a node dies ------------------------------------
@@ -340,7 +340,7 @@ class Plan:
                 del reg.bridges[(f, c)]
 
         v_primary, v_secondary = [], []
-        dying_keys = {rec.key for rec in self.removed}
+        dying_keys = {edge_key(v, nb) for nb in self.removed}
         for cid in sorted(reg.member_of.get(v, ())):
             cloud = reg.clouds[cid]
             (v_primary if cloud.kind is CloudKind.PRIMARY else v_secondary).append(cid)
@@ -361,7 +361,7 @@ class Plan:
     def _dispatch(self) -> None:
         # every lost cloud color is a cloud the dead node was a member
         # of, so it sits in primaries or secondaries
-        lost_colors = {c for rec in self.removed for c in rec.colors if c != BLACK}
+        lost_colors = {c for colors in self.removed.values() for c in colors if c != BLACK}
 
         if not lost_colors:
             self.counters.branch_all_black += 1
@@ -587,7 +587,7 @@ def expected_edge_state(healer: Healer) -> dict[EdgeKey, set[int]]:
     alive = healer.shadow.alive
     for u, v in healer.shadow.edges:
         if u in alive and v in alive:
-            expected[edge_key(u, v)] = {BLACK}
+            expected[u, v] = {BLACK}
     for cid, cloud in healer.registry.clouds.items():
         for key in cloud.topology.edges:
             expected.setdefault(key, set()).add(cid)
@@ -640,13 +640,13 @@ def coherence_errors(healer: Healer) -> list[str]:
     if healer.graph.node_set != healer.shadow.alive:
         errs.append("live node set differs from shadow alive set")
     expected = expected_edge_state(healer)
-    actual = {rec.key: rec for rec in healer.graph.edges()}
+    actual = dict(healer.graph.edges())
     for key in sorted(set(expected) | set(actual)):
         if key not in actual:
             errs.append(f"edge {key} expected but missing from graph")
         elif key not in expected:
             errs.append(f"edge {key} present but unexplained by registry/shadow")
-        elif actual[key].colors != expected[key]:
-            errs.append(f"edge {key} colors {sorted(actual[key].colors)} "
+        elif actual[key] != expected[key]:
+            errs.append(f"edge {key} colors {sorted(actual[key])} "
                         f"!= expected {sorted(expected[key])}")
     return errs

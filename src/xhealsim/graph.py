@@ -2,18 +2,20 @@
 
 Two graph values drive every run:
 
-* ``ColoredGraph`` is the live network.  Every edge carries a *set* of
-  colors: the sentinel ``BLACK`` marks edges that were present initially
-  or were wired in by the adversary, and each non-black color is the id
-  of one healing cloud that uses the edge.  An edge stays alive as long
-  as at least one color needs it; the healer only ever deletes an edge
-  whose color set has drained to empty.  All of one repair step's edge
-  edits (strip old colors, color new edges, purge drained ones) are one
+* ``ColoredGraph`` is the live network.  An edge is its canonical key
+  ``(u, v)``, ``u < v``, and its *set* of colors, nothing more: the
+  sentinel ``BLACK`` marks edges that were present initially or were
+  wired in by the adversary, and each non-black color is the id of one
+  healing cloud that uses the edge.  An edge stays alive as long as at
+  least one color needs it; the healer only ever deletes an edge whose
+  color set has drained to empty.  All of one repair step's edge edits
+  (strip old colors, color new edges, purge drained ones) are one
   ``recolor`` call.
 
 * ``ShadowGraph`` is the deletion-free baseline: every node ever seen
-  and every black edge ever created, kept forever.  All invariant checks
-  compare the live graph against this baseline.
+  and every black edge ever created, kept forever as one adjacency, of
+  which its node and edge sets are views.  All invariant checks compare
+  the live graph against this baseline.
 
 Node ids are non-negative integers up to ``MAX_NODE_ID`` and are never
 reused after deletion.
@@ -21,14 +23,10 @@ reused after deletion.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, KeysView, NamedTuple
 
 import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .adversary import Event
 
 # Sentinel color for original / adversary-inserted edges.  Cloud colors are
 # the (non-negative) cloud ids, so a plain int covers both cases.
@@ -93,43 +91,12 @@ def _first_repeat(items: Iterable) -> object:
     return None
 
 
-@dataclass(slots=True)
-class EdgeRecord:
-    """One undirected edge and the colors that keep it alive.
-
-    ``BLACK`` stands for an original or adversary edge, every other
-    color for the id of a cloud whose topology uses the edge.  The
-    colors are the edge's whole state: a cloud's kind is read from the
-    registry, and an edge is deleted once its color set is empty.
-    """
-
-    u: int
-    v: int
-    colors: set[Color] = field(default_factory=set)
-
-    @property
-    def key(self) -> EdgeKey:
-        return edge_key(self.u, self.v)
-
-    def other(self, node: int) -> int:
-        if node == self.u:
-            return self.v
-        if node == self.v:
-            return self.u
-        raise UnknownNode(f"{node} is not an endpoint of {self.key}")
-
-
-def black_neighbors(removed: Iterable[EdgeRecord], node: int) -> set[int]:
-    """Other endpoints of the removed edges that carried the black color."""
-    return {rec.other(node) for rec in removed if BLACK in rec.colors}
-
-
 class ColoredGraph:
     """The live network: simple undirected graph with color-set edges."""
 
     def __init__(self) -> None:
         self._adj: dict[int, set[int]] = {}
-        self._edges: dict[EdgeKey, EdgeRecord] = {}
+        self._edges: dict[EdgeKey, set[Color]] = {}
         self._csr: Csr | None = None  # see Csr.of; dropped on adjacency change
 
     @classmethod
@@ -161,9 +128,9 @@ class ColoredGraph:
             u, v = _first_repeat(sorted(keys))
             raise GraphError(f"edge ({u},{v}) already exists")
         paints = [(BLACK,)] * len(keys) if colors is None else colors
-        records = graph._edges
+        colored = graph._edges
         for (u, v), paint in sorted(zip(keys, paints, strict=True), key=itemgetter(0)):
-            records[u, v] = EdgeRecord(u, v, set(paint))
+            colored[u, v] = set(paint)
             adj[u].add(v)
             adj[v].add(u)
         return graph
@@ -176,9 +143,6 @@ class ColoredGraph:
 
     def __contains__(self, node: int) -> bool:
         return node in self._adj
-
-    def nodes(self) -> Iterator[int]:
-        return iter(self._adj)
 
     def add_node(self, v: int) -> None:
         _check_id(v)
@@ -208,14 +172,16 @@ class ColoredGraph:
     def degree(self, v: int) -> int:
         return len(self.neighbors(v))
 
-    def edge(self, u: int, v: int) -> EdgeRecord:
+    def edge(self, u: int, v: int) -> set[Color]:
+        """The colors of the edge between *u* and *v*: the graph's own set."""
         try:
             return self._edges[edge_key(u, v)]
         except KeyError:
             raise UnknownEdge(f"no edge {edge_key(u, v)}") from None
 
-    def edges(self) -> Iterator[EdgeRecord]:
-        return iter(self._edges.values())
+    def edges(self) -> Iterator[tuple[EdgeKey, set[Color]]]:
+        """Every edge, as its key and its colors."""
+        return iter(self._edges.items())
 
     def edge_count(self) -> int:
         return len(self._edges)
@@ -231,7 +197,7 @@ class ColoredGraph:
         if key in self._edges:
             raise GraphError(f"edge ({key[0]},{key[1]}) already exists")
         self._csr = None
-        self._edges[key] = EdgeRecord(key[0], key[1], colors=set(colors))
+        self._edges[key] = set(colors)
         self._adj[u].add(v)
         self._adj[v].add(u)
 
@@ -250,10 +216,9 @@ class ColoredGraph:
         drained = []
         for color, keys in strip:
             for key in keys:
-                rec = edges.get(key)
-                if rec is None:
+                colors = edges.get(key)
+                if colors is None:
                     raise UnknownEdge(f"no edge {key}")
-                colors = rec.colors
                 if color not in colors:
                     raise ColorAbsent(f"edge {key} does not carry color {color}")
                 colors.remove(color)
@@ -264,9 +229,9 @@ class ColoredGraph:
             if color == BLACK:
                 raise ValueError("cloud colors only; black edges come from insertions")
             for key in keys:
-                rec = edges.get(key)
-                if rec is not None:
-                    rec.colors.add(color)
+                colors = edges.get(key)
+                if colors is not None:
+                    colors.add(color)
                     reused += 1
                     continue
                 u, v = key
@@ -277,18 +242,18 @@ class ColoredGraph:
                 if u not in adj or v not in adj:
                     raise UnknownNode(f"endpoint of ({u},{v}) not present")
                 self._csr = None
-                edges[key] = EdgeRecord(u, v, {color})
+                edges[key] = {color}
                 adj[u].add(v)
                 adj[v].add(u)
                 created += 1
         deleted = 0
         for key in drained:
-            rec = edges[key]
-            if not rec.colors:
+            if not edges[key]:
                 self._csr = None
                 del edges[key]
-                adj[rec.u].discard(rec.v)
-                adj[rec.v].discard(rec.u)
+                u, v = key
+                adj[u].discard(v)
+                adj[v].discard(u)
                 deleted += 1
         return created, reused, deleted
 
@@ -297,17 +262,16 @@ class ColoredGraph:
     def integrity_errors(self) -> list[str]:
         """Structural self-check, used by tests and the verify command."""
         errs = []
-        for key, rec in self._edges.items():
-            if rec.key != key:
-                errs.append(f"edge {key} stored under wrong key")
-            if rec.u == rec.v:
-                errs.append(f"self loop {key}")
-            for end in key:
+        for key, colors in self._edges.items():
+            u, v = key
+            if not u < v:
+                errs.append(f"edge key {key} is not canonical")
+            for end, other in ((u, v), (v, u)):
                 if end not in self._adj:
                     errs.append(f"edge {key} endpoint {end} missing")
-                elif rec.other(end) not in self._adj[end]:
+                elif other not in self._adj[end]:
                     errs.append(f"edge {key} missing from adjacency of {end}")
-            if not rec.colors:
+            if not colors:
                 errs.append(f"edge {key} colorless")
         for v, nbrs in self._adj.items():
             for nb in nbrs:
@@ -319,93 +283,78 @@ class ColoredGraph:
 class ShadowGraph:
     """Append-only record of all nodes and black edges ever created.
 
-    Deletions only move a node out of ``alive``; the node and its edges
-    stay, and metric checks that quote the baseline (degree, density,
-    expansion, distances) are computed over this full graph.
+    The record is one adjacency; ``nodes`` and ``edges`` are read from
+    it.  Deletions only move a node out of ``alive``; the node and its
+    edges stay, and metric checks that quote the baseline (degree,
+    density, expansion, distances) are computed over this full graph.
     """
 
-    def __init__(self) -> None:
-        self.nodes: set[int] = set()
-        self.edges: set[EdgeKey] = set()
-        self.alive: set[int] = set()
-        self.max_node: int | None = None  # largest id ever recorded
-        self._adj: dict[int, set[int]] = {}
+    def __init__(self, adj: dict[int, set[int]] | None = None) -> None:
+        """The baseline whose adjacency is *adj*, taken as given and
+        unchecked (``from_edges`` checks), every node alive."""
+        self._adj: dict[int, set[int]] = {} if adj is None else adj
+        self.alive: set[int] = set(self._adj)
+        self.max_node: int | None = max(self._adj, default=None)  # largest id ever recorded
         self._csr: Csr | None = None  # see Csr.of; dropped on adjacency change
+
+    @classmethod
+    def from_edges(cls, nodes: Iterable[int], edges: Iterable[tuple[int, int]]
+                   ) -> "ShadowGraph":
+        """The baseline of *nodes* joined by *edges*, every node alive,
+        checked by ``ColoredGraph.from_edges``' rules; raises what it
+        raises."""
+        return cls(ColoredGraph.from_edges(nodes, edges)._adj)
+
+    @property
+    def nodes(self) -> KeysView[int]:
+        return self._adj.keys()
+
+    @property
+    def edges(self) -> set[EdgeKey]:
+        return {(u, v) for u, nbrs in self._adj.items() for v in nbrs if u < v}
 
     @property
     def node_set(self) -> set[int]:
-        return set(self.nodes)
+        return set(self._adj)
 
     def __contains__(self, node: int) -> bool:
-        return node in self.nodes
+        return node in self._adj
 
     def neighbors(self, v: int) -> set[int]:
-        if v not in self.nodes:
+        if v not in self._adj:
             raise UnknownNode(f"node {v} never existed")
         return self._adj[v]
-
-    def degree(self, v: int) -> int:
-        """Degree in the full baseline (dead neighbors included)."""
-        return len(self.neighbors(v))
 
     def dead_degree(self, v: int) -> int:
         """Baseline neighbors of *v* that are no longer alive."""
         alive = self.alive
         return sum(nb not in alive for nb in self.neighbors(v))
 
-    def apply(self, event: "Event") -> None:
-        """Record an adversarial event: inserts append, deletes only
-        toggle liveness."""
-        if event.is_insert:
-            if event.node in self.nodes:
-                raise DuplicateNode(f"node {event.node} already recorded")
-            self._csr = None
-            self.nodes.add(event.node)
-            self.max_node = max(event.node, event.node if self.max_node is None else self.max_node)
-            self._adj[event.node] = set()
-            self.alive.add(event.node)
-            for nb in event.neighbors:
-                if nb not in self.nodes:
-                    raise UnknownNode(f"neighbor {nb} never existed")
-                self.edges.add(edge_key(event.node, nb))
-                self._adj[event.node].add(nb)
-                self._adj[nb].add(event.node)
-        else:
-            if event.node not in self.alive:
-                raise UnknownNode(f"node {event.node} is not alive")
-            self.alive.discard(event.node)
-
-    def seed_initial(self, nodes: Iterable[int], edges: Iterable[EdgeKey]) -> None:
+    def insert(self, node: int, nbrs: Iterable[int]) -> None:
+        """Record the alive *node* wired to the recorded nodes *nbrs*."""
+        adj = self._adj
+        if node in adj:
+            raise DuplicateNode(f"node {node} already recorded")
+        nbrs = set(nbrs)
+        unknown = nbrs.difference(adj)
+        if unknown:
+            raise UnknownNode(f"neighbor {min(unknown)} never existed")
         self._csr = None
-        for v in nodes:
-            if v in self.nodes:
-                raise DuplicateNode(f"node {v} already recorded")
-            self.nodes.add(v)
-            self.max_node = max(v, v if self.max_node is None else self.max_node)
-            self._adj[v] = set()
-            self.alive.add(v)
-        for u, v in edges:
-            try:
-                self._adj[u].add(v)
-                self._adj[v].add(u)
-            except KeyError:
-                raise UnknownNode(f"endpoint of ({u},{v}) never existed") from None
-            self.edges.add(edge_key(u, v))
+        adj[node] = nbrs
+        for nb in nbrs:
+            adj[nb].add(node)
+        self.alive.add(node)
+        self.max_node = node if self.max_node is None else max(node, self.max_node)
 
 
 def initial_views(nodes: Iterable[int], edges: Iterable[tuple[int, int]]
                   ) -> tuple[ColoredGraph, ShadowGraph]:
     """The live graph and the baseline of a run that starts from *nodes*
-    joined by the black *edges*, every node alive.  The baseline is
-    copied from the live graph, which ``ColoredGraph.from_edges`` builds
-    and checks.  Raises what it raises."""
+    joined by the black *edges*, every node alive.  The baseline is a
+    copy of the live graph's adjacency, which ``ColoredGraph.from_edges``
+    builds and checks.  Raises what it raises."""
     graph = ColoredGraph.from_edges(nodes, edges)
-    shadow = ShadowGraph()
-    shadow.nodes, shadow.alive = set(graph._adj), set(graph._adj)
-    shadow.edges = set(graph._edges)
-    shadow.max_node = max(graph._adj, default=None)
-    shadow._adj = {v: set(nbrs) for v, nbrs in graph._adj.items()}
-    return graph, shadow
+    return graph, ShadowGraph({v: set(nbrs) for v, nbrs in graph._adj.items()})
 
 
 class Csr(NamedTuple):

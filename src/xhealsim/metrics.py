@@ -127,10 +127,8 @@ def check_degree_bound(graph: ColoredGraph, shadow: ShadowGraph, kappa: int
     is_alive[base.positions(shadow.alive)] = True
     alive = np.flatnonzero(is_alive)
     ids = base.ids[alive]
-    pos, found = live.lookup(ids)
-    if not found.all():
-        raise UnknownNode(f"node {ids[~found][0]} not present")
-    slack = kappa * np.diff(base.indptr)[alive] + kappa - np.diff(live.indptr)[pos]
+    slack = (kappa * np.diff(base.indptr)[alive] + kappa
+             - np.diff(live.indptr)[live.positions(ids)])
     negative = np.flatnonzero(slack < 0)
     violations = list(zip(ids[negative].tolist(), slack[negative].tolist()))
     return (int(slack.min()) if len(slack) else None), violations

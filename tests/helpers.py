@@ -172,7 +172,7 @@ def density_upper_oracle(graph, shadow, kappa, subsets) -> list[str]:
     violations = []
     alive = frozenset(shadow.alive)
     for subset in subsets:
-        deg_sum = sum(shadow.degree(v) for v in subset)
+        deg_sum = sum(len(shadow.neighbors(v)) for v in subset)
         bound = (density(shadow, subset)
                  + Fraction(kappa * deg_sum, 2 * len(subset))
                  + Fraction(kappa, 2))
@@ -282,7 +282,7 @@ def ensure_edge_color(g: ColoredGraph, u: int, v: int, color: int) -> bool:
     if color == BLACK:
         raise ValueError("cloud colors only; black edges come from insertions")
     try:
-        g.edge(u, v).colors.add(color)
+        g.edge(u, v).add(color)
         return False
     except UnknownEdge:
         g.add_edge(u, v, colors=(color,))
@@ -291,23 +291,22 @@ def ensure_edge_color(g: ColoredGraph, u: int, v: int, color: int) -> bool:
 
 def strip_color(g: ColoredGraph, u: int, v: int, color: int) -> bool:
     """Remove *color* from the edge; True when it drained to colorless."""
-    rec = g.edge(u, v)
-    if color not in rec.colors:
-        raise ColorAbsent(f"edge {rec.key} does not carry color {color}")
-    rec.colors.discard(color)
-    return not rec.colors
+    colors = g.edge(u, v)
+    if color not in colors:
+        raise ColorAbsent(f"edge {edge_key(u, v)} does not carry color {color}")
+    colors.discard(color)
+    return not colors
 
 
 def purge_colorless(g: ColoredGraph, keys) -> int:
     """Delete those of the edges *keys* that are still colorless."""
     deleted = 0
     for u, v in keys:
-        rec = g.edge(u, v)
-        if not rec.colors:
+        if not g.edge(u, v):
             g._csr = None
-            del g._edges[rec.key]
-            g._adj[rec.u].discard(rec.v)
-            g._adj[rec.v].discard(rec.u)
+            del g._edges[edge_key(u, v)]
+            g._adj[u].discard(v)
+            g._adj[v].discard(u)
             deleted += 1
     return deleted
 

@@ -264,6 +264,12 @@ def test_verify_missing_or_malformed_snapshot(tmp_path, capsys):
         # a topology is a set of edges, which would drop a repeat unseen
         "topology-edge-twice": lambda d: repeat_topology_edge(d, lambda e: e),
         "topology-edge-twice-flipped": lambda d: repeat_topology_edge(d, lambda e: e[::-1]),
+        # the baseline is checked by the live graph's rules
+        "shadow-edge-twice": lambda d: d["shadow"]["edges"].append(d["shadow"]["edges"][0][:]),
+        "shadow-edge-twice-flipped":
+            lambda d: d["shadow"]["edges"].append(d["shadow"]["edges"][0][::-1]),
+        "shadow-self-loop": lambda d: d["shadow"]["edges"].append([3, 3]),
+        "shadow-node-twice": lambda d: d["shadow"]["nodes"].append(d["shadow"]["nodes"][0]),
     }
     for name, damage in broken.items():
         victim = copy.deepcopy(data)

@@ -17,7 +17,6 @@ from helpers import (
     is_connected,
     random_adjacency,
 )
-from xhealsim.adversary import Event
 from xhealsim.graph import (
     BLACK,
     ColoredGraph,
@@ -32,7 +31,6 @@ from xhealsim.graph import (
     UnknownEdge,
     UnknownNode,
     bfs_distances,
-    black_neighbors,
     csr_connected,
     edge_key,
 )
@@ -49,7 +47,7 @@ def test_add_node_basics():
 
 
 def incident(g, v):
-    """The records of *v*'s edges, read before ``remove_node`` drops them."""
+    """The colors of *v*'s edges, read before ``remove_node`` drops them."""
     return [g.edge(v, nb) for nb in sorted(g.neighbors(v))]
 
 
@@ -58,7 +56,7 @@ def test_remove_node_drops_incident_edges():
     removed = incident(g, 0)
     assert g.remove_node(0) is None
     assert len(removed) == 3
-    assert all(rec.colors == {BLACK} for rec in removed)
+    assert all(colors == {BLACK} for colors in removed)
     assert g.node_set == {1, 2, 3} and g.edge_count() == 0
     assert all(g.neighbors(v) == set() for v in (1, 2, 3))
 
@@ -66,9 +64,9 @@ def test_remove_node_drops_incident_edges():
 def test_remove_node_keeps_color_sets_intact():
     g = graph_from_edges([0, 1], [(0, 1)])
     g.recolor([], [(1, [(0, 1)])])
-    (rec,) = incident(g, 0)
+    (colors,) = incident(g, 0)
     g.remove_node(0)
-    assert rec.colors == {BLACK, 1}
+    assert colors == {BLACK, 1}
 
 
 def test_remove_isolated_node():
@@ -83,11 +81,11 @@ def test_remove_isolated_node():
 def test_ensure_edge_color_reuse_and_create():
     g = graph_from_edges([0, 1, 2], [(0, 1)])
     assert g.recolor([], [(7, [(0, 1)])]) == (0, 1, 0)  # reused
-    assert g.edge(0, 1).colors == {BLACK, 7}
+    assert g.edge(0, 1) == {BLACK, 7}
     assert g.recolor([], [(7, [(1, 2)])]) == (1, 0, 0)  # created
-    assert g.edge(1, 2).colors == {7}
+    assert g.edge(1, 2) == {7}
     assert g.recolor([], [(8, [(0, 2), (1, 2)]), (9, [(0, 2)])]) == (1, 2, 0)
-    assert g.edge(0, 2).colors == {8, 9}
+    assert g.edge(0, 2) == {8, 9}
     with pytest.raises(SelfLoop):
         g.recolor([], [(7, [(1, 1)])])
     with pytest.raises(UnknownNode):
@@ -103,14 +101,14 @@ def test_strip_color_variants():
     g = graph_from_edges([0, 1], [(0, 1)])
     g.recolor([], [(3, [(0, 1)])])
     assert g.recolor([(3, [(0, 1)])], []) == (0, 0, 0)  # still black
-    assert g.edge(0, 1).colors == {BLACK}
+    assert g.edge(0, 1) == {BLACK}
 
     g2 = ColoredGraph()
     for v in (0, 1):
         g2.add_node(v)
     g2.recolor([], [(3, [(0, 1)]), (5, [(0, 1)])])
     assert g2.recolor([(3, [(0, 1)])], []) == (0, 0, 0)
-    assert g2.edge(0, 1).colors == {5}
+    assert g2.edge(0, 1) == {5}
     assert g2.recolor([(5, [(0, 1)])], []) == (0, 0, 1)  # drained, so deleted
     assert g2.edge_count() == 0 and g2.integrity_errors() == []
 
@@ -131,18 +129,25 @@ def test_purge_if_colorless():
     g.recolor([], [(3, [(0, 1), (1, 2)])])
     # a rebuild in the same step recolors (0, 1), so only (1, 2) goes
     assert g.recolor([(3, [(0, 1), (1, 2)])], [(9, [(0, 1)])]) == (0, 1, 1)
-    assert g.neighbors(1) == {0} and g.edge(0, 1).colors == {9}
+    assert g.neighbors(1) == {0} and g.edge(0, 1) == {9}
     assert g.integrity_errors() == []
 
 
-def test_black_neighbors():
-    g = graph_from_edges([0, 1, 2, 3], [(0, 1), (0, 2), (0, 3)])
-    assert black_neighbors(incident(g, 0), 0) == {1, 2, 3}
-    assert black_neighbors([], 0) == set()
-
-    g2 = graph_from_edges([0, 1, 2], [(0, 1)])
-    g2.recolor([], [(1, [(0, 1), (0, 2)])])
-    assert black_neighbors(incident(g2, 0), 0) == {1}
+def test_integrity_errors_name_each_broken_fact():
+    faults = {
+        "edge key (2, 1) is not canonical":
+            lambda g: (g._edges.__setitem__((2, 1), {BLACK}), g._adj[1].add(2),
+                       g._adj[2].add(1)),
+        "edge (1, 5) endpoint 5 missing": lambda g: g._edges.__setitem__((1, 5), {BLACK}),
+        "edge (0, 1) missing from adjacency of 0": lambda g: g._adj[0].discard(1),
+        "edge (0, 1) colorless": lambda g: g.edge(0, 1).clear(),
+        "adjacency 1-2 has no edge record": lambda g: (g._adj[1].add(2), g._adj[2].add(1)),
+    }
+    for message, damage in faults.items():
+        g = graph_from_edges([0, 1, 2], [(0, 1)])
+        assert g.integrity_errors() == []
+        damage(g)
+        assert message in g.integrity_errors(), message
 
 
 @pytest.mark.parametrize("edges,subset,expected", [
@@ -201,9 +206,8 @@ def sequential_graph(nodes, edges, colors):
 
 def graph_layout(g: ColoredGraph) -> tuple[list, list]:
     """Everything iteration order shows: nodes with their neighbor sets
-    in set order, and edge records with their colors in insertion order."""
-    return ([(v, list(g.neighbors(v))) for v in g.nodes()],
-            [(rec.u, rec.v, rec.colors) for rec in g.edges()])
+    in set order, and edge keys with their colors in insertion order."""
+    return ([(v, list(g.neighbors(v))) for v in g.node_set], list(g.edges()))
 
 
 @settings(max_examples=80, deadline=None)
@@ -239,7 +243,9 @@ def test_from_edges_rejects_what_add_edge_rejects(nodes, edges, error, message):
         ColoredGraph.from_edges(nodes, edges)
     with pytest.raises(error) as one_by_one:
         sequential_graph(nodes, edges, [[BLACK]] * len(edges))
-    assert str(bulk.value) == str(one_by_one.value) == message
+    with pytest.raises(error) as baseline:
+        ShadowGraph.from_edges(nodes, edges)
+    assert str(bulk.value) == str(one_by_one.value) == str(baseline.value) == message
 
 
 def test_csr_connected_edge_cases():
@@ -250,9 +256,8 @@ def test_csr_connected_edge_cases():
     assert not csr_connected(Csr.of(graph_from_edges(range(6), triangles)))
     assert csr_connected(Csr.of(graph_from_edges(range(6), triangles + [(2, 3)])))
     # a shadow keeps its dead nodes, so a dead hub still joins the leaves
-    sh = ShadowGraph()
-    sh.seed_initial(range(4), [(0, 1), (0, 2), (0, 3)])
-    sh.apply(Event("del", 0))
+    sh = ShadowGraph.from_edges(range(4), [(0, 1), (0, 2), (0, 3)])
+    sh.alive.remove(0)
     assert csr_connected(Csr.of(sh))
     assert not csr_connected(Csr.of(graph_from_edges(sorted(sh.alive), [])))
 
@@ -265,53 +270,55 @@ def test_csr_connected_matches_is_connected(n, p, split, dead, seed):
     rng = random.Random(seed)
     edges = [(u, v) for u in range(n) for v in range(u + 1, n)
              if (u < split) == (v < split) and rng.random() < p]
-    sh = ShadowGraph()
-    sh.seed_initial(range(n), edges)
+    sh = ShadowGraph.from_edges(range(n), edges)
     for v in sorted(dead & set(range(n))):
-        sh.apply(Event("del", v))
+        sh.alive.remove(v)
     live = graph_from_edges(sorted(sh.alive), [(u, v) for u, v in edges
                                                 if u in sh.alive and v in sh.alive])
     for view in (live, sh):
         assert csr_connected(Csr.of(view)) == is_connected(view)
 
 
-def test_shadow_apply():
-    sh = ShadowGraph()
-    sh.seed_initial([0, 1], [(0, 1)])
-    sh.apply(Event("ins", 2, (0, 1)))
+def test_shadow_insert():
+    sh = ShadowGraph.from_edges([0, 1], [(0, 1)])
+    sh.insert(2, (0, 1))
     assert sh.edges == {(0, 1), (0, 2), (1, 2)}
-    assert sh.alive == {0, 1, 2}
+    assert sh.alive == {0, 1, 2} and sh.max_node == 2
 
-    sh.apply(Event("del", 2))
+    sh.alive.remove(2)  # a delete only toggles liveness
     assert sh.edges == {(0, 1), (0, 2), (1, 2)}  # untouched
     assert sh.alive == {0, 1}
-    assert sh.degree(2) == 2  # full baseline degree still counts dead edges
+    assert len(sh.neighbors(2)) == 2  # full baseline degree still counts dead edges
 
-    with pytest.raises(UnknownNode):
-        sh.apply(Event("del", 2))
-    with pytest.raises(DuplicateNode):
-        sh.apply(Event("ins", 0, ()))
+    with pytest.raises(DuplicateNode, match="node 0 already recorded"):
+        sh.insert(0, ())
+    with pytest.raises(UnknownNode, match="neighbor 9 never existed"):
+        sh.insert(3, (0, 9))
+    with pytest.raises(UnknownNode, match="neighbor 3 never existed"):
+        sh.insert(3, (3,))
+    # a refused insert records nothing
+    assert sh.node_set == {0, 1, 2} and sh.max_node == 2
+    assert sh.neighbors(0) == {1, 2}
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.tuples(st.booleans(), st.integers(0, 30)), min_size=1, max_size=40))
 def test_shadow_is_append_only(script):
-    sh = ShadowGraph()
-    sh.seed_initial([0, 1, 2], [(0, 1), (1, 2)])
+    sh = ShadowGraph.from_edges([0, 1, 2], [(0, 1), (1, 2)])
     next_id = 3
     for do_insert, pick in script:
-        nodes_before = set(sh.nodes)
-        edges_before = set(sh.edges)
+        nodes_before = sh.node_set
+        edges_before = sh.edges
         alive = sorted(sh.alive)
         if do_insert or not alive:
             nbrs = tuple(alive[: pick % 3])
-            sh.apply(Event("ins", next_id, nbrs))
+            sh.insert(next_id, nbrs)
             next_id += 1
         else:
-            sh.apply(Event("del", alive[pick % len(alive)]))
-        assert nodes_before <= sh.nodes
+            sh.alive.remove(alive[pick % len(alive)])
+        assert nodes_before <= sh.node_set
         assert edges_before <= sh.edges
-        assert sh.alive <= sh.nodes
+        assert sh.alive <= sh.node_set
 
 
 def test_only_graph_module_touches_graph_internals():
@@ -372,21 +379,19 @@ def test_recoloring_keeps_the_live_snapshot():
 
 
 SHADOW_MUTATIONS = {
-    "insert": lambda sh: sh.apply(Event("ins", 5, (0, 2))),
-    "seed_initial": lambda sh: sh.seed_initial([7, 8], [(7, 8), (0, 7)]),
+    "insert": lambda sh: sh.insert(5, (0, 2)),
 }
 
 
 @pytest.mark.parametrize("mutation", sorted(SHADOW_MUTATIONS))
 def test_shadow_snapshot_is_rebuilt_after_each_adjacency_change(mutation):
-    sh = ShadowGraph()
-    sh.seed_initial([0, 1, 2], [(0, 1), (1, 2)])
+    sh = ShadowGraph.from_edges([0, 1, 2], [(0, 1), (1, 2)])
     before = Csr.of(sh)
     SHADOW_MUTATIONS[mutation](sh)
     after = Csr.of(sh)
     assert snapshot_adjacency(after) == view_adjacency(sh) != snapshot_adjacency(before)
     assert Csr.of(sh) is after
-    sh.apply(Event("del", 1))  # a deletion only toggles liveness
+    sh.alive.remove(1)  # a deletion only toggles liveness
     assert Csr.of(sh) is after
 
 
@@ -413,10 +418,9 @@ def test_bfs_distances_match_per_source_oracle(n, p, seed, pair_count, shadow):
     ids = [3 * i + 1 for i in range(n)]  # sparse ids exercise the position lookup
     edges = [(u, v) for i, u in enumerate(ids) for v in ids[i + 1:] if rng.random() < p]
     if shadow:
-        view = ShadowGraph()
-        view.seed_initial(ids, edges)
+        view = ShadowGraph.from_edges(ids, edges)
         for v in rng.sample(ids, n // 2):
-            view.apply(Event("del", v))  # dead nodes still relay baseline paths
+            view.alive.remove(v)  # dead nodes still relay baseline paths
         pool = sorted(view.alive)
     else:
         view = graph_from_edges(ids, edges)

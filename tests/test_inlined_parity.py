@@ -120,8 +120,8 @@ def full_strip_and_paint(healer):
 
 def edge_state(healer):
     graph = healer.graph
-    return ([(rec.key, rec.colors) for rec in graph.edges()],
-            {v: list(graph.neighbors(v)) for v in graph.nodes()})
+    return (list(graph.edges()),
+            {v: list(graph.neighbors(v)) for v in graph.node_set})
 
 
 @settings(max_examples=30, deadline=None)

@@ -158,11 +158,10 @@ def test_expansion_matches_subset_enumeration_on_views(ids, dead, base_p, live_p
     # dead nodes, which the live graph has dropped
     rng = random.Random(seed)
     order = sorted(ids)
-    shadow = ShadowGraph()
-    shadow.seed_initial(order, [(u, v) for i, u in enumerate(order) for v in order[i + 1:]
-                                if rng.random() < base_p])
+    shadow = ShadowGraph.from_edges(order, [(u, v) for i, u in enumerate(order)
+                                            for v in order[i + 1:] if rng.random() < base_p])
     for v in sorted(dead & ids):
-        shadow.apply(Event("del", v))
+        shadow.alive.remove(v)
     alive = sorted(shadow.alive)
     graph = graph_from_edges(alive, [(u, v) for i, u in enumerate(alive)
                                      for v in alive[i + 1:] if rng.random() < live_p])
@@ -281,9 +280,8 @@ def test_empty_network_report():
 
 def test_shadow_distances_use_dead_intermediates():
     # 1 - 0 - 2 with hub deleted: baseline distance via the dead hub is 2
-    sh = ShadowGraph()
-    sh.seed_initial([0, 1, 2], [(0, 1), (0, 2)])
-    sh.apply(Event("del", 0))
+    sh = ShadowGraph.from_edges([0, 1, 2], [(0, 1), (0, 2)])
+    sh.alive.remove(0)
     from xhealsim.graph import Csr, bfs_distances
     csr = Csr.of(sh)
     dist = bfs_distances(csr, csr.positions([1, 2]), csr.positions([2, 1]))

@@ -160,11 +160,10 @@ def test_density_checks_reject_subsets_of_an_earlier_state():
 def test_parity_on_arbitrary_graph_pairs(n, dead, base_p, live_p, kappa, seed):
     # unrelated live and baseline graphs reach every violation message
     rng = random.Random(seed)
-    shadow = ShadowGraph()
-    shadow.seed_initial(range(n), [(u, v) for u in range(n) for v in range(u + 1, n)
-                                   if rng.random() < base_p])
+    shadow = ShadowGraph.from_edges(range(n), [(u, v) for u in range(n) for v in range(u + 1, n)
+                                               if rng.random() < base_p])
     for v in sorted(dead & set(range(n))):
-        shadow.apply(Event("del", v))
+        shadow.alive.remove(v)
     alive = sorted(shadow.alive)
     graph = graph_from_edges(alive, [(u, v) for i, u in enumerate(alive)
                                      for v in alive[i + 1:] if rng.random() < live_p])
@@ -237,14 +236,13 @@ def test_evaluate_reports_a_sampled_subset_over_the_degree_budget():
 def test_degree_budget_keeps_every_subset_within_the_upper_bound(
         n, dead, base_p, live_p, kappa, seed, fixed):
     rng = random.Random(seed)
-    shadow = ShadowGraph()
-    shadow.seed_initial(range(n), [(u, v) for u in range(n) for v in range(u + 1, n)
-                                   if rng.random() < base_p])
+    shadow = ShadowGraph.from_edges(range(n), [(u, v) for u in range(n) for v in range(u + 1, n)
+                                               if rng.random() < base_p])
     for v in sorted(dead & set(range(n))):
-        shadow.apply(Event("del", v))
+        shadow.alive.remove(v)
     alive = sorted(shadow.alive)
     # live edges, each added only while both ends stay within budget
-    budget = {v: kappa * shadow.degree(v) + kappa for v in alive}
+    budget = {v: kappa * len(shadow.neighbors(v)) + kappa for v in alive}
     live_edges = []
     for i, u in enumerate(alive):
         for v in alive[i + 1:]:
