@@ -131,13 +131,17 @@ def render_report_csv(reports: list[MetricsReport]) -> str:
 # -- simulation drivers ----------------------------------------------------
 
 
+def _trace_healer(trace: Trace, cfg: RunConfig, fault: str | None = None) -> Healer:
+    """The healer a replay of the checked *trace* starts from."""
+    validate_trace(trace)
+    return Healer.from_initial(trace.initial_nodes, trace.initial_edges, cfg.expander(),
+                               random.Random(f"{cfg.seed}/engine"), fault=fault)
+
+
 def run_trace(trace: Trace, cfg: RunConfig, fault: str | None = None
               ) -> tuple[Healer, list[MetricsReport]]:
     """Replay a trace, evaluating all metrics at every checkpoint."""
-    validate_trace(trace)
-    rng = random.Random(f"{cfg.seed}/engine")
-    healer = Healer.from_initial(trace.initial_nodes, trace.initial_edges,
-                                 cfg.expander(), rng, fault=fault)
+    healer = _trace_healer(trace, cfg, fault)
     reports = [_checkpoint(healer, 0, cfg)]
     total = len(trace.events)
     for t, event in enumerate(trace.events, start=1):
@@ -294,6 +298,8 @@ def load_snapshot(data: dict) -> tuple[Healer, RunConfig]:
     healer.last_black_neighbors = set(node_ids(data["last_black_neighbors"],
                                                "last_black_neighbors"))
     counters = data["counters"]
+    if not isinstance(counters, dict):
+        raise ValueError("snapshot counters are not a JSON object")
     names = set(healer.counters.as_dict())
     if set(counters) != names:
         raise ValueError(f"snapshot counters: unknown {sorted(set(counters) - names)}, "
@@ -339,8 +345,6 @@ def _run_one_seed(args: argparse.Namespace, seed: int) -> tuple[int, list[str]]:
     cfg = _run_config(args, seed)
     if args.trace:
         trace = decode_trace(Path(args.trace).read_text(encoding="utf-8"))
-        if args.kappa_from_trace:
-            cfg.kappa = trace.kappa
         healer, reports = run_trace(trace, cfg, fault=args.fault)
         recorded = trace
     else:
@@ -440,7 +444,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def _replay_mismatch(args: argparse.Namespace, healer: Healer, cfg: RunConfig) -> list[str]:
     trace = decode_trace(Path(args.trace).read_text(encoding="utf-8"))
-    replayed, _ = run_trace(trace, cfg)
+    replayed = _trace_healer(trace, cfg)
+    for event in trace.events:
+        replayed.handle_event(event)
     problems = []
     want = {key: frozenset(colors) for key, colors in replayed.graph.edges()}
     have = {key: frozenset(colors) for key, colors in healer.graph.edges()}
@@ -533,8 +539,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--steps", type=int, default=100)
     run.add_argument("--insert-fraction", type=float, default=0.4)
     run.add_argument("--insert-degree", type=int, default=4)
-    run.add_argument("--kappa-from-trace", action="store_true",
-                     help="take kappa from the trace header instead of --kappa")
     run.add_argument("--fault", choices=FAULTS)
     run.add_argument("--record", help="write the realized trace here")
     run.add_argument("--snapshot", help="write the final state here")

@@ -21,7 +21,9 @@ fixed block of 2^LOW_BLOCK_BITS tabulated cut masks bounds its memory at
 every size it accepts.  A candidate is drawn and certified on positions
 0..m-1 and mapped to member ids only once accepted.  The pairing shuffle
 makes exactly the draws of ``random.Random.shuffle``, inlined (see
-``partial_shuffle``).
+``partial_shuffle``); it is the one stdlib draw the package inlines.
+``lambda2_of_adjacency`` is the one Laplacian eigensolve, shared by the
+certificates here and the checkpoint metric ``metrics.lambda2``.
 """
 from __future__ import annotations
 
@@ -195,6 +197,17 @@ def expansion_exact(n: int, u: np.ndarray, v: np.ndarray, limit: int) -> Fractio
     return Fraction(best_cut, best_side)
 
 
+def lambda2_of_adjacency(n: int, u: np.ndarray, v: np.ndarray) -> float:
+    """Second-smallest eigenvalue of the combinatorial Laplacian of the
+    graph on positions 0..n-1 whose edges ``(u[i], v[i])`` are listed
+    once each, via a dense symmetric eigensolver (documented tolerance
+    ~1e-9)."""
+    lap = np.zeros((n, n))
+    lap[u, v] = lap[v, u] = -1.0
+    np.fill_diagonal(lap, np.count_nonzero(lap, axis=1))
+    return float(np.linalg.eigvalsh(lap)[1])
+
+
 def _cheeger_lower_bound(n: int, u: np.ndarray, v: np.ndarray) -> Fraction:
     """lambda2/2 of the graph on positions 0..n-1 with edges
     ``(u[i], v[i])``, as a conservative exact rational.
@@ -203,8 +216,6 @@ def _cheeger_lower_bound(n: int, u: np.ndarray, v: np.ndarray) -> Fraction:
     fractional bits keeps the certificate a valid lower bound well below
     the solver tolerance.
     """
-    from .metrics import lambda2_of_adjacency  # deferred: metrics imports us
-
     lam = lambda2_of_adjacency(n, u, v)
     safe = max(0.0, lam - 1e-8)
     return Fraction(int(safe * (1 << 32)), 1 << 33)
@@ -254,22 +265,19 @@ def _gate_certificate(m: int, u: np.ndarray, v: np.ndarray, cfg: ExpanderConfig)
     return _cheeger_lower_bound(m, u, v)
 
 
-def partial_shuffle(items: list, count: int, rng: random.Random) -> None:
-    """Fisher-Yates from the back over the last *count* positions: each
-    takes a uniform pick from itself and the positions before it.
+def partial_shuffle(items: list, rng: random.Random) -> None:
+    """``rng.shuffle(items)``: Fisher-Yates from the back, each position
+    swapped with a uniform pick from itself and the positions before it.
 
     The draws are CPython's ``_randbelow_with_getrandbits``, made inline
     to save two method calls a swap, with the bit width worked out once
-    for each run of positions that shares it.  ``count = len(items) - 1``
-    is exactly ``rng.shuffle(items)``; ``count = k`` makes the draws of
-    ``rng.sample(items, k)`` when it keeps a pool, and leaves its picks,
-    in reverse order, in the last k positions.
+    for each run of positions that shares it.
     """
     getrandbits = rng.getrandbits
-    i, stop = len(items) - 1, len(items) - 1 - count
-    while i > stop:
+    i = len(items) - 1
+    while i > 0:
         bits = (i + 1).bit_length()
-        low = max(stop, (1 << (bits - 1)) - 2)
+        low = (1 << (bits - 1)) - 2
         for i in range(i, low, -1):
             j = getrandbits(bits)
             while j > i:
@@ -300,7 +308,7 @@ def _pairing_attempt(n: int, kappa: int, rng: random.Random) -> set[tuple[int, i
         if rounds > 200:
             return None
         potential: dict[int, int] = defaultdict(int)
-        partial_shuffle(stubs, len(stubs) - 1, rng)  # rng.shuffle(stubs)
+        partial_shuffle(stubs, rng)
         it = iter(stubs)
         for s1, s2 in zip(it, it):
             if s1 > s2:
@@ -353,7 +361,7 @@ def _splice(previous: CloudTopology, ranked: list[int], cfg: ExpanderConfig,
         return None
     if not newcomers:
         for _ in range(SPLICE_TRIES):
-            partial_shuffle(short, kappa - 1, rng)  # rng.shuffle(short)
+            partial_shuffle(short, rng)
             it = iter(short)
             pairs = [(a, b) if a < b else (b, a) for a, b in zip(it, it)]
             if previous.edges.isdisjoint((ranked[a], ranked[b]) for a, b in pairs):

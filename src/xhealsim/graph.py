@@ -103,12 +103,13 @@ class ColoredGraph:
     def from_edges(cls, nodes: Iterable[int], edges: Iterable[tuple[int, int]],
                    colors: Iterable[Iterable[Color]] | None = None) -> "ColoredGraph":
         """The graph that ``add_node`` over *nodes*, then ``add_edge`` over
-        *edges* in sorted order, each with its entry of *colors* (black
-        when omitted), would build.  The input is checked as a whole, in
-        the order of those calls: a node id outside [0, MAX_NODE_ID]
-        raises NodeIdOutOfRange, a node given twice DuplicateNode, a self
-        loop SelfLoop, an endpoint not in *nodes* UnknownNode and an edge
-        given twice (in either orientation) GraphError."""
+        *edges* in sorted order would build, each edge then holding its
+        entry of *colors* (black when omitted).  The input is checked as
+        a whole, in the order of those calls: a node id outside [0,
+        MAX_NODE_ID] raises NodeIdOutOfRange, a node given twice
+        DuplicateNode, a self loop SelfLoop, an endpoint not in *nodes*
+        UnknownNode and an edge given twice (in either orientation)
+        GraphError."""
         graph = cls()
         nodes = list(nodes)
         if nodes and (min(nodes) < 0 or max(nodes) > MAX_NODE_ID):
@@ -186,9 +187,9 @@ class ColoredGraph:
     def edge_count(self) -> int:
         return len(self._edges)
 
-    def add_edge(self, u: int, v: int, colors: Iterable[Color] = (BLACK,)) -> None:
-        """Wire a fresh edge carrying *colors* (by default an original or
-        adversary edge).  The pair must be new."""
+    def add_edge(self, u: int, v: int) -> None:
+        """Wire a fresh black edge, an original or adversary one.  The
+        pair must be new."""
         if u == v:
             raise SelfLoop(f"self loop ({u},{u})")
         if u not in self._adj or v not in self._adj:
@@ -197,7 +198,7 @@ class ColoredGraph:
         if key in self._edges:
             raise GraphError(f"edge ({key[0]},{key[1]}) already exists")
         self._csr = None
-        self._edges[key] = set(colors)
+        self._edges[key] = {BLACK}
         self._adj[u].add(v)
         self._adj[v].add(u)
 

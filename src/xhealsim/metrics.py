@@ -5,10 +5,11 @@ distances) is computed in exact integer or rational arithmetic; the
 spectral gap is the one floating-point value and is reported for
 context only, never asserted.
 
-A checkpoint builds its density subsets once, as a ``Subsets``: the
-mandatory ones (alive set, clouds, last black neighbourhood) and the
-sampled ones, which ``sample_subsets`` draws as positions into the
-sorted alive nodes.  Their members become one flat array of positions
+A density subset is a collection of node ids.  A checkpoint builds its
+subsets once, as a ``Subsets``: the mandatory ones (alive set, clouds,
+last black neighbourhood) and the sampled ones, which
+``sample_subsets`` draws from the sorted alive ids with ``randint`` and
+``Random.sample``.  Their members become one flat array of positions
 in the live CSR snapshot and one node-major boolean mask (node x
 subset), which both density checks read; member ids are turned back
 into sorted Python ints only for the subsets a violation names.
@@ -22,16 +23,15 @@ is live, and 2|E_live(S)| <= sum over S of live_deg <= sum over S of
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, AbstractSet, Iterable, Sequence
+from typing import TYPE_CHECKING, Collection, Iterable, Sequence
 
 import numpy as np
 
 from . import expander
-from .expander import TooLarge
+from .expander import TooLarge, lambda2_of_adjacency
 from .graph import (
     ColoredGraph,
     Csr,
@@ -53,24 +53,13 @@ class MetricsError(Exception):
     pass
 
 
-def lambda2_of_adjacency(n: int, u: np.ndarray, v: np.ndarray) -> float:
-    """Second-smallest eigenvalue of the combinatorial Laplacian of the
-    graph on positions 0..n-1 whose edges ``(u[i], v[i])`` are listed
-    once each, via a dense symmetric eigensolver (documented tolerance
-    ~1e-9)."""
-    lap = np.zeros((n, n))
-    lap[u, v] = lap[v, u] = -1.0
-    np.fill_diagonal(lap, np.count_nonzero(lap, axis=1))
-    return float(np.linalg.eigvalsh(lap)[1])
-
-
-def lambda2(view: ColoredGraph | ShadowGraph, cap: int = LAMBDA_SIZE_CAP) -> float:
+def lambda2(view: ColoredGraph | ShadowGraph) -> float:
     csr = Csr.of(view)
     n = len(csr.ids)
     if n < 2:
         raise MetricsError("lambda2 needs at least 2 nodes")
-    if n > cap:
-        raise TooLarge(f"{n} nodes exceeds spectral size cap {cap}")
+    if n > LAMBDA_SIZE_CAP:
+        raise TooLarge(f"{n} nodes exceeds spectral size cap {LAMBDA_SIZE_CAP}")
     return lambda2_of_adjacency(n, *csr.edge_ends())
 
 
@@ -134,49 +123,15 @@ def check_degree_bound(graph: ColoredGraph, shadow: ShadowGraph, kappa: int
     return (int(slack.min()) if len(slack) else None), violations
 
 
-def sample_subsets(n: int, samples: int, rng: random.Random
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Subsets of the positions 0..n-1: a uniform random size in [1, n],
-    then uniform members.
-
-    Returns every subset's positions, one subset after another, as one
-    int64 array, and the subset sizes.  Draws exactly as
-    ``rng.sample(range(n), rng.randint(1, n))`` per subset does in
-    CPython, inlined over ``getrandbits``: ``sample`` keeps a pool of
-    unpicked positions (a partial shuffle) when that list is smaller
-    than a set of the picks (its ``setsize`` rule), else it redraws
-    picked positions.  Each subset's positions are in ``sample``'s
-    selection order.
-    """
-    if not n:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    getrandbits = rng.getrandbits
-    n_bits = n.bit_length()
-    everyone = list(range(n))
-    picks: list[int] = []
-    sizes = np.zeros(samples, dtype=np.int64)
-    for s in range(samples):
-        size = getrandbits(n_bits)
-        while size >= n:
-            size = getrandbits(n_bits)
-        size += 1
-        sizes[s] = size
-        setsize = 21
-        if size > 5:
-            setsize += 4 ** math.ceil(math.log(size * 3, 4))
-        if n <= setsize:
-            pool = everyone[:]
-            expander.partial_shuffle(pool, size, rng)
-            picks.extend(reversed(pool[n - size:]))
-        else:
-            taken: set[int] = set()
-            for _ in range(size):
-                j = getrandbits(n_bits)
-                while j >= n or j in taken:
-                    j = getrandbits(n_bits)
-                taken.add(j)
-                picks.append(j)
-    return np.fromiter(picks, dtype=np.int64, count=len(picks)), sizes
+def sample_subsets(alive: Iterable[int], samples: int, rng: random.Random
+                   ) -> list[list[int]]:
+    """*samples* subsets of ``sorted(alive)``, each of a uniform random
+    size in [1, n] with uniform members, as id lists in selection order;
+    none when *alive* is empty."""
+    pool = sorted(alive)
+    if not pool:
+        return []
+    return [rng.sample(pool, rng.randint(1, len(pool))) for _ in range(samples)]
 
 
 def mandatory_subsets(healer: "Healer") -> list[frozenset[int]]:
@@ -214,26 +169,17 @@ class Subsets:
     mask: np.ndarray
 
     @classmethod
-    def of(cls, graph: ColoredGraph, fixed: Sequence[AbstractSet[int]],
-           pool: Iterable[int] = (),
-           sampled: tuple[np.ndarray, np.ndarray] | None = None) -> "Subsets":
-        """The subsets *fixed*, then those that *sampled* (as returned by
-        ``sample_subsets``) drew as positions into ``sorted(pool)``.
+    def of(cls, graph: ColoredGraph, subsets: Sequence[Collection[int]]) -> "Subsets":
+        """The *subsets*, each a collection of distinct node ids, in order.
 
         Raises ``EmptySubset`` or ``UnknownNode`` for the first subset
         that is empty or holds a node missing from *graph*.
         """
         live = Csr.of(graph)
-        ids = np.array(sorted(pool), dtype=np.int64)
-        picks, pick_sizes = sampled if sampled is not None else (ids[:0], ids[:0])
-        fixed_sizes = np.fromiter(map(len, fixed), dtype=np.int64, count=len(fixed))
-        values = np.fromiter(itertools.chain.from_iterable(fixed), dtype=np.int64,
-                             count=int(fixed_sizes.sum()))
-        fixed_pos, fixed_found = live.lookup(values)
-        pool_pos, pool_found = live.lookup(ids)
-        sizes = np.concatenate((fixed_sizes, pick_sizes))
-        members = np.concatenate((fixed_pos, pool_pos[picks]))
-        found = np.concatenate((fixed_found, pool_found[picks]))
+        sizes = np.fromiter(map(len, subsets), dtype=np.int64, count=len(subsets))
+        values = np.fromiter(itertools.chain.from_iterable(subsets), dtype=np.int64,
+                             count=int(sizes.sum()))
+        members, found = live.lookup(values)
         empty = np.flatnonzero(sizes == 0)
         unknown = np.flatnonzero(~found)
         # subset of each member, to tell which problem comes first
@@ -241,8 +187,7 @@ class Subsets:
         if empty.size and (not unknown.size or empty[0] < owner[unknown[0]]):
             raise EmptySubset("density of the empty set is undefined")
         if unknown.size:
-            node = np.concatenate((values, ids[picks]))[unknown[0]]
-            raise UnknownNode(f"node {node} not present")
+            raise UnknownNode(f"node {values[unknown[0]]} not present")
         mask = np.zeros((len(live.ids), len(sizes)), dtype=bool)
         mask[members, owner] = True
         return cls(live, sizes, members, mask)
@@ -451,7 +396,8 @@ def evaluate(healer: "Healer", t: int, seed: int, *, density_samples: int,
     lower bound holds.  With every degree in budget, for every S
     2|E_live(S)| <= sum over S of live_deg <= sum over S of
     (kappa * base_deg + kappa), the slack of the per-subset upper bound,
-    so that bound holds too.  A drawn family is drawn exactly as before.
+    so that bound holds too.  A drawn family is the one an always-drawing
+    checkpoint would draw.
     """
     graph, shadow = healer.graph, healer.shadow
     alpha = healer.cfg.alpha_target
@@ -463,13 +409,11 @@ def evaluate(healer: "Healer", t: int, seed: int, *, density_samples: int,
     slack, degree_viols = check_degree_bound(graph, shadow, healer.cfg.kappa)
     detail.extend(f"degree: node {v} slack {s}" for v, s in degree_viols)
 
-    fixed = mandatory_subsets(healer)
-    if preserved and not degree_viols:
-        subsets = Subsets.of(graph, fixed)
-    else:
+    family: list[Collection[int]] = [*mandatory_subsets(healer)]
+    if not preserved or degree_viols:
         rng_density = random.Random(f"{seed}/density/{t}")
-        subsets = Subsets.of(graph, fixed, shadow.alive,
-                             sample_subsets(len(shadow.alive), density_samples, rng_density))
+        family += sample_subsets(shadow.alive, density_samples, rng_density)
+    subsets = Subsets.of(graph, family)
     lower_viols = check_density_lower(graph, shadow, subsets, missing)
     upper_viols = check_density_upper(graph, shadow, healer.cfg.kappa, subsets)
     detail.extend(f"density: {v}" for v in lower_viols)

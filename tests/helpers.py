@@ -4,8 +4,8 @@ Everything here deliberately avoids the production code paths it is
 used to check: densities count pairs, expansion enumerates subsets in
 descending size order (or, for larger graphs, tabulates every cut as
 the replaced kernel did), graphs are built edge by edge.  The per-edge
-recoloring calls and the stdlib-drawing pairing and subset samplers are
-the code paths the library inlined, kept here as its references.
+recoloring calls and the stdlib-drawing pairing sampler are the code
+paths the library inlined, kept here as its references.
 """
 from __future__ import annotations
 
@@ -266,7 +266,7 @@ def complete_adjacency(n: int) -> dict[int, set[int]]:
 def index_arrays(adj) -> tuple[int, np.ndarray, np.ndarray]:
     """Node count and endpoint positions (u < v) of every edge of *adj*,
     its nodes numbered in sorted order: the graph arguments of
-    ``metrics.lambda2_of_adjacency`` and ``expander.expansion_exact``."""
+    ``expander.lambda2_of_adjacency`` and ``expander.expansion_exact``."""
     index = {v: i for i, v in enumerate(sorted(adj))}
     pairs = [(index[u], index[v]) for u in adj for v in adj[u] if index[u] < index[v]]
     ends = np.array(pairs, dtype=np.intp).reshape(-1, 2)
@@ -285,7 +285,8 @@ def ensure_edge_color(g: ColoredGraph, u: int, v: int, color: int) -> bool:
         g.edge(u, v).add(color)
         return False
     except UnknownEdge:
-        g.add_edge(u, v, colors=(color,))
+        g.add_edge(u, v)
+        g.edge(u, v).symmetric_difference_update((BLACK, color))  # black becomes color
         return True
 
 
@@ -388,22 +389,3 @@ def pairing_attempt_oracle(n: int, kappa: int, rng: random.Random):
             return None
         stubs = [node for node, count in potential.items() for _ in range(count)]
     return edges
-
-
-def sample_subsets_oracle(alive, samples: int, rng: random.Random) -> list[list[int]]:
-    """``metrics.sample_subsets`` drawing through ``randint`` and ``sample``
-    from ``sorted(alive)``; each subset's ids in selection order."""
-    pool = sorted(alive)
-    if not pool:
-        return []
-    return [rng.sample(pool, rng.randint(1, len(pool))) for _ in range(samples)]
-
-
-def picked_ids(alive, sampled: tuple[np.ndarray, np.ndarray]) -> list[list[int]]:
-    """The subsets ``metrics.sample_subsets(len(alive), ...)`` drew, as
-    ids of ``sorted(alive)`` in selection order."""
-    pool = sorted(alive)
-    picks, sizes = sampled
-    starts = np.cumsum(sizes) - sizes
-    return [[pool[p] for p in picks[s:s + k].tolist()]
-            for s, k in zip(starts.tolist(), sizes.tolist())]

@@ -17,7 +17,7 @@ from helpers import (certificate_oracle, complete_adjacency, cycle_adjacency, de
 from xhealsim import cli
 from xhealsim.adversary import Strategy, gen_trace, initial_graph, next_event
 from xhealsim.engine import Healer, coherence_errors
-from xhealsim.expander import ExpanderConfig, build_topology
+from xhealsim.expander import ExpanderConfig, build_topology, lambda2_of_adjacency
 from xhealsim.graph import edge_key
 from xhealsim.metrics import (
     Subsets,
@@ -27,7 +27,6 @@ from xhealsim.metrics import (
     check_density_upper,
     check_edge_preservation,
     expansion,
-    lambda2_of_adjacency,
     mandatory_subsets,
     sample_subsets,
     stretch,
@@ -80,10 +79,9 @@ def drive(healer: Healer, events, seed: int, total: int,
             result.coherence_failures.append((seed, t, mismatches[:3]))
         if t % checkpoint_every == 0 or t == total:
             result.checkpoints += 1
-            alive = healer.shadow.alive
-            subsets = Subsets.of(healer.graph, mandatory_subsets(healer), alive,
-                                 sample_subsets(len(alive), 100,
-                                                random.Random(f"{seed}/density/{t}")))
+            drawn = sample_subsets(healer.shadow.alive, 100,
+                                   random.Random(f"{seed}/density/{t}"))
+            subsets = Subsets.of(healer.graph, mandatory_subsets(healer) + drawn)
             lower = check_density_lower(healer.graph, healer.shadow, subsets, missing)
             if lower:
                 result.density_failures.append((seed, t, lower[:2]))

@@ -162,6 +162,35 @@ def test_verify_snapshot_roundtrip(tmp_path, capsys):
                     "--trace", str(trace)]) == 0
 
 
+def test_verify_trace_replays_without_checkpoints_and_names_each_mismatch(
+        tmp_path, monkeypatch, capsys):
+    # the replay is compared by its final edges and counters alone
+    trace, other, snap = tmp_path / "t.jsonl", tmp_path / "u.jsonl", tmp_path / "s.json"
+    for path, seed in ((trace, "5"), (other, "6")):
+        run_cli(["gen", "--strategy", "uniform", "--n0", "20", "--steps", "30",
+                 "--seed", seed, "-o", str(path)])
+    assert run_cli(["run", "--trace", str(trace), "--seed", "5",
+                    "--snapshot", str(snap), "-o", str(tmp_path / "r.csv")]) == 0
+    evaluated, evaluate = [], cli.evaluate
+
+    def counted(healer, t, *args, **kwargs):
+        evaluated.append(t)
+        return evaluate(healer, t, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "evaluate", counted)
+    assert run_cli(["verify", "--snapshot", str(snap), "--trace", str(trace)]) == 0
+    assert evaluated == [30]
+    capsys.readouterr()
+    assert run_cli(["verify", "--snapshot", str(snap), "--trace", str(other)]) == 1
+    assert "VIOLATION replayed trace does not reproduce the snapshot's edges" in (
+        capsys.readouterr().err.splitlines())
+    data = json.loads(snap.read_text())
+    data["counters"]["merges"] += 1
+    snap.write_text(json.dumps(data))
+    assert run_cli(["verify", "--snapshot", str(snap), "--trace", str(trace)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "VIOLATION replayed trace does not reproduce the snapshot's counters"]
+
 def test_verify_repeats_the_runs_final_checkpoint(tmp_path, capsys):
     # 74 nodes survive, so stretch samples its pairs: the lines depend on
     # the seed, t and the checkpoint settings verify shares with run
@@ -259,6 +288,8 @@ def test_verify_missing_or_malformed_snapshot(tmp_path, capsys):
         "float-certificate": lambda d: d["clouds"][0]["topology"].update(certified=0.5),
         "zero-denominator": lambda d: d["clouds"][0]["topology"].update(certified="1/0"),
         "string-counter": lambda d: d["counters"].update(merges="0"),
+        # the counter names alone, as a list, match the key set check
+        "counters-as-list": lambda d: d.update(counters=sorted(d["counters"])),
         # metrics fixes this density subset, so a default would check another family
         "no-last-black-neighbors": lambda d: d.pop("last_black_neighbors"),
         # a topology is a set of edges, which would drop a repeat unseen

@@ -16,7 +16,7 @@ from helpers import (
     index_arrays,
     random_adjacency,
 )
-from xhealsim import expander, metrics
+from xhealsim import expander
 from xhealsim.expander import (
     HARD_ENUMERATION_CEILING,
     CloudTopology,
@@ -183,10 +183,10 @@ def test_build_topology_records_the_bound_its_certificate_proved():
 
 def test_eigensolve_runs_only_for_draws_that_fail_the_gate(monkeypatch):
     verdicts, solves = [], []
-    gate, solve = expander._spectral_gate, metrics.lambda2_of_adjacency
+    gate, solve = expander._spectral_gate, expander.lambda2_of_adjacency
     monkeypatch.setattr(expander, "_spectral_gate",
                         lambda *args: verdicts.append(gate(*args)) or verdicts[-1])
-    monkeypatch.setattr(metrics, "lambda2_of_adjacency",
+    monkeypatch.setattr(expander, "lambda2_of_adjacency",
                         lambda *args: solves.append(solve(*args)) or solves[-1])
     cfg = ExpanderConfig(kappa=4, alpha_target=Fraction(2, 5))
     for seed in range(6):

@@ -200,7 +200,10 @@ def sequential_graph(nodes, edges, colors):
     for v in nodes:
         g.add_node(v)
     for (u, v), paint in sorted(zip(map(sorted, edges), colors)):
-        g.add_edge(u, v, colors=paint)
+        g.add_edge(u, v)
+        own = g.edge(u, v)  # the graph's own color set, repainted in place
+        own.clear()
+        own.update(paint)
     return g
 
 

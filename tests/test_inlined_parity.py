@@ -1,14 +1,16 @@
-"""The inlined hot loops against the code paths they replaced.
+"""The inlined and batched hot paths against the code paths they replaced.
 
-``expander.partial_shuffle`` (and so ``_pairing_attempt``) and
-``metrics.sample_subsets`` draw from ``getrandbits`` directly instead of
-through ``Random.shuffle``, ``randint`` and ``sample``; each must return
-the same values and leave the generator in the same state, or every
-cloud and every checkpoint after it changes.  ``ColoredGraph.recolor``
-makes a repair step's edge edits in one call; a healer driven through it
-must match one driven through the per-edge calls in ``helpers``.
-``Healer._apply`` recolors only what a rebuilt cloud changed; a healer
-driven through it must match one that strips and repaints every edge.
+``expander.partial_shuffle`` (and so ``_pairing_attempt``) draws from
+``getrandbits`` directly instead of through ``Random.shuffle``; it must
+return the same values and leave the generator in the same state, or
+every cloud after it changes.  ``ColoredGraph.recolor`` makes a repair
+step's edge edits in one call; a healer driven through it must match one
+driven through the per-edge calls in ``helpers``.  ``Healer._apply``
+recolors only what a rebuilt cloud changed; a healer driven through it
+must match one that strips and repaints every edge.  ``Subsets.of``
+packs id subsets into position arrays and a node-major mask; the density
+sampler's draws must read back from it unchanged at every size where
+``Random.sample`` switches branch.
 """
 import math
 import random
@@ -19,13 +21,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import (apply_full_oracle, pairing_attempt_oracle, picked_ids,
-                     recolor_oracle, sample_subsets_oracle)
+from helpers import apply_full_oracle, graph_from_edges, pairing_attempt_oracle, recolor_oracle
 from xhealsim.adversary import Strategy, gen_trace
 from xhealsim.engine import Healer
 from xhealsim.expander import (ExpanderConfig, RetriesExhausted, _pairing_attempt,
                                partial_shuffle)
-from xhealsim.metrics import sample_subsets
+from xhealsim.metrics import Subsets, sample_subsets
 
 # sizes at the edges of a getrandbits width, plus the small lists
 EDGE_SIZES = [0, 1, 2, 3, 4, 5, 6, 7, 8, 63, 64, 65, 1023, 1024, 1025]
@@ -39,7 +40,7 @@ def test_shuffle_draws_like_random_shuffle(n, seed):
     ours, ref = random.Random(seed), random.Random(seed)
     items = list(range(n))
     expected = items[:]
-    partial_shuffle(items, max(n - 1, 0), ours)
+    partial_shuffle(items, ours)
     ref.shuffle(expected)
     assert items == expected
     assert ours.getstate() == ref.getstate()
@@ -56,17 +57,6 @@ def test_pairing_attempt_draws_like_random_shuffle(n, kappa, seed):
     assert ours.getstate() == ref.getstate()
 
 
-@settings(max_examples=120, deadline=None)
-@given(n=sizes, samples=st.integers(0, 30), seed=seeds)
-def test_sample_subsets_draw_like_randint_and_sample(n, samples, seed):
-    alive = random.Random(n).sample(range(2 * n + 1), n)  # sparse, unsorted ids
-    ours, ref = random.Random(seed), random.Random(seed)
-    got = picked_ids(alive, sample_subsets(n, samples, ours))
-    # same members in the same selection order
-    assert got == sample_subsets_oracle(alive, samples, ref)
-    assert ours.getstate() == ref.getstate()
-
-
 def sample_keeps_a_pool(n: int, k: int) -> bool:
     """``Random.sample``'s branch rule: a pool list when n items take less
     room than a set of k picks, else a set of picked positions."""
@@ -80,12 +70,14 @@ def sample_keeps_a_pool(n: int, k: int) -> bool:
 def test_sample_subsets_at_the_sample_branch_boundaries(n):
     # sample's setsize is 21, 85, 277 or 1045 for the sizes drawn here;
     # n equal to it still keeps a pool, one more redraws positions
-    ours, ref = random.Random(n), random.Random(n)
-    got = picked_ids(range(n), sample_subsets(n, 200, ours))
-    assert got == sample_subsets_oracle(range(n), 200, ref)
-    assert ours.getstate() == ref.getstate()
-    branches = {sample_keeps_a_pool(n, len(s)) for s in got}
+    alive = random.Random(n).sample(range(2 * n), n)  # sparse, unsorted ids
+    drawn = sample_subsets(alive, 200, random.Random(n))
+    branches = {sample_keeps_a_pool(n, len(s)) for s in drawn}
     assert branches == ({True} if n == 21 else {True, False})
+    subsets = Subsets.of(graph_from_edges(alive, []), drawn)
+    # one mask entry per member: the members of each subset are distinct
+    assert subsets.mask.sum(axis=0).tolist() == [len(s) for s in drawn]
+    assert [subsets.sorted_ids(i) for i in range(len(drawn))] == [sorted(s) for s in drawn]
 
 
 def replay_pair(n0: int, steps: int, seed: int, fault: str | None, reference):

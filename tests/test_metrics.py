@@ -7,14 +7,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (complete_adjacency, cycle_adjacency, density, density_oracle,
-                     expansion_oracle, graph_from_edges, index_arrays, picked_ids)
+                     expansion_oracle, graph_from_edges, index_arrays)
 from xhealsim import metrics
 from xhealsim.adversary import Event, Strategy, gen_trace
 from xhealsim.cli import RunConfig, run_trace
 from xhealsim.engine import Healer
-from xhealsim.expander import ExpanderConfig
+from xhealsim.expander import ExpanderConfig, lambda2_of_adjacency
 from xhealsim.graph import BLACK, ShadowGraph, edge_key
 from xhealsim.metrics import (
+    LAMBDA_SIZE_CAP,
     Subsets,
     check_connectivity,
     check_degree_bound,
@@ -24,7 +25,6 @@ from xhealsim.metrics import (
     evaluate,
     expansion,
     lambda2,
-    lambda2_of_adjacency,
     mandatory_subsets,
     sample_subsets,
     stretch,
@@ -111,12 +111,10 @@ def test_density_upper_hand_computed_bound():
 def test_density_checks_match_oracle_on_untouched_graph():
     h = Healer.from_initial(list(range(6)), [(i, (i + 1) % 6) for i in range(6)],
                             ExpanderConfig(), random.Random(0))
-    alive = h.shadow.alive
-    sampled = sample_subsets(len(alive), 20, random.Random(1))
+    sampled = sample_subsets(h.shadow.alive, 20, random.Random(1))
     assert check_edge_preservation(h.graph, h.shadow) == (True, [])
-    assert check_density_lower(h.graph, h.shadow, Subsets.of(h.graph, [], alive, sampled),
-                               []) == []
-    for s in picked_ids(alive, sampled):
+    assert check_density_lower(h.graph, h.shadow, Subsets.of(h.graph, sampled), []) == []
+    for s in sampled:
         assert density_oracle(lambda u, v: v in h.graph.neighbors(u), s) == density_oracle(
             lambda u, v: edge_key(u, v) in h.shadow.edges, s)
 
@@ -189,7 +187,7 @@ def test_lambda2_view_and_caps():
     with pytest.raises(MetricsError):
         lambda2(single)
     with pytest.raises(TooLarge):
-        lambda2(k4, cap=3)
+        lambda2(graph_from_edges(range(LAMBDA_SIZE_CAP + 1), []))
 
 
 def test_stretch_identity_on_untouched_graph():

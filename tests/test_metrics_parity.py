@@ -3,26 +3,24 @@
 ``metrics.check_density_lower``, ``check_density_upper`` and ``stretch``
 work on numpy edge and CSR arrays and a node-major subset mask; the
 oracles in ``helpers`` are the straightforward per-subset and per-source
-versions, fed frozensets drawn through ``random.Random.sample``.  Both
-must return exactly the same values: violation lists, worst ratio and
-pair count.
+versions, fed the same subsets as frozensets.  Both must return exactly
+the same values: violation lists, worst ratio and pair count.
 
 ``metrics.evaluate`` draws its random density subsets only when a
 missing edge or a node over its degree budget lets one break a bound;
 its density lines must equal those of both checks on the always-drawn
-family.
+family, and a healthy run must never draw.
 """
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (density_lower_oracle, density_upper_oracle, graph_from_edges,
-                     picked_ids, sample_subsets_oracle, stretch_oracle)
+from helpers import density_lower_oracle, density_upper_oracle, graph_from_edges, stretch_oracle
+from xhealsim import metrics
 from xhealsim.adversary import Event, Strategy, gen_trace
-from xhealsim.cli import RunConfig
+from xhealsim.cli import RunConfig, run_trace
 from xhealsim.engine import Healer
 from xhealsim.expander import ExpanderConfig
 from xhealsim.graph import EmptySubset, ShadowGraph, UnknownNode
@@ -37,10 +35,8 @@ def checks_and_oracles(healer: Healer, seed: int, t: int, samples: int = 100,
                        pairs: int = 200):
     """(new, oracle) results of the three checks at one state."""
     graph, shadow = healer.graph, healer.shadow
-    rng_name = f"{seed}/density/{t}"
-    subsets = Subsets.of(graph, mandatory_subsets(healer), shadow.alive,
-                         sample_subsets(len(shadow.alive), samples, random.Random(rng_name)))
-    drawn = sample_subsets_oracle(shadow.alive, samples, random.Random(rng_name))
+    drawn = sample_subsets(shadow.alive, samples, random.Random(f"{seed}/density/{t}"))
+    subsets = Subsets.of(graph, mandatory_subsets(healer) + drawn)
     frozen = mandatory_subsets(healer) + [frozenset(s) for s in drawn]
     assert len(subsets) == len(frozen)
     assert [subsets.sorted_ids(i) for i in range(len(subsets))] == [sorted(s) for s in frozen]
@@ -113,8 +109,8 @@ def test_density_checks_reject_bad_subsets(check):
                                  ExpanderConfig(), random.Random(0))
     healer.handle_event(Event("del", 0))
 
-    def run(fixed, pool=(), sampled=None):
-        subsets = Subsets.of(healer.graph, fixed, pool, sampled)
+    def run(family):
+        subsets = Subsets.of(healer.graph, family)
         if check == "lower":
             return check_density_lower(healer.graph, healer.shadow, subsets,
                                        check_edge_preservation(healer.graph, healer.shadow)[1])
@@ -132,13 +128,12 @@ def test_density_checks_reject_bad_subsets(check):
         run([frozenset([1, 99]), frozenset()])
     with pytest.raises(EmptySubset):
         run([frozenset([2]), frozenset(), frozenset([99])])
-    # sampled subsets follow the fixed ones; positions 1, 0 of [0, 1, 2] hold dead 0
-    sampled = (np.array([1, 0]), np.array([2]))
+    # a sampled subset is an id list in selection order; [1, 0] holds dead 0
     with pytest.raises(UnknownNode):
-        run([frozenset([1])], [0, 1, 2], sampled)
+        run([frozenset([1]), [1, 0]])
     with pytest.raises(EmptySubset):
-        run([frozenset()], [0, 1, 2], sampled)
-    assert run([], [0, 1, 2], (np.array([1, 2]), np.array([2]))) == []
+        run([frozenset(), [1, 0]])
+    assert run([[2, 1]]) == []
 
 
 def test_density_checks_reject_subsets_of_an_earlier_state():
@@ -167,9 +162,9 @@ def test_parity_on_arbitrary_graph_pairs(n, dead, base_p, live_p, kappa, seed):
     alive = sorted(shadow.alive)
     graph = graph_from_edges(alive, [(u, v) for i, u in enumerate(alive)
                                      for v in alive[i + 1:] if rng.random() < live_p])
-    sampled = sample_subsets(len(alive), 15, rng)
-    subsets = Subsets.of(graph, [], alive, sampled)
-    frozen = [frozenset(s) for s in picked_ids(alive, sampled)]
+    sampled = sample_subsets(alive, 15, rng)
+    subsets = Subsets.of(graph, sampled)
+    frozen = [frozenset(s) for s in sampled]
     assert (check_density_lower(graph, shadow, subsets,
                                 check_edge_preservation(graph, shadow)[1])
             == density_lower_oracle(graph, shadow, frozen))
@@ -183,9 +178,8 @@ def eager_density(healer: Healer, seed: int, t: int, samples: int):
     """Density counts and lines of both checks on the family that draws
     its random subsets at every checkpoint."""
     graph, shadow = healer.graph, healer.shadow
-    subsets = Subsets.of(graph, mandatory_subsets(healer), shadow.alive,
-                         sample_subsets(len(shadow.alive), samples,
-                                        random.Random(f"{seed}/density/{t}")))
+    drawn = sample_subsets(shadow.alive, samples, random.Random(f"{seed}/density/{t}"))
+    subsets = Subsets.of(graph, mandatory_subsets(healer) + drawn)
     lower = check_density_lower(graph, shadow, subsets,
                                 check_edge_preservation(graph, shadow)[1])
     upper = check_density_upper(graph, shadow, healer.cfg.kappa, subsets)
@@ -218,9 +212,7 @@ def test_evaluate_reports_a_sampled_subset_over_the_degree_budget():
     # per-subset bound (2*45 <= 4*25), so only sampled subsets heavy in
     # clique members break it.
     healer = Healer.from_initial(range(25), [], ExpanderConfig(kappa=4), random.Random(0))
-    for u in range(10):
-        for v in range(u + 1, 10):
-            healer.graph.add_edge(u, v, colors=(0,))
+    healer.graph.recolor([], [(0, [(u, v) for u in range(10) for v in range(u + 1, 10)])])
     assert len(check_degree_bound(healer.graph, healer.shadow, 4)[1]) == 10
     mandatory = Subsets.of(healer.graph, mandatory_subsets(healer))
     assert check_density_upper(healer.graph, healer.shadow, 4, mandatory) == []
@@ -229,6 +221,16 @@ def test_evaluate_reports_a_sampled_subset_over_the_degree_budget():
     assert reported == eager_density(healer, 3, 0, 100)
 
 
+def test_healthy_acceptance_run_draws_no_subsets(monkeypatch):
+    # the acceptance shape: n0=50, 300 events, a checkpoint every 10, alpha 1
+    def refuse(*_args):
+        raise AssertionError("sample_subsets called on a healthy checkpoint")
+
+    monkeypatch.setattr(metrics, "sample_subsets", refuse)
+    trace = gen_trace(Strategy("uniform", insert_fraction=0.4), 50, 300, 0, kappa=KAPPA)
+    _, reports = run_trace(trace, RunConfig(kappa=KAPPA, seed=0, checkpoint_every=10))
+    assert len(reports) == 31
+    assert [r.violation_detail for r in reports] == [[]] * 31
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 12), dead=st.sets(st.integers(0, 11)), base_p=st.floats(0, 1),
        live_p=st.floats(0, 1), kappa=st.integers(0, 2), seed=st.integers(0, 10_000),
@@ -253,6 +255,6 @@ def test_degree_budget_keeps_every_subset_within_the_upper_bound(
     graph = graph_from_edges(alive, live_edges)
     assert check_degree_bound(graph, shadow, kappa)[1] == []
     family = [s for s in fixed if s <= shadow.alive]
-    subsets = Subsets.of(graph, family, alive, sample_subsets(len(alive), 20, rng))
+    subsets = Subsets.of(graph, family + sample_subsets(alive, 20, rng))
     lines = check_density_upper(graph, shadow, kappa, subsets)
     assert not [line for line in lines if line.startswith("S=")]
