@@ -170,7 +170,6 @@ def density_lower_oracle(graph, shadow, subsets) -> list[str]:
 def density_upper_oracle(graph, shadow, kappa, subsets) -> list[str]:
     """``Fraction``-based twin of ``metrics.check_density_upper``."""
     violations = []
-    alive = frozenset(shadow.alive)
     for subset in subsets:
         deg_sum = sum(len(shadow.neighbors(v)) for v in subset)
         bound = (density(shadow, subset)
@@ -178,12 +177,6 @@ def density_upper_oracle(graph, shadow, kappa, subsets) -> list[str]:
                  + Fraction(kappa, 2))
         if density(graph, subset) > bound:
             violations.append(f"S={sorted(subset)}: per-subset upper bound broken")
-    if alive:
-        whole = density(graph, alive)
-        bound_whole = (kappa + 1) * density(shadow, alive) + Fraction(kappa, 2)
-        if whole > bound_whole:
-            violations.append(
-                f"graph density {whole} exceeds (kappa+1)*baseline+kappa/2 = {bound_whole}")
     return violations
 
 

@@ -77,6 +77,12 @@ def drive(healer: Healer, events, seed: int, total: int,
         mismatches = coherence_errors(healer)
         if mismatches:
             result.coherence_failures.append((seed, t, mismatches[:3]))
+        if healer.shadow.alive:
+            # the alive set's line is the whole-graph upper bound
+            upper = check_density_upper(healer.graph, healer.shadow, KAPPA,
+                                        Subsets.of(healer.graph, [healer.shadow.alive]))
+            if upper:
+                result.density_ub_failures.append((seed, t, upper[:2]))
         if t % checkpoint_every == 0 or t == total:
             result.checkpoints += 1
             drawn = sample_subsets(healer.shadow.alive, 100,
@@ -153,18 +159,21 @@ def test_degree_bound(standard_suite, bridge_suite):
              if not failures else str(failures[:3]))
 
 
-def test_density_lower_bound(standard_suite):
-    ok = not standard_suite.density_failures
-    conclude("density-lower-bound", ok,
-             f"{standard_suite.checkpoints} checkpoints x (100 samples + mandatory)"
-             if ok else str(standard_suite.density_failures[:3]))
+def test_density_lower_bound(standard_suite, bridge_suite):
+    failures = standard_suite.density_failures + bridge_suite.density_failures
+    conclude("density-lower-bound", not failures,
+             f"{standard_suite.checkpoints + bridge_suite.checkpoints} checkpoints "
+             "x (100 samples + mandatory)"
+             if not failures else str(failures[:3]))
 
 
-def test_density_upper_bounds(standard_suite):
-    ok = not standard_suite.density_ub_failures
-    conclude("density-upper-bounds", ok,
-             f"{standard_suite.checkpoints} checkpoints, exact rationals"
-             if ok else str(standard_suite.density_ub_failures[:3]))
+def test_density_upper_bounds(standard_suite, bridge_suite):
+    failures = standard_suite.density_ub_failures + bridge_suite.density_ub_failures
+    conclude("density-upper-bounds", not failures,
+             "alive set after every event, "
+             f"{standard_suite.checkpoints + bridge_suite.checkpoints} checkpoints, "
+             "exact integers"
+             if not failures else str(failures[:3]))
 
 
 def test_connectivity(standard_suite, bridge_suite):

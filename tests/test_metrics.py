@@ -108,6 +108,23 @@ def test_density_upper_hand_computed_bound():
     assert density(h.shadow, subset) == 0
 
 
+def test_density_upper_counts_baseline_edges_to_dead_nodes():
+    # kappa 2; baseline edges (i, i+6) with 6-11 dead, so the alive set
+    # 0-5 induces no baseline edge but each alive node keeps one edge to
+    # a dead node.  The live K6 minus a perfect matching gives every
+    # node degree 4 = kappa * 1 + kappa: the degree bound with zero
+    # slack, and on the alive set 2 * 12 <= 2 * 0 + 2 * 6 + 2 * 6
+    shadow = ShadowGraph.from_edges(range(12), [(i, i + 6) for i in range(6)])
+    for v in range(6, 12):
+        shadow.alive.remove(v)
+    graph = graph_from_edges(range(6), [(u, v) for u in range(6) for v in range(u + 1, 6)
+                                        if v != u + 3])
+    slack, violations = check_degree_bound(graph, shadow, 2)
+    assert (slack, violations) == (0, [])
+    subsets = Subsets.of(graph, [frozenset(range(6))])
+    assert check_density_upper(graph, shadow, 2, subsets) == []
+
+
 def test_density_checks_match_oracle_on_untouched_graph():
     h = Healer.from_initial(list(range(6)), [(i, (i + 1) % 6) for i in range(6)],
                             ExpanderConfig(), random.Random(0))
