@@ -247,9 +247,10 @@ def load_snapshot(data: dict) -> tuple[Healer, RunConfig]:
     settings.  Raises ValueError on structural problems, among them an
     id or count that is not a non-negative JSON integer as written
     (checked as ``decode_trace`` checks node ids, with no coercion), a
-    checkpoint setting that is not positive and a certificate that is
-    not a non-negative fraction string; semantic damage surfaces in
-    coherence checks."""
+    checkpoint setting that is not positive, a certificate that is not
+    a non-negative fraction string, and an alive id, cloud id, bridge
+    key or topology edge listed twice, which a set or a dict would drop
+    unseen; semantic damage surfaces in coherence checks."""
     if not isinstance(data, dict):
         raise ValueError("snapshot is not a JSON object")
     if data.get("v") != SNAPSHOT_VERSION:
@@ -266,7 +267,10 @@ def load_snapshot(data: dict) -> tuple[Healer, RunConfig]:
     shadow = data["shadow"]
     healer.shadow = ShadowGraph.from_edges(node_ids(shadow["nodes"], "shadow nodes"),
                                            node_id_rows(shadow["edges"], 2, "shadow edges"))
-    healer.shadow.alive = set(node_ids(shadow["alive"], "shadow alive"))
+    alive = node_ids(shadow["alive"], "shadow alive")
+    healer.shadow.alive = set(alive)
+    if len(healer.shadow.alive) < len(alive):
+        raise ValueError("shadow alive lists a node twice")
     nodes, records = node_ids(data["nodes"], "nodes"), data["edges"]
     ends = [(rec["u"], rec["v"]) for rec in records]
     node_ids(list(itertools.chain.from_iterable(ends)), "edge endpoints")
@@ -279,9 +283,11 @@ def load_snapshot(data: dict) -> tuple[Healer, RunConfig]:
     for entry in data["clouds"]:
         topo = entry["topology"]
         cid = _snapshot_count(entry["id"], "cloud id")
+        if cid in healer.registry.clouds:
+            raise ValueError(f"cloud {cid} is listed twice")
         keys = [edge_key(u, v) for u, v in node_id_rows(topo["edges"], 2, f"cloud {cid} edges")]
         edges = frozenset(keys)
-        if len(edges) < len(keys):  # a set would drop the repeat unseen
+        if len(edges) < len(keys):
             raise ValueError(f"cloud {cid} topology lists an edge twice")
         topology = CloudTopology(
             kind=TopologyKind(topo["kind"]),
@@ -293,6 +299,8 @@ def load_snapshot(data: dict) -> tuple[Healer, RunConfig]:
                       frozenset(node_ids(entry["members"], f"cloud {cid} members")), topology)
         healer.registry.store(cloud)
     for f, c, node in node_id_rows(data["bridges"], 3, "bridges"):
+        if (f, c) in healer.registry.bridges:
+            raise ValueError(f"bridge entry ({f},{c}) is listed twice")
         healer.registry.bridges[(f, c)] = node
     healer.next_cloud_id = _snapshot_count(data["next_cloud_id"], "next_cloud_id")
     healer.last_black_neighbors = set(node_ids(data["last_black_neighbors"],

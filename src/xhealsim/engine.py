@@ -15,27 +15,29 @@ node:
   primaries get a new secondary.
 
 A repair decides membership first and designs topologies last.  The
-branch retires clouds (merges, folds), registers new ones and marks
-surviving ones for a rebuild, none of which reads a topology; then every
-marked or new cloud still registered is designed once, in id order
-(``Plan._design``), so no draw is spent on a cloud the repair does not
-keep.  A rebuilt expander cloud is spliced from its topology scrubbed of
-the dead member, and a merge grows from the largest merged expander
-topology (``expander._splice``); only when that fails is the cloud drawn
-whole (``expander.build_topology``).  A free node is one that holds no
-bridge entry and has a slot left in its cloud budget: a node may be held
-by at most one cloud more than it has dead baseline neighbors
-(``budget_errors``), which keeps the degree bound.
+branch retires clouds (merges, folds) and registers new ones, none of
+which reads a topology; then every cloud the repair may change, the dead
+node's and the new ones (``Plan.changed``), that is still registered is
+designed once, in id order (``Plan._design``), so no draw is spent on a
+cloud the repair does not keep.  A rebuilt expander cloud is spliced
+from its topology scrubbed of the dead member, and a merge grows from
+the largest merged expander topology (``expander._splice``); only when
+that fails is the cloud drawn whole (``expander.build_topology``).  A
+free node is one that holds no bridge entry and has a slot left in its
+cloud budget: a node may be held by at most one cloud more than it has
+dead baseline neighbors (``budget_errors``), which keeps the degree
+bound.
 
 Each delete is planned as one value, a ``Plan`` with its own registry,
-counters and next cloud id and the delete's edge edits recorded as one
-step; the healer then takes its state and applies the step to the graph,
-so a plan that raises (a cloud that cannot be certified) is dropped with
-nothing to restore.  An edge's colors are its only state, and a cloud's
-topology is a frozen set of edges: the step strips each retired cloud's
-color from its edges and each rebuilt cloud's from ``old - new`` only,
+counters and next cloud id; the healer then takes its state and applies
+it to the graph, so a plan that raises (a cloud that cannot be
+certified) is dropped with nothing to restore.  An edge's colors are its
+only state, and a cloud's topology is a frozen set of edges, so the
+delete's edge step is the difference between the registry before the
+plan and the plan's (``Healer._apply``): each retired cloud's color
+leaves its edges, each changed cloud's leaves ``old - new`` only and
 colors ``new - old`` (reusing any edge that exists, a retired cloud's
-too) and deletes the stripped edges left colorless, all in one
+too), and the stripped edges left colorless go, all in one
 ``ColoredGraph.recolor`` call.  Black is never stripped, so no black
 edge goes.
 """
@@ -43,7 +45,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -164,14 +166,6 @@ class CloudRegistry:
 
 
 @dataclass
-class EdgeStep:
-    """Strip old clouds' colors, color built clouds' edges, then purge the drained edges."""
-
-    stripped: list[Cloud] = field(default_factory=list)
-    built: list[Cloud] = field(default_factory=list)
-
-
-@dataclass
 class RepairCounters:
     """Cumulative per-run tallies; edge counts proxy repair cost."""
 
@@ -250,30 +244,37 @@ class Healer:
         plan = Plan(self, v)
         if self.fault != "skip-heal":
             plan.repair()
+        before = self.registry
         self.registry, self.counters, self.next_cloud_id = (
             plan.registry, plan.counters, plan.next_cloud_id)
         self.counters.deletes += 1
         self.shadow.alive.remove(v)
         self.graph.remove_node(v)
         self.last_black_neighbors = set(plan.blacks)
-        self._apply(plan.step)
+        self._apply(before, plan)
         if self.fault == "drop-black-edge":
             self._drop_one_black_edge()
 
     # -- edge lifecycle ----------------------------------------------------
 
-    def _apply(self, step: EdgeStep) -> None:
-        """Recolor the graph by the step's per-color difference: a cloud
-        stripped and built in the same step loses only ``old - new`` and
-        gains only ``new - old``.  The graph ends as after stripping
-        every old edge and painting every new one, since an edge a cloud
-        keeps would be repainted before the purge; it is just no longer
-        counted as reused."""
-        old = {cloud.id: cloud.topology.edges for cloud in step.stripped}
-        new = {cloud.id: cloud.topology.edges for cloud in step.built}
-        created, reused, deleted = self.graph.recolor(
-            [(cid, edges - new[cid] if cid in new else edges) for cid, edges in old.items()],
-            [(cid, edges - old[cid] if cid in old else edges) for cid, edges in new.items()])
+    def _apply(self, before: CloudRegistry, plan: Plan) -> None:
+        """Recolor the graph, the dead node's edges gone, from registry
+        *before* to the one *plan* left: each retired cloud loses its
+        color, and each changed cloud still registered loses it on
+        ``old - new`` and gains it on ``new - old``, in id order, less
+        the dead node's edges throughout.  The graph ends as after
+        stripping every old edge and painting every new one, since an
+        edge a cloud keeps would be repainted before the purge; it is
+        just not counted as reused."""
+        old, new, dying = before.clouds, plan.registry.clouds, plan.dying_keys
+        strip = [(cid, old[cid].topology.edges - dying) for cid in old.keys() - new.keys()]
+        paint = []
+        for cid in sorted(plan.changed() & new.keys()):
+            was = old[cid].topology.edges if cid in old else frozenset()
+            now = new[cid].topology.edges
+            strip.append((cid, was - now - dying))
+            paint.append((cid, now - was))
+        created, reused, deleted = self.graph.recolor(strip, paint)
         self.counters.edges_created += created
         self.counters.edges_reused += reused
         self.counters.edges_deleted += deleted
@@ -292,12 +293,12 @@ class Plan:
     healer's registry, counters and next cloud id before any is applied.
     It changes nothing of the healer but the state of its random stream.
 
-    The repair first decides membership only: which clouds are retired,
-    which new ones are registered and which are marked for rebuilding,
-    none of which reads a topology.  It then designs, once, every marked
-    or new cloud that is still registered, so no draw is spent on a
-    cloud the repair does not keep, and records all of the delete's
-    edge edits as one ``EdgeStep``.
+    The repair first decides membership only: which clouds are retired
+    and which new ones are registered, none of which reads a topology.
+    It then designs, once, every cloud in ``changed()`` that is still
+    registered, so no draw is spent on a cloud the repair does not keep.
+    The registry is the plan's one record of the delete: its difference
+    from the healer's is the edge step ``Healer._apply`` makes.
     """
 
     def __init__(self, healer: Healer, dying: int | None = None) -> None:
@@ -308,17 +309,14 @@ class Plan:
         # clouds of this id or above are new in this plan: no edge of
         # theirs is in the graph until the plan is applied
         self.first_new_id = healer.next_cloud_id
-        # the clouds to design over their members at the end of the
-        # repair, if a merge or a fold has not retired them by then
-        self.marked: set[int] = set()
-        # the delete's graph edits
-        self.step = EdgeStep()
         # the node whose delete is planned, the colors of the edges it
-        # takes with it by neighbour, and the neighbours of the black ones
+        # takes with it by neighbour, the keys of those edges, and the
+        # neighbours of the black ones
         self.dying = dying
         graph = healer.graph
         self.removed: dict[int, set[int]] = {} if dying is None else {
             nb: graph.edge(dying, nb) for nb in sorted(graph.neighbors(dying))}
+        self.dying_keys = frozenset(edge_key(dying, nb) for nb in self.removed)
         self.blacks = frozenset(nb for nb, colors in self.removed.items() if BLACK in colors)
         self.primaries, self.secondaries, self.lost_roles = self._scrub_dead_node()
 
@@ -340,11 +338,10 @@ class Plan:
                 del reg.bridges[(f, c)]
 
         v_primary, v_secondary = [], []
-        dying_keys = {edge_key(v, nb) for nb in self.removed}
         for cid in sorted(reg.member_of.get(v, ())):
             cloud = reg.clouds[cid]
             (v_primary if cloud.kind is CloudKind.PRIMARY else v_secondary).append(cid)
-            topology = replace(cloud.topology, edges=cloud.topology.edges - dying_keys)
+            topology = replace(cloud.topology, edges=cloud.topology.edges - self.dying_keys)
             reg.store(replace(cloud, members=cloud.members - {v}, topology=topology))
             if not reg.clouds[cid].members:
                 reg.retire(cid)
@@ -354,7 +351,7 @@ class Plan:
 
     def repair(self) -> None:
         """Plan the repair branch that the dying node's lost edge colors
-        select, then design the clouds it marked and kept."""
+        select, then design the changed clouds it kept."""
         self._dispatch()
         self._design()
 
@@ -373,12 +370,10 @@ class Plan:
             # a lost color sits on an edge at a surviving member, so its
             # cloud is still registered
             self.counters.branch_primary += 1
-            self.marked |= lost_colors
             self._make_secondary_cloud(lost_colors, self.blacks)
             return
 
         self.counters.branch_secondary += 1
-        self.marked.update(self.primaries)
         merged_ids: list[int] = []
         for f in sorted(self.lost_roles):
             merged = self._fix_secondary_cloud(f, self.lost_roles[f])
@@ -402,8 +397,6 @@ class Plan:
             bridged |= set(reachable)
             if reachable:
                 anchors.append(reachable[0])
-                if f not in self.lost_roles:
-                    self.marked.add(f)
             else:
                 folds.append(f)
         leftovers = {c for c in self.primaries if c in reg.clouds and c not in bridged}
@@ -418,7 +411,8 @@ class Plan:
             # a single self-contained region (or none) needs no tie;
             # folds always carry members, so none are pending here
             return
-        self._retire(folds)
+        for f in folds:
+            reg.retire(f)
         self._make_secondary_cloud(participants, loose)
 
     # -- repair subroutines ----------------------------------------------
@@ -449,9 +443,9 @@ class Plan:
 
     def _fix_secondary_cloud(self, fid: int, lost_primary: int) -> int | None:
         """Repair secondary cloud *fid* after the deleted node, its bridge
-        to primary *lost_primary*, died: draft a free replacement and
-        mark the cloud for rebuilding with it, or merge everything if
-        none exists.
+        to primary *lost_primary*, died: draft a free replacement into
+        the cloud, which is redesigned with the dead node's other clouds,
+        or merge everything if none exists.
         The scrub or an earlier merge may have retired either cloud.
         Returns the id of the merge result when a merge happened."""
         reg = self.registry
@@ -465,7 +459,6 @@ class Plan:
             reg.bridges[(fid, lost_primary)] = replacement
             cloud = reg.clouds[fid]
             reg.store(replace(cloud, members=cloud.members | {replacement}))
-        self.marked.add(fid)
         return None
 
     def _merge_into_primary(self, cloud_ids: Sequence[int],
@@ -481,7 +474,8 @@ class Plan:
         largest = max((c.topology for c in clouds
                        if c.topology.kind is TopologyKind.REGULAR_EXPANDER),
                       key=lambda topology: len(topology.edges), default=UNDESIGNED)
-        self._retire(live)
+        for cid in live:
+            self.registry.retire(cid)
         self.counters.merges += 1
         return self._new_cloud(union, CloudKind.PRIMARY, grow_from=largest)
 
@@ -528,53 +522,45 @@ class Plan:
         dead = self.shadow.dead_degree(node) + (self.dying in self.shadow.neighbors(node))
         return held <= dead
 
-    # -- planned edge edits ------------------------------------------------
+    # -- clouds the repair changes -------------------------------------------
 
     def _new_cloud(self, members: Iterable[int], kind: CloudKind,
                    grow_from: CloudTopology = UNDESIGNED) -> int:
-        """Register a cloud of a fresh color over the non-empty *members*
-        and mark it for design, from *grow_from* when that is a regular
-        expander (a merge), from scratch otherwise."""
+        """Register a cloud of a fresh color over the non-empty *members*,
+        to be designed from *grow_from* when that is a regular expander
+        (a merge), from scratch otherwise."""
         color = self.next_cloud_id
         self.next_cloud_id += 1
         self.counters.clouds_built += 1
         self.registry.store(Cloud(color, kind, frozenset(members), grow_from))
-        self.marked.add(color)
         return color
 
-    def _retire(self, cloud_ids: Iterable[int]) -> None:
-        """Retire the listed clouds, stripping the colors of those whose
-        edges are in the graph."""
-        for cid in cloud_ids:
-            if cid < self.first_new_id:
-                self.step.stripped.append(self.registry.clouds[cid])
-            self.registry.retire(cid)
+    def changed(self) -> set[int]:
+        """The ids of the clouds this plan may change other than by
+        retiring them: the dying node's clouds and every cloud it
+        registered.  A repair retires other clouds but never alters one,
+        so every other cloud it keeps is the healer's, unchanged."""
+        return {*self.primaries, *self.secondaries,
+                *range(self.first_new_id, self.next_cloud_id)}
 
     def _design(self) -> None:
-        """Design each marked cloud that is still registered over its
+        """Design each changed cloud that is still registered over its
         current members, in id order, from its registered topology: a
-        rebuilt cloud's, scrubbed of the dead node, or the one a merge
+        surviving cloud's, scrubbed of the dead node, or the one a merge
         grows from.  ``build_topology`` splices that topology when it
-        can and draws afresh otherwise.  A rebuilt cloud is stripped and
-        built in the one step, so ``Healer._apply`` recolors only its
-        difference."""
+        can and draws afresh otherwise."""
         reg = self.registry
-        for cid in sorted(self.marked):
+        for cid in sorted(self.changed()):
             cloud = reg.clouds.get(cid)
             if cloud is None:
                 continue  # retired by the scrub, a merge or a fold
             topology, spliced = build_topology(sorted(cloud.members), self.cfg, self.rng,
                                                previous=cloud.topology)
-            existing = cid < self.first_new_id
             if spliced:
                 self.counters.clouds_spliced += 1
-            elif existing:
+            elif cid < self.first_new_id:
                 self.counters.clouds_rebuilt += 1
-            if existing:
-                self.step.stripped.append(cloud)
-            cloud = replace(cloud, topology=topology)
-            reg.store(cloud)
-            self.step.built.append(cloud)
+            reg.store(replace(cloud, topology=topology))
 
 
 # -- coherence oracle ---------------------------------------------------
@@ -626,11 +612,15 @@ def coherence_errors(healer: Healer) -> list[str]:
 
     Empty result means: the graph's color sets are exactly what the
     registry implies, structural indexes agree, no colorless edge is
-    left behind, every expander cloud's certificate clears
-    ``alpha_target``, and every node keeps its cloud budget.
+    left behind, every cloud id is below the next cloud id (which
+    ``Plan.changed`` and ``Plan._new_cloud`` rely on), every expander
+    cloud's certificate clears ``alpha_target``, and every node keeps
+    its cloud budget.
     """
     errs = healer.graph.integrity_errors()
     errs.extend(healer.registry.validation_errors(set(healer.shadow.alive)))
+    errs.extend(f"cloud {cid} is not below the next cloud id {healer.next_cloud_id}"
+                for cid in sorted(healer.registry.clouds) if cid >= healer.next_cloud_id)
     errs.extend(budget_errors(healer))
     alpha = healer.cfg.alpha_target
     for cid, cloud in healer.registry.clouds.items():

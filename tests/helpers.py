@@ -324,24 +324,22 @@ def recolor_oracle(g: ColoredGraph, strip, paint) -> tuple[int, int, int]:
     return created, reused, purge_colorless(g, sorted(drained))
 
 
-def apply_full_oracle(healer, step) -> None:
-    """``Healer._apply`` as a full strip and paint: every stripped
-    cloud's edges lose its color and every built cloud's edges take it,
-    so an edge a rebuilt cloud keeps is stripped, repainted and counted
-    as reused.  A rebuilt cloud paints the edges it adds first, in the
+def apply_full_oracle(healer, before, plan) -> None:
+    """``Healer._apply`` as a full strip and paint: every changed or
+    retired cloud's edges in registry *before*, less the dead node's,
+    lose its color and every such cloud's edges in *plan*'s registry
+    take it, so an edge a rebuilt cloud keeps is stripped, repainted and
+    counted as reused.  A cloud paints the edges it adds first, in the
     order ``_apply`` iterates them, so that edges are created in the
     same order."""
-    old = {cloud.id: cloud.topology.edges for cloud in step.stripped}
-
-    def painted(cloud):
-        edges = cloud.topology.edges
-        if cloud.id not in old:
-            return cloud.id, edges
-        return cloud.id, [*(edges - old[cloud.id]), *(edges & old[cloud.id])]
-
-    created, reused, deleted = healer.graph.recolor(
-        [(cloud.id, cloud.topology.edges) for cloud in step.stripped],
-        [painted(cloud) for cloud in step.built])
+    old, new = before.clouds, plan.registry.clouds
+    strip, paint = [], []
+    for cid in sorted(plan.changed() | (old.keys() - new.keys())):
+        was = old[cid].topology.edges - plan.dying_keys if cid in old else frozenset()
+        now = new[cid].topology.edges if cid in new else frozenset()
+        strip.append((cid, was))
+        paint.append((cid, [*(now - was), *(now & was)]))
+    created, reused, deleted = healer.graph.recolor(strip, paint)
     healer.counters.edges_created += created
     healer.counters.edges_reused += reused
     healer.counters.edges_deleted += deleted

@@ -254,6 +254,25 @@ def test_snapshot_lists_topology_edges_sorted_and_loads_back_to_the_same_dump(tm
     assert cli.snapshot_state(healer, 5, cfg) == data
 
 
+def repeat_unbridged_cloud(data, kind):
+    """List again a cloud that no bridge names, its kind mapped by
+    *kind*: kept as the last entry, the state would still be coherent."""
+    named = {cid for f, c, _ in data["bridges"] for cid in (f, c)}
+    cloud = next(c for c in data["clouds"] if c["id"] not in named)
+    data["clouds"].append(dict(copy.deepcopy(cloud), kind=kind(cloud["kind"])))
+
+
+def repeat_bridge_with_another_member(data):
+    """List a bridge key again, held by another member of its secondary
+    cloud that holds no bridge: kept as the last entry, the state would
+    still be coherent."""
+    busy = {node for _, _, node in data["bridges"]}
+    members = {cloud["id"]: set(cloud["members"]) for cloud in data["clouds"]}
+    f, c, other = next((f, c, min(members[f] - busy))
+                       for f, c, _ in data["bridges"] if members[f] - busy)
+    data["bridges"].append([f, c, other])
+
+
 def test_verify_missing_or_malformed_snapshot(tmp_path, capsys):
     assert run_cli(["verify", "--snapshot", str(tmp_path / "none.json")]) == 2
     bad = tmp_path / "bad.json"
@@ -301,6 +320,13 @@ def test_verify_missing_or_malformed_snapshot(tmp_path, capsys):
             lambda d: d["shadow"]["edges"].append(d["shadow"]["edges"][0][::-1]),
         "shadow-self-loop": lambda d: d["shadow"]["edges"].append([3, 3]),
         "shadow-node-twice": lambda d: d["shadow"]["nodes"].append(d["shadow"]["nodes"][0]),
+        # a repeat would replace the first entry, or a set would drop it, unseen
+        "alive-twice": lambda d: d["shadow"]["alive"].append(d["shadow"]["alive"][0]),
+        "cloud-twice": lambda d: repeat_unbridged_cloud(d, lambda kind: kind),
+        "cloud-twice-other-kind": lambda d: repeat_unbridged_cloud(
+            d, lambda kind: "secondary" if kind == "primary" else "primary"),
+        "bridge-twice": lambda d: d["bridges"].append(d["bridges"][0][:]),
+        "bridge-twice-other-node": repeat_bridge_with_another_member,
     }
     for name, damage in broken.items():
         victim = copy.deepcopy(data)
@@ -310,6 +336,27 @@ def test_verify_missing_or_malformed_snapshot(tmp_path, capsys):
         capsys.readouterr()
         assert run_cli(["verify", "--snapshot", str(path)]) == 2, name
         assert "malformed snapshot" in capsys.readouterr().err
+
+
+def test_verify_flags_a_cloud_id_not_below_the_next_cloud_id(tmp_path, capsys):
+    # a plan takes every id from next_cloud_id up as one it registered
+    trace, snap = tmp_path / "t.jsonl", tmp_path / "s.json"
+    run_cli(["gen", "--strategy", "uniform", "--n0", "30", "--steps", "60",
+             "--seed", "3", "-o", str(trace)])
+    run_cli(["run", "--trace", str(trace), "--seed", "3",
+             "--snapshot", str(snap), "-o", str(tmp_path / "r.csv")])
+    data = json.loads(snap.read_text())
+    top = max(c["id"] for c in data["clouds"])
+    assert data["next_cloud_id"] == top + 1
+    for next_id in (top, 0):
+        data["next_cloud_id"] = next_id
+        snap.write_text(json.dumps(data))
+        for replay in ([], ["--trace", str(trace)]):
+            capsys.readouterr()
+            assert run_cli(["verify", "--snapshot", str(snap), *replay]) == 1
+            assert capsys.readouterr().err.splitlines() == [
+                f"VIOLATION cloud {cid} is not below the next cloud id {next_id}"
+                for cid in sorted(c["id"] for c in data["clouds"]) if cid >= next_id]
 
 
 def test_verify_flags_an_expander_cloud_certified_below_alpha_target(tmp_path, capsys):

@@ -4,18 +4,19 @@ from fractions import Fraction
 
 import pytest
 
-from xhealsim import cli
+from xhealsim import cli, engine
 from xhealsim.adversary import Event, Strategy, gen_trace
 from xhealsim.engine import (
     CloudKind,
     Healer,
     InvalidEvent,
     Plan,
+    UNDESIGNED,
     budget_errors,
     coherence_errors,
     expected_edge_state,
 )
-from xhealsim.expander import ExpanderConfig, RetriesExhausted
+from xhealsim.expander import ExpanderConfig, RetriesExhausted, build_topology
 from xhealsim.graph import BLACK
 from helpers import is_connected
 
@@ -27,13 +28,14 @@ def make_healer(nodes, edges, seed=0, fault=None, **cfg):
 
 def plan_and_apply(h, planner, *args):
     """Run one repair planner outside an event as a delete runs its
-    plan: plan on a ``Plan``, design the clouds it marked, take its
-    state, then apply its step."""
+    plan: plan on a ``Plan``, design the clouds it changed, take its
+    state, then apply the registry difference."""
     plan = Plan(h)
     getattr(plan, planner)(*args)
     plan._design()
+    before = h.registry
     h.registry, h.counters, h.next_cloud_id = plan.registry, plan.counters, plan.next_cloud_id
-    h._apply(plan.step)
+    h._apply(before, plan)
 
 
 def test_plan_blacks_are_the_dying_nodes_black_neighbours():
@@ -334,10 +336,10 @@ def test_certification_failure_on_a_real_trace_changes_nothing():
 
 def test_certification_failure_after_a_planned_rebuild_changes_nothing():
     # at kappa 4 and alpha 100 only cliques (up to 5 members) certify.
-    # Deleting 0 builds the clique {1,2,3}; deleting 1 marks it for a
-    # rebuild and registers the secondary cloud of free node 2 and black
-    # neighbors 4..8.  The design at the end rebuilds the clique over
-    # {2,3} first, in id order, then fails on the secondary
+    # Deleting 0 builds the clique {1,2,3}; deleting 1 changes it and
+    # registers the secondary cloud of free node 2 and black neighbors
+    # 4..8.  The design at the end rebuilds the clique over {2,3} first,
+    # in id order, then fails on the secondary
     h = make_healer(list(range(9)), [(0, 1), (0, 2), (0, 3)] + [(1, b) for b in range(4, 9)],
                     kappa=4, alpha_target=Fraction(100), max_retries=4)
     h.handle_event(Event("del", 0))
@@ -345,31 +347,77 @@ def test_certification_failure_after_a_planned_rebuild_changes_nothing():
     plan = Plan(h, 1)
     with pytest.raises(RetriesExhausted):
         plan.repair()
-    assert [c.members for c in plan.step.built] == [{2, 3}]
-    assert [c.members for c in plan.step.stripped] == [{2, 3}]
+    clique, secondary = sorted(plan.changed())
+    before, after = h.registry.clouds, plan.registry.clouds
+    assert before[clique].members == {1, 2, 3} and after[clique].members == {2, 3}
+    assert plan.counters.clouds_rebuilt == h.counters.clouds_rebuilt + 1
+    assert plan.counters.clouds_spliced == h.counters.clouds_spliced
+    assert secondary not in before and after[secondary].topology is UNDESIGNED
 
 
-def test_no_plan_designs_a_cloud_it_retires(monkeypatch):
-    # every cloud a plan designs is the one it leaves registered, so no
-    # draw goes to a cloud a merge or a fold retires, or to one designed
-    # twice, on a trace whose repairs merge clouds of up to 80 members
-    repair, designed = Plan.repair, []
-
-    def checked_repair(plan):
-        repair(plan)
-        for cloud in plan.step.built:
-            assert plan.registry.clouds.get(cloud.id) is cloud
-        designed.append(len(plan.step.built))
-
-    monkeypatch.setattr(Plan, "repair", checked_repair)
+def merge_heavy_healer():
+    """A healer over a trace whose repairs merge clouds of up to 80
+    members, and its events."""
     trace = gen_trace(Strategy("uniform", insert_fraction=0.4), 200, 300, 0)
     cfg = cli.RunConfig(seed=0, alpha_target=Fraction(1, 2))
     h = Healer.from_initial(trace.initial_nodes, trace.initial_edges, cfg.expander(),
                             random.Random("0/engine"))
-    for event in trace.events:
+    return h, trace.events
+
+
+def test_no_plan_designs_a_cloud_it_retires(monkeypatch):
+    # every topology a plan draws is one it leaves registered, one per
+    # changed cloud it keeps, so no draw goes to a cloud a merge or a
+    # fold retires, or to one designed twice
+    repair, drawn, designed = Plan.repair, [], []
+
+    def recording_build(*args, **kwargs):
+        topology, spliced = build_topology(*args, **kwargs)
+        drawn.append(topology)
+        return topology, spliced
+
+    def checked_repair(plan):
+        drawn.clear()
+        repair(plan)
+        kept = [plan.registry.clouds[cid].topology for cid in sorted(plan.changed())
+                if cid in plan.registry.clouds]
+        assert len(drawn) == len(kept)
+        assert all(ours is theirs for ours, theirs in zip(drawn, kept))
+        designed.append(len(drawn))
+
+    monkeypatch.setattr(engine, "build_topology", recording_build)
+    monkeypatch.setattr(Plan, "repair", checked_repair)
+    h, events = merge_heavy_healer()
+    for event in events:
         h.handle_event(event)
     assert h.counters.merges > 10 and sum(designed) > h.counters.deletes
     assert coherence_errors(h) == []
+
+
+def test_a_plan_keeps_every_cloud_outside_changed(monkeypatch):
+    # the edge step is derived from changed() and the retired clouds, so
+    # every other cloud a plan keeps must be the healer's own object
+    apply, kept = Healer._apply, []
+
+    def checked_apply(healer, before, plan):
+        changed = plan.changed()
+        others = [cid for cid in plan.registry.clouds if cid not in changed]
+        for cid in others:
+            assert before.clouds[cid] is plan.registry.clouds[cid]
+        kept.append(len(others))
+        apply(healer, before, plan)
+
+    monkeypatch.setattr(Healer, "_apply", checked_apply)
+    h, events = merge_heavy_healer()
+    for event in events:
+        h.handle_event(event)
+    strategy = Strategy("target-bridge", insert_fraction=0.5)
+    adaptive, _, _ = cli.run_adaptive(strategy, 40, 200,
+                                      cli.RunConfig(seed=3, checkpoint_every=200))
+    assert len(kept) == h.counters.deletes + adaptive.counters.deletes
+    assert h.counters.merges > 10 and adaptive.counters.branch_secondary > 0
+    assert sum(kept) > len(kept)
+    assert coherence_errors(h) == coherence_errors(adaptive) == []
 
 
 def test_a_plan_that_is_not_taken_changes_nothing():
@@ -379,7 +427,9 @@ def test_a_plan_that_is_not_taken_changes_nothing():
     before = cli.snapshot_state(h, 0)
     plan = Plan(h, h.registry.bridges[(fid, p2)])
     plan.repair()
-    assert plan.counters.branch_secondary == 1 and plan.step.built
+    assert plan.counters.branch_secondary == 1
+    assert plan.counters.clouds_rebuilt + plan.counters.clouds_spliced > (
+        h.counters.clouds_rebuilt + h.counters.clouds_spliced)
     assert plan.registry.clouds != h.registry.clouds
     assert cli.snapshot_state(h, 0) == before
     assert coherence_errors(h) == []

@@ -6,8 +6,10 @@ return the same values and leave the generator in the same state, or
 every cloud after it changes.  ``ColoredGraph.recolor`` makes a repair
 step's edge edits in one call; a healer driven through it must match one
 driven through the per-edge calls in ``helpers``.  ``Healer._apply``
-recolors only what a rebuilt cloud changed; a healer driven through it
-must match one that strips and repaints every edge.  ``Subsets.of``
+derives a delete's edge step from the registry before and after its
+plan, recoloring only what a changed cloud's topology gained or lost; a
+healer driven through it must match one that strips every old edge of
+each changed or retired cloud and repaints every new one.  ``Subsets.of``
 packs id subsets into position arrays and a node-major mask; the density
 sampler's draws must read back from it unchanged at every size where
 ``Random.sample`` switches branch.
