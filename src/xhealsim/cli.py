@@ -11,7 +11,8 @@ Subcommands:
 Exit codes: 0 all checks passed, 1 an invariant was violated, 2 usage,
 I/O, or parse errors, 3 a cloud could not be certified within its
 retries: the failed repair plan is dropped, so the healer is as it was
-before the failing event but for its random stream, which has moved on.
+before the failing event, and each later delete draws what it would
+have drawn had that event never been tried.
 """
 from __future__ import annotations
 
@@ -455,14 +456,9 @@ def _replay_mismatch(args: argparse.Namespace, healer: Healer, cfg: RunConfig) -
     replayed = _trace_healer(trace, cfg)
     for event in trace.events:
         replayed.handle_event(event)
-    problems = []
-    want = {key: frozenset(colors) for key, colors in replayed.graph.edges()}
-    have = {key: frozenset(colors) for key, colors in healer.graph.edges()}
-    if want != have:
-        problems.append("replayed trace does not reproduce the snapshot's edges")
-    if replayed.counters.as_dict() != healer.counters.as_dict():
-        problems.append("replayed trace does not reproduce the snapshot's counters")
-    return problems
+    want, have = (snapshot_state(h, cfg.seed, cfg) for h in (replayed, healer))
+    return [f"replayed trace does not reproduce the snapshot's {key}"
+            for key in want if want[key] != have[key]]
 
 
 def cmd_report(args: argparse.Namespace) -> int:

@@ -29,8 +29,8 @@ dead baseline neighbors (``budget_errors``), which keeps the degree
 bound.
 
 Each delete is planned as one value, a ``Plan`` with its own registry,
-counters and next cloud id; the healer then takes its state and applies
-it to the graph, so a plan that raises (a cloud that cannot be
+counters, next cloud id and draws; the healer then takes its state and
+applies it to the graph, so a plan that raises (a cloud that cannot be
 certified) is dropped with nothing to restore.  An edge's colors are its
 only state, and a cloud's topology is a frozen set of edges, so the
 delete's edge step is the difference between the registry before the
@@ -197,7 +197,7 @@ class Healer:
         if fault is not None and fault not in FAULTS:
             raise ValueError(f"unknown fault {fault!r}")
         self.cfg = cfg
-        self.rng = rng
+        self.run_key = rng.getrandbits(64)  # seeds each ``Plan``'s draws
         self.fault = fault
         self.graph = ColoredGraph()
         self.shadow = ShadowGraph()
@@ -253,7 +253,7 @@ class Healer:
         self.last_black_neighbors = set(plan.blacks)
         self._apply(before, plan)
         if self.fault == "drop-black-edge":
-            self._drop_one_black_edge()
+            self._drop_one_black_edge(plan.stream)
 
     # -- edge lifecycle ----------------------------------------------------
 
@@ -281,28 +281,28 @@ class Healer:
 
     # -- fault injection ----------------------------------------------------
 
-    def _drop_one_black_edge(self) -> None:
+    def _drop_one_black_edge(self, rng: random.Random) -> None:
         candidates = sorted(key for key, colors in self.graph.edges() if BLACK in colors)
         if not candidates:
             return
-        self.graph.recolor([(BLACK, [self.rng.choice(candidates)])], [])
+        self.graph.recolor([(BLACK, [rng.choice(candidates)])], [])
 
 
 class Plan:
     """Every decision of one delete's repair, made on copies of the
-    healer's registry, counters and next cloud id before any is applied.
-    It changes nothing of the healer but the state of its random stream.
+    healer's registry, counters and next cloud id before any is applied;
+    it changes nothing of the healer.  Its draws come from a stream keyed
+    by the run and the dying node, which no other delete of the run
+    shares (node ids are never reused), so a delete planned twice gives
+    one plan.
 
-    The repair first decides membership only: which clouds are retired
-    and which new ones are registered, none of which reads a topology.
-    It then designs, once, every cloud in ``changed()`` that is still
-    registered, so no draw is spent on a cloud the repair does not keep.
     The registry is the plan's one record of the delete: its difference
     from the healer's is the edge step ``Healer._apply`` makes.
     """
 
     def __init__(self, healer: Healer, dying: int | None = None) -> None:
-        self.cfg, self.rng, self.shadow = healer.cfg, healer.rng, healer.shadow
+        self.cfg, self.shadow = healer.cfg, healer.shadow
+        self.stream = random.Random(f"{healer.run_key}/{dying}")
         self.registry = healer.registry.copy()
         self.counters = RepairCounters(**vars(healer.counters))
         self.next_cloud_id = healer.next_cloud_id
@@ -554,7 +554,7 @@ class Plan:
             cloud = reg.clouds.get(cid)
             if cloud is None:
                 continue  # retired by the scrub, a merge or a fold
-            topology, spliced = build_topology(sorted(cloud.members), self.cfg, self.rng,
+            topology, spliced = build_topology(sorted(cloud.members), self.cfg, self.stream,
                                                previous=cloud.topology)
             if spliced:
                 self.counters.clouds_spliced += 1

@@ -1,10 +1,14 @@
 import copy
 import json
+import random
 import re
+from fractions import Fraction
+
+import pytest
 
 from xhealsim import cli
 from xhealsim.adversary import Strategy, decode_trace, encode_trace, gen_trace
-from xhealsim.engine import coherence_errors
+from xhealsim.engine import Healer, coherence_errors
 
 
 def run_cli(args):
@@ -112,12 +116,12 @@ def test_run_fault_detected(tmp_path, capsys):
 
 
 def test_run_certification_failure_exits_3(tmp_path, capsys):
-    # alpha_target=1 cannot be certified on the 81-node cloud that event
-    # 330 of this trace needs
+    # alpha_target=1 cannot be certified on the 77-node cloud that event
+    # 400 of this trace needs
     trace = tmp_path / "t.jsonl"
     assert run_cli(["gen", "--strategy", "uniform", "--n0", "200", "--steps", "400",
-                    "--seed", "20", "-o", str(trace)]) == 0
-    code = run_cli(["run", "--trace", str(trace), "--seed", "20",
+                    "--seed", "10", "-o", str(trace)]) == 0
+    code = run_cli(["run", "--trace", str(trace), "--seed", "10",
                     "-o", str(tmp_path / "r.csv")])
     assert code == 3
     err = capsys.readouterr().err
@@ -164,7 +168,8 @@ def test_verify_snapshot_roundtrip(tmp_path, capsys):
 
 def test_verify_trace_replays_without_checkpoints_and_names_each_mismatch(
         tmp_path, monkeypatch, capsys):
-    # the replay is compared by its final edges and counters alone
+    # the replay is compared by its final state, one line per snapshot
+    # key that differs
     trace, other, snap = tmp_path / "t.jsonl", tmp_path / "u.jsonl", tmp_path / "s.json"
     for path, seed in ((trace, "5"), (other, "6")):
         run_cli(["gen", "--strategy", "uniform", "--n0", "20", "--steps", "30",
@@ -184,12 +189,51 @@ def test_verify_trace_replays_without_checkpoints_and_names_each_mismatch(
     assert run_cli(["verify", "--snapshot", str(snap), "--trace", str(other)]) == 1
     assert "VIOLATION replayed trace does not reproduce the snapshot's edges" in (
         capsys.readouterr().err.splitlines())
-    data = json.loads(snap.read_text())
-    data["counters"]["merges"] += 1
-    snap.write_text(json.dumps(data))
-    assert run_cli(["verify", "--snapshot", str(snap), "--trace", str(trace)]) == 1
-    assert capsys.readouterr().err.splitlines() == [
-        "VIOLATION replayed trace does not reproduce the snapshot's counters"]
+    saved = json.loads(snap.read_text())
+    # a bridge entry moved to an idle member of its secondary, and other
+    # last black neighbors, are coherent states the run did not reach
+    members = {cloud["id"]: set(cloud["members"]) for cloud in saved["clouds"]}
+    busy = {node for _, _, node in saved["bridges"]}
+    row, idle = next((i, min(members[f] - busy))
+                     for i, (f, _, _) in enumerate(saved["bridges"]) if members[f] - busy)
+    alive = set(saved["shadow"]["alive"])
+    damages = {
+        "counters": lambda d: d["counters"].update(merges=d["counters"]["merges"] + 1),
+        "bridges": lambda d: d["bridges"][row].__setitem__(2, idle),
+        "last_black_neighbors": lambda d: d.update(
+            last_black_neighbors=[min(alive - set(d["last_black_neighbors"]))]),
+    }
+    for key, damage in damages.items():
+        data = copy.deepcopy(saved)
+        damage(data)
+        snap.write_text(json.dumps(data))
+        assert run_cli(["verify", "--snapshot", str(snap)]) == 0, key
+        capsys.readouterr()
+        assert run_cli(["verify", "--snapshot", str(snap), "--trace", str(trace)]) == 1, key
+        assert capsys.readouterr().err.splitlines() == [
+            f"VIOLATION replayed trace does not reproduce the snapshot's {key}"]
+
+
+@pytest.mark.parametrize("n0,steps,seed,k,alpha", [
+    (50, 300, 7, 150, Fraction(1)),
+    (500, 750, 0, 300, Fraction(1, 2)),
+])
+def test_a_run_continued_from_a_snapshot_ends_as_the_uninterrupted_run(n0, steps, seed, k,
+                                                                       alpha):
+    # a snapshot is the whole healer: each delete draws from a stream
+    # keyed by the run and the dying node, which no earlier event moves
+    trace = gen_trace(Strategy("uniform", insert_fraction=0.4), n0, steps, seed)
+    cfg = cli.RunConfig(seed=seed, alpha_target=alpha)
+    healer = Healer.from_initial(trace.initial_nodes, trace.initial_edges, cfg.expander(),
+                                 random.Random(f"{seed}/engine"))
+    for event in trace.events[:k]:
+        healer.handle_event(event)
+    continued, _ = cli.load_snapshot(json.loads(json.dumps(cli.snapshot_state(healer, seed))))
+    for event in trace.events[k:]:
+        healer.handle_event(event)
+        continued.handle_event(event)
+    assert cli.snapshot_state(continued, seed) == cli.snapshot_state(healer, seed)
+
 
 def test_verify_repeats_the_runs_final_checkpoint(tmp_path, capsys):
     # 74 nodes survive, so stretch samples its pairs: the lines depend on
@@ -354,9 +398,12 @@ def test_verify_flags_a_cloud_id_not_below_the_next_cloud_id(tmp_path, capsys):
         for replay in ([], ["--trace", str(trace)]):
             capsys.readouterr()
             assert run_cli(["verify", "--snapshot", str(snap), *replay]) == 1
-            assert capsys.readouterr().err.splitlines() == [
-                f"VIOLATION cloud {cid} is not below the next cloud id {next_id}"
-                for cid in sorted(c["id"] for c in data["clouds"]) if cid >= next_id]
+            expected = [f"VIOLATION cloud {cid} is not below the next cloud id {next_id}"
+                        for cid in sorted(c["id"] for c in data["clouds"]) if cid >= next_id]
+            if replay:  # the replay reaches the true next id
+                expected.append(
+                    "VIOLATION replayed trace does not reproduce the snapshot's next_cloud_id")
+            assert capsys.readouterr().err.splitlines() == expected
 
 
 def test_verify_flags_an_expander_cloud_certified_below_alpha_target(tmp_path, capsys):

@@ -16,14 +16,14 @@ from xhealsim.engine import (
     coherence_errors,
     expected_edge_state,
 )
-from xhealsim.expander import ExpanderConfig, RetriesExhausted, build_topology
+from xhealsim.expander import ExpanderConfig, RetriesExhausted, TopologyKind, build_topology
 from xhealsim.graph import BLACK
 from helpers import is_connected
 
 
 def make_healer(nodes, edges, seed=0, fault=None, **cfg):
     return Healer.from_initial(nodes, edges, ExpanderConfig(**cfg),
-                               random.Random(seed), fault=fault)
+                               random.Random(f"{seed}/engine"), fault=fault)
 
 
 def plan_and_apply(h, planner, *args):
@@ -316,22 +316,53 @@ def test_fix_secondary_merges_when_no_replacement_exists():
 
 
 def assert_failed_event_changes_nothing(h, event, seed):
+    """The failed *event* leaves *h* as it was, later deletes included:
+    each alive node's delete is planned on *h* and on the state saved
+    before the failure, in id order, until one plan that draws is taken
+    on both.  Returns that node, or None when no plan draws."""
     before = cli.snapshot_state(h, seed)
     with pytest.raises(RetriesExhausted):
         h.handle_event(event)
     assert coherence_errors(h) == []
     assert cli.snapshot_state(h, seed) == before
+    saved, _ = cli.load_snapshot(before)
+    for v in sorted(h.shadow.alive - {event.node}):
+        ours, theirs = Plan(h, v), Plan(saved, v)
+        start = ours.stream.getstate()
+        try:
+            ours.repair()
+        except RetriesExhausted:
+            continue
+        theirs.repair()
+        assert ours.registry.clouds == theirs.registry.clouds
+        assert ours.registry.bridges == theirs.registry.bridges
+        assert ours.counters == theirs.counters
+        if ours.stream.getstate() != start:
+            return v
+    return None
 
 
 def test_certification_failure_on_a_real_trace_changes_nothing():
-    # at alpha 1, event 330 of this trace needs an 81-member cloud and no
+    # at alpha 1, event 400 of this trace needs a 77-member cloud and no
     # 6-regular draw certifies it (the exit-3 trace of the CLI tests)
-    trace = gen_trace(Strategy("uniform", insert_fraction=0.4), 200, 400, 20)
+    trace = gen_trace(Strategy("uniform", insert_fraction=0.4), 200, 400, 10)
     h = Healer.from_initial(trace.initial_nodes, trace.initial_edges,
-                            cli.RunConfig(seed=20).expander(), random.Random("20/engine"))
-    for event in trace.events[:329]:
+                            cli.RunConfig(seed=10).expander(), random.Random("10/engine"))
+    for event in trace.events[:399]:
         h.handle_event(event)
-    assert_failed_event_changes_nothing(h, trace.events[329], 20)
+    assert assert_failed_event_changes_nothing(h, trace.events[399], 10) is not None
+
+
+def test_planning_a_delete_twice_gives_the_same_plan():
+    # the hub's 14 leaves form a drawn 6-regular cloud; each plan of the
+    # hub's delete draws from a stream keyed by the hub alone
+    h = make_healer(list(range(15)), [(0, leaf) for leaf in range(1, 15)])
+    first, second = Plan(h, 0), Plan(h, 0)
+    first.repair()
+    second.repair()
+    (cloud,) = first.registry.clouds.values()
+    assert cloud.topology.kind is TopologyKind.REGULAR_EXPANDER
+    assert first.registry.clouds == second.registry.clouds
 
 
 def test_certification_failure_after_a_planned_rebuild_changes_nothing():

@@ -26,34 +26,34 @@ from xhealsim.engine import Healer
 
 GOLDEN = {
     "uniform-0":
-        "47e8a8de5c6b8ca66efd710b63372b6e94c599537a366643776b39d5dcdc7ae5",
+        "eb30b9f7ec91cd8ff5bc21427589e9a7e776ab3a1eeca7176cff9aaa9f0e7cda",
     "uniform-1":
-        "0396dd7c943e1689e1250237f9d62f36eb2ee590d4072d0536d7d8042a6c9348",
+        "d82e581287b3aae9c6d4322d2c141e5d3e5c7a30712c54f894c1fdeaee112c3e",
     "uniform-2":
-        "9f05dab686153f7ceff04d83c39a962c3c5a768c5b64ddfa95c8b114d0ab6453",
+        "f1e24568f992297d81c75a2db2917d897c1a06bad7b733c93445032892920953",
     "uniform-0-drop-black-edge":
-        "2c9dff2d19fdc8a7776e39ce5456e255782d19f894c83977e39b72fd0fe11bb9",
+        "b4aff0732542dda894891863e6227cca7cb4e367bc8c86203a9d5c15fa8b8f49",
     "target-bridge-3":
-        "f5155a421cf5b931c32d26d2bb2f6cdbb9e7b26c132952feeffc2baeeae33a8e",
+        "0d6c72cc2fdb94f1bee29f63c966304d8ffe84dc88968759af792a5877d77a81",
 }
 
 # final state after a churn-mid-sized uniform trace: n0=500, 750 events,
 # alpha 1/2, seed 0; its final clouds reach 80 members, so the
 # membership index, splices, merges grown from their largest cloud and
 # borrowed bridges are exercised at scale
-SNAPSHOT_GOLDEN = "afce1e2ea6c5eb2bf9da243f2595cc722f4458b22166cf6ff5f9ed19a88b2a0f"
+SNAPSHOT_GOLDEN = "55e186df39c9b90d04249eb77cd2db979f34400bbfae24941ab4650a69ea45d8"
 
 # every report's violation_detail lines, which the CSV digests omit, for
 # a faulted n0=400 uniform run (300 events, drop-black-edge, alpha 1/2,
-# a checkpoint every 50): 1082 lines, 569 of them from the density
+# a checkpoint every 50): 1055 lines, 565 of them from the density
 # checks, each naming a subset's members and its missing edges
-DETAIL_GOLDEN = "c74936579b1fce229db5c8ad6a5a32c48fcdc8467aeb3dd4f48be4e3a565808a"
+DETAIL_GOLDEN = "6beffd29b425a9c8ef2cd361057aee4c93bd3f033a723ce231a85d20492030ee"
 
 # the CSV and every violation_detail line of a faulted n0=500 uniform run
 # (750 events, drop-black-edge, alpha 1/2, a checkpoint every 50): a
 # missing baseline edge at every checkpoint after t=0 makes each draw its
 # random density subsets, with no node over its degree budget
-DRAW_GOLDEN = "5e9fd34a876ca0706d7ac504b310ccf6821f4d921797715239cb3f1f05ad937c"
+DRAW_GOLDEN = "7bb9ea173cc4497ed82bf5590821622458075e70db69ca026b4756039c2fa659"
 
 
 def csv_digest(reports) -> str:
