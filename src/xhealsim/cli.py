@@ -302,7 +302,7 @@ def load_snapshot(data: dict) -> tuple[Healer, RunConfig]:
     for f, c, node in node_id_rows(data["bridges"], 3, "bridges"):
         if (f, c) in healer.registry.bridges:
             raise ValueError(f"bridge entry ({f},{c}) is listed twice")
-        healer.registry.bridges[(f, c)] = node
+        healer.registry.bridge(f, c, node)
     healer.next_cloud_id = _snapshot_count(data["next_cloud_id"], "next_cloud_id")
     healer.last_black_neighbors = set(node_ids(data["last_black_neighbors"],
                                                "last_black_neighbors"))
@@ -392,6 +392,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     seeds = [args.seed]
     if args.seeds:
         seeds = [int(s) for s in args.seeds.split(",")]
+        repeated = sorted({s for s in seeds if seeds.count(s) > 1})
+        if repeated:
+            print(f"--seeds lists {', '.join(map(str, repeated))} more than once",
+                  file=sys.stderr)
+            return 2
         # one file per seed, or the seeds overwrite (and race on) one path
         paths = {"--out": args.out if args.out != "-" else None,
                  "--snapshot": args.snapshot, "--record": args.record}

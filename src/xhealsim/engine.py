@@ -23,29 +23,36 @@ cloud the repair does not keep.  A rebuilt expander cloud is spliced
 from its topology scrubbed of the dead member, and a merge grows from
 the largest merged expander topology (``expander._splice``); only when
 that fails is the cloud drawn whole (``expander.build_topology``).  A
-free node is one that holds no bridge entry and has a slot left in its
-cloud budget: a node may be held by at most one cloud more than it has
-dead baseline neighbors (``budget_errors``), which keeps the degree
-bound.
+free node is one that holds no bridge entry (``CloudRegistry.holder``
+says which nodes do) and has a slot left in its cloud budget: a node may
+be held by at most one cloud more than it has dead baseline neighbors
+(``budget_errors``), which keeps the degree bound.
 
 Each delete is planned as one value, a ``Plan`` with its own registry,
 counters, next cloud id and draws; the healer then takes its state and
 applies it to the graph, so a plan that raises (a cloud that cannot be
-certified) is dropped with nothing to restore.  An edge's colors are its
-only state, and a cloud's topology is a frozen set of edges, so the
-delete's edge step is the difference between the registry before the
-plan and the plan's (``Healer._apply``): each retired cloud's color
-leaves its edges, each changed cloud's leaves ``old - new`` only and
-colors ``new - old`` (reusing any edge that exists, a retired cloud's
-too), and the stripped edges left colorless go, all in one
-``ColoredGraph.recolor`` call.  Black is never stripped, so no black
-edge goes.
+certified) is dropped with nothing to restore.  Most of a delete's work
+grows with the clouds it touches, not with the clouds the run has
+registered: the dying node's bridge role is one index lookup, its
+stream is seeded only if a design draws, and the retired clouds are
+looked for only when the registry's size says some retired.  The
+registry copy, and the bridge scans of ``CloudRegistry.retire`` and
+``bridged_primaries``, still grow with the run.
+
+An edge's colors are its only state, and a cloud's topology is a frozen
+set of edges, so the delete's edge step is the difference between the
+registry before the plan and the plan's (``Healer._apply``): each
+retired cloud's color leaves its edges, each changed cloud's leaves
+``old - new`` only and colors ``new - old`` (reusing any edge that
+exists, a retired cloud's too), and the stripped edges left colorless
+go, all in one ``ColoredGraph.recolor`` call.  Black is never stripped,
+so no black edge goes.
 """
 from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -86,7 +93,9 @@ class Cloud:
 
 class CloudRegistry:
     """Who is in which cloud and which node bridges what; a node that
-    holds a bridge entry is busy."""
+    holds a bridge entry is busy.  The clouds and ``bridges`` are the
+    record; the ``member_of`` and ``holder`` indexes are derived from
+    them, kept by the methods below, and never saved."""
 
     def __init__(self) -> None:
         self.clouds: dict[int, Cloud] = {}
@@ -94,13 +103,17 @@ class CloudRegistry:
         self.member_of: dict[int, frozenset[int]] = {}
         # (secondary id, primary id) -> the node representing that primary
         self.bridges: dict[tuple[int, int], int] = {}
+        # node -> the key of the bridge entry it holds; kept by bridge,
+        # release and retire
+        self.holder: dict[int, tuple[int, int]] = {}
 
     def copy(self) -> "CloudRegistry":
         """New dicts sharing the clouds and index entries, which are
         replaced, never mutated."""
         twin = CloudRegistry()
-        twin.clouds, twin.member_of, twin.bridges = (
-            self.clouds.copy(), self.member_of.copy(), self.bridges.copy())
+        twin.clouds, twin.member_of, twin.bridges, twin.holder = (
+            self.clouds.copy(), self.member_of.copy(), self.bridges.copy(),
+            self.holder.copy())
         return twin
 
     def store(self, cloud: Cloud) -> None:
@@ -119,7 +132,27 @@ class CloudRegistry:
         for node in cloud.members:
             self._unindex(node, cid)
         for key in [k for k in self.bridges if cid in k]:
+            node = self.bridges.pop(key)
+            if self.holder.get(node) == key:
+                del self.holder[node]
+
+    def bridge(self, secondary: int, primary: int, node: int) -> None:
+        """Let *node* represent *primary* in *secondary*, in place of
+        whoever did."""
+        key = (secondary, primary)
+        old = self.bridges.get(key)
+        if old is not None and self.holder.get(old) == key:
+            del self.holder[old]
+        self.bridges[key] = node
+        self.holder[node] = key
+
+    def release(self, node: int) -> tuple[int, int] | None:
+        """Drop the bridge entry *node* holds and return its key, or
+        None when it holds none."""
+        key = self.holder.pop(node, None)
+        if key is not None:
             del self.bridges[key]
+        return key
 
     def _unindex(self, node: int, cid: int) -> None:
         held = self.member_of[node] - {cid}
@@ -154,9 +187,17 @@ class CloudRegistry:
                 errs.append(f"bridge {node} of ({f},{c}) is not in the secondary cloud")
             if c not in self.clouds or self.clouds[c].kind is not CloudKind.PRIMARY:
                 errs.append(f"bridge entry ({f},{c}) has no primary cloud")
-        for node, count in sorted(Counter(self.bridges.values()).items()):
+        held = Counter(self.bridges.values())
+        for node, count in sorted(held.items()):
             if count > 1:
                 errs.append(f"node {node} holds {count} bridge entries")
+        # a node holding several entries is indexed under one of them
+        for node in sorted(set(held) - set(self.holder)):
+            errs.append(f"node {node} holds a bridge entry but is not indexed as its holder")
+        for node, (f, c) in sorted(self.holder.items()):
+            if self.bridges.get((f, c)) != node:
+                errs.append(f"node {node} indexed as holding bridge entry ({f},{c}), "
+                            f"which it does not hold")
         for node in sorted(set(indexed) | set(self.member_of)):
             if indexed.get(node, set()) != self.member_of.get(node, set()):
                 errs.append(f"node {node} indexed in clouds "
@@ -265,9 +306,14 @@ class Healer:
         the dead node's edges throughout.  The graph ends as after
         stripping every old edge and painting every new one, since an
         edge a cloud keeps would be repainted before the purge; it is
-        just not counted as reused."""
+        just not counted as reused.  The retired clouds are the old ids
+        the plan dropped; since a plan registers only fresh ids, none
+        retired when the registry grew by exactly the fresh ids it kept,
+        and then the two id sets are not compared."""
         old, new, dying = before.clouds, plan.registry.clouds, plan.dying_keys
-        strip = [(cid, old[cid].topology.edges - dying) for cid in old.keys() - new.keys()]
+        fresh = sum(cid in new for cid in range(plan.first_new_id, plan.next_cloud_id))
+        retired = old.keys() - new.keys() if len(old) + fresh > len(new) else ()
+        strip = [(cid, old[cid].topology.edges - dying) for cid in retired]
         paint = []
         for cid in sorted(plan.changed() & new.keys()):
             was = old[cid].topology.edges if cid in old else frozenset()
@@ -288,13 +334,30 @@ class Healer:
         self.graph.recolor([(BLACK, [rng.choice(candidates)])], [])
 
 
+class LazyRandom:
+    """``random.Random(key)``, seeded when an attribute is first read:
+    a repair that designs only cliques draws nothing, and seeding costs
+    more than most such repairs."""
+
+    __slots__ = ("_key", "_rng")
+
+    def __init__(self, key: str) -> None:
+        self._key, self._rng = key, None
+
+    def __getattr__(self, name: str):
+        if self._rng is None:
+            self._rng = random.Random(self._key)
+        return getattr(self._rng, name)
+
+
 class Plan:
     """Every decision of one delete's repair, made on copies of the
     healer's registry, counters and next cloud id before any is applied;
     it changes nothing of the healer.  Its draws come from a stream keyed
     by the run and the dying node, which no other delete of the run
     shares (node ids are never reused), so a delete planned twice gives
-    one plan.
+    one plan.  The stream is seeded on its first draw (``LazyRandom``),
+    so a plan that designs only cliques seeds none.
 
     The registry is the plan's one record of the delete: its difference
     from the healer's is the edge step ``Healer._apply`` makes.
@@ -302,7 +365,7 @@ class Plan:
 
     def __init__(self, healer: Healer, dying: int | None = None) -> None:
         self.cfg, self.shadow = healer.cfg, healer.shadow
-        self.stream = random.Random(f"{healer.run_key}/{dying}")
+        self.stream = LazyRandom(f"{healer.run_key}/{dying}")
         self.registry = healer.registry.copy()
         self.counters = RepairCounters(**vars(healer.counters))
         self.next_cloud_id = healer.next_cloud_id
@@ -318,34 +381,32 @@ class Plan:
             nb: graph.edge(dying, nb) for nb in sorted(graph.neighbors(dying))}
         self.dying_keys = frozenset(edge_key(dying, nb) for nb in self.removed)
         self.blacks = frozenset(nb for nb, colors in self.removed.items() if BLACK in colors)
-        self.primaries, self.secondaries, self.lost_roles = self._scrub_dead_node()
+        self.primaries, self.secondaries, self.lost_role = self._scrub_dead_node()
 
     # -- bookkeeping when a node dies ------------------------------------
 
-    def _scrub_dead_node(self) -> tuple[list[int], list[int], dict[int, int]]:
+    def _scrub_dead_node(self) -> tuple[list[int], list[int], tuple[int, int] | None]:
         """Remove the dying node from every registry structure.
 
         Returns its primary cloud ids, secondary cloud ids (read before
-        any emptied cloud retires), and the map secondary-id ->
-        primary-id for bridge roles it held, all of which the repair
-        dispatch needs.
+        any emptied cloud retires), and the key (secondary id, primary
+        id) of the bridge entry it held, or None, all of which the
+        repair dispatch needs.
         """
         reg, v = self.registry, self.dying
-        lost_roles: dict[int, int] = {}
-        for (f, c), node in list(reg.bridges.items()):
-            if node == v:
-                lost_roles[f] = c
-                del reg.bridges[(f, c)]
+        lost_role = reg.release(v)
 
         v_primary, v_secondary = [], []
         for cid in sorted(reg.member_of.get(v, ())):
             cloud = reg.clouds[cid]
             (v_primary if cloud.kind is CloudKind.PRIMARY else v_secondary).append(cid)
-            topology = replace(cloud.topology, edges=cloud.topology.edges - self.dying_keys)
-            reg.store(replace(cloud, members=cloud.members - {v}, topology=topology))
-            if not reg.clouds[cid].members:
+            members, old = cloud.members - {v}, cloud.topology
+            topology = CloudTopology(old.kind, old.edges - self.dying_keys,
+                                     old.certified_expansion)
+            reg.store(Cloud(cid, cloud.kind, members, topology))
+            if not members:
                 reg.retire(cid)
-        return v_primary, v_secondary, lost_roles
+        return v_primary, v_secondary, lost_role
 
     # -- dispatch ---------------------------------------------------------
 
@@ -375,8 +436,8 @@ class Plan:
 
         self.counters.branch_secondary += 1
         merged_ids: list[int] = []
-        for f in sorted(self.lost_roles):
-            merged = self._fix_secondary_cloud(f, self.lost_roles[f])
+        if self.lost_role is not None:
+            merged = self._fix_secondary_cloud(*self.lost_role)
             if merged is not None:
                 merged_ids.append(merged)
         # The new secondary must tie together every region the deleted
@@ -439,7 +500,7 @@ class Plan:
         fid = self._new_cloud(members, CloudKind.SECONDARY)
         # loose nodes bridge nothing: a dead neighbor pays for their slot
         for cid in sorted(picks):
-            self.registry.bridges[(fid, cid)] = picks[cid]
+            self.registry.bridge(fid, cid, picks[cid])
 
     def _fix_secondary_cloud(self, fid: int, lost_primary: int) -> int | None:
         """Repair secondary cloud *fid* after the deleted node, its bridge
@@ -456,9 +517,9 @@ class Plan:
             if replacement is None:
                 merge_list = sorted({fid, lost_primary} | reg.bridged_primaries(fid))
                 return self._merge_into_primary(merge_list, extra_nodes=())
-            reg.bridges[(fid, lost_primary)] = replacement
+            reg.bridge(fid, lost_primary, replacement)
             cloud = reg.clouds[fid]
-            reg.store(replace(cloud, members=cloud.members | {replacement}))
+            reg.store(Cloud(fid, cloud.kind, cloud.members | {replacement}, cloud.topology))
         return None
 
     def _merge_into_primary(self, cloud_ids: Sequence[int],
@@ -487,10 +548,9 @@ class Plan:
         slot left for the cloud it is drafted into (``_has_free_slot``).
         """
         reg = self.registry
-        cloud = reg.clouds[cid]
-        busy = reserved | set(reg.bridges.values())
+        cloud, holder = reg.clouds[cid], reg.holder
         for node in sorted(cloud.members):
-            if node not in busy and self._has_free_slot(node):
+            if node not in holder and node not in reserved and self._has_free_slot(node):
                 return node
         primary = CloudKind.PRIMARY
         sharing = {other for node in cloud.members for other in reg.member_of[node]}
@@ -499,7 +559,7 @@ class Plan:
             node
             for other in sharing if reg.clouds[other].kind is primary
             for node in reg.clouds[other].members
-            if node not in busy
+            if node not in holder and node not in reserved
         })
         for node in candidates:
             if self._has_free_slot(node):
@@ -560,7 +620,7 @@ class Plan:
                 self.counters.clouds_spliced += 1
             elif cid < self.first_new_id:
                 self.counters.clouds_rebuilt += 1
-            reg.store(replace(cloud, topology=topology))
+            reg.store(Cloud(cid, cloud.kind, cloud.members, topology))
 
 
 # -- coherence oracle ---------------------------------------------------

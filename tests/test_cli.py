@@ -382,6 +382,23 @@ def test_verify_missing_or_malformed_snapshot(tmp_path, capsys):
         assert "malformed snapshot" in capsys.readouterr().err
 
 
+def test_verify_flags_a_node_listed_for_two_bridge_entries(tmp_path, capsys):
+    # the snapshot lists bridge entries, not who holds which, so a node
+    # listed twice loads and is reported once, as coherence_errors does
+    data = small_snapshot(tmp_path)
+    members = {cloud["id"]: set(cloud["members"]) for cloud in data["clouds"]}
+    entry, node = next((b, a[2]) for a in data["bridges"] for b in data["bridges"]
+                       if a is not b and a[2] in members[b[0]])
+    entry[2] = node
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run_cli(["verify", "--snapshot", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"VIOLATION node {node} holds 2 bridge entries"]
+    assert captured.out == ""
+
+
 def test_verify_flags_a_cloud_id_not_below_the_next_cloud_id(tmp_path, capsys):
     # a plan takes every id from next_cloud_id up as one it registered
     trace, snap = tmp_path / "t.jsonl", tmp_path / "s.json"
@@ -540,6 +557,19 @@ def test_run_multi_seed_needs_placeholder(tmp_path, capsys):
     assert run_cli(["run", "--trace", str(trace), "--seeds", "1,2",
                     "-o", str(tmp_path / "r{seed}.csv")]) == 0
     assert (tmp_path / "r1.csv").exists() and (tmp_path / "r2.csv").exists()
+
+
+def test_run_refuses_a_repeated_seed(tmp_path, capsys):
+    # two runs of one seed would write, and race on, one expanded path
+    trace = tmp_path / "t.jsonl"
+    run_cli(["gen", "--strategy", "uniform", "--n0", "10", "--steps", "5",
+             "--seed", "1", "-o", str(trace)])
+    for seeds in ("1,1", "2,1,3,1,2"):
+        capsys.readouterr()
+        assert run_cli(["run", "--trace", str(trace), "--seeds", seeds, "--jobs", "2",
+                        "-o", str(tmp_path / "o{seed}.csv")]) == 2, seeds
+        assert "more than once" in capsys.readouterr().err, seeds
+    assert not list(tmp_path.glob("o*.csv"))
 
 
 def test_run_multi_seed_needs_placeholder_in_snapshot_and_record(tmp_path, capsys):

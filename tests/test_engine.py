@@ -1,6 +1,7 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -175,7 +176,7 @@ def test_pick_free_node_prefers_own_cloud_smallest_id():
     assert h.registry.clouds[pid].members == {1, 2, 3}
     plan = Plan(h)
     assert plan._pick_free_node(pid, set()) == 1
-    plan.registry.bridges[(99, pid)] = 1
+    plan.registry.bridge(99, pid, 1)
     assert plan._pick_free_node(pid, set()) == 2
     assert plan._pick_free_node(pid, {2}) == 3
 
@@ -186,7 +187,8 @@ def test_pick_free_node_borrows_from_neighbor_cloud():
     h.handle_event(Event("del", 0))     # P1 = {1,2}
     h.handle_event(Event("del", 3))     # P2 = {2,4,5}, shares node 2 with P1
     p1 = next(cid for cid, c in h.registry.clouds.items() if c.members == {1, 2})
-    h.registry.bridges.update({(98, p1): 1, (99, p1): 2})
+    h.registry.bridge(98, p1, 1)
+    h.registry.bridge(99, p1, 2)
     plan = Plan(h)
     borrowed = plan._pick_free_node(p1, set())
     assert borrowed == 4            # smallest free id in the sharing cloud
@@ -197,7 +199,8 @@ def test_pick_free_node_null_when_everyone_busy():
     h = make_healer([0, 1, 2], [(0, 1), (0, 2)])
     h.handle_event(Event("del", 0))
     (pid,) = h.registry.clouds
-    h.registry.bridges.update({(98, pid): 1, (99, pid): 2})
+    h.registry.bridge(98, pid, 1)
+    h.registry.bridge(99, pid, 2)
     plan = Plan(h)
     assert plan._pick_free_node(pid, set()) is None
     assert plan.counters.free_node_misses == 1
@@ -208,7 +211,8 @@ def test_make_secondary_merges_when_no_free_node():
     h = make_healer([0, 1, 2], [(0, 1), (0, 2)])
     h.handle_event(Event("del", 0))
     (pid,) = h.registry.clouds
-    h.registry.bridges.update({(98, pid): 1, (99, pid): 2})
+    h.registry.bridge(98, pid, 1)
+    h.registry.bridge(99, pid, 2)
     plan_and_apply(h, "_make_secondary_cloud", [pid], [])
     assert h.counters.merges == 1
     assert pid not in h.registry.clouds
@@ -221,7 +225,8 @@ def test_merge_includes_black_participants():
     h = make_healer([0, 1, 2, 3], [(0, 1), (0, 2), (0, 3), (1, 3)])
     h.handle_event(Event("del", 0))
     (pid,) = h.registry.clouds
-    h.registry.bridges.update({(97, pid): 1, (98, pid): 2, (99, pid): 3})
+    for f, node in ((97, 1), (98, 2), (99, 3)):
+        h.registry.bridge(f, pid, node)
     plan_and_apply(h, "_make_secondary_cloud", [pid], [3])
     merged = [c for c in h.registry.clouds.values() if c.kind is CloudKind.PRIMARY]
     assert len(merged) == 1 and merged[0].members == {1, 2, 3}
@@ -294,8 +299,20 @@ def test_coherence_flags_a_node_holding_two_bridge_entries():
     # while no node holds two
     h, (p1, p2, p3), fid = trio_of_bridged_primaries()
     bridge1 = h.registry.bridges[(fid, p1)]
-    h.registry.bridges[(fid, p2)] = bridge1
+    h.registry.bridge(fid, p2, bridge1)
     assert coherence_errors(h) == [f"node {bridge1} holds 2 bridge entries"]
+
+
+def test_coherence_flags_a_holder_index_that_disagrees_with_the_bridge_entries():
+    # the index says who is busy and whose death costs a bridge, so it
+    # must name each holder's entry and nothing else
+    h, (p1, p2, p3), fid = trio_of_bridged_primaries()
+    bridge1 = h.registry.bridges[(fid, p1)]
+    del h.registry.holder[bridge1]
+    h.registry.holder[99] = (fid, p2)
+    assert coherence_errors(h) == [
+        f"node {bridge1} holds a bridge entry but is not indexed as its holder",
+        f"node 99 indexed as holding bridge entry ({fid},{p2}), which it does not hold"]
 
 
 def test_fix_secondary_merges_when_no_replacement_exists():
@@ -363,6 +380,39 @@ def test_planning_a_delete_twice_gives_the_same_plan():
     (cloud,) = first.registry.clouds.values()
     assert cloud.topology.kind is TopologyKind.REGULAR_EXPANDER
     assert first.registry.clouds == second.registry.clouds
+
+
+def test_a_plan_seeds_its_stream_only_when_it_draws(monkeypatch):
+    # a clique cloud takes no draw, and most repairs design only cliques,
+    # so a plan's stream is seeded on its first draw, not with the plan
+    seeded, plans = [], []
+
+    class CountingRandom(random.Random):
+        def __init__(self, key):
+            seeded.append(key)
+            super().__init__(key)
+
+    repair = Plan.repair
+
+    def checked_repair(plan):
+        before = len(seeded)
+        repair(plan)
+        # a seeded stream has drawn: its state left the one it was seeded with
+        assert len(seeded) - before in (0, 1)
+        if len(seeded) > before:
+            assert plan.stream.getstate() != random.Random(seeded[-1]).getstate()
+        plans.append(len(seeded) - before)
+
+    monkeypatch.setattr(engine, "random", SimpleNamespace(Random=CountingRandom))
+    monkeypatch.setattr(Plan, "repair", checked_repair)
+    for seed in (1, 2, 3):
+        trace = gen_trace(Strategy("uniform", insert_fraction=0.4), 1000, 700, seed)
+        cfg = cli.RunConfig(seed=seed, alpha_target=Fraction(1, 2))
+        h = Healer.from_initial(trace.initial_nodes, trace.initial_edges, cfg.expander(),
+                                random.Random(f"{seed}/engine"))
+        for event in trace.events:
+            h.handle_event(event)
+    assert (len(seeded), sum(plans), len(plans)) == (75, 75, 1265)
 
 
 def test_certification_failure_after_a_planned_rebuild_changes_nothing():
