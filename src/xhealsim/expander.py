@@ -2,7 +2,11 @@
 
 Small member sets become cliques; larger ones become seeded random
 kappa-regular graphs sampled with the pairing model and accepted only
-once an expansion certificate clears the configured target.  A
+once an expansion certificate clears the configured target.  Up to
+2*kappa members the draw is of the complement: a simple
+(m-1-kappa)-regular graph, whose missing pairs are the cloud's edges.  A
+graph is simple kappa-regular exactly when its complement is simple
+(m-1-kappa)-regular, and the lower degree dead-ends less often.  A
 topology is a frozen set of canonical edge keys.  A cloud designed from
 a previous topology (one that lost a member, or a merge grown from its
 largest cloud) is spliced before any draw, in one degree repair: a
@@ -10,11 +14,13 @@ departed member's kappa neighbours are re-paired with kappa/2 new edges
 or give those edges to the first newcomer, and each further newcomer
 subdivides kappa/2 vertex-disjoint edges.  The result must clear the
 same certificate; only if it does not is the cloud drawn whole.  At every
-size the first test is a spectral gate: one Cholesky factorization
-proves lambda2 large enough that lambda2/2 clears the target (Cheeger),
-with no eigensolve.  Only a draw that fails the gate is measured: by
-the exact edge expansion when it has at most ``exact_limit`` nodes, by
-the spectral lower bound lambda2/2 otherwise.  The exact expansion
+size the first test is a spectral gate, which proves lambda2 large
+enough that lambda2/2 clears the target (Cheeger) with no eigensolve:
+by the closed form lambda2 >= 2*delta + 2 - m, delta the minimum degree,
+where that suffices, and by one Cholesky factorization otherwise.  Only
+a draw that fails the gate is measured: by the exact edge expansion
+when it has at most ``exact_limit`` nodes, by the spectral lower bound
+lambda2/2 otherwise.  The exact expansion
 enumerates every cut but keeps only the smallest cut count of each side
 size, then minimizes count over small-side size in exact fractions; a
 fixed block of 2^LOW_BLOCK_BITS tabulated cut masks bounds its memory at
@@ -222,8 +228,9 @@ def _cheeger_lower_bound(n: int, u: np.ndarray, v: np.ndarray) -> Fraction:
 
 
 def _spectral_gate(n: int, u: np.ndarray, v: np.ndarray, alpha: Fraction) -> bool:
-    """Whether ``_cheeger_lower_bound(n, u, v) >= alpha``, decided by
-    one Cholesky factorization instead of an eigensolve.
+    """Whether ``_cheeger_lower_bound(n, u, v) >= alpha``, decided in
+    closed form where the minimum degree suffices and by one Cholesky
+    factorization otherwise, never by an eigensolve.
 
     That bound clears *alpha* exactly when lambda2 >= s, with s =
     ceil(alpha * 2^33) / 2^32 + 1e-8 undoing its rounding.  With L the
@@ -232,12 +239,22 @@ def _spectral_gate(n: int, u: np.ndarray, v: np.ndarray, alpha: Fraction) -> boo
     (lambda_i - s) times it, so M is positive definite, and factors,
     exactly when lambda2 > s: the two tests differ only on an exact tie.
     A disconnected graph has lambda2 = 0 and never passes.
+
+    The closed form: L(G) + L(H) = nI - J for the complement H, and the
+    largest Laplacian eigenvalue of H is at most twice its maximum
+    degree n-1-delta, delta the minimum degree of G.  So every
+    eigenvector of L(G) orthogonal to the all-ones vector has eigenvalue
+    at least n - 2(n-1-delta) = 2*delta + 2 - n, and when that exceeds s
+    the factorization would succeed; the gate passes without it.
     """
     s = math.ceil(alpha * (1 << 33)) / (1 << 32) + 1e-8
+    deg = np.bincount(u, minlength=n) + np.bincount(v, minlength=n)
+    if 2 * int(deg.min()) + 2 - n > s:
+        return True
     shift = (s + 1) / n
     gram = np.full((n, n), shift)
     gram[u, v] = gram[v, u] = shift - 1.0
-    gram.flat[::n + 1] += np.bincount(u, minlength=n) + np.bincount(v, minlength=n) - s
+    gram.flat[::n + 1] += deg - s
     try:
         np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
@@ -250,13 +267,14 @@ def _gate_certificate(m: int, u: np.ndarray, v: np.ndarray, cfg: ExpanderConfig)
     ``(u[i], v[i])``, measured only as far as the acceptance gate needs.
 
     The spectral gate runs first at every size and, when it passes,
-    ``alpha_target`` itself is the certificate: the gate proved it, and
-    no eigenvalue is computed.  A graph that fails the gate is measured
-    for the retry message: exactly by cut enumeration when m is at most
-    ``exact_limit`` (a small graph can clear the target on cuts that
-    lambda2 cannot prove), by lambda2/2 otherwise.  Every certificate is
-    a lower bound on the true expansion, so a disconnected graph
-    (expansion 0) never clears the positive target.
+    ``alpha_target`` itself is the certificate: the gate proved it, in
+    closed form or by a factorization, and no eigenvalue is computed.  A
+    graph that fails the gate is measured for the retry message: exactly
+    by cut enumeration when m is at most ``exact_limit`` (a small graph
+    can clear the target on cuts that lambda2 cannot prove), by
+    lambda2/2 otherwise.  Every certificate is a lower bound on the true
+    expansion, so a disconnected graph (expansion 0) never clears the
+    positive target.
     """
     if _spectral_gate(m, u, v, cfg.alpha_target):
         return cfg.alpha_target
@@ -286,8 +304,8 @@ def partial_shuffle(items: list, rng: random.Random) -> None:
         i = low
 
 
-def _pairing_attempt(n: int, kappa: int, rng: random.Random) -> set[tuple[int, int]] | None:
-    """One pairing-model draw of a simple kappa-regular graph on
+def _pairing_attempt(n: int, degree: int, rng: random.Random) -> set[tuple[int, int]] | None:
+    """One pairing-model draw of a simple *degree*-regular graph on
     0..n-1, rematching clashing stubs; None when the draw dead-ends."""
 
     def suitable(edges: set[tuple[int, int]], potential: dict[int, int]) -> bool:
@@ -301,7 +319,7 @@ def _pairing_attempt(n: int, kappa: int, rng: random.Random) -> set[tuple[int, i
         return False
 
     edges: set[tuple[int, int]] = set()
-    stubs = list(range(n)) * kappa
+    stubs = list(range(n)) * degree
     rounds = 0
     while stubs:
         rounds += 1
@@ -437,8 +455,10 @@ def build_topology(
     kappa-regular candidates are sampled until one certifies expansion
     at least ``alpha_target``, which also proves it connected; the cloud
     records that certificate: ``alpha_target`` after a spectral gate
-    pass, the exact expansion after an exact one.  Deterministic for a
-    fixed rng state.
+    pass, the exact expansion after an exact one.  Up to 2*kappa members
+    a candidate is the complement of a pairing draw of degree
+    m-1-kappa, which is below kappa there.  Deterministic for a fixed
+    rng state.
     """
     ordered = list(members)
     if len(set(ordered)) != len(ordered):
@@ -458,11 +478,15 @@ def build_topology(
         if spliced is not None:
             return spliced, True
 
+    every_pair = frozenset(itertools.combinations(range(m), 2)) if m <= 2 * cfg.kappa else None
+    degree = cfg.kappa if every_pair is None else m - 1 - cfg.kappa
     best = Fraction(0)  # a draw that dead-ends certifies nothing
     for _ in range(cfg.max_retries):
-        idx_edges = _pairing_attempt(m, cfg.kappa, rng)
+        idx_edges = _pairing_attempt(m, degree, rng)
         if idx_edges is None:
             continue
+        if every_pair is not None:
+            idx_edges = every_pair - idx_edges
         # certified on positions 0..m-1: ranked is sorted, so mapping
         # positions to members keeps the order, the Laplacian and every cut
         ends = np.fromiter(itertools.chain.from_iterable(idx_edges), dtype=np.intp,

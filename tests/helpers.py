@@ -345,7 +345,7 @@ def apply_full_oracle(healer, before, plan) -> None:
     healer.counters.edges_deleted += deleted
 
 
-def pairing_attempt_oracle(n: int, kappa: int, rng: random.Random):
+def pairing_attempt_oracle(n: int, degree: int, rng: random.Random):
     """``expander._pairing_attempt`` drawing through ``rng.shuffle``."""
 
     def suitable(edges, potential) -> bool:
@@ -359,7 +359,7 @@ def pairing_attempt_oracle(n: int, kappa: int, rng: random.Random):
         return False
 
     edges: set[tuple[int, int]] = set()
-    stubs = list(range(n)) * kappa
+    stubs = list(range(n)) * degree
     rounds = 0
     while stubs:
         rounds += 1

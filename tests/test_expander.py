@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import tracemalloc
@@ -100,6 +101,30 @@ def test_expander_branch_regular_and_deterministic():
     assert a.certified_expansion >= cfg.alpha_target
 
 
+@pytest.mark.parametrize("kappa", [4, 6, 8])
+def test_dense_draws_are_simple_regular_on_exactly_their_members(kappa):
+    cfg = ExpanderConfig(kappa=kappa)
+    for m in range(kappa + 2, 2 * kappa + 1):
+        members = random.Random(m).sample(range(1000), m)
+        topo, spliced = build_topology(members, cfg, random.Random(m))
+        again, _ = build_topology(members, cfg, random.Random(m))
+        assert again == topo and not spliced
+        assert topo.kind is TopologyKind.REGULAR_EXPANDER
+        assert topo.certified_expansion >= cfg.alpha_target
+        assert all(u < v for u, v in topo.edges)  # canonical keys: simple
+        degree = Counter(itertools.chain.from_iterable(topo.edges))
+        assert degree.keys() == set(members) and set(degree.values()) == {kappa}, m
+
+
+@pytest.mark.parametrize("kappa", [4, 6, 8])
+def test_a_cloud_of_kappa_plus_two_needs_one_draw(kappa):
+    # the complement of a perfect matching: no draw dead-ends or fails the gate
+    cfg = ExpanderConfig(kappa=kappa, max_retries=1)
+    for seed in range(200):
+        topo, _ = build_topology(list(range(kappa + 2)), cfg, random.Random(seed))
+        assert len(topo.edges) == (kappa + 2) * kappa // 2
+
+
 def test_retries_exhausted():
     cfg = ExpanderConfig(kappa=4, alpha_target=Fraction(50), max_retries=3)
     with pytest.raises(RetriesExhausted):
@@ -123,14 +148,54 @@ def regular_draw(m: int, kappa: int, rng: random.Random):
     return on_positions(m, edges)
 
 
+def complement_draw(m: int, kappa: int, rng: random.Random):
+    """Graph arguments of the pairs missing from the first
+    (m-1-kappa)-regular pairing draw on m nodes that does not dead-end,
+    as build_topology draws a cloud of at most 2*kappa members."""
+    while (edges := _pairing_attempt(m, m - 1 - kappa, rng)) is None:
+        pass
+    return on_positions(m, set(itertools.combinations(range(m), 2)) - edges)
+
+
+def dense_draws(kappa: int, rng: random.Random):
+    """(m, graph) for a direct draw at every m in [kappa+2, 2*kappa+2]
+    and a complement draw at every m in [kappa+2, 2*kappa]."""
+    for m in range(kappa + 2, 2 * kappa + 3):
+        yield m, regular_draw(m, kappa, rng)
+        if m <= 2 * kappa:
+            yield m, complement_draw(m, kappa, rng)
+
+
 @pytest.mark.parametrize("kappa", [4, 6, 8])
 def test_spectral_gate_agrees_with_the_rounded_cheeger_bound(kappa):
     rng = random.Random(kappa)
-    for m in range(kappa + 2, 201, 3):
-        graph = regular_draw(m, kappa, rng)
+    sparse = ((m, regular_draw(m, kappa, rng)) for m in range(2 * kappa + 5, 201, 3))
+    for m, graph in itertools.chain(dense_draws(kappa, rng), sparse):
         cert = _cheeger_lower_bound(*graph)
         for alpha in GATE_ALPHAS:
             assert _spectral_gate(*graph, alpha) == (cert >= alpha), (m, alpha, cert)
+
+
+def test_spectral_gate_factors_only_where_the_degree_bound_cannot_decide(monkeypatch):
+    # lambda2 >= 2*kappa + 2 - m on a kappa-regular graph, and the gate
+    # needs lambda2 just above 2*alpha: past that bound it must not factor
+    factored = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: factored.append(len(a)) or cholesky(a))
+    closed_form = set()
+    for kappa in (4, 6, 8):
+        rng = random.Random(kappa)
+        for m, graph in dense_draws(kappa, rng):
+            for alpha in GATE_ALPHAS:
+                factored.clear()
+                verdict = _spectral_gate(*graph, alpha)
+                if 2 * kappa + 2 - m > 2 * alpha:
+                    assert verdict and not factored, (kappa, m, alpha)
+                    closed_form.add((kappa, alpha, m))
+                else:
+                    assert factored == [m], (kappa, m, alpha)
+    assert {m for k, a, m in closed_form if (k, a) == (6, 1)} == set(range(8, 12))
+    assert {m for k, a, m in closed_form if (k, a) == (6, Fraction(1, 2))} == set(range(8, 13))
 
 
 def cycle(n: int):

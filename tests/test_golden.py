@@ -26,34 +26,34 @@ from xhealsim.engine import Healer
 
 GOLDEN = {
     "uniform-0":
-        "eb30b9f7ec91cd8ff5bc21427589e9a7e776ab3a1eeca7176cff9aaa9f0e7cda",
+        "959bf2d5697ab4409180861a4cdbaa83f40061e8c711ed87e17266d9dfdc5236",
     "uniform-1":
-        "d82e581287b3aae9c6d4322d2c141e5d3e5c7a30712c54f894c1fdeaee112c3e",
+        "47b3290ef90b1c66a5d69307f7fb1ff606f23a470318cd9b10a2ed5747c531e3",
     "uniform-2":
-        "f1e24568f992297d81c75a2db2917d897c1a06bad7b733c93445032892920953",
+        "b8cdba75e5281a9ef12b485809c00970cadc97b89d1d18a35f8382deb6e13e2b",
     "uniform-0-drop-black-edge":
-        "b4aff0732542dda894891863e6227cca7cb4e367bc8c86203a9d5c15fa8b8f49",
+        "1d22b9a53cae911a4e704e465dd2eb4e846b40db83a7c96bdaeaa18564892b99",
     "target-bridge-3":
-        "0d6c72cc2fdb94f1bee29f63c966304d8ffe84dc88968759af792a5877d77a81",
+        "acc0d38286ba57af87e5695cb9fc650c240e84caf0808fc009b144228f737f5e",
 }
 
 # final state after a churn-mid-sized uniform trace: n0=500, 750 events,
 # alpha 1/2, seed 0; its final clouds reach 80 members, so the
 # membership index, splices, merges grown from their largest cloud and
 # borrowed bridges are exercised at scale
-SNAPSHOT_GOLDEN = "55e186df39c9b90d04249eb77cd2db979f34400bbfae24941ab4650a69ea45d8"
+SNAPSHOT_GOLDEN = "7063cb622db59e53c74f83746dcea6ebea20651f3de9013dae06dbd078f78170"
 
 # every report's violation_detail lines, which the CSV digests omit, for
 # a faulted n0=400 uniform run (300 events, drop-black-edge, alpha 1/2,
-# a checkpoint every 50): 1055 lines, 565 of them from the density
+# a checkpoint every 50): 1089 lines, 565 of them from the density
 # checks, each naming a subset's members and its missing edges
-DETAIL_GOLDEN = "6beffd29b425a9c8ef2cd361057aee4c93bd3f033a723ce231a85d20492030ee"
+DETAIL_GOLDEN = "4299006524b44ec46b18715c060144d5d1a69bef580bb4d7084abd184fc5aef6"
 
 # the CSV and every violation_detail line of a faulted n0=500 uniform run
 # (750 events, drop-black-edge, alpha 1/2, a checkpoint every 50): a
 # missing baseline edge at every checkpoint after t=0 makes each draw its
 # random density subsets, with no node over its degree budget
-DRAW_GOLDEN = "7bb9ea173cc4497ed82bf5590821622458075e70db69ca026b4756039c2fa659"
+DRAW_GOLDEN = "10a67b8c428020b3c659750ebb468d78dbe5ae66663353068f46ef3f0e264dca"
 
 
 def csv_digest(reports) -> str:

@@ -49,13 +49,15 @@ def test_shuffle_draws_like_random_shuffle(n, seed):
 
 
 @settings(max_examples=60, deadline=None)
-@given(n=sizes, kappa=st.sampled_from([4, 6, 8]), seed=seeds)
-@example(n=0, kappa=6, seed=0).via("empty stub list")
-@example(n=5, kappa=6, seed=1).via("too few members: dead end")
-@example(n=7, kappa=6, seed=2).via("the clique size")
-def test_pairing_attempt_draws_like_random_shuffle(n, kappa, seed):
+@given(n=sizes, degree=st.integers(1, 8), seed=seeds)
+@example(n=0, degree=6, seed=0).via("empty stub list")
+@example(n=5, degree=6, seed=1).via("too few members: dead end")
+@example(n=7, degree=6, seed=2).via("the clique size")
+@example(n=8, degree=1, seed=3).via("the complement of a 6-regular cloud of 8")
+@example(n=11, degree=4, seed=4).via("the complement of a 6-regular cloud of 11")
+def test_pairing_attempt_draws_like_random_shuffle(n, degree, seed):
     ours, ref = random.Random(seed), random.Random(seed)
-    assert _pairing_attempt(n, kappa, ours) == pairing_attempt_oracle(n, kappa, ref)
+    assert _pairing_attempt(n, degree, ours) == pairing_attempt_oracle(n, degree, ref)
     assert ours.getstate() == ref.getstate()
 
 
