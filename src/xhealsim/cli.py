@@ -296,9 +296,9 @@ def load_snapshot(data: dict) -> tuple[Healer, RunConfig]:
             certified_expansion=_snapshot_fraction(topo["certified"],
                                                    f"cloud {cid} certificate"),
         )
-        cloud = Cloud(cid, CloudKind(entry["kind"]),
+        cloud = Cloud(CloudKind(entry["kind"]),
                       frozenset(node_ids(entry["members"], f"cloud {cid} members")), topology)
-        healer.registry.store(cloud)
+        healer.registry.store(cid, cloud)
     for f, c, node in node_id_rows(data["bridges"], 3, "bridges"):
         if (f, c) in healer.registry.bridges:
             raise ValueError(f"bridge entry ({f},{c}) is listed twice")

@@ -16,11 +16,11 @@ node:
 
 A repair decides membership first and designs topologies last.  The
 branch retires clouds (merges, folds) and registers new ones, none of
-which reads a topology; then every cloud the repair may change, the dead
-node's and the new ones (``Plan.changed``), that is still registered is
-designed once, in id order (``Plan._design``), so no draw is spent on a
-cloud the repair does not keep.  A rebuilt expander cloud is spliced
-from its topology scrubbed of the dead member, and a merge grows from
+which reads a topology; then every cloud the repair touched
+(``CloudRegistry.touched``), the dead node's and the new ones, that is
+still registered is designed once, in id order (``Plan._design``), so no
+draw is spent on a cloud the repair does not keep.  A rebuilt expander
+cloud is spliced from its topology scrubbed of the dead member, and a merge grows from
 the largest merged expander topology (``expander._splice``); only when
 that fails is the cloud drawn whole (``expander.build_topology``).  A
 free node is one that holds no bridge entry (``CloudRegistry.holder``
@@ -34,19 +34,19 @@ applies it to the graph, so a plan that raises (a cloud that cannot be
 certified) is dropped with nothing to restore.  Most of a delete's work
 grows with the clouds it touches, not with the clouds the run has
 registered: the dying node's bridge role is one index lookup, its
-stream is seeded only if a design draws, and the retired clouds are
-looked for only when the registry's size says some retired.  The
-registry copy, and the bridge scans of ``CloudRegistry.retire`` and
-``bridged_primaries``, still grow with the run.
+stream is seeded only if a design draws, and the edge step walks only
+the clouds the plan touched.  The registry copy, and the bridge scans
+of ``CloudRegistry.retire`` and ``bridged_primaries``, still grow with
+the run.
 
 An edge's colors are its only state, and a cloud's topology is a frozen
-set of edges, so the delete's edge step is the difference between the
-registry before the plan and the plan's (``Healer._apply``): each
-retired cloud's color leaves its edges, each changed cloud's leaves
-``old - new`` only and colors ``new - old`` (reusing any edge that
-exists, a retired cloud's too), and the stripped edges left colorless
-go, all in one ``ColoredGraph.recolor`` call.  Black is never stripped,
-so no black edge goes.
+set of edges, so the delete's edge step is, over the clouds the plan
+touched, the difference between the registry before the plan
+(``Plan.before``) and the plan's (``Healer._apply``): each such cloud's
+color leaves ``old - new`` only and colors ``new - old`` (reusing any
+edge that exists, a retired cloud's too), and the stripped edges left
+colorless go, all in one ``ColoredGraph.recolor`` call.  Black is never
+stripped, so no black edge goes.
 """
 from __future__ import annotations
 
@@ -85,7 +85,6 @@ class CloudKind(Enum):
 
 @dataclass(frozen=True)
 class Cloud:
-    id: int
     kind: CloudKind
     members: frozenset[int]
     topology: CloudTopology
@@ -93,9 +92,11 @@ class Cloud:
 
 class CloudRegistry:
     """Who is in which cloud and which node bridges what; a node that
-    holds a bridge entry is busy.  The clouds and ``bridges`` are the
-    record; the ``member_of`` and ``holder`` indexes are derived from
-    them, kept by the methods below, and never saved."""
+    holds a bridge entry is busy.  The clouds, keyed by id, and
+    ``bridges`` are the record; the ``member_of`` and ``holder`` indexes
+    are derived from them, and ``touched`` holds the ids ``store`` and
+    ``retire`` wrote since the registry was made.  Only the methods
+    below write these fields, and none of the last three is saved."""
 
     def __init__(self) -> None:
         self.clouds: dict[int, Cloud] = {}
@@ -106,29 +107,32 @@ class CloudRegistry:
         # node -> the key of the bridge entry it holds; kept by bridge,
         # release and retire
         self.holder: dict[int, tuple[int, int]] = {}
+        self.touched: set[int] = set()
 
     def copy(self) -> "CloudRegistry":
         """New dicts sharing the clouds and index entries, which are
-        replaced, never mutated."""
+        replaced, never mutated; the copy has touched nothing yet."""
         twin = CloudRegistry()
         twin.clouds, twin.member_of, twin.bridges, twin.holder = (
             self.clouds.copy(), self.member_of.copy(), self.bridges.copy(),
             self.holder.copy())
         return twin
 
-    def store(self, cloud: Cloud) -> None:
-        """Register *cloud*, replacing any cloud of its id, and re-index
-        the members it gained or lost."""
-        old = self.clouds.get(cloud.id)
+    def store(self, cid: int, cloud: Cloud) -> None:
+        """Register *cloud* under id *cid*, replacing any cloud of that
+        id, and re-index the members it gained or lost."""
+        old = self.clouds.get(cid)
         before = old.members if old is not None else frozenset()
-        self.clouds[cloud.id] = cloud
+        self.clouds[cid] = cloud
+        self.touched.add(cid)
         for node in cloud.members - before:
-            self.member_of[node] = self.member_of.get(node, frozenset()) | {cloud.id}
+            self.member_of[node] = self.member_of.get(node, frozenset()) | {cid}
         for node in before - cloud.members:
-            self._unindex(node, cloud.id)
+            self._unindex(node, cid)
 
     def retire(self, cid: int) -> None:
         cloud = self.clouds.pop(cid)
+        self.touched.add(cid)
         for node in cloud.members:
             self._unindex(node, cid)
         for key in [k for k in self.bridges if cid in k]:
@@ -170,8 +174,6 @@ class CloudRegistry:
         for cid, cloud in self.clouds.items():
             for node in cloud.members:
                 indexed.setdefault(node, set()).add(cid)
-            if cid != cloud.id:
-                errs.append(f"cloud {cid} stored under wrong id")
             if not cloud.members:
                 errs.append(f"cloud {cid} is empty but registered")
             if not cloud.members <= alive:
@@ -285,39 +287,32 @@ class Healer:
         plan = Plan(self, v)
         if self.fault != "skip-heal":
             plan.repair()
-        before = self.registry
         self.registry, self.counters, self.next_cloud_id = (
             plan.registry, plan.counters, plan.next_cloud_id)
         self.counters.deletes += 1
         self.shadow.alive.remove(v)
         self.graph.remove_node(v)
         self.last_black_neighbors = set(plan.blacks)
-        self._apply(before, plan)
+        self._apply(plan)
         if self.fault == "drop-black-edge":
             self._drop_one_black_edge(plan.stream)
 
     # -- edge lifecycle ----------------------------------------------------
 
-    def _apply(self, before: CloudRegistry, plan: Plan) -> None:
-        """Recolor the graph, the dead node's edges gone, from registry
-        *before* to the one *plan* left: each retired cloud loses its
-        color, and each changed cloud still registered loses it on
-        ``old - new`` and gains it on ``new - old``, in id order, less
-        the dead node's edges throughout.  The graph ends as after
-        stripping every old edge and painting every new one, since an
-        edge a cloud keeps would be repainted before the purge; it is
-        just not counted as reused.  The retired clouds are the old ids
-        the plan dropped; since a plan registers only fresh ids, none
-        retired when the registry grew by exactly the fresh ids it kept,
-        and then the two id sets are not compared."""
-        old, new, dying = before.clouds, plan.registry.clouds, plan.dying_keys
-        fresh = sum(cid in new for cid in range(plan.first_new_id, plan.next_cloud_id))
-        retired = old.keys() - new.keys() if len(old) + fresh > len(new) else ()
-        strip = [(cid, old[cid].topology.edges - dying) for cid in retired]
-        paint = []
-        for cid in sorted(plan.changed() & new.keys()):
+    def _apply(self, plan: Plan) -> None:
+        """Recolor the graph, the dead node's edges gone, from
+        ``plan.before`` to the plan's registry: each cloud the plan
+        touched loses its color on ``was - now`` and gains it on
+        ``now - was``, in id order, less the dead node's edges, a
+        registry that lacks the cloud giving it no edges.  The graph ends
+        as after stripping every old edge and painting every new one,
+        since an edge a cloud keeps would be repainted before the purge;
+        it is just not counted as reused."""
+        old, new, dying = plan.before.clouds, plan.registry.clouds, plan.dying_keys
+        strip, paint = [], []
+        for cid in sorted(plan.registry.touched):
             was = old[cid].topology.edges if cid in old else frozenset()
-            now = new[cid].topology.edges
+            now = new[cid].topology.edges if cid in new else frozenset()
             strip.append((cid, was - now - dying))
             paint.append((cid, now - was))
         created, reused, deleted = self.graph.recolor(strip, paint)
@@ -359,19 +354,18 @@ class Plan:
     one plan.  The stream is seeded on its first draw (``LazyRandom``),
     so a plan that designs only cliques seeds none.
 
-    The registry is the plan's one record of the delete: its difference
-    from the healer's is the edge step ``Healer._apply`` makes.
+    The registry it copied stays ``before``; the copy's ``touched`` ids
+    are the plan's one record of the delete, and those clouds'
+    difference between the two is the edge step ``Healer._apply`` makes.
     """
 
     def __init__(self, healer: Healer, dying: int | None = None) -> None:
         self.cfg, self.shadow = healer.cfg, healer.shadow
         self.stream = LazyRandom(f"{healer.run_key}/{dying}")
-        self.registry = healer.registry.copy()
+        self.before = healer.registry
+        self.registry = self.before.copy()
         self.counters = RepairCounters(**vars(healer.counters))
         self.next_cloud_id = healer.next_cloud_id
-        # clouds of this id or above are new in this plan: no edge of
-        # theirs is in the graph until the plan is applied
-        self.first_new_id = healer.next_cloud_id
         # the node whose delete is planned, the colors of the edges it
         # takes with it by neighbour, the keys of those edges, and the
         # neighbours of the black ones
@@ -403,7 +397,7 @@ class Plan:
             members, old = cloud.members - {v}, cloud.topology
             topology = CloudTopology(old.kind, old.edges - self.dying_keys,
                                      old.certified_expansion)
-            reg.store(Cloud(cid, cloud.kind, members, topology))
+            reg.store(cid, Cloud(cloud.kind, members, topology))
             if not members:
                 reg.retire(cid)
         return v_primary, v_secondary, lost_role
@@ -519,7 +513,7 @@ class Plan:
                 return self._merge_into_primary(merge_list, extra_nodes=())
             reg.bridge(fid, lost_primary, replacement)
             cloud = reg.clouds[fid]
-            reg.store(Cloud(fid, cloud.kind, cloud.members | {replacement}, cloud.topology))
+            reg.store(fid, Cloud(cloud.kind, cloud.members | {replacement}, cloud.topology))
         return None
 
     def _merge_into_primary(self, cloud_ids: Sequence[int],
@@ -592,35 +586,25 @@ class Plan:
         color = self.next_cloud_id
         self.next_cloud_id += 1
         self.counters.clouds_built += 1
-        self.registry.store(Cloud(color, kind, frozenset(members), grow_from))
+        self.registry.store(color, Cloud(kind, frozenset(members), grow_from))
         return color
 
-    def changed(self) -> set[int]:
-        """The ids of the clouds this plan may change other than by
-        retiring them: the dying node's clouds and every cloud it
-        registered.  A repair retires other clouds but never alters one,
-        so every other cloud it keeps is the healer's, unchanged."""
-        return {*self.primaries, *self.secondaries,
-                *range(self.first_new_id, self.next_cloud_id)}
-
     def _design(self) -> None:
-        """Design each changed cloud that is still registered over its
-        current members, in id order, from its registered topology: a
-        surviving cloud's, scrubbed of the dead node, or the one a merge
-        grows from.  ``build_topology`` splices that topology when it
-        can and draws afresh otherwise."""
+        """Design each touched cloud still registered, the dying node's
+        and the fresh ones, over its current members, in id order, from
+        its registered topology: a surviving cloud's, scrubbed of the
+        dead node, or the one a merge grows from.  ``build_topology``
+        splices that topology when it can and draws afresh otherwise."""
         reg = self.registry
-        for cid in sorted(self.changed()):
-            cloud = reg.clouds.get(cid)
-            if cloud is None:
-                continue  # retired by the scrub, a merge or a fold
+        for cid in sorted(reg.clouds.keys() & reg.touched):
+            cloud = reg.clouds[cid]
             topology, spliced = build_topology(sorted(cloud.members), self.cfg, self.stream,
                                                previous=cloud.topology)
             if spliced:
                 self.counters.clouds_spliced += 1
-            elif cid < self.first_new_id:
+            elif cid in self.before.clouds:
                 self.counters.clouds_rebuilt += 1
-            reg.store(Cloud(cid, cloud.kind, cloud.members, topology))
+            reg.store(cid, Cloud(cloud.kind, cloud.members, topology))
 
 
 # -- coherence oracle ---------------------------------------------------
@@ -673,7 +657,7 @@ def coherence_errors(healer: Healer) -> list[str]:
     Empty result means: the graph's color sets are exactly what the
     registry implies, structural indexes agree, no colorless edge is
     left behind, every cloud id is below the next cloud id (which
-    ``Plan.changed`` and ``Plan._new_cloud`` rely on), every expander
+    ``Plan._new_cloud`` relies on for a fresh color), every expander
     cloud's certificate clears ``alpha_target``, and every node keeps
     its cloud budget.
     """

@@ -324,17 +324,28 @@ def recolor_oracle(g: ColoredGraph, strip, paint) -> tuple[int, int, int]:
     return created, reused, purge_colorless(g, sorted(drained))
 
 
-def apply_full_oracle(healer, before, plan) -> None:
+def changed_oracle(plan) -> set[int]:
+    """The ids of the clouds *plan* may change other than by retiring
+    them, read off the scrub and the two registries: the dying node's
+    clouds and every cloud it registered and kept.  A repair retires
+    other clouds but never alters one."""
+    return {*plan.primaries, *plan.secondaries,
+            *(plan.registry.clouds.keys() - plan.before.clouds.keys())}
+
+
+def apply_full_oracle(healer, plan) -> None:
     """``Healer._apply`` as a full strip and paint: every changed or
-    retired cloud's edges in registry *before*, less the dead node's,
-    lose its color and every such cloud's edges in *plan*'s registry
-    take it, so an edge a rebuilt cloud keeps is stripped, repainted and
-    counted as reused.  A cloud paints the edges it adds first, in the
+    retired cloud's edges in the registry *plan* copied, less the dead
+    node's, lose its color and every such cloud's edges in *plan*'s
+    registry take it, so an edge a rebuilt cloud keeps is stripped,
+    repainted and counted as reused.  The clouds are the dying node's,
+    the scrub's lists say which, and those registered in only one of
+    the two registries.  A cloud paints the edges it adds first, in the
     order ``_apply`` iterates them, so that edges are created in the
     same order."""
-    old, new = before.clouds, plan.registry.clouds
+    old, new = plan.before.clouds, plan.registry.clouds
     strip, paint = [], []
-    for cid in sorted(plan.changed() | (old.keys() - new.keys())):
+    for cid in sorted({*plan.primaries, *plan.secondaries} | (old.keys() ^ new.keys())):
         was = old[cid].topology.edges - plan.dying_keys if cid in old else frozenset()
         now = new[cid].topology.edges if cid in new else frozenset()
         strip.append((cid, was))

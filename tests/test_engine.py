@@ -1,6 +1,7 @@
+import ast
 import random
-from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -19,7 +20,7 @@ from xhealsim.engine import (
 )
 from xhealsim.expander import ExpanderConfig, RetriesExhausted, TopologyKind, build_topology
 from xhealsim.graph import BLACK
-from helpers import is_connected
+from helpers import changed_oracle, is_connected
 
 
 def make_healer(nodes, edges, seed=0, fault=None, **cfg):
@@ -34,9 +35,8 @@ def plan_and_apply(h, planner, *args):
     plan = Plan(h)
     getattr(plan, planner)(*args)
     plan._design()
-    before = h.registry
     h.registry, h.counters, h.next_cloud_id = plan.registry, plan.counters, plan.next_cloud_id
-    h._apply(before, plan)
+    h._apply(plan)
 
 
 def test_plan_blacks_are_the_dying_nodes_black_neighbours():
@@ -84,9 +84,9 @@ def test_all_black_deletion_builds_primary_clique():
     h = make_healer([0, 1, 2, 3], [(0, 1), (0, 2), (0, 3)])
     h.handle_event(Event("del", 0))
     assert sorted(key for key, _ in h.graph.edges()) == [(1, 2), (1, 3), (2, 3)]
-    (cloud,) = h.registry.clouds.values()
+    ((cid, cloud),) = h.registry.clouds.items()
     assert cloud.kind is CloudKind.PRIMARY and cloud.members == {1, 2, 3}
-    assert all(h.graph.edge(u, v) == {cloud.id}
+    assert all(h.graph.edge(u, v) == {cid}
                for u, v in cloud.topology.edges)
     assert h.counters.branch_all_black == 1
     assert coherence_errors(h) == []
@@ -95,8 +95,8 @@ def test_all_black_deletion_builds_primary_clique():
 def test_all_black_deletion_reuses_existing_black_edge():
     h = make_healer([0, 1, 2], [(0, 1), (0, 2), (1, 2)])
     h.handle_event(Event("del", 0))
-    (cloud,) = h.registry.clouds.values()
-    assert h.graph.edge(1, 2) == {BLACK, cloud.id}
+    (cid,) = h.registry.clouds
+    assert h.graph.edge(1, 2) == {BLACK, cid}
     assert h.counters.edges_reused == 1 and h.counters.edges_created == 0
 
 
@@ -128,10 +128,10 @@ def test_primary_only_deletion_rebuilds_and_bridges():
     assert primary.members == {1, 2, 3}
     assert sorted(primary.topology.edges) == [(1, 2), (1, 3), (2, 3)]
     # a fresh secondary cloud bridges the repaired primary
-    secondaries = [c for c in h.registry.clouds.values()
+    secondaries = [cid for cid, c in h.registry.clouds.items()
                    if c.kind is CloudKind.SECONDARY]
     assert len(secondaries) == 1
-    (fid,) = [c.id for c in secondaries]
+    (fid,) = secondaries
     bridge = h.registry.bridges[(fid, pid)]
     assert bridge in primary.members
     assert h.registry.bridges == {(fid, pid): bridge}
@@ -160,7 +160,7 @@ def test_secondary_branch_repairs_bridge_loss():
     h.handle_event(Event("del", 1))     # branch 2: fixes P1, bridges it, black nbr 4
     assert h.counters.branch_primary == 1
     # the survivor 2 bridges P1; the loose black neighbor 4 bridges nothing
-    (fid,) = [c.id for c in h.registry.clouds.values() if c.kind is CloudKind.SECONDARY]
+    (fid,) = [cid for cid, c in h.registry.clouds.items() if c.kind is CloudKind.SECONDARY]
     assert h.registry.bridges == {(fid, p1): 2}
     assert h.registry.clouds[fid].members == {2, 4}
     h.handle_event(Event("del", 2))     # branch 3: 2 carries secondary color
@@ -241,12 +241,12 @@ def test_a_bridge_whose_primary_merges_away_is_free_again():
     h.handle_event(Event("del", 3))
     p1, p2 = sorted(h.registry.clouds)
     plan_and_apply(h, "_make_secondary_cloud", [p1], [2, 4])
-    (fid,) = [c.id for c in h.registry.clouds.values() if c.kind is CloudKind.SECONDARY]
+    (fid,) = [cid for cid, c in h.registry.clouds.items() if c.kind is CloudKind.SECONDARY]
     assert h.registry.bridges == {(fid, p1): 1}
     # no free node bridges P1 (1 bridges, 2 and 4 are at their budgets),
     # so P1 and P2 merge; retiring P1 drops 1's entry while F survives
     plan_and_apply(h, "_make_secondary_cloud", [p1, p2], [])
-    (merged,) = [c.id for c in h.registry.clouds.values() if c.kind is CloudKind.PRIMARY]
+    (merged,) = [cid for cid, c in h.registry.clouds.items() if c.kind is CloudKind.PRIMARY]
     assert h.counters.merges == 1 and fid in h.registry.clouds
     assert h.registry.bridges == {}
     assert coherence_errors(h) == []
@@ -273,7 +273,7 @@ def trio_of_bridged_primaries():
     h.handle_event(Event("del", 6))   # P3 = {7,8}
     p1, p2, p3 = sorted(h.registry.clouds)
     plan_and_apply(h, "_make_secondary_cloud", [p1, p2, p3], [])
-    (fid,) = [c.id for c in h.registry.clouds.values()
+    (fid,) = [cid for cid, c in h.registry.clouds.items()
               if c.kind is CloudKind.SECONDARY]
     return h, (p1, p2, p3), fid
 
@@ -428,7 +428,7 @@ def test_certification_failure_after_a_planned_rebuild_changes_nothing():
     plan = Plan(h, 1)
     with pytest.raises(RetriesExhausted):
         plan.repair()
-    clique, secondary = sorted(plan.changed())
+    clique, secondary = sorted(changed_oracle(plan))
     before, after = h.registry.clouds, plan.registry.clouds
     assert before[clique].members == {1, 2, 3} and after[clique].members == {2, 3}
     assert plan.counters.clouds_rebuilt == h.counters.clouds_rebuilt + 1
@@ -460,7 +460,7 @@ def test_no_plan_designs_a_cloud_it_retires(monkeypatch):
     def checked_repair(plan):
         drawn.clear()
         repair(plan)
-        kept = [plan.registry.clouds[cid].topology for cid in sorted(plan.changed())
+        kept = [plan.registry.clouds[cid].topology for cid in sorted(changed_oracle(plan))
                 if cid in plan.registry.clouds]
         assert len(drawn) == len(kept)
         assert all(ours is theirs for ours, theirs in zip(drawn, kept))
@@ -475,29 +475,61 @@ def test_no_plan_designs_a_cloud_it_retires(monkeypatch):
     assert coherence_errors(h) == []
 
 
-def test_a_plan_keeps_every_cloud_outside_changed(monkeypatch):
-    # the edge step is derived from changed() and the retired clouds, so
-    # every other cloud a plan keeps must be the healer's own object
+def test_a_plan_keeps_every_cloud_outside_touched(monkeypatch):
+    # the edge step walks only the clouds the plan touched, so every
+    # cloud a plan keeps outside the ones it changed must be the
+    # healer's own object
     apply, kept = Healer._apply, []
 
-    def checked_apply(healer, before, plan):
-        changed = plan.changed()
+    def checked_apply(healer, plan):
+        changed = changed_oracle(plan)
         others = [cid for cid in plan.registry.clouds if cid not in changed]
         for cid in others:
-            assert before.clouds[cid] is plan.registry.clouds[cid]
+            assert plan.before.clouds[cid] is plan.registry.clouds[cid]
         kept.append(len(others))
-        apply(healer, before, plan)
+        apply(healer, plan)
 
     monkeypatch.setattr(Healer, "_apply", checked_apply)
+    h, adaptive = merge_heavy_and_target_bridge_runs()
+    assert len(kept) == h.counters.deletes + adaptive.counters.deletes
+    assert h.counters.merges > 10 and adaptive.counters.branch_secondary > 0
+    assert sum(kept) > len(kept)
+    assert coherence_errors(h) == coherence_errors(adaptive) == []
+
+
+def merge_heavy_and_target_bridge_runs():
+    """``merge_heavy_healer`` after its trace, and the healer of an
+    adaptive target-bridge run whose deletes reach the secondary branch."""
     h, events = merge_heavy_healer()
     for event in events:
         h.handle_event(event)
     strategy = Strategy("target-bridge", insert_fraction=0.5)
     adaptive, _, _ = cli.run_adaptive(strategy, 40, 200,
                                       cli.RunConfig(seed=3, checkpoint_every=200))
-    assert len(kept) == h.counters.deletes + adaptive.counters.deletes
-    assert h.counters.merges > 10 and adaptive.counters.branch_secondary > 0
-    assert sum(kept) > len(kept)
+    return h, adaptive
+
+
+def test_touched_is_what_a_plan_changed_retired_or_registered(monkeypatch):
+    # the edge step and the design walk registry.touched, so it must name
+    # exactly the clouds the scrub and the two registries say the plan
+    # changed, retired or registered, fresh ones it retired again too
+    delete, apply, starts, checked = Healer._delete, Healer._apply, [], []
+
+    def recording_delete(healer, v):
+        starts.append(healer.next_cloud_id)
+        delete(healer, v)
+
+    def checked_apply(healer, plan):
+        retired = plan.before.clouds.keys() - plan.registry.clouds.keys()
+        fresh = set(range(starts[-1], plan.next_cloud_id))
+        assert plan.registry.touched == changed_oracle(plan) | retired | fresh
+        checked.append(plan.dying)
+        apply(healer, plan)
+
+    monkeypatch.setattr(Healer, "_delete", recording_delete)
+    monkeypatch.setattr(Healer, "_apply", checked_apply)
+    h, adaptive = merge_heavy_and_target_bridge_runs()
+    assert len(checked) == h.counters.deletes + adaptive.counters.deletes
     assert coherence_errors(h) == coherence_errors(adaptive) == []
 
 
@@ -617,7 +649,7 @@ def test_budget_errors_name_a_node_over_its_budget():
     (pid,) = h.registry.clouds
     assert budget_errors(h) == []
     for extra in range(2):
-        h.registry.store(replace(h.registry.clouds[pid], id=100 + extra))
+        h.registry.store(100 + extra, h.registry.clouds[pid])
     assert budget_errors(h) == [
         f"node {x} holds 3 primary and 0 secondary clouds, "
         "over its budget of 1 dead baseline neighbors + 1" for x in (1, 2, 3)]
@@ -631,7 +663,7 @@ def test_free_slot_counts_the_dying_node_and_a_loose_membership():
     h = make_healer(list(range(6)), [(3, 0), (3, 4), (4, 5), (5, 1)])
     h.handle_event(Event("del", 3))  # primary {0, 4}
     (pid,) = h.registry.clouds
-    h.registry.store(replace(h.registry.clouds[pid], id=pid + 1))
+    h.registry.store(pid + 1, h.registry.clouds[pid])
     plan = Plan(h)
     assert not plan._has_free_slot(4)  # 2 held, 1 dead
     plan.dying = 5
@@ -658,3 +690,109 @@ def test_a_cloud_that_loses_one_member_is_spliced_with_kappa_half_new_edges():
     # only the new edges are painted; the kept ones are not counted as reused
     assert (c.edges_created - created, c.edges_reused - reused, c.edges_deleted) == (3, 0, 0)
     assert coherence_errors(h) == []
+
+
+# the registry's fields, and the calls that change a dict or set in place
+REGISTRY_FIELDS = {"clouds", "member_of", "bridges", "holder", "touched"}
+MUTATORS = {"pop", "popitem", "update", "clear", "setdefault", "add", "discard", "remove",
+            "difference_update", "intersection_update", "symmetric_difference_update"}
+
+
+class RegistryWrites(ast.NodeVisitor):
+    """The lines of a module that write a registry field outside
+    ``CloudRegistry``'s methods: an assignment, augmented assignment or
+    ``del`` of ``x.<field>`` or ``x.<field>[k]``, or a mutating call on
+    ``x.<field>``, directly or through a local name bound to one."""
+
+    def __init__(self) -> None:
+        self.lines: list[int] = []
+        self.aliases: set[str] = set()
+
+    def visit_ClassDef(self, node):
+        if node.name != "CloudRegistry":
+            self.generic_visit(node)
+
+    def visit_FunctionDef(self, node):
+        outer, self.aliases = self.aliases, set(self.aliases)
+        self.generic_visit(node)
+        self.aliases = outer
+
+    def is_field(self, node) -> bool:
+        return (isinstance(node, ast.Attribute) and node.attr in REGISTRY_FIELDS
+                or isinstance(node, ast.Name) and node.id in self.aliases)
+
+    def writes(self, target) -> bool:
+        if isinstance(target, (ast.Tuple, ast.List)):
+            return any(self.writes(t) for t in target.elts)
+        if isinstance(target, ast.Starred):
+            return self.writes(target.value)
+        if isinstance(target, ast.Subscript):
+            return self.is_field(target.value)
+        return isinstance(target, ast.Attribute) and target.attr in REGISTRY_FIELDS
+
+    def bind(self, target, value) -> None:
+        if isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple):
+            for t, v in zip(target.elts, value.elts):
+                self.bind(t, v)
+        elif isinstance(target, ast.Name):
+            if isinstance(value, ast.Attribute) and value.attr in REGISTRY_FIELDS:
+                self.aliases.add(target.id)
+            else:
+                self.aliases.discard(target.id)
+
+    def visit_Assign(self, node):
+        for target in node.targets:
+            self.bind(target, node.value)
+            if self.writes(target):
+                self.lines.append(node.lineno)
+        self.generic_visit(node)
+
+    def visit_AnnAssign(self, node):
+        self.bind(node.target, node.value)
+        if self.writes(node.target):
+            self.lines.append(node.lineno)
+        self.generic_visit(node)
+
+    def visit_AugAssign(self, node):
+        if self.writes(node.target) or self.is_field(node.target):
+            self.lines.append(node.lineno)
+        self.generic_visit(node)
+
+    def visit_Delete(self, node):
+        if any(self.writes(t) for t in node.targets):
+            self.lines.append(node.lineno)
+        self.generic_visit(node)
+
+    def visit_Call(self, node):
+        func = node.func
+        if (isinstance(func, ast.Attribute) and func.attr in MUTATORS
+                and self.is_field(func.value)):
+            self.lines.append(node.lineno)
+        self.generic_visit(node)
+
+
+def registry_writes(source: str) -> list[int]:
+    visitor = RegistryWrites()
+    visitor.visit(ast.parse(source))
+    return visitor.lines
+
+
+def test_only_the_registry_methods_write_its_fields():
+    # the edge step walks the ids store and retire record, so it is
+    # complete only while every write goes through store, retire, bridge
+    # and release
+    package = Path(engine.__file__).parent
+    writes = {path.name: registry_writes(path.read_text())
+              for path in sorted(package.glob("*.py"))}
+    assert {name: lines for name, lines in writes.items() if lines} == {}
+    # the check sees each kind of write, directly and through an alias
+    for body in ["h.registry.clouds[3] = c", "reg.member_of = {}", "del reg.holder[n]",
+                 "reg.bridges.pop(k)", "reg.touched |= {1}", "reg.clouds.update(o)",
+                 "held = reg.member_of\nheld[n] = frozenset()",
+                 "cloud, holder = c, reg.holder\ndel holder[n]",
+                 "touched: set[int] = reg.touched\ntouched.add(1)"]:
+        assert registry_writes("def f(reg):\n    " + body.replace("\n", "\n    ")) != [], body
+    assert registry_writes("class CloudRegistry:\n"
+                           "    def f(self):\n        self.clouds[1] = 2") == []
+    assert registry_writes("def f(reg):\n    holder = reg.holder\n    holder = {}\n"
+                           "    holder[1] = 2\n    return reg.clouds.get(1)") == []

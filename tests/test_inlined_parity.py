@@ -7,9 +7,10 @@ every cloud after it changes.  ``ColoredGraph.recolor`` makes a repair
 step's edge edits in one call; a healer driven through it must match one
 driven through the per-edge calls in ``helpers``.  ``Healer._apply``
 derives a delete's edge step from the registry before and after its
-plan, recoloring only what a changed cloud's topology gained or lost; a
-healer driven through it must match one that strips every old edge of
-each changed or retired cloud and repaints every new one.  ``Subsets.of``
+plan, recoloring only what the topology of a cloud the plan touched
+gained or lost; a healer driven through it must match one that strips
+every old edge of each changed or retired cloud and repaints every new
+one.  ``Subsets.of``
 packs id subsets into position arrays and a node-major mask; the density
 sampler's draws must read back from it unchanged at every size where
 ``Random.sample`` switches branch.
@@ -137,27 +138,42 @@ def test_recolor_matches_per_edge_calls_on_healer_states(n0, steps, seed, fault)
 
 def assert_apply_parity(n0: int, steps: int, seed: int, fault: str | None):
     """The graph, every counter but edges_reused and the registry agree
-    after each event; the full path counts at least as many reuses.
-    Returns the last pair of healers."""
-    last = None
+    after each event; the full path counts at least as many reuses, and
+    no edge carries the color of a cloud that an event registered and
+    retired.  Returns the last pair of healers and the ids of those
+    clouds."""
+    last, first_fresh, registered_and_retired = None, 0, []
     for diffed, full in replay_pair(n0, steps, seed, fault, full_strip_and_paint):
         assert edge_state(diffed) == edge_state(full)
         ours, ref = diffed.counters.as_dict(), full.counters.as_dict()
         assert ours.pop("edges_reused") <= ref.pop("edges_reused")
         assert ours == ref
         assert diffed.registry.clouds == full.registry.clouds
+        gone = set(range(first_fresh, diffed.next_cloud_id)) - diffed.registry.clouds.keys()
+        assert not [key for key, colors in diffed.graph.edges() if colors & gone]
+        registered_and_retired += sorted(gone)
+        first_fresh = diffed.next_cloud_id
         last = diffed, full
-    return last
+    return last, registered_and_retired
+
+
+# event 49 deletes node 7, a bridge with no replacement: its secondary
+# cloud merges into a fresh primary cloud 30, then the new secondary
+# finds no free node for cloud 30 and merges it away with the others
+REGISTERED_AND_RETIRED = dict(n0=80, steps=80, seed=51, fault=None)
 
 
 @settings(max_examples=30, deadline=None)
 @given(n0=st.integers(1, 80), steps=st.integers(0, 80), seed=st.integers(0, 10_000),
        fault=st.sampled_from([None, "skip-heal", "drop-black-edge"]))
+@example(**REGISTERED_AND_RETIRED).via("a delete registers and retires a cloud")
 def test_apply_by_color_difference_matches_full_strip_and_paint(n0, steps, seed, fault):
-    assert_apply_parity(n0, steps, seed, fault)
+    _, registered_and_retired = assert_apply_parity(n0, steps, seed, fault)
+    if dict(n0=n0, steps=steps, seed=seed, fault=fault) == REGISTERED_AND_RETIRED:
+        assert registered_and_retired == [30]
 
 
 def test_apply_parity_on_a_trace_that_splices_clouds():
-    diffed, full = assert_apply_parity(200, 200, 1, None)
+    (diffed, full), _ = assert_apply_parity(200, 200, 1, None)
     assert diffed.counters.clouds_spliced > 0
     assert diffed.counters.edges_reused < full.counters.edges_reused
