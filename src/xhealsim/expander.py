@@ -13,11 +13,14 @@ largest cloud) is spliced before any draw, in one degree repair: a
 departed member's kappa neighbours are re-paired with kappa/2 new edges
 or give those edges to the first newcomer, and each further newcomer
 subdivides kappa/2 vertex-disjoint edges.  The result must clear the
-same certificate; only if it does not is the cloud drawn whole.  At every
-size the first test is a spectral gate, which proves lambda2 large
-enough that lambda2/2 clears the target (Cheeger) with no eigensolve:
-by the closed form lambda2 >= 2*delta + 2 - m, delta the minimum degree,
-where that suffices, and by one Cholesky factorization otherwise.  Only
+same certificate; only if it does not is the cloud drawn whole.  Every
+candidate, drawn, complemented or spliced, is kappa-regular by
+construction, so the gate takes the degree instead of counting it.  At
+every size the first test is that spectral gate, which proves lambda2
+large enough that lambda2/2 clears the target (Cheeger) with no
+eigensolve: by the closed form lambda2 >= 2*kappa + 2 - m where that
+suffices, before any array is built, and by one Cholesky factorization
+otherwise.  Only
 a draw that fails the gate is measured: by the exact edge expansion
 when it has at most ``exact_limit`` nodes, by the spectral lower bound
 lambda2/2 otherwise.  The exact expansion
@@ -40,6 +43,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -103,6 +107,11 @@ class ExpanderConfig:
                              f"got {self.exact_limit}")
         if self.max_retries < 1:
             raise ValueError("max_retries must be >= 1")
+
+    @cached_property
+    def gate_threshold(self) -> float:
+        """``gate_threshold(alpha_target)``, worked out once."""
+        return gate_threshold(self.alpha_target)
 
 
 @dataclass(frozen=True)
@@ -227,34 +236,47 @@ def _cheeger_lower_bound(n: int, u: np.ndarray, v: np.ndarray) -> Fraction:
     return Fraction(int(safe * (1 << 32)), 1 << 33)
 
 
-def _spectral_gate(n: int, u: np.ndarray, v: np.ndarray, alpha: Fraction) -> bool:
-    """Whether ``_cheeger_lower_bound(n, u, v) >= alpha``, decided in
-    closed form where the minimum degree suffices and by one Cholesky
-    factorization otherwise, never by an eigensolve.
+def gate_threshold(alpha: Fraction) -> float:
+    """The smallest lambda2 that the rounded bound of
+    ``_cheeger_lower_bound`` accepts at *alpha*, as ``_spectral_gate``'s
+    threshold s: ceil(alpha * 2^33) / 2^32 + 1e-8 undoes its rounding."""
+    return math.ceil(alpha * (1 << 33)) / (1 << 32) + 1e-8
 
-    That bound clears *alpha* exactly when lambda2 >= s, with s =
-    ceil(alpha * 2^33) / 2^32 + 1e-8 undoing its rounding.  With L the
-    Laplacian and J the all-ones matrix, M = L + ((s+1)/n) J - s I maps
-    the all-ones vector to itself and every other eigenvector of L to
-    (lambda_i - s) times it, so M is positive definite, and factors,
-    exactly when lambda2 > s: the two tests differ only on an exact tie.
-    A disconnected graph has lambda2 = 0 and never passes.
 
-    The closed form: L(G) + L(H) = nI - J for the complement H, and the
-    largest Laplacian eigenvalue of H is at most twice its maximum
-    degree n-1-delta, delta the minimum degree of G.  So every
-    eigenvector of L(G) orthogonal to the all-ones vector has eigenvalue
-    at least n - 2(n-1-delta) = 2*delta + 2 - n, and when that exceeds s
-    the factorization would succeed; the gate passes without it.
+def _edge_arrays(pairs) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoint arrays ``u, v`` of the position pairs *pairs*."""
+    ends = np.fromiter(itertools.chain.from_iterable(pairs), dtype=np.intp,
+                       count=2 * len(pairs))
+    return ends[0::2], ends[1::2]
+
+
+def _spectral_gate(n: int, degree: int, pairs, s: float) -> bool:
+    """Whether the *degree*-regular graph on positions 0..n-1 with edges
+    *pairs* has lambda2 > s, s = ``gate_threshold(alpha)``, which is
+    ``_cheeger_lower_bound >= alpha`` but on an exact tie.  Decided in
+    closed form where the degree suffices, before any array is built,
+    and by one Cholesky factorization otherwise, never by an eigensolve.
+
+    With L the Laplacian and J the all-ones matrix, M = L + ((s+1)/n) J -
+    s I maps the all-ones vector to itself and every other eigenvector
+    of L to (lambda_i - s) times it, so M is positive definite, and
+    factors, exactly when lambda2 > s.  A disconnected graph has
+    lambda2 = 0 and never passes.
+
+    The closed form: L(G) + L(H) = nI - J for the complement H, which is
+    (n-1-degree)-regular, and the largest Laplacian eigenvalue of H is
+    at most twice that degree.  So every eigenvector of L(G) orthogonal
+    to the all-ones vector has eigenvalue at least n - 2(n-1-degree) =
+    2*degree + 2 - n, and when that exceeds s the factorization would
+    succeed; the gate passes without it.
     """
-    s = math.ceil(alpha * (1 << 33)) / (1 << 32) + 1e-8
-    deg = np.bincount(u, minlength=n) + np.bincount(v, minlength=n)
-    if 2 * int(deg.min()) + 2 - n > s:
+    if 2 * degree + 2 - n > s:
         return True
+    u, v = _edge_arrays(pairs)
     shift = (s + 1) / n
     gram = np.full((n, n), shift)
     gram[u, v] = gram[v, u] = shift - 1.0
-    gram.flat[::n + 1] += deg - s
+    gram.flat[::n + 1] += degree - s
     try:
         np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
@@ -262,9 +284,10 @@ def _spectral_gate(n: int, u: np.ndarray, v: np.ndarray, alpha: Fraction) -> boo
     return True
 
 
-def _gate_certificate(m: int, u: np.ndarray, v: np.ndarray, cfg: ExpanderConfig) -> Fraction:
-    """Expansion certificate of the graph on positions 0..m-1 with edges
-    ``(u[i], v[i])``, measured only as far as the acceptance gate needs.
+def _gate_certificate(m: int, pairs, cfg: ExpanderConfig) -> Fraction:
+    """Expansion certificate of the kappa-regular graph on positions
+    0..m-1 with edges *pairs*, measured only as far as the acceptance
+    gate needs.
 
     The spectral gate runs first at every size and, when it passes,
     ``alpha_target`` itself is the certificate: the gate proved it, in
@@ -276,11 +299,11 @@ def _gate_certificate(m: int, u: np.ndarray, v: np.ndarray, cfg: ExpanderConfig)
     expansion, so a disconnected graph (expansion 0) never clears the
     positive target.
     """
-    if _spectral_gate(m, u, v, cfg.alpha_target):
+    if _spectral_gate(m, cfg.kappa, pairs, cfg.gate_threshold):
         return cfg.alpha_target
     if m <= cfg.exact_limit:
-        return expansion_exact(m, u, v, limit=cfg.exact_limit)
-    return _cheeger_lower_bound(m, u, v)
+        return expansion_exact(m, *_edge_arrays(pairs), limit=cfg.exact_limit)
+    return _cheeger_lower_bound(m, *_edge_arrays(pairs))
 
 
 def partial_shuffle(items: list, rng: random.Random) -> None:
@@ -365,68 +388,66 @@ def _splice(previous: CloudTopology, ranked: list[int], cfg: ExpanderConfig,
     *previous* it did not subdivide.
     """
     kappa, m = cfg.kappa, len(ranked)
-    ids = np.array(ranked, dtype=np.int64)
-    ends = np.fromiter(itertools.chain.from_iterable(previous.edges), dtype=np.int64,
-                       count=2 * len(previous.edges)).reshape(-1, 2)
-    pos = np.minimum(np.searchsorted(ids, ends), m - 1)
-    if not (ids[pos] == ends).all():
+    index = {x: i for i, x in enumerate(ranked)}
+    try:  # ranked is sorted, so a key (a, b), a < b, keeps its order
+        kept = [(index[a], index[b]) for a, b in previous.edges]
+    except KeyError:
         return None  # an edge leaves the member set
-    deg = np.bincount(pos.ravel(), minlength=m)
-    short = np.flatnonzero(deg == kappa - 1).tolist()
-    newcomers = np.flatnonzero(deg == 0).tolist()
+    deg = [0] * m
+    for a, b in kept:
+        deg[a] += 1
+        deg[b] += 1
+    short = [i for i, d in enumerate(deg) if d == kappa - 1]
+    newcomers = [i for i, d in enumerate(deg) if d == 0]
     if (len(short) not in (0, kappa) or not (short or newcomers)
-            or len(short) + len(newcomers) < np.count_nonzero(deg != kappa)):
+            or len(short) + len(newcomers) + deg.count(kappa) < m):
         return None
     if not newcomers:
         for _ in range(SPLICE_TRIES):
             partial_shuffle(short, rng)
             it = iter(short)
-            pairs = [(a, b) if a < b else (b, a) for a, b in zip(it, it)]
-            if previous.edges.isdisjoint((ranked[a], ranked[b]) for a, b in pairs):
+            added = [(a, b) if a < b else (b, a) for a, b in zip(it, it)]
+            if previous.edges.isdisjoint((ranked[a], ranked[b]) for a, b in added):
                 break
         else:
             return None
     else:
-        pairs = [(a, newcomers[0]) if a < newcomers[0] else (newcomers[0], a)
+        added = [(a, newcomers[0]) if a < newcomers[0] else (newcomers[0], a)
                  for a in short]
         if short:
             del newcomers[0]
-    codes = pos[:, 0] * m + pos[:, 1]  # edge (a, b), a < b, as a * m + b
-    added = [a * m + b for a, b in pairs]
-    gone: set[int] = set()
+    gone: set[tuple[int, int]] = set()
     if newcomers:
-        kept = _subdivide(sorted(codes.tolist()) + added, newcomers, m, kappa, rng)
-        if kept is None:
+        grown = _subdivide(sorted(kept) + added, newcomers, kappa, rng)
+        if grown is None:
             return None
-        before, after = set(codes.tolist()), set(kept)
-        gone, added = before - after, after - before
-        codes = np.array(kept, dtype=np.int64)
+        before, after = set(kept), set(grown)
+        gone, added, kept = before - after, after - before, grown
     else:
-        codes = np.concatenate([codes, np.array(added, dtype=np.int64)])
-    cert = _gate_certificate(m, *np.divmod(codes, m), cfg)
+        kept += added
+    cert = _gate_certificate(m, kept, cfg)
     if cert < cfg.alpha_target:
         return None
-    edges = previous.edges.difference((ranked[c // m], ranked[c % m]) for c in gone)
+    edges = previous.edges.difference((ranked[a], ranked[b]) for a, b in gone)
     return CloudTopology(TopologyKind.REGULAR_EXPANDER,
-                         edges.union((ranked[c // m], ranked[c % m]) for c in added), cert)
+                         edges.union((ranked[a], ranked[b]) for a, b in added), cert)
 
 
-def _subdivide(codes: list[int], newcomers: list[int], m: int, kappa: int,
-               rng: random.Random) -> list[int] | None:
-    """The edges of the graph on positions 0..m-1 whose edges (a, b),
-    a < b, are the codes ``a * m + b`` of *codes*, after each of
-    *newcomers* in turn subdivides kappa/2 random vertex-disjoint edges:
-    (a, b) goes, (a, x) and (x, b) come.  An edge whose ends clash with
-    one already picked is redrawn, up to SPLICE_TRIES times; None when
-    every try clashes."""
-    codes = list(codes)
+def _subdivide(pairs: list[tuple[int, int]], newcomers: list[int], kappa: int,
+               rng: random.Random) -> list[tuple[int, int]] | None:
+    """The edges *pairs* (a, b), a < b, of a graph on positions, after
+    each of *newcomers* in turn subdivides kappa/2 random vertex-disjoint
+    edges: (a, b) goes, (a, x) and (x, b) come.  An edge whose ends
+    clash with one already picked is redrawn, up to SPLICE_TRIES times;
+    None when every try clashes."""
+    pairs = list(pairs)
     for x in newcomers:
         picked: list[int] = []
         touched: list[int] = []
         for _ in range(kappa // 2):
             for _ in range(SPLICE_TRIES):
-                i = rng.randrange(len(codes))
-                a, b = divmod(codes[i], m)
+                i = rng.randrange(len(pairs))
+                a, b = pairs[i]
                 if a not in touched and b not in touched:
                     break
             else:
@@ -434,10 +455,10 @@ def _subdivide(codes: list[int], newcomers: list[int], m: int, kappa: int,
             touched += (a, b)
             picked.append(i)
         for i in sorted(picked, reverse=True):  # swap each with the last, then drop it
-            codes[i] = codes[-1]
-            codes.pop()
-        codes.extend(end * m + x if end < x else x * m + end for end in touched)
-    return codes
+            pairs[i] = pairs[-1]
+            pairs.pop()
+        pairs.extend((end, x) if end < x else (x, end) for end in touched)
+    return pairs
 
 
 def build_topology(
@@ -489,9 +510,7 @@ def build_topology(
             idx_edges = every_pair - idx_edges
         # certified on positions 0..m-1: ranked is sorted, so mapping
         # positions to members keeps the order, the Laplacian and every cut
-        ends = np.fromiter(itertools.chain.from_iterable(idx_edges), dtype=np.intp,
-                           count=2 * len(idx_edges))
-        cert = _gate_certificate(m, ends[0::2], ends[1::2], cfg)
+        cert = _gate_certificate(m, idx_edges, cfg)
         if cert >= cfg.alpha_target:
             edges = frozenset((ranked[i], ranked[j]) for i, j in idx_edges)
             return CloudTopology(TopologyKind.REGULAR_EXPANDER, edges, cert), False

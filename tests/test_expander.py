@@ -31,6 +31,7 @@ from xhealsim.expander import (
     _spectral_gate,
     build_topology,
     expansion_exact,
+    gate_threshold,
 )
 
 
@@ -135,26 +136,37 @@ GATE_ALPHAS = [Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(3, 4), F
 
 
 def on_positions(m: int, edges) -> tuple[int, np.ndarray, np.ndarray]:
-    """Graph arguments for the edges of a graph on positions 0..m-1."""
+    """Array arguments for the edges of a graph on positions 0..m-1."""
     ends = np.array(sorted(edges), dtype=np.intp).reshape(-1, 2)
     return m, ends[:, 0], ends[:, 1]
 
 
+def gate(graph, alpha: Fraction) -> bool:
+    """The spectral gate's verdict at *alpha* on a regular *graph*, given
+    as (n, degree, pairs)."""
+    return _spectral_gate(*graph, gate_threshold(alpha))
+
+
+def cheeger(graph) -> Fraction:
+    n, _, pairs = graph
+    return _cheeger_lower_bound(*on_positions(n, pairs))
+
+
 def regular_draw(m: int, kappa: int, rng: random.Random):
-    """Graph arguments of the first pairing draw on m nodes that does
-    not dead-end, as build_topology hands them to the gate."""
+    """The first pairing draw on m nodes that does not dead-end, as
+    (m, kappa, pairs), the graph build_topology hands to the gate."""
     while (edges := _pairing_attempt(m, kappa, rng)) is None:
         pass
-    return on_positions(m, edges)
+    return m, kappa, edges
 
 
 def complement_draw(m: int, kappa: int, rng: random.Random):
-    """Graph arguments of the pairs missing from the first
-    (m-1-kappa)-regular pairing draw on m nodes that does not dead-end,
-    as build_topology draws a cloud of at most 2*kappa members."""
+    """The pairs missing from the first (m-1-kappa)-regular pairing draw
+    on m nodes that does not dead-end, as (m, kappa, pairs): how
+    build_topology draws a cloud of at most 2*kappa members."""
     while (edges := _pairing_attempt(m, m - 1 - kappa, rng)) is None:
         pass
-    return on_positions(m, set(itertools.combinations(range(m), 2)) - edges)
+    return m, kappa, set(itertools.combinations(range(m), 2)) - edges
 
 
 def dense_draws(kappa: int, rng: random.Random):
@@ -171,9 +183,9 @@ def test_spectral_gate_agrees_with_the_rounded_cheeger_bound(kappa):
     rng = random.Random(kappa)
     sparse = ((m, regular_draw(m, kappa, rng)) for m in range(2 * kappa + 5, 201, 3))
     for m, graph in itertools.chain(dense_draws(kappa, rng), sparse):
-        cert = _cheeger_lower_bound(*graph)
+        cert = cheeger(graph)
         for alpha in GATE_ALPHAS:
-            assert _spectral_gate(*graph, alpha) == (cert >= alpha), (m, alpha, cert)
+            assert gate(graph, alpha) == (cert >= alpha), (m, alpha, cert)
 
 
 def test_spectral_gate_factors_only_where_the_degree_bound_cannot_decide(monkeypatch):
@@ -188,7 +200,7 @@ def test_spectral_gate_factors_only_where_the_degree_bound_cannot_decide(monkeyp
         for m, graph in dense_draws(kappa, rng):
             for alpha in GATE_ALPHAS:
                 factored.clear()
-                verdict = _spectral_gate(*graph, alpha)
+                verdict = gate(graph, alpha)
                 if 2 * kappa + 2 - m > 2 * alpha:
                     assert verdict and not factored, (kappa, m, alpha)
                     closed_form.add((kappa, alpha, m))
@@ -199,11 +211,11 @@ def test_spectral_gate_factors_only_where_the_degree_bound_cannot_decide(monkeyp
 
 
 def cycle(n: int):
-    return index_arrays({i: {(i - 1) % n, (i + 1) % n} for i in range(n)})
+    return n, 2, [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
 
 
 def clique(n: int):
-    return index_arrays({i: set(range(n)) - {i} for i in range(n)})
+    return n, n - 1, list(itertools.combinations(range(n), 2))
 
 
 def test_spectral_gate_at_the_rounding_step_of_a_known_spectrum():
@@ -215,17 +227,17 @@ def test_spectral_gate_at_the_rounding_step_of_a_known_spectrum():
     step = Fraction(1, 2**33)
     for name, graph, lam in known:
         cert = Fraction(int((lam - 1e-8) * 2**32), 2**33)
-        assert _cheeger_lower_bound(*graph) == cert, name
-        assert _spectral_gate(*graph, cert), name
-        assert _spectral_gate(*graph, cert - step), name
-        assert not _spectral_gate(*graph, cert + step), name
-        assert not _spectral_gate(*graph, cert + step / 2), name
+        assert cheeger(graph) == cert, name
+        assert gate(graph, cert), name
+        assert gate(graph, cert - step), name
+        assert not gate(graph, cert + step), name
+        assert not gate(graph, cert + step / 2), name
 
 
 def test_spectral_gate_fails_a_disconnected_graph():
-    two_cliques = {i: {j for j in range(10) if j != i and j // 5 == i // 5} for i in range(10)}
+    two_cliques = [(i, j) for i, j in itertools.combinations(range(10), 2) if i // 5 == j // 5]
     for alpha in [Fraction(1, 2**30)] + GATE_ALPHAS:
-        assert not _spectral_gate(*index_arrays(two_cliques), alpha)
+        assert not gate((10, 4, two_cliques), alpha)
 
 
 def test_build_topology_records_the_bound_its_certificate_proved():
@@ -236,13 +248,13 @@ def test_build_topology_records_the_bound_its_certificate_proved():
     for m in (10, 12, 14):
         for seed in range(6):
             topo, _ = build_topology(list(range(m)), cfg, random.Random(seed))
-            graph = on_positions(m, topo.edges)
-            if _spectral_gate(*graph, cfg.alpha_target):
+            if gate((m, 4, topo.edges), cfg.alpha_target):
                 passes.add("spectral")
                 assert topo.certified_expansion == cfg.alpha_target
             else:
                 passes.add("exact")
-                assert topo.certified_expansion == expansion_exact(*graph, limit=20) >= 1
+                exact = expansion_exact(*on_positions(m, topo.edges), limit=20)
+                assert topo.certified_expansion == exact >= 1
     assert passes == {"spectral", "exact"}
 
 
@@ -455,11 +467,11 @@ def test_splice_that_fails_the_gate_falls_back_to_the_redraw_loop(monkeypatch):
     members = list(range(1, 30))
     gate, states = expander._gate_certificate, []
 
-    def failing_first(m, u, v, cfg):
+    def failing_first(m, pairs, cfg):
         if not states:  # the splice's certificate: the shuffle has drawn
             states.append(rng.getstate())
             return Fraction(0)
-        return gate(m, u, v, cfg)
+        return gate(m, pairs, cfg)
 
     monkeypatch.setattr(expander, "_gate_certificate", failing_first)
     rng = random.Random(2)
