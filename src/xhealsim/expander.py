@@ -77,7 +77,8 @@ class TopologyKind(Enum):
 HARD_ENUMERATION_CEILING = 26
 # Nodes after the first whose cut masks expansion_exact tabulates at once.
 LOW_BLOCK_BITS = 14
-# Shuffles a splice tries before it gives up on pairing only non-neighbours.
+# Matchings a splice gates, and redraws of a clashing subdivided edge,
+# before it gives up; its matching search makes SPLICE_TRIES * kappa tries.
 SPLICE_TRIES = 8
 
 
@@ -329,7 +330,10 @@ def partial_shuffle(items: list, rng: random.Random) -> None:
 
 def _pairing_attempt(n: int, degree: int, rng: random.Random) -> set[tuple[int, int]] | None:
     """One pairing-model draw of a simple *degree*-regular graph on
-    0..n-1, rematching clashing stubs; None when the draw dead-ends."""
+    0..n-1, rematching clashing stubs in further rounds.  A draw whose
+    leftover stubs can no longer be paired, every two of their nodes
+    already neighbours, is finished by ``_switch_in``.  None after 200
+    rounds, or when no switch is left (only where degree >= n)."""
 
     def suitable(edges: set[tuple[int, int]], potential: dict[int, int]) -> bool:
         if not potential:
@@ -359,10 +363,83 @@ def _pairing_attempt(n: int, degree: int, rng: random.Random) -> set[tuple[int, 
             else:
                 potential[s1] += 1
                 potential[s2] += 1
-        if not suitable(edges, potential):
-            return None
         stubs = [node for node, count in potential.items() for _ in range(count)]
+        if not suitable(edges, potential):
+            return _switch_in(edges, stubs, rng)
     return edges
+
+
+def _switch_in(edges: set[tuple[int, int]], stubs: list[int],
+               rng: random.Random) -> set[tuple[int, int]] | None:
+    """*edges* with the leftover *stubs* placed two at a time by
+    double-edge switches: stubs x and y (one node twice, or two
+    neighbours) and an edge (a, b) whose ends are neither x nor y and
+    where x, a and y, b are not neighbours yet become (x, a) and (y, b).
+    The edge is the first that fits, scanning from a random one, in
+    either orientation.  Each end of the edge keeps its degree, so a
+    simple graph stays simple and each stub placed is one edge end.
+
+    Such an edge exists whenever the degree is below the node count:
+    the nodes A that are not x or its neighbours all have full degree
+    (every other node with a stub is a neighbour of x), and so do the
+    nodes B that are not y or its neighbours.  Were no edge between A
+    and B, a node of A, never a neighbour of x, would have all its
+    edges in y and y's neighbours, fewer than the degree unless it is y's
+    neighbour itself, which puts it outside A.  None when no edge fits.
+    """
+    pool = list(edges)
+    it = iter(stubs)
+    for x, y in zip(it, it):
+        start = rng.randrange(len(pool)) if pool else 0
+        for i in itertools.chain(range(start, len(pool)), range(start)):
+            a, b = pool[i]
+            if a in (x, y) or b in (x, y):
+                continue
+            xa, yb = (x, a) if x < a else (a, x), (y, b) if y < b else (b, y)
+            if xa in edges or yb in edges:
+                xa, yb = (x, b) if x < b else (b, x), (y, a) if y < a else (a, y)
+                if xa in edges or yb in edges:
+                    continue
+            break
+        else:
+            return None
+        edges.remove(pool[i])
+        edges.add(xa)
+        edges.add(yb)
+        pool[i] = xa
+        pool.append(yb)
+    return edges
+
+
+def _rematch(short: list[int], ranked: list[int], edges: frozenset[EdgeKey],
+             probes: int):
+    """Each perfect matching of the positions *short* that adds no edge
+    of *edges* (keys over the members *ranked*), as a list of pairs
+    (a, b), a < b, in first-fit order: the first unmatched position is
+    tried against each later one in turn, backtracking on a dead end.
+    Stops after *probes* partner tries.  When *short*'s adjacent pairs
+    add no edge, they are the first matching."""
+    left = probes
+    matched: list[tuple[int, int]] = []
+
+    def search(rest: list[int]):
+        nonlocal left
+        if not rest:
+            yield list(matched)
+            return
+        a = rest[0]
+        for k in range(1, len(rest)):
+            if not left:
+                return
+            left -= 1
+            pair = (a, rest[k]) if a < rest[k] else (rest[k], a)
+            if (ranked[pair[0]], ranked[pair[1]]) in edges:
+                continue
+            matched.append(pair)
+            yield from search(rest[1:k] + rest[k + 1:])
+            matched.pop()
+
+    return search(short)
 
 
 def _splice(previous: CloudTopology, ranked: list[int], cfg: ExpanderConfig,
@@ -373,28 +450,31 @@ def _splice(previous: CloudTopology, ranked: list[int], cfg: ExpanderConfig,
     A member one edge short lost a neighbour that left; a newcomer is a
     member with no edge yet.  Exactly kappa short members (one member
     left) or none, and any newcomers, are mended in one degree repair:
-    * kappa short members and no newcomer are shuffled and joined in
-      adjacent pairs, kappa/2 new edges; a shuffle that pairs two
-      existing neighbours is redone, up to SPLICE_TRIES times;
+    * kappa short members and no newcomer are shuffled once and joined
+      by kappa/2 new edges, a perfect matching that pairs no two
+      existing neighbours (``_rematch``, first-fit in shuffled order,
+      at most SPLICE_TRIES*kappa partner tries); a matching that fails
+      the gate hands over to the next one of the same search, up to
+      SPLICE_TRIES gated matchings;
     * with newcomers, the first takes the short members' kappa edges,
       as a replacement joining in the departed member's place;
     * each further newcomer x subdivides kappa/2 random vertex-disjoint
       edges: (a, b) goes, (a, x) and (x, b) come.  An edge whose ends
       clash with one already picked is redrawn, up to SPLICE_TRIES
       times.
-    Any other shape, a clash on every try, or a result that fails the
-    gate of ``_gate_certificate`` gives None.  An accepted result is
-    simple, kappa-regular on exactly *ranked*, and keeps every edge of
-    *previous* it did not subdivide.
+    Any other shape, a search with no matching, a clash on every try,
+    or results that all fail the gate of ``_gate_certificate`` give
+    None.  An accepted result is simple, kappa-regular on exactly
+    *ranked*, and keeps every edge of *previous* it did not subdivide.
     """
     kappa, m = cfg.kappa, len(ranked)
     index = {x: i for i, x in enumerate(ranked)}
     try:  # ranked is sorted, so a key (a, b), a < b, keeps its order
-        kept = [(index[a], index[b]) for a, b in previous.edges]
+        pairs = [(index[a], index[b]) for a, b in previous.edges]
     except KeyError:
         return None  # an edge leaves the member set
     deg = [0] * m
-    for a, b in kept:
+    for a, b in pairs:
         deg[a] += 1
         deg[b] += 1
     short = [i for i, d in enumerate(deg) if d == kappa - 1]
@@ -403,34 +483,32 @@ def _splice(previous: CloudTopology, ranked: list[int], cfg: ExpanderConfig,
             or len(short) + len(newcomers) + deg.count(kappa) < m):
         return None
     if not newcomers:
-        for _ in range(SPLICE_TRIES):
-            partial_shuffle(short, rng)
-            it = iter(short)
-            added = [(a, b) if a < b else (b, a) for a, b in zip(it, it)]
-            if previous.edges.isdisjoint((ranked[a], ranked[b]) for a, b in added):
-                break
-        else:
-            return None
+        partial_shuffle(short, rng)
+        matchings = _rematch(short, ranked, previous.edges, SPLICE_TRIES * kappa)
+        candidates = ((set(), added, pairs + added)
+                      for added in itertools.islice(matchings, SPLICE_TRIES))
     else:
         added = [(a, newcomers[0]) if a < newcomers[0] else (newcomers[0], a)
                  for a in short]
         if short:
             del newcomers[0]
-    gone: set[tuple[int, int]] = set()
-    if newcomers:
-        grown = _subdivide(sorted(kept) + added, newcomers, kappa, rng)
-        if grown is None:
-            return None
-        before, after = set(kept), set(grown)
-        gone, added, kept = before - after, after - before, grown
-    else:
-        kept += added
-    cert = _gate_certificate(m, kept, cfg)
-    if cert < cfg.alpha_target:
-        return None
-    edges = previous.edges.difference((ranked[a], ranked[b]) for a, b in gone)
-    return CloudTopology(TopologyKind.REGULAR_EXPANDER,
-                         edges.union((ranked[a], ranked[b]) for a, b in added), cert)
+        gone: set[tuple[int, int]] = set()
+        if newcomers:
+            grown = _subdivide(sorted(pairs) + added, newcomers, kappa, rng)
+            if grown is None:
+                return None
+            before, after = set(pairs), set(grown)
+            gone, added, pairs = before - after, after - before, grown
+        else:
+            pairs += added
+        candidates = [(gone, added, pairs)]
+    for gone, added, graph in candidates:
+        cert = _gate_certificate(m, graph, cfg)
+        if cert >= cfg.alpha_target:
+            edges = previous.edges.difference((ranked[a], ranked[b]) for a, b in gone)
+            return CloudTopology(TopologyKind.REGULAR_EXPANDER,
+                                 edges.union((ranked[a], ranked[b]) for a, b in added), cert)
+    return None
 
 
 def _subdivide(pairs: list[tuple[int, int]], newcomers: list[int], kappa: int,

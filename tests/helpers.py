@@ -387,7 +387,35 @@ def pairing_attempt_oracle(n: int, degree: int, rng: random.Random):
             else:
                 potential[s1] += 1
                 potential[s2] += 1
-        if not suitable(edges, potential):
-            return None
         stubs = [node for node, count in potential.items() for _ in range(count)]
+        if not suitable(edges, potential):
+            return switch_in_oracle(edges, stubs, rng)
+    return edges
+
+
+def switch_in_oracle(edges, stubs, rng: random.Random):
+    """``expander._switch_in``: each two leftover stubs x, y take the
+    first edge (a, b), scanned cyclically from a random one, whose ends
+    avoid x and y and where (x, a), (y, b) or else (x, b), (y, a) are
+    both new; the edge makes way for those two."""
+    key = lambda p, q: (min(p, q), max(p, q))  # noqa: E731
+    pool = list(edges)
+    for x, y in zip(stubs[0::2], stubs[1::2]):
+        if not pool:
+            return None
+        start = rng.randrange(len(pool))
+        for i in [*range(start, len(pool)), *range(start)]:
+            a, b = pool[i]
+            if {a, b} & {x, y}:
+                continue
+            new = next(((key(x, p), key(y, q)) for p, q in ((a, b), (b, a))
+                        if key(x, p) not in edges and key(y, q) not in edges), None)
+            if new is not None:
+                break
+        else:
+            return None
+        edges.remove(pool[i])
+        edges.update(new)
+        pool[i] = new[0]
+        pool.append(new[1])
     return edges

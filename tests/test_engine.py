@@ -360,14 +360,14 @@ def assert_failed_event_changes_nothing(h, event, seed):
 
 
 def test_certification_failure_on_a_real_trace_changes_nothing():
-    # at alpha 1, event 400 of this trace needs a 77-member cloud and no
+    # at alpha 1, event 330 of this trace needs an 81-member cloud and no
     # 6-regular draw certifies it (the exit-3 trace of the CLI tests)
-    trace = gen_trace(Strategy("uniform", insert_fraction=0.4), 200, 400, 10)
+    trace = gen_trace(Strategy("uniform", insert_fraction=0.4), 200, 400, 20)
     h = Healer.from_initial(trace.initial_nodes, trace.initial_edges,
-                            cli.RunConfig(seed=10).expander(), random.Random("10/engine"))
-    for event in trace.events[:399]:
+                            cli.RunConfig(seed=20).expander(), random.Random("20/engine"))
+    for event in trace.events[:329]:
         h.handle_event(event)
-    assert assert_failed_event_changes_nothing(h, trace.events[399], 10) is not None
+    assert assert_failed_event_changes_nothing(h, trace.events[329], 20) is not None
 
 
 def test_planning_a_delete_twice_gives_the_same_plan():

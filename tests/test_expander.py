@@ -126,6 +126,34 @@ def test_a_cloud_of_kappa_plus_two_needs_one_draw(kappa):
         assert len(topo.edges) == (kappa + 2) * kappa // 2
 
 
+@st.composite
+def realizable(draw):
+    """(n, degree) with degree < n <= 60 and n * degree even: every
+    such pair has a simple degree-regular graph on n nodes."""
+    degree = draw(st.integers(1, 8))
+    n = draw(st.integers(degree + 1, 60).filter(lambda n: n * degree % 2 == 0))
+    return n, degree
+
+
+@settings(max_examples=150, deadline=None)
+@given(shape=realizable(), seed=st.integers(0, 2**32 - 1))
+@example(shape=(9, 8), seed=0).via("the clique: every switch has one edge to take")
+@example(shape=(13, 6), seed=1).via("the smallest directly drawn cloud")
+def test_pairing_attempt_gives_a_simple_regular_graph_or_spends_its_rounds(shape, seed):
+    # a dead end is finished by switches, so only the round cap gives None
+    n, degree = shape
+    shuffles, shuffle = [], expander.partial_shuffle
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(expander, "partial_shuffle",
+                   lambda items, rng: shuffles.append(1) or shuffle(items, rng))
+        edges = _pairing_attempt(n, degree, random.Random(seed))
+    if edges is None:
+        assert len(shuffles) == 200
+        return
+    assert all(0 <= u < v < n for u, v in edges)  # pairs, no loop, each once
+    assert degrees(edges) == {x: degree for x in range(n)}
+
+
 def test_retries_exhausted():
     cfg = ExpanderConfig(kappa=4, alpha_target=Fraction(50), max_retries=3)
     with pytest.raises(RetriesExhausted):
@@ -421,19 +449,15 @@ def test_splice_keeps_a_simple_regular_cloud_on_exactly_its_members(kappa, m):
 def test_splice_pairs_only_nodes_that_are_not_yet_neighbours():
     # in the circulant C_12(1, 2), node 0's neighbours 1, 2, 10, 11 are
     # joined by 1-2, 10-11 and 11-1, so of the three ways to pair them
-    # only {1-10, 2-11} adds no existing edge
+    # only {1-10, 2-11} adds no existing edge, which the matching search
+    # finds from every shuffle
     cfg = ExpanderConfig(kappa=4, alpha_target=Fraction(1, 2))
     scrubbed = without(expander_topology(circulant(12, (1, 2)), cfg), 0)
-    splices = 0
     for seed in range(20):
         topo, spliced = build_topology(list(range(1, 12)), cfg, random.Random(seed),
                                        previous=scrubbed)
-        if spliced:
-            splices += 1
-            assert set(topo.edges) - set(scrubbed.edges) == {(1, 10), (2, 11)}
-        else:  # eight shuffles clashed, each with odds 2/3
-            assert degrees(topo.edges) == {x: 4 for x in range(1, 12)}
-    assert splices >= 15
+        assert spliced, seed
+        assert set(topo.edges) - set(scrubbed.edges) == {(1, 10), (2, 11)}
 
 
 def test_splice_that_cannot_avoid_an_existing_edge_falls_back_to_a_redraw():
@@ -465,18 +489,27 @@ def test_splice_that_fails_the_gate_falls_back_to_the_redraw_loop(monkeypatch):
     cfg = ExpanderConfig(kappa=6, alpha_target=Fraction(1, 2))
     previous, _ = build_topology(list(range(30)), cfg, random.Random(1))
     members = list(range(1, 30))
-    gate, states = expander._gate_certificate, []
+    gate, splice, states, refused = expander._gate_certificate, expander._splice, [], []
 
-    def failing_first(m, pairs, cfg):
-        if not states:  # the splice's certificate: the shuffle has drawn
-            states.append(rng.getstate())
+    def failing_in_the_splice(m, pairs, cfg):
+        if not states:  # a certificate of the splice: refuse every matching
+            refused.append(sorted(pairs))
             return Fraction(0)
         return gate(m, pairs, cfg)
 
-    monkeypatch.setattr(expander, "_gate_certificate", failing_first)
+    def splice_then_record(*args):
+        spliced = splice(*args)
+        states.append(rng.getstate())  # the splice has made all its draws
+        return spliced
+
+    monkeypatch.setattr(expander, "_gate_certificate", failing_in_the_splice)
+    monkeypatch.setattr(expander, "_splice", splice_then_record)
     rng = random.Random(2)
     topo, spliced = build_topology(members, cfg, rng, previous=without(previous, 0))
     assert not spliced and states
+    # the search went on past the refused matchings, each a different one
+    assert len(refused) == expander.SPLICE_TRIES
+    assert len({tuple(pairs) for pairs in refused}) == len(refused)
     # the same draws as a build without a previous topology from there on
     redraw = random.Random()
     redraw.setstate(states[0])
@@ -532,10 +565,21 @@ def test_splice_of_a_lost_member_and_newcomers(kappa, extra, drop, newcomers, se
     assert certificate_oracle(members, topo.edges, cfg) >= cfg.alpha_target
 
 
-def test_a_merge_grows_from_a_cloud_that_lost_a_member():
+def test_a_merge_grows_from_a_cloud_that_lost_a_member(monkeypatch):
     # the first newcomer takes the departed member's kappa edges, each
     # further one subdivides kappa/2 vertex-disjoint edges
     cfg = ExpanderConfig(kappa=6, alpha_target=Fraction(1, 2))
+    subdivide, taken = expander._subdivide, []
+
+    def one_newcomer_at_a_time(pairs, newcomers, kappa, rng):
+        # the same draws and result, with each newcomer's subdivided edges kept
+        for x in newcomers:
+            grown = subdivide(pairs, [x], kappa, rng)
+            taken.append(set(pairs) - set(grown))
+            pairs = grown
+        return pairs
+
+    monkeypatch.setattr(expander, "_subdivide", one_newcomer_at_a_time)
     grown = 0
     for seed in range(5):
         rng = random.Random(seed)
@@ -543,13 +587,104 @@ def test_a_merge_grows_from_a_cloud_that_lost_a_member():
         scrubbed = without(previous, 0)
         orphans = {u if v == 0 else v for u, v in previous.edges if 0 in (u, v)}
         members = list(range(1, 40)) + [50, 51, 52]
+        ranked = sorted(members)
+        taken.clear()
         topo, spliced = build_topology(members, cfg, rng, previous=scrubbed)
         assert degrees(topo.edges) == {x: 6 for x in members}
         if spliced:
             grown += 1
-            # at most three from each of 51 and 52: 52 may subdivide an
-            # edge 51 just took
-            assert 5 <= len(scrubbed.edges - topo.edges) <= 6
+            by_51, by_52 = ({(ranked[a], ranked[b]) for a, b in edges} for edges in taken)
+            assert len(by_51) == len(by_52) == 3
+            # 50 takes the departed member's edges, none of them in
+            # scrubbed; 51 subdivides three of scrubbed or 50's, at most
+            # one of 50's as they share 50, and 52 three of any, at most
+            # one of 50's and one of 51's: so 3 to 6 of scrubbed go
+            lost = scrubbed.edges - topo.edges
+            assert lost == (by_51 | by_52) & scrubbed.edges
+            assert len(lost) == 6 - sum(1 for u, v in by_51 | by_52 if {u, v} & {50, 51})
+            assert 3 <= len(lost) <= 6
             assert orphans <= {end for edge in topo.edges if {50, 51, 52} & set(edge)
                                for end in edge}
     assert grown >= 4
+
+
+def perfect_matchings(nodes: list[int]):
+    """Every perfect matching of *nodes*, as lists of pairs (a, b), a < b."""
+    if not nodes:
+        yield []
+        return
+    first, rest = nodes[0], nodes[1:]
+    for k, partner in enumerate(rest):
+        for tail in perfect_matchings(rest[:k] + rest[k + 1:]):
+            yield [(min(first, partner), max(first, partner))] + tail
+
+
+def splice_fallback_with_a_matching(previous, ranked, cfg) -> bool:
+    """Whether *previous*, a cloud on *ranked* less one departed member,
+    has a re-pairing of the departed member's neighbours that adds no
+    existing edge and certifies: a splice that gives None missed it."""
+    degree = Counter(itertools.chain.from_iterable(previous.edges))
+    short = sorted(x for x in ranked if degree[x] == cfg.kappa - 1)
+    if (len(short) != cfg.kappa or not degree.keys() <= set(ranked)
+            or any(degree[x] not in (cfg.kappa - 1, cfg.kappa) for x in ranked)):
+        return False  # not the one-member-lost shape
+    return any(certificate_oracle(ranked, previous.edges | set(pairs), cfg) >= cfg.alpha_target
+               for pairs in perfect_matchings(short) if previous.edges.isdisjoint(pairs))
+
+
+def test_cloud_design_wastes_no_draw_and_no_array(monkeypatch):
+    # counts, not times, so host noise cannot move them: each trace
+    # replays the same designs on every run
+    from xhealsim import engine
+    from xhealsim.adversary import Strategy, gen_trace
+    from xhealsim.engine import Healer
+
+    kappa, alpha = 6, Fraction(1)
+    s = math.ceil(alpha * 2**33) / 2**32 + 1e-8  # the gate's lambda2 threshold
+    missed, dead_ends, arrays, sizes = [], [], [], []
+    numpy_touched: list[str] = []
+    splice, attempt, build = expander._splice, expander._pairing_attempt, engine.build_topology
+
+    class RecordingNumpy:
+        def __getattr__(self, name):
+            numpy_touched.append(name)
+            return getattr(np, name)
+
+    def checked_splice(previous, ranked, cfg, rng):
+        spliced = splice(previous, ranked, cfg, rng)
+        if spliced is None and splice_fallback_with_a_matching(previous, ranked, cfg):
+            missed.append(len(ranked))
+        return spliced
+
+    def checked_attempt(n, degree, rng):
+        edges = attempt(n, degree, rng)
+        if edges is None and n > 2 * kappa:
+            dead_ends.append(n)
+        return edges
+
+    def checked_build(members, cfg, rng, previous=None):
+        numpy_touched.clear()
+        result = build(members, cfg, rng, previous=previous)
+        m = len(members)
+        sizes.append(m)
+        if m > kappa + 1 and 2 * kappa + 2 - m > s and numpy_touched:
+            arrays.append((m, sorted(set(numpy_touched))))
+        return result
+
+    monkeypatch.setattr(expander, "np", RecordingNumpy())
+    monkeypatch.setattr(expander, "_splice", checked_splice)
+    monkeypatch.setattr(expander, "_pairing_attempt", checked_attempt)
+    monkeypatch.setattr(engine, "build_topology", checked_build)
+    for seed in range(4):
+        trace = gen_trace(Strategy("uniform", insert_fraction=0.4), 50, 300, seed)
+        cfg = ExpanderConfig(kappa=kappa, alpha_target=alpha)
+        healer = Healer.from_initial(trace.initial_nodes, trace.initial_edges, cfg,
+                                     random.Random(f"{seed}/engine"))
+        for event in trace.events:
+            healer.handle_event(event)
+    # the traces design closed-form clouds and directly drawn ones
+    assert {m for m in sizes if 2 * kappa + 2 - m > s} - set(range(kappa + 2)), sizes
+    assert max(sizes) > 2 * kappa
+    assert missed == [], "a splice fell back though a re-pairing certifies"
+    assert dead_ends == [], "a pairing draw past 2*kappa members dead-ended"
+    assert arrays == [], "a design the closed form decides built numpy arrays"

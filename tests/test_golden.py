@@ -26,34 +26,34 @@ from xhealsim.engine import Healer
 
 GOLDEN = {
     "uniform-0":
-        "959bf2d5697ab4409180861a4cdbaa83f40061e8c711ed87e17266d9dfdc5236",
+        "531ba6990a46c99427ccc39b274d8296ed436f36cff9159ae04aaa2fee0dd1de",
     "uniform-1":
-        "47b3290ef90b1c66a5d69307f7fb1ff606f23a470318cd9b10a2ed5747c531e3",
+        "ac470d2146d0767b58fff9e8e8e7ef0d22fa0c38b613db5d7fc725073635b9c8",
     "uniform-2":
-        "b8cdba75e5281a9ef12b485809c00970cadc97b89d1d18a35f8382deb6e13e2b",
+        "1d222eac5ff01b142bc87687dc042df75d210a3ea3860114ac2c26b308c5216e",
     "uniform-0-drop-black-edge":
-        "1d22b9a53cae911a4e704e465dd2eb4e846b40db83a7c96bdaeaa18564892b99",
+        "1899a9a4b6cff2d48c84c4dc4ba8f644509d2a9c6985d0edca42d176c3e873d9",
     "target-bridge-3":
-        "acc0d38286ba57af87e5695cb9fc650c240e84caf0808fc009b144228f737f5e",
+        "0855e8d7a94c06546fee333ab2e3d662f07059ae1504ab9bb5f3196eb46cbf5f",
 }
 
 # final state after a churn-mid-sized uniform trace: n0=500, 750 events,
 # alpha 1/2, seed 0; its final clouds reach 80 members, so the
 # membership index, splices, merges grown from their largest cloud and
 # borrowed bridges are exercised at scale
-SNAPSHOT_GOLDEN = "7063cb622db59e53c74f83746dcea6ebea20651f3de9013dae06dbd078f78170"
+SNAPSHOT_GOLDEN = "8fabe732108f2733003f532d7cc3bfe323fae43260fd498034ef4bb4eeb023a5"
 
 # every report's violation_detail lines, which the CSV digests omit, for
 # a faulted n0=400 uniform run (300 events, drop-black-edge, alpha 1/2,
-# a checkpoint every 50): 1089 lines, 565 of them from the density
+# a checkpoint every 50): 1071 lines, 568 of them from the density
 # checks, each naming a subset's members and its missing edges
-DETAIL_GOLDEN = "4299006524b44ec46b18715c060144d5d1a69bef580bb4d7084abd184fc5aef6"
+DETAIL_GOLDEN = "c08354c9e26b3df34c7053a0f95473295e55d3067e6787de822d869b4ca5ab87"
 
 # the CSV and every violation_detail line of a faulted n0=500 uniform run
 # (750 events, drop-black-edge, alpha 1/2, a checkpoint every 50): a
 # missing baseline edge at every checkpoint after t=0 makes each draw its
 # random density subsets, with no node over its degree budget
-DRAW_GOLDEN = "10a67b8c428020b3c659750ebb468d78dbe5ae66663353068f46ef3f0e264dca"
+DRAW_GOLDEN = "3e5384cad5bab4374d1e9c34754c407341f493f0d696d09cae72a2c36d7e0446"
 
 
 def csv_digest(reports) -> str:
