@@ -5,7 +5,8 @@ Subcommands:
 * ``gen``     materialize a seeded adversarial trace file
 * ``run``     replay a trace (or drive an adaptive strategy online)
               through the healer, verifying every bound at checkpoints
-* ``verify``  re-check a state snapshot's internal coherence and metrics
+* ``verify``  re-check a state snapshot's internal coherence, each
+              expander cloud's design, and its metrics
 * ``report``  summarize one or more CSV report files
 
 Exit codes: 0 all checks passed, 1 an invariant was violated, 2 usage,
@@ -58,6 +59,7 @@ from .expander import (
     ExpanderError,
     RetriesExhausted,
     TopologyKind,
+    topology_error,
 )
 from .graph import BLACK, ColoredGraph, GraphError, ShadowGraph, edge_key
 from .metrics import MetricsReport, evaluate
@@ -439,6 +441,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(f"malformed snapshot: {exc}", file=sys.stderr)
         return 2
     problems = coherence_errors(healer)
+    problems.extend(_design_errors(healer))
     try:
         problems.extend(_checkpoint(healer, healer.counters.events, cfg).violation_detail)
     except GraphError as exc:
@@ -454,6 +457,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
               f"{healer.graph.edge_count()} edges, "
               f"{len(healer.registry.clouds)} clouds")
     return 1 if problems else 0
+
+
+def _design_errors(healer: Healer) -> list[str]:
+    """Each regular-expander cloud's topology re-checked against its
+    members (``expander.topology_error``): ``verify`` runs it once, no
+    checkpoint does."""
+    return [f"cloud {cid} topology {error}"
+            for cid, cloud in sorted(healer.registry.clouds.items())
+            if cloud.topology.kind is TopologyKind.REGULAR_EXPANDER
+            and (error := topology_error(cloud.members, cloud.topology.edges, healer.cfg))]
 
 
 def _replay_mismatch(args: argparse.Namespace, healer: Healer, cfg: RunConfig) -> list[str]:

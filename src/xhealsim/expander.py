@@ -6,14 +6,16 @@ once an expansion certificate clears the configured target.  Up to
 2*kappa members the draw is of the complement: a simple
 (m-1-kappa)-regular graph, whose missing pairs are the cloud's edges.  A
 graph is simple kappa-regular exactly when its complement is simple
-(m-1-kappa)-regular, and the lower degree dead-ends less often.  A
+(m-1-kappa)-regular.  A pairing draw whose leftover stubs can no longer
+be paired is finished by double-edge switches, not thrown away.  A
 topology is a frozen set of canonical edge keys.  A cloud designed from
 a previous topology (one that lost a member, or a merge grown from its
 largest cloud) is spliced before any draw, in one degree repair: a
-departed member's kappa neighbours are re-paired with kappa/2 new edges
-or give those edges to the first newcomer, and each further newcomer
-subdivides kappa/2 vertex-disjoint edges.  The result must clear the
-same certificate; only if it does not is the cloud drawn whole.  Every
+departed member's kappa neighbours are re-paired with kappa/2 new edges,
+a matching searched for among them, or give those edges to the first
+newcomer, and each further newcomer subdivides kappa/2 vertex-disjoint
+edges.  The result must clear the same certificate; the cloud is drawn
+whole only when no splice the search finds clears it.  Every
 candidate, drawn, complemented or spliced, is kappa-regular by
 construction, so the gate takes the degree instead of counting it.  At
 every size the first test is that spectral gate, which proves lambda2
@@ -111,8 +113,11 @@ class ExpanderConfig:
 
     @cached_property
     def gate_threshold(self) -> float:
-        """``gate_threshold(alpha_target)``, worked out once."""
-        return gate_threshold(self.alpha_target)
+        """The spectral gate's threshold s, worked out once: the smallest
+        lambda2 that the rounded bound of ``_cheeger_lower_bound`` accepts
+        at ``alpha_target``, ceil(alpha * 2^33) / 2^32 + 1e-8 undoing its
+        rounding."""
+        return math.ceil(self.alpha_target * (1 << 33)) / (1 << 32) + 1e-8
 
 
 @dataclass(frozen=True)
@@ -237,13 +242,6 @@ def _cheeger_lower_bound(n: int, u: np.ndarray, v: np.ndarray) -> Fraction:
     return Fraction(int(safe * (1 << 32)), 1 << 33)
 
 
-def gate_threshold(alpha: Fraction) -> float:
-    """The smallest lambda2 that the rounded bound of
-    ``_cheeger_lower_bound`` accepts at *alpha*, as ``_spectral_gate``'s
-    threshold s: ceil(alpha * 2^33) / 2^32 + 1e-8 undoes its rounding."""
-    return math.ceil(alpha * (1 << 33)) / (1 << 32) + 1e-8
-
-
 def _edge_arrays(pairs) -> tuple[np.ndarray, np.ndarray]:
     """Endpoint arrays ``u, v`` of the position pairs *pairs*."""
     ends = np.fromiter(itertools.chain.from_iterable(pairs), dtype=np.intp,
@@ -253,10 +251,11 @@ def _edge_arrays(pairs) -> tuple[np.ndarray, np.ndarray]:
 
 def _spectral_gate(n: int, degree: int, pairs, s: float) -> bool:
     """Whether the *degree*-regular graph on positions 0..n-1 with edges
-    *pairs* has lambda2 > s, s = ``gate_threshold(alpha)``, which is
-    ``_cheeger_lower_bound >= alpha`` but on an exact tie.  Decided in
-    closed form where the degree suffices, before any array is built,
-    and by one Cholesky factorization otherwise, never by an eigensolve.
+    *pairs* has lambda2 > s, s = ``ExpanderConfig.gate_threshold``,
+    which is ``_cheeger_lower_bound >= alpha_target`` but on an exact
+    tie.  Decided in closed form where the degree suffices, before any
+    array is built, and by one Cholesky factorization otherwise, never
+    by an eigensolve.
 
     With L the Laplacian and J the all-ones matrix, M = L + ((s+1)/n) J -
     s I maps the all-ones vector to itself and every other eigenvector
@@ -539,6 +538,37 @@ def _subdivide(pairs: list[tuple[int, int]], newcomers: list[int], kappa: int,
     return pairs
 
 
+def topology_error(members: frozenset[int], edges: frozenset[EdgeKey],
+                   cfg: ExpanderConfig) -> str | None:
+    """Why *edges* is not a regular-expander cloud ``build_topology``
+    could have accepted on *members*, or None.
+
+    An independent re-check of a design, for a loaded snapshot: the
+    edges must form a simple kappa-regular graph on exactly *members*
+    and clear ``alpha_target`` as the design did, by the spectral gate
+    or, failing it, by the exact expansion up to ``exact_limit``
+    members.  One factorization at most, unless the cloud fails.
+    """
+    ranked = sorted(members)
+    index = {x: i for i, x in enumerate(ranked)}
+    pairs = []
+    for a, b in sorted(edges):
+        if a == b or a not in index or b not in index:
+            return f"has edge ({a},{b}), not a pair of its members"
+        pairs.append((index[a], index[b]))
+    deg = [0] * len(ranked)
+    for a, b in pairs:
+        deg[a] += 1
+        deg[b] += 1
+    for x, d in zip(ranked, deg):
+        if d != cfg.kappa:
+            return f"is not {cfg.kappa}-regular on its members: node {x} has degree {d}"
+    cert = _gate_certificate(len(ranked), pairs, cfg)
+    if cert < cfg.alpha_target:
+        return f"re-certifies {float(cert):.3f}, below alpha_target {cfg.alpha_target}"
+    return None
+
+
 def build_topology(
     members: Sequence[int], cfg: ExpanderConfig, rng: random.Random,
     previous: CloudTopology | None = None,
@@ -556,8 +586,10 @@ def build_topology(
     records that certificate: ``alpha_target`` after a spectral gate
     pass, the exact expansion after an exact one.  Up to 2*kappa members
     a candidate is the complement of a pairing draw of degree
-    m-1-kappa, which is below kappa there.  Deterministic for a fixed
-    rng state.
+    m-1-kappa, which is below kappa there.  A draw gives no candidate
+    only when it spends its rounds (``_pairing_attempt``), which counts
+    as one of the ``max_retries`` tries.  Deterministic for a fixed rng
+    state.
     """
     ordered = list(members)
     if len(set(ordered)) != len(ordered):
@@ -579,7 +611,7 @@ def build_topology(
 
     every_pair = frozenset(itertools.combinations(range(m), 2)) if m <= 2 * cfg.kappa else None
     degree = cfg.kappa if every_pair is None else m - 1 - cfg.kappa
-    best = Fraction(0)  # a draw that dead-ends certifies nothing
+    best = Fraction(0)  # a draw that spends its rounds certifies nothing
     for _ in range(cfg.max_retries):
         idx_edges = _pairing_attempt(m, degree, rng)
         if idx_edges is None:

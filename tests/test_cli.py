@@ -1,4 +1,5 @@
 import copy
+import itertools
 import json
 import random
 import re
@@ -638,3 +639,56 @@ def test_run_starts_no_more_workers_than_seeds(tmp_path, monkeypatch, capsys):
         assert run_cli(argv + ["--seeds", "3,4", "--jobs", jobs]) == 2
         assert "--jobs must be at least 1" in capsys.readouterr().err
     assert started == [2, 2]
+
+
+def largest_expander_snapshot(tmp_path):
+    """A snapshot whose largest cloud, of 17 members, is a drawn
+    6-regular expander, and that cloud's entry in it."""
+    trace = tmp_path / "t.jsonl"
+    snap = tmp_path / "s.json"
+    run_cli(["gen", "--strategy", "uniform", "--n0", "60", "--steps", "100",
+             "--seed", "2", "-o", str(trace)])
+    run_cli(["run", "--trace", str(trace), "--seed", "2",
+             "--snapshot", str(snap), "-o", str(tmp_path / "r.csv")])
+    data = json.loads(snap.read_text())
+    cloud = max((c for c in data["clouds"] if c["topology"]["kind"] == "regular_expander"),
+                key=lambda c: len(c["members"]))
+    assert len(cloud["members"]) == 17
+    return data, cloud
+
+
+def two_regular_parts(members):
+    """Edges of a 6-regular graph on *members* (at least 14) in two
+    parts, a clique on the first 7 and a circulant on the others: its
+    expansion is 0."""
+    first, rest = members[:7], members[7:]
+    edges = set(itertools.combinations(first, 2))
+    edges |= {tuple(sorted((rest[i], rest[(i + d) % len(rest)])))
+              for i in range(len(rest)) for d in (1, 2, 3)}
+    return sorted([u, v] for u, v in edges)
+
+
+def test_verify_recertifies_each_expander_clouds_topology(tmp_path, capsys):
+    data, cloud = largest_expander_snapshot(tmp_path)
+    path = tmp_path / "clean.json"
+    path.write_text(json.dumps(data))
+    assert run_cli(["verify", "--snapshot", str(path)]) == 0
+    cid, members = cloud["id"], cloud["members"]
+    edges = cloud["topology"]["edges"]
+    u = edges[0][0]
+    extra = next([a, b] for a, b in itertools.combinations(members, 2) if [a, b] not in edges)
+    damaged = {
+        "dropped edge": (edges[1:], f"node {u} has degree 5"),
+        "degree 7": (sorted(edges + [extra]), f"node {extra[0]} has degree 7"),
+        "below alpha": (two_regular_parts(members), "re-certifies 0.000, below alpha_target 1"),
+    }
+    for name, (topology, message) in damaged.items():
+        victim = copy.deepcopy(data)
+        next(c for c in victim["clouds"] if c["id"] == cid)["topology"]["edges"] = topology
+        path = tmp_path / "damaged.json"
+        path.write_text(json.dumps(victim))
+        capsys.readouterr()
+        assert run_cli(["verify", "--snapshot", str(path)]) == 1, name
+        design = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith(f"VIOLATION cloud {cid} topology ")]
+        assert len(design) == 1 and design[0].endswith(message), (name, design)

@@ -31,7 +31,6 @@ from xhealsim.expander import (
     _spectral_gate,
     build_topology,
     expansion_exact,
-    gate_threshold,
 )
 
 
@@ -172,7 +171,7 @@ def on_positions(m: int, edges) -> tuple[int, np.ndarray, np.ndarray]:
 def gate(graph, alpha: Fraction) -> bool:
     """The spectral gate's verdict at *alpha* on a regular *graph*, given
     as (n, degree, pairs)."""
-    return _spectral_gate(*graph, gate_threshold(alpha))
+    return _spectral_gate(*graph, ExpanderConfig(alpha_target=alpha).gate_threshold)
 
 
 def cheeger(graph) -> Fraction:
