@@ -398,7 +398,9 @@ def switch_in_oracle(edges, stubs, rng: random.Random):
     first edge (a, b), scanned cyclically from a random one, whose ends
     avoid x and y and where (x, a), (y, b) or else (x, b), (y, a) are
     both new; the edge makes way for those two."""
-    key = lambda p, q: (min(p, q), max(p, q))  # noqa: E731
+    def key(p, q):
+        return (min(p, q), max(p, q))
+
     pool = list(edges)
     for x, y in zip(stubs[0::2], stubs[1::2]):
         if not pool:

@@ -17,7 +17,9 @@ from helpers import (
     index_arrays,
     random_adjacency,
 )
-from xhealsim import expander
+from xhealsim import engine, expander
+from xhealsim.adversary import Strategy, gen_trace
+from xhealsim.engine import Healer
 from xhealsim.expander import (
     HARD_ENUMERATION_CEILING,
     CloudTopology,
@@ -634,10 +636,6 @@ def splice_fallback_with_a_matching(previous, ranked, cfg) -> bool:
 def test_cloud_design_wastes_no_draw_and_no_array(monkeypatch):
     # counts, not times, so host noise cannot move them: each trace
     # replays the same designs on every run
-    from xhealsim import engine
-    from xhealsim.adversary import Strategy, gen_trace
-    from xhealsim.engine import Healer
-
     kappa, alpha = 6, Fraction(1)
     s = math.ceil(alpha * 2**33) / 2**32 + 1e-8  # the gate's lambda2 threshold
     missed, dead_ends, arrays, sizes = [], [], [], []
