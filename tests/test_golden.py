@@ -10,6 +10,20 @@ before hashing.  The snapshot holds no float: a cloud records its exact
 expansion, or ``alpha_target`` when the spectral gate proved that bound,
 so floating-point noise in the gate changes the snapshot only when it
 flips a draw's verdict.
+
+The membership digests hash, after every event of an unfaulted trace,
+which clouds exist and who bridges what, and nothing of their edges or
+ids.  Cloud membership does not depend on the edges drawn (every member
+of a kappa-regular cloud or a clique keeps an edge of it, so the dying
+node's lost colors name its clouds whatever was drawn), so a change
+that moves only draws re-pins the report and snapshot digests but must
+leave these.  Faulted traces stay out: drop-black-edge draws the edge it
+drops.  An adaptive run's events can follow the draws: ``target-max-degree``
+deletes the node of largest live degree, where an edge two clouds share
+counts once, and ``target-bridge`` falls back to that rule whenever no
+bridge holder is alive.  So ``target-max-degree`` stays out, and
+target-bridge-3 is hashed on the trace its run realised when the digest
+was pinned (``tests/golden/target-bridge-3.jsonl``), replayed.
 """
 import csv
 import hashlib
@@ -17,11 +31,13 @@ import io
 import json
 import random
 from fractions import Fraction
+from functools import cache
+from pathlib import Path
 
 import pytest
 
 from xhealsim import cli
-from xhealsim.adversary import Strategy, gen_trace
+from xhealsim.adversary import Strategy, decode_trace, gen_trace
 from xhealsim.engine import Healer
 
 GOLDEN = {
@@ -56,6 +72,48 @@ DETAIL_GOLDEN = "c08354c9e26b3df34c7053a0f95473295e55d3067e6787de822d869b4ca5ab8
 DRAW_GOLDEN = "3e5384cad5bab4374d1e9c34754c407341f493f0d696d09cae72a2c36d7e0446"
 
 
+# sha256 over every event of the membership after it: the multiset of
+# (kind, sorted members) over the live clouds and each bridge entry as
+# (its node, its secondary's and its primary's member sets)
+MEMBERSHIP_GOLDEN = {
+    "uniform-0":
+        "70e8c0db43397a337391af5702b0a4c2bf4073a2034e911d676ea15fccabc403",
+    "uniform-1":
+        "562f1b8ce9ba9f87bce859fb2d709d67d105cf12470238668c5f9e6da927f29c",
+    "uniform-2":
+        "352e3f51a736d9637e9e85f7370dee3c6931fcbef5b0cae7f964a5b39bee4ff6",
+    "target-bridge-3":
+        "59d99710a02d486a76f843061a2d1083f3be2504b0882b05a572199f7fb22b22",
+    "snapshot-trace":
+        "0849baca21781fd1aa409cc1b636e29f24644be814f7063e2909d2a1f9832209",
+}
+TRACES = Path(__file__).resolve().parent / "golden"
+
+
+def replay_membership(healer: Healer, events) -> str:
+    """Drive *healer* through *events* and hash its membership after
+    each.  A cloud is hashed only when ``registry.clouds`` holds another
+    object for its id than after the event before: the registry replaces
+    a cloud it changes and shares every other."""
+    out = hashlib.sha256()
+    seen: dict = {}
+    names: dict[int, str] = {}  # cloud id -> digest of (kind, sorted members)
+    for event in events:
+        healer.handle_event(event)
+        clouds = healer.registry.clouds
+        for cid in names.keys() - clouds.keys():
+            del names[cid]
+        for cid, cloud in clouds.items():
+            if seen.get(cid) is not cloud:
+                text = f"{cloud.kind.value}:{sorted(cloud.members)}"
+                names[cid] = hashlib.sha256(text.encode()).hexdigest()
+        seen = dict(clouds)
+        entries = sorted(f"{node}:{names[f]}:{names[c]}"
+                         for (f, c), node in healer.registry.bridges.items())
+        out.update(f"{','.join(sorted(names.values()))}/{','.join(entries)}\n".encode())
+    return out.hexdigest()
+
+
 def csv_digest(reports) -> str:
     rows = list(csv.reader(io.StringIO(cli.render_report_csv(reports))))
     drop = rows[0].index("lambda2_live")
@@ -77,20 +135,48 @@ def run_case(name: str):
     return reports
 
 
+def membership_case(name: str) -> str:
+    if name.startswith("target-bridge"):
+        trace = decode_trace((TRACES / f"{name}.jsonl").read_text(encoding="utf-8"))
+        seed = trace.seed
+    else:
+        seed = int(name.split("-")[1])
+        trace = gen_trace(Strategy("uniform", insert_fraction=0.4), 50, 300, seed)
+    healer = Healer.from_initial(trace.initial_nodes, trace.initial_edges,
+                                 cli.RunConfig(seed=seed).expander(),
+                                 random.Random(f"{seed}/engine"))
+    return replay_membership(healer, trace.events)
+
+
+@cache
+def snapshot_trace_run() -> tuple[str, str]:
+    """The final snapshot's digest and the membership digest of the
+    churn-mid-sized trace, from one replay."""
+    trace = gen_trace(Strategy("uniform", insert_fraction=0.4), 500, 750, 0)
+    cfg = cli.RunConfig(alpha_target=Fraction(1, 2), seed=0)
+    healer = Healer.from_initial(trace.initial_nodes, trace.initial_edges,
+                                 cfg.expander(), random.Random("0/engine"))
+    membership = replay_membership(healer, trace.events)
+    text = json.dumps(cli.snapshot_state(healer, 0), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest(), membership
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_report_csv_matches_golden_digest(name):
     assert csv_digest(run_case(name)) == GOLDEN[name]
 
 
+@pytest.mark.parametrize("name", sorted(MEMBERSHIP_GOLDEN.keys() - {"snapshot-trace"}))
+def test_membership_matches_golden_digest(name):
+    assert membership_case(name) == MEMBERSHIP_GOLDEN[name]
+
+
 def test_final_snapshot_matches_golden_digest():
-    trace = gen_trace(Strategy("uniform", insert_fraction=0.4), 500, 750, 0)
-    cfg = cli.RunConfig(alpha_target=Fraction(1, 2), seed=0)
-    healer = Healer.from_initial(trace.initial_nodes, trace.initial_edges,
-                                 cfg.expander(), random.Random("0/engine"))
-    for event in trace.events:
-        healer.handle_event(event)
-    text = json.dumps(cli.snapshot_state(healer, 0), sort_keys=True)
-    assert hashlib.sha256(text.encode()).hexdigest() == SNAPSHOT_GOLDEN
+    assert snapshot_trace_run()[0] == SNAPSHOT_GOLDEN
+
+
+def test_snapshot_trace_membership_matches_golden_digest():
+    assert snapshot_trace_run()[1] == MEMBERSHIP_GOLDEN["snapshot-trace"]
 
 
 def test_violation_detail_matches_golden_digest():
