@@ -6,16 +6,19 @@ once an expansion certificate clears the configured target.  Up to
 2*kappa members the draw is of the complement: a simple
 (m-1-kappa)-regular graph, whose missing pairs are the cloud's edges.  A
 graph is simple kappa-regular exactly when its complement is simple
-(m-1-kappa)-regular.  A pairing draw whose leftover stubs can no longer
-be paired is finished by double-edge switches, not thrown away.  A
-topology is a frozen set of canonical edge keys.  A cloud designed from
-a previous topology (one that lost a member, or a merge grown from its
-largest cloud) is spliced before any draw, in one degree repair: a
-departed member's kappa neighbours are re-paired with kappa/2 new edges,
-a matching searched for among them, or give those edges to the first
-newcomer, and each further newcomer subdivides kappa/2 vertex-disjoint
-edges.  The result must clear the same certificate; the cloud is drawn
-whole only when no splice the search finds clears it.  Every
+(m-1-kappa)-regular.  A pairing draw shuffles its stubs once; each pair
+that clashes, a loop or a repeated edge, is placed by a double-edge
+switch (``_switch_in``), as switchings repair a pairing in McKay and
+Wormald (J. Algorithms 1990), not redrawn.  A topology is a frozen set
+of canonical edge keys.  A cloud designed from a previous topology (one
+that lost a member, or a merge grown from its largest cloud) is spliced
+before any draw, in one degree repair: a departed member's kappa
+neighbours are re-paired with kappa/2 new edges, a matching searched for
+among them, or give those edges to the first newcomer, and each further
+newcomer is placed by the same switch as kappa/2 pairs of its own
+stubs, each subdividing one edge.  The result must clear the same
+certificate; the cloud is drawn whole only when no splice the search
+finds clears it.  Every
 candidate, drawn, complemented or spliced, is kappa-regular by
 construction, so the gate takes the degree instead of counting it.  At
 every size the first test is that spectral gate, which proves lambda2
@@ -41,7 +44,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -79,8 +81,8 @@ class TopologyKind(Enum):
 HARD_ENUMERATION_CEILING = 26
 # Nodes after the first whose cut masks expansion_exact tabulates at once.
 LOW_BLOCK_BITS = 14
-# Matchings a splice gates, and redraws of a clashing subdivided edge,
-# before it gives up; its matching search makes SPLICE_TRIES * kappa tries.
+# Matchings a splice gates before it gives up; its matching search makes
+# SPLICE_TRIES * kappa partner tries.
 SPLICE_TRIES = 8
 
 
@@ -329,62 +331,42 @@ def partial_shuffle(items: list, rng: random.Random) -> None:
 
 def _pairing_attempt(n: int, degree: int, rng: random.Random) -> set[tuple[int, int]] | None:
     """One pairing-model draw of a simple *degree*-regular graph on
-    0..n-1, rematching clashing stubs in further rounds.  A draw whose
-    leftover stubs can no longer be paired, every two of their nodes
-    already neighbours, is finished by ``_switch_in``.  None after 200
-    rounds, or when no switch is left (only where degree >= n)."""
-
-    def suitable(edges: set[tuple[int, int]], potential: dict[int, int]) -> bool:
-        if not potential:
-            return True
-        stubs = list(potential)
-        for i, s1 in enumerate(stubs):
-            for s2 in stubs[i + 1:]:
-                if (min(s1, s2), max(s1, s2)) not in edges:
-                    return True
-        return False
-
+    0..n-1: the stubs are shuffled once and paired in order, and each
+    pair that clashes, a loop or an edge already drawn, is placed by
+    ``_switch_in``.  None when a clash finds no switch."""
     edges: set[tuple[int, int]] = set()
+    clashes: list[int] = []
     stubs = list(range(n)) * degree
-    rounds = 0
-    while stubs:
-        rounds += 1
-        if rounds > 200:
-            return None
-        potential: dict[int, int] = defaultdict(int)
-        partial_shuffle(stubs, rng)
-        it = iter(stubs)
-        for s1, s2 in zip(it, it):
-            if s1 > s2:
-                s1, s2 = s2, s1
-            if s1 != s2 and (s1, s2) not in edges:
-                edges.add((s1, s2))
-            else:
-                potential[s1] += 1
-                potential[s2] += 1
-        stubs = [node for node, count in potential.items() for _ in range(count)]
-        if not suitable(edges, potential):
-            return _switch_in(edges, stubs, rng)
-    return edges
+    partial_shuffle(stubs, rng)
+    it = iter(stubs)
+    for s1, s2 in zip(it, it):
+        if s1 > s2:
+            s1, s2 = s2, s1
+        if s1 != s2 and (s1, s2) not in edges:
+            edges.add((s1, s2))
+        else:
+            clashes += (s1, s2)
+    return _switch_in(edges, clashes, rng) if clashes else edges
 
 
 def _switch_in(edges: set[tuple[int, int]], stubs: list[int],
                rng: random.Random) -> set[tuple[int, int]] | None:
-    """*edges* with the leftover *stubs* placed two at a time by
-    double-edge switches: stubs x and y (one node twice, or two
-    neighbours) and an edge (a, b) whose ends are neither x nor y and
-    where x, a and y, b are not neighbours yet become (x, a) and (y, b).
-    The edge is the first that fits, scanning from a random one, in
-    either orientation.  Each end of the edge keeps its degree, so a
-    simple graph stays simple and each stub placed is one edge end.
+    """*edges* with the *stubs* placed two at a time by double-edge
+    switches: stubs x and y (one node twice, or two nodes not to be
+    joined directly) and an edge (a, b) whose ends are neither x nor y
+    and where x, a and y, b are not neighbours yet become (x, a) and
+    (y, b).  The edge is the first that fits, scanning from a random
+    one, in either orientation.  Each end of the edge keeps its degree,
+    so a simple graph stays simple and each stub placed is one edge end.
+    On the pair (x, x) the switch is a subdivision: (a, b) goes, (x, a)
+    and (x, b) come.  None when no edge fits.
 
-    Such an edge exists whenever the degree is below the node count:
-    the nodes A that are not x or its neighbours all have full degree
-    (every other node with a stub is a neighbour of x), and so do the
-    nodes B that are not y or its neighbours.  Were no edge between A
-    and B, a node of A, never a neighbour of x, would have all its
-    edges in y and y's neighbours, fewer than the degree unless it is y's
-    neighbour itself, which puts it outside A.  None when no edge fits.
+    A newcomer x placed as kappa/2 pairs (x, x) into a kappa-regular
+    graph of at least kappa+2 nodes always finds an edge.  Before each
+    of its switches x has at most kappa-2 neighbours, so some node a of
+    full degree is neither x nor a neighbour of x; of a's kappa
+    neighbours, none x, at most kappa-2 neighbour x, so a keeps a
+    neighbour b outside N[x] as well, and the edge (a, b) fits.
     """
     pool = list(edges)
     it = iter(stubs)
@@ -457,14 +439,14 @@ def _splice(previous: CloudTopology, ranked: list[int], cfg: ExpanderConfig,
       SPLICE_TRIES gated matchings;
     * with newcomers, the first takes the short members' kappa edges,
       as a replacement joining in the departed member's place;
-    * each further newcomer x subdivides kappa/2 random vertex-disjoint
-      edges: (a, b) goes, (a, x) and (x, b) come.  An edge whose ends
-      clash with one already picked is redrawn, up to SPLICE_TRIES
-      times.
-    Any other shape, a search with no matching, a clash on every try,
-    or results that all fail the gate of ``_gate_certificate`` give
-    None.  An accepted result is simple, kappa-regular on exactly
-    *ranked*, and keeps every edge of *previous* it did not subdivide.
+    * each further newcomer x is placed by ``_switch_in`` as kappa/2
+      pairs (x, x) of its own stubs, each a subdivision: (a, b) goes,
+      (a, x) and (x, b) come.  Such a switch always exists (see
+      ``_switch_in``).
+    Any other shape, a search with no matching, or results that all
+    fail the gate of ``_gate_certificate`` give None.  An accepted
+    result is simple, kappa-regular on exactly *ranked*, and keeps
+    every edge of *previous* that no switch removed.
     """
     kappa, m = cfg.kappa, len(ranked)
     index = {x: i for i, x in enumerate(ranked)}
@@ -487,20 +469,12 @@ def _splice(previous: CloudTopology, ranked: list[int], cfg: ExpanderConfig,
         candidates = ((set(), added, pairs + added)
                       for added in itertools.islice(matchings, SPLICE_TRIES))
     else:
-        added = [(a, newcomers[0]) if a < newcomers[0] else (newcomers[0], a)
-                 for a in short]
+        before = set(pairs)
         if short:
-            del newcomers[0]
-        gone: set[tuple[int, int]] = set()
-        if newcomers:
-            grown = _subdivide(sorted(pairs) + added, newcomers, kappa, rng)
-            if grown is None:
-                return None
-            before, after = set(pairs), set(grown)
-            gone, added, pairs = before - after, after - before, grown
-        else:
-            pairs += added
-        candidates = [(gone, added, pairs)]
+            first = newcomers.pop(0)
+            pairs += [(a, first) if a < first else (first, a) for a in short]
+        grown = _switch_in(set(pairs), [x for x in newcomers for _ in range(kappa)], rng)
+        candidates = [(before - grown, grown - before, grown)]
     for gone, added, graph in candidates:
         cert = _gate_certificate(m, graph, cfg)
         if cert >= cfg.alpha_target:
@@ -508,34 +482,6 @@ def _splice(previous: CloudTopology, ranked: list[int], cfg: ExpanderConfig,
             return CloudTopology(TopologyKind.REGULAR_EXPANDER,
                                  edges.union((ranked[a], ranked[b]) for a, b in added), cert)
     return None
-
-
-def _subdivide(pairs: list[tuple[int, int]], newcomers: list[int], kappa: int,
-               rng: random.Random) -> list[tuple[int, int]] | None:
-    """The edges *pairs* (a, b), a < b, of a graph on positions, after
-    each of *newcomers* in turn subdivides kappa/2 random vertex-disjoint
-    edges: (a, b) goes, (a, x) and (x, b) come.  An edge whose ends
-    clash with one already picked is redrawn, up to SPLICE_TRIES times;
-    None when every try clashes."""
-    pairs = list(pairs)
-    for x in newcomers:
-        picked: list[int] = []
-        touched: list[int] = []
-        for _ in range(kappa // 2):
-            for _ in range(SPLICE_TRIES):
-                i = rng.randrange(len(pairs))
-                a, b = pairs[i]
-                if a not in touched and b not in touched:
-                    break
-            else:
-                return None
-            touched += (a, b)
-            picked.append(i)
-        for i in sorted(picked, reverse=True):  # swap each with the last, then drop it
-            pairs[i] = pairs[-1]
-            pairs.pop()
-        pairs.extend((end, x) if end < x else (x, end) for end in touched)
-    return pairs
 
 
 def topology_error(members: frozenset[int], edges: frozenset[EdgeKey],
@@ -587,8 +533,8 @@ def build_topology(
     pass, the exact expansion after an exact one.  Up to 2*kappa members
     a candidate is the complement of a pairing draw of degree
     m-1-kappa, which is below kappa there.  A draw gives no candidate
-    only when it spends its rounds (``_pairing_attempt``), which counts
-    as one of the ``max_retries`` tries.  Deterministic for a fixed rng
+    only when a clash finds no switch (``_pairing_attempt``), which
+    counts as one of the ``max_retries`` tries.  Deterministic for a fixed rng
     state.
     """
     ordered = list(members)
@@ -611,7 +557,7 @@ def build_topology(
 
     every_pair = frozenset(itertools.combinations(range(m), 2)) if m <= 2 * cfg.kappa else None
     degree = cfg.kappa if every_pair is None else m - 1 - cfg.kappa
-    best = Fraction(0)  # a draw that spends its rounds certifies nothing
+    best = Fraction(0)  # a draw with a clash left certifies nothing
     for _ in range(cfg.max_retries):
         idx_edges = _pairing_attempt(m, degree, rng)
         if idx_edges is None:

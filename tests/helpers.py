@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections import defaultdict, deque
+from collections import deque
 from fractions import Fraction
 
 import numpy as np
@@ -357,45 +357,23 @@ def apply_full_oracle(healer, plan) -> None:
 
 
 def pairing_attempt_oracle(n: int, degree: int, rng: random.Random):
-    """``expander._pairing_attempt`` drawing through ``rng.shuffle``."""
-
-    def suitable(edges, potential) -> bool:
-        if not potential:
-            return True
-        stubs = list(potential)
-        for i, s1 in enumerate(stubs):
-            for s2 in stubs[i + 1:]:
-                if (min(s1, s2), max(s1, s2)) not in edges:
-                    return True
-        return False
-
-    edges: set[tuple[int, int]] = set()
+    """``expander._pairing_attempt`` drawing through ``rng.shuffle``: one
+    shuffle, each stub pair in order an edge unless it is a loop or
+    repeats one, and every such clash switched in afterwards."""
     stubs = list(range(n)) * degree
-    rounds = 0
-    while stubs:
-        rounds += 1
-        if rounds > 200:
-            return None
-        potential: dict[int, int] = defaultdict(int)
-        rng.shuffle(stubs)
-        it = iter(stubs)
-        for s1, s2 in zip(it, it):
-            if s1 > s2:
-                s1, s2 = s2, s1
-            if s1 != s2 and (s1, s2) not in edges:
-                edges.add((s1, s2))
-            else:
-                potential[s1] += 1
-                potential[s2] += 1
-        stubs = [node for node, count in potential.items() for _ in range(count)]
-        if not suitable(edges, potential):
-            return switch_in_oracle(edges, stubs, rng)
-    return edges
+    rng.shuffle(stubs)
+    edges, clashes = set(), []
+    for s1, s2 in zip(stubs[0::2], stubs[1::2]):
+        pair = (min(s1, s2), max(s1, s2))
+        if s1 == s2 or pair in edges:
+            clashes += pair
+        else:
+            edges.add(pair)
+    return switch_in_oracle(edges, clashes, rng) if clashes else edges
 
 
 def switch_in_oracle(edges, stubs, rng: random.Random):
-    """``expander._switch_in``: each two leftover stubs x, y take the
-    first edge (a, b), scanned cyclically from a random one, whose ends
+    """``expander._switch_in``: each two stubs x, y take the first edge (a, b), scanned cyclically from a random one, whose ends
     avoid x and y and where (x, a), (y, b) or else (x, b), (y, a) are
     both new; the edge makes way for those two."""
     def key(p, q):

@@ -128,29 +128,29 @@ def test_a_cloud_of_kappa_plus_two_needs_one_draw(kappa):
 
 
 @st.composite
-def realizable(draw):
-    """(n, degree) with degree < n <= 60 and n * degree even: every
-    such pair has a simple degree-regular graph on n nodes."""
-    degree = draw(st.integers(1, 8))
-    n = draw(st.integers(degree + 1, 60).filter(lambda n: n * degree % 2 == 0))
-    return n, degree
+def drawn_shapes(draw):
+    """(n, degree) of a pairing draw ``build_topology`` makes: a cloud of
+    m members, kappa in {4, 6, 8}, is drawn directly above 2*kappa
+    members and as the complement of degree m-1-kappa up to it."""
+    kappa = draw(st.sampled_from([4, 6, 8]))
+    m = draw(st.integers(kappa + 2, 60))
+    return m, kappa if m > 2 * kappa else m - 1 - kappa
 
 
 @settings(max_examples=150, deadline=None)
-@given(shape=realizable(), seed=st.integers(0, 2**32 - 1))
-@example(shape=(9, 8), seed=0).via("the clique: every switch has one edge to take")
-@example(shape=(13, 6), seed=1).via("the smallest directly drawn cloud")
-def test_pairing_attempt_gives_a_simple_regular_graph_or_spends_its_rounds(shape, seed):
-    # a dead end is finished by switches, so only the round cap gives None
+@given(shape=drawn_shapes(), seed=st.integers(0, 2**32 - 1))
+@example(shape=(9, 4), seed=0).via("the smallest direct draw")
+@example(shape=(13, 6), seed=1).via("the smallest directly drawn cloud at kappa 6")
+@example(shape=(16, 7), seed=2).via("the densest complement draw")
+def test_pairing_attempt_gives_a_simple_regular_graph_after_one_shuffle(shape, seed):
+    # every clash is switched in, so one shuffle is the whole draw
     n, degree = shape
     shuffles, shuffle = [], expander.partial_shuffle
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(expander, "partial_shuffle",
                    lambda items, rng: shuffles.append(1) or shuffle(items, rng))
         edges = _pairing_attempt(n, degree, random.Random(seed))
-    if edges is None:
-        assert len(shuffles) == 200
-        return
+    assert len(shuffles) == 1 and edges is not None
     assert all(0 <= u < v < n for u, v in edges)  # pairs, no loop, each once
     assert degrees(edges) == {x: degree for x in range(n)}
 
@@ -568,19 +568,26 @@ def test_splice_of_a_lost_member_and_newcomers(kappa, extra, drop, newcomers, se
 
 def test_a_merge_grows_from_a_cloud_that_lost_a_member(monkeypatch):
     # the first newcomer takes the departed member's kappa edges, each
-    # further one subdivides kappa/2 vertex-disjoint edges
+    # further one is switched in as kappa/2 pairs of its own stubs, each
+    # switch subdividing one edge
     cfg = ExpanderConfig(kappa=6, alpha_target=Fraction(1, 2))
-    subdivide, taken = expander._subdivide, []
+    switch_in, taken = expander._switch_in, []
 
-    def one_newcomer_at_a_time(pairs, newcomers, kappa, rng):
-        # the same draws and result, with each newcomer's subdivided edges kept
-        for x in newcomers:
-            grown = subdivide(pairs, [x], kappa, rng)
-            taken.append(set(pairs) - set(grown))
-            pairs = grown
-        return pairs
+    def one_newcomer_at_a_time(edges, stubs, rng):
+        # the edges each newcomer's kappa/2 switches removed, in stub order
+        removed = []
 
-    monkeypatch.setattr(expander, "_subdivide", one_newcomer_at_a_time)
+        class Logged(set):
+            def remove(self, edge):
+                removed.append(edge)
+                super().remove(edge)
+
+        grown = switch_in(Logged(edges), stubs, rng)
+        half = cfg.kappa // 2
+        taken.extend(set(removed[i:i + half]) for i in range(0, len(removed), half))
+        return set(grown)
+
+    monkeypatch.setattr(expander, "_switch_in", one_newcomer_at_a_time)
     grown = 0
     for seed in range(5):
         rng = random.Random(seed)
@@ -597,9 +604,10 @@ def test_a_merge_grows_from_a_cloud_that_lost_a_member(monkeypatch):
             by_51, by_52 = ({(ranked[a], ranked[b]) for a, b in edges} for edges in taken)
             assert len(by_51) == len(by_52) == 3
             # 50 takes the departed member's edges, none of them in
-            # scrubbed; 51 subdivides three of scrubbed or 50's, at most
-            # one of 50's as they share 50, and 52 three of any, at most
-            # one of 50's and one of 51's: so 3 to 6 of scrubbed go
+            # scrubbed; 51 subdivides three vertex-disjoint edges of
+            # scrubbed or 50's, at most one of 50's as they share 50, and
+            # 52 three of any, at most one of 50's and one of 51's: so 3
+            # to 6 of scrubbed go
             lost = scrubbed.edges - topo.edges
             assert lost == (by_51 | by_52) & scrubbed.edges
             assert len(lost) == 6 - sum(1 for u, v in by_51 | by_52 if {u, v} & {50, 51})
@@ -607,6 +615,36 @@ def test_a_merge_grows_from_a_cloud_that_lost_a_member(monkeypatch):
             assert orphans <= {end for edge in topo.edges if {50, 51, 52} & set(edge)
                                for end in edge}
     assert grown >= 4
+
+
+@settings(max_examples=60, deadline=None)
+@given(kappa=st.sampled_from([4, 6, 8]), extra=st.integers(1, 30), drop=st.booleans(),
+       newcomers=st.integers(1, 10), seed=st.integers(0, 2**32 - 1))
+@example(kappa=4, extra=1, drop=False, newcomers=10, seed=0).via("newcomers outnumber members")
+def test_splice_places_every_newcomer(kappa, extra, drop, newcomers, seed):
+    # at an alpha every connected cloud of these sizes clears (lambda2 is
+    # at least 4/(m * diameter), above 2^-10 for m <= 49, and the gate
+    # asks for just over 2 * alpha = 2^-11), a splice with
+    # newcomers never gives None: each newcomer past a replacement finds
+    # its kappa/2 switches, each removing one edge
+    cfg = ExpanderConfig(kappa=kappa, alpha_target=Fraction(1, 2**12))
+    m = kappa + 1 + extra
+    rng = random.Random(seed)
+    previous, _ = build_topology(list(range(m)), cfg, rng)
+    gone = rng.randrange(m) if drop else None
+    scrubbed = without(previous, gone)
+    joined = list(range(m, m + newcomers))
+    ranked = sorted([x for x in range(m) if x != gone] + joined)
+    topo = expander._splice(scrubbed, ranked, cfg, rng)
+    assert topo is not None and topo.kind is TopologyKind.REGULAR_EXPANDER
+    assert all(u < v for u, v in topo.edges)
+    assert degrees(topo.edges) == {x: kappa for x in ranked}
+    switched = newcomers - drop
+    lost = scrubbed.edges - topo.edges
+    assert len(lost) <= kappa // 2 * switched
+    # each lost edge was subdivided: its ends now neighbour a newcomer
+    newcomer_ends = {end for edge in topo.edges if set(edge) & set(joined) for end in edge}
+    assert {end for edge in lost for end in edge} <= newcomer_ends
 
 
 def perfect_matchings(nodes: list[int]):

@@ -42,34 +42,34 @@ from xhealsim.engine import Healer
 
 GOLDEN = {
     "uniform-0":
-        "531ba6990a46c99427ccc39b274d8296ed436f36cff9159ae04aaa2fee0dd1de",
+        "118ae7f7dea4b342815092de40814ef648077702aabd3b836255b658d1fb2aeb",
     "uniform-1":
-        "ac470d2146d0767b58fff9e8e8e7ef0d22fa0c38b613db5d7fc725073635b9c8",
+        "2f29583946eb0e1295fc2e59992fddd58e9d82813f74595035d236d3fe00ac1c",
     "uniform-2":
-        "1d222eac5ff01b142bc87687dc042df75d210a3ea3860114ac2c26b308c5216e",
+        "58355c4d386bfc284a5eee98d9b5a13be65bcfc3a9fbeafe2066161c550e559a",
     "uniform-0-drop-black-edge":
-        "1899a9a4b6cff2d48c84c4dc4ba8f644509d2a9c6985d0edca42d176c3e873d9",
+        "44c2d80bdc41a35e18b84bd2cd2a884f1ca71b88827e77d4dfebc51929945603",
     "target-bridge-3":
-        "0855e8d7a94c06546fee333ab2e3d662f07059ae1504ab9bb5f3196eb46cbf5f",
+        "e3e27187550ec33a8ef6ed2b555853e6945844901f76fecdc8c25c890cc1da41",
 }
 
 # final state after a churn-mid-sized uniform trace: n0=500, 750 events,
 # alpha 1/2, seed 0; its final clouds reach 80 members, so the
 # membership index, splices, merges grown from their largest cloud and
 # borrowed bridges are exercised at scale
-SNAPSHOT_GOLDEN = "8fabe732108f2733003f532d7cc3bfe323fae43260fd498034ef4bb4eeb023a5"
+SNAPSHOT_GOLDEN = "2b2b04f31f8001a4b5c26295eb9314d732d659190f7b68d16d2f328d83814acb"
 
 # every report's violation_detail lines, which the CSV digests omit, for
 # a faulted n0=400 uniform run (300 events, drop-black-edge, alpha 1/2,
-# a checkpoint every 50): 1071 lines, 568 of them from the density
+# a checkpoint every 50): 1095 lines, 574 of them from the density
 # checks, each naming a subset's members and its missing edges
-DETAIL_GOLDEN = "c08354c9e26b3df34c7053a0f95473295e55d3067e6787de822d869b4ca5ab87"
+DETAIL_GOLDEN = "16f26831afa6a1a553eb130c66b7c51af0360b1cfd780e4b6e9daa5038697d4e"
 
 # the CSV and every violation_detail line of a faulted n0=500 uniform run
 # (750 events, drop-black-edge, alpha 1/2, a checkpoint every 50): a
 # missing baseline edge at every checkpoint after t=0 makes each draw its
 # random density subsets, with no node over its degree budget
-DRAW_GOLDEN = "3e5384cad5bab4374d1e9c34754c407341f493f0d696d09cae72a2c36d7e0446"
+DRAW_GOLDEN = "a10f0618f820c447897b3831b7ad1832d9740d8beeeac5434115534363892f4f"
 
 
 # sha256 over every event of the membership after it: the multiset of
