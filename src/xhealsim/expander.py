@@ -92,9 +92,18 @@ class ExpanderConfig:
 
     ``kappa`` must be even (odd regular graphs are not realizable on odd
     member counts) and at least 4.  ``alpha_target`` is the expansion a
-    non-clique cloud has to certify before it is accepted.
-    ``exact_limit`` is the largest cloud certified by exact cut
-    enumeration, at most HARD_ENUMERATION_CEILING.
+    non-clique cloud has to certify before it is accepted, at most
+    kappa(kappa+4)/(2(kappa+2)): 3.75 at kappa 6, 8/3 at kappa 4.  No
+    non-clique cloud can certify more.  A kappa-regular graph on m nodes
+    has kappa*m/2 edges, and a uniformly random split into sides of
+    floor(m/2) and ceil(m/2) nodes cuts each edge with probability
+    2*floor(m/2)*ceil(m/2)/(m(m-1)), so some such split cuts at most
+    kappa*floor(m/2)*ceil(m/2)/(m-1) edges: a ratio of at most
+    kappa*ceil(m/2)/(m-1) over its smaller side.  That ratio falls with m
+    along the odd sizes and along the even ones, and at the non-clique
+    sizes m >= kappa+2 it peaks at m = kappa+3.  ``exact_limit`` is the
+    largest cloud certified by exact cut enumeration, at most
+    HARD_ENUMERATION_CEILING.
     """
 
     kappa: int = 6
@@ -107,6 +116,10 @@ class ExpanderConfig:
             raise ValueError(f"kappa must be even and >= 4, got {self.kappa}")
         if self.alpha_target <= 0:
             raise ValueError("alpha_target must be positive")
+        ceiling = Fraction(self.kappa * (self.kappa + 4), 2 * (self.kappa + 2))
+        if self.alpha_target > ceiling:
+            raise ValueError(f"alpha_target {self.alpha_target} exceeds {ceiling}, the most "
+                             f"a non-clique {self.kappa}-regular cloud can certify")
         if not 2 <= self.exact_limit <= HARD_ENUMERATION_CEILING:
             raise ValueError(f"exact_limit must be in [2, {HARD_ENUMERATION_CEILING}], "
                              f"got {self.exact_limit}")

@@ -133,6 +133,20 @@ def test_run_certification_failure_exits_3(tmp_path, capsys):
     assert "(kappa-2*sqrt(kappa-1))/2 = 0.764" in err
 
 
+def test_run_rejects_an_alpha_no_cloud_can_certify(tmp_path, capsys):
+    # no 6-regular cloud certifies above 15/4, so alpha 4 exits 2 before
+    # event 1 and writes nothing, where it once ran until the first cloud
+    # past kappa+1 members and exited 3
+    trace, out, snap = tmp_path / "t.jsonl", tmp_path / "r.csv", tmp_path / "s.json"
+    assert run_cli(["gen", "--strategy", "uniform", "--n0", "200", "--steps", "400",
+                    "--seed", "20", "-o", str(trace)]) == 0
+    code = run_cli(["run", "--trace", str(trace), "--seed", "20", "--alpha-target", "4",
+                    "-o", str(out), "--snapshot", str(snap)])
+    assert code == 2
+    assert "alpha_target 4 exceeds 15/4" in capsys.readouterr().err
+    assert not out.exists() and not snap.exists()
+
+
 def test_run_requires_trace_or_strategy(tmp_path, capsys):
     assert run_cli(["run", "-o", "-"]) == 2
 

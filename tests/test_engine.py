@@ -416,13 +416,13 @@ def test_a_plan_seeds_its_stream_only_when_it_draws(monkeypatch):
 
 
 def test_certification_failure_after_a_planned_rebuild_changes_nothing():
-    # at kappa 4 and alpha 100 only cliques (up to 5 members) certify.
-    # Deleting 0 builds the clique {1,2,3}; deleting 1 changes it and
+    # at kappa 4 and alpha 5/2 only cliques (up to 5 members) certify: no
+    # 4-regular cloud of 6 members certifies above 12/5.  Deleting 0 builds the clique {1,2,3}; deleting 1 changes it and
     # registers the secondary cloud of free node 2 and black neighbors
     # 4..8.  The design at the end rebuilds the clique over {2,3} first,
     # in id order, then fails on the secondary
     h = make_healer(list(range(9)), [(0, 1), (0, 2), (0, 3)] + [(1, b) for b in range(4, 9)],
-                    kappa=4, alpha_target=Fraction(100), max_retries=4)
+                    kappa=4, alpha_target=Fraction(5, 2), max_retries=4)
     h.handle_event(Event("del", 0))
     assert_failed_event_changes_nothing(h, Event("del", 1), 0)
     plan = Plan(h, 1)

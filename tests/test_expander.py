@@ -45,6 +45,18 @@ def test_config_validation():
         ExpanderConfig(alpha_target=Fraction(0))
 
 
+@pytest.mark.parametrize("kappa,ceiling", [(4, Fraction(8, 3)), (6, Fraction(15, 4)),
+                                           (8, Fraction(24, 5))])
+def test_config_rejects_an_alpha_no_cloud_can_certify(kappa, ceiling):
+    # kappa*ceil(m/2)/(m-1) bounds a kappa-regular cloud's expansion on m
+    # nodes; over the non-clique sizes it is largest at m = kappa+3
+    bound = max(Fraction(kappa * -(-m // 2), m - 1) for m in range(kappa + 2, 200))
+    assert bound == ceiling == Fraction(kappa * (kappa + 4), 2 * (kappa + 2))
+    assert ExpanderConfig(kappa=kappa, alpha_target=ceiling).alpha_target == ceiling
+    with pytest.raises(ValueError, match="the most a non-clique"):
+        ExpanderConfig(kappa=kappa, alpha_target=ceiling + Fraction(1, 2**40))
+
+
 def test_config_rejects_exact_limit_beyond_the_enumeration_ceiling():
     assert ExpanderConfig(exact_limit=HARD_ENUMERATION_CEILING).exact_limit == 26
     with pytest.raises(ValueError, match="exact_limit must be in"):
@@ -156,7 +168,10 @@ def test_pairing_attempt_gives_a_simple_regular_graph_after_one_shuffle(shape, s
 
 
 def test_retries_exhausted():
-    cfg = ExpanderConfig(kappa=4, alpha_target=Fraction(50), max_retries=3)
+    # 5/2 is below the bound kappa(kappa+4)/(2(kappa+2)) = 8/3 that the
+    # config checks, but above 20/9, the most a 4-regular graph on 10
+    # nodes can reach (its average half split)
+    cfg = ExpanderConfig(kappa=4, alpha_target=Fraction(5, 2), max_retries=3)
     with pytest.raises(RetriesExhausted):
         build_topology(list(range(10)), cfg, random.Random(0))
 
@@ -172,8 +187,11 @@ def on_positions(m: int, edges) -> tuple[int, np.ndarray, np.ndarray]:
 
 def gate(graph, alpha: Fraction) -> bool:
     """The spectral gate's verdict at *alpha* on a regular *graph*, given
-    as (n, degree, pairs)."""
-    return _spectral_gate(*graph, ExpanderConfig(alpha_target=alpha).gate_threshold)
+    as (n, degree, pairs).  The threshold comes from a config whose kappa
+    is the degree made even and at least 4, which admits every alpha
+    such a graph can certify."""
+    kappa = max(4, graph[1] + graph[1] % 2)
+    return _spectral_gate(*graph, ExpanderConfig(kappa=kappa, alpha_target=alpha).gate_threshold)
 
 
 def cheeger(graph) -> Fraction:
