@@ -365,21 +365,24 @@ def _pairing_attempt(n: int, degree: int, rng: random.Random) -> set[tuple[int, 
 def _switch_in(edges: set[tuple[int, int]], stubs: list[int],
                rng: random.Random) -> set[tuple[int, int]] | None:
     """*edges* with the *stubs* placed two at a time by double-edge
-    switches: stubs x and y (one node twice, or two nodes not to be
-    joined directly) and an edge (a, b) whose ends are neither x nor y
-    and where x, a and y, b are not neighbours yet become (x, a) and
-    (y, b).  The edge is the first that fits, scanning from a random
-    one, in either orientation.  Each end of the edge keeps its degree,
-    so a simple graph stays simple and each stub placed is one edge end.
-    On the pair (x, x) the switch is a subdivision: (a, b) goes, (x, a)
-    and (x, b) come.  None when no edge fits.
+    switches: stubs x and y (one node twice, or two nodes already
+    joined) and an edge (a, b) whose ends are neither x nor y and where
+    x, a and y, b are not neighbours yet become (x, a) and (y, b).  The
+    edge is the first that fits, scanning from a random one, in either
+    orientation.  Each end of the edge keeps its degree, so a simple
+    graph stays simple and each stub placed is one edge end.  On the
+    pair (x, x) the switch is a subdivision: (a, b) goes, (x, a) and
+    (x, b) come.  None when no edge fits.
 
-    A newcomer x placed as kappa/2 pairs (x, x) into a kappa-regular
-    graph of at least kappa+2 nodes always finds an edge.  Before each
-    of its switches x has at most kappa-2 neighbours, so some node a of
-    full degree is neither x nor a neighbour of x; of a's kappa
-    neighbours, none x, at most kappa-2 neighbour x, so a keeps a
-    neighbour b outside N[x] as well, and the edge (a, b) fits.
+    A newcomer x, placed as kappa/2 pairs (x, x) into a graph with more
+    than kappa-2 nodes of degree kappa, always finds an edge.  Before
+    each of its switches x has at most kappa-2 neighbours, so some node
+    a of degree kappa lies outside N[x], x and its neighbours.  None of
+    a's kappa neighbours is x and at most kappa-2 of them neighbour x,
+    so a keeps a neighbour b outside N[x], and the edge (a, b) fits.  A
+    splice meets that premise: by then every member but the newcomers
+    still to place has degree kappa, and one such member with its kappa
+    neighbours already makes kappa+1.
     """
     pool = list(edges)
     it = iter(stubs)

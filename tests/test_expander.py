@@ -550,14 +550,19 @@ def test_splice_applies_only_to_one_member_lost_from_a_regular_expander():
 
 @settings(max_examples=60, deadline=None)
 @given(kappa=st.sampled_from([4, 6, 8]), extra=st.integers(1, 30), drop=st.booleans(),
-       newcomers=st.integers(0, 6), seed=st.integers(0, 2**32 - 1))
+       newcomers=st.integers(0, 10), seed=st.integers(0, 2**32 - 1))
 @example(kappa=4, extra=1, drop=True, newcomers=6, seed=0).via("more newcomers than members")
+@example(kappa=4, extra=1, drop=False, newcomers=10, seed=0).via("newcomers only, outnumbering")
 def test_splice_of_a_lost_member_and_newcomers(kappa, extra, drop, newcomers, seed):
     # a certified cloud on 0..m-1 loses one member or none and gains
-    # newcomers m..; a splice gives None or a simple kappa-regular
-    # certified cloud on exactly the members that keeps every previous
-    # edge but those a newcomer subdivided
-    cfg = ExpanderConfig(kappa=kappa, alpha_target=Fraction(1, 2))
+    # newcomers m..; at an alpha every connected cloud of these sizes
+    # clears (lambda2 is at least 4/(m * diameter), above 2^-10 for
+    # m <= 49, and the gate asks for just over 2 * alpha = 2^-11), a
+    # splice with newcomers never gives None: each newcomer past a
+    # replacement finds its kappa/2 switches.  The result is a simple
+    # kappa-regular certified cloud on exactly the members that keeps
+    # every previous edge but those a switch removed
+    cfg = ExpanderConfig(kappa=kappa, alpha_target=Fraction(1, 2**12))
     m = kappa + 1 + extra
     rng = random.Random(seed)
     previous, _ = build_topology(list(range(m)), cfg, rng)
@@ -566,20 +571,21 @@ def test_splice_of_a_lost_member_and_newcomers(kappa, extra, drop, newcomers, se
     joined = list(range(m, m + newcomers))
     members = [x for x in range(m) if x != gone] + joined
     topo = expander._splice(scrubbed, members, cfg, rng)
-    if not drop and not newcomers:
-        assert topo is None  # nothing to mend
-    if topo is None:
-        return
-    assert topo.kind is TopologyKind.REGULAR_EXPANDER
+    if not newcomers:
+        if not drop:
+            assert topo is None  # nothing to mend
+        if topo is None:
+            return  # no re-pairing avoids the existing edges
+    assert topo is not None and topo.kind is TopologyKind.REGULAR_EXPANDER
     assert all(u < v for u, v in topo.edges)
     assert degrees(topo.edges) == {x: kappa for x in members}
-    # a subdivided edge's ends each took an edge to a newcomer, which a
-    # later newcomer may have subdivided in turn
+    # each switch removed one edge, whose ends now neighbour a newcomer
+    # (a later newcomer may have subdivided that edge in turn)
     newcomer_ends = {end for edge in topo.edges if set(edge) & set(joined) for end in edge}
-    subdivided = scrubbed.edges - topo.edges
-    assert {end for edge in subdivided for end in edge} <= newcomer_ends
+    lost = scrubbed.edges - topo.edges
+    assert {end for edge in lost for end in edge} <= newcomer_ends
     further = newcomers - drop if newcomers else 0
-    assert len(subdivided) <= kappa // 2 * further
+    assert len(lost) <= kappa // 2 * further
     assert topo.certified_expansion >= cfg.alpha_target
     assert certificate_oracle(members, topo.edges, cfg) >= cfg.alpha_target
 
@@ -592,7 +598,9 @@ def test_a_merge_grows_from_a_cloud_that_lost_a_member(monkeypatch):
     switch_in, taken = expander._switch_in, []
 
     def one_newcomer_at_a_time(edges, stubs, rng):
-        # the edges each newcomer's kappa/2 switches removed, in stub order
+        # the edges each newcomer's kappa/2 switches removed, in stub
+        # order, logged on a copy of the edge set; the copy may iterate
+        # in another order, so its picks can differ from an unlogged call
         removed = []
 
         class Logged(set):
@@ -633,36 +641,6 @@ def test_a_merge_grows_from_a_cloud_that_lost_a_member(monkeypatch):
             assert orphans <= {end for edge in topo.edges if {50, 51, 52} & set(edge)
                                for end in edge}
     assert grown >= 4
-
-
-@settings(max_examples=60, deadline=None)
-@given(kappa=st.sampled_from([4, 6, 8]), extra=st.integers(1, 30), drop=st.booleans(),
-       newcomers=st.integers(1, 10), seed=st.integers(0, 2**32 - 1))
-@example(kappa=4, extra=1, drop=False, newcomers=10, seed=0).via("newcomers outnumber members")
-def test_splice_places_every_newcomer(kappa, extra, drop, newcomers, seed):
-    # at an alpha every connected cloud of these sizes clears (lambda2 is
-    # at least 4/(m * diameter), above 2^-10 for m <= 49, and the gate
-    # asks for just over 2 * alpha = 2^-11), a splice with
-    # newcomers never gives None: each newcomer past a replacement finds
-    # its kappa/2 switches, each removing one edge
-    cfg = ExpanderConfig(kappa=kappa, alpha_target=Fraction(1, 2**12))
-    m = kappa + 1 + extra
-    rng = random.Random(seed)
-    previous, _ = build_topology(list(range(m)), cfg, rng)
-    gone = rng.randrange(m) if drop else None
-    scrubbed = without(previous, gone)
-    joined = list(range(m, m + newcomers))
-    ranked = sorted([x for x in range(m) if x != gone] + joined)
-    topo = expander._splice(scrubbed, ranked, cfg, rng)
-    assert topo is not None and topo.kind is TopologyKind.REGULAR_EXPANDER
-    assert all(u < v for u, v in topo.edges)
-    assert degrees(topo.edges) == {x: kappa for x in ranked}
-    switched = newcomers - drop
-    lost = scrubbed.edges - topo.edges
-    assert len(lost) <= kappa // 2 * switched
-    # each lost edge was subdivided: its ends now neighbour a newcomer
-    newcomer_ends = {end for edge in topo.edges if set(edge) & set(joined) for end in edge}
-    assert {end for edge in lost for end in edge} <= newcomer_ends
 
 
 def perfect_matchings(nodes: list[int]):

@@ -18,10 +18,10 @@ of a kappa-regular cloud or a clique keeps an edge of it, so the dying
 node's lost colors name its clouds whatever was drawn), so a change
 that moves only draws re-pins the report and snapshot digests but must
 leave these.  Faulted traces stay out: drop-black-edge draws the edge it
-drops.  An adaptive run's events can follow the draws: ``target-max-degree``
-deletes the node of largest live degree, where an edge two clouds share
-counts once, and ``target-bridge`` falls back to that rule whenever no
-bridge holder is alive.  So ``target-max-degree`` stays out, and
+drops.  An adaptive run's events can follow the draws:
+``target-max-degree`` deletes the node of largest live degree, where an
+edge two clouds share counts once, and ``target-bridge`` falls back to
+that rule whenever no bridge holder is alive.  So ``target-max-degree`` stays out, and
 target-bridge-3 is hashed on the trace its run realised when the digest
 was pinned (``tests/golden/target-bridge-3.jsonl``), replayed.
 """

@@ -1,0 +1,86 @@
+"""Seed ladder: replay one uniform trace per seed, engine only, and print
+one JSON line per seed.
+
+Usage, from the root of a checkout:
+
+    python tools/ladder.py --n0 200 --steps 400 --alpha 1 --seeds 0-119 [--kappa 6]
+
+Seed s replays the trace of ``xhealsim gen --strategy uniform --n0 N
+--steps T --seed s`` (insert fraction 0.4) through a healer keyed as
+``xhealsim run --seed s`` keys it, with no checkpoint.  ``--alpha``
+takes a fraction p/q; ``--seeds`` takes ranges and lists, as in
+``0-39`` or ``1,5,9-12``.  Each line holds the seed and its ``exit``: 0,
+or 3 with the ``event`` whose cloud failed to certify and that cloud's
+``size``.  Then the repair counters ``branch_*``, ``clouds_built``,
+``merges``, ``bridges_borrowed`` and ``free_node_misses``, and the
+number of ``budget_errors`` and ``coherence_errors`` lines summed over
+the state after every event applied.  Cloud membership does not depend
+on the draws, so a change that moves only draws leaves every counter
+but ``exit`` equal seed by seed, as long as both sides run the same
+events.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import random
+import re
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from xhealsim.adversary import Strategy, gen_trace  # noqa: E402
+from xhealsim.engine import Healer, budget_errors, coherence_errors  # noqa: E402
+from xhealsim.expander import ExpanderConfig, RetriesExhausted  # noqa: E402
+
+COUNTERS = ("branch_all_black", "branch_primary", "branch_secondary", "clouds_built",
+            "merges", "bridges_borrowed", "free_node_misses")
+
+
+def parse_seeds(text: str) -> list[int]:
+    seeds = []
+    for part in text.split(","):
+        low, _, high = part.partition("-")
+        seeds.extend(range(int(low), int(high or low) + 1))
+    return seeds
+
+
+def run_seed(n0: int, steps: int, cfg: ExpanderConfig, seed: int) -> dict:
+    trace = gen_trace(Strategy("uniform", insert_fraction=0.4), n0, steps, seed,
+                      kappa=cfg.kappa)
+    healer = Healer.from_initial(trace.initial_nodes, trace.initial_edges, cfg,
+                                 random.Random(f"{seed}/engine"))
+    line: dict = {"seed": seed, "exit": 0}
+    budget = coherence = 0
+    for t, event in enumerate(trace.events, start=1):
+        try:
+            healer.handle_event(event)
+        except RetriesExhausted as exc:
+            size = re.search(r"on (\d+) nodes", str(exc))
+            line.update(exit=3, event=t, size=int(size.group(1)))
+            break
+        budget += len(budget_errors(healer))
+        coherence += len(coherence_errors(healer))
+    line.update({name: getattr(healer.counters, name) for name in COUNTERS})
+    line.update(budget_errors=budget, coherence_errors=coherence)
+    return line
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--n0", type=int, required=True)
+    parser.add_argument("--steps", type=int, required=True)
+    parser.add_argument("--alpha", type=Fraction, required=True)
+    parser.add_argument("--seeds", type=parse_seeds, required=True)
+    parser.add_argument("--kappa", type=int, default=ExpanderConfig.kappa)
+    args = parser.parse_args(argv)
+    cfg = ExpanderConfig(kappa=args.kappa, alpha_target=args.alpha)
+    for seed in args.seeds:
+        print(json.dumps(run_seed(args.n0, args.steps, cfg, seed)), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
