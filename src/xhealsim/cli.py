@@ -460,13 +460,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _design_errors(healer: Healer) -> list[str]:
-    """Each regular-expander cloud's topology re-checked against its
-    members (``expander.topology_error``): ``verify`` runs it once, no
-    checkpoint does."""
+    """Each cloud's topology re-checked against what its size designs
+    (``expander.topology_error``), whatever kind it records: ``verify``
+    runs it once, no checkpoint does."""
     return [f"cloud {cid} topology {error}"
             for cid, cloud in sorted(healer.registry.clouds.items())
-            if cloud.topology.kind is TopologyKind.REGULAR_EXPANDER
-            and (error := topology_error(cloud.members, cloud.topology.edges, healer.cfg))]
+            if (error := topology_error(cloud.members, cloud.topology.edges, healer.cfg))]
 
 
 def _replay_mismatch(args: argparse.Namespace, healer: Healer, cfg: RunConfig) -> list[str]:

@@ -1,15 +1,14 @@
 """The healing state machine.
 
 Every adversarial delete is answered inside the same step by one of
-three repairs, keyed by the colors of the edges that vanished with the
-node:
+three repairs, keyed by the clouds the node leaves that keep a member,
+read from the registry (``Plan._scrub_dead_node``):
 
-* only black edges lost: the black neighbors are joined into a fresh
-  primary cloud;
-* primary cloud edges lost: each of those clouds is rebuilt over its
+* none: the black neighbors are joined into a fresh primary cloud;
+* primary clouds only: each of those clouds is rebuilt over its
   survivors, then one free node per cloud plus the black neighbors form
   a new secondary cloud;
-* secondary edges lost too: primaries are rebuilt, the secondary cloud
+* a secondary cloud too: primaries are rebuilt, the secondary cloud
   replaces its dead bridge (or everything merges into one big primary
   cloud when no free node can be found), and the remaining unbridged
   primaries get a new secondary.
@@ -352,7 +351,8 @@ class Plan:
     by the run and the dying node, which no other delete of the run
     shares (node ids are never reused), so a delete planned twice gives
     one plan.  The stream is seeded on its first draw (``LazyRandom``),
-    so a plan that designs only cliques seeds none.
+    so a plan that designs only cliques seeds none.  Its branch is keyed
+    by the dying node's clouds in the registry, never by edge colors.
 
     The registry it copied stays ``before``; the copy's ``touched`` ids
     are the plan's one record of the delete, and those clouds'
@@ -366,26 +366,24 @@ class Plan:
         self.registry = self.before.copy()
         self.counters = RepairCounters(**vars(healer.counters))
         self.next_cloud_id = healer.next_cloud_id
-        # the node whose delete is planned, the colors of the edges it
-        # takes with it by neighbour, the keys of those edges, and the
-        # neighbours of the black ones
+        # the node whose delete is planned, the keys of the edges it takes
+        # with it, and its black neighbours
         self.dying = dying
         graph = healer.graph
-        self.removed: dict[int, set[int]] = {} if dying is None else {
-            nb: graph.edge(dying, nb) for nb in sorted(graph.neighbors(dying))}
-        self.dying_keys = frozenset(edge_key(dying, nb) for nb in self.removed)
-        self.blacks = frozenset(nb for nb, colors in self.removed.items() if BLACK in colors)
+        nbs = () if dying is None else graph.neighbors(dying)
+        self.dying_keys = frozenset(edge_key(dying, nb) for nb in nbs)
+        self.blacks = frozenset(nb for nb in nbs if BLACK in graph.edge(dying, nb))
         self.primaries, self.secondaries, self.lost_role = self._scrub_dead_node()
 
     # -- bookkeeping when a node dies ------------------------------------
 
     def _scrub_dead_node(self) -> tuple[list[int], list[int], tuple[int, int] | None]:
-        """Remove the dying node from every registry structure.
+        """Remove the dying node from every registry structure, retiring
+        a cloud it leaves empty.
 
-        Returns its primary cloud ids, secondary cloud ids (read before
-        any emptied cloud retires), and the key (secondary id, primary
-        id) of the bridge entry it held, or None, all of which the
-        repair dispatch needs.
+        Returns the ids of its primary and of its secondary clouds that
+        keep a member, which select the repair, and the key (secondary
+        id, primary id) of the bridge entry it held, or None.
         """
         reg, v = self.registry, self.dying
         lost_role = reg.release(v)
@@ -393,39 +391,34 @@ class Plan:
         v_primary, v_secondary = [], []
         for cid in sorted(reg.member_of.get(v, ())):
             cloud = reg.clouds[cid]
-            (v_primary if cloud.kind is CloudKind.PRIMARY else v_secondary).append(cid)
             members, old = cloud.members - {v}, cloud.topology
+            if not members:
+                reg.retire(cid)
+                continue
+            (v_primary if cloud.kind is CloudKind.PRIMARY else v_secondary).append(cid)
             topology = CloudTopology(old.kind, old.edges - self.dying_keys,
                                      old.certified_expansion)
             reg.store(cid, Cloud(cloud.kind, members, topology))
-            if not members:
-                reg.retire(cid)
         return v_primary, v_secondary, lost_role
 
     # -- dispatch ---------------------------------------------------------
 
     def repair(self) -> None:
-        """Plan the repair branch that the dying node's lost edge colors
+        """Plan the repair branch that the clouds the dying node leaves
         select, then design the changed clouds it kept."""
         self._dispatch()
         self._design()
 
     def _dispatch(self) -> None:
-        # every lost cloud color is a cloud the dead node was a member
-        # of, so it sits in primaries or secondaries
-        lost_colors = {c for colors in self.removed.values() for c in colors if c != BLACK}
-
-        if not lost_colors:
+        if not self.primaries and not self.secondaries:
             self.counters.branch_all_black += 1
             if self.blacks:
                 self._new_cloud(self.blacks, CloudKind.PRIMARY)
             return
 
-        if not lost_colors & set(self.secondaries):
-            # a lost color sits on an edge at a surviving member, so its
-            # cloud is still registered
+        if not self.secondaries:
             self.counters.branch_primary += 1
-            self._make_secondary_cloud(lost_colors, self.blacks)
+            self._make_secondary_cloud(self.primaries, self.blacks)
             return
 
         self.counters.branch_secondary += 1
@@ -445,7 +438,7 @@ class Plan:
         bridged: set[int] = set()
         anchors: list[int] = []
         folds: list[int] = []
-        for f in sorted(set(self.secondaries)):
+        for f in self.secondaries:
             if f not in reg.clouds:
                 continue
             reachable = sorted(reg.bridged_primaries(f))
@@ -461,7 +454,7 @@ class Plan:
         fold_nodes: set[int] = set()
         for f in folds:
             fold_nodes |= reg.clouds[f].members
-        loose = sorted(self.blacks | fold_nodes)
+        loose = self.blacks | fold_nodes
         if not loose and len(participants) <= 1:
             # a single self-contained region (or none) needs no tie;
             # folds always carry members, so none are pending here
@@ -472,25 +465,23 @@ class Plan:
 
     # -- repair subroutines ----------------------------------------------
 
-    def _make_secondary_cloud(self, cloud_ids: Iterable[int],
+    def _make_secondary_cloud(self, cloud_ids: Sequence[int],
                               extra_members: Iterable[int]) -> None:
         """Bridge one free node per participant cloud, plus any loose
         nodes (black neighbors, folded members), into a fresh secondary
         cloud.  If any participant has no reachable free node,
-        everything merges instead.  The participants are registered and
-        at least one participant or loose node is given."""
-        cids = sorted(set(cloud_ids))
-        extras = sorted(set(extra_members))
+        everything merges instead.  The participants, in id order, are
+        registered and at least one participant or loose node is given."""
         picks: dict[int, int] = {}
         reserved: set[int] = set()
-        for cid in cids:
+        for cid in cloud_ids:
             free = self._pick_free_node(cid, reserved)
             if free is None:
-                self._merge_into_primary(cids, extra_nodes=extras)
+                self._merge_into_primary(cloud_ids, extra_nodes=extra_members)
                 return
             picks[cid] = free
             reserved.add(free)
-        members = sorted(set(picks.values()) | set(extras))
+        members = set(picks.values()).union(extra_members)
         fid = self._new_cloud(members, CloudKind.SECONDARY)
         # loose nodes bridge nothing: a dead neighbor pays for their slot
         for cid in sorted(picks):
@@ -517,19 +508,18 @@ class Plan:
         return None
 
     def _merge_into_primary(self, cloud_ids: Sequence[int],
-                            extra_nodes: Sequence[int]) -> int:
-        """Collapse the listed clouds, which must be registered, and any
+                            extra_nodes: Iterable[int]) -> int:
+        """Collapse the listed clouds, registered and in id order, and any
         loose nodes into one fresh primary cloud, retiring the clouds.
         The merge is designed from the largest of their regular-expander
         topologies, the others' members joining it as newcomers (see
         ``expander._splice``), or drawn afresh when that fails."""
-        live = sorted(set(cloud_ids))
-        clouds = [self.registry.clouds[cid] for cid in live]
+        clouds = [self.registry.clouds[cid] for cid in cloud_ids]
         union = set(extra_nodes).union(*(cloud.members for cloud in clouds))
         largest = max((c.topology for c in clouds
                        if c.topology.kind is TopologyKind.REGULAR_EXPANDER),
                       key=lambda topology: len(topology.edges), default=UNDESIGNED)
-        for cid in live:
+        for cid in cloud_ids:
             self.registry.retire(cid)
         self.counters.merges += 1
         return self._new_cloud(union, CloudKind.PRIMARY, grow_from=largest)

@@ -68,7 +68,15 @@ class ZeroNodes(ExpanderError):
 
 
 class RetriesExhausted(ExpanderError):
-    pass
+    """No candidate certified the cloud of ``size`` members; ``best`` is their best certificate."""
+
+    def __init__(self, message: str, size: int, best: Fraction) -> None:
+        super().__init__(message)
+        self.size, self.best = size, best
+
+    def __reduce__(self):
+        # a --jobs worker's exception is pickled back to the parent
+        return type(self), (self.args[0], self.size, self.best)
 
 
 class TopologyKind(Enum):
@@ -502,16 +510,19 @@ def _splice(previous: CloudTopology, ranked: list[int], cfg: ExpanderConfig,
 
 def topology_error(members: frozenset[int], edges: frozenset[EdgeKey],
                    cfg: ExpanderConfig) -> str | None:
-    """Why *edges* is not a regular-expander cloud ``build_topology``
-    could have accepted on *members*, or None.
+    """Why *edges* is not a topology ``build_topology`` could have
+    designed on *members*, whatever kind the cloud records, or None.
 
-    An independent re-check of a design, for a loaded snapshot: the
-    edges must form a simple kappa-regular graph on exactly *members*
-    and clear ``alpha_target`` as the design did, by the spectral gate
-    or, failing it, by the exact expansion up to ``exact_limit``
-    members.  One factorization at most, unless the cloud fails.
+    An independent re-check of a design, for a loaded snapshot: up to
+    kappa+1 members the clique on them; beyond, a simple kappa-regular
+    graph on exactly *members* that clears ``alpha_target`` as the
+    design did, by the spectral gate or, failing it, by the exact
+    expansion up to ``exact_limit`` members.  One factorization at most.
     """
     ranked = sorted(members)
+    if len(ranked) <= cfg.kappa + 1:
+        clique = edges == frozenset(itertools.combinations(ranked, 2))
+        return None if clique else f"is not the clique on its {len(ranked)} members"
     index = {x: i for i, x in enumerate(ranked)}
     pairs = []
     for a, b in sorted(edges):
@@ -593,5 +604,6 @@ def build_topology(
         f"no {cfg.kappa}-regular candidate on {m} nodes certified "
         f"expansion >= {cfg.alpha_target} within {cfg.max_retries} tries "
         f"(best certificate {float(best):.3f}; large random {cfg.kappa}-regular "
-        f"ceiling (kappa-2*sqrt(kappa-1))/2 = {ceiling:.3f})"
+        f"ceiling (kappa-2*sqrt(kappa-1))/2 = {ceiling:.3f})",
+        m, best,
     )

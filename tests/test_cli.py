@@ -458,21 +458,24 @@ def test_verify_reports_an_incoherent_snapshot_line_by_line(tmp_path, capsys):
     # printed and the exit is 1, not a usage error
     data = small_snapshot(tmp_path)
     dead = min(set(data["shadow"]["nodes"]) - set(data["shadow"]["alive"]))
+    # each damage, and the design lines verify prints after the coherence ones
     broken = {
-        "dead-cloud-member": lambda d: d["clouds"][0]["members"].append(dead),
-        "extra-alive": lambda d: d["shadow"]["alive"].append(dead),
-        "alive-never-seen": lambda d: d["shadow"]["alive"].append(10**6),
+        "dead-cloud-member": (lambda d: d["clouds"][0]["members"].append(dead),
+                              ["cloud 0 topology is not the clique on its 2 members"]),
+        "extra-alive": (lambda d: d["shadow"]["alive"].append(dead), []),
+        "alive-never-seen": (lambda d: d["shadow"]["alive"].append(10**6), []),
     }
-    for name, damage in broken.items():
+    for name, (damage, design) in broken.items():
         victim = copy.deepcopy(data)
         damage(victim)
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(victim))
-        expected = coherence_errors(cli.load_snapshot(victim)[0])
+        incoherent = coherence_errors(cli.load_snapshot(victim)[0])
+        expected = incoherent + design
         capsys.readouterr()
         assert run_cli(["verify", "--snapshot", str(path)]) == 1, name
         lines = capsys.readouterr().err.splitlines()
-        assert expected, name
+        assert incoherent, name
         assert lines[:len(expected)] == [f"VIOLATION {e}" for e in expected], name
         assert lines[len(expected):] == [lines[-1]], name
         assert lines[-1].startswith("VIOLATION metrics: not evaluated (node "), name
@@ -706,3 +709,32 @@ def test_verify_recertifies_each_expander_clouds_topology(tmp_path, capsys):
         design = [line for line in capsys.readouterr().err.splitlines()
                   if line.startswith(f"VIOLATION cloud {cid} topology ")]
         assert len(design) == 1 and design[0].endswith(message), (name, design)
+
+
+def test_verify_checks_a_cloud_by_its_size_not_its_recorded_kind(tmp_path, capsys):
+    trace, snap = tmp_path / "t.jsonl", tmp_path / "s.json"
+    run_cli(["gen", "--strategy", "uniform", "--n0", "200", "--steps", "300",
+             "--seed", "3", "-o", str(trace)])
+    run_cli(["run", "--trace", str(trace), "--seed", "3", "--alpha-target", "1/2",
+             "--snapshot", str(snap), "-o", str(tmp_path / "r.csv")])
+    data = json.loads(snap.read_text())
+    cloud = next(c for c in data["clouds"] if c["id"] == 192)
+    assert len(cloud["members"]) == 39 and len(cloud["topology"]["edges"]) == 117
+    # drop 59 of its edges, and its color on them
+    dropped = {tuple(e) for e in cloud["topology"]["edges"][:59]}
+    cloud["topology"]["edges"] = cloud["topology"]["edges"][59:]
+    for record in data["edges"]:
+        if (record["u"], record["v"]) in dropped:
+            record["colors"].remove(192)
+    data["edges"] = [record for record in data["edges"] if record["colors"]]
+    lines = {}
+    for kind in ("regular_expander", "clique"):
+        cloud["topology"]["kind"] = kind
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert run_cli(["verify", "--snapshot", str(path)]) == 1, kind
+        lines[kind] = [line for line in capsys.readouterr().err.splitlines()
+                       if line.startswith("VIOLATION cloud 192 topology ")]
+    assert lines["clique"] == lines["regular_expander"]
+    assert len(lines["clique"]) == 1 and "is not 6-regular" in lines["clique"][0]

@@ -19,7 +19,7 @@ from xhealsim.engine import (
     expected_edge_state,
 )
 from xhealsim.expander import ExpanderConfig, RetriesExhausted, TopologyKind, build_topology
-from xhealsim.graph import BLACK
+from xhealsim.graph import BLACK, edge_key
 from helpers import changed_oracle, is_connected
 
 
@@ -48,7 +48,34 @@ def test_plan_blacks_are_the_dying_nodes_black_neighbours():
     h2.graph.recolor([], [(1, [(0, 1), (0, 2)])])
     plan = Plan(h2, 0)
     assert plan.blacks == {1}
-    assert plan.removed == {1: {BLACK, 1}, 2: {1}}
+    assert plan.dying_keys == {(0, 1), (0, 2)}
+
+
+def test_plan_branch_follows_cloud_membership_not_edge_colors():
+    # a node that sits in one cloud and bridges nothing, with that cloud's
+    # color stripped from its edges, still takes the branch of the cloud's
+    # kind: the repair reads membership from the registry
+    trace = gen_trace(Strategy("uniform", insert_fraction=0.4), 50, 120, 4)
+    h = Healer.from_initial(trace.initial_nodes, trace.initial_edges, ExpanderConfig(),
+                            random.Random("4/engine"))
+    for event in trace.events:
+        h.handle_event(event)
+    reg = h.registry
+    for kind, branch in ((CloudKind.PRIMARY, "branch_primary"),
+                         (CloudKind.SECONDARY, "branch_secondary")):
+        v, cid = next((v, cid) for v in sorted(h.shadow.alive)
+                      if v not in reg.holder and len(reg.member_of.get(v, ())) == 1
+                      for cid in reg.member_of[v] if reg.clouds[cid].kind is kind)
+        colored = [edge_key(v, nb) for nb in h.graph.neighbors(v)
+                   if cid in h.graph.edge(v, nb)]
+        assert colored, kind
+        h.graph.recolor([(cid, colored)], [])
+        errs = coherence_errors(h)
+        assert all(any(e.startswith(f"edge {key} ") for e in errs) for key in colored), kind
+        plan = Plan(h, v)
+        plan.repair()
+        assert getattr(plan.counters, branch) == getattr(h.counters, branch) + 1, kind
+        assert plan.counters.branch_all_black == h.counters.branch_all_black, kind
 
 
 def test_insert_wires_black_edges_only():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 import random
 import tracemalloc
 from collections import Counter
@@ -172,8 +173,15 @@ def test_retries_exhausted():
     # config checks, but above 20/9, the most a 4-regular graph on 10
     # nodes can reach (its average half split)
     cfg = ExpanderConfig(kappa=4, alpha_target=Fraction(5, 2), max_retries=3)
-    with pytest.raises(RetriesExhausted):
+    with pytest.raises(RetriesExhausted) as info:
         build_topology(list(range(10)), cfg, random.Random(0))
+    exc = info.value
+    assert exc.size == 10 and 0 < exc.best <= Fraction(20, 9)
+    assert "on 10 nodes" in str(exc) and f"(best certificate {float(exc.best):.3f};" in str(exc)
+    # the --jobs pool re-raises a worker's exception in the parent
+    twin = pickle.loads(pickle.dumps(exc))
+    assert type(twin) is RetriesExhausted and str(twin) == str(exc)
+    assert (twin.size, twin.best) == (exc.size, exc.best)
 
 
 GATE_ALPHAS = [Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(3, 4), Fraction(1)]

@@ -13,10 +13,10 @@ flips a draw's verdict.
 
 The membership digests hash, after every event of an unfaulted trace,
 which clouds exist and who bridges what, and nothing of their edges or
-ids.  Cloud membership does not depend on the edges drawn (every member
-of a kappa-regular cloud or a clique keeps an edge of it, so the dying
-node's lost colors name its clouds whatever was drawn), so a change
-that moves only draws re-pins the report and snapshot digests but must
+ids.  Cloud membership does not depend on the edges drawn: a repair is
+keyed by the clouds the dying node leaves, read from the registry, and
+decides membership before it designs any topology.  So a change that
+moves only draws re-pins the report and snapshot digests but must
 leave these.  Faulted traces stay out: drop-black-edge draws the edge it
 drops.  An adaptive run's events can follow the draws:
 ``target-max-degree`` deletes the node of largest live degree, where an

@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import json
 import random
-import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -58,8 +57,7 @@ def run_seed(n0: int, steps: int, cfg: ExpanderConfig, seed: int) -> dict:
         try:
             healer.handle_event(event)
         except RetriesExhausted as exc:
-            size = re.search(r"on (\d+) nodes", str(exc))
-            line.update(exit=3, event=t, size=int(size.group(1)))
+            line.update(exit=3, event=t, size=exc.size)
             break
         budget += len(budget_errors(healer))
         coherence += len(coherence_errors(healer))
