@@ -136,7 +136,7 @@ def next_event(strategy: Strategy, state: "Healer", rng: random.Random) -> Event
     if rng.random() < strategy.insert_fraction:
         return _insert_event(alive, next_id, strategy.insert_degree, rng)
     if strategy.name == "target-bridge":
-        holders = sorted(state.registry.holder.keys() & state.shadow.alive)
+        holders = sorted(state.registry.bridges.keys() & state.shadow.alive)
         if holders:
             return Event("del", holders[0])
         # fall through to the max-degree rule

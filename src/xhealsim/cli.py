@@ -13,7 +13,8 @@ Exit codes: 0 all checks passed, 1 an invariant was violated, 2 usage,
 I/O, or parse errors, 3 a cloud could not be certified within its
 retries: the failed repair plan is dropped, so the healer is as it was
 before the failing event, and each later delete draws what it would
-have drawn had that event never been tried.
+have drawn had that event never been tried.  ``run --seeds`` runs every
+seed and exits with the worst code of its seeds.
 """
 from __future__ import annotations
 
@@ -222,7 +223,7 @@ def snapshot_state(healer: Healer, seed: int, cfg: RunConfig | None = None) -> d
             "alive": sorted(healer.shadow.alive),
         },
         "clouds": clouds,
-        "bridges": sorted([f, c, node] for (f, c), node in healer.registry.bridges.items()),
+        "bridges": sorted([f, c, node] for node, (f, c) in healer.registry.bridges.items()),
         "last_black_neighbors": sorted(healer.last_black_neighbors),
         "counters": healer.counters.as_dict(),
     }
@@ -252,8 +253,9 @@ def load_snapshot(data: dict) -> tuple[Healer, RunConfig]:
     (checked as ``decode_trace`` checks node ids, with no coercion), a
     checkpoint setting that is not positive, a certificate that is not
     a non-negative fraction string, and an alive id, cloud id, bridge
-    key or topology edge listed twice, which a set or a dict would drop
-    unseen; semantic damage surfaces in coherence checks."""
+    key, bridge holder or topology edge listed twice, which a set or a
+    dict would drop unseen; semantic damage surfaces in coherence
+    checks."""
     if not isinstance(data, dict):
         raise ValueError("snapshot is not a JSON object")
     if data.get("v") != SNAPSHOT_VERSION:
@@ -301,10 +303,12 @@ def load_snapshot(data: dict) -> tuple[Healer, RunConfig]:
         cloud = Cloud(CloudKind(entry["kind"]),
                       frozenset(node_ids(entry["members"], f"cloud {cid} members")), topology)
         healer.registry.store(cid, cloud)
+    listed: set[tuple[int, int]] = set()
     for f, c, node in node_id_rows(data["bridges"], 3, "bridges"):
-        if (f, c) in healer.registry.bridges:
+        if (f, c) in listed:
             raise ValueError(f"bridge entry ({f},{c}) is listed twice")
-        healer.registry.bridge(f, c, node)
+        listed.add((f, c))
+        healer.registry.bridge(f, c, node)  # raises for a node listed twice
     healer.next_cloud_id = _snapshot_count(data["next_cloud_id"], "next_cloud_id")
     healer.last_black_neighbors = set(node_ids(data["last_black_neighbors"],
                                                "last_black_neighbors"))
@@ -352,17 +356,23 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_one_seed(args: argparse.Namespace, seed: int) -> tuple[int, list[str]]:
+def _run_one_seed(args: argparse.Namespace, seed: int) -> tuple[int, list[str], str]:
+    """Run one seed: its exit code, its lines for stderr, and its CSV
+    when ``-o -`` sends that to stdout (else "").  A cloud that cannot
+    be certified ends the seed with code 3 and writes none of its files."""
     cfg = _run_config(args, seed)
-    if args.trace:
-        trace = decode_trace(Path(args.trace).read_text(encoding="utf-8"))
-        healer, reports = run_trace(trace, cfg, fault=args.fault)
-        recorded = trace
-    else:
-        strategy = Strategy(args.strategy, insert_fraction=args.insert_fraction,
-                            insert_degree=args.insert_degree)
-        healer, reports, recorded = run_adaptive(strategy, args.n0, args.steps,
-                                                 cfg, fault=args.fault)
+    try:
+        if args.trace:
+            trace = decode_trace(Path(args.trace).read_text(encoding="utf-8"))
+            healer, reports = run_trace(trace, cfg, fault=args.fault)
+            recorded = trace
+        else:
+            strategy = Strategy(args.strategy, insert_fraction=args.insert_fraction,
+                                insert_degree=args.insert_degree)
+            healer, reports, recorded = run_adaptive(strategy, args.n0, args.steps,
+                                                     cfg, fault=args.fault)
+    except RetriesExhausted as exc:
+        return 3, [f"error: {exc}"], ""
     if args.record:
         Path(_expand_seed(args.record, seed)).write_text(
             encode_trace(recorded), encoding="utf-8")
@@ -370,14 +380,12 @@ def _run_one_seed(args: argparse.Namespace, seed: int) -> tuple[int, list[str]]:
         payload = json.dumps(snapshot_state(healer, seed, cfg), sort_keys=True)
         Path(_expand_seed(args.snapshot, seed)).write_text(payload, encoding="utf-8")
     csv_text = render_report_csv(reports)
-    if args.out == "-":
-        sys.stdout.write(csv_text)
-    else:
+    if args.out != "-":
         Path(_expand_seed(args.out, seed)).write_text(csv_text, encoding="utf-8")
+        csv_text = ""
     violations = [line for rep in reports for line in rep.violation_detail]
-    coherence = coherence_errors(healer)
-    violations.extend(f"coherence: {err}" for err in coherence)
-    return (1 if violations else 0), violations
+    violations.extend(f"coherence: {err}" for err in coherence_errors(healer))
+    return (1 if violations else 0), [f"VIOLATION {line}" for line in violations], csv_text
 
 
 def _expand_seed(path: str, seed: int) -> str:
@@ -406,7 +414,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             if len(seeds) > 1 and path and "{seed}" not in path:
                 print(f"multiple seeds need '{{seed}}' in {flag}", file=sys.stderr)
                 return 2
-    results: list[tuple[int, list[str]]] = []
+    results: list[tuple[int, list[str], str]] = []
     # the pool starts all its workers at once, so start no more than seeds
     workers = min(args.jobs, len(seeds))
     if workers > 1:
@@ -417,14 +425,16 @@ def cmd_run(args: argparse.Namespace) -> int:
         for seed in seeds:
             results.append(_run_one_seed(args, seed))
     worst = 0
-    for (code, violations), seed in zip(results, seeds):
-        for line in violations:
-            print(f"seed {seed}: VIOLATION {line}", file=sys.stderr)
+    # in seed order, whichever worker finished first
+    for (code, lines, csv_text), seed in zip(results, seeds):
+        sys.stdout.write(csv_text)
+        for line in lines:
+            print(f"seed {seed}: {line}", file=sys.stderr)
         worst = max(worst, code)
     return worst
 
 
-def _run_seed_worker(packed: tuple[dict, int]) -> tuple[int, list[str]]:
+def _run_seed_worker(packed: tuple[dict, int]) -> tuple[int, list[str], str]:
     arg_dict, seed = packed
     return _run_one_seed(argparse.Namespace(**arg_dict), seed)
 

@@ -22,17 +22,17 @@ draw is spent on a cloud the repair does not keep.  A rebuilt expander
 cloud is spliced from its topology scrubbed of the dead member, and a merge grows from
 the largest merged expander topology (``expander._splice``); only when
 that fails is the cloud drawn whole (``expander.build_topology``).  A
-free node is one that holds no bridge entry (``CloudRegistry.holder``
-says which nodes do) and has a slot left in its cloud budget: a node may
-be held by at most one cloud more than it has dead baseline neighbors
-(``budget_errors``), which keeps the degree bound.
+free node is one that holds no bridge entry (``CloudRegistry.bridges``
+is keyed by the nodes that do) and has a slot left in its cloud budget:
+a node may be held by at most one cloud more than it has dead baseline
+neighbors (``budget_errors``), which keeps the degree bound.
 
 Each delete is planned as one value, a ``Plan`` with its own registry,
 counters, next cloud id and draws; the healer then takes its state and
 applies it to the graph, so a plan that raises (a cloud that cannot be
 certified) is dropped with nothing to restore.  Most of a delete's work
 grows with the clouds it touches, not with the clouds the run has
-registered: the dying node's bridge role is one index lookup, its
+registered: the dying node's bridge role is one dict lookup, its
 stream is seeded only if a design draws, and the edge step walks only
 the clouds the plan touched.  The registry copy, and the bridge scans
 of ``CloudRegistry.retire`` and ``bridged_primaries``, still grow with
@@ -50,7 +50,6 @@ stripped, so no black edge goes.
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
@@ -91,30 +90,28 @@ class Cloud:
 
 class CloudRegistry:
     """Who is in which cloud and which node bridges what; a node that
-    holds a bridge entry is busy.  The clouds, keyed by id, and
-    ``bridges`` are the record; the ``member_of`` and ``holder`` indexes
-    are derived from them, and ``touched`` holds the ids ``store`` and
-    ``retire`` wrote since the registry was made.  Only the methods
-    below write these fields, and none of the last three is saved."""
+    holds a bridge entry is busy, and holds only that one.  The clouds,
+    keyed by id, and ``bridges``, keyed by the node holding each entry,
+    are the record; the ``member_of`` index is derived from the clouds,
+    and ``touched`` holds the ids ``store`` and ``retire`` wrote since
+    the registry was made.  Only the methods below write these fields,
+    and neither of the last two is saved."""
 
     def __init__(self) -> None:
         self.clouds: dict[int, Cloud] = {}
         # node -> ids of the clouds holding it; kept by store and retire
         self.member_of: dict[int, frozenset[int]] = {}
-        # (secondary id, primary id) -> the node representing that primary
-        self.bridges: dict[tuple[int, int], int] = {}
-        # node -> the key of the bridge entry it holds; kept by bridge,
-        # release and retire
-        self.holder: dict[int, tuple[int, int]] = {}
+        # node -> (secondary id, primary id): the node represents that
+        # primary in that secondary
+        self.bridges: dict[int, tuple[int, int]] = {}
         self.touched: set[int] = set()
 
     def copy(self) -> "CloudRegistry":
         """New dicts sharing the clouds and index entries, which are
         replaced, never mutated; the copy has touched nothing yet."""
         twin = CloudRegistry()
-        twin.clouds, twin.member_of, twin.bridges, twin.holder = (
-            self.clouds.copy(), self.member_of.copy(), self.bridges.copy(),
-            self.holder.copy())
+        twin.clouds, twin.member_of, twin.bridges = (
+            self.clouds.copy(), self.member_of.copy(), self.bridges.copy())
         return twin
 
     def store(self, cid: int, cloud: Cloud) -> None:
@@ -134,28 +131,21 @@ class CloudRegistry:
         self.touched.add(cid)
         for node in cloud.members:
             self._unindex(node, cid)
-        for key in [k for k in self.bridges if cid in k]:
-            node = self.bridges.pop(key)
-            if self.holder.get(node) == key:
-                del self.holder[node]
+        for node in [n for n, key in self.bridges.items() if cid in key]:
+            del self.bridges[node]
 
     def bridge(self, secondary: int, primary: int, node: int) -> None:
-        """Let *node* represent *primary* in *secondary*, in place of
-        whoever did."""
-        key = (secondary, primary)
-        old = self.bridges.get(key)
-        if old is not None and self.holder.get(old) == key:
-            del self.holder[old]
-        self.bridges[key] = node
-        self.holder[node] = key
+        """Let *node*, which must hold no bridge entry, represent
+        *primary* in *secondary*; raises ValueError when it holds one."""
+        if node in self.bridges:
+            f, c = self.bridges[node]
+            raise ValueError(f"node {node} already holds bridge entry ({f},{c})")
+        self.bridges[node] = (secondary, primary)
 
     def release(self, node: int) -> tuple[int, int] | None:
         """Drop the bridge entry *node* holds and return its key, or
         None when it holds none."""
-        key = self.holder.pop(node, None)
-        if key is not None:
-            del self.bridges[key]
-        return key
+        return self.bridges.pop(node, None)
 
     def _unindex(self, node: int, cid: int) -> None:
         held = self.member_of[node] - {cid}
@@ -165,7 +155,7 @@ class CloudRegistry:
             del self.member_of[node]
 
     def bridged_primaries(self, secondary_id: int) -> set[int]:
-        return {c for (f, c) in self.bridges if f == secondary_id}
+        return {c for f, c in self.bridges.values() if f == secondary_id}
 
     def validation_errors(self, alive: set[int]) -> list[str]:
         errs = []
@@ -181,24 +171,18 @@ class CloudRegistry:
             for u, v in sorted(e for e in cloud.topology.edges
                                if e[0] not in members or e[1] not in members):
                 errs.append(f"cloud {cid} topology edge ({u},{v}) leaves member set")
-        for (f, c), node in self.bridges.items():
+        holders: dict[tuple[int, int], list[int]] = {}
+        for node, (f, c) in self.bridges.items():
+            holders.setdefault((f, c), []).append(node)
             if f not in self.clouds or self.clouds[f].kind is not CloudKind.SECONDARY:
                 errs.append(f"bridge entry ({f},{c}) has no secondary cloud")
             elif node not in self.clouds[f].members:
                 errs.append(f"bridge {node} of ({f},{c}) is not in the secondary cloud")
             if c not in self.clouds or self.clouds[c].kind is not CloudKind.PRIMARY:
                 errs.append(f"bridge entry ({f},{c}) has no primary cloud")
-        held = Counter(self.bridges.values())
-        for node, count in sorted(held.items()):
-            if count > 1:
-                errs.append(f"node {node} holds {count} bridge entries")
-        # a node holding several entries is indexed under one of them
-        for node in sorted(set(held) - set(self.holder)):
-            errs.append(f"node {node} holds a bridge entry but is not indexed as its holder")
-        for node, (f, c) in sorted(self.holder.items()):
-            if self.bridges.get((f, c)) != node:
-                errs.append(f"node {node} indexed as holding bridge entry ({f},{c}), "
-                            f"which it does not hold")
+        for (f, c), nodes in sorted(holders.items()):
+            if len(nodes) > 1:
+                errs.append(f"bridge entry ({f},{c}) is held by nodes {sorted(nodes)}")
         for node in sorted(set(indexed) | set(self.member_of)):
             if indexed.get(node, set()) != self.member_of.get(node, set()):
                 errs.append(f"node {node} indexed in clouds "
@@ -532,9 +516,9 @@ class Plan:
         slot left for the cloud it is drafted into (``_has_free_slot``).
         """
         reg = self.registry
-        cloud, holder = reg.clouds[cid], reg.holder
+        cloud, bridges = reg.clouds[cid], reg.bridges
         for node in sorted(cloud.members):
-            if node not in holder and node not in reserved and self._has_free_slot(node):
+            if node not in bridges and node not in reserved and self._has_free_slot(node):
                 return node
         primary = CloudKind.PRIMARY
         sharing = {other for node in cloud.members for other in reg.member_of[node]}
@@ -543,7 +527,7 @@ class Plan:
             node
             for other in sharing if reg.clouds[other].kind is primary
             for node in reg.clouds[other].members
-            if node not in holder and node not in reserved
+            if node not in bridges and node not in reserved
         })
         for node in candidates:
             if self._has_free_slot(node):

@@ -118,19 +118,25 @@ def test_run_fault_detected(tmp_path, capsys):
 
 def test_run_certification_failure_exits_3(tmp_path, capsys):
     # alpha_target=1 cannot be certified on the 80-node cloud that event
-    # 304 of this trace needs
+    # 304 of this trace needs under seed 38; seed 39 certifies every
+    # cloud, and still runs, in order or in parallel
     trace = tmp_path / "t.jsonl"
     assert run_cli(["gen", "--strategy", "uniform", "--n0", "200", "--steps", "400",
                     "--seed", "38", "-o", str(trace)]) == 0
-    code = run_cli(["run", "--trace", str(trace), "--seed", "38",
-                    "-o", str(tmp_path / "r.csv")])
-    assert code == 3
-    err = capsys.readouterr().err
-    assert "certified expansion" in err
-    # the cloud size, the best certificate over the draws and the ceiling
-    best = re.search(r"on (\d+) nodes .* \(best certificate (0\.\d{3});", err)
-    assert best and int(best.group(1)) > 20 and float(best.group(2)) < 1
-    assert "(kappa-2*sqrt(kappa-1))/2 = 0.764" in err
+    for jobs in ("1", "2"):
+        out = tmp_path / jobs
+        out.mkdir()
+        code = run_cli(["run", "--trace", str(trace), "--seeds", "38,39", "--jobs", jobs,
+                        "-o", str(out / "r{seed}.csv")])
+        assert code == 3, jobs
+        err = capsys.readouterr().err
+        assert err.startswith("seed 38: error: ") and "certified expansion" in err, jobs
+        # the cloud size, the best certificate over the draws and the ceiling
+        best = re.search(r"on (\d+) nodes .* \(best certificate (0\.\d{3});", err)
+        assert best and int(best.group(1)) > 20 and float(best.group(2)) < 1, jobs
+        assert "(kappa-2*sqrt(kappa-1))/2 = 0.764" in err, jobs
+        # the failing seed writes nothing; the other writes its report
+        assert [p.name for p in out.iterdir()] == ["r39.csv"], jobs
 
 
 def test_run_rejects_an_alpha_no_cloud_can_certify(tmp_path, capsys):
@@ -398,8 +404,9 @@ def test_verify_missing_or_malformed_snapshot(tmp_path, capsys):
 
 
 def test_verify_flags_a_node_listed_for_two_bridge_entries(tmp_path, capsys):
-    # the snapshot lists bridge entries, not who holds which, so a node
-    # listed twice loads and is reported once, as coherence_errors does
+    # a node holds one bridge entry at most, and the registry keys each
+    # entry by its holder, so a node listed twice is refused on load, as
+    # a repeated entry key is
     data = small_snapshot(tmp_path)
     members = {cloud["id"]: set(cloud["members"]) for cloud in data["clouds"]}
     entry, node = next((b, a[2]) for a in data["bridges"] for b in data["bridges"]
@@ -408,9 +415,10 @@ def test_verify_flags_a_node_listed_for_two_bridge_entries(tmp_path, capsys):
     path = tmp_path / "twice.json"
     path.write_text(json.dumps(data))
     capsys.readouterr()
-    assert run_cli(["verify", "--snapshot", str(path)]) == 1
+    assert run_cli(["verify", "--snapshot", str(path)]) == 2
     captured = capsys.readouterr()
-    assert captured.err.splitlines() == [f"VIOLATION node {node} holds 2 bridge entries"]
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"malformed snapshot: node {node} already holds bridge entry")
     assert captured.out == ""
 
 
@@ -620,6 +628,21 @@ def test_run_parallel_jobs_match_sequential(tmp_path):
         assert ((tmp_path / f"par{seed}.csv").read_bytes()
                 == (tmp_path / f"seq{seed}.csv").read_bytes())
 
+
+def test_run_parallel_jobs_print_reports_in_seed_order(tmp_path, capfd):
+    # with -o -, each seed's CSV goes to stdout in the order of --seeds,
+    # not in the order the workers finish; capfd also sees what a worker
+    # process would write
+    trace = tmp_path / "t.jsonl"
+    run_cli(["gen", "--strategy", "uniform", "--n0", "50", "--steps", "300",
+             "--seed", "7", "-o", str(trace)])
+    stdouts = []
+    for jobs in ("1", "2"):
+        capfd.readouterr()
+        assert run_cli(["run", "--trace", str(trace), "--seeds", "1,2,3,4",
+                        "--jobs", jobs, "-o", "-"]) == 0
+        stdouts.append(capfd.readouterr().out)
+    assert stdouts[0] == stdouts[1]
 
 
 def test_run_starts_no_more_workers_than_seeds(tmp_path, monkeypatch, capsys):

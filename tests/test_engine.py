@@ -28,6 +28,12 @@ def make_healer(nodes, edges, seed=0, fault=None, **cfg):
                                random.Random(f"{seed}/engine"), fault=fault)
 
 
+def held_by(h, secondary, primary):
+    """The node holding bridge entry (*secondary*, *primary*)."""
+    (node,) = [n for n, key in h.registry.bridges.items() if key == (secondary, primary)]
+    return node
+
+
 def plan_and_apply(h, planner, *args):
     """Run one repair planner outside an event as a delete runs its
     plan: plan on a ``Plan``, design the clouds it changed, take its
@@ -64,7 +70,7 @@ def test_plan_branch_follows_cloud_membership_not_edge_colors():
     for kind, branch in ((CloudKind.PRIMARY, "branch_primary"),
                          (CloudKind.SECONDARY, "branch_secondary")):
         v, cid = next((v, cid) for v in sorted(h.shadow.alive)
-                      if v not in reg.holder and len(reg.member_of.get(v, ())) == 1
+                      if v not in reg.bridges and len(reg.member_of.get(v, ())) == 1
                       for cid in reg.member_of[v] if reg.clouds[cid].kind is kind)
         colored = [edge_key(v, nb) for nb in h.graph.neighbors(v)
                    if cid in h.graph.edge(v, nb)]
@@ -159,9 +165,9 @@ def test_primary_only_deletion_rebuilds_and_bridges():
                    if c.kind is CloudKind.SECONDARY]
     assert len(secondaries) == 1
     (fid,) = secondaries
-    bridge = h.registry.bridges[(fid, pid)]
+    bridge = held_by(h, fid, pid)
     assert bridge in primary.members
-    assert h.registry.bridges == {(fid, pid): bridge}
+    assert h.registry.bridges == {bridge: (fid, pid)}
     assert coherence_errors(h) == []
 
 
@@ -188,7 +194,7 @@ def test_secondary_branch_repairs_bridge_loss():
     assert h.counters.branch_primary == 1
     # the survivor 2 bridges P1; the loose black neighbor 4 bridges nothing
     (fid,) = [cid for cid, c in h.registry.clouds.items() if c.kind is CloudKind.SECONDARY]
-    assert h.registry.bridges == {(fid, p1): 2}
+    assert h.registry.bridges == {2: (fid, p1)}
     assert h.registry.clouds[fid].members == {2, 4}
     h.handle_event(Event("del", 2))     # branch 3: 2 carries secondary color
     assert h.counters.branch_secondary == 1
@@ -269,7 +275,7 @@ def test_a_bridge_whose_primary_merges_away_is_free_again():
     p1, p2 = sorted(h.registry.clouds)
     plan_and_apply(h, "_make_secondary_cloud", [p1], [2, 4])
     (fid,) = [cid for cid, c in h.registry.clouds.items() if c.kind is CloudKind.SECONDARY]
-    assert h.registry.bridges == {(fid, p1): 1}
+    assert h.registry.bridges == {1: (fid, p1)}
     # no free node bridges P1 (1 bridges, 2 and 4 are at their budgets),
     # so P1 and P2 merge; retiring P1 drops 1's entry while F survives
     plan_and_apply(h, "_make_secondary_cloud", [p1, p2], [])
@@ -283,7 +289,7 @@ def test_a_bridge_whose_primary_merges_away_is_free_again():
     plan_and_apply(h, "_make_secondary_cloud", [merged], [])
     assert h.counters.merges == 1
     (new,) = set(h.registry.clouds) - {fid, merged}
-    assert h.registry.bridges == {(new, merged): 1}
+    assert h.registry.bridges == {1: (new, merged)}
     assert coherence_errors(h) == []
 
 
@@ -307,48 +313,51 @@ def trio_of_bridged_primaries():
 
 def test_fix_secondary_replaces_dead_bridge():
     h, (p1, p2, p3), fid = trio_of_bridged_primaries()
-    bridge2 = h.registry.bridges[(fid, p2)]
-    others = {h.registry.bridges[(fid, p1)], h.registry.bridges[(fid, p3)]}
+    bridge2 = held_by(h, fid, p2)
+    others = {held_by(h, fid, p1), held_by(h, fid, p3)}
     h.handle_event(Event("del", bridge2))
     assert h.counters.branch_secondary == 1
-    replacement = h.registry.bridges[(fid, p2)]
+    replacement = held_by(h, fid, p2)
     assert replacement != bridge2
     assert replacement in h.registry.clouds[p2].members
-    assert list(h.registry.bridges.values()).count(replacement) == 1
+    assert h.registry.bridges[replacement] == (fid, p2)
     assert others <= h.registry.clouds[fid].members
     assert replacement in h.registry.clouds[fid].members
     assert coherence_errors(h) == []
     assert is_connected(h.graph)
 
 
-def test_coherence_flags_a_node_holding_two_bridge_entries():
-    # busy means holding a bridge entry, which stands for one role only
-    # while no node holds two
+def test_bridge_refuses_a_node_that_holds_an_entry():
+    # busy means holding a bridge entry, which stands for one role only,
+    # so drafting a busy node again is refused, with nothing written
     h, (p1, p2, p3), fid = trio_of_bridged_primaries()
-    bridge1 = h.registry.bridges[(fid, p1)]
-    h.registry.bridge(fid, p2, bridge1)
-    assert coherence_errors(h) == [f"node {bridge1} holds 2 bridge entries"]
+    bridge1 = held_by(h, fid, p1)
+    before = cli.snapshot_state(h, 0)
+    with pytest.raises(ValueError, match=f"node {bridge1} already holds bridge entry "
+                                         rf"\({fid},{p1}\)"):
+        h.registry.bridge(fid, p2, bridge1)
+    assert cli.snapshot_state(h, 0) == before
+    assert coherence_errors(h) == []
 
 
-def test_coherence_flags_a_holder_index_that_disagrees_with_the_bridge_entries():
-    # the index says who is busy and whose death costs a bridge, so it
-    # must name each holder's entry and nothing else
+def test_coherence_flags_a_bridge_entry_held_by_two_nodes():
+    # an entry names one representative of its primary; a second holder
+    # is a second bridge the secondary cannot tell from the first
     h, (p1, p2, p3), fid = trio_of_bridged_primaries()
-    bridge1 = h.registry.bridges[(fid, p1)]
-    del h.registry.holder[bridge1]
-    h.registry.holder[99] = (fid, p2)
+    bridge1, bridge2 = held_by(h, fid, p1), held_by(h, fid, p2)
+    h.registry.release(bridge2)
+    h.registry.bridge(fid, p1, bridge2)
     assert coherence_errors(h) == [
-        f"node {bridge1} holds a bridge entry but is not indexed as its holder",
-        f"node 99 indexed as holding bridge entry ({fid},{p2}), which it does not hold"]
+        f"bridge entry ({fid},{p1}) is held by nodes {sorted([bridge1, bridge2])}"]
 
 
 def test_fix_secondary_merges_when_no_replacement_exists():
     h, (p1, p2, p3), fid = trio_of_bridged_primaries()
-    bridge2 = h.registry.bridges[(fid, p2)]
+    bridge2 = held_by(h, fid, p2)
     # exhaust every free node the dead bridge's cloud could draw on: a
     # second secondary cloud drafts every member the first one left free
     plan_and_apply(h, "_make_secondary_cloud", [p1, p2, p3], [])
-    assert set(h.registry.bridges.values()) == {1, 2, 4, 5, 7, 8}
+    assert set(h.registry.bridges) == {1, 2, 4, 5, 7, 8}
     h.handle_event(Event("del", bridge2))
     assert fid not in h.registry.clouds
     assert h.counters.merges >= 1
@@ -565,7 +574,7 @@ def test_a_plan_that_is_not_taken_changes_nothing():
     # rebuilds, drafts a replacement and counts, all on its own copies
     h, (p1, p2, p3), fid = trio_of_bridged_primaries()
     before = cli.snapshot_state(h, 0)
-    plan = Plan(h, h.registry.bridges[(fid, p2)])
+    plan = Plan(h, held_by(h, fid, p2))
     plan.repair()
     assert plan.counters.branch_secondary == 1
     assert plan.counters.clouds_rebuilt + plan.counters.clouds_spliced > (
@@ -720,7 +729,7 @@ def test_a_cloud_that_loses_one_member_is_spliced_with_kappa_half_new_edges():
 
 
 # the registry's fields, and the calls that change a dict or set in place
-REGISTRY_FIELDS = {"clouds", "member_of", "bridges", "holder", "touched"}
+REGISTRY_FIELDS = {"clouds", "member_of", "bridges", "touched"}
 MUTATORS = {"pop", "popitem", "update", "clear", "setdefault", "add", "discard", "remove",
             "difference_update", "intersection_update", "symmetric_difference_update"}
 
@@ -813,13 +822,13 @@ def test_only_the_registry_methods_write_its_fields():
               for path in sorted(package.glob("*.py"))}
     assert {name: lines for name, lines in writes.items() if lines} == {}
     # the check sees each kind of write, directly and through an alias
-    for body in ["h.registry.clouds[3] = c", "reg.member_of = {}", "del reg.holder[n]",
-                 "reg.bridges.pop(k)", "reg.touched |= {1}", "reg.clouds.update(o)",
+    for body in ["h.registry.clouds[3] = c", "reg.member_of = {}", "del reg.bridges[n]",
+                 "reg.bridges.pop(n)", "reg.touched |= {1}", "reg.clouds.update(o)",
                  "held = reg.member_of\nheld[n] = frozenset()",
-                 "cloud, holder = c, reg.holder\ndel holder[n]",
+                 "cloud, bridges = c, reg.bridges\ndel bridges[n]",
                  "touched: set[int] = reg.touched\ntouched.add(1)"]:
         assert registry_writes("def f(reg):\n    " + body.replace("\n", "\n    ")) != [], body
     assert registry_writes("class CloudRegistry:\n"
                            "    def f(self):\n        self.clouds[1] = 2") == []
-    assert registry_writes("def f(reg):\n    holder = reg.holder\n    holder = {}\n"
-                           "    holder[1] = 2\n    return reg.clouds.get(1)") == []
+    assert registry_writes("def f(reg):\n    bridges = reg.bridges\n    bridges = {}\n"
+                           "    bridges[1] = 2\n    return reg.clouds.get(1)") == []

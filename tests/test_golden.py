@@ -30,6 +30,7 @@ import hashlib
 import io
 import json
 import random
+import sys
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
@@ -39,6 +40,9 @@ import pytest
 from xhealsim import cli
 from xhealsim.adversary import Strategy, decode_trace, gen_trace
 from xhealsim.engine import Healer
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+from ladder import Membership  # noqa: E402
 
 GOLDEN = {
     "uniform-0":
@@ -72,9 +76,7 @@ DETAIL_GOLDEN = "16f26831afa6a1a553eb130c66b7c51af0360b1cfd780e4b6e9daa5038697d4
 DRAW_GOLDEN = "a10f0618f820c447897b3831b7ad1832d9740d8beeeac5434115534363892f4f"
 
 
-# sha256 over every event of the membership after it: the multiset of
-# (kind, sorted members) over the live clouds and each bridge entry as
-# (its node, its secondary's and its primary's member sets)
+# sha256 over every event of the membership after it (``ladder.Membership``)
 MEMBERSHIP_GOLDEN = {
     "uniform-0":
         "70e8c0db43397a337391af5702b0a4c2bf4073a2034e911d676ea15fccabc403",
@@ -92,26 +94,12 @@ TRACES = Path(__file__).resolve().parent / "golden"
 
 def replay_membership(healer: Healer, events) -> str:
     """Drive *healer* through *events* and hash its membership after
-    each.  A cloud is hashed only when ``registry.clouds`` holds another
-    object for its id than after the event before: the registry replaces
-    a cloud it changes and shares every other."""
-    out = hashlib.sha256()
-    seen: dict = {}
-    names: dict[int, str] = {}  # cloud id -> digest of (kind, sorted members)
+    each, as the seed ladder does."""
+    membership = Membership()
     for event in events:
         healer.handle_event(event)
-        clouds = healer.registry.clouds
-        for cid in names.keys() - clouds.keys():
-            del names[cid]
-        for cid, cloud in clouds.items():
-            if seen.get(cid) is not cloud:
-                text = f"{cloud.kind.value}:{sorted(cloud.members)}"
-                names[cid] = hashlib.sha256(text.encode()).hexdigest()
-        seen = dict(clouds)
-        entries = sorted(f"{node}:{names[f]}:{names[c]}"
-                         for (f, c), node in healer.registry.bridges.items())
-        out.update(f"{','.join(sorted(names.values()))}/{','.join(entries)}\n".encode())
-    return out.hexdigest()
+        membership.update(healer.registry)
+    return membership.hexdigest()
 
 
 def csv_digest(reports) -> str:

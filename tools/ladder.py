@@ -14,14 +14,16 @@ or 3 with the ``event`` whose cloud failed to certify and that cloud's
 ``size``.  Then the repair counters ``branch_*``, ``clouds_built``,
 ``merges``, ``bridges_borrowed`` and ``free_node_misses``, and the
 number of ``budget_errors`` and ``coherence_errors`` lines summed over
-the state after every event applied.  Cloud membership does not depend
-on the draws, so a change that moves only draws leaves every counter
-but ``exit`` equal seed by seed, as long as both sides run the same
-events.
+the state after every event applied, and the ``membership`` digest of
+those states (``Membership``), which ``tests/test_golden.py`` pins.
+Cloud membership does not depend on the draws, so a change that moves
+only draws leaves every counter but ``exit``, and the digest, equal
+seed by seed, as long as both sides run the same events.
 """
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import random
 import sys
@@ -36,6 +38,37 @@ from xhealsim.expander import ExpanderConfig, RetriesExhausted  # noqa: E402
 
 COUNTERS = ("branch_all_black", "branch_primary", "branch_secondary", "clouds_built",
             "merges", "bridges_borrowed", "free_node_misses")
+
+
+class Membership:
+    """sha256 over a run's events of the membership after each: the
+    multiset of (kind, sorted members) over the live clouds and each
+    bridge entry as (its node, its secondary's and its primary's member
+    sets), and nothing of the clouds' edges or ids.  A cloud is hashed
+    only when ``registry.clouds`` holds another object for its id than
+    at the last ``update``: the registry replaces a cloud it changes and
+    shares every other."""
+
+    def __init__(self) -> None:
+        self.digest = hashlib.sha256()
+        self.seen: dict = {}
+        self.names: dict[int, str] = {}  # cloud id -> digest of (kind, sorted members)
+
+    def update(self, registry) -> None:
+        clouds, names = registry.clouds, self.names
+        for cid in names.keys() - clouds.keys():
+            del names[cid]
+        for cid, cloud in clouds.items():
+            if self.seen.get(cid) is not cloud:
+                text = f"{cloud.kind.value}:{sorted(cloud.members)}"
+                names[cid] = hashlib.sha256(text.encode()).hexdigest()
+        self.seen = dict(clouds)
+        entries = sorted(f"{node}:{names[f]}:{names[c]}"
+                         for node, (f, c) in registry.bridges.items())
+        self.digest.update(f"{','.join(sorted(names.values()))}/{','.join(entries)}\n".encode())
+
+    def hexdigest(self) -> str:
+        return self.digest.hexdigest()
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -53,6 +86,7 @@ def run_seed(n0: int, steps: int, cfg: ExpanderConfig, seed: int) -> dict:
                                  random.Random(f"{seed}/engine"))
     line: dict = {"seed": seed, "exit": 0}
     budget = coherence = 0
+    membership = Membership()
     for t, event in enumerate(trace.events, start=1):
         try:
             healer.handle_event(event)
@@ -61,8 +95,10 @@ def run_seed(n0: int, steps: int, cfg: ExpanderConfig, seed: int) -> dict:
             break
         budget += len(budget_errors(healer))
         coherence += len(coherence_errors(healer))
+        membership.update(healer.registry)
     line.update({name: getattr(healer.counters, name) for name in COUNTERS})
-    line.update(budget_errors=budget, coherence_errors=coherence)
+    line.update(budget_errors=budget, coherence_errors=coherence,
+                membership=membership.hexdigest())
     return line
 
 
