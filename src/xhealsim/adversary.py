@@ -8,6 +8,7 @@ online against the engine, one event at a time.
 """
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import json
@@ -187,20 +188,21 @@ def gen_trace(strategy: Strategy, n0: int, steps: int, seed: int,
     check_run_length(strategy, n0, steps)
     rng = random.Random(f"{seed}/trace")
     nodes, edges = initial_graph(n0, rng, extra_edge_frac)
-    alive = set(nodes)
+    # sorted: ids only rise, so an insert appends and a delete bisects
+    alive = list(nodes)
     next_id = n0
     events: list[Event] = []
     for _ in range(steps):
         if not alive:
             ev = Event("ins", next_id, ())
         else:
-            ev = _oblivious_event(strategy, sorted(alive), next_id, rng)
+            ev = _oblivious_event(strategy, alive, next_id, rng)
         events.append(ev)
         if ev.is_insert:
-            alive.add(ev.node)
+            alive.append(ev.node)
             next_id = ev.node + 1
         else:
-            alive.discard(ev.node)
+            del alive[bisect.bisect_left(alive, ev.node)]
     params = {
         "insert_fraction": strategy.insert_fraction,
         "insert_degree": strategy.insert_degree,
@@ -293,6 +295,9 @@ def decode_trace(text: str) -> Trace:
             raise ParseError(1, f"header missing {key!r}")
         if type(header[key]) is not kind:
             raise ParseError(1, f"header {key!r} must be a JSON {kind.__name__}")
+    params = header.get("params", {})
+    if type(params) is not dict:
+        raise ParseError(1, "header 'params' must be a JSON object")
 
     init = _parse_line(2, lines[1])
     if "nodes" not in init or "edges" not in init:
@@ -329,7 +334,7 @@ def decode_trace(text: str) -> Trace:
         else:
             raise ParseError(line_no, f"unknown op {op!r}")
     return Trace(header["kappa"], header["seed"], header["strategy"],
-                 dict(header.get("params", {})), nodes, edges, events)
+                 params, nodes, edges, events)
 
 
 def insert_error(node: int, nbrs: tuple[int, ...], used: Container[int], max_node: int | None,

@@ -2,7 +2,8 @@
 
 Every adversarial delete is answered inside the same step by one of
 three repairs, keyed by the clouds the node leaves that keep a member,
-read from the registry (``Plan._scrub_dead_node``):
+read from the registry (``Plan._scrub_dead_node``).  Its black
+neighbors are its alive baseline neighbors (``ShadowGraph``).
 
 * none: the black neighbors are joined into a fresh primary cloud;
 * primary clouds only: each of those clouds is rebuilt over its
@@ -23,9 +24,9 @@ cloud is spliced from its topology scrubbed of the dead member, and a merge grow
 the largest merged expander topology (``expander._splice``); only when
 that fails is the cloud drawn whole (``expander.build_topology``).  A
 free node is one that holds no bridge entry (``CloudRegistry.bridges``
-is keyed by the nodes that do) and has a slot left in its cloud budget:
-a node may be held by at most one cloud more than it has dead baseline
-neighbors (``budget_errors``), which keeps the degree bound.
+is keyed by the nodes that do) and no more clouds than it has dead
+baseline neighbors: a node may hold one cloud more (``budget_errors``),
+which keeps the degree bound.
 
 Each delete is planned as one value, a ``Plan`` with its own registry,
 counters, next cloud id and draws; the healer then takes its state and
@@ -56,7 +57,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .adversary import Event, insert_error
-from .expander import CloudTopology, ExpanderConfig, TopologyKind, build_topology
+from .expander import CloudTopology, ExpanderConfig, RetriesExhausted, TopologyKind, build_topology
 from .graph import (
     BLACK,
     ColoredGraph,
@@ -255,7 +256,11 @@ class Healer:
         else:
             if event.node not in self.shadow.alive:
                 raise InvalidEvent(f"delete of non-alive node {event.node}")
-            self._delete(event.node)
+            try:
+                self._delete(event.node)
+            except RetriesExhausted as exc:
+                where = f"event {self.counters.events + 1} deletes node {event.node}"
+                raise RetriesExhausted(f"{where}: {exc}", exc.size, exc.best) from None
         self.counters.events += 1
 
     def _insert(self, event: Event) -> None:
@@ -335,8 +340,9 @@ class Plan:
     by the run and the dying node, which no other delete of the run
     shares (node ids are never reused), so a delete planned twice gives
     one plan.  The stream is seeded on its first draw (``LazyRandom``),
-    so a plan that designs only cliques seeds none.  Its branch is keyed
-    by the dying node's clouds in the registry, never by edge colors.
+    so a plan that designs only cliques seeds none.  Its branch, black
+    neighbors and free nodes come from the registry and the baseline,
+    never from edge colors; the graph gives only the dying node's edges.
 
     The registry it copied stays ``before``; the copy's ``touched`` ids
     are the plan's one record of the delete, and those clouds'
@@ -350,13 +356,13 @@ class Plan:
         self.registry = self.before.copy()
         self.counters = RepairCounters(**vars(healer.counters))
         self.next_cloud_id = healer.next_cloud_id
-        # the node whose delete is planned, the keys of the edges it takes
-        # with it, and its black neighbours
+        # the node whose delete is planned, the keys of the live edges it
+        # takes with it, and its black neighbours, its alive baseline ones
         self.dying = dying
-        graph = healer.graph
-        nbs = () if dying is None else graph.neighbors(dying)
+        nbs = () if dying is None else healer.graph.neighbors(dying)
         self.dying_keys = frozenset(edge_key(dying, nb) for nb in nbs)
-        self.blacks = frozenset(nb for nb in nbs if BLACK in graph.edge(dying, nb))
+        self.blacks = frozenset(() if dying is None
+                                else self.shadow.neighbors(dying) & self.shadow.alive)
         self.primaries, self.secondaries, self.lost_role = self._scrub_dead_node()
 
     # -- bookkeeping when a node dies ------------------------------------
@@ -537,18 +543,13 @@ class Plan:
         return None
 
     def _has_free_slot(self, node: int) -> bool:
-        """Whether *node* may be drafted into one more cloud by the
-        repair of ``dying`` and keep its cloud budget (see
-        ``budget_errors``).
-
-        Its clouds held, plus one when it is a black neighbor of the
-        dying node (it also joins that repair's new secondary cloud as a
-        loose member), must not exceed its dead baseline neighbors,
-        counting the dying node.
-        """
-        held = len(self.registry.member_of.get(node, ())) + (node in self.blacks)
-        dead = self.shadow.dead_degree(node) + (self.dying in self.shadow.neighbors(node))
-        return held <= dead
+        """Whether *node* may be drafted into one more cloud and keep its
+        cloud budget (see ``budget_errors``): the clouds it holds must
+        not exceed its dead baseline neighbors.  The delete adds one to
+        each side of a baseline neighbor of the dying node, a dead
+        neighbor and a loose membership in the repair's new cloud (it is
+        a black neighbor), so the rule reads state only."""
+        return len(self.registry.member_of.get(node, ())) <= self.shadow.dead_degree(node)
 
     # -- clouds the repair changes -------------------------------------------
 

@@ -130,7 +130,8 @@ def test_run_certification_failure_exits_3(tmp_path, capsys):
                         "-o", str(out / "r{seed}.csv")])
         assert code == 3, jobs
         err = capsys.readouterr().err
-        assert err.startswith("seed 38: error: ") and "certified expansion" in err, jobs
+        assert err.startswith("seed 38: error: event 304 deletes node 73: "), jobs
+        assert "certified expansion" in err, jobs
         # the cloud size, the best certificate over the draws and the ceiling
         best = re.search(r"on (\d+) nodes .* \(best certificate (0\.\d{3});", err)
         assert best and int(best.group(1)) > 20 and float(best.group(2)) < 1, jobs
@@ -536,6 +537,11 @@ def test_run_rejects_malformed_trace_input_before_event_1(tmp_path, capsys):
                       "line 3: node True is not a non-negative integer"),
         "string-kappa": ([header.replace("6", '"6"'), initial, first],
                          "line 1: header 'kappa' must be a JSON int"),
+        # a string params was passed to dict() and a list of pairs taken as one
+        "string-params": ([header.replace("{}", '"ab"'), initial, first],
+                          "line 1: header 'params' must be a JSON object"),
+        "list-params": ([header.replace("{}", '[["a",1]]'), initial, first],
+                        "line 1: header 'params' must be a JSON object"),
         # the healer's insert rules, checked before event 1 too
         "insert-repeats-a-neighbour": (
             [header, initial, first, '{"t":2,"op":"del","node":3}',

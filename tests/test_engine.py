@@ -56,6 +56,14 @@ def test_plan_blacks_are_the_dying_nodes_black_neighbours():
     assert plan.blacks == {1}
     assert plan.dying_keys == {(0, 1), (0, 2)}
 
+    # a black edge stripped from the graph, as drop-black-edge strips
+    # one: its baseline neighbour is still a black neighbour, and its key
+    # leaves the dying node's edges
+    h.graph.recolor([(BLACK, [(0, 2)])], [])
+    plan = Plan(h, 0)
+    assert plan.blacks == {1, 2, 3}
+    assert plan.dying_keys == {(0, 1), (0, 3)}
+
 
 def test_plan_branch_follows_cloud_membership_not_edge_colors():
     # a node that sits in one cloud and bridges nothing, with that cloud's
@@ -691,21 +699,16 @@ def test_budget_errors_name_a_node_over_its_budget():
         "over its budget of 1 dead baseline neighbors + 1" for x in (1, 2, 3)]
 
 
-def test_free_slot_counts_the_dying_node_and_a_loose_membership():
-    # 4 lost its baseline neighbor 3 and holds two clouds, a full budget.
-    # The dying node 5 is also its baseline neighbor and pays for one
-    # more cloud, unless 4 is one of 5's black neighbors, which join the
-    # new secondary as loose members anyway
+def test_free_slot_compares_held_clouds_with_dead_baseline_neighbours():
+    # 4 lost its baseline neighbor 3 and holds two clouds, a full budget;
+    # once its baseline neighbor 5 is dead too it has a slot left
     h = make_healer(list(range(6)), [(3, 0), (3, 4), (4, 5), (5, 1)])
     h.handle_event(Event("del", 3))  # primary {0, 4}
     (pid,) = h.registry.clouds
     h.registry.store(pid + 1, h.registry.clouds[pid])
-    plan = Plan(h)
-    assert not plan._has_free_slot(4)  # 2 held, 1 dead
-    plan.dying = 5
-    assert plan._has_free_slot(4)  # 2 held, 2 dead counting the dying node
-    plan.blacks = frozenset({1, 4})
-    assert not plan._has_free_slot(4)  # 2 held and 1 loose, 2 dead
+    assert not Plan(h)._has_free_slot(4)  # 2 held, 1 dead
+    h.shadow.alive.remove(5)
+    assert Plan(h)._has_free_slot(4)  # 2 held, 2 dead
 
 
 def test_a_cloud_that_loses_one_member_is_spliced_with_kappa_half_new_edges():

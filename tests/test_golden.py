@@ -17,8 +17,11 @@ ids.  Cloud membership does not depend on the edges drawn: a repair is
 keyed by the clouds the dying node leaves, read from the registry, and
 decides membership before it designs any topology.  So a change that
 moves only draws re-pins the report and snapshot digests but must
-leave these.  Faulted traces stay out: drop-black-edge draws the edge it
-drops.  An adaptive run's events can follow the draws:
+leave these.  Nor does membership read edge colors: black neighbours and
+free nodes come from the baseline, so drop-black-edge, which strips a
+drawn black edge from the graph after each delete, changes the graph
+only, and its runs of the uniform traces are held to the clean digests.
+An adaptive run's events can follow the draws:
 ``target-max-degree`` deletes the node of largest live degree, where an
 edge two clouds share counts once, and ``target-bridge`` falls back to
 that rule whenever no bridge holder is alive.  So ``target-max-degree`` stays out, and
@@ -52,7 +55,7 @@ GOLDEN = {
     "uniform-2":
         "58355c4d386bfc284a5eee98d9b5a13be65bcfc3a9fbeafe2066161c550e559a",
     "uniform-0-drop-black-edge":
-        "44c2d80bdc41a35e18b84bd2cd2a884f1ca71b88827e77d4dfebc51929945603",
+        "12eebab5b10c7f2dc6a169673dc43be0d29f364cdd533cb0810182e0652dd57d",
     "target-bridge-3":
         "e3e27187550ec33a8ef6ed2b555853e6945844901f76fecdc8c25c890cc1da41",
 }
@@ -65,15 +68,15 @@ SNAPSHOT_GOLDEN = "2b2b04f31f8001a4b5c26295eb9314d732d659190f7b68d16d2f328d83814
 
 # every report's violation_detail lines, which the CSV digests omit, for
 # a faulted n0=400 uniform run (300 events, drop-black-edge, alpha 1/2,
-# a checkpoint every 50): 1095 lines, 574 of them from the density
+# a checkpoint every 50): 1094 lines, 569 of them from the density
 # checks, each naming a subset's members and its missing edges
-DETAIL_GOLDEN = "16f26831afa6a1a553eb130c66b7c51af0360b1cfd780e4b6e9daa5038697d4e"
+DETAIL_GOLDEN = "23a208ef889ae0574cca8c418d15e5ed45d42f9e653148a1a0e90991a7b0d45c"
 
 # the CSV and every violation_detail line of a faulted n0=500 uniform run
 # (750 events, drop-black-edge, alpha 1/2, a checkpoint every 50): a
 # missing baseline edge at every checkpoint after t=0 makes each draw its
 # random density subsets, with no node over its degree budget
-DRAW_GOLDEN = "a10f0618f820c447897b3831b7ad1832d9740d8beeeac5434115534363892f4f"
+DRAW_GOLDEN = "4c49bdf8ce7ffed4c1228b7a6d6a21f3f01d97a2e1ba59670ea48c03777f54b7"
 
 
 # sha256 over every event of the membership after it (``ladder.Membership``)
@@ -123,7 +126,7 @@ def run_case(name: str):
     return reports
 
 
-def membership_case(name: str) -> str:
+def membership_case(name: str, fault: str | None = None) -> str:
     if name.startswith("target-bridge"):
         trace = decode_trace((TRACES / f"{name}.jsonl").read_text(encoding="utf-8"))
         seed = trace.seed
@@ -132,7 +135,7 @@ def membership_case(name: str) -> str:
         trace = gen_trace(Strategy("uniform", insert_fraction=0.4), 50, 300, seed)
     healer = Healer.from_initial(trace.initial_nodes, trace.initial_edges,
                                  cli.RunConfig(seed=seed).expander(),
-                                 random.Random(f"{seed}/engine"))
+                                 random.Random(f"{seed}/engine"), fault=fault)
     return replay_membership(healer, trace.events)
 
 
@@ -157,6 +160,14 @@ def test_report_csv_matches_golden_digest(name):
 @pytest.mark.parametrize("name", sorted(MEMBERSHIP_GOLDEN.keys() - {"snapshot-trace"}))
 def test_membership_matches_golden_digest(name):
     assert membership_case(name) == MEMBERSHIP_GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", ["uniform-0", "uniform-1", "uniform-2"])
+def test_dropped_black_edges_leave_the_clean_membership(name):
+    # the fault strips a black edge from the graph after each delete; a
+    # repair reads black neighbours and free nodes from the baseline, so
+    # every event's clouds and bridges are the clean run's
+    assert membership_case(name, fault="drop-black-edge") == MEMBERSHIP_GOLDEN[name]
 
 
 def test_final_snapshot_matches_golden_digest():

@@ -12,6 +12,9 @@ from xhealsim import cli
 REGRESSIONS = Path(__file__).resolve().parent / "regressions"
 
 EXPECTED_EXIT = {
+    # a header whose params is the number 5 crashed decode_trace with a
+    # TypeError traceback and exit 1, the code of a violated invariant
+    "header-params-not-an-object.jsonl": 2,
     # initial node 2**63 was decoded and crashed the first checkpoint
     # with an OverflowError from graph.Csr.of, exit 1
     "huge-node-id.jsonl": 2,
