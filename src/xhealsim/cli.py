@@ -59,13 +59,12 @@ from .expander import (
     ExpanderConfig,
     ExpanderError,
     RetriesExhausted,
-    TopologyKind,
     topology_error,
 )
 from .graph import BLACK, ColoredGraph, GraphError, ShadowGraph, edge_key
 from .metrics import MetricsReport, evaluate
 
-SNAPSHOT_VERSION = 4
+SNAPSHOT_VERSION = 5
 
 # one column per scalar report field, then one per repair counter
 _METRIC_COLUMNS = [f.name for f in fields(MetricsReport)
@@ -74,12 +73,8 @@ _COUNTER_COLUMNS = [f.name for f in fields(RepairCounters)]
 REPORT_COLUMNS = _METRIC_COLUMNS + _COUNTER_COLUMNS
 
 
-@dataclass
-class RunConfig:
-    kappa: int = ExpanderConfig.kappa
-    alpha_target: Fraction = ExpanderConfig.alpha_target
-    exact_limit: int = ExpanderConfig.exact_limit
-    max_retries: int = ExpanderConfig.max_retries
+@dataclass(frozen=True)
+class RunConfig(ExpanderConfig):
     seed: int = 0
     checkpoint_every: int = 10
     density_samples: int = 100
@@ -87,6 +82,7 @@ class RunConfig:
     stretch_constant: int = 4
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         for name in ("checkpoint_every", "density_samples", "stretch_pairs",
                      "stretch_constant"):
             if getattr(self, name) < 1:
@@ -203,7 +199,6 @@ def snapshot_state(healer: Healer, seed: int, cfg: RunConfig | None = None) -> d
             "kind": cloud.kind.value,
             "members": sorted(cloud.members),
             "topology": {
-                "kind": cloud.topology.kind.value,
                 "edges": [[u, v] for u, v in sorted(cloud.topology.edges)],
                 "certified": _fmt_fraction(cloud.topology.certified_expansion),
             },
@@ -294,12 +289,8 @@ def load_snapshot(data: dict) -> tuple[Healer, RunConfig]:
         edges = frozenset(keys)
         if len(edges) < len(keys):
             raise ValueError(f"cloud {cid} topology lists an edge twice")
-        topology = CloudTopology(
-            kind=TopologyKind(topo["kind"]),
-            edges=edges,
-            certified_expansion=_snapshot_fraction(topo["certified"],
-                                                   f"cloud {cid} certificate"),
-        )
+        topology = CloudTopology(edges, _snapshot_fraction(topo["certified"],
+                                                           f"cloud {cid} certificate"))
         cloud = Cloud(CloudKind(entry["kind"]),
                       frozenset(node_ids(entry["members"], f"cloud {cid} members")), topology)
         healer.registry.store(cid, cloud)
@@ -471,8 +462,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def _design_errors(healer: Healer) -> list[str]:
     """Each cloud's topology re-checked against what its size designs
-    (``expander.topology_error``), whatever kind it records: ``verify``
-    runs it once, no checkpoint does."""
+    (``expander.topology_error``): run by ``verify``, by no checkpoint."""
     return [f"cloud {cid} topology {error}"
             for cid, cloud in sorted(healer.registry.clouds.items())
             if (error := topology_error(cloud.members, cloud.topology.edges, healer.cfg))]

@@ -21,8 +21,8 @@ which reads a topology; then every cloud the repair touched
 still registered is designed once, in id order (``Plan._design``), so no
 draw is spent on a cloud the repair does not keep.  A rebuilt expander
 cloud is spliced from its topology scrubbed of the dead member, and a merge grows from
-the largest merged expander topology (``expander._splice``); only when
-that fails is the cloud drawn whole (``expander.build_topology``).  A
+the largest merged topology that is not a clique (``expander._splice``);
+only when that fails is the cloud drawn whole (``build_topology``).  A
 free node is one that holds no bridge entry (``CloudRegistry.bridges``
 is keyed by the nodes that do) and no more clouds than it has dead
 baseline neighbors: a node may hold one cloud more (``budget_errors``),
@@ -57,7 +57,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .adversary import Event, insert_error
-from .expander import CloudTopology, ExpanderConfig, RetriesExhausted, TopologyKind, build_topology
+from .expander import CloudTopology, ExpanderConfig, RetriesExhausted, build_topology, is_clique
 from .graph import (
     BLACK,
     ColoredGraph,
@@ -70,7 +70,7 @@ from .graph import (
 FAULTS = ("skip-heal", "drop-black-edge")
 
 # the topology a new cloud is registered with until it is designed
-UNDESIGNED = CloudTopology(TopologyKind.CLIQUE, frozenset(), Fraction(0))
+UNDESIGNED = CloudTopology(frozenset(), Fraction(0))
 
 
 class InvalidEvent(Exception):
@@ -386,8 +386,7 @@ class Plan:
                 reg.retire(cid)
                 continue
             (v_primary if cloud.kind is CloudKind.PRIMARY else v_secondary).append(cid)
-            topology = CloudTopology(old.kind, old.edges - self.dying_keys,
-                                     old.certified_expansion)
+            topology = CloudTopology(old.edges - self.dying_keys, old.certified_expansion)
             reg.store(cid, Cloud(cloud.kind, members, topology))
         return v_primary, v_secondary, lost_role
 
@@ -501,13 +500,15 @@ class Plan:
                             extra_nodes: Iterable[int]) -> int:
         """Collapse the listed clouds, registered and in id order, and any
         loose nodes into one fresh primary cloud, retiring the clouds.
-        The merge is designed from the largest of their regular-expander
-        topologies, the others' members joining it as newcomers (see
-        ``expander._splice``), or drawn afresh when that fails."""
+        The merge is designed from the largest of their topologies that
+        is not a clique, the others' members joining it as newcomers (see
+        ``expander._splice``), or drawn afresh when that fails.  Its edges
+        tell (``is_clique``): a designed expander is kappa-regular on more
+        than kappa+1 members, a scrubbed one leaves kappa members one edge
+        short, and a clique less a member, or undesigned, is a clique."""
         clouds = [self.registry.clouds[cid] for cid in cloud_ids]
         union = set(extra_nodes).union(*(cloud.members for cloud in clouds))
-        largest = max((c.topology for c in clouds
-                       if c.topology.kind is TopologyKind.REGULAR_EXPANDER),
+        largest = max((c.topology for c in clouds if not is_clique(c.topology)),
                       key=lambda topology: len(topology.edges), default=UNDESIGNED)
         for cid in cloud_ids:
             self.registry.retire(cid)
@@ -556,8 +557,8 @@ class Plan:
     def _new_cloud(self, members: Iterable[int], kind: CloudKind,
                    grow_from: CloudTopology = UNDESIGNED) -> int:
         """Register a cloud of a fresh color over the non-empty *members*,
-        to be designed from *grow_from* when that is a regular expander
-        (a merge), from scratch otherwise."""
+        to be designed from *grow_from* when that has edges (a merge),
+        from scratch otherwise."""
         color = self.next_cloud_id
         self.next_cloud_id += 1
         self.counters.clouds_built += 1
@@ -632,19 +633,22 @@ def coherence_errors(healer: Healer) -> list[str]:
     Empty result means: the graph's color sets are exactly what the
     registry implies, structural indexes agree, no colorless edge is
     left behind, every cloud id is below the next cloud id (which
-    ``Plan._new_cloud`` relies on for a fresh color), every expander
-    cloud's certificate clears ``alpha_target``, and every node keeps
-    its cloud budget.
+    ``Plan._new_cloud`` relies on for a fresh color), every cloud of more
+    than kappa+1 members, as ``verify`` sizes one, certifies
+    ``alpha_target``, every node keeps its cloud budget, and the last
+    delete's black neighbours are alive.
     """
     errs = healer.graph.integrity_errors()
     errs.extend(healer.registry.validation_errors(set(healer.shadow.alive)))
     errs.extend(f"cloud {cid} is not below the next cloud id {healer.next_cloud_id}"
                 for cid in sorted(healer.registry.clouds) if cid >= healer.next_cloud_id)
     errs.extend(budget_errors(healer))
-    alpha = healer.cfg.alpha_target
+    errs.extend(f"last black neighbour {node} is not alive"
+                for node in sorted(healer.last_black_neighbors - healer.shadow.alive))
+    alpha, kappa = healer.cfg.alpha_target, healer.cfg.kappa
     for cid, cloud in healer.registry.clouds.items():
         cert = cloud.topology.certified_expansion
-        if cloud.topology.kind is TopologyKind.REGULAR_EXPANDER and cert < alpha:
+        if len(cloud.members) > kappa + 1 and cert < alpha:
             errs.append(f"cloud {cid} certified expansion {cert} below alpha_target {alpha}")
     if healer.graph.node_set != healer.shadow.alive:
         errs.append("live node set differs from shadow alive set")

@@ -10,8 +10,9 @@ graph is simple kappa-regular exactly when its complement is simple
 that clashes, a loop or a repeated edge, is placed by a double-edge
 switch (``_switch_in``), as switchings repair a pairing in McKay and
 Wormald (J. Algorithms 1990), not redrawn.  A topology is a frozen set
-of canonical edge keys.  A cloud designed from a previous topology (one
-that lost a member, or a merge grown from its largest cloud) is spliced
+of canonical edge keys and its certificate; its cloud's size decides
+its design.  A cloud designed from a previous topology (one that lost a
+member, or a merge grown from its largest non-clique cloud) is spliced
 before any draw, in one degree repair: a departed member's kappa
 neighbours are re-paired with kappa/2 new edges, a matching searched for
 among them, or give those edges to the first newcomer, and each further
@@ -45,7 +46,6 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
@@ -77,11 +77,6 @@ class RetriesExhausted(ExpanderError):
     def __reduce__(self):
         # a --jobs worker's exception is pickled back to the parent
         return type(self), (self.args[0], self.size, self.best)
-
-
-class TopologyKind(Enum):
-    CLIQUE = "clique"
-    REGULAR_EXPANDER = "regular_expander"
 
 
 # Largest graph expansion_exact enumerates.  Its memory is fixed by the
@@ -149,12 +144,19 @@ class CloudTopology:
 
     Frozen, with its edges a frozen set of canonical keys: registry
     copies and repair plans share one topology until a rebuild replaces
-    it, and a rebuild's edge changes are set differences.
+    it, and a rebuild's edge changes are set differences.  Its cloud's
+    size, or its edges (``is_clique``), tell a clique from an expander.
     """
 
-    kind: TopologyKind
     edges: frozenset[EdgeKey]
     certified_expansion: Fraction
+
+
+def is_clique(topology: CloudTopology) -> bool:
+    """Whether *topology* joins every two of its edges' endpoints; the
+    empty topology does."""
+    ends = {x for edge in topology.edges for x in edge}
+    return len(topology.edges) == len(ends) * (len(ends) - 1) // 2
 
 
 def expansion_exact(n: int, u: np.ndarray, v: np.ndarray, limit: int) -> Fraction:
@@ -467,10 +469,12 @@ def _splice(previous: CloudTopology, ranked: list[int], cfg: ExpanderConfig,
       pairs (x, x) of its own stubs, each a subdivision: (a, b) goes,
       (a, x) and (x, b) come.  Such a switch always exists (see
       ``_switch_in``).
-    Any other shape, a search with no matching, or results that all
-    fail the gate of ``_gate_certificate`` give None.  An accepted
-    result is simple, kappa-regular on exactly *ranked*, and keeps
-    every edge of *previous* that no switch removed.
+    Any other shape, a search with no matching, a newcomer no switch
+    places, or results that all fail the gate of ``_gate_certificate``
+    give None.  An accepted result is simple, kappa-regular on exactly
+    *ranked*, and keeps every edge of *previous* that no switch removed.
+    Newcomers are switched into sorted pairs, so no draw reads the edge
+    set's layout, which differs between a live set and a loaded one.
     """
     kappa, m = cfg.kappa, len(ranked)
     index = {x: i for i, x in enumerate(ranked)}
@@ -493,25 +497,25 @@ def _splice(previous: CloudTopology, ranked: list[int], cfg: ExpanderConfig,
         candidates = ((set(), added, pairs + added)
                       for added in itertools.islice(matchings, SPLICE_TRIES))
     else:
+        pairs.sort()  # the switch pool must not follow the edge set's layout
         before = set(pairs)
         if short:
             first = newcomers.pop(0)
             pairs += [(a, first) if a < first else (first, a) for a in short]
         grown = _switch_in(set(pairs), [x for x in newcomers for _ in range(kappa)], rng)
-        candidates = [(before - grown, grown - before, grown)]
+        candidates = [] if grown is None else [(before - grown, grown - before, grown)]
     for gone, added, graph in candidates:
         cert = _gate_certificate(m, graph, cfg)
         if cert >= cfg.alpha_target:
             edges = previous.edges.difference((ranked[a], ranked[b]) for a, b in gone)
-            return CloudTopology(TopologyKind.REGULAR_EXPANDER,
-                                 edges.union((ranked[a], ranked[b]) for a, b in added), cert)
+            return CloudTopology(edges.union((ranked[a], ranked[b]) for a, b in added), cert)
     return None
 
 
 def topology_error(members: frozenset[int], edges: frozenset[EdgeKey],
                    cfg: ExpanderConfig) -> str | None:
     """Why *edges* is not a topology ``build_topology`` could have
-    designed on *members*, whatever kind the cloud records, or None.
+    designed on *members*, or None.
 
     An independent re-check of a design, for a loaded snapshot: up to
     kappa+1 members the clique on them; beyond, a simple kappa-regular
@@ -550,10 +554,9 @@ def build_topology(
     whether it was spliced from *previous* instead of drawn.
 
     Up to kappa+1 members the cloud is a clique (its exact expansion is
-    recorded but never gated).  Beyond that, when *previous* is the
-    cloud's regular-expander topology less one departed member, a splice
-    that re-pairs that member's neighbours is tried first (see
-    ``_splice``).  Otherwise, or when the splice fails, simple
+    recorded but never gated).  Beyond that, when *previous* has edges,
+    a splice that mends it is tried first (``_splice`` refuses any
+    shape it cannot mend).  Otherwise, or when the splice fails, simple
     kappa-regular candidates are sampled until one certifies expansion
     at least ``alpha_target``, which also proves it connected; the cloud
     records that certificate: ``alpha_target`` after a spectral gate
@@ -575,9 +578,9 @@ def build_topology(
         # a clique's minimum cut ratio is attained by a half split:
         # |S|*(m-|S|)/|S| = m - |S|, smallest at |S| = floor(m/2)
         cert = Fraction(0) if m < 2 else Fraction(m - m // 2)
-        return CloudTopology(TopologyKind.CLIQUE, edges, cert), False
+        return CloudTopology(edges, cert), False
 
-    if previous is not None and previous.kind is TopologyKind.REGULAR_EXPANDER:
+    if previous is not None and previous.edges:
         spliced = _splice(previous, ranked, cfg, rng)
         if spliced is not None:
             return spliced, True
@@ -596,7 +599,7 @@ def build_topology(
         cert = _gate_certificate(m, idx_edges, cfg)
         if cert >= cfg.alpha_target:
             edges = frozenset((ranked[i], ranked[j]) for i, j in idx_edges)
-            return CloudTopology(TopologyKind.REGULAR_EXPANDER, edges, cert), False
+            return CloudTopology(edges, cert), False
         best = max(best, cert)
     # lambda2/2 of large random kappa-regular graphs tends to this (Friedman, Alon-Boppana)
     ceiling = (cfg.kappa - 2 * (cfg.kappa - 1) ** 0.5) / 2

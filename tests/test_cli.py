@@ -77,6 +77,10 @@ def test_never_inserting_runs_rejected_before_event_1_by_gen_and_run(tmp_path, c
     assert run_cli(["run", *shape, "-o", str(out)]) == 2
     assert capsys.readouterr().err == gen_err
     assert not trace.exists() and not out.exists()
+    assert run_cli(["gen", "--strategy", "uniform", "--n0", "0", "--steps", "5",
+                    "-o", str(trace)]) == 2
+    assert capsys.readouterr().err == "error: need n0 >= 1 and steps >= 0\n"
+    assert not trace.exists()
 
 
 def test_run_rejects_exact_limit_beyond_ceiling_before_event_1(tmp_path, capsys):
@@ -114,6 +118,8 @@ def test_run_fault_detected(tmp_path, capsys):
         err = capsys.readouterr().err
         assert code == 1, fault
         assert "VIOLATION" in err
+    assert run_cli(["report", str(tmp_path / "skip-heal.csv")]) == 1
+    assert "  VIOLATIONS at t: 20, 30\n" in capsys.readouterr().out
 
 
 def test_run_certification_failure_exits_3(tmp_path, capsys):
@@ -239,6 +245,9 @@ def test_verify_trace_replays_without_checkpoints_and_names_each_mismatch(
 @pytest.mark.parametrize("n0,steps,seed,k,alpha", [
     (50, 300, 7, 150, Fraction(1)),
     (500, 750, 0, 300, Fraction(1, 2)),
+    # a splice with newcomers once read its edges in frozenset order,
+    # which a loaded snapshot lays out otherwise: event 303 drew apart
+    (200, 400, 2, 300, Fraction(1, 2)),
 ])
 def test_a_run_continued_from_a_snapshot_ends_as_the_uninterrupted_run(n0, steps, seed, k,
                                                                        alpha):
@@ -358,6 +367,10 @@ def test_verify_missing_or_malformed_snapshot(tmp_path, capsys):
         "v1": lambda d: d.update(v=1),
         "v2": lambda d: d.update(v=2),
         "v3": lambda d: d.update(v=3),
+        # v4 recorded a kind in each cloud topology, which its size decides
+        "v4": lambda d: d.update(v=4),
+        "string-seed": lambda d: d.update(seed="5"),
+        "string-color": lambda d: d["edges"][0]["colors"].append("7"),
         "no-checkpoint-settings": lambda d: d.pop("checkpoint"),
         "zero-stretch-pairs": lambda d: d["checkpoint"].update(stretch_pairs=0),
         "string-density-samples": lambda d: d["checkpoint"].update(density_samples="100"),
@@ -451,7 +464,7 @@ def test_verify_flags_an_expander_cloud_certified_below_alpha_target(tmp_path, c
     trace = gen_trace(Strategy("uniform", insert_fraction=0.4), 50, 300, 0)
     healer, _ = cli.run_trace(trace, cli.RunConfig(seed=0, checkpoint_every=300))
     data = cli.snapshot_state(healer, 0)
-    expander = next(c for c in data["clouds"] if c["topology"]["kind"] == "regular_expander")
+    expander = next(c for c in data["clouds"] if len(c["members"]) > 7)
     assert expander["topology"]["certified"] == "1/1"  # the alpha_target the gate proved
     expander["topology"]["certified"] = "99/100"
     path = tmp_path / "s.json"
@@ -460,6 +473,38 @@ def test_verify_flags_an_expander_cloud_certified_below_alpha_target(tmp_path, c
     assert run_cli(["verify", "--snapshot", str(path)]) == 1
     assert capsys.readouterr().err.splitlines() == [
         f"VIOLATION cloud {expander['id']} certified expansion 99/100 below alpha_target 1"]
+
+
+def test_verify_flags_last_black_neighbours_that_are_not_alive(tmp_path, capsys):
+    # each delete sets them to the dying node's alive baseline neighbours
+    trace, snap = tmp_path / "t.jsonl", tmp_path / "s.json"
+    run_cli(["gen", "--strategy", "uniform", "--n0", "30", "--steps", "40",
+             "--seed", "1", "-o", str(trace)])
+    run_cli(["run", "--trace", str(trace), "--seed", "1",
+             "--snapshot", str(snap), "-o", str(tmp_path / "r.csv")])
+    data = json.loads(snap.read_text())
+    data["last_black_neighbors"] = [999999, 5000]
+    snap.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run_cli(["verify", "--snapshot", str(snap)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "VIOLATION last black neighbour 5000 is not alive",
+        "VIOLATION last black neighbour 999999 is not alive"]
+
+
+def test_verify_replay_that_cannot_certify_exits_3(tmp_path, capsys):
+    # the seed-38 trace's event 304 needs a cloud no draw certifies at
+    # alpha 1; the snapshot is of its first 300 events
+    full, head, snap = tmp_path / "t.jsonl", tmp_path / "head.jsonl", tmp_path / "s.json"
+    assert run_cli(["gen", "--strategy", "uniform", "--n0", "200", "--steps", "400",
+                    "--seed", "38", "-o", str(full)]) == 0
+    head.write_text("\n".join(full.read_text().splitlines()[:302]) + "\n")
+    assert run_cli(["run", "--trace", str(head), "--seed", "38", "--checkpoint-every", "300",
+                    "--snapshot", str(snap), "-o", str(tmp_path / "r.csv")]) == 0
+    capsys.readouterr()
+    assert run_cli(["verify", "--snapshot", str(snap), "--trace", str(full)]) == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: event 304 deletes node 73: no 6-regular candidate")
 
 
 def test_verify_reports_an_incoherent_snapshot_line_by_line(tmp_path, capsys):
@@ -550,6 +595,15 @@ def test_run_rejects_malformed_trace_input_before_event_1(tmp_path, capsys):
         "insert-neighbours-itself": (
             [header, initial, first, '{"t":2,"op":"ins","node":4,"nbrs":[4]}'],
             "event 2: a node cannot neighbor itself"),
+        "one-line": ([header], "line 1: trace needs a header and an initial-graph line"),
+        "no-kappa": ([header.replace('"kappa":6,', ""), initial, first],
+                     "line 1: header missing 'kappa'"),
+        "initial-without-edges": ([header, '{"nodes":[0,1,2,3]}', first],
+                                  "line 2: initial line needs 'nodes' and 'edges'"),
+        "three-id-edge": ([header, '{"nodes":[0,1,2,3],"edges":[[0,1,2]]}', first],
+                          "line 2: edges must be a list of 2-element lists"),
+        "delete-twice": ([header, initial, first, first.replace('"t":1', '"t":2')],
+                         "event 2: delete of dead node 0"),
     }
     for name, (lines, message) in traces.items():
         path, out = tmp_path / f"{name}.jsonl", tmp_path / f"{name}.csv"
@@ -577,6 +631,12 @@ def test_report_empty_file_exits_2(tmp_path, capsys):
     empty = tmp_path / "empty.csv"
     empty.write_text("")
     assert run_cli(["report", str(empty)]) == 2
+    # a header and no row passes the column check
+    header_only = tmp_path / "header.csv"
+    header_only.write_text(",".join(cli.REPORT_COLUMNS) + "\n")
+    capsys.readouterr()
+    assert run_cli(["report", str(header_only)]) == 2
+    assert capsys.readouterr().err == f"{header_only}: empty report\n"
 
 
 def test_run_multi_seed_needs_placeholder(tmp_path, capsys):
@@ -697,8 +757,7 @@ def largest_expander_snapshot(tmp_path):
     run_cli(["run", "--trace", str(trace), "--seed", "2",
              "--snapshot", str(snap), "-o", str(tmp_path / "r.csv")])
     data = json.loads(snap.read_text())
-    cloud = max((c for c in data["clouds"] if c["topology"]["kind"] == "regular_expander"),
-                key=lambda c: len(c["members"]))
+    cloud = max(data["clouds"], key=lambda c: len(c["members"]))
     assert len(cloud["members"]) == 17
     return data, cloud
 
@@ -741,6 +800,8 @@ def test_verify_recertifies_each_expander_clouds_topology(tmp_path, capsys):
 
 
 def test_verify_checks_a_cloud_by_its_size_not_its_recorded_kind(tmp_path, capsys):
+    # a topology records no kind: its certificate and its design are
+    # both judged by its cloud's size
     trace, snap = tmp_path / "t.jsonl", tmp_path / "s.json"
     run_cli(["gen", "--strategy", "uniform", "--n0", "200", "--steps", "300",
              "--seed", "3", "-o", str(trace)])
@@ -756,14 +817,13 @@ def test_verify_checks_a_cloud_by_its_size_not_its_recorded_kind(tmp_path, capsy
         if (record["u"], record["v"]) in dropped:
             record["colors"].remove(192)
     data["edges"] = [record for record in data["edges"] if record["colors"]]
-    lines = {}
-    for kind in ("regular_expander", "clique"):
-        cloud["topology"]["kind"] = kind
-        path = tmp_path / f"{kind}.json"
-        path.write_text(json.dumps(data))
-        capsys.readouterr()
-        assert run_cli(["verify", "--snapshot", str(path)]) == 1, kind
-        lines[kind] = [line for line in capsys.readouterr().err.splitlines()
-                       if line.startswith("VIOLATION cloud 192 topology ")]
-    assert lines["clique"] == lines["regular_expander"]
-    assert len(lines["clique"]) == 1 and "is not 6-regular" in lines["clique"][0]
+    assert cloud["topology"] == {"edges": cloud["topology"]["edges"], "certified": "1/2"}
+    cloud["topology"]["certified"] = "0/1"
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run_cli(["verify", "--snapshot", str(path)]) == 1
+    lines = [line for line in capsys.readouterr().err.splitlines() if "cloud 192 " in line]
+    assert len(lines) == 2
+    assert lines[0] == "VIOLATION cloud 192 certified expansion 0 below alpha_target 1/2"
+    assert lines[1].startswith("VIOLATION cloud 192 topology is not 6-regular")

@@ -9,7 +9,9 @@ import pytest
 from xhealsim import cli, engine
 from xhealsim.adversary import Event, Strategy, gen_trace
 from xhealsim.engine import (
+    Cloud,
     CloudKind,
+    CloudRegistry,
     Healer,
     InvalidEvent,
     Plan,
@@ -18,7 +20,7 @@ from xhealsim.engine import (
     coherence_errors,
     expected_edge_state,
 )
-from xhealsim.expander import ExpanderConfig, RetriesExhausted, TopologyKind, build_topology
+from xhealsim.expander import CloudTopology, ExpanderConfig, RetriesExhausted, build_topology
 from xhealsim.graph import BLACK, edge_key
 from helpers import changed_oracle, is_connected
 
@@ -348,6 +350,49 @@ def test_bridge_refuses_a_node_that_holds_an_entry():
     assert coherence_errors(h) == []
 
 
+def two_bridged_clouds():
+    """Primary 0 on {1, 2} and secondary 1 on {2, 3}, where node 2
+    represents 0 in 1: a registry with no error on alive {1, 2, 3}."""
+    reg = CloudRegistry()
+    reg.store(0, Cloud(CloudKind.PRIMARY, frozenset({1, 2}),
+                       CloudTopology(frozenset({(1, 2)}), Fraction(1))))
+    reg.store(1, Cloud(CloudKind.SECONDARY, frozenset({2, 3}),
+                       CloudTopology(frozenset({(2, 3)}), Fraction(1))))
+    reg.bridge(1, 0, 2)
+    return reg
+
+
+def cloud_with_a_stray_edge(reg):
+    reg.store(0, Cloud(CloudKind.PRIMARY, frozenset({1, 2}),
+                       CloudTopology(frozenset({(1, 2), (2, 9)}), Fraction(1))))
+
+
+def holder_outside_its_secondary(reg):
+    reg.release(2)
+    reg.bridge(1, 0, 1)
+
+
+@pytest.mark.parametrize("damage,line", [
+    pytest.param(lambda reg: reg.store(5, Cloud(CloudKind.PRIMARY, frozenset(), UNDESIGNED)),
+                 "cloud 5 is empty but registered", id="empty-cloud"),
+    pytest.param(cloud_with_a_stray_edge, "cloud 0 topology edge (2,9) leaves member set",
+                 id="edge-leaves-members"),
+    pytest.param(lambda reg: reg.bridge(7, 0, 3), "bridge entry (7,0) has no secondary cloud",
+                 id="no-secondary"),
+    pytest.param(lambda reg: reg.bridge(1, 7, 3), "bridge entry (1,7) has no primary cloud",
+                 id="no-primary"),
+    pytest.param(holder_outside_its_secondary, "bridge 1 of (1,0) is not in the secondary cloud",
+                 id="holder-outside-secondary"),
+    pytest.param(lambda reg: reg.member_of.__setitem__(3, frozenset({0, 1})),
+                 "node 3 indexed in clouds [0, 1] but member of [1]", id="index-disagrees"),
+])
+def test_validation_errors_name_each_planted_fault(damage, line):
+    reg = two_bridged_clouds()
+    assert reg.validation_errors({1, 2, 3}) == []
+    damage(reg)
+    assert reg.validation_errors({1, 2, 3}) == [line]
+
+
 def test_coherence_flags_a_bridge_entry_held_by_two_nodes():
     # an entry names one representative of its primary; a second holder
     # is a second bridge the secondary cannot tell from the first
@@ -422,7 +467,7 @@ def test_planning_a_delete_twice_gives_the_same_plan():
     first.repair()
     second.repair()
     (cloud,) = first.registry.clouds.values()
-    assert cloud.topology.kind is TopologyKind.REGULAR_EXPANDER
+    assert len(cloud.topology.edges) == 14 * 6 // 2
     assert first.registry.clouds == second.registry.clouds
 
 

@@ -27,13 +27,13 @@ from xhealsim.expander import (
     ExpanderConfig,
     RetriesExhausted,
     TooLarge,
-    TopologyKind,
     ZeroNodes,
     _cheeger_lower_bound,
     _pairing_attempt,
     _spectral_gate,
     build_topology,
     expansion_exact,
+    is_clique,
 )
 
 
@@ -69,7 +69,7 @@ def test_config_rejects_exact_limit_beyond_the_enumeration_ceiling():
 def test_clique_branch():
     cfg = ExpanderConfig()
     topo, _ = build_topology([3, 1, 2], cfg, random.Random(0))
-    assert topo.kind is TopologyKind.CLIQUE
+    assert is_clique(topo)
     assert topo.edges == {(1, 2), (1, 3), (2, 3)}
     assert topo.certified_expansion == Fraction(2)  # ceil(3/2)
 
@@ -80,11 +80,11 @@ def test_clique_branch():
 def test_clique_boundary_at_kappa_plus_one():
     cfg = ExpanderConfig(kappa=6)
     at_boundary, _ = build_topology(list(range(7)), cfg, random.Random(1))
-    assert at_boundary.kind is TopologyKind.CLIQUE
+    assert is_clique(at_boundary)
     assert len(at_boundary.edges) == 21
 
     past_boundary, _ = build_topology(list(range(8)), cfg, random.Random(1))
-    assert past_boundary.kind is TopologyKind.REGULAR_EXPANDER
+    assert not is_clique(past_boundary)
     assert len(past_boundary.edges) == 8 * 6 // 2
 
 
@@ -124,7 +124,7 @@ def test_dense_draws_are_simple_regular_on_exactly_their_members(kappa):
         topo, spliced = build_topology(members, cfg, random.Random(m))
         again, _ = build_topology(members, cfg, random.Random(m))
         assert again == topo and not spliced
-        assert topo.kind is TopologyKind.REGULAR_EXPANDER
+        assert not is_clique(topo)
         assert topo.certified_expansion >= cfg.alpha_target
         assert all(u < v for u, v in topo.edges)  # canonical keys: simple
         degree = Counter(itertools.chain.from_iterable(topo.edges))
@@ -440,13 +440,13 @@ def without(topology, node):
     """*topology* as the engine hands it back after *node* died: the
     dead member's edges scrubbed, everything else kept (all of it when
     *node* is None)."""
-    return CloudTopology(topology.kind, frozenset(e for e in topology.edges if node not in e),
+    return CloudTopology(frozenset(e for e in topology.edges if node not in e),
                          topology.certified_expansion)
 
 
 def expander_topology(adjacency, cfg):
     edges = frozenset((min(u, v), max(u, v)) for u in adjacency for v in adjacency[u])
-    return CloudTopology(TopologyKind.REGULAR_EXPANDER, edges, cfg.alpha_target)
+    return CloudTopology(edges, cfg.alpha_target)
 
 
 def degrees(edge_list):
@@ -464,7 +464,7 @@ def test_splice_keeps_a_simple_regular_cloud_on_exactly_its_members(kappa, m):
         members = [x for x in range(m) if x != gone]
         scrubbed = without(previous, gone)
         topo, spliced = build_topology(members, cfg, rng, previous=scrubbed)
-        assert spliced and topo.kind is TopologyKind.REGULAR_EXPANDER
+        assert spliced
         assert all(u < v for u, v in topo.edges)
         assert degrees(topo.edges) == {x: kappa for x in members}
         added = set(topo.edges) - set(scrubbed.edges)
@@ -494,7 +494,7 @@ def test_splice_that_cannot_avoid_an_existing_edge_falls_back_to_a_redraw():
     adjacency.update({5 + i: {5 + j for j in nbrs} for i, nbrs in circulant(10, (1, 2)).items()})
     scrubbed = without(expander_topology(adjacency, cfg), 0)
     topo, spliced = build_topology(list(range(1, 15)), cfg, random.Random(0), previous=scrubbed)
-    assert not spliced and topo.kind is TopologyKind.REGULAR_EXPANDER
+    assert not spliced
     assert degrees(topo.edges) == {x: 4 for x in range(1, 15)}
 
 
@@ -547,13 +547,30 @@ def test_splice_applies_only_to_one_member_lost_from_a_regular_expander():
     cfg = ExpanderConfig(kappa=6, alpha_target=Fraction(1, 2))
     previous, _ = build_topology(list(range(30)), cfg, random.Random(1))
     two_gone = without(without(previous, 0), 1)
-    clique = CloudTopology(TopologyKind.CLIQUE, previous.edges, Fraction(15))
+    # the clique on 0..5 less 0: degree 4, neither kappa nor kappa-1
+    clique, _ = build_topology(list(range(6)), cfg, random.Random(3))
     for members, given in [(list(range(2, 30)), two_gone),         # two lost
                            (list(range(30)), previous),            # none lost
-                           (list(range(1, 30)), without(clique, 0)),  # not an expander
+                           (list(range(1, 30)), without(clique, 0)),  # not regular
                            (list(range(2, 30)), without(previous, 0))]:  # edge leaves members
         _, spliced = build_topology(members, cfg, random.Random(3), previous=given)
         assert not spliced
+
+
+def test_splice_with_no_edge_to_switch_a_newcomer_into_gives_none():
+    cfg = ExpanderConfig(kappa=6, alpha_target=Fraction(1, 2))
+    empty = CloudTopology(frozenset(), Fraction(0))
+    assert expander._splice(empty, list(range(10)), cfg, random.Random(0)) is None
+
+
+def test_is_clique_reads_the_edges():
+    cfg = ExpanderConfig(kappa=6, alpha_target=Fraction(1, 2))
+    clique, _ = build_topology(list(range(7)), cfg, random.Random(0))
+    drawn, _ = build_topology(list(range(8)), cfg, random.Random(0))
+    assert is_clique(CloudTopology(frozenset(), Fraction(0)))  # undesigned
+    assert is_clique(clique) and is_clique(without(clique, 3))
+    # kappa-regular on more than kappa+1 members, and that less a member
+    assert not is_clique(drawn) and not is_clique(without(drawn, 3))
 
 
 @settings(max_examples=60, deadline=None)
@@ -584,7 +601,7 @@ def test_splice_of_a_lost_member_and_newcomers(kappa, extra, drop, newcomers, se
             assert topo is None  # nothing to mend
         if topo is None:
             return  # no re-pairing avoids the existing edges
-    assert topo is not None and topo.kind is TopologyKind.REGULAR_EXPANDER
+    assert topo is not None
     assert all(u < v for u, v in topo.edges)
     assert degrees(topo.edges) == {x: kappa for x in members}
     # each switch removed one edge, whose ends now neighbour a newcomer

@@ -49,22 +49,22 @@ from ladder import Membership  # noqa: E402
 
 GOLDEN = {
     "uniform-0":
-        "118ae7f7dea4b342815092de40814ef648077702aabd3b836255b658d1fb2aeb",
+        "d12ef4ec4dd58dc1a852978e5141212b92f37117358bb9db71b6d985f91e6eb5",
     "uniform-1":
-        "2f29583946eb0e1295fc2e59992fddd58e9d82813f74595035d236d3fe00ac1c",
+        "1ee6c4c37b80e7f5607aa56939044ac56a7b47bdf5a7c6a556d18aaa191cb660",
     "uniform-2":
         "58355c4d386bfc284a5eee98d9b5a13be65bcfc3a9fbeafe2066161c550e559a",
     "uniform-0-drop-black-edge":
-        "12eebab5b10c7f2dc6a169673dc43be0d29f364cdd533cb0810182e0652dd57d",
+        "0dad16a7b75b028a7c975b2484dddf24c5820d1705b77a3b47416a86be7a21cd",
     "target-bridge-3":
-        "e3e27187550ec33a8ef6ed2b555853e6945844901f76fecdc8c25c890cc1da41",
+        "4923f1cb30f27730974022ba9361830d1a1f768d1c69f2c576ac52d23c7bf188",
 }
 
 # final state after a churn-mid-sized uniform trace: n0=500, 750 events,
 # alpha 1/2, seed 0; its final clouds reach 80 members, so the
 # membership index, splices, merges grown from their largest cloud and
 # borrowed bridges are exercised at scale
-SNAPSHOT_GOLDEN = "2b2b04f31f8001a4b5c26295eb9314d732d659190f7b68d16d2f328d83814acb"
+SNAPSHOT_GOLDEN = "20acafe6fdbf8036882945377c49e2f17769e0c53aa24858be42e3b1f8477ca4"
 
 # every report's violation_detail lines, which the CSV digests omit, for
 # a faulted n0=400 uniform run (300 events, drop-black-edge, alpha 1/2,
@@ -76,7 +76,7 @@ DETAIL_GOLDEN = "23a208ef889ae0574cca8c418d15e5ed45d42f9e653148a1a0e90991a7b0d45
 # (750 events, drop-black-edge, alpha 1/2, a checkpoint every 50): a
 # missing baseline edge at every checkpoint after t=0 makes each draw its
 # random density subsets, with no node over its degree budget
-DRAW_GOLDEN = "4c49bdf8ce7ffed4c1228b7a6d6a21f3f01d97a2e1ba59670ea48c03777f54b7"
+DRAW_GOLDEN = "e1a33abd3a6f9ab0f220284feece35506053e1098e4a6a65a02ea06d8228a907"
 
 
 # sha256 over every event of the membership after it (``ladder.Membership``)

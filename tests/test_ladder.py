@@ -9,7 +9,7 @@ from test_golden import MEMBERSHIP_GOLDEN
 LADDER = Path(__file__).resolve().parent.parent / "tools" / "ladder.py"
 KEYS = ["seed", "exit", "branch_all_black", "branch_primary", "branch_secondary",
         "clouds_built", "merges", "bridges_borrowed", "free_node_misses",
-        "budget_errors", "coherence_errors", "membership"]
+        "budget_errors", "coherence_errors", "membership", "design"]
 
 
 def ladder(*args, n0="30", steps="40"):

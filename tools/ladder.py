@@ -14,11 +14,13 @@ or 3 with the ``event`` whose cloud failed to certify and that cloud's
 ``size``.  Then the repair counters ``branch_*``, ``clouds_built``,
 ``merges``, ``bridges_borrowed`` and ``free_node_misses``, and the
 number of ``budget_errors`` and ``coherence_errors`` lines summed over
-the state after every event applied, and the ``membership`` digest of
-those states (``Membership``), which ``tests/test_golden.py`` pins.
+the state after every event applied, the ``membership`` digest of
+those states (``Membership``), which ``tests/test_golden.py`` pins, and
+the ``design`` digest of their cloud edges and certificates (``Design``).
 Cloud membership does not depend on the draws, so a change that moves
-only draws leaves every counter but ``exit``, and the digest, equal
-seed by seed, as long as both sides run the same events.
+only draws leaves every counter but ``exit``, and the membership digest,
+equal seed by seed, as long as both sides run the same events; the
+design digest shows whether it moved a draw.
 """
 from __future__ import annotations
 
@@ -71,6 +73,31 @@ class Membership:
         return self.digest.hexdigest()
 
 
+class Design:
+    """sha256 over a run's events of the clouds each event changed: the
+    id, sorted edges and certificate of every cloud that
+    ``registry.clouds`` holds another object for than at the last
+    ``update``, as ``Membership`` finds them, in id order."""
+
+    def __init__(self) -> None:
+        self.digest = hashlib.sha256()
+        self.seen: dict = {}
+
+    def update(self, registry) -> None:
+        clouds = registry.clouds
+        for cid in sorted(clouds):
+            cloud = clouds[cid]
+            if self.seen.get(cid) is not cloud:
+                topology = cloud.topology
+                self.digest.update(f"{cid}:{sorted(topology.edges)}:"
+                                   f"{topology.certified_expansion}\n".encode())
+        self.seen = dict(clouds)
+        self.digest.update(b"/\n")
+
+    def hexdigest(self) -> str:
+        return self.digest.hexdigest()
+
+
 def parse_seeds(text: str) -> list[int]:
     seeds = []
     for part in text.split(","):
@@ -86,7 +113,7 @@ def run_seed(n0: int, steps: int, cfg: ExpanderConfig, seed: int) -> dict:
                                  random.Random(f"{seed}/engine"))
     line: dict = {"seed": seed, "exit": 0}
     budget = coherence = 0
-    membership = Membership()
+    membership, design = Membership(), Design()
     for t, event in enumerate(trace.events, start=1):
         try:
             healer.handle_event(event)
@@ -96,9 +123,10 @@ def run_seed(n0: int, steps: int, cfg: ExpanderConfig, seed: int) -> dict:
         budget += len(budget_errors(healer))
         coherence += len(coherence_errors(healer))
         membership.update(healer.registry)
+        design.update(healer.registry)
     line.update({name: getattr(healer.counters, name) for name in COUNTERS})
     line.update(budget_errors=budget, coherence_errors=coherence,
-                membership=membership.hexdigest())
+                membership=membership.hexdigest(), design=design.hexdigest())
     return line
 
 
