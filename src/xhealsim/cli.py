@@ -49,6 +49,7 @@ from .engine import (
     FAULTS,
     Cloud,
     CloudKind,
+    CloudRegistry,
     Healer,
     InvalidEvent,
     RepairCounters,
@@ -240,6 +241,17 @@ def _snapshot_fraction(value: object, what: str) -> Fraction:
     return Fraction(value)
 
 
+def _snapshot_keys(value: object, keys: set[str], what: str) -> dict:
+    """*value* if it is a JSON object with no key outside *keys*; a key
+    the loader would not read is refused, not dropped."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} is not a JSON object")
+    unknown = value.keys() - keys
+    if unknown:
+        raise ValueError(f"{what} has unknown keys {sorted(unknown)}")
+    return value
+
+
 def load_snapshot(data: dict) -> tuple[Healer, RunConfig]:
     """Rebuild a Healer from a snapshot dict, with the run settings a
     checkpoint of it needs: seed, expander config and checkpoint
@@ -249,13 +261,17 @@ def load_snapshot(data: dict) -> tuple[Healer, RunConfig]:
     checkpoint setting that is not positive, a certificate that is not
     a non-negative fraction string, and an alive id, cloud id, bridge
     key, bridge holder or topology edge listed twice, which a set or a
-    dict would drop unseen; semantic damage surfaces in coherence
-    checks."""
+    dict would drop unseen, and a key of an object that it does not read;
+    semantic damage surfaces in coherence checks."""
     if not isinstance(data, dict):
         raise ValueError("snapshot is not a JSON object")
     if data.get("v") != SNAPSHOT_VERSION:
         raise ValueError(f"snapshot version {data.get('v')!r} not supported")
-    config = data["config"]
+    _snapshot_keys(data, {"v", "seed", "config", "checkpoint", "next_cloud_id", "nodes", "edges",
+                          "shadow", "clouds", "bridges", "last_black_neighbors", "counters"},
+                   "snapshot")
+    config = _snapshot_keys(data["config"], {f.name for f in fields(ExpanderConfig)},
+                            "snapshot config")
     cfg = ExpanderConfig(**{
         f.name: (_snapshot_fraction if type(f.default) is Fraction else _snapshot_count)(
             config[f.name], f"config {f.name}")
@@ -264,15 +280,21 @@ def load_snapshot(data: dict) -> tuple[Healer, RunConfig]:
     if type(seed) is not int:  # run takes any integer seed, negative too
         raise ValueError(f"seed {seed!r} is not an integer")
     healer = Healer(cfg, random.Random(f"{seed}/engine"))
-    shadow = data["shadow"]
-    healer.shadow = ShadowGraph.from_edges(node_ids(shadow["nodes"], "shadow nodes"),
-                                           node_id_rows(shadow["edges"], 2, "shadow edges"))
+    shadow = _snapshot_keys(data["shadow"], {"nodes", "edges", "alive"}, "snapshot shadow")
+    baseline = ShadowGraph.from_edges(node_ids(shadow["nodes"], "shadow nodes"),
+                                      node_id_rows(shadow["edges"], 2, "shadow edges"))
     alive = node_ids(shadow["alive"], "shadow alive")
-    healer.shadow.alive = set(alive)
-    if len(healer.shadow.alive) < len(alive):
+    if len(set(alive)) < len(alive):
         raise ValueError("shadow alive lists a node twice")
+    for node in sorted(baseline.nodes - set(alive)):
+        baseline.mark_dead(node)
+    # an alive id the baseline never recorded has no neighbor to count it
+    # dead; it is kept for the coherence check to report
+    baseline.alive.update(set(alive) - baseline.nodes)
+    healer.shadow, healer.registry = baseline, CloudRegistry(baseline)
     nodes, records = node_ids(data["nodes"], "nodes"), data["edges"]
-    ends = [(rec["u"], rec["v"]) for rec in records]
+    ends = [(rec["u"], rec["v"]) for rec in
+            (_snapshot_keys(rec, {"u", "v", "colors"}, "snapshot edge") for rec in records)]
     node_ids(list(itertools.chain.from_iterable(ends)), "edge endpoints")
     paints = [rec["colors"] for rec in records]
     for (u, v), colors in zip(ends, paints):
@@ -281,8 +303,9 @@ def load_snapshot(data: dict) -> tuple[Healer, RunConfig]:
     # a colorless edge still loads, for the coherence check to report
     healer.graph = ColoredGraph.from_edges(nodes, ends, paints)
     for entry in data["clouds"]:
-        topo = entry["topology"]
+        _snapshot_keys(entry, {"id", "kind", "members", "topology"}, "snapshot cloud")
         cid = _snapshot_count(entry["id"], "cloud id")
+        topo = _snapshot_keys(entry["topology"], {"edges", "certified"}, f"cloud {cid} topology")
         if cid in healer.registry.clouds:
             raise ValueError(f"cloud {cid} is listed twice")
         keys = [edge_key(u, v) for u, v in node_id_rows(topo["edges"], 2, f"cloud {cid} edges")]
@@ -312,7 +335,8 @@ def load_snapshot(data: dict) -> tuple[Healer, RunConfig]:
                          f"missing {sorted(names - set(counters))}")
     for name, value in counters.items():
         setattr(healer.counters, name, _snapshot_count(value, f"counter {name}"))
-    checkpoint = {name: _snapshot_count(data["checkpoint"][name], f"checkpoint {name}")
+    settings = _snapshot_keys(data["checkpoint"], set(CHECKPOINT_SETTINGS), "snapshot checkpoint")
+    checkpoint = {name: _snapshot_count(settings[name], f"checkpoint {name}")
                   for name in CHECKPOINT_SETTINGS}
     return healer, RunConfig(seed=seed, **asdict(cfg), **checkpoint)
 
@@ -465,7 +489,7 @@ def _design_errors(healer: Healer) -> list[str]:
     (``expander.topology_error``): run by ``verify``, by no checkpoint."""
     return [f"cloud {cid} topology {error}"
             for cid, cloud in sorted(healer.registry.clouds.items())
-            if (error := topology_error(cloud.members, cloud.topology.edges, healer.cfg))]
+            if (error := topology_error(cloud.members, cloud.topology, healer.cfg))]
 
 
 def _replay_mismatch(args: argparse.Namespace, healer: Healer, cfg: RunConfig) -> list[str]:

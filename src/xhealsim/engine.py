@@ -25,31 +25,37 @@ the largest merged topology that is not a clique (``expander._splice``);
 only when that fails is the cloud drawn whole (``build_topology``).  A
 free node is one that holds no bridge entry (``CloudRegistry.bridges``
 is keyed by the nodes that do) and no more clouds than it has dead
-baseline neighbors: a node may hold one cloud more (``budget_errors``),
-which keeps the degree bound.
+baseline neighbors (``CloudRegistry.free``): a node may hold one cloud
+more (``budget_errors``), which keeps the degree bound.
 
-Each delete is planned as one value, a ``Plan`` with its own registry,
-counters, next cloud id and draws; the healer then takes its state and
-applies it to the graph, so a plan that raises (a cloud that cannot be
-certified) is dropped with nothing to restore.  Most of a delete's work
-grows with the clouds it touches, not with the clouds the run has
-registered: the dying node's bridge role is one dict lookup, its
-stream is seeded only if a design draws, and the edge step walks only
-the clouds the plan touched.  The registry copy, and the bridge scans
-of ``CloudRegistry.retire`` and ``bridged_primaries``, still grow with
-the run.
+Each delete is planned as one value, a ``Plan`` with its own counters,
+next cloud id and draws, that writes the healer's registry under a
+journal; the healer then commits the journal and applies the plan to
+the graph, and a plan that raises (a cloud that cannot be certified) is
+rolled back.  A delete's work grows with the clouds it touches, not with
+the clouds the run has registered: the dying node's bridge role is one
+dict lookup, a cloud's bridge entries are indexed by its id
+(``CloudRegistry.bridges_of``), its free members are kept in a heap that
+a pick pops only stale entries from (``CloudRegistry.first_free``), a
+node's dead baseline neighbors are counted as they die
+(``ShadowGraph.mark_dead``), its stream is seeded only if a design
+draws, and the edge step walks only the clouds the plan touched.  A
+borrowed pick still reads the cloud's members to find the primaries
+that share one.
 
 An edge's colors are its only state, and a cloud's topology is a frozen
 set of edges, so the delete's edge step is, over the clouds the plan
-touched, the difference between the registry before the plan
-(``Plan.before``) and the plan's (``Healer._apply``): each such cloud's
-color leaves ``old - new`` only and colors ``new - old`` (reusing any
-edge that exists, a retired cloud's too), and the stripped edges left
-colorless go, all in one ``ColoredGraph.recolor`` call.  Black is never
-stripped, so no black edge goes.
+touched, the difference between each one's cloud before the plan, as
+``CloudRegistry.touched`` recorded it, and after (``Healer._apply``):
+each such cloud's color leaves ``old - new`` only and colors
+``new - old`` (reusing any edge that exists, a retired cloud's too), and
+the stripped edges left colorless go, all in one
+``ColoredGraph.recolor`` call.  Black is never stripped, so no black
+edge goes.
 """
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -93,47 +99,134 @@ class CloudRegistry:
     """Who is in which cloud and which node bridges what; a node that
     holds a bridge entry is busy, and holds only that one.  The clouds,
     keyed by id, and ``bridges``, keyed by the node holding each entry,
-    are the record; the ``member_of`` index is derived from the clouds,
-    and ``touched`` holds the ids ``store`` and ``retire`` wrote since
-    the registry was made.  Only the methods below write these fields,
-    and neither of the last two is saved."""
+    are the record.  Three indexes are derived from them and from the
+    shadow's dead counts: ``member_of``, ``bridges_of`` and
+    ``free_heaps`` (see ``first_free``).  Only the methods below write
+    these fields, and nothing but the record is saved.
 
-    def __init__(self) -> None:
+    ``begin`` opens a journal for one plan; ``commit`` keeps what the
+    plan wrote and ``rollback`` undoes it, and either closes the
+    journal.  While it is open, ``touched`` maps each cloud id that
+    ``store`` and ``retire`` write to the cloud it held at ``begin``
+    (None for an id that held none), and the journal keeps the bridge
+    entry each node held before its first change, the heap of each
+    cloud the plan registered or retired, and each entry a pick popped.
+    A rollback puts those back and derives ``member_of`` and
+    ``bridges_of`` afresh for the nodes and clouds they name.  A node
+    the plan pushed onto a heap stays there, a stale entry or a second
+    entry of a free member, which a pick pops.  ``touched`` outlives the
+    journal as the record of the last plan."""
+
+    def __init__(self, shadow: ShadowGraph) -> None:
+        self.shadow = shadow
         self.clouds: dict[int, Cloud] = {}
-        # node -> ids of the clouds holding it; kept by store and retire
+        # node -> ids of the clouds holding it
         self.member_of: dict[int, frozenset[int]] = {}
         # node -> (secondary id, primary id): the node represents that
         # primary in that secondary
         self.bridges: dict[int, tuple[int, int]] = {}
-        self.touched: set[int] = set()
+        # cloud id -> the nodes holding an entry that names it
+        self.bridges_of: dict[int, set[int]] = {}
+        # cloud id -> a min-heap of node ids holding every free member,
+        # but for the ones a plan freed since its last pick (``_freed``)
+        self.free_heaps: dict[int, list[int]] = {}
+        self.touched: dict[int, Cloud | None] = {}
+        # the journal while a plan is open, None otherwise: node -> its
+        # bridge entry at begin, cloud id -> its heap at begin, and the
+        # (cloud id, node) entries popped from the heaps since
+        self._entries_then: dict[int, tuple[int, int] | None] | None = None
+        self._heaps_then: dict[int, list[int] | None] | None = None
+        self._popped: list[tuple[int, int]] = []
+        self._freed: set[int] = set()  # nodes a plan freed, pushed at its next pick
 
-    def copy(self) -> "CloudRegistry":
-        """New dicts sharing the clouds and index entries, which are
-        replaced, never mutated; the copy has touched nothing yet."""
-        twin = CloudRegistry()
-        twin.clouds, twin.member_of, twin.bridges = (
-            self.clouds.copy(), self.member_of.copy(), self.bridges.copy())
-        return twin
+    def begin(self) -> None:
+        if self._freed:  # left by writes made with no plan open
+            self._push_freed()
+        self.touched, self._entries_then, self._heaps_then, self._popped = {}, {}, {}, []
+
+    def commit(self) -> None:
+        self._entries_then = self._heaps_then = None
+        if self._freed:
+            self._push_freed()
+
+    def rollback(self) -> None:
+        """Undo every write since ``begin``; a closed journal has nothing
+        to undo."""
+        entries, heaps = self._entries_then, self._heaps_then
+        if heaps is None:
+            return
+        self._entries_then = self._heaps_then = None
+        self._freed = set()  # begin pushed every node freed before it
+        clouds, touched = self.clouds, self.touched
+        held_then: dict[int, set[int]] = {}  # node -> the touched ids holding it at begin
+        for cid, cloud in touched.items():
+            now = clouds.pop(cid, None)
+            for node in now.members if now is not None else ():
+                held_then.setdefault(node, set())
+            if cloud is not None:
+                clouds[cid] = cloud
+                for node in cloud.members:
+                    held_then.setdefault(node, set()).add(cid)
+        for node, ids in held_then.items():
+            held = self.member_of.get(node, frozenset()).difference(touched).union(ids)
+            _set_or_drop(self.member_of, node, held)
+        named: dict[int, set[int]] = {}  # cloud id -> the journaled nodes naming it at begin
+        for node, entry in entries.items():
+            for cid in self.bridges.pop(node, ()):
+                named.setdefault(cid, set())
+            if entry is not None:
+                self.bridges[node] = entry
+                for cid in entry:
+                    named.setdefault(cid, set()).add(node)
+        for cid, nodes in named.items():
+            holders = self.bridges_of.get(cid, set()).difference(entries).union(nodes)
+            _set_or_drop(self.bridges_of, cid, holders)
+        for cid, heap in heaps.items():
+            if heap is None:
+                self.free_heaps.pop(cid, None)
+            else:
+                self.free_heaps[cid] = heap
+        for cid, node in self._popped:
+            if cid in self.free_heaps:
+                heapq.heappush(self.free_heaps[cid], node)
 
     def store(self, cid: int, cloud: Cloud) -> None:
         """Register *cloud* under id *cid*, replacing any cloud of that
         id, and re-index the members it gained or lost."""
-        old = self.clouds.get(cid)
+        clouds, member_of = self.clouds, self.member_of
+        old = clouds.get(cid)
+        self.touched.setdefault(cid, old)
+        clouds[cid] = cloud
         before = old.members if old is not None else frozenset()
-        self.clouds[cid] = cloud
-        self.touched.add(cid)
-        for node in cloud.members - before:
-            self.member_of[node] = self.member_of.get(node, frozenset()) | {cid}
-        for node in before - cloud.members:
-            self._unindex(node, cid)
+        if cloud.members is before:
+            return
+        gained = cloud.members - before
+        for node in gained:
+            held = member_of.get(node)
+            member_of[node] = held | {cid} if held else frozenset((cid,))
+        if cid in self.free_heaps:
+            for node in gained:
+                if self.free(node):
+                    heapq.heappush(self.free_heaps[cid], node)
+        lost = before - cloud.members
+        if lost:
+            self._leave(lost, cid)
 
     def retire(self, cid: int) -> None:
         cloud = self.clouds.pop(cid)
-        self.touched.add(cid)
-        for node in cloud.members:
-            self._unindex(node, cid)
-        for node in [n for n, key in self.bridges.items() if cid in key]:
-            del self.bridges[node]
+        self.touched.setdefault(cid, cloud)
+        heap = self.free_heaps.pop(cid, None)
+        if heap is not None and self._heaps_then is not None:
+            self._heaps_then.setdefault(cid, heap)
+        self._leave(cloud.members, cid)
+        holders = self.bridges_of.pop(cid, None)
+        if holders:
+            for node in holders:
+                f, c = entry = self.bridges.pop(node)
+                if self._entries_then is not None:
+                    self._entries_then.setdefault(node, entry)
+                self._unbridge(c if f == cid else f, node)
+            self._freed.update(node for node in holders if self.free(node))
 
     def bridge(self, secondary: int, primary: int, node: int) -> None:
         """Let *node*, which must hold no bridge entry, represent
@@ -141,22 +234,134 @@ class CloudRegistry:
         if node in self.bridges:
             f, c = self.bridges[node]
             raise ValueError(f"node {node} already holds bridge entry ({f},{c})")
+        if self._entries_then is not None:
+            self._entries_then.setdefault(node, None)
         self.bridges[node] = (secondary, primary)
+        self.bridges_of.setdefault(secondary, set()).add(node)
+        self.bridges_of.setdefault(primary, set()).add(node)
 
     def release(self, node: int) -> tuple[int, int] | None:
         """Drop the bridge entry *node* holds and return its key, or
         None when it holds none."""
-        return self.bridges.pop(node, None)
+        key = self.bridges.pop(node, None)
+        if key is None:
+            return None
+        if self._entries_then is not None:
+            self._entries_then.setdefault(node, key)
+        for cid in key:
+            self._unbridge(cid, node)
+        if self.free(node):
+            self._freed.add(node)
+        return key
 
-    def _unindex(self, node: int, cid: int) -> None:
-        held = self.member_of[node] - {cid}
-        if held:
-            self.member_of[node] = held
-        else:
-            del self.member_of[node]
+    def _leave(self, nodes: Iterable[int], cid: int) -> None:
+        """Take cloud *cid* off each of *nodes*' clouds; a node with no
+        bridge entry whose clouds now equal its dead baseline neighbors
+        held one too many a moment ago, so it has just become free."""
+        member_of, gone = self.member_of, {cid}
+        for node in nodes:
+            held = member_of[node] - gone
+            if not held:
+                del member_of[node]
+            elif len(held) == self.shadow.dead.get(node, 0) and node not in self.bridges:
+                member_of[node] = held
+                self._freed.add(node)
+            else:
+                member_of[node] = held
+
+    def _unbridge(self, cid: int, node: int) -> None:
+        holders = self.bridges_of[cid]
+        holders.discard(node)
+        if not holders:
+            del self.bridges_of[cid]
 
     def bridged_primaries(self, secondary_id: int) -> set[int]:
-        return {c for f, c in self.bridges.values() if f == secondary_id}
+        bridges = self.bridges
+        return {bridges[node][1] for node in self.bridges_of.get(secondary_id, ())
+                if bridges[node][0] == secondary_id}
+
+    # -- free members --------------------------------------------------------
+
+    def free(self, node: int) -> bool:
+        """Whether *node* may be drafted into one more cloud: it holds no
+        bridge entry, and keeps its cloud budget (see ``budget_errors``)
+        with one more cloud, so the clouds it holds do not exceed its dead
+        baseline neighbors.  A delete adds one to each side of a baseline
+        neighbor of the dying node, a dead neighbor and a loose membership
+        in the repair's new cloud (it is a black neighbor), so the rule
+        reads state only and a repair reads it before the node dies."""
+        return (node not in self.bridges
+                and len(self.member_of.get(node, ())) <= self.shadow.dead.get(node, 0))
+
+    def first_free(self, cids: Iterable[int], reserved: set[int]) -> int | None:
+        """The smallest-id free member of the clouds *cids* not in
+        *reserved*, or None.
+
+        A cloud's heap is built on its first pick, from its members.  A
+        node is pushed again only when it becomes a free member: it joins
+        the cloud free, or it leaves a cloud or a bridge entry, or a
+        baseline neighbor dies, and it is free then.  The nodes a plan
+        frees are pushed at its next pick or its commit, so a node it
+        frees for a moment is pushed only if still free.  So each heap
+        holds every free member of its cloud; an entry that is not one
+        is stale and popped when it reaches the top.  The reserved free
+        members met on the way are pushed back, and a heap whose top is
+        not below the best member found yet is not searched.
+        """
+        if self._freed:
+            self._push_freed()
+        clouds, heaps, bridges, member_of, dead = (self.clouds, self.free_heaps, self.bridges,
+                                                   self.member_of, self.shadow.dead)
+        found = None
+        for cid in cids:
+            members = clouds[cid].members
+            heap = heaps.get(cid)
+            if heap is None:
+                heap = heaps[cid] = sorted(members)  # a sorted list is a heap
+                if self._heaps_then is not None:
+                    self._heaps_then.setdefault(cid, None)
+            passed = []
+            while heap and (found is None or heap[0] < found):
+                top = heap[0]
+                if (top in members and top not in bridges
+                        and len(member_of[top]) <= dead.get(top, 0)):  # a free member
+                    if top not in reserved:
+                        found = top
+                        break
+                    passed.append(top)
+                elif self._heaps_then is not None:
+                    self._popped.append((cid, top))
+                heapq.heappop(heap)
+            for node in passed:
+                heapq.heappush(heap, node)
+        return found
+
+    def dead_neighbors_counted(self, nodes: Iterable[int]) -> None:
+        """Index the free members among the alive *nodes*, which the
+        shadow has just counted one more dead baseline neighbor for: a
+        node with no bridge entry became free when the clouds it holds
+        now equal its dead neighbors."""
+        bridges, member_of, dead, heaps = (self.bridges, self.member_of, self.shadow.dead,
+                                           self.free_heaps)
+        for node in nodes:
+            held = member_of.get(node)
+            if held is not None and len(held) == dead[node] and node not in bridges:
+                for cid in held:
+                    if cid in heaps:
+                        heapq.heappush(heaps[cid], node)
+
+    def _push_freed(self) -> None:
+        """Push each node in ``_freed`` that is still free onto the heaps
+        of its clouds."""
+        freed, self._freed = self._freed, set()
+        heaps, member_of, bridges, dead = (self.free_heaps, self.member_of, self.bridges,
+                                           self.shadow.dead)
+        for node in freed:
+            held = member_of.get(node, ())
+            if node not in bridges and len(held) <= dead.get(node, 0):  # free
+                for cid in held:
+                    if cid in heaps:
+                        heapq.heappush(heaps[cid], node)
 
     def validation_errors(self, alive: set[int]) -> list[str]:
         errs = []
@@ -173,8 +378,11 @@ class CloudRegistry:
                                if e[0] not in members or e[1] not in members):
                 errs.append(f"cloud {cid} topology edge ({u},{v}) leaves member set")
         holders: dict[tuple[int, int], list[int]] = {}
+        named: dict[int, set[int]] = {}
         for node, (f, c) in self.bridges.items():
             holders.setdefault((f, c), []).append(node)
+            named.setdefault(f, set()).add(node)
+            named.setdefault(c, set()).add(node)
             if f not in self.clouds or self.clouds[f].kind is not CloudKind.SECONDARY:
                 errs.append(f"bridge entry ({f},{c}) has no secondary cloud")
             elif node not in self.clouds[f].members:
@@ -189,6 +397,19 @@ class CloudRegistry:
                 errs.append(f"node {node} indexed in clouds "
                             f"{sorted(self.member_of.get(node, ()))} but member of "
                             f"{sorted(indexed.get(node, ()))}")
+        for cid in sorted(set(named) | set(self.bridges_of)):
+            if named.get(cid, set()) != self.bridges_of.get(cid, set()):
+                errs.append(f"cloud {cid} indexed with bridge holders "
+                            f"{sorted(self.bridges_of.get(cid, ()))} but named by the entries of "
+                            f"{sorted(named.get(cid, ()))}")
+        for cid, heap in sorted(self.free_heaps.items()):
+            if cid not in self.clouds:
+                errs.append(f"cloud {cid} has a free index but is not registered")
+                continue
+            listed = self._freed.union(heap)
+            errs.extend(f"free member {node} of cloud {cid} is missing from its free index"
+                        for node in sorted(self.clouds[cid].members)
+                        if self.free(node) and node not in listed)
         return errs
 
 
@@ -228,7 +449,7 @@ class Healer:
         self.fault = fault
         self.graph = ColoredGraph()
         self.shadow = ShadowGraph()
-        self.registry = CloudRegistry()
+        self.registry = CloudRegistry(self.shadow)
         self.counters = RepairCounters()
         self.next_cloud_id = 0
         self.last_black_neighbors: set[int] = set()
@@ -241,6 +462,7 @@ class Healer:
         black *edges*; raises what ``graph.initial_views`` raises."""
         healer = cls(cfg, rng, fault)
         healer.graph, healer.shadow = initial_views(sorted(nodes), edges)
+        healer.registry = CloudRegistry(healer.shadow)
         return healer
 
     # -- event entry point ----------------------------------------------
@@ -271,14 +493,19 @@ class Healer:
         self.counters.inserts += 1
 
     def _delete(self, v: int) -> None:
-        """Plan the repair, then take the plan; a plan that raises is dropped."""
-        plan = Plan(self, v)
-        if self.fault != "skip-heal":
-            plan.repair()
-        self.registry, self.counters, self.next_cloud_id = (
-            plan.registry, plan.counters, plan.next_cloud_id)
+        """Plan the repair, then take the plan; the registry writes of a
+        plan that raises are rolled back, and nothing else was written."""
+        try:
+            plan = Plan(self, v)
+            if self.fault != "skip-heal":
+                plan.repair()
+            self.registry.commit()
+        finally:
+            self.registry.rollback()  # nothing to undo once committed
+        self.counters, self.next_cloud_id = plan.counters, plan.next_cloud_id
         self.counters.deletes += 1
-        self.shadow.alive.remove(v)
+        self.shadow.mark_dead(v)
+        self.registry.dead_neighbors_counted(plan.blacks)
         self.graph.remove_node(v)
         self.last_black_neighbors = set(plan.blacks)
         self._apply(plan)
@@ -288,18 +515,19 @@ class Healer:
     # -- edge lifecycle ----------------------------------------------------
 
     def _apply(self, plan: Plan) -> None:
-        """Recolor the graph, the dead node's edges gone, from
-        ``plan.before`` to the plan's registry: each cloud the plan
+        """Recolor the graph, the dead node's edges gone, from the
+        registry before *plan* to the registry it left: each cloud the plan
         touched loses its color on ``was - now`` and gains it on
-        ``now - was``, in id order, less the dead node's edges, a
-        registry that lacks the cloud giving it no edges.  The graph ends
-        as after stripping every old edge and painting every new one,
-        since an edge a cloud keeps would be repainted before the purge;
-        it is just not counted as reused."""
-        old, new, dying = plan.before.clouds, plan.registry.clouds, plan.dying_keys
+        ``now - was``, in id order, less the dead node's edges, a cloud
+        that is not registered giving it no edges.  The clouds before are
+        the ones ``touched`` recorded.  The graph ends as after stripping
+        every old edge and painting every new one, since an edge a cloud
+        keeps would be repainted before the purge; it is just not counted
+        as reused."""
+        new, dying = self.registry.clouds, plan.dying_keys
         strip, paint = [], []
-        for cid in sorted(plan.registry.touched):
-            was = old[cid].topology.edges if cid in old else frozenset()
+        for cid, old in sorted(self.registry.touched.items()):
+            was = old.topology.edges if old is not None else frozenset()
             now = new[cid].topology.edges if cid in new else frozenset()
             strip.append((cid, was - now - dying))
             paint.append((cid, now - was))
@@ -334,26 +562,29 @@ class LazyRandom:
 
 
 class Plan:
-    """Every decision of one delete's repair, made on copies of the
-    healer's registry, counters and next cloud id before any is applied;
-    it changes nothing of the healer.  Its draws come from a stream keyed
-    by the run and the dying node, which no other delete of the run
-    shares (node ids are never reused), so a delete planned twice gives
-    one plan.  The stream is seeded on its first draw (``LazyRandom``),
-    so a plan that designs only cliques seeds none.  Its branch, black
-    neighbors and free nodes come from the registry and the baseline,
-    never from edge colors; the graph gives only the dying node's edges.
+    """Every decision of one delete's repair, made before any is applied
+    to the graph.  It writes the healer's registry under a journal it
+    opens, and counts on a copy of the healer's counters and next cloud
+    id; the healer commits the journal when it takes the plan and rolls
+    it back otherwise, so a plan not taken leaves the healer as it was.
+    Its draws come from a stream keyed by the run and the dying node,
+    which no other delete of the run shares (node ids are never reused),
+    so a delete planned twice gives one plan.  The stream is seeded on
+    its first draw (``LazyRandom``), so a plan that designs only cliques
+    seeds none.  Its branch, black neighbors and free nodes come from the
+    registry and the baseline, never from edge colors; the graph gives
+    only the dying node's edges.
 
-    The registry it copied stays ``before``; the copy's ``touched`` ids
-    are the plan's one record of the delete, and those clouds'
-    difference between the two is the edge step ``Healer._apply`` makes.
+    The registry's ``touched`` is the plan's one record of the delete:
+    the clouds it names, as they were and as they are, differ by the edge
+    step ``Healer._apply`` makes.
     """
 
     def __init__(self, healer: Healer, dying: int | None = None) -> None:
         self.cfg, self.shadow = healer.cfg, healer.shadow
         self.stream = LazyRandom(f"{healer.run_key}/{dying}")
-        self.before = healer.registry
-        self.registry = self.before.copy()
+        self.registry = healer.registry
+        self.registry.begin()
         self.counters = RepairCounters(**vars(healer.counters))
         self.next_cloud_id = healer.next_cloud_id
         # the node whose delete is planned, the keys of the live edges it
@@ -518,39 +749,22 @@ class Plan:
     def _pick_free_node(self, cid: int, reserved: set[int]) -> int | None:
         """Smallest-id free node of the cloud, else the smallest-id free
         node of a primary cloud sharing a member (borrowed), else None.
-
-        A free node holds no bridge entry, is not *reserved*, and has a
-        slot left for the cloud it is drafted into (``_has_free_slot``).
-        """
+        A free node (``CloudRegistry.free``) is drafted only when it is
+        not *reserved*."""
         reg = self.registry
-        cloud, bridges = reg.clouds[cid], reg.bridges
-        for node in sorted(cloud.members):
-            if node not in bridges and node not in reserved and self._has_free_slot(node):
-                return node
-        primary = CloudKind.PRIMARY
-        sharing = {other for node in cloud.members for other in reg.member_of[node]}
+        node = reg.first_free((cid,), reserved)
+        if node is not None:
+            return node
+        sharing = set().union(*map(reg.member_of.__getitem__, reg.clouds[cid].members))
         sharing.discard(cid)
-        candidates = sorted({
-            node
-            for other in sharing if reg.clouds[other].kind is primary
-            for node in reg.clouds[other].members
-            if node not in bridges and node not in reserved
-        })
-        for node in candidates:
-            if self._has_free_slot(node):
-                self.counters.bridges_borrowed += 1
-                return node
+        primary = CloudKind.PRIMARY
+        borrowed = reg.first_free([other for other in sharing
+                                   if reg.clouds[other].kind is primary], reserved)
+        if borrowed is not None:
+            self.counters.bridges_borrowed += 1
+            return borrowed
         self.counters.free_node_misses += 1
         return None
-
-    def _has_free_slot(self, node: int) -> bool:
-        """Whether *node* may be drafted into one more cloud and keep its
-        cloud budget (see ``budget_errors``): the clouds it holds must
-        not exceed its dead baseline neighbors.  The delete adds one to
-        each side of a baseline neighbor of the dying node, a dead
-        neighbor and a loose membership in the repair's new cloud (it is
-        a black neighbor), so the rule reads state only."""
-        return len(self.registry.member_of.get(node, ())) <= self.shadow.dead_degree(node)
 
     # -- clouds the repair changes -------------------------------------------
 
@@ -578,9 +792,17 @@ class Plan:
                                                previous=cloud.topology)
             if spliced:
                 self.counters.clouds_spliced += 1
-            elif cid in self.before.clouds:
+            elif reg.touched[cid] is not None:
                 self.counters.clouds_rebuilt += 1
             reg.store(cid, Cloud(cloud.kind, cloud.members, topology))
+
+
+def _set_or_drop(table: dict, key: int, value) -> None:
+    """``table[key] = value``, or drop the key for an empty or None value."""
+    if value:
+        table[key] = value
+    else:
+        table.pop(key, None)
 
 
 # -- coherence oracle ---------------------------------------------------
@@ -609,21 +831,25 @@ def budget_errors(healer: Healer) -> list[str]:
     cloud adds at most kappa edges, so the budget gives the degree bound
     ``kappa * baseline_degree + kappa``.  Only alive nodes the shadow
     knows are counted; a dead or unknown cloud member is reported by the
-    registry and shadow checks.
+    registry and shadow checks.  dead(x) is recounted from the baseline,
+    and each node whose ``ShadowGraph.dead`` count differs is reported.
     """
-    shadow = healer.shadow
+    shadow, alive = healer.shadow, healer.shadow.alive
+    dead = {node: len(shadow.neighbors(node) - alive) for node in shadow.nodes}
+    errs = [f"node {node} counts {shadow.dead_degree(node)} dead baseline neighbors, "
+            f"not {dead[node]}"
+            for node in sorted(dead) if shadow.dead_degree(node) != dead[node]]
     held: dict[int, list[int]] = {}
     for cloud in healer.registry.clouds.values():
         for node in cloud.members:
             held.setdefault(node, [0, 0])[cloud.kind is CloudKind.SECONDARY] += 1
-    errs = []
     for node in sorted(held):
-        if node not in shadow.alive or node not in shadow:
+        if node not in alive or node not in shadow:
             continue
-        (p, s), dead = held[node], shadow.dead_degree(node)
-        if p + s > dead + 1:
+        (p, s), dead_degree = held[node], dead[node]
+        if p + s > dead_degree + 1:
             errs.append(f"node {node} holds {p} primary and {s} secondary clouds, "
-                        f"over its budget of {dead} dead baseline neighbors + 1")
+                        f"over its budget of {dead_degree} dead baseline neighbors + 1")
     return errs
 
 
@@ -631,7 +857,9 @@ def coherence_errors(healer: Healer) -> list[str]:
     """Full cross-check of graph, shadow, and registry.
 
     Empty result means: the graph's color sets are exactly what the
-    registry implies, structural indexes agree, no colorless edge is
+    registry implies, structural indexes agree (the registry's
+    membership and bridge indexes and free heaps, and the shadow's dead
+    counts, with a recount), no colorless edge is
     left behind, every cloud id is below the next cloud id (which
     ``Plan._new_cloud`` relies on for a fresh color), every cloud of more
     than kappa+1 members, as ``verify`` sizes one, certifies

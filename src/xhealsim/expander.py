@@ -512,21 +512,28 @@ def _splice(previous: CloudTopology, ranked: list[int], cfg: ExpanderConfig,
     return None
 
 
-def topology_error(members: frozenset[int], edges: frozenset[EdgeKey],
+def topology_error(members: frozenset[int], topology: CloudTopology,
                    cfg: ExpanderConfig) -> str | None:
-    """Why *edges* is not a topology ``build_topology`` could have
-    designed on *members*, or None.
+    """Why *topology* is not one ``build_topology`` could have designed
+    on *members*, or None.
 
     An independent re-check of a design, for a loaded snapshot: up to
-    kappa+1 members the clique on them; beyond, a simple kappa-regular
-    graph on exactly *members* that clears ``alpha_target`` as the
-    design did, by the spectral gate or, failing it, by the exact
-    expansion up to ``exact_limit`` members.  One factorization at most.
+    kappa+1 members the clique on them, certified with its exact
+    expansion m - floor(m/2) (0 below two members); beyond, a simple
+    kappa-regular graph on exactly *members* that clears
+    ``alpha_target`` as the design did, by the spectral gate or, failing
+    it, by the exact expansion up to ``exact_limit`` members.  One
+    factorization at most.
     """
-    ranked = sorted(members)
-    if len(ranked) <= cfg.kappa + 1:
-        clique = edges == frozenset(itertools.combinations(ranked, 2))
-        return None if clique else f"is not the clique on its {len(ranked)} members"
+    ranked, edges = sorted(members), topology.edges
+    m = len(ranked)
+    if m <= cfg.kappa + 1:
+        if edges != frozenset(itertools.combinations(ranked, 2)):
+            return f"is not the clique on its {m} members"
+        want, cert = Fraction(m - m // 2 if m >= 2 else 0), topology.certified_expansion
+        return None if cert == want else (
+            f"records certificate {cert} for the clique on its {m} members, "
+            f"whose expansion is {want}")
     index = {x: i for i, x in enumerate(ranked)}
     pairs = []
     for a, b in sorted(edges):

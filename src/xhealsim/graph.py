@@ -23,6 +23,7 @@ reused after deletion.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from operator import itemgetter
 from typing import Iterable, Iterator, KeysView, NamedTuple
 
@@ -158,7 +159,7 @@ class ColoredGraph:
         if v not in self._adj:
             raise UnknownNode(f"node {v} not present")
         self._csr = None
-        for nb in sorted(self._adj[v]):
+        for nb in self._adj[v]:
             del self._edges[edge_key(v, nb)]
             self._adj[nb].discard(v)
         del self._adj[v]
@@ -285,8 +286,9 @@ class ShadowGraph:
     """Append-only record of all nodes and black edges ever created.
 
     The record is one adjacency; ``nodes`` and ``edges`` are read from
-    it.  Deletions only move a node out of ``alive``; the node and its
-    edges stay, and metric checks that quote the baseline (degree,
+    it.  A deletion (``mark_dead``) only moves a node out of ``alive``
+    and counts it in ``dead`` for each baseline neighbor; the node and
+    its edges stay, and metric checks that quote the baseline (degree,
     density, expansion, distances) are computed over this full graph.
     """
 
@@ -295,6 +297,8 @@ class ShadowGraph:
         unchecked (``from_edges`` checks), every node alive."""
         self._adj: dict[int, set[int]] = {} if adj is None else adj
         self.alive: set[int] = set(self._adj)
+        # node -> its baseline neighbors not alive, for the nodes with one
+        self.dead: Counter[int] = Counter()
         self.max_node: int | None = max(self._adj, default=None)  # largest id ever recorded
         self._csr: Csr | None = None  # see Csr.of; dropped on adjacency change
 
@@ -328,8 +332,21 @@ class ShadowGraph:
 
     def dead_degree(self, v: int) -> int:
         """Baseline neighbors of *v* that are no longer alive."""
-        alive = self.alive
-        return sum(nb not in alive for nb in self.neighbors(v))
+        if v not in self._adj:
+            raise UnknownNode(f"node {v} never existed")
+        return self.dead.get(v, 0)
+
+    def mark_dead(self, v: int) -> None:
+        """Delete the alive node *v*: it leaves ``alive`` and each of its
+        baseline neighbors counts one more dead neighbor."""
+        nbrs = self._adj.get(v)
+        if nbrs is None:
+            raise UnknownNode(f"node {v} never existed")
+        try:
+            self.alive.remove(v)
+        except KeyError:
+            raise UnknownNode(f"node {v} is not alive") from None
+        self.dead.update(nbrs)
 
     def insert(self, node: int, nbrs: Iterable[int]) -> None:
         """Record the alive *node* wired to the recorded nodes *nbrs*."""
@@ -345,6 +362,9 @@ class ShadowGraph:
         for nb in nbrs:
             adj[nb].add(node)
         self.alive.add(node)
+        lost = len(nbrs - self.alive)
+        if lost:
+            self.dead[node] = lost
         self.max_node = node if self.max_node is None else max(node, self.max_node)
 
 

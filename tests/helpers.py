@@ -4,8 +4,9 @@ Everything here deliberately avoids the production code paths it is
 used to check: densities count pairs, expansion enumerates subsets in
 descending size order (or, for larger graphs, tabulates every cut as
 the replaced kernel did), graphs are built edge by edge.  The per-edge
-recoloring calls and the stdlib-drawing pairing sampler are the code
-paths the library inlined, kept here as its references.
+recoloring calls, the stdlib-drawing pairing sampler and the free-node
+scan are the code paths the library inlined or indexed, kept here as
+its references.
 """
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from xhealsim.engine import CloudKind
 from xhealsim.expander import ExpanderConfig, _cheeger_lower_bound, expansion_exact
 from xhealsim.graph import (
     BLACK,
@@ -324,26 +326,25 @@ def recolor_oracle(g: ColoredGraph, strip, paint) -> tuple[int, int, int]:
     return created, reused, purge_colorless(g, sorted(drained))
 
 
-def changed_oracle(plan) -> set[int]:
+def changed_oracle(plan, first_fresh: int) -> set[int]:
     """The ids of the clouds *plan* may change other than by retiring
-    them, read off the scrub and the two registries: the dying node's
-    clouds and every cloud it registered and kept.  A repair retires
-    other clouds but never alters one."""
+    them, read off the scrub and its registry: the dying node's clouds
+    and every cloud it registered, from id *first_fresh* on, and kept.
+    A repair retires other clouds but never alters one."""
     return {*plan.primaries, *plan.secondaries,
-            *(plan.registry.clouds.keys() - plan.before.clouds.keys())}
+            *(cid for cid in plan.registry.clouds if cid >= first_fresh)}
 
 
-def apply_full_oracle(healer, plan) -> None:
+def apply_full_oracle(healer, plan, before: dict) -> None:
     """``Healer._apply`` as a full strip and paint: every changed or
-    retired cloud's edges in the registry *plan* copied, less the dead
+    retired cloud's edges in the clouds *before* the plan, less the dead
     node's, lose its color and every such cloud's edges in *plan*'s
     registry take it, so an edge a rebuilt cloud keeps is stripped,
     repainted and counted as reused.  The clouds are the dying node's,
-    the scrub's lists say which, and those registered in only one of
-    the two registries.  A cloud paints the edges it adds first, in the
-    order ``_apply`` iterates them, so that edges are created in the
-    same order."""
-    old, new = plan.before.clouds, plan.registry.clouds
+    the scrub's lists say which, and those registered on only one side.
+    A cloud paints the edges it adds first, in the order ``_apply``
+    iterates them, so that edges are created in the same order."""
+    old, new = before, plan.registry.clouds
     strip, paint = [], []
     for cid in sorted({*plan.primaries, *plan.secondaries} | (old.keys() ^ new.keys())):
         was = old[cid].topology.edges - plan.dying_keys if cid in old else frozenset()
@@ -354,6 +355,45 @@ def apply_full_oracle(healer, plan) -> None:
     healer.counters.edges_created += created
     healer.counters.edges_reused += reused
     healer.counters.edges_deleted += deleted
+
+
+def pick_free_oracle(registry, shadow, cid: int, reserved) -> tuple[int | None, int, int]:
+    """``Plan._pick_free_node`` as the scan the free-member heaps
+    replaced: the cloud's members in id order, then every member of
+    every primary cloud that shares a member with it, each free node's
+    dead baseline neighbors counted afresh.  Returns the pick and the
+    amounts it adds to ``bridges_borrowed`` and ``free_node_misses``."""
+    bridges, member_of = registry.bridges, registry.member_of
+
+    def free(node):
+        return (node not in bridges and node not in reserved
+                and len(member_of.get(node, ())) <= len(shadow.neighbors(node) - shadow.alive))
+
+    cloud = registry.clouds[cid]
+    own = next((node for node in sorted(cloud.members) if free(node)), None)
+    if own is not None:
+        return own, 0, 0
+    sharing = {other for node in cloud.members for other in member_of[node]} - {cid}
+    candidates = sorted({node for other in sharing
+                         if registry.clouds[other].kind is CloudKind.PRIMARY
+                         for node in registry.clouds[other].members})
+    borrowed = next((node for node in candidates if free(node)), None)
+    return (borrowed, 1, 0) if borrowed is not None else (None, 0, 1)
+
+
+def checked_pick(pick, picks: list):
+    """A stand-in for ``Plan._pick_free_node`` (the function *pick*)
+    that appends to *picks* the indexed pick, with what it added to the
+    two counters, and ``pick_free_oracle``'s, as made on the same state."""
+    def checked(plan, cid, reserved):
+        want = pick_free_oracle(plan.registry, plan.shadow, cid, reserved)
+        counters = plan.counters
+        borrowed, misses = counters.bridges_borrowed, counters.free_node_misses
+        node = pick(plan, cid, reserved)
+        picks.append(((node, counters.bridges_borrowed - borrowed,
+                       counters.free_node_misses - misses), want))
+        return node
+    return checked
 
 
 def pairing_attempt_oracle(n: int, degree: int, rng: random.Random):

@@ -12,11 +12,11 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import (certificate_oracle, complete_adjacency, cycle_adjacency, density,
-                     density_oracle, expansion_oracle, index_arrays, random_adjacency)
+from helpers import (certificate_oracle, checked_pick, complete_adjacency, cycle_adjacency,
+                     density, density_oracle, expansion_oracle, index_arrays, random_adjacency)
 from xhealsim import cli
 from xhealsim.adversary import Strategy, gen_trace, initial_graph, next_event
-from xhealsim.engine import Healer, coherence_errors
+from xhealsim.engine import Healer, Plan, coherence_errors
 from xhealsim.expander import ExpanderConfig, build_topology, lambda2_of_adjacency
 from xhealsim.graph import edge_key
 from xhealsim.metrics import (
@@ -57,6 +57,8 @@ class SuiteResult:
     density_failures: list = field(default_factory=list)
     density_ub_failures: list = field(default_factory=list)
     stretch_failures: list = field(default_factory=list)
+    # (indexed pick, scanned pick) of every free-node pick
+    picks: list = field(default_factory=list)
     counters: dict = field(default_factory=dict)
     checkpoints: int = 0
     elapsed: float = 0.0
@@ -64,6 +66,13 @@ class SuiteResult:
 
 def drive(healer: Healer, events, seed: int, total: int,
           result: SuiteResult, checkpoint_every: int = 10) -> None:
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Plan, "_pick_free_node", checked_pick(Plan._pick_free_node, result.picks))
+        drive_checked(healer, events, seed, total, result, checkpoint_every)
+
+
+def drive_checked(healer: Healer, events, seed: int, total: int,
+                  result: SuiteResult, checkpoint_every: int) -> None:
     for t, event in enumerate(events, start=1):
         healer.handle_event(event)
         ok, missing = check_edge_preservation(healer.graph, healer.shadow)
@@ -329,6 +338,14 @@ def test_fault_sensitivity(tmp_path, capsys):
     conclude("fault-sensitivity", ok,
              f"clean run exit 0, faults detected with exit 1: {codes}"
              if ok else f"clean={clean} fault codes={codes}")
+
+
+def test_free_node_picks_match_the_scan(standard_suite, bridge_suite):
+    picks = standard_suite.picks + bridge_suite.picks
+    differ = [(got, want) for got, want in picks if got != want]
+    conclude("free-node-picks", bool(picks) and not differ,
+             f"{len(picks)} indexed picks equal the scan's" if not differ
+             else f"{len(differ)} of {len(picks)} differ: {differ[:3]}")
 
 
 def test_branch_coverage(standard_suite, bridge_suite):

@@ -406,6 +406,17 @@ def test_verify_missing_or_malformed_snapshot(tmp_path, capsys):
             d, lambda kind: "secondary" if kind == "primary" else "primary"),
         "bridge-twice": lambda d: d["bridges"].append(d["bridges"][0][:]),
         "bridge-twice-other-node": repeat_bridge_with_another_member,
+        # a key the loader does not read is refused, not dropped unseen
+        "unknown-key": lambda d: d.update(extra=1),
+        "unknown-config-key": lambda d: d["config"].update(seed=5),
+        "unknown-checkpoint-key": lambda d: d["checkpoint"].update(checkpoint_every=10),
+        "unknown-shadow-key": lambda d: d["shadow"].update(dead=[]),
+        "unknown-edge-key": lambda d: d["edges"][0].update(w=1),
+        "unknown-cloud-key": lambda d: d["clouds"][0].update(size=2),
+        # v4 recorded it, v5 leaves it to the cloud's size
+        "topology-kind": lambda d: d["clouds"][0]["topology"].update(kind="clique"),
+        "config-not-object": lambda d: d.update(config=[]),
+        "topology-not-object": lambda d: d["clouds"][0].update(topology=[]),
     }
     for name, damage in broken.items():
         victim = copy.deepcopy(data)
@@ -490,6 +501,26 @@ def test_verify_flags_last_black_neighbours_that_are_not_alive(tmp_path, capsys)
     assert capsys.readouterr().err.splitlines() == [
         "VIOLATION last black neighbour 5000 is not alive",
         "VIOLATION last black neighbour 999999 is not alive"]
+
+
+def test_verify_checks_a_clique_clouds_certificate(tmp_path, capsys):
+    # a clique records its exact expansion, m - m//2, which verify
+    # recomputes as it re-certifies an expander cloud
+    trace, snap = tmp_path / "t.jsonl", tmp_path / "s.json"
+    run_cli(["gen", "--strategy", "uniform", "--n0", "30", "--steps", "40",
+             "--seed", "1", "-o", str(trace)])
+    run_cli(["run", "--trace", str(trace), "--seed", "1",
+             "--snapshot", str(snap), "-o", str(tmp_path / "r.csv")])
+    data = json.loads(snap.read_text())
+    cloud = next(c for c in data["clouds"] if len(c["members"]) == 3)
+    assert cloud["topology"]["certified"] == "2/1"
+    cloud["topology"]["certified"] = "99/1"
+    snap.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run_cli(["verify", "--snapshot", str(snap)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"VIOLATION cloud {cloud['id']} topology records certificate 99 for the clique "
+        "on its 3 members, whose expansion is 2"]
 
 
 def test_verify_replay_that_cannot_certify_exits_3(tmp_path, capsys):

@@ -21,7 +21,7 @@ from xhealsim.engine import (
     expected_edge_state,
 )
 from xhealsim.expander import CloudTopology, ExpanderConfig, RetriesExhausted, build_topology
-from xhealsim.graph import BLACK, edge_key
+from xhealsim.graph import BLACK, ShadowGraph, edge_key
 from helpers import changed_oracle, is_connected
 
 
@@ -43,8 +43,32 @@ def plan_and_apply(h, planner, *args):
     plan = Plan(h)
     getattr(plan, planner)(*args)
     plan._design()
-    h.registry, h.counters, h.next_cloud_id = plan.registry, plan.counters, plan.next_cloud_id
+    h.registry.commit()
+    h.counters, h.next_cloud_id = plan.counters, plan.next_cloud_id
     h._apply(plan)
+
+
+def index_state(h):
+    """Copies of the registry's and the shadow's indexes, each heap as
+    the free members it holds."""
+    reg = h.registry
+    return (dict(h.shadow.dead), dict(reg.member_of),
+            {cid: set(holders) for cid, holders in reg.bridges_of.items()},
+            {cid: {node for node in heap if node in reg.clouds[cid].members and reg.free(node)}
+             for cid, heap in reg.free_heaps.items()})
+
+
+def assert_indexes_rebuilt(h, fresh):
+    """*h*'s indexes equal the ones *fresh*, a healer loaded from its
+    snapshot, rebuilt: a heap's entries that are free members are the
+    members free in *fresh*, the members its first pick would index."""
+    assert h.shadow.dead == fresh.shadow.dead
+    assert h.registry.member_of == fresh.registry.member_of
+    assert h.registry.bridges_of == fresh.registry.bridges_of
+    for cid, heap in h.registry.free_heaps.items():
+        members = h.registry.clouds[cid].members
+        assert {node for node in heap if node in members and h.registry.free(node)} == {
+            node for node in members if fresh.registry.free(node)}
 
 
 def test_plan_blacks_are_the_dying_nodes_black_neighbours():
@@ -92,6 +116,7 @@ def test_plan_branch_follows_cloud_membership_not_edge_colors():
         plan.repair()
         assert getattr(plan.counters, branch) == getattr(h.counters, branch) + 1, kind
         assert plan.counters.branch_all_black == h.counters.branch_all_black, kind
+        h.registry.rollback()
 
 
 def test_insert_wires_black_edges_only():
@@ -352,8 +377,11 @@ def test_bridge_refuses_a_node_that_holds_an_entry():
 
 def two_bridged_clouds():
     """Primary 0 on {1, 2} and secondary 1 on {2, 3}, where node 2
-    represents 0 in 1: a registry with no error on alive {1, 2, 3}."""
-    reg = CloudRegistry()
+    represents 0 in 1: a registry with no error on alive {1, 2, 3}, its
+    nodes having lost their baseline neighbor 4, so 1 and 3 are free."""
+    shadow = ShadowGraph.from_edges([1, 2, 3, 4], [(1, 4), (2, 4), (3, 4)])
+    shadow.mark_dead(4)
+    reg = CloudRegistry(shadow)
     reg.store(0, Cloud(CloudKind.PRIMARY, frozenset({1, 2}),
                        CloudTopology(frozenset({(1, 2)}), Fraction(1))))
     reg.store(1, Cloud(CloudKind.SECONDARY, frozenset({2, 3}),
@@ -372,6 +400,11 @@ def holder_outside_its_secondary(reg):
     reg.bridge(1, 0, 1)
 
 
+def free_member_left_out(reg):
+    assert reg.first_free([0], set()) == 1
+    reg.free_heaps[0].remove(1)
+
+
 @pytest.mark.parametrize("damage,line", [
     pytest.param(lambda reg: reg.store(5, Cloud(CloudKind.PRIMARY, frozenset(), UNDESIGNED)),
                  "cloud 5 is empty but registered", id="empty-cloud"),
@@ -385,6 +418,13 @@ def holder_outside_its_secondary(reg):
                  id="holder-outside-secondary"),
     pytest.param(lambda reg: reg.member_of.__setitem__(3, frozenset({0, 1})),
                  "node 3 indexed in clouds [0, 1] but member of [1]", id="index-disagrees"),
+    pytest.param(lambda reg: reg.bridges_of.__setitem__(0, {3}),
+                 "cloud 0 indexed with bridge holders [3] but named by the entries of [2]",
+                 id="bridge-index-disagrees"),
+    pytest.param(free_member_left_out, "free member 1 of cloud 0 is missing from its free index",
+                 id="free-member-not-indexed"),
+    pytest.param(lambda reg: reg.free_heaps.__setitem__(5, []),
+                 "cloud 5 has a free index but is not registered", id="free-index-of-no-cloud"),
 ])
 def test_validation_errors_name_each_planted_fault(damage, line):
     reg = two_bridged_clouds()
@@ -422,27 +462,34 @@ def test_fix_secondary_merges_when_no_replacement_exists():
 
 
 def assert_failed_event_changes_nothing(h, event, seed):
-    """The failed *event* leaves *h* as it was, later deletes included:
-    each alive node's delete is planned on *h* and on the state saved
-    before the failure, in id order, until one plan that draws is taken
-    on both.  Returns that node, or None when no plan draws."""
-    before = cli.snapshot_state(h, seed)
+    """The failed *event* leaves *h* as it was, its indexes too, which
+    equal the ones a load of its snapshot rebuilds, and later deletes
+    included: each alive node's delete is planned on *h* and on the
+    loaded state, in id order, and rolled back on both, until one plan
+    that draws is made on both.  Returns that node, or None when no plan
+    draws."""
+    before, indexes = cli.snapshot_state(h, seed), index_state(h)
     with pytest.raises(RetriesExhausted):
         h.handle_event(event)
     assert coherence_errors(h) == []
     assert cli.snapshot_state(h, seed) == before
+    assert index_state(h) == indexes
     saved, _ = cli.load_snapshot(before)
+    assert_indexes_rebuilt(h, saved)
     for v in sorted(h.shadow.alive - {event.node}):
         ours, theirs = Plan(h, v), Plan(saved, v)
         start = ours.stream.getstate()
         try:
             ours.repair()
         except RetriesExhausted:
+            h.registry.rollback()
             continue
         theirs.repair()
         assert ours.registry.clouds == theirs.registry.clouds
         assert ours.registry.bridges == theirs.registry.bridges
         assert ours.counters == theirs.counters
+        h.registry.rollback()
+        saved.registry.rollback()
         if ours.stream.getstate() != start:
             return v
     return None
@@ -463,12 +510,16 @@ def test_planning_a_delete_twice_gives_the_same_plan():
     # the hub's 14 leaves form a drawn 6-regular cloud; each plan of the
     # hub's delete draws from a stream keyed by the hub alone
     h = make_healer(list(range(15)), [(0, leaf) for leaf in range(1, 15)])
-    first, second = Plan(h, 0), Plan(h, 0)
+    first = Plan(h, 0)
     first.repair()
+    planned = dict(first.registry.clouds)
+    h.registry.rollback()
+    assert h.registry.clouds == {}
+    second = Plan(h, 0)
     second.repair()
-    (cloud,) = first.registry.clouds.values()
+    (cloud,) = planned.values()
     assert len(cloud.topology.edges) == 14 * 6 // 2
-    assert first.registry.clouds == second.registry.clouds
+    assert planned == second.registry.clouds
 
 
 def test_a_plan_seeds_its_stream_only_when_it_draws(monkeypatch):
@@ -514,15 +565,18 @@ def test_certification_failure_after_a_planned_rebuild_changes_nothing():
                     kappa=4, alpha_target=Fraction(5, 2), max_retries=4)
     h.handle_event(Event("del", 0))
     assert_failed_event_changes_nothing(h, Event("del", 1), 0)
+    before = dict(h.registry.clouds)
     plan = Plan(h, 1)
     with pytest.raises(RetriesExhausted):
         plan.repair()
-    clique, secondary = sorted(changed_oracle(plan))
-    before, after = h.registry.clouds, plan.registry.clouds
+    clique, secondary = sorted(changed_oracle(plan, h.next_cloud_id))
+    after = plan.registry.clouds
     assert before[clique].members == {1, 2, 3} and after[clique].members == {2, 3}
     assert plan.counters.clouds_rebuilt == h.counters.clouds_rebuilt + 1
     assert plan.counters.clouds_spliced == h.counters.clouds_spliced
     assert secondary not in before and after[secondary].topology is UNDESIGNED
+    h.registry.rollback()
+    assert h.registry.clouds == before
 
 
 def merge_heavy_healer():
@@ -548,8 +602,10 @@ def test_no_plan_designs_a_cloud_it_retires(monkeypatch):
 
     def checked_repair(plan):
         drawn.clear()
+        first_fresh = plan.next_cloud_id
         repair(plan)
-        kept = [plan.registry.clouds[cid].topology for cid in sorted(changed_oracle(plan))
+        kept = [plan.registry.clouds[cid].topology
+                for cid in sorted(changed_oracle(plan, first_fresh))
                 if cid in plan.registry.clouds]
         assert len(drawn) == len(kept)
         assert all(ours is theirs for ours, theirs in zip(drawn, kept))
@@ -568,16 +624,22 @@ def test_a_plan_keeps_every_cloud_outside_touched(monkeypatch):
     # the edge step walks only the clouds the plan touched, so every
     # cloud a plan keeps outside the ones it changed must be the
     # healer's own object
-    apply, kept = Healer._apply, []
+    delete, apply, starts, kept = Healer._delete, Healer._apply, [], []
+
+    def recording_delete(healer, v):
+        starts.append((healer.next_cloud_id, dict(healer.registry.clouds)))
+        delete(healer, v)
 
     def checked_apply(healer, plan):
-        changed = changed_oracle(plan)
+        first_fresh, before = starts[-1]
+        changed = changed_oracle(plan, first_fresh)
         others = [cid for cid in plan.registry.clouds if cid not in changed]
         for cid in others:
-            assert plan.before.clouds[cid] is plan.registry.clouds[cid]
+            assert before[cid] is plan.registry.clouds[cid]
         kept.append(len(others))
         apply(healer, plan)
 
+    monkeypatch.setattr(Healer, "_delete", recording_delete)
     monkeypatch.setattr(Healer, "_apply", checked_apply)
     h, adaptive = merge_heavy_and_target_bridge_runs()
     assert len(kept) == h.counters.deletes + adaptive.counters.deletes
@@ -605,13 +667,16 @@ def test_touched_is_what_a_plan_changed_retired_or_registered(monkeypatch):
     delete, apply, starts, checked = Healer._delete, Healer._apply, [], []
 
     def recording_delete(healer, v):
-        starts.append(healer.next_cloud_id)
+        starts.append((healer.next_cloud_id, dict(healer.registry.clouds)))
         delete(healer, v)
 
     def checked_apply(healer, plan):
-        retired = plan.before.clouds.keys() - plan.registry.clouds.keys()
-        fresh = set(range(starts[-1], plan.next_cloud_id))
-        assert plan.registry.touched == changed_oracle(plan) | retired | fresh
+        first_fresh, before = starts[-1]
+        retired = before.keys() - plan.registry.clouds.keys()
+        fresh = set(range(first_fresh, plan.next_cloud_id))
+        assert plan.registry.touched.keys() == changed_oracle(plan, first_fresh) | retired | fresh
+        # and each recorded cloud is the one the registry held before
+        assert all(plan.registry.touched[cid] is before.get(cid) for cid in plan.registry.touched)
         checked.append(plan.dying)
         apply(healer, plan)
 
@@ -626,14 +691,16 @@ def test_a_plan_that_is_not_taken_changes_nothing():
     # a branch-3 delete of trio_of_bridged_primaries' bridge: the plan
     # rebuilds, drafts a replacement and counts, all on its own copies
     h, (p1, p2, p3), fid = trio_of_bridged_primaries()
-    before = cli.snapshot_state(h, 0)
+    before, clouds, indexes = cli.snapshot_state(h, 0), dict(h.registry.clouds), index_state(h)
     plan = Plan(h, held_by(h, fid, p2))
     plan.repair()
     assert plan.counters.branch_secondary == 1
     assert plan.counters.clouds_rebuilt + plan.counters.clouds_spliced > (
         h.counters.clouds_rebuilt + h.counters.clouds_spliced)
-    assert plan.registry.clouds != h.registry.clouds
+    assert plan.registry.clouds != clouds
+    h.registry.rollback()
     assert cli.snapshot_state(h, 0) == before
+    assert index_state(h) == indexes
     assert coherence_errors(h) == []
 
 
@@ -744,6 +811,17 @@ def test_budget_errors_name_a_node_over_its_budget():
         "over its budget of 1 dead baseline neighbors + 1" for x in (1, 2, 3)]
 
 
+def test_budget_errors_recount_dead_baseline_neighbours():
+    # the budget reads the shadow's dead counts; a count that is off is
+    # named, and the budget is judged by the recount
+    h = make_healer([0, 1, 2, 3], [(0, 1), (0, 2), (0, 3)])
+    h.handle_event(Event("del", 0))
+    h.shadow.dead[1] = 5
+    h.shadow.dead.pop(2)
+    assert budget_errors(h) == ["node 1 counts 5 dead baseline neighbors, not 1",
+                                "node 2 counts 0 dead baseline neighbors, not 1"]
+
+
 def test_free_slot_compares_held_clouds_with_dead_baseline_neighbours():
     # 4 lost its baseline neighbor 3 and holds two clouds, a full budget;
     # once its baseline neighbor 5 is dead too it has a slot left
@@ -751,9 +829,9 @@ def test_free_slot_compares_held_clouds_with_dead_baseline_neighbours():
     h.handle_event(Event("del", 3))  # primary {0, 4}
     (pid,) = h.registry.clouds
     h.registry.store(pid + 1, h.registry.clouds[pid])
-    assert not Plan(h)._has_free_slot(4)  # 2 held, 1 dead
-    h.shadow.alive.remove(5)
-    assert Plan(h)._has_free_slot(4)  # 2 held, 2 dead
+    assert not h.registry.free(4)  # 2 held, 1 dead
+    h.shadow.mark_dead(5)
+    assert h.registry.free(4)  # 2 held, 2 dead
 
 
 def test_a_cloud_that_loses_one_member_is_spliced_with_kappa_half_new_edges():
@@ -777,7 +855,8 @@ def test_a_cloud_that_loses_one_member_is_spliced_with_kappa_half_new_edges():
 
 
 # the registry's fields, and the calls that change a dict or set in place
-REGISTRY_FIELDS = {"clouds", "member_of", "bridges", "touched"}
+REGISTRY_FIELDS = {"clouds", "member_of", "bridges", "bridges_of", "free_heaps", "touched",
+                   "_entries_then", "_heaps_then", "_freed"}
 MUTATORS = {"pop", "popitem", "update", "clear", "setdefault", "add", "discard", "remove",
             "difference_update", "intersection_update", "symmetric_difference_update"}
 

@@ -260,7 +260,7 @@ def test_csr_connected_edge_cases():
     assert csr_connected(Csr.of(graph_from_edges(range(6), triangles + [(2, 3)])))
     # a shadow keeps its dead nodes, so a dead hub still joins the leaves
     sh = ShadowGraph.from_edges(range(4), [(0, 1), (0, 2), (0, 3)])
-    sh.alive.remove(0)
+    sh.mark_dead(0)
     assert csr_connected(Csr.of(sh))
     assert not csr_connected(Csr.of(graph_from_edges(sorted(sh.alive), [])))
 
@@ -275,7 +275,7 @@ def test_csr_connected_matches_is_connected(n, p, split, dead, seed):
              if (u < split) == (v < split) and rng.random() < p]
     sh = ShadowGraph.from_edges(range(n), edges)
     for v in sorted(dead & set(range(n))):
-        sh.alive.remove(v)
+        sh.mark_dead(v)
     live = graph_from_edges(sorted(sh.alive), [(u, v) for u, v in edges
                                                 if u in sh.alive and v in sh.alive])
     for view in (live, sh):
@@ -288,10 +288,15 @@ def test_shadow_insert():
     assert sh.edges == {(0, 1), (0, 2), (1, 2)}
     assert sh.alive == {0, 1, 2} and sh.max_node == 2
 
-    sh.alive.remove(2)  # a delete only toggles liveness
+    sh.mark_dead(2)  # a delete toggles liveness and counts the dead
     assert sh.edges == {(0, 1), (0, 2), (1, 2)}  # untouched
     assert sh.alive == {0, 1}
     assert len(sh.neighbors(2)) == 2  # full baseline degree still counts dead edges
+    assert [sh.dead_degree(v) for v in (0, 1, 2)] == [1, 1, 0]
+    with pytest.raises(UnknownNode, match="node 2 is not alive"):
+        sh.mark_dead(2)
+    with pytest.raises(UnknownNode, match="node 9 never existed"):
+        sh.mark_dead(9)
 
     with pytest.raises(DuplicateNode, match="node 0 already recorded"):
         sh.insert(0, ())
@@ -302,6 +307,8 @@ def test_shadow_insert():
     # a refused insert records nothing
     assert sh.node_set == {0, 1, 2} and sh.max_node == 2
     assert sh.neighbors(0) == {1, 2}
+    sh.insert(3, (0, 2))  # a recorded dead neighbor counts from the start
+    assert sh.dead == {0: 1, 1: 1, 3: 1}
 
 
 @settings(max_examples=50, deadline=None)
@@ -318,10 +325,13 @@ def test_shadow_is_append_only(script):
             sh.insert(next_id, nbrs)
             next_id += 1
         else:
-            sh.alive.remove(alive[pick % len(alive)])
+            sh.mark_dead(alive[pick % len(alive)])
         assert nodes_before <= sh.node_set
         assert edges_before <= sh.edges
         assert sh.alive <= sh.node_set
+        # each node's dead count is its baseline neighbors not alive
+        assert {v: sh.dead_degree(v) for v in sh.nodes} == {
+            v: len(sh.neighbors(v) - sh.alive) for v in sh.nodes}
 
 
 def test_only_graph_module_touches_graph_internals():
@@ -394,7 +404,7 @@ def test_shadow_snapshot_is_rebuilt_after_each_adjacency_change(mutation):
     after = Csr.of(sh)
     assert snapshot_adjacency(after) == view_adjacency(sh) != snapshot_adjacency(before)
     assert Csr.of(sh) is after
-    sh.alive.remove(1)  # a deletion only toggles liveness
+    sh.mark_dead(1)  # a deletion only toggles liveness
     assert Csr.of(sh) is after
 
 
@@ -423,7 +433,7 @@ def test_bfs_distances_match_per_source_oracle(n, p, seed, pair_count, shadow):
     if shadow:
         view = ShadowGraph.from_edges(ids, edges)
         for v in rng.sample(ids, n // 2):
-            view.alive.remove(v)  # dead nodes still relay baseline paths
+            view.mark_dead(v)  # dead nodes still relay baseline paths
         pool = sorted(view.alive)
     else:
         view = graph_from_edges(ids, edges)

@@ -24,9 +24,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import apply_full_oracle, graph_from_edges, pairing_attempt_oracle, recolor_oracle
+from helpers import (apply_full_oracle, checked_pick, graph_from_edges, pairing_attempt_oracle,
+                     recolor_oracle)
 from xhealsim.adversary import Strategy, gen_trace
-from xhealsim.engine import Healer
+from xhealsim.engine import Healer, Plan, coherence_errors
 from xhealsim.expander import (ExpanderConfig, RetriesExhausted, _pairing_attempt,
                                partial_shuffle)
 from xhealsim.metrics import Subsets, sample_subsets
@@ -112,7 +113,15 @@ def per_edge_recolor(healer):
 
 
 def full_strip_and_paint(healer):
-    healer._apply = types.MethodType(apply_full_oracle, healer)
+    delete, before = healer._delete, {}
+
+    def recording_delete(v):
+        before.clear()
+        before.update(healer.registry.clouds)
+        delete(v)
+
+    healer._delete = recording_delete
+    healer._apply = lambda plan: apply_full_oracle(healer, plan, before)
 
 
 def edge_state(healer):
@@ -177,3 +186,29 @@ def test_apply_parity_on_a_trace_that_splices_clouds():
     (diffed, full), _ = assert_apply_parity(200, 200, 1, None)
     assert diffed.counters.clouds_spliced > 0
     assert diffed.counters.edges_reused < full.counters.edges_reused
+
+
+@settings(max_examples=30, deadline=None)
+@given(n0=st.integers(1, 80), steps=st.integers(0, 80), seed=st.integers(0, 10_000),
+       fault=st.sampled_from([None, "skip-heal", "drop-black-edge"]))
+@example(**REGISTERED_AND_RETIRED).via("a delete registers and retires a cloud")
+@example(n0=40, steps=60, seed=3, fault=None).via("rebuilds, merges and reuse")
+def test_indexed_picks_match_the_scan_on_healer_states(n0, steps, seed, fault):
+    trace = gen_trace(Strategy("uniform", insert_fraction=0.4), n0, steps, seed)
+    healer = Healer.from_initial(trace.initial_nodes, trace.initial_edges,
+                                 ExpanderConfig(alpha_target=Fraction(1, 2)),
+                                 random.Random(seed), fault=fault)
+    picks = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Plan, "_pick_free_node", checked_pick(Plan._pick_free_node, picks))
+        for event in trace.events:
+            try:
+                healer.handle_event(event)
+            except RetriesExhausted:
+                break
+            # the indexes, the heaps' free members among them, are coherent
+            errors = coherence_errors(healer)
+            assert [e for e in errors if "index" in e or " counts " in e] == []
+    assert [got for got, want in picks if got != want] == []
+    if dict(n0=n0, steps=steps, seed=seed, fault=fault) == REGISTERED_AND_RETIRED:
+        assert len(picks) > 20

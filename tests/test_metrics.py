@@ -116,7 +116,7 @@ def test_density_upper_counts_baseline_edges_to_dead_nodes():
     # slack, and on the alive set 2 * 12 <= 2 * 0 + 2 * 6 + 2 * 6
     shadow = ShadowGraph.from_edges(range(12), [(i, i + 6) for i in range(6)])
     for v in range(6, 12):
-        shadow.alive.remove(v)
+        shadow.mark_dead(v)
     graph = graph_from_edges(range(6), [(u, v) for u in range(6) for v in range(u + 1, 6)
                                         if v != u + 3])
     slack, violations = check_degree_bound(graph, shadow, 2)
@@ -176,7 +176,7 @@ def test_expansion_matches_subset_enumeration_on_views(ids, dead, base_p, live_p
     shadow = ShadowGraph.from_edges(order, [(u, v) for i, u in enumerate(order)
                                             for v in order[i + 1:] if rng.random() < base_p])
     for v in sorted(dead & ids):
-        shadow.alive.remove(v)
+        shadow.mark_dead(v)
     alive = sorted(shadow.alive)
     graph = graph_from_edges(alive, [(u, v) for i, u in enumerate(alive)
                                      for v in alive[i + 1:] if rng.random() < live_p])
@@ -296,7 +296,7 @@ def test_empty_network_report():
 def test_shadow_distances_use_dead_intermediates():
     # 1 - 0 - 2 with hub deleted: baseline distance via the dead hub is 2
     sh = ShadowGraph.from_edges([0, 1, 2], [(0, 1), (0, 2)])
-    sh.alive.remove(0)
+    sh.mark_dead(0)
     from xhealsim.graph import Csr, bfs_distances
     csr = Csr.of(sh)
     dist = bfs_distances(csr, csr.positions([1, 2]), csr.positions([2, 1]))

@@ -158,7 +158,7 @@ def test_parity_on_arbitrary_graph_pairs(n, dead, base_p, live_p, kappa, seed):
     shadow = ShadowGraph.from_edges(range(n), [(u, v) for u in range(n) for v in range(u + 1, n)
                                                if rng.random() < base_p])
     for v in sorted(dead & set(range(n))):
-        shadow.alive.remove(v)
+        shadow.mark_dead(v)
     alive = sorted(shadow.alive)
     graph = graph_from_edges(alive, [(u, v) for i, u in enumerate(alive)
                                      for v in alive[i + 1:] if rng.random() < live_p])
@@ -245,7 +245,7 @@ def test_degree_budget_keeps_every_subset_within_the_upper_bound(
     shadow = ShadowGraph.from_edges(range(n), [(u, v) for u in range(n) for v in range(u + 1, n)
                                                if rng.random() < base_p])
     for v in sorted(dead & set(range(n))):
-        shadow.alive.remove(v)
+        shadow.mark_dead(v)
     alive = sorted(shadow.alive)
     # live edges, each added only while both ends stay within budget
     budget = {v: kappa * len(shadow.neighbors(v)) + kappa for v in alive}

@@ -14,7 +14,8 @@ or 3 with the ``event`` whose cloud failed to certify and that cloud's
 ``size``.  Then the repair counters ``branch_*``, ``clouds_built``,
 ``merges``, ``bridges_borrowed`` and ``free_node_misses``, and the
 number of ``budget_errors`` and ``coherence_errors`` lines summed over
-the state after every event applied, the ``membership`` digest of
+the state after every event applied (these recount the registry's and
+the shadow's indexes too), the ``membership`` digest of
 those states (``Membership``), which ``tests/test_golden.py`` pins, and
 the ``design`` digest of their cloud edges and certificates (``Design``).
 Cloud membership does not depend on the draws, so a change that moves
