@@ -12,6 +12,7 @@ import bisect
 import functools
 import itertools
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Container, NamedTuple
@@ -152,6 +153,9 @@ def initial_graph(n0: int, rng: random.Random, extra_edge_frac: float = 0.5
     quota of extra random edges."""
     if n0 < 1:
         raise InvalidParams("n0 must be >= 1")
+    if extra_edge_frac < 0 or not math.isfinite(n0 * extra_edge_frac):
+        raise InvalidParams(f"extra_edge_frac {extra_edge_frac} must be non-negative, "
+                            "with n0 * extra_edge_frac finite")
     nodes = list(range(n0))
     edges: set[EdgeKey] = set()
     for v in range(1, n0):

@@ -344,11 +344,21 @@ def load_snapshot(data: dict) -> tuple[Healer, RunConfig]:
 # -- subcommands -------------------------------------------------------------
 
 
+def _flag_fraction(text: str) -> Fraction:
+    """``Fraction(text)`` for a flag; a zero denominator is refused as a
+    malformed fraction is, as a usage error."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
+
+
 def _add_run_config_flags(parser: argparse.ArgumentParser) -> None:
     """One ``--flag`` per RunConfig field, typed and defaulted by it."""
     for f in fields(RunConfig):
         kind = type(f.default)
-        parser.add_argument("--" + f.name.replace("_", "-"), type=kind, default=f.default,
+        parser.add_argument("--" + f.name.replace("_", "-"), default=f.default,
+                            type=_flag_fraction if kind is Fraction else kind,
                             metavar="P/Q" if kind is Fraction else None)
 
 
@@ -527,12 +537,16 @@ def cmd_report(args: argparse.Namespace) -> int:
         if not rows:
             print(f"{path}: empty report", file=sys.stderr)
             return 2
-        print(f"== {path}")
         final = rows[-1]
         slacks = [int(r["degree_slack_min"]) for r in rows
                   if r["degree_slack_min"] != "skipped"]
-        stretches = [Fraction(r["max_stretch"]) for r in rows
-                     if r["max_stretch"] != "skipped"]
+        try:
+            stretches = [Fraction(r["max_stretch"]) for r in rows
+                         if r["max_stretch"] != "skipped"]
+        except ZeroDivisionError as exc:
+            print(f"{path}: a max_stretch cell has a zero denominator: {exc}", file=sys.stderr)
+            return 2
+        print(f"== {path}")
         print(f"  checkpoints: {len(rows)}  final t={final['t']} "
               f"n_alive={final['n_alive']}")
         print(f"  min degree slack: {min(slacks) if slacks else 'n/a'}")

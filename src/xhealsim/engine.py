@@ -35,13 +35,13 @@ the graph, and a plan that raises (a cloud that cannot be certified) is
 rolled back.  A delete's work grows with the clouds it touches, not with
 the clouds the run has registered: the dying node's bridge role is one
 dict lookup, a cloud's bridge entries are indexed by its id
-(``CloudRegistry.bridges_of``), its free members are kept in a heap that
-a pick pops only stale entries from (``CloudRegistry.first_free``), a
-node's dead baseline neighbors are counted as they die
-(``ShadowGraph.mark_dead``), its stream is seeded only if a design
-draws, and the edge step walks only the clouds the plan touched.  A
-borrowed pick still reads the cloud's members to find the primaries
-that share one.
+(``CloudRegistry.bridges_of``), the free cloud members are kept in one
+set that a pick intersects with the cloud's members
+(``CloudRegistry.first_free``), a node's dead baseline neighbors are
+counted as they die (``ShadowGraph.mark_dead``), its stream is seeded
+only if a design draws, and the edge step walks only the clouds the plan
+touched.  A borrowed pick still reads the cloud's members to find the
+primaries that share one.
 
 An edge's colors are its only state, and a cloud's topology is a frozen
 set of edges, so the delete's edge step is, over the clouds the plan
@@ -55,7 +55,6 @@ edge goes.
 """
 from __future__ import annotations
 
-import heapq
 import random
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -101,21 +100,19 @@ class CloudRegistry:
     keyed by id, and ``bridges``, keyed by the node holding each entry,
     are the record.  Three indexes are derived from them and from the
     shadow's dead counts: ``member_of``, ``bridges_of`` and
-    ``free_heaps`` (see ``first_free``).  Only the methods below write
-    these fields, and nothing but the record is saved.
+    ``free_members``, the cloud members ``free`` accepts.  Only the
+    methods below write these fields, and nothing but the record is
+    saved.
 
     ``begin`` opens a journal for one plan; ``commit`` keeps what the
     plan wrote and ``rollback`` undoes it, and either closes the
     journal.  While it is open, ``touched`` maps each cloud id that
     ``store`` and ``retire`` write to the cloud it held at ``begin``
     (None for an id that held none), and the journal keeps the bridge
-    entry each node held before its first change, the heap of each
-    cloud the plan registered or retired, and each entry a pick popped.
-    A rollback puts those back and derives ``member_of`` and
-    ``bridges_of`` afresh for the nodes and clouds they name.  A node
-    the plan pushed onto a heap stays there, a stale entry or a second
-    entry of a free member, which a pick pops.  ``touched`` outlives the
-    journal as the record of the last plan."""
+    entry each node held before its first change.  A rollback puts
+    those back and derives the indexes afresh for the nodes and clouds
+    they name.  ``touched`` outlives the journal as the record of the
+    last plan."""
 
     def __init__(self, shadow: ShadowGraph) -> None:
         self.shadow = shadow
@@ -127,36 +124,25 @@ class CloudRegistry:
         self.bridges: dict[int, tuple[int, int]] = {}
         # cloud id -> the nodes holding an entry that names it
         self.bridges_of: dict[int, set[int]] = {}
-        # cloud id -> a min-heap of node ids holding every free member,
-        # but for the ones a plan freed since its last pick (``_freed``)
-        self.free_heaps: dict[int, list[int]] = {}
+        self.free_members: set[int] = set()  # the cloud members ``free`` accepts
         self.touched: dict[int, Cloud | None] = {}
         # the journal while a plan is open, None otherwise: node -> its
-        # bridge entry at begin, cloud id -> its heap at begin, and the
-        # (cloud id, node) entries popped from the heaps since
+        # bridge entry at begin
         self._entries_then: dict[int, tuple[int, int] | None] | None = None
-        self._heaps_then: dict[int, list[int] | None] | None = None
-        self._popped: list[tuple[int, int]] = []
-        self._freed: set[int] = set()  # nodes a plan freed, pushed at its next pick
 
     def begin(self) -> None:
-        if self._freed:  # left by writes made with no plan open
-            self._push_freed()
-        self.touched, self._entries_then, self._heaps_then, self._popped = {}, {}, {}, []
+        self.touched, self._entries_then = {}, {}
 
     def commit(self) -> None:
-        self._entries_then = self._heaps_then = None
-        if self._freed:
-            self._push_freed()
+        self._entries_then = None
 
     def rollback(self) -> None:
         """Undo every write since ``begin``; a closed journal has nothing
         to undo."""
-        entries, heaps = self._entries_then, self._heaps_then
-        if heaps is None:
+        entries = self._entries_then
+        if entries is None:
             return
-        self._entries_then = self._heaps_then = None
-        self._freed = set()  # begin pushed every node freed before it
+        self._entries_then = None
         clouds, touched = self.clouds, self.touched
         held_then: dict[int, set[int]] = {}  # node -> the touched ids holding it at begin
         for cid, cloud in touched.items():
@@ -181,14 +167,7 @@ class CloudRegistry:
         for cid, nodes in named.items():
             holders = self.bridges_of.get(cid, set()).difference(entries).union(nodes)
             _set_or_drop(self.bridges_of, cid, holders)
-        for cid, heap in heaps.items():
-            if heap is None:
-                self.free_heaps.pop(cid, None)
-            else:
-                self.free_heaps[cid] = heap
-        for cid, node in self._popped:
-            if cid in self.free_heaps:
-                heapq.heappush(self.free_heaps[cid], node)
+        self.refresh_free(held_then.keys() | entries.keys())
 
     def store(self, cid: int, cloud: Cloud) -> None:
         """Register *cloud* under id *cid*, replacing any cloud of that
@@ -200,14 +179,17 @@ class CloudRegistry:
         before = old.members if old is not None else frozenset()
         if cloud.members is before:
             return
-        gained = cloud.members - before
-        for node in gained:
+        free, free_members = self.free, self.free_members
+        for node in cloud.members - before:  # a cloud more can only end a node's freedom
             held = member_of.get(node)
-            member_of[node] = held | {cid} if held else frozenset((cid,))
-        if cid in self.free_heaps:
-            for node in gained:
-                if self.free(node):
-                    heapq.heappush(self.free_heaps[cid], node)
+            if held:
+                member_of[node] = held | {cid}
+                if node in free_members and not free(node):
+                    free_members.discard(node)
+            else:
+                member_of[node] = frozenset((cid,))
+                if free(node):
+                    free_members.add(node)
         lost = before - cloud.members
         if lost:
             self._leave(lost, cid)
@@ -215,9 +197,6 @@ class CloudRegistry:
     def retire(self, cid: int) -> None:
         cloud = self.clouds.pop(cid)
         self.touched.setdefault(cid, cloud)
-        heap = self.free_heaps.pop(cid, None)
-        if heap is not None and self._heaps_then is not None:
-            self._heaps_then.setdefault(cid, heap)
         self._leave(cloud.members, cid)
         holders = self.bridges_of.pop(cid, None)
         if holders:
@@ -226,7 +205,7 @@ class CloudRegistry:
                 if self._entries_then is not None:
                     self._entries_then.setdefault(node, entry)
                 self._unbridge(c if f == cid else f, node)
-            self._freed.update(node for node in holders if self.free(node))
+            self.refresh_free(holders)
 
     def bridge(self, secondary: int, primary: int, node: int) -> None:
         """Let *node*, which must hold no bridge entry, represent
@@ -239,6 +218,7 @@ class CloudRegistry:
         self.bridges[node] = (secondary, primary)
         self.bridges_of.setdefault(secondary, set()).add(node)
         self.bridges_of.setdefault(primary, set()).add(node)
+        self.free_members.discard(node)
 
     def release(self, node: int) -> tuple[int, int] | None:
         """Drop the bridge entry *node* holds and return its key, or
@@ -250,24 +230,23 @@ class CloudRegistry:
             self._entries_then.setdefault(node, key)
         for cid in key:
             self._unbridge(cid, node)
-        if self.free(node):
-            self._freed.add(node)
+        self.refresh_free((node,))
         return key
 
     def _leave(self, nodes: Iterable[int], cid: int) -> None:
-        """Take cloud *cid* off each of *nodes*' clouds; a node with no
-        bridge entry whose clouds now equal its dead baseline neighbors
-        held one too many a moment ago, so it has just become free."""
+        """Take cloud *cid* off each of *nodes*' clouds; a cloud less can
+        only free a node."""
         member_of, gone = self.member_of, {cid}
+        free, free_members = self.free, self.free_members
         for node in nodes:
             held = member_of[node] - gone
-            if not held:
-                del member_of[node]
-            elif len(held) == self.shadow.dead.get(node, 0) and node not in self.bridges:
+            if held:
                 member_of[node] = held
-                self._freed.add(node)
+                if node not in free_members and free(node):
+                    free_members.add(node)
             else:
-                member_of[node] = held
+                del member_of[node]
+                free_members.discard(node)
 
     def _unbridge(self, cid: int, node: int) -> None:
         holders = self.bridges_of[cid]
@@ -293,75 +272,28 @@ class CloudRegistry:
         return (node not in self.bridges
                 and len(self.member_of.get(node, ())) <= self.shadow.dead.get(node, 0))
 
+    def refresh_free(self, nodes: Iterable[int]) -> None:
+        """Put each of *nodes* in ``free_members`` exactly when it is a
+        free cloud member, once its clouds, its bridge entry or its dead
+        baseline neighbors have changed."""
+        free, free_members, member_of = self.free, self.free_members, self.member_of
+        for node in nodes:
+            if node in member_of and free(node):
+                free_members.add(node)
+            else:
+                free_members.discard(node)
+
     def first_free(self, cids: Iterable[int], reserved: set[int]) -> int | None:
         """The smallest-id free member of the clouds *cids* not in
-        *reserved*, or None.
-
-        A cloud's heap is built on its first pick, from its members.  A
-        node is pushed again only when it becomes a free member: it joins
-        the cloud free, or it leaves a cloud or a bridge entry, or a
-        baseline neighbor dies, and it is free then.  The nodes a plan
-        frees are pushed at its next pick or its commit, so a node it
-        frees for a moment is pushed only if still free.  So each heap
-        holds every free member of its cloud; an entry that is not one
-        is stale and popped when it reaches the top.  The reserved free
-        members met on the way are pushed back, and a heap whose top is
-        not below the best member found yet is not searched.
-        """
-        if self._freed:
-            self._push_freed()
-        clouds, heaps, bridges, member_of, dead = (self.clouds, self.free_heaps, self.bridges,
-                                                   self.member_of, self.shadow.dead)
-        found = None
+        *reserved*, or None: the least of each cloud's members that
+        ``free_members`` holds."""
+        lows = []
         for cid in cids:
-            members = clouds[cid].members
-            heap = heaps.get(cid)
-            if heap is None:
-                heap = heaps[cid] = sorted(members)  # a sorted list is a heap
-                if self._heaps_then is not None:
-                    self._heaps_then.setdefault(cid, None)
-            passed = []
-            while heap and (found is None or heap[0] < found):
-                top = heap[0]
-                if (top in members and top not in bridges
-                        and len(member_of[top]) <= dead.get(top, 0)):  # a free member
-                    if top not in reserved:
-                        found = top
-                        break
-                    passed.append(top)
-                elif self._heaps_then is not None:
-                    self._popped.append((cid, top))
-                heapq.heappop(heap)
-            for node in passed:
-                heapq.heappush(heap, node)
-        return found
-
-    def dead_neighbors_counted(self, nodes: Iterable[int]) -> None:
-        """Index the free members among the alive *nodes*, which the
-        shadow has just counted one more dead baseline neighbor for: a
-        node with no bridge entry became free when the clouds it holds
-        now equal its dead neighbors."""
-        bridges, member_of, dead, heaps = (self.bridges, self.member_of, self.shadow.dead,
-                                           self.free_heaps)
-        for node in nodes:
-            held = member_of.get(node)
-            if held is not None and len(held) == dead[node] and node not in bridges:
-                for cid in held:
-                    if cid in heaps:
-                        heapq.heappush(heaps[cid], node)
-
-    def _push_freed(self) -> None:
-        """Push each node in ``_freed`` that is still free onto the heaps
-        of its clouds."""
-        freed, self._freed = self._freed, set()
-        heaps, member_of, bridges, dead = (self.free_heaps, self.member_of, self.bridges,
-                                           self.shadow.dead)
-        for node in freed:
-            held = member_of.get(node, ())
-            if node not in bridges and len(held) <= dead.get(node, 0):  # free
-                for cid in held:
-                    if cid in heaps:
-                        heapq.heappush(heaps[cid], node)
+            candidates = self.free_members.intersection(self.clouds[cid].members)
+            candidates -= reserved
+            if candidates:
+                lows.append(min(candidates))
+        return min(lows, default=None)
 
     def validation_errors(self, alive: set[int]) -> list[str]:
         errs = []
@@ -402,14 +334,12 @@ class CloudRegistry:
                 errs.append(f"cloud {cid} indexed with bridge holders "
                             f"{sorted(self.bridges_of.get(cid, ()))} but named by the entries of "
                             f"{sorted(named.get(cid, ()))}")
-        for cid, heap in sorted(self.free_heaps.items()):
-            if cid not in self.clouds:
-                errs.append(f"cloud {cid} has a free index but is not registered")
-                continue
-            listed = self._freed.union(heap)
-            errs.extend(f"free member {node} of cloud {cid} is missing from its free index"
-                        for node in sorted(self.clouds[cid].members)
-                        if self.free(node) and node not in listed)
+        free = {node for node, ids in indexed.items()
+                if node not in self.bridges and len(ids) <= self.shadow.dead.get(node, 0)}
+        for node in sorted(free ^ self.free_members):
+            errs.append(f"free member {node} is missing from the free member index"
+                        if node in free else
+                        f"node {node} is in the free member index but is not a free member")
         return errs
 
 
@@ -505,7 +435,7 @@ class Healer:
         self.counters, self.next_cloud_id = plan.counters, plan.next_cloud_id
         self.counters.deletes += 1
         self.shadow.mark_dead(v)
-        self.registry.dead_neighbors_counted(plan.blacks)
+        self.registry.refresh_free(plan.blacks)
         self.graph.remove_node(v)
         self.last_black_neighbors = set(plan.blacks)
         self._apply(plan)
@@ -857,10 +787,10 @@ def coherence_errors(healer: Healer) -> list[str]:
     """Full cross-check of graph, shadow, and registry.
 
     Empty result means: the graph's color sets are exactly what the
-    registry implies, structural indexes agree (the registry's
-    membership and bridge indexes and free heaps, and the shadow's dead
-    counts, with a recount), no colorless edge is
-    left behind, every cloud id is below the next cloud id (which
+    registry implies, structural indexes agree with a recount (the
+    registry's membership and bridge indexes and its set of free
+    members, and the shadow's dead counts), no colorless edge is left
+    behind, every cloud id is below the next cloud id (which
     ``Plan._new_cloud`` relies on for a fresh color), every cloud of more
     than kappa+1 members, as ``verify`` sizes one, certifies
     ``alpha_target``, every node keeps its cloud budget, and the last

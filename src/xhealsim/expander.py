@@ -142,9 +142,10 @@ class ExpanderConfig:
 class CloudTopology:
     """A cloud's edges and the expansion certificate they were accepted on.
 
-    Frozen, with its edges a frozen set of canonical keys: registry
-    copies and repair plans share one topology until a rebuild replaces
-    it, and a rebuild's edge changes are set differences.  Its cloud's
+    Frozen, with its edges a frozen set of canonical keys: a cloud and
+    the prior value a plan's journal keeps of it share one topology until
+    a rebuild replaces it, and a rebuild's edge changes are set
+    differences.  Its cloud's
     size, or its edges (``is_clique``), tell a clique from an expander.
     """
 

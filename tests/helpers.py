@@ -358,7 +358,7 @@ def apply_full_oracle(healer, plan, before: dict) -> None:
 
 
 def pick_free_oracle(registry, shadow, cid: int, reserved) -> tuple[int | None, int, int]:
-    """``Plan._pick_free_node`` as the scan the free-member heaps
+    """``Plan._pick_free_node`` as the scan the free-member index
     replaced: the cloud's members in id order, then every member of
     every primary cloud that shares a member with it, each free node's
     dead baseline neighbors counted afresh.  Returns the pick and the

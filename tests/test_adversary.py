@@ -43,6 +43,24 @@ def test_initial_graph_connected_and_simple():
         assert is_connected(graph_from_edges(nodes, edges))
 
 
+@pytest.mark.parametrize("frac", [-1.0, float("inf"), float("nan"), 1e308])
+def test_initial_graph_refuses_an_extra_edge_quota_it_cannot_count(frac):
+    # a quota that is negative, or not finite times n0, counts no edges;
+    # 1e308 is finite alone but not times n0 = 2
+    rng = random.Random(1)
+    state = rng.getstate()
+    with pytest.raises(InvalidParams, match="extra_edge_frac"):
+        initial_graph(2, rng, frac)
+    assert rng.getstate() == state  # refused before any draw
+
+
+def test_initial_graph_keeps_every_quota_it_took():
+    # a zero quota of either sign, and a finite huge one on a single node,
+    # whose loop has no pair to try
+    assert initial_graph(30, random.Random(2), -0.0) == initial_graph(30, random.Random(2), 0)
+    assert initial_graph(1, random.Random(2), 1e308) == ([0], [])
+
+
 def test_gen_trace_no_events():
     trace = gen_trace(Strategy("uniform", insert_fraction=0.4), 5, 0, seed=1)
     assert trace.events == []

@@ -160,6 +160,25 @@ def test_run_rejects_an_alpha_no_cloud_can_certify(tmp_path, capsys):
     assert not out.exists() and not snap.exists()
 
 
+def test_run_zero_denominator_alpha_target_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["run", "--strategy", "uniform", "--n0", "10", "--steps", "5",
+                 "--alpha-target", "1/0", "-o", str(out)])
+    assert exc.value.code == 2
+    assert "argument --alpha-target: invalid Fraction value: '1/0'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("frac", ["inf", "1e308", "-1", "nan"])
+def test_gen_refuses_an_extra_edge_frac_it_cannot_count(tmp_path, capsys, frac):
+    out = tmp_path / "t.jsonl"
+    assert run_cli(["gen", "--strategy", "uniform", "--n0", "10", "--steps", "5",
+                    f"--extra-edge-frac={frac}", "-o", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: extra_edge_frac {float(frac)} must be")
+    assert not out.exists()
+
+
 def test_run_requires_trace_or_strategy(tmp_path, capsys):
     assert run_cli(["run", "-o", "-"]) == 2
 
@@ -576,8 +595,14 @@ def test_report_rejects_a_csv_that_is_not_a_report(tmp_path, capsys):
     foreign.write_text("t,n_alive\n0,20\n")
     short_row = tmp_path / "short.csv"
     short_row.write_text("\n".join([header, first.rsplit(",", 1)[0], *rest]) + "\n")
+    # a zero denominator is malformed input (exit 2), not a violation (exit 1)
+    cells = first.split(",")
+    cells[header.split(",").index("max_stretch")] = "1/0"
+    zero_stretch = tmp_path / "zero.csv"
+    zero_stretch.write_text("\n".join([header, ",".join(cells), *rest]) + "\n")
     for path, message in ((foreign, "not a report, missing columns connected_shadow"),
-                          (short_row, "line 2 does not match the header")):
+                          (short_row, "line 2 does not match the header"),
+                          (zero_stretch, "cell has a zero denominator: Fraction(1, 0)")):
         capsys.readouterr()
         assert run_cli(["report", str(path)]) == 2, path.name
         assert message in capsys.readouterr().err

@@ -49,26 +49,17 @@ def plan_and_apply(h, planner, *args):
 
 
 def index_state(h):
-    """Copies of the registry's and the shadow's indexes, each heap as
-    the free members it holds."""
+    """Copies of the registry's and the shadow's indexes."""
     reg = h.registry
     return (dict(h.shadow.dead), dict(reg.member_of),
             {cid: set(holders) for cid, holders in reg.bridges_of.items()},
-            {cid: {node for node in heap if node in reg.clouds[cid].members and reg.free(node)}
-             for cid, heap in reg.free_heaps.items()})
+            set(reg.free_members))
 
 
 def assert_indexes_rebuilt(h, fresh):
     """*h*'s indexes equal the ones *fresh*, a healer loaded from its
-    snapshot, rebuilt: a heap's entries that are free members are the
-    members free in *fresh*, the members its first pick would index."""
-    assert h.shadow.dead == fresh.shadow.dead
-    assert h.registry.member_of == fresh.registry.member_of
-    assert h.registry.bridges_of == fresh.registry.bridges_of
-    for cid, heap in h.registry.free_heaps.items():
-        members = h.registry.clouds[cid].members
-        assert {node for node in heap if node in members and h.registry.free(node)} == {
-            node for node in members if fresh.registry.free(node)}
+    snapshot, rebuilt."""
+    assert index_state(h) == index_state(fresh)
 
 
 def test_plan_blacks_are_the_dying_nodes_black_neighbours():
@@ -402,7 +393,7 @@ def holder_outside_its_secondary(reg):
 
 def free_member_left_out(reg):
     assert reg.first_free([0], set()) == 1
-    reg.free_heaps[0].remove(1)
+    reg.free_members.remove(1)
 
 
 @pytest.mark.parametrize("damage,line", [
@@ -421,16 +412,34 @@ def free_member_left_out(reg):
     pytest.param(lambda reg: reg.bridges_of.__setitem__(0, {3}),
                  "cloud 0 indexed with bridge holders [3] but named by the entries of [2]",
                  id="bridge-index-disagrees"),
-    pytest.param(free_member_left_out, "free member 1 of cloud 0 is missing from its free index",
+    pytest.param(free_member_left_out, "free member 1 is missing from the free member index",
                  id="free-member-not-indexed"),
-    pytest.param(lambda reg: reg.free_heaps.__setitem__(5, []),
-                 "cloud 5 has a free index but is not registered", id="free-index-of-no-cloud"),
+    pytest.param(lambda reg: reg.free_members.add(2),
+                 "node 2 is in the free member index but is not a free member",
+                 id="bridge-holder-indexed-free"),
 ])
 def test_validation_errors_name_each_planted_fault(damage, line):
     reg = two_bridged_clouds()
     assert reg.validation_errors({1, 2, 3}) == []
     damage(reg)
     assert reg.validation_errors({1, 2, 3}) == [line]
+
+
+def test_rollback_takes_a_borrowed_bridge_back_out_of_the_free_members():
+    # 3 represents primary 0 in secondary 1 without being a member of 0,
+    # as a borrowed pick leaves it: retiring 0 frees 3 but leaves its
+    # clouds as they were, and the rollback must bind it again
+    reg = two_bridged_clouds()
+    reg.release(2)
+    reg.bridge(1, 0, 3)
+    before = set(reg.free_members)
+    assert 3 not in before
+    reg.begin()
+    reg.retire(0)
+    assert 3 in reg.free_members
+    reg.rollback()
+    assert reg.free_members == before
+    assert reg.validation_errors({1, 2, 3}) == []
 
 
 def test_coherence_flags_a_bridge_entry_held_by_two_nodes():
@@ -855,8 +864,8 @@ def test_a_cloud_that_loses_one_member_is_spliced_with_kappa_half_new_edges():
 
 
 # the registry's fields, and the calls that change a dict or set in place
-REGISTRY_FIELDS = {"clouds", "member_of", "bridges", "bridges_of", "free_heaps", "touched",
-                   "_entries_then", "_heaps_then", "_freed"}
+REGISTRY_FIELDS = {"clouds", "member_of", "bridges", "bridges_of", "free_members", "touched",
+                   "_entries_then"}
 MUTATORS = {"pop", "popitem", "update", "clear", "setdefault", "add", "discard", "remove",
             "difference_update", "intersection_update", "symmetric_difference_update"}
 

@@ -206,7 +206,7 @@ def test_indexed_picks_match_the_scan_on_healer_states(n0, steps, seed, fault):
                 healer.handle_event(event)
             except RetriesExhausted:
                 break
-            # the indexes, the heaps' free members among them, are coherent
+            # the indexes, the set of free members among them, are coherent
             errors = coherence_errors(healer)
             assert [e for e in errors if "index" in e or " counts " in e] == []
     assert [got for got, want in picks if got != want] == []
