@@ -49,7 +49,6 @@ from .engine import (
     FAULTS,
     Cloud,
     CloudKind,
-    CloudRegistry,
     Healer,
     InvalidEvent,
     RepairCounters,
@@ -279,7 +278,6 @@ def load_snapshot(data: dict) -> tuple[Healer, RunConfig]:
     seed = data["seed"]
     if type(seed) is not int:  # run takes any integer seed, negative too
         raise ValueError(f"seed {seed!r} is not an integer")
-    healer = Healer(cfg, random.Random(f"{seed}/engine"))
     shadow = _snapshot_keys(data["shadow"], {"nodes", "edges", "alive"}, "snapshot shadow")
     baseline = ShadowGraph.from_edges(node_ids(shadow["nodes"], "shadow nodes"),
                                       node_id_rows(shadow["edges"], 2, "shadow edges"))
@@ -291,7 +289,6 @@ def load_snapshot(data: dict) -> tuple[Healer, RunConfig]:
     # an alive id the baseline never recorded has no neighbor to count it
     # dead; it is kept for the coherence check to report
     baseline.alive.update(set(alive) - baseline.nodes)
-    healer.shadow, healer.registry = baseline, CloudRegistry(baseline)
     nodes, records = node_ids(data["nodes"], "nodes"), data["edges"]
     ends = [(rec["u"], rec["v"]) for rec in
             (_snapshot_keys(rec, {"u", "v", "colors"}, "snapshot edge") for rec in records)]
@@ -301,7 +298,8 @@ def load_snapshot(data: dict) -> tuple[Healer, RunConfig]:
         if type(colors) is not list or any(type(c) is not int or c < BLACK for c in colors):
             raise ValueError(f"edge ({u},{v}) colors must be a list of integers >= {BLACK}")
     # a colorless edge still loads, for the coherence check to report
-    healer.graph = ColoredGraph.from_edges(nodes, ends, paints)
+    healer = Healer(ColoredGraph.from_edges(nodes, ends, paints), baseline, cfg,
+                    random.Random(f"{seed}/engine"))
     for entry in data["clouds"]:
         _snapshot_keys(entry, {"id", "kind", "members", "topology"}, "snapshot cloud")
         cid = _snapshot_count(entry["id"], "cloud id")
@@ -351,6 +349,14 @@ def _flag_fraction(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
+
+
+def _flag_seeds(text: str) -> list[int]:
+    """The comma-separated integers of ``--seeds``; an empty item is a usage error."""
+    try:
+        return [int(s) for s in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid seed list: {text!r}") from None
 
 
 def _add_run_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -424,21 +430,19 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         print(f"--jobs must be at least 1, got {args.jobs}", file=sys.stderr)
         return 2
-    seeds = [args.seed]
-    if args.seeds:
-        seeds = [int(s) for s in args.seeds.split(",")]
-        repeated = sorted({s for s in seeds if seeds.count(s) > 1})
-        if repeated:
-            print(f"--seeds lists {', '.join(map(str, repeated))} more than once",
-                  file=sys.stderr)
+    seeds = args.seeds or [args.seed]  # ``_flag_seeds`` gives no empty list
+    repeated = sorted({s for s in seeds if seeds.count(s) > 1})
+    if repeated:
+        print(f"--seeds lists {', '.join(map(str, repeated))} more than once",
+              file=sys.stderr)
+        return 2
+    # one file per seed, or the seeds overwrite (and race on) one path
+    paths = {"--out": args.out if args.out != "-" else None,
+             "--snapshot": args.snapshot, "--record": args.record}
+    for flag, path in paths.items():
+        if len(seeds) > 1 and path and "{seed}" not in path:
+            print(f"multiple seeds need '{{seed}}' in {flag}", file=sys.stderr)
             return 2
-        # one file per seed, or the seeds overwrite (and race on) one path
-        paths = {"--out": args.out if args.out != "-" else None,
-                 "--snapshot": args.snapshot, "--record": args.record}
-        for flag, path in paths.items():
-            if len(seeds) > 1 and path and "{seed}" not in path:
-                print(f"multiple seeds need '{{seed}}' in {flag}", file=sys.stderr)
-                return 2
     results: list[tuple[int, list[str], str]] = []
     # the pool starts all its workers at once, so start no more than seeds
     workers = min(args.jobs, len(seeds))
@@ -601,7 +605,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--fault", choices=FAULTS)
     run.add_argument("--record", help="write the realized trace here")
     run.add_argument("--snapshot", help="write the final state here")
-    run.add_argument("--seeds", help="comma-separated seed list")
+    run.add_argument("--seeds", type=_flag_seeds, help="comma-separated seed list")
     run.add_argument("--jobs", type=int, default=1)
     run.add_argument("-o", "--out", default="-")
     _add_run_config_flags(run)

@@ -41,7 +41,10 @@ set that a pick intersects with the cloud's members
 counted as they die (``ShadowGraph.mark_dead``), its stream is seeded
 only if a design draws, and the edge step walks only the clouds the plan
 touched.  A borrowed pick still reads the cloud's members to find the
-primaries that share one.
+primaries that share one.  Only a plan that is rolled back, one that
+raises or one a test discards, pays for the whole registry: the rollback
+puts back what the journal kept and derives the indexes from the whole
+record (``CloudRegistry.derived``).
 
 An edge's colors are its only state, and a cloud's topology is a frozen
 set of edges, so the delete's edge step is, over the clouds the plan
@@ -110,9 +113,9 @@ class CloudRegistry:
     ``store`` and ``retire`` write to the cloud it held at ``begin``
     (None for an id that held none), and the journal keeps the bridge
     entry each node held before its first change.  A rollback puts
-    those back and derives the indexes afresh for the nodes and clouds
-    they name.  ``touched`` outlives the journal as the record of the
-    last plan."""
+    those back, restoring the record, and assigns the indexes from
+    ``derived``, the derivation ``validation_errors`` checks them by.
+    ``touched`` outlives the journal as the record of the last plan."""
 
     def __init__(self, shadow: ShadowGraph) -> None:
         self.shadow = shadow
@@ -137,37 +140,20 @@ class CloudRegistry:
         self._entries_then = None
 
     def rollback(self) -> None:
-        """Undo every write since ``begin``; a closed journal has nothing
-        to undo."""
+        """Undo every write since ``begin``: put back the touched clouds and
+        the journaled bridge entries, then derive the indexes from them; a
+        closed journal has nothing to undo."""
         entries = self._entries_then
         if entries is None:
             return
         self._entries_then = None
-        clouds, touched = self.clouds, self.touched
-        held_then: dict[int, set[int]] = {}  # node -> the touched ids holding it at begin
-        for cid, cloud in touched.items():
-            now = clouds.pop(cid, None)
-            for node in now.members if now is not None else ():
-                held_then.setdefault(node, set())
-            if cloud is not None:
-                clouds[cid] = cloud
-                for node in cloud.members:
-                    held_then.setdefault(node, set()).add(cid)
-        for node, ids in held_then.items():
-            held = self.member_of.get(node, frozenset()).difference(touched).union(ids)
-            _set_or_drop(self.member_of, node, held)
-        named: dict[int, set[int]] = {}  # cloud id -> the journaled nodes naming it at begin
-        for node, entry in entries.items():
-            for cid in self.bridges.pop(node, ()):
-                named.setdefault(cid, set())
-            if entry is not None:
-                self.bridges[node] = entry
-                for cid in entry:
-                    named.setdefault(cid, set()).add(node)
-        for cid, nodes in named.items():
-            holders = self.bridges_of.get(cid, set()).difference(entries).union(nodes)
-            _set_or_drop(self.bridges_of, cid, holders)
-        self.refresh_free(held_then.keys() | entries.keys())
+        for table, journal in ((self.clouds, self.touched), (self.bridges, entries)):
+            for key, then in journal.items():
+                if then is None:
+                    table.pop(key, None)
+                else:
+                    table[key] = then
+        self.member_of, self.bridges_of, self.free_members = self.derived()
 
     def store(self, cid: int, cloud: Cloud) -> None:
         """Register *cloud* under id *cid*, replacing any cloud of that
@@ -295,12 +281,25 @@ class CloudRegistry:
                 lows.append(min(candidates))
         return min(lows, default=None)
 
-    def validation_errors(self, alive: set[int]) -> list[str]:
-        errs = []
-        indexed: dict[int, set[int]] = {}
+    def derived(self) -> tuple[dict[int, frozenset[int]], dict[int, set[int]], set[int]]:
+        """``member_of``, ``bridges_of`` and ``free_members`` as the record and
+        the shadow's dead counts give them, with the free rule stated apart
+        from ``free`` so that ``validation_errors`` checks one by the other."""
+        held: dict[int, set[int]] = {}
         for cid, cloud in self.clouds.items():
             for node in cloud.members:
-                indexed.setdefault(node, set()).add(cid)
+                held.setdefault(node, set()).add(cid)
+        bridges_of: dict[int, set[int]] = {}
+        for node, entry in self.bridges.items():
+            for cid in entry:
+                bridges_of.setdefault(cid, set()).add(node)
+        free = {node for node, ids in held.items()
+                if node not in self.bridges and len(ids) <= self.shadow.dead.get(node, 0)}
+        return {node: frozenset(ids) for node, ids in held.items()}, bridges_of, free
+
+    def validation_errors(self, alive: set[int]) -> list[str]:
+        errs = []
+        for cid, cloud in self.clouds.items():
             if not cloud.members:
                 errs.append(f"cloud {cid} is empty but registered")
             if not cloud.members <= alive:
@@ -310,11 +309,8 @@ class CloudRegistry:
                                if e[0] not in members or e[1] not in members):
                 errs.append(f"cloud {cid} topology edge ({u},{v}) leaves member set")
         holders: dict[tuple[int, int], list[int]] = {}
-        named: dict[int, set[int]] = {}
         for node, (f, c) in self.bridges.items():
             holders.setdefault((f, c), []).append(node)
-            named.setdefault(f, set()).add(node)
-            named.setdefault(c, set()).add(node)
             if f not in self.clouds or self.clouds[f].kind is not CloudKind.SECONDARY:
                 errs.append(f"bridge entry ({f},{c}) has no secondary cloud")
             elif node not in self.clouds[f].members:
@@ -324,18 +320,17 @@ class CloudRegistry:
         for (f, c), nodes in sorted(holders.items()):
             if len(nodes) > 1:
                 errs.append(f"bridge entry ({f},{c}) is held by nodes {sorted(nodes)}")
-        for node in sorted(set(indexed) | set(self.member_of)):
-            if indexed.get(node, set()) != self.member_of.get(node, set()):
+        member_of, bridges_of, free = self.derived()
+        for node in sorted(member_of.keys() | self.member_of.keys()):
+            if member_of.get(node, set()) != self.member_of.get(node, set()):
                 errs.append(f"node {node} indexed in clouds "
                             f"{sorted(self.member_of.get(node, ()))} but member of "
-                            f"{sorted(indexed.get(node, ()))}")
-        for cid in sorted(set(named) | set(self.bridges_of)):
-            if named.get(cid, set()) != self.bridges_of.get(cid, set()):
+                            f"{sorted(member_of.get(node, ()))}")
+        for cid in sorted(bridges_of.keys() | self.bridges_of.keys()):
+            if bridges_of.get(cid, set()) != self.bridges_of.get(cid, set()):
                 errs.append(f"cloud {cid} indexed with bridge holders "
                             f"{sorted(self.bridges_of.get(cid, ()))} but named by the entries of "
-                            f"{sorted(named.get(cid, ()))}")
-        free = {node for node, ids in indexed.items()
-                if node not in self.bridges and len(ids) <= self.shadow.dead.get(node, 0)}
+                            f"{sorted(bridges_of.get(cid, ()))}")
         for node in sorted(free ^ self.free_members):
             errs.append(f"free member {node} is missing from the free member index"
                         if node in free else
@@ -368,18 +363,18 @@ class RepairCounters:
 
 
 class Healer:
-    """Mutable simulation state plus the event handler operating on it."""
+    """The live *graph*, its baseline *shadow* and a cloud registry over
+    that baseline, plus the event handler operating on them."""
 
-    def __init__(self, cfg: ExpanderConfig, rng: random.Random,
-                 fault: str | None = None) -> None:
+    def __init__(self, graph: ColoredGraph, shadow: ShadowGraph, cfg: ExpanderConfig,
+                 rng: random.Random, fault: str | None = None) -> None:
         if fault is not None and fault not in FAULTS:
             raise ValueError(f"unknown fault {fault!r}")
         self.cfg = cfg
         self.run_key = rng.getrandbits(64)  # seeds each ``Plan``'s draws
         self.fault = fault
-        self.graph = ColoredGraph()
-        self.shadow = ShadowGraph()
-        self.registry = CloudRegistry(self.shadow)
+        self.graph, self.shadow = graph, shadow
+        self.registry = CloudRegistry(shadow)
         self.counters = RepairCounters()
         self.next_cloud_id = 0
         self.last_black_neighbors: set[int] = set()
@@ -390,10 +385,7 @@ class Healer:
                      fault: str | None = None) -> "Healer":
         """A healer whose live graph and baseline are *nodes* joined by the
         black *edges*; raises what ``graph.initial_views`` raises."""
-        healer = cls(cfg, rng, fault)
-        healer.graph, healer.shadow = initial_views(sorted(nodes), edges)
-        healer.registry = CloudRegistry(healer.shadow)
-        return healer
+        return cls(*initial_views(sorted(nodes), edges), cfg, rng, fault)
 
     # -- event entry point ----------------------------------------------
 
@@ -725,14 +717,6 @@ class Plan:
             elif reg.touched[cid] is not None:
                 self.counters.clouds_rebuilt += 1
             reg.store(cid, Cloud(cloud.kind, cloud.members, topology))
-
-
-def _set_or_drop(table: dict, key: int, value) -> None:
-    """``table[key] = value``, or drop the key for an empty or None value."""
-    if value:
-        table[key] = value
-    else:
-        table.pop(key, None)
 
 
 # -- coherence oracle ---------------------------------------------------

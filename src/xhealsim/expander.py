@@ -513,15 +513,23 @@ def _splice(previous: CloudTopology, ranked: list[int], cfg: ExpanderConfig,
     return None
 
 
+def _clique(ranked: Sequence[int]) -> CloudTopology:
+    """The clique on the sorted *ranked* with its exact expansion, which a
+    half split attains: m - floor(m/2), and 0 below two members."""
+    m = len(ranked)
+    return CloudTopology(frozenset(itertools.combinations(ranked, 2)),
+                         Fraction(m - m // 2 if m >= 2 else 0))
+
+
 def topology_error(members: frozenset[int], topology: CloudTopology,
                    cfg: ExpanderConfig) -> str | None:
     """Why *topology* is not one ``build_topology`` could have designed
     on *members*, or None.
 
-    An independent re-check of a design, for a loaded snapshot: up to
-    kappa+1 members the clique on them, certified with its exact
-    expansion m - floor(m/2) (0 below two members); beyond, a simple
-    kappa-regular graph on exactly *members* that clears
+    A re-check of a design, for a loaded snapshot: up to kappa+1
+    members the clique on them, certified m - floor(m/2) (0 below two
+    members), as ``_clique`` states it; beyond, a simple kappa-regular
+    graph on exactly *members* that clears
     ``alpha_target`` as the design did, by the spectral gate or, failing
     it, by the exact expansion up to ``exact_limit`` members.  One
     factorization at most.
@@ -529,9 +537,10 @@ def topology_error(members: frozenset[int], topology: CloudTopology,
     ranked, edges = sorted(members), topology.edges
     m = len(ranked)
     if m <= cfg.kappa + 1:
-        if edges != frozenset(itertools.combinations(ranked, 2)):
+        clique = _clique(ranked)
+        if edges != clique.edges:
             return f"is not the clique on its {m} members"
-        want, cert = Fraction(m - m // 2 if m >= 2 else 0), topology.certified_expansion
+        want, cert = clique.certified_expansion, topology.certified_expansion
         return None if cert == want else (
             f"records certificate {cert} for the clique on its {m} members, "
             f"whose expansion is {want}")
@@ -582,11 +591,7 @@ def build_topology(
     ranked = sorted(ordered)
 
     if m <= cfg.kappa + 1:
-        edges = frozenset(itertools.combinations(ranked, 2))
-        # a clique's minimum cut ratio is attained by a half split:
-        # |S|*(m-|S|)/|S| = m - |S|, smallest at |S| = floor(m/2)
-        cert = Fraction(0) if m < 2 else Fraction(m - m // 2)
-        return CloudTopology(edges, cert), False
+        return _clique(ranked), False
 
     if previous is not None and previous.edges:
         spliced = _splice(previous, ranked, cfg, rng)

@@ -720,6 +720,19 @@ def test_run_refuses_a_repeated_seed(tmp_path, capsys):
     assert not list(tmp_path.glob("o*.csv"))
 
 
+@pytest.mark.parametrize("seeds", ["", "1,,2"])
+def test_run_refuses_an_empty_seed_list_or_item(tmp_path, capsys, seeds):
+    # an empty --seeds is no seed list, not a missing flag that runs --seed
+    trace, out = tmp_path / "t.jsonl", tmp_path / "r{seed}.csv"
+    run_cli(["gen", "--strategy", "uniform", "--n0", "10", "--steps", "5",
+             "--seed", "1", "-o", str(trace)])
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["run", "--trace", str(trace), "--seeds", seeds, "-o", str(out)])
+    assert exc.value.code == 2
+    assert f"argument --seeds: invalid seed list: {seeds!r}" in capsys.readouterr().err
+    assert not list(tmp_path.glob("r*.csv"))
+
+
 def test_run_multi_seed_needs_placeholder_in_snapshot_and_record(tmp_path, capsys):
     trace = tmp_path / "t.jsonl"
     run_cli(["gen", "--strategy", "uniform", "--n0", "10", "--steps", "5",

@@ -442,6 +442,31 @@ def test_rollback_takes_a_borrowed_bridge_back_out_of_the_free_members():
     assert reg.validation_errors({1, 2, 3}) == []
 
 
+def test_rolling_back_a_plan_of_every_branch_leaves_the_indexes_as_they_were():
+    # every 30 events of an acceptance-shaped run, each alive node's delete
+    # is planned and rolled back: whichever branch, merge or borrowed pick
+    # the plan took, the indexes are the ones the record gives
+    trace = gen_trace(Strategy("uniform", insert_fraction=0.4), 50, 300, 0)
+    h = make_healer(trace.initial_nodes, trace.initial_edges, alpha_target=Fraction(1))
+    reached = dict.fromkeys(("branch_all_black", "branch_primary", "branch_secondary",
+                             "merges", "bridges_borrowed"), 0)
+    for t, event in enumerate(trace.events, 1):
+        h.handle_event(event)
+        if t % 30:
+            continue
+        indexes, reg = index_state(h), h.registry
+        for v in sorted(h.shadow.alive):
+            plan = Plan(h, v)
+            plan.repair()
+            reg.rollback()
+            assert index_state(h) == indexes, (t, v)
+            assert reg.derived() == (reg.member_of, reg.bridges_of, reg.free_members), (t, v)
+            assert reg.validation_errors(set(h.shadow.alive)) == [], (t, v)
+            for name in reached:
+                reached[name] += getattr(plan.counters, name) - getattr(h.counters, name)
+    assert all(reached.values()), reached
+
+
 def test_coherence_flags_a_bridge_entry_held_by_two_nodes():
     # an entry names one representative of its primary; a second holder
     # is a second bridge the secondary cannot tell from the first
