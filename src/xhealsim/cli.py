@@ -297,9 +297,13 @@ def load_snapshot(data: dict) -> tuple[Healer, RunConfig]:
     for (u, v), colors in zip(ends, paints):
         if type(colors) is not list or any(type(c) is not int or c < BLACK for c in colors):
             raise ValueError(f"edge ({u},{v}) colors must be a list of integers >= {BLACK}")
-    # a colorless edge still loads, for the coherence check to report
-    healer = Healer(ColoredGraph.from_edges(nodes, ends, paints), baseline, cfg,
-                    random.Random(f"{seed}/engine"))
+    graph = ColoredGraph.from_edges(nodes, ends)
+    for (u, v), colors in zip(ends, paints):
+        # a colorless edge still loads, for the coherence check to report
+        own = graph.edge(u, v)
+        own.clear()
+        own.update(colors)
+    healer = Healer(graph, baseline, cfg, random.Random(f"{seed}/engine"))
     for entry in data["clouds"]:
         _snapshot_keys(entry, {"id", "kind", "members", "topology"}, "snapshot cloud")
         cid = _snapshot_count(entry["id"], "cloud id")
@@ -375,6 +379,7 @@ def _run_config(args: argparse.Namespace, seed: int) -> RunConfig:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    ExpanderConfig(kappa=args.kappa)  # refuses a kappa no healer can use
     strategy = Strategy(args.strategy, insert_fraction=args.insert_fraction,
                         insert_degree=args.insert_degree)
     trace = gen_trace(strategy, args.n0, args.steps, args.seed,

@@ -321,16 +321,19 @@ class CloudRegistry:
             if len(nodes) > 1:
                 errs.append(f"bridge entry ({f},{c}) is held by nodes {sorted(nodes)}")
         member_of, bridges_of, free = self.derived()
-        for node in sorted(member_of.keys() | self.member_of.keys()):
-            if member_of.get(node, set()) != self.member_of.get(node, set()):
-                errs.append(f"node {node} indexed in clouds "
-                            f"{sorted(self.member_of.get(node, ()))} but member of "
-                            f"{sorted(member_of.get(node, ()))}")
-        for cid in sorted(bridges_of.keys() | self.bridges_of.keys()):
-            if bridges_of.get(cid, set()) != self.bridges_of.get(cid, set()):
-                errs.append(f"cloud {cid} indexed with bridge holders "
-                            f"{sorted(self.bridges_of.get(cid, ()))} but named by the entries of "
-                            f"{sorted(bridges_of.get(cid, ()))}")
+        # one comparison per index; the sorted walk only names a difference
+        if member_of != self.member_of:
+            for node in sorted(member_of.keys() | self.member_of.keys()):
+                if member_of.get(node, set()) != self.member_of.get(node, set()):
+                    errs.append(f"node {node} indexed in clouds "
+                                f"{sorted(self.member_of.get(node, ()))} but member of "
+                                f"{sorted(member_of.get(node, ()))}")
+        if bridges_of != self.bridges_of:
+            for cid in sorted(bridges_of.keys() | self.bridges_of.keys()):
+                if bridges_of.get(cid, set()) != self.bridges_of.get(cid, set()):
+                    errs.append(f"cloud {cid} indexed with bridge holders "
+                                f"{sorted(self.bridges_of.get(cid, ()))} but named by the "
+                                f"entries of {sorted(bridges_of.get(cid, ()))}")
         for node in sorted(free ^ self.free_members):
             errs.append(f"free member {node} is missing from the free member index"
                         if node in free else

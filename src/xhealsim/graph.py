@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from operator import itemgetter
 from typing import Iterable, Iterator, KeysView, NamedTuple
 
 import numpy as np
@@ -82,16 +81,6 @@ def _check_id(v: int) -> None:
         raise NodeIdOutOfRange(f"node id {v} is not in [0, {MAX_NODE_ID}]")
 
 
-def _first_repeat(items: Iterable) -> object:
-    """The first item of *items* equal to an earlier one, if any."""
-    seen: set = set()
-    for x in items:
-        if x in seen:
-            return x
-        seen.add(x)
-    return None
-
-
 class ColoredGraph:
     """The live network: simple undirected graph with color-set edges."""
 
@@ -101,40 +90,19 @@ class ColoredGraph:
         self._csr: Csr | None = None  # see Csr.of; dropped on adjacency change
 
     @classmethod
-    def from_edges(cls, nodes: Iterable[int], edges: Iterable[tuple[int, int]],
-                   colors: Iterable[Iterable[Color]] | None = None) -> "ColoredGraph":
+    def from_edges(cls, nodes: Iterable[int], edges: Iterable[tuple[int, int]]
+                   ) -> "ColoredGraph":
         """The graph that ``add_node`` over *nodes*, then ``add_edge`` over
-        *edges* in sorted order would build, each edge then holding its
-        entry of *colors* (black when omitted).  The input is checked as
-        a whole, in the order of those calls: a node id outside [0,
-        MAX_NODE_ID] raises NodeIdOutOfRange, a node given twice
-        DuplicateNode, a self loop SelfLoop, an endpoint not in *nodes*
-        UnknownNode and an edge given twice (in either orientation)
-        GraphError."""
+        the canonical keys of *edges* in sorted order build, every edge
+        black; raises what the first call to fail raises.  So an input
+        with two faults reports the one those calls meet first: a node
+        fault before any edge fault, and of two edge faults the one on
+        the smaller key."""
         graph = cls()
-        nodes = list(nodes)
-        if nodes and (min(nodes) < 0 or max(nodes) > MAX_NODE_ID):
-            _check_id(next(v for v in nodes if not 0 <= v <= MAX_NODE_ID))
-        adj = graph._adj = {v: set() for v in nodes}
-        if len(adj) < len(nodes):
-            raise DuplicateNode(f"node {_first_repeat(nodes)} already present")
-        keys = [(u, v) if u < v else (v, u) for u, v in edges]
-        loop = next((u for u, v in keys if u == v), None)
-        if loop is not None:
-            raise SelfLoop(f"self loop ({loop},{loop})")
-        unknown = set(itertools.chain.from_iterable(keys)).difference(adj)
-        if unknown:
-            u, v = next(k for k in keys if k[0] in unknown or k[1] in unknown)
-            raise UnknownNode(f"endpoint of ({u},{v}) not present")
-        if len(set(keys)) < len(keys):
-            u, v = _first_repeat(sorted(keys))
-            raise GraphError(f"edge ({u},{v}) already exists")
-        paints = [(BLACK,)] * len(keys) if colors is None else colors
-        colored = graph._edges
-        for (u, v), paint in sorted(zip(keys, paints, strict=True), key=itemgetter(0)):
-            colored[u, v] = set(paint)
-            adj[u].add(v)
-            adj[v].add(u)
+        for v in nodes:
+            graph.add_node(v)
+        for u, v in sorted(edge_key(u, v) for u, v in edges):
+            graph.add_edge(u, v)
         return graph
 
     # -- nodes ---------------------------------------------------------
@@ -419,7 +387,7 @@ class Csr(NamedTuple):
 
     def positions(self, nodes: Iterable[int]) -> np.ndarray:
         """Positions of *nodes*, which must all be present."""
-        values = np.fromiter(nodes, dtype=np.int64)
+        values = nodes if isinstance(nodes, np.ndarray) else np.fromiter(nodes, dtype=np.int64)
         pos, found = self.lookup(values)
         if not found.all():
             raise UnknownNode(f"node {values[~found][0]} not present")

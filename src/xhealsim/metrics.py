@@ -5,24 +5,19 @@ distances) is computed in exact integer or rational arithmetic; the
 spectral gap is the one floating-point value and is reported for
 context only, never asserted.
 
-A density subset is a collection of node ids.  A checkpoint builds its
-subsets once, as a ``Subsets``: the mandatory ones (alive set, clouds,
-last black neighbourhood) and the sampled ones, which
-``sample_subsets`` draws from the sorted alive ids with ``randint`` and
-``Random.sample``.  Their members become one flat array of positions
-in the live CSR snapshot and one node-major boolean mask (node x
-subset), which both density checks read; member ids are turned back
-into sorted Python ints only for the subsets a violation names.
-
-``evaluate`` draws the sampled subsets only when a baseline edge between
-alive nodes is missing or an alive node is over its degree budget.
-Otherwise no subset can break a density bound, since the lower bound
-follows from preservation and the upper from the degree bound, as the
-two density checks derive them.
+A density subset is a collection of node ids: the mandatory ones
+(alive set, clouds, last black neighbourhood) and the sampled ones that
+``sample_subsets`` draws from the sorted alive ids.  Both density
+checks read a subset as a set of ids and count its induced edges, as
+neighbours within the set, only where the premise of their bound fails
+on it: preservation for the lower bound, the degree bound for the
+upper.  So a clean checkpoint counts none, and a faulted one pays a
+pure-Python pass over each subset the fault reaches.  Only then does
+``evaluate`` draw the sampled subsets, since otherwise none of them can
+break a density bound.
 """
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -148,86 +143,37 @@ def mandatory_subsets(healer: "Healer") -> list[frozenset[int]]:
     """Deterministic subsets that every checkpoint must inspect: the
     whole live node set, every current cloud, and the black neighborhood
     of the last deletion (healing acts exactly there)."""
-    subsets = []
-    alive = healer.shadow.alive
-    if alive:
-        subsets.append(frozenset(alive))
-    for cid in sorted(healer.registry.clouds):
-        members = healer.registry.clouds[cid].members
-        if members:
-            subsets.append(frozenset(members))
-    last = healer.last_black_neighbors & alive
-    if last:
-        subsets.append(frozenset(last))
-    return subsets
+    alive, clouds = healer.shadow.alive, healer.registry.clouds
+    family = [frozenset(alive), *(clouds[cid].members for cid in sorted(clouds)),
+              frozenset(healer.last_black_neighbors & alive)]
+    return [subset for subset in family if subset]
 
 
-@dataclass(frozen=True, eq=False)
-class Subsets:
-    """The node subsets both density checks inspect at one checkpoint.
-
-    ``members`` lists every subset's positions in the live snapshot
-    ``live``, one subset after another, and ``sizes`` how many belong to
-    each.  ``mask`` holds the same membership node-major: ``mask[x, i]``
-    is True when the node at position ``x`` is in subset ``i``, so the
-    rows of an edge's two ends AND into the subsets that hold the edge.
-    """
-
-    live: Csr
-    sizes: np.ndarray
-    members: np.ndarray
-    mask: np.ndarray
-
-    @classmethod
-    def of(cls, graph: ColoredGraph, subsets: Sequence[Collection[int]]) -> "Subsets":
-        """The *subsets*, each a collection of distinct node ids, in order.
-
-        Raises ``EmptySubset`` or ``UnknownNode`` for the first subset
-        that is empty or holds a node missing from *graph*.
-        """
-        live = Csr.of(graph)
-        sizes = np.fromiter(map(len, subsets), dtype=np.int64, count=len(subsets))
-        values = np.fromiter(itertools.chain.from_iterable(subsets), dtype=np.int64,
-                             count=int(sizes.sum()))
-        members, found = live.lookup(values)
-        empty = np.flatnonzero(sizes == 0)
-        unknown = np.flatnonzero(~found)
-        # subset of each member, to tell which problem comes first
-        owner = np.repeat(np.arange(len(sizes)), sizes)
-        if empty.size and (not unknown.size or empty[0] < owner[unknown[0]]):
+def _node_sets(graph: ColoredGraph, subsets: Sequence[Collection[int]]
+               ) -> list[frozenset[int]]:
+    """The *subsets*, each a collection of distinct node ids, as sets,
+    in order.  Raises ``EmptySubset`` or ``UnknownNode`` for the first
+    subset that is empty or holds a node missing from *graph*."""
+    nodes = graph.node_set
+    sets = []
+    for subset in subsets:
+        members = frozenset(subset)
+        if not members:
             raise EmptySubset("density of the empty set is undefined")
-        if unknown.size:
-            raise UnknownNode(f"node {values[unknown[0]]} not present")
-        mask = np.zeros((len(live.ids), len(sizes)), dtype=bool)
-        mask[members, owner] = True
-        return cls(live, sizes, members, mask)
-
-    def __len__(self) -> int:
-        return len(self.sizes)
-
-    def over(self, graph: ColoredGraph) -> Csr:
-        """The live snapshot, which must still be *graph*'s current one."""
-        if Csr.of(graph) is not self.live:
-            raise MetricsError("subsets were built on another graph or an earlier state")
-        return self.live
-
-    def sorted_ids(self, i: int) -> list[int]:
-        """The node ids of subset *i*, ascending."""
-        start = int(self.sizes[:i].sum())
-        # live.ids is sorted, so sorted positions give sorted ids
-        return self.live.ids[np.sort(self.members[start:start + self.sizes[i]])].tolist()
+        if not members <= nodes:
+            raise UnknownNode(f"node {next(v for v in subset if v not in nodes)} not present")
+        sets.append(members)
+    return sets
 
 
-def _induced(mask: np.ndarray, ends: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Per column of a node-major mask, the number of edges with both
-    *ends* inside."""
-    u, v = ends
-    return (mask[u] & mask[v]).sum(axis=0, dtype=np.int64)
+def _edges_inside(view: ColoredGraph | ShadowGraph, members: frozenset[int]) -> int:
+    """The number of edges of *view* with both ends in *members*."""
+    return sum(len(view.neighbors(v) & members) for v in members) // 2
 
 
 def check_density_lower(graph: ColoredGraph, shadow: ShadowGraph,
-                        subsets: Subsets, missing: Sequence[tuple[int, int]]
-                        ) -> list[str]:
+                        subsets: Sequence[Collection[int]],
+                        missing: Sequence[tuple[int, int]]) -> list[str]:
     """Live induced density must dominate the baseline density on every
     subset of alive nodes; checked through the stronger statement that
     the baseline's induced edges are a subset of the live ones.  It
@@ -240,32 +186,22 @@ def check_density_lower(graph: ColoredGraph, shadow: ShadowGraph,
     is a subset of E_live(S), so live density cannot fall below the
     baseline's.
     """
-    live = subsets.over(graph)
+    sets = _node_sets(graph, subsets)
     if not missing:
         return []
-    edges = np.array(missing, dtype=np.int64).reshape(-1, 2)
-    pos, found = live.lookup(edges.reshape(-1))
-    in_live = found.reshape(-1, 2).all(axis=1)
-    edges, pos = edges[in_live], pos.reshape(-1, 2)[in_live]
-    inside = subsets.mask[pos[:, 0]] & subsets.mask[pos[:, 1]]
-    touched = np.flatnonzero(inside.any(axis=0))
-    if not touched.size:
-        return []
-    held = subsets.mask[:, touched]
-    live_count = _induced(held, live.edge_ends())
-    base_count = _induced(held, _edges_within(Csr.of(shadow), live))
     violations = []
-    for col, i in enumerate(touched.tolist()):
-        members = subsets.sorted_ids(i)
-        held_edges = [tuple(e) for e in edges[inside[:, i]].tolist()]
-        violations.append(f"S={members}: baseline edges {held_edges} not live")
-        if live_count[col] < base_count[col]:
-            violations.append(f"S={members}: live density below baseline")
+    for members in sets:
+        held = [(u, v) for u, v in missing if u in members and v in members]
+        if held:
+            listed = sorted(members)
+            violations.append(f"S={listed}: baseline edges {held} not live")
+            if _edges_inside(graph, members) < _edges_inside(shadow, members):
+                violations.append(f"S={listed}: live density below baseline")
     return violations
 
 
 def check_density_upper(graph: ColoredGraph, shadow: ShadowGraph, kappa: int,
-                        subsets: Subsets) -> list[str]:
+                        subsets: Sequence[Collection[int]]) -> list[str]:
     """One exact upper bound on healed density, per subset.
 
     For every subset S: live density <= baseline density + kappa * (sum
@@ -277,23 +213,27 @@ def check_density_upper(graph: ColoredGraph, shadow: ShadowGraph, kappa: int,
     the alive set first, so its line is the whole-graph bound, stated
     against G'_t.  Compared after multiplying through by 2|S|, in
     integers.
+
+    A subset whose live degree sum fits within the slack keeps the
+    bound, and so does one whose members are all within their degree
+    budgets.  So only a subset holding a node over its budget has its
+    degrees summed, and its induced edges are counted only when the
+    live sum exceeds the slack: a clean checkpoint sums and counts none.
     """
-    live, base = subsets.over(graph), Csr.of(shadow)
-    members, sizes = subsets.members, subsets.sizes
-    starts = np.cumsum(sizes) - sizes
-    base_degrees = np.diff(base.indptr)[base.positions(live.ids)]
-    slack = kappa * np.add.reduceat(base_degrees[members], starts) + kappa * sizes
-    # twice S's live edges are at most its live degree sum, so a subset
-    # whose live degrees fit within the slack alone keeps the bound
-    doubt = np.flatnonzero(
-        np.add.reduceat(np.diff(live.indptr)[members], starts) > slack)
-    if not doubt.size:
-        return []
-    held = subsets.mask[:, doubt]
-    broken = doubt[2 * _induced(held, live.edge_ends())
-                   > 2 * _induced(held, _edges_within(base, live)) + slack[doubt]]
-    return [f"S={subsets.sorted_ids(i)}: per-subset upper bound broken"
-            for i in broken.tolist()]
+    sets = _node_sets(graph, subsets)
+    live, base = Csr.of(graph), Csr.of(shadow)
+    budget = kappa * np.diff(base.indptr)[base.positions(live.ids)] + kappa
+    over = set(live.ids[np.diff(live.indptr) > budget].tolist())
+    violations = []
+    for members in sets:
+        if members.isdisjoint(over):
+            continue
+        slack = kappa * sum(len(shadow.neighbors(v)) for v in members) + kappa * len(members)
+        if (sum(len(graph.neighbors(v)) for v in members) > slack
+                and 2 * _edges_inside(graph, members)
+                > 2 * _edges_inside(shadow, members) + slack):
+            violations.append(f"S={sorted(members)}: per-subset upper bound broken")
+    return violations
 
 
 @dataclass
@@ -426,9 +366,8 @@ def evaluate(healer: "Healer", t: int, seed: int, *, density_samples: int,
     if not preserved or degree_viols:
         rng_density = random.Random(f"{seed}/density/{t}")
         family += sample_subsets(shadow.alive, density_samples, rng_density)
-    subsets = Subsets.of(graph, family)
-    lower_viols = check_density_lower(graph, shadow, subsets, missing)
-    upper_viols = check_density_upper(graph, shadow, healer.cfg.kappa, subsets)
+    lower_viols = check_density_lower(graph, shadow, family, missing)
+    upper_viols = check_density_upper(graph, shadow, healer.cfg.kappa, family)
     detail.extend(f"density: {v}" for v in lower_viols)
     detail.extend(f"density-upper: {v}" for v in upper_viols)
 

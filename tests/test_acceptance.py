@@ -20,7 +20,6 @@ from xhealsim.engine import Healer, Plan, coherence_errors
 from xhealsim.expander import ExpanderConfig, build_topology, lambda2_of_adjacency
 from xhealsim.graph import edge_key
 from xhealsim.metrics import (
-    Subsets,
     check_connectivity,
     check_degree_bound,
     check_density_lower,
@@ -89,14 +88,14 @@ def drive_checked(healer: Healer, events, seed: int, total: int,
         if healer.shadow.alive:
             # the alive set's line is the whole-graph upper bound
             upper = check_density_upper(healer.graph, healer.shadow, KAPPA,
-                                        Subsets.of(healer.graph, [healer.shadow.alive]))
+                                        [healer.shadow.alive])
             if upper:
                 result.density_ub_failures.append((seed, t, upper[:2]))
         if t % checkpoint_every == 0 or t == total:
             result.checkpoints += 1
             drawn = sample_subsets(healer.shadow.alive, 100,
                                    random.Random(f"{seed}/density/{t}"))
-            subsets = Subsets.of(healer.graph, mandatory_subsets(healer) + drawn)
+            subsets = mandatory_subsets(healer) + drawn
             lower = check_density_lower(healer.graph, healer.shadow, subsets, missing)
             if lower:
                 result.density_failures.append((seed, t, lower[:2]))

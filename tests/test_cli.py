@@ -179,6 +179,15 @@ def test_gen_refuses_an_extra_edge_frac_it_cannot_count(tmp_path, capsys, frac):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kappa", ["2", "5"])
+def test_gen_refuses_a_kappa_no_healer_can_use(tmp_path, capsys, kappa):
+    out = tmp_path / "t.jsonl"
+    assert run_cli(["gen", "--strategy", "uniform", "--n0", "10", "--steps", "5",
+                    "--kappa", kappa, "-o", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: kappa must be even and >= 4, got {kappa}\n"
+    assert not out.exists()
+
+
 def test_run_requires_trace_or_strategy(tmp_path, capsys):
     assert run_cli(["run", "-o", "-"]) == 2
 

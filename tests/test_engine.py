@@ -757,6 +757,48 @@ def test_replay_determinism():
     assert snapshots[0] == snapshots[1]
 
 
+def rebuild_sets_shuffled(h, rng):
+    """Rebuild every set and frozenset of *h* from its elements in a
+    shuffled insertion order: the same values, a fresh hash-table layout
+    and so, for colliding ids, another iteration order.  Dicts keep
+    their order, which the record fixes."""
+    def shuffled(items, kind=set):
+        items = list(items)
+        rng.shuffle(items)
+        return kind(items)
+
+    for adj in (h.graph._adj, h.graph._edges, h.shadow._adj):
+        for key, items in adj.items():
+            adj[key] = shuffled(items)
+    h.shadow.alive = shuffled(h.shadow.alive)
+    reg = h.registry
+    for cid, cloud in reg.clouds.items():
+        topology = CloudTopology(shuffled(cloud.topology.edges, frozenset),
+                                 cloud.topology.certified_expansion)
+        reg.clouds[cid] = Cloud(cloud.kind, shuffled(cloud.members, frozenset), topology)
+    for node, ids in reg.member_of.items():
+        reg.member_of[node] = shuffled(ids, frozenset)
+    for cid, holders in reg.bridges_of.items():
+        reg.bridges_of[cid] = shuffled(holders)
+    reg.free_members = shuffled(reg.free_members)
+    h.last_black_neighbors = shuffled(h.last_black_neighbors)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_each_event_depends_on_the_record_not_on_set_layout(seed):
+    # an acceptance trace: n0=50, 300 events, insert fraction 0.4, alpha 1
+    trace = gen_trace(Strategy("uniform", insert_fraction=0.4), 50, 300, seed)
+    plain, shuffled = (make_healer(trace.initial_nodes, trace.initial_edges, seed=seed)
+                       for _ in range(2))
+    rng = random.Random(seed)
+    for t, event in enumerate(trace.events, start=1):
+        rebuild_sets_shuffled(shuffled, rng)
+        plain.handle_event(event)
+        shuffled.handle_event(event)
+        assert cli.snapshot_state(shuffled, seed) == cli.snapshot_state(plain, seed), t
+    assert coherence_errors(shuffled) == []
+
+
 def test_registry_reconstruction_matches_graph():
     h = make_healer(list(range(8)),
                     [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7),

@@ -16,7 +16,6 @@ from xhealsim.expander import ExpanderConfig, lambda2_of_adjacency
 from xhealsim.graph import BLACK, ShadowGraph, edge_key
 from xhealsim.metrics import (
     LAMBDA_SIZE_CAP,
-    Subsets,
     check_connectivity,
     check_degree_bound,
     check_density_lower,
@@ -85,17 +84,15 @@ def test_degree_bound_isolated_insert_has_kappa_slack():
 
 def test_density_lower_singleton_and_fault():
     h = healed_star()
-    subsets = Subsets.of(h.graph, [frozenset([1]), frozenset([1, 2, 3])])
-    assert check_density_lower(h.graph, h.shadow, subsets, []) == []
+    assert check_density_lower(h.graph, h.shadow, [frozenset([1]), frozenset([1, 2, 3])],
+                               []) == []
 
     h2 = healed_star()
     h2.handle_event(Event("ins", 4, (1, 2)))
     assert h2.graph.recolor([(BLACK, [(1, 4)])], []) == (0, 0, 1)
     _, missing = check_edge_preservation(h2.graph, h2.shadow)
     assert missing == [(1, 4)]
-    viols = check_density_lower(h2.graph, h2.shadow,
-                                Subsets.of(h2.graph, [frozenset([1, 2, 4])]), missing)
-    assert viols
+    assert check_density_lower(h2.graph, h2.shadow, [frozenset([1, 2, 4])], missing)
 
 
 def test_density_upper_hand_computed_bound():
@@ -103,7 +100,7 @@ def test_density_upper_hand_computed_bound():
     # density 0, bound 0 + 6*3/(2*3) + 3 = 6
     h = healed_star()
     subset = frozenset([1, 2, 3])
-    assert check_density_upper(h.graph, h.shadow, 6, Subsets.of(h.graph, [subset])) == []
+    assert check_density_upper(h.graph, h.shadow, 6, [subset]) == []
     assert density(h.graph, subset) == 1
     assert density(h.shadow, subset) == 0
 
@@ -121,8 +118,7 @@ def test_density_upper_counts_baseline_edges_to_dead_nodes():
                                         if v != u + 3])
     slack, violations = check_degree_bound(graph, shadow, 2)
     assert (slack, violations) == (0, [])
-    subsets = Subsets.of(graph, [frozenset(range(6))])
-    assert check_density_upper(graph, shadow, 2, subsets) == []
+    assert check_density_upper(graph, shadow, 2, [frozenset(range(6))]) == []
 
 
 def test_density_checks_match_oracle_on_untouched_graph():
@@ -130,7 +126,7 @@ def test_density_checks_match_oracle_on_untouched_graph():
                             ExpanderConfig(), random.Random(0))
     sampled = sample_subsets(h.shadow.alive, 20, random.Random(1))
     assert check_edge_preservation(h.graph, h.shadow) == (True, [])
-    assert check_density_lower(h.graph, h.shadow, Subsets.of(h.graph, sampled), []) == []
+    assert check_density_lower(h.graph, h.shadow, sampled, []) == []
     for s in sampled:
         assert density_oracle(lambda u, v: v in h.graph.neighbors(u), s) == density_oracle(
             lambda u, v: edge_key(u, v) in h.shadow.edges, s)

@@ -1,10 +1,11 @@
-"""The array-based density and stretch checks against their set-based twins.
+"""The density and stretch checks against their straightforward twins.
 
-``metrics.check_density_lower``, ``check_density_upper`` and ``stretch``
-work on numpy edge and CSR arrays and a node-major subset mask; the
-oracles in ``helpers`` are the straightforward per-subset and per-source
-versions, fed the same subsets as frozensets.  Both must return exactly
-the same values: violation lists, worst ratio and pair count.
+``metrics.check_density_lower`` and ``check_density_upper`` decide most
+subsets from missing edges and degree sums, and ``stretch`` works on CSR
+arrays; the oracles in ``helpers`` are the straightforward per-subset
+and per-source versions, fed the same subsets as frozensets.  Both must
+return exactly the same values: violation lists, worst ratio and pair
+count.
 
 ``metrics.evaluate`` draws its random density subsets only when a
 missing edge or a node over its degree budget lets one break a bound;
@@ -24,9 +25,9 @@ from xhealsim.cli import RunConfig, run_trace
 from xhealsim.engine import Healer
 from xhealsim.expander import ExpanderConfig
 from xhealsim.graph import EmptySubset, ShadowGraph, UnknownNode
-from xhealsim.metrics import (MetricsError, Subsets, check_degree_bound, check_density_lower,
-                              check_density_upper, check_edge_preservation, evaluate,
-                              mandatory_subsets, sample_subsets, stretch)
+from xhealsim.metrics import (check_degree_bound, check_density_lower, check_density_upper,
+                              check_edge_preservation, evaluate, mandatory_subsets,
+                              sample_subsets, stretch)
 
 KAPPA = 6
 
@@ -36,10 +37,8 @@ def checks_and_oracles(healer: Healer, seed: int, t: int, samples: int = 100,
     """(new, oracle) results of the three checks at one state."""
     graph, shadow = healer.graph, healer.shadow
     drawn = sample_subsets(shadow.alive, samples, random.Random(f"{seed}/density/{t}"))
-    subsets = Subsets.of(graph, mandatory_subsets(healer) + drawn)
+    subsets = mandatory_subsets(healer) + drawn
     frozen = mandatory_subsets(healer) + [frozenset(s) for s in drawn]
-    assert len(subsets) == len(frozen)
-    assert [subsets.sorted_ids(i) for i in range(len(subsets))] == [sorted(s) for s in frozen]
     new = (check_density_lower(graph, shadow, subsets,
                                check_edge_preservation(graph, shadow)[1]),
            check_density_upper(graph, shadow, KAPPA, subsets),
@@ -110,11 +109,10 @@ def test_density_checks_reject_bad_subsets(check):
     healer.handle_event(Event("del", 0))
 
     def run(family):
-        subsets = Subsets.of(healer.graph, family)
         if check == "lower":
-            return check_density_lower(healer.graph, healer.shadow, subsets,
+            return check_density_lower(healer.graph, healer.shadow, family,
                                        check_edge_preservation(healer.graph, healer.shadow)[1])
-        return check_density_upper(healer.graph, healer.shadow, KAPPA, subsets)
+        return check_density_upper(healer.graph, healer.shadow, KAPPA, family)
 
     assert run([frozenset([1, 2])]) == []
     with pytest.raises(UnknownNode):
@@ -136,18 +134,6 @@ def test_density_checks_reject_bad_subsets(check):
     assert run([[2, 1]]) == []
 
 
-def test_density_checks_reject_subsets_of_an_earlier_state():
-    healer = Healer.from_initial([0, 1, 2], [(0, 1), (1, 2)], ExpanderConfig(),
-                                 random.Random(0))
-    subsets = Subsets.of(healer.graph, [frozenset([0, 1])])
-    healer.handle_event(Event("ins", 3, (0,)))
-    with pytest.raises(MetricsError):
-        check_density_lower(healer.graph, healer.shadow, subsets,
-                            check_edge_preservation(healer.graph, healer.shadow)[1])
-    with pytest.raises(MetricsError):
-        check_density_upper(healer.graph, healer.shadow, KAPPA, subsets)
-
-
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 12), dead=st.sets(st.integers(0, 11)),
        base_p=st.floats(0, 1), live_p=st.floats(0, 1), kappa=st.integers(0, 2),
@@ -163,12 +149,11 @@ def test_parity_on_arbitrary_graph_pairs(n, dead, base_p, live_p, kappa, seed):
     graph = graph_from_edges(alive, [(u, v) for i, u in enumerate(alive)
                                      for v in alive[i + 1:] if rng.random() < live_p])
     sampled = sample_subsets(alive, 15, rng)
-    subsets = Subsets.of(graph, sampled)
     frozen = [frozenset(s) for s in sampled]
-    assert (check_density_lower(graph, shadow, subsets,
+    assert (check_density_lower(graph, shadow, sampled,
                                 check_edge_preservation(graph, shadow)[1])
             == density_lower_oracle(graph, shadow, frozen))
-    assert (check_density_upper(graph, shadow, kappa, subsets)
+    assert (check_density_upper(graph, shadow, kappa, sampled)
             == density_upper_oracle(graph, shadow, kappa, frozen))
     assert (stretch(graph, shadow, 20, random.Random(seed))
             == stretch_oracle(graph, shadow, 20, random.Random(seed)))
@@ -179,7 +164,7 @@ def eager_density(healer: Healer, seed: int, t: int, samples: int):
     its random subsets at every checkpoint."""
     graph, shadow = healer.graph, healer.shadow
     drawn = sample_subsets(shadow.alive, samples, random.Random(f"{seed}/density/{t}"))
-    subsets = Subsets.of(graph, mandatory_subsets(healer) + drawn)
+    subsets = mandatory_subsets(healer) + drawn
     lower = check_density_lower(graph, shadow, subsets,
                                 check_edge_preservation(graph, shadow)[1])
     upper = check_density_upper(graph, shadow, healer.cfg.kappa, subsets)
@@ -214,19 +199,23 @@ def test_evaluate_reports_a_sampled_subset_over_the_degree_budget():
     healer = Healer.from_initial(range(25), [], ExpanderConfig(kappa=4), random.Random(0))
     healer.graph.recolor([], [(0, [(u, v) for u in range(10) for v in range(u + 1, 10)])])
     assert len(check_degree_bound(healer.graph, healer.shadow, 4)[1]) == 10
-    mandatory = Subsets.of(healer.graph, mandatory_subsets(healer))
-    assert check_density_upper(healer.graph, healer.shadow, 4, mandatory) == []
+    assert check_density_upper(healer.graph, healer.shadow, 4, mandatory_subsets(healer)) == []
     reported = reported_density(healer, 3, 0, 100)
     assert reported[1] > 0
     assert reported == eager_density(healer, 3, 0, 100)
 
 
 def test_healthy_acceptance_run_draws_no_subsets(monkeypatch):
-    # the acceptance shape: n0=50, 300 events, a checkpoint every 10, alpha 1
-    def refuse(*_args):
-        raise AssertionError("sample_subsets called on a healthy checkpoint")
+    # the acceptance shape: n0=50, 300 events, a checkpoint every 10,
+    # alpha 1; a degree sum must decide every subset, so no induced edge
+    # is counted either
+    def refuse(name):
+        def refused(*_args):
+            raise AssertionError(f"{name} called on a healthy checkpoint")
+        return refused
 
-    monkeypatch.setattr(metrics, "sample_subsets", refuse)
+    monkeypatch.setattr(metrics, "sample_subsets", refuse("sample_subsets"))
+    monkeypatch.setattr(metrics, "_edges_inside", refuse("_edges_inside"))
     trace = gen_trace(Strategy("uniform", insert_fraction=0.4), 50, 300, 0, kappa=KAPPA)
     _, reports = run_trace(trace, RunConfig(kappa=KAPPA, seed=0, checkpoint_every=10))
     assert len(reports) == 31
@@ -259,5 +248,5 @@ def test_degree_budget_keeps_every_subset_within_the_upper_bound(
     graph = graph_from_edges(alive, live_edges)
     assert check_degree_bound(graph, shadow, kappa)[1] == []
     family = [s for s in fixed if s <= shadow.alive]
-    subsets = Subsets.of(graph, family + sample_subsets(alive, 20, rng))
-    assert check_density_upper(graph, shadow, kappa, subsets) == []
+    assert check_density_upper(graph, shadow, kappa,
+                               family + sample_subsets(alive, 20, rng)) == []
