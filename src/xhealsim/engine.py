@@ -443,15 +443,15 @@ class Healer:
         """Recolor the graph, the dead node's edges gone, from the
         registry before *plan* to the registry it left: each cloud the plan
         touched loses its color on ``was - now`` and gains it on
-        ``now - was``, in id order, less the dead node's edges, a cloud
-        that is not registered giving it no edges.  The clouds before are
-        the ones ``touched`` recorded.  The graph ends as after stripping
+        ``now - was``, less the dead node's edges, a cloud that is not
+        registered giving it no edges.  The clouds before are the ones
+        ``touched`` recorded.  The graph ends as after stripping
         every old edge and painting every new one, since an edge a cloud
         keeps would be repainted before the purge; it is just not counted
         as reused."""
         new, dying = self.registry.clouds, plan.dying_keys
         strip, paint = [], []
-        for cid, old in sorted(self.registry.touched.items()):
+        for cid, old in self.registry.touched.items():
             was = old.topology.edges if old is not None else frozenset()
             now = new[cid].topology.edges if cid in new else frozenset()
             strip.append((cid, was - now - dying))
@@ -535,6 +535,7 @@ class Plan:
         lost_role = reg.release(v)
 
         v_primary, v_secondary = [], []
+        # sorted for determinism: the repair reads these lists in order
         for cid in sorted(reg.member_of.get(v, ())):
             cloud = reg.clouds[cid]
             members, old = cloud.members - {v}, cloud.topology
@@ -586,15 +587,16 @@ class Plan:
         for f in self.secondaries:
             if f not in reg.clouds:
                 continue
-            reachable = sorted(reg.bridged_primaries(f))
-            bridged |= set(reachable)
+            reachable = reg.bridged_primaries(f)
+            bridged |= reachable
             if reachable:
-                anchors.append(reachable[0])
+                anchors.append(min(reachable))
             else:
                 folds.append(f)
         leftovers = {c for c in self.primaries if c in reg.clouds and c not in bridged}
         # a merge result is a fresh primary no bridge names, so no later
-        # secondary repair retires it
+        # secondary repair retires it; sorted for determinism, since the
+        # participants draft their free nodes in this order
         participants = sorted(leftovers | set(anchors) | set(merged_ids))
         fold_nodes: set[int] = set()
         for f in folds:
@@ -629,8 +631,8 @@ class Plan:
         members = set(picks.values()).union(extra_members)
         fid = self._new_cloud(members, CloudKind.SECONDARY)
         # loose nodes bridge nothing: a dead neighbor pays for their slot
-        for cid in sorted(picks):
-            self.registry.bridge(fid, cid, picks[cid])
+        for cid, free in picks.items():
+            self.registry.bridge(fid, cid, free)
 
     def _fix_secondary_cloud(self, fid: int, lost_primary: int) -> int | None:
         """Repair secondary cloud *fid* after the deleted node, its bridge
@@ -645,6 +647,7 @@ class Plan:
         if lost_primary in reg.clouds:
             replacement = self._pick_free_node(lost_primary, set())
             if replacement is None:
+                # sorted for determinism: a merge grows from the first largest topology
                 merge_list = sorted({fid, lost_primary} | reg.bridged_primaries(fid))
                 return self._merge_into_primary(merge_list, extra_nodes=())
             reg.bridge(fid, lost_primary, replacement)
@@ -711,9 +714,10 @@ class Plan:
         dead node, or the one a merge grows from.  ``build_topology``
         splices that topology when it can and draws afresh otherwise."""
         reg = self.registry
+        # sorted for determinism: the clouds draw from one stream in this order
         for cid in sorted(reg.clouds.keys() & reg.touched):
             cloud = reg.clouds[cid]
-            topology, spliced = build_topology(sorted(cloud.members), self.cfg, self.stream,
+            topology, spliced = build_topology(cloud.members, self.cfg, self.stream,
                                                previous=cloud.topology)
             if spliced:
                 self.counters.clouds_spliced += 1

@@ -48,7 +48,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -564,7 +564,7 @@ def topology_error(members: frozenset[int], topology: CloudTopology,
 
 
 def build_topology(
-    members: Sequence[int], cfg: ExpanderConfig, rng: random.Random,
+    members: Iterable[int], cfg: ExpanderConfig, rng: random.Random,
     previous: CloudTopology | None = None,
 ) -> tuple[CloudTopology, bool]:
     """Design the edge set of a cloud over *members*; the flag says

@@ -352,7 +352,8 @@ class Csr(NamedTuple):
     Node ``ids[i]`` (sorted ascending) sits at position ``i``; its
     neighbors' positions are ``indices[indptr[i]:indptr[i + 1]]``.  The
     arrays are read-only, because ``of`` hands the same snapshot to every
-    caller until the view's adjacency changes.
+    caller until the view's adjacency changes.  Snapshots feed only the
+    array kernels: connectivity, BFS, the spectral gap, exact expansion.
     """
 
     ids: np.ndarray
@@ -378,17 +379,12 @@ class Csr(NamedTuple):
             view._csr = csr
         return view._csr
 
-    def lookup(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Positions of the node ids *values* and a mask of those present."""
+    def positions(self, nodes: Iterable[int]) -> np.ndarray:
+        """Positions of *nodes*, which must all be present."""
+        values = np.fromiter(nodes, dtype=np.int64)
         pos = np.searchsorted(self.ids, values)
         found = pos < len(self.ids)
         found[found] = self.ids[pos[found]] == values[found]
-        return pos, found
-
-    def positions(self, nodes: Iterable[int]) -> np.ndarray:
-        """Positions of *nodes*, which must all be present."""
-        values = nodes if isinstance(nodes, np.ndarray) else np.fromiter(nodes, dtype=np.int64)
-        pos, found = self.lookup(values)
         if not found.all():
             raise UnknownNode(f"node {values[~found][0]} not present")
         return pos

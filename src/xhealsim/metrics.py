@@ -5,6 +5,10 @@ distances) is computed in exact integer or rational arithmetic; the
 spectral gap is the one floating-point value and is reported for
 context only, never asserted.
 
+Preservation and the degree bound read the alive nodes' adjacency sets;
+CSR snapshots feed only connectivity, BFS distances, the spectral gap
+and exact expansion.
+
 A density subset is a collection of node ids: the mandatory ones
 (alive set, clouds, last black neighbourhood) and the sampled ones that
 ``sample_subsets`` draws from the sorted alive ids.  Both density
@@ -72,6 +76,13 @@ def expansion(view: ColoredGraph | ShadowGraph, exact_limit: int) -> Fraction:
 # -- per-bound checks ----------------------------------------------------
 
 
+def _recorded_alive(shadow: ShadowGraph) -> set[int]:
+    """The alive ids; raises ``UnknownNode`` for the first the baseline lacks."""
+    if not shadow.alive <= shadow.nodes:
+        raise UnknownNode(f"node {next(v for v in shadow.alive if v not in shadow)} not present")
+    return shadow.alive
+
+
 def check_edge_preservation(graph: ColoredGraph, shadow: ShadowGraph
                             ) -> tuple[bool, list[tuple[int, int]]]:
     """Every baseline edge between two alive nodes must still be live.
@@ -79,31 +90,17 @@ def check_edge_preservation(graph: ColoredGraph, shadow: ShadowGraph
     This is edge preservation by definition: healing may add edges but
     never remove a baseline edge whose ends are both alive.  Returns the
     verdict and the edges that are not, as ``(u, v)`` with ``u < v``, in
-    sorted order.
+    sorted order; an alive node missing from the live graph has lost them.
     """
-    base = Csr.of(shadow)
-    n = len(base.ids)
-    bu, bv = base.edge_ends()
-    alive = np.zeros(n, dtype=bool)
-    alive[base.positions(shadow.alive)] = True
-    keep = alive[bu] & alive[bv]
-    codes = bu[keep] * n + bv[keep]
-    lu, lv = _edges_within(Csr.of(graph), base)
-    # both code lists are duplicate-free; saying so also skips np.unique,
-    # whose first call imports numpy.ma (about 2 MB resident)
-    missing = np.sort(codes[np.isin(codes, lu * n + lv, assume_unique=True, invert=True)])
-    edges = base.ids[np.stack(np.divmod(missing, n), axis=1)]
-    return (not len(edges), [tuple(e) for e in edges.tolist()])
-
-
-def _edges_within(src: Csr, dst: Csr) -> tuple[np.ndarray, np.ndarray]:
-    """Edges of *src* with both ends in *dst*, as positions in *dst*;
-    both id lists are sorted, so the relabelling keeps u < v."""
-    u, v = src.edge_ends()
-    u, found_u = dst.lookup(src.ids[u])
-    v, found_v = dst.lookup(src.ids[v])
-    both = found_u & found_v
-    return u[both], v[both]
+    alive = _recorded_alive(shadow)
+    live = graph.node_set
+    missing = []
+    for u in alive:
+        lost = shadow.neighbors(u).difference(graph.neighbors(u) if u in live else ())
+        if not alive.isdisjoint(lost):
+            missing.extend((u, v) for v in lost & alive if u < v)
+    missing.sort()
+    return not missing, missing
 
 
 def check_degree_bound(graph: ColoredGraph, shadow: ShadowGraph, kappa: int
@@ -116,16 +113,10 @@ def check_degree_bound(graph: ColoredGraph, shadow: ShadowGraph, kappa: int
     Returns the minimum slack over alive nodes (None when empty) and the
     nodes with negative slack, in node order.
     """
-    base, live = Csr.of(shadow), Csr.of(graph)
-    is_alive = np.zeros(len(base.ids), dtype=bool)
-    is_alive[base.positions(shadow.alive)] = True
-    alive = np.flatnonzero(is_alive)
-    ids = base.ids[alive]
-    slack = (kappa * np.diff(base.indptr)[alive] + kappa
-             - np.diff(live.indptr)[live.positions(ids)])
-    negative = np.flatnonzero(slack < 0)
-    violations = list(zip(ids[negative].tolist(), slack[negative].tolist()))
-    return (int(slack.min()) if len(slack) else None), violations
+    ids = sorted(_recorded_alive(shadow))
+    slack = [kappa * len(shadow.neighbors(x)) + kappa - len(graph.neighbors(x)) for x in ids]
+    violations = [(x, s) for x, s in zip(ids, slack) if s < 0]
+    return (min(slack) if slack else None), violations
 
 
 def sample_subsets(alive: Iterable[int], samples: int, rng: random.Random
@@ -201,7 +192,8 @@ def check_density_lower(graph: ColoredGraph, shadow: ShadowGraph,
 
 
 def check_density_upper(graph: ColoredGraph, shadow: ShadowGraph, kappa: int,
-                        subsets: Sequence[Collection[int]]) -> list[str]:
+                        subsets: Sequence[Collection[int]],
+                        over: Collection[int]) -> list[str]:
     """One exact upper bound on healed density, per subset.
 
     For every subset S: live density <= baseline density + kappa * (sum
@@ -215,15 +207,12 @@ def check_density_upper(graph: ColoredGraph, shadow: ShadowGraph, kappa: int,
     integers.
 
     A subset whose live degree sum fits within the slack keeps the
-    bound, and so does one whose members are all within their degree
-    budgets.  So only a subset holding a node over its budget has its
-    degrees summed, and its induced edges are counted only when the
-    live sum exceeds the slack: a clean checkpoint sums and counts none.
+    bound, and so does one holding no node of *over*, the alive nodes
+    that ``check_degree_bound`` finds over their budgets.  So only the
+    others have their degrees summed, and their induced edges are
+    counted only when the live sum exceeds the slack.
     """
     sets = _node_sets(graph, subsets)
-    live, base = Csr.of(graph), Csr.of(shadow)
-    budget = kappa * np.diff(base.indptr)[base.positions(live.ids)] + kappa
-    over = set(live.ids[np.diff(live.indptr) > budget].tolist())
     violations = []
     for members in sets:
         if members.isdisjoint(over):
@@ -343,14 +332,9 @@ def evaluate(healer: "Healer", t: int, seed: int, *, density_samples: int,
 
     The random density subsets are drawn only when one of them can break
     a bound, that is when a baseline edge between alive nodes is missing
-    or an alive node is over its degree budget; otherwise both density
-    checks run on the mandatory subsets alone.  With no missing edge,
-    E_base(S) is a subset of E_live(S) for every S of alive nodes, so the
-    lower bound holds.  With every degree in budget, for every S
-    2|E_live(S)| <= sum over S of live_deg <= sum over S of
-    (kappa * base_deg + kappa), the slack of the per-subset upper bound,
-    so that bound holds too.  A drawn family is the one an always-drawing
-    checkpoint would draw.
+    or an alive node is over its degree budget, the premises each density
+    check states; otherwise both run on the mandatory subsets alone.  A
+    drawn family is the one an always-drawing checkpoint would draw.
     """
     graph, shadow = healer.graph, healer.shadow
     alpha = healer.cfg.alpha_target
@@ -367,7 +351,8 @@ def evaluate(healer: "Healer", t: int, seed: int, *, density_samples: int,
         rng_density = random.Random(f"{seed}/density/{t}")
         family += sample_subsets(shadow.alive, density_samples, rng_density)
     lower_viols = check_density_lower(graph, shadow, family, missing)
-    upper_viols = check_density_upper(graph, shadow, healer.cfg.kappa, family)
+    upper_viols = check_density_upper(graph, shadow, healer.cfg.kappa, family,
+                                      [v for v, _ in degree_viols])
     detail.extend(f"density: {v}" for v in lower_viols)
     detail.extend(f"density-upper: {v}" for v in upper_viols)
 
@@ -375,9 +360,10 @@ def evaluate(healer: "Healer", t: int, seed: int, *, density_samples: int,
     if not conn.ok:
         detail.append("connectivity: baseline connected but live graph is not")
 
+    n_live = len(Csr.of(graph).ids)  # what exact expansion and lambda2 enumerate
     exp_live = exp_shadow = None
     exp_ok: bool | None = None
-    if 2 <= len(shadow.alive) <= exact_limit:
+    if 2 <= n_live <= exact_limit:
         exp_live = expansion(graph, exact_limit)
     if 2 <= len(shadow.nodes) <= exact_limit:
         exp_shadow = expansion(shadow, exact_limit)
@@ -387,7 +373,7 @@ def evaluate(healer: "Healer", t: int, seed: int, *, density_samples: int,
             detail.append(f"expansion: live {exp_live} < min({alpha}, {exp_shadow})")
 
     lam = None
-    if 2 <= len(shadow.alive) <= LAMBDA_SIZE_CAP:
+    if 2 <= n_live <= LAMBDA_SIZE_CAP:
         lam = lambda2(graph)
 
     rng_stretch = random.Random(f"{seed}/stretch/{t}")

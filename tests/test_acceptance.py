@@ -78,6 +78,7 @@ def drive_checked(healer: Healer, events, seed: int, total: int,
         if not ok:
             result.preservation_failures.append((seed, t, missing[:3]))
         _, degree_viols = check_degree_bound(healer.graph, healer.shadow, KAPPA)
+        over = [v for v, _ in degree_viols]
         if degree_viols:
             result.degree_failures.append((seed, t, degree_viols[:3]))
         if not check_connectivity(healer.graph, healer.shadow).ok:
@@ -88,7 +89,7 @@ def drive_checked(healer: Healer, events, seed: int, total: int,
         if healer.shadow.alive:
             # the alive set's line is the whole-graph upper bound
             upper = check_density_upper(healer.graph, healer.shadow, KAPPA,
-                                        [healer.shadow.alive])
+                                        [healer.shadow.alive], over)
             if upper:
                 result.density_ub_failures.append((seed, t, upper[:2]))
         if t % checkpoint_every == 0 or t == total:
@@ -99,7 +100,7 @@ def drive_checked(healer: Healer, events, seed: int, total: int,
             lower = check_density_lower(healer.graph, healer.shadow, subsets, missing)
             if lower:
                 result.density_failures.append((seed, t, lower[:2]))
-            upper = check_density_upper(healer.graph, healer.shadow, KAPPA, subsets)
+            upper = check_density_upper(healer.graph, healer.shadow, KAPPA, subsets, over)
             if upper:
                 result.density_ub_failures.append((seed, t, upper[:2]))
             worst, viols, _ = stretch(healer.graph, healer.shadow, 200,

@@ -6,6 +6,8 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from xhealsim import cli
 from xhealsim.adversary import Strategy, decode_trace, encode_trace, gen_trace
@@ -292,6 +294,34 @@ def test_a_run_continued_from_a_snapshot_ends_as_the_uninterrupted_run(n0, steps
         healer.handle_event(event)
         continued.handle_event(event)
     assert cli.snapshot_state(continued, seed) == cli.snapshot_state(healer, seed)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 9), cut=st.integers(0, 300))
+# a cut after which a splice read its pairs in the loaded sets' layout
+# until expander._splice sorted them
+@example(seed=0, cut=85)
+def test_a_run_resumed_from_a_snapshot_writes_the_uninterrupted_runs_rows(seed, cut):
+    # the acceptance shape: n0=50, 300 events, a checkpoint every 10.  A
+    # run snapshotted after event *cut*, loaded and continued writes the
+    # uninterrupted run's CSV rows from the cut on and its final snapshot
+    trace = gen_trace(Strategy("uniform", insert_fraction=0.4), 50, 300, seed)
+    cfg = cli.RunConfig(seed=seed, checkpoint_every=10)
+    healer, reports = cli.run_trace(trace, cfg)
+    head = cli._trace_healer(trace, cfg)
+    for event in trace.events[:cut]:
+        head.handle_event(event)
+    resumed, loaded = cli.load_snapshot(json.loads(json.dumps(
+        cli.snapshot_state(head, seed, cfg), sort_keys=True)))
+    rows = [cli._checkpoint(resumed, cut, loaded)] if cut % 10 == 0 or cut == 300 else []
+    for t, event in enumerate(trace.events[cut:], start=cut + 1):
+        resumed.handle_event(event)
+        if t % loaded.checkpoint_every == 0 or t == 300:
+            rows.append(cli._checkpoint(resumed, t, loaded))
+    assert (cli.render_report_csv(rows)
+            == cli.render_report_csv([r for r in reports if r.t >= cut]))
+    assert (json.dumps(cli.snapshot_state(resumed, seed, loaded), sort_keys=True)
+            == json.dumps(cli.snapshot_state(healer, seed, cfg), sort_keys=True))
 
 
 def test_verify_repeats_the_runs_final_checkpoint(tmp_path, capsys):
@@ -592,6 +622,29 @@ def test_verify_reports_an_incoherent_snapshot_line_by_line(tmp_path, capsys):
         assert lines[:len(expected)] == [f"VIOLATION {e}" for e in expected], name
         assert lines[len(expected):] == [lines[-1]], name
         assert lines[-1].startswith("VIOLATION metrics: not evaluated (node "), name
+
+
+@pytest.mark.parametrize("extra", ["dead", "never-seen"])
+def test_verify_evaluates_a_live_graph_holding_a_node_that_is_not_alive(
+        tmp_path, capsys, extra):
+    # 20 alive nodes, the exact expansion limit, and a 21st node in the
+    # live graph: each live check is sized by the live graph, so exact
+    # expansion is skipped instead of refusing 21 nodes with exit 2
+    trace, snap = tmp_path / "t.jsonl", tmp_path / "s.json"
+    run_cli(["gen", "--strategy", "uniform", "--n0", "30", "--steps", "40",
+             "--seed", "2", "-o", str(trace)])
+    assert run_cli(["run", "--trace", str(trace), "--seed", "2", "--snapshot", str(snap),
+                    "-o", str(tmp_path / "r.csv")]) == 0
+    data = json.loads(snap.read_text())
+    assert len(data["shadow"]["alive"]) == cli.RunConfig().exact_limit
+    dead = min(set(data["shadow"]["nodes"]) - set(data["shadow"]["alive"]))
+    data["nodes"].append(dead if extra == "dead" else 999)
+    snap.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run_cli(["verify", "--snapshot", str(snap)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "VIOLATION live node set differs from shadow alive set",
+        "VIOLATION connectivity: baseline connected but live graph is not"]
 
 
 def test_report_rejects_a_csv_that_is_not_a_report(tmp_path, capsys):

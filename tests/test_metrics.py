@@ -13,7 +13,7 @@ from xhealsim.adversary import Event, Strategy, gen_trace
 from xhealsim.cli import RunConfig, run_trace
 from xhealsim.engine import Healer
 from xhealsim.expander import ExpanderConfig, lambda2_of_adjacency
-from xhealsim.graph import BLACK, ShadowGraph, edge_key
+from xhealsim.graph import BLACK, ShadowGraph, UnknownNode, edge_key
 from xhealsim.metrics import (
     LAMBDA_SIZE_CAP,
     check_connectivity,
@@ -97,12 +97,29 @@ def test_density_lower_singleton_and_fault():
 
 def test_density_upper_hand_computed_bound():
     # healed star, S = the three leaves, kappa 6: live density 1, baseline
-    # density 0, bound 0 + 6*3/(2*3) + 3 = 6
+    # density 0, bound 0 + 6*3/(2*3) + 3 = 6; every member is passed as
+    # over budget, so the bound itself decides
     h = healed_star()
     subset = frozenset([1, 2, 3])
-    assert check_density_upper(h.graph, h.shadow, 6, [subset]) == []
+    assert check_density_upper(h.graph, h.shadow, 6, [subset], subset) == []
     assert density(h.graph, subset) == 1
     assert density(h.shadow, subset) == 0
+
+
+def test_premise_checks_on_alive_nodes_a_graph_lacks():
+    # alive 3 and 4 are missing from the live graph: preservation counts
+    # their baseline edges as lost, the degree check names the smaller.
+    # An alive id the baseline never recorded stops both checks
+    shadow = ShadowGraph.from_edges(range(5), [(0, 1), (1, 2), (2, 3), (3, 4)])
+    graph = graph_from_edges([0, 1, 2], [(0, 1), (1, 2)])
+    assert check_edge_preservation(graph, shadow) == (False, [(2, 3), (3, 4)])
+    with pytest.raises(UnknownNode, match="^node 3 not present$"):
+        check_degree_bound(graph, shadow, 6)
+    shadow.alive.add(9)
+    with pytest.raises(UnknownNode, match="^node 9 not present$"):
+        check_edge_preservation(graph, shadow)
+    with pytest.raises(UnknownNode, match="^node 9 not present$"):
+        check_degree_bound(graph, shadow, 6)
 
 
 def test_density_upper_counts_baseline_edges_to_dead_nodes():
@@ -110,7 +127,8 @@ def test_density_upper_counts_baseline_edges_to_dead_nodes():
     # 0-5 induces no baseline edge but each alive node keeps one edge to
     # a dead node.  The live K6 minus a perfect matching gives every
     # node degree 4 = kappa * 1 + kappa: the degree bound with zero
-    # slack, and on the alive set 2 * 12 <= 2 * 0 + 2 * 6 + 2 * 6
+    # slack, and on the alive set 2 * 12 <= 2 * 0 + 2 * 6 + 2 * 6.  Every
+    # node is passed as over budget, so the bound itself decides
     shadow = ShadowGraph.from_edges(range(12), [(i, i + 6) for i in range(6)])
     for v in range(6, 12):
         shadow.mark_dead(v)
@@ -118,7 +136,7 @@ def test_density_upper_counts_baseline_edges_to_dead_nodes():
                                         if v != u + 3])
     slack, violations = check_degree_bound(graph, shadow, 2)
     assert (slack, violations) == (0, [])
-    assert check_density_upper(graph, shadow, 2, [frozenset(range(6))]) == []
+    assert check_density_upper(graph, shadow, 2, [frozenset(range(6))], range(6)) == []
 
 
 def test_density_checks_match_oracle_on_untouched_graph():

@@ -32,6 +32,12 @@ from xhealsim.metrics import (check_degree_bound, check_density_lower, check_den
 KAPPA = 6
 
 
+def over_budget(graph, shadow, kappa: int) -> list[int]:
+    """The alive nodes over their degree budget, as ``evaluate`` passes
+    them to ``check_density_upper``."""
+    return [v for v, _ in check_degree_bound(graph, shadow, kappa)[1]]
+
+
 def checks_and_oracles(healer: Healer, seed: int, t: int, samples: int = 100,
                        pairs: int = 200):
     """(new, oracle) results of the three checks at one state."""
@@ -41,7 +47,7 @@ def checks_and_oracles(healer: Healer, seed: int, t: int, samples: int = 100,
     frozen = mandatory_subsets(healer) + [frozenset(s) for s in drawn]
     new = (check_density_lower(graph, shadow, subsets,
                                check_edge_preservation(graph, shadow)[1]),
-           check_density_upper(graph, shadow, KAPPA, subsets),
+           check_density_upper(graph, shadow, KAPPA, subsets, over_budget(graph, shadow, KAPPA)),
            stretch(graph, shadow, pairs, random.Random(f"{seed}/stretch/{t}")))
     old = (density_lower_oracle(graph, shadow, frozen),
            density_upper_oracle(graph, shadow, KAPPA, frozen),
@@ -112,7 +118,8 @@ def test_density_checks_reject_bad_subsets(check):
         if check == "lower":
             return check_density_lower(healer.graph, healer.shadow, family,
                                        check_edge_preservation(healer.graph, healer.shadow)[1])
-        return check_density_upper(healer.graph, healer.shadow, KAPPA, family)
+        return check_density_upper(healer.graph, healer.shadow, KAPPA, family,
+                                   over_budget(healer.graph, healer.shadow, KAPPA))
 
     assert run([frozenset([1, 2])]) == []
     with pytest.raises(UnknownNode):
@@ -153,7 +160,8 @@ def test_parity_on_arbitrary_graph_pairs(n, dead, base_p, live_p, kappa, seed):
     assert (check_density_lower(graph, shadow, sampled,
                                 check_edge_preservation(graph, shadow)[1])
             == density_lower_oracle(graph, shadow, frozen))
-    assert (check_density_upper(graph, shadow, kappa, sampled)
+    assert (check_density_upper(graph, shadow, kappa, sampled,
+                                over_budget(graph, shadow, kappa))
             == density_upper_oracle(graph, shadow, kappa, frozen))
     assert (stretch(graph, shadow, 20, random.Random(seed))
             == stretch_oracle(graph, shadow, 20, random.Random(seed)))
@@ -167,7 +175,8 @@ def eager_density(healer: Healer, seed: int, t: int, samples: int):
     subsets = mandatory_subsets(healer) + drawn
     lower = check_density_lower(graph, shadow, subsets,
                                 check_edge_preservation(graph, shadow)[1])
-    upper = check_density_upper(graph, shadow, healer.cfg.kappa, subsets)
+    upper = check_density_upper(graph, shadow, healer.cfg.kappa, subsets,
+                                over_budget(graph, shadow, healer.cfg.kappa))
     return (len(lower), len(upper),
             [f"density: {v}" for v in lower] + [f"density-upper: {v}" for v in upper])
 
@@ -198,8 +207,10 @@ def test_evaluate_reports_a_sampled_subset_over_the_degree_budget():
     # clique members break it.
     healer = Healer.from_initial(range(25), [], ExpanderConfig(kappa=4), random.Random(0))
     healer.graph.recolor([], [(0, [(u, v) for u in range(10) for v in range(u + 1, 10)])])
-    assert len(check_degree_bound(healer.graph, healer.shadow, 4)[1]) == 10
-    assert check_density_upper(healer.graph, healer.shadow, 4, mandatory_subsets(healer)) == []
+    over = over_budget(healer.graph, healer.shadow, 4)
+    assert over == list(range(10))
+    assert check_density_upper(healer.graph, healer.shadow, 4, mandatory_subsets(healer),
+                               over) == []
     reported = reported_density(healer, 3, 0, 100)
     assert reported[1] > 0
     assert reported == eager_density(healer, 3, 0, 100)
@@ -247,6 +258,9 @@ def test_degree_budget_keeps_every_subset_within_the_upper_bound(
                 live_edges.append((u, v))
     graph = graph_from_edges(alive, live_edges)
     assert check_degree_bound(graph, shadow, kappa)[1] == []
+    # the ungated oracle: the gated check, passed no node over budget,
+    # would return nothing whatever the bound
     family = [s for s in fixed if s <= shadow.alive]
-    assert check_density_upper(graph, shadow, kappa,
-                               family + sample_subsets(alive, 20, rng)) == []
+    assert density_upper_oracle(graph, shadow, kappa,
+                                family + [frozenset(s) for s in sample_subsets(alive, 20, rng)]
+                                ) == []
