@@ -10,11 +10,10 @@ monotone subgraph density, connectivity, expansion, and stretch.
 from .adversary import Event, Strategy, Trace, decode_trace, encode_trace, gen_trace
 from .engine import Cloud, CloudKind, CloudRegistry, Healer, RepairCounters, coherence_errors
 from .expander import CloudTopology, ExpanderConfig, build_topology, expansion_exact
-from .graph import BLACK, ColoredGraph, ShadowGraph
+from .graph import ColoredGraph, ShadowGraph
 from .metrics import MetricsReport, evaluate
 
 __all__ = [
-    "BLACK",
     "Cloud",
     "CloudKind",
     "CloudRegistry",

@@ -22,7 +22,6 @@ import argparse
 import concurrent.futures
 import csv
 import io
-import itertools
 import json
 import random
 import re
@@ -61,10 +60,10 @@ from .expander import (
     RetriesExhausted,
     topology_error,
 )
-from .graph import BLACK, ColoredGraph, GraphError, ShadowGraph, edge_key
+from .graph import ColoredGraph, GraphError, ShadowGraph, edge_key
 from .metrics import MetricsReport, evaluate
 
-SNAPSHOT_VERSION = 5
+SNAPSHOT_VERSION = 6
 
 # one column per scalar report field, then one per repair counter
 _METRIC_COLUMNS = [f.name for f in fields(MetricsReport)
@@ -189,8 +188,6 @@ def snapshot_state(healer: Healer, seed: int, cfg: RunConfig | None = None) -> d
     """Versioned JSON-ready dump of the full healer state, with the
     checkpoint settings of *cfg* (``RunConfig``'s defaults if None)."""
     checkpoint = cfg if cfg is not None else RunConfig()
-    edges = [{"u": u, "v": v, "colors": sorted(colors)}
-             for (u, v), colors in sorted(healer.graph.edges())]
     clouds = []
     for cid in sorted(healer.registry.clouds):
         cloud = healer.registry.clouds[cid]
@@ -211,7 +208,6 @@ def snapshot_state(healer: Healer, seed: int, cfg: RunConfig | None = None) -> d
         "checkpoint": {name: getattr(checkpoint, name) for name in CHECKPOINT_SETTINGS},
         "next_cloud_id": healer.next_cloud_id,
         "nodes": sorted(healer.graph.node_set),
-        "edges": edges,
         "shadow": {
             "nodes": sorted(healer.shadow.nodes),
             "edges": sorted([u, v] for u, v in healer.shadow.edges),
@@ -261,12 +257,16 @@ def load_snapshot(data: dict) -> tuple[Healer, RunConfig]:
     a non-negative fraction string, and an alive id, cloud id, bridge
     key, bridge holder or topology edge listed twice, which a set or a
     dict would drop unseen, and a key of an object that it does not read;
-    semantic damage surfaces in coherence checks."""
+    semantic damage surfaces in coherence checks.  The live graph is not
+    read but derived: each baseline edge between live alive nodes has
+    one owner, and each cloud whose topology holds an edge between live
+    nodes adds one; a topology edge that leaves them is left out, for
+    the coherence check to report."""
     if not isinstance(data, dict):
         raise ValueError("snapshot is not a JSON object")
     if data.get("v") != SNAPSHOT_VERSION:
         raise ValueError(f"snapshot version {data.get('v')!r} not supported")
-    _snapshot_keys(data, {"v", "seed", "config", "checkpoint", "next_cloud_id", "nodes", "edges",
+    _snapshot_keys(data, {"v", "seed", "config", "checkpoint", "next_cloud_id", "nodes",
                           "shadow", "clouds", "bridges", "last_black_neighbors", "counters"},
                    "snapshot")
     config = _snapshot_keys(data["config"], {f.name for f in fields(ExpanderConfig)},
@@ -289,20 +289,11 @@ def load_snapshot(data: dict) -> tuple[Healer, RunConfig]:
     # an alive id the baseline never recorded has no neighbor to count it
     # dead; it is kept for the coherence check to report
     baseline.alive.update(set(alive) - baseline.nodes)
-    nodes, records = node_ids(data["nodes"], "nodes"), data["edges"]
-    ends = [(rec["u"], rec["v"]) for rec in
-            (_snapshot_keys(rec, {"u", "v", "colors"}, "snapshot edge") for rec in records)]
-    node_ids(list(itertools.chain.from_iterable(ends)), "edge endpoints")
-    paints = [rec["colors"] for rec in records]
-    for (u, v), colors in zip(ends, paints):
-        if type(colors) is not list or any(type(c) is not int or c < BLACK for c in colors):
-            raise ValueError(f"edge ({u},{v}) colors must be a list of integers >= {BLACK}")
-    graph = ColoredGraph.from_edges(nodes, ends)
-    for (u, v), colors in zip(ends, paints):
-        # a colorless edge still loads, for the coherence check to report
-        own = graph.edge(u, v)
-        own.clear()
-        own.update(colors)
+    nodes = node_ids(data["nodes"], "nodes")
+    live = set(nodes)
+    black = live & baseline.alive
+    graph = ColoredGraph.from_edges(nodes, (e for e in baseline.edges
+                                            if e[0] in black and e[1] in black))
     healer = Healer(graph, baseline, cfg, random.Random(f"{seed}/engine"))
     for entry in data["clouds"]:
         _snapshot_keys(entry, {"id", "kind", "members", "topology"}, "snapshot cloud")
@@ -319,6 +310,7 @@ def load_snapshot(data: dict) -> tuple[Healer, RunConfig]:
         cloud = Cloud(CloudKind(entry["kind"]),
                       frozenset(node_ids(entry["members"], f"cloud {cid} members")), topology)
         healer.registry.store(cid, cloud)
+        graph.reown([], [[e for e in edges if e[0] in live and e[1] in live]])
     listed: set[tuple[int, int]] = set()
     for f, c, node in node_id_rows(data["bridges"], 3, "bridges"):
         if (f, c) in listed:
@@ -394,12 +386,16 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def _run_one_seed(args: argparse.Namespace, seed: int) -> tuple[int, list[str], str]:
     """Run one seed: its exit code, its lines for stderr, and its CSV
-    when ``-o -`` sends that to stdout (else "").  A cloud that cannot
-    be certified ends the seed with code 3 and writes none of its files."""
+    when ``-o -`` sends that to stdout (else "").  A trace whose header
+    kappa is not ``--kappa`` ends the seed with code 2, and a cloud that
+    cannot be certified with code 3, and neither writes its files."""
     cfg = _run_config(args, seed)
     try:
         if args.trace:
             trace = decode_trace(Path(args.trace).read_text(encoding="utf-8"))
+            if trace.kappa != cfg.kappa:
+                return 2, [f"error: trace header kappa {trace.kappa} differs from "
+                           f"--kappa {cfg.kappa}"], ""
             healer, reports = run_trace(trace, cfg, fault=args.fault)
             recorded = trace
         else:

@@ -46,19 +46,22 @@ raises or one a test discards, pays for the whole registry: the rollback
 puts back what the journal kept and derives the indexes from the whole
 record (``CloudRegistry.derived``).
 
-An edge's colors are its only state, and a cloud's topology is a frozen
-set of edges, so the delete's edge step is, over the clouds the plan
-touched, the difference between each one's cloud before the plan, as
-``CloudRegistry.touched`` recorded it, and after (``Healer._apply``):
-each such cloud's color leaves ``old - new`` only and colors
-``new - old`` (reusing any edge that exists, a retired cloud's too), and
-the stripped edges left colorless go, all in one
-``ColoredGraph.recolor`` call.  Black is never stripped, so no black
-edge goes.
+An edge's owner count is its only state, and a cloud's topology is a
+frozen set of edges, so the delete's edge step is, over the clouds the
+plan touched, the difference between each one's cloud before the plan,
+as ``CloudRegistry.touched`` recorded it, and after (``Healer._apply``):
+each such cloud gives up its ownership of ``old - new`` only and takes
+``new - old`` (reusing any edge that exists, a retired cloud's too),
+and the stripped edges left with no owner go, all in one
+``ColoredGraph.reown`` call.  A black edge's own owner is never
+stripped, so no black edge goes.  An edge's colors are derived, never
+stored: black while the baseline holds it and both ends live, and the
+id of each cloud whose topology holds it (``expected_edge_state``).
 """
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
@@ -66,14 +69,7 @@ from typing import Iterable, Sequence
 
 from .adversary import Event, insert_error
 from .expander import CloudTopology, ExpanderConfig, RetriesExhausted, build_topology, is_clique
-from .graph import (
-    BLACK,
-    ColoredGraph,
-    EdgeKey,
-    ShadowGraph,
-    edge_key,
-    initial_views,
-)
+from .graph import ColoredGraph, EdgeKey, ShadowGraph, edge_key, initial_views
 
 FAULTS = ("skip-heal", "drop-black-edge")
 
@@ -440,23 +436,22 @@ class Healer:
     # -- edge lifecycle ----------------------------------------------------
 
     def _apply(self, plan: Plan) -> None:
-        """Recolor the graph, the dead node's edges gone, from the
-        registry before *plan* to the registry it left: each cloud the plan
-        touched loses its color on ``was - now`` and gains it on
-        ``now - was``, less the dead node's edges, a cloud that is not
-        registered giving it no edges.  The clouds before are the ones
-        ``touched`` recorded.  The graph ends as after stripping
-        every old edge and painting every new one, since an edge a cloud
-        keeps would be repainted before the purge; it is just not counted
-        as reused."""
+        """Reown the graph, the dead node's edges gone, from the registry
+        before *plan* to the registry it left: each cloud the plan touched
+        gives up its owner on ``was - now`` and takes one on ``now - was``,
+        less the dead node's edges, a cloud that is not registered owning
+        no edges.  The clouds before are the ones ``touched`` recorded.
+        The graph ends as after stripping every old edge and painting
+        every new one, since an edge a cloud keeps would be repainted
+        before the purge; it is just not counted as reused."""
         new, dying = self.registry.clouds, plan.dying_keys
         strip, paint = [], []
         for cid, old in self.registry.touched.items():
             was = old.topology.edges if old is not None else frozenset()
             now = new[cid].topology.edges if cid in new else frozenset()
-            strip.append((cid, was - now - dying))
-            paint.append((cid, now - was))
-        created, reused, deleted = self.graph.recolor(strip, paint)
+            strip.append(was - now - dying)
+            paint.append(now - was)
+        created, reused, deleted = self.graph.reown(strip, paint)
         self.counters.edges_created += created
         self.counters.edges_reused += reused
         self.counters.edges_deleted += deleted
@@ -464,10 +459,14 @@ class Healer:
     # -- fault injection ----------------------------------------------------
 
     def _drop_one_black_edge(self, rng: random.Random) -> None:
-        candidates = sorted(key for key, colors in self.graph.edges() if BLACK in colors)
+        """Strip the black owner of one live edge that still holds it: an
+        edge with more owners than the registry's clouds that hold it."""
+        held = Counter(key for cloud in self.registry.clouds.values()
+                       for key in cloud.topology.edges)
+        candidates = sorted(key for key, owners in self.graph.edges() if owners > held[key])
         if not candidates:
             return
-        self.graph.recolor([(BLACK, [rng.choice(candidates)])], [])
+        self.graph.reown([[rng.choice(candidates)]], [])
 
 
 class LazyRandom:
@@ -729,17 +728,19 @@ class Plan:
 # -- coherence oracle ---------------------------------------------------
 
 
-def expected_edge_state(healer: Healer) -> dict[EdgeKey, set[int]]:
-    """Reconstruct, from the shadow and the registry alone, the color
-    set every live edge is supposed to carry."""
-    expected: dict[EdgeKey, set[int]] = {}
+def expected_edge_state(healer: Healer) -> dict[EdgeKey, int]:
+    """Reconstruct, from the shadow and the registry alone, the owner
+    count every live edge is supposed to have: one if it is black, the
+    baseline holding it with both ends alive, plus one for each cloud
+    whose topology holds it."""
+    expected: dict[EdgeKey, int] = {}
     alive = healer.shadow.alive
     for u, v in healer.shadow.edges:
         if u in alive and v in alive:
-            expected[u, v] = {BLACK}
-    for cid, cloud in healer.registry.clouds.items():
+            expected[u, v] = 1
+    for cloud in healer.registry.clouds.values():
         for key in cloud.topology.edges:
-            expected.setdefault(key, set()).add(cid)
+            expected[key] = expected.get(key, 0) + 1
     return expected
 
 
@@ -777,11 +778,11 @@ def budget_errors(healer: Healer) -> list[str]:
 def coherence_errors(healer: Healer) -> list[str]:
     """Full cross-check of graph, shadow, and registry.
 
-    Empty result means: the graph's color sets are exactly what the
-    registry implies, structural indexes agree with a recount (the
-    registry's membership and bridge indexes and its set of free
-    members, and the shadow's dead counts), no colorless edge is left
-    behind, every cloud id is below the next cloud id (which
+    Empty result means: the graph's owner counts are exactly what the
+    shadow and the registry imply, structural indexes agree with a
+    recount (the registry's membership and bridge indexes and its set of
+    free members, and the shadow's dead counts), no edge without an
+    owner is left behind, every cloud id is below the next cloud id (which
     ``Plan._new_cloud`` relies on for a fresh color), every cloud of more
     than kappa+1 members, as ``verify`` sizes one, certifies
     ``alpha_target``, every node keeps its cloud budget, and the last
@@ -811,6 +812,5 @@ def coherence_errors(healer: Healer) -> list[str]:
         elif key not in expected:
             errs.append(f"edge {key} present but unexplained by registry/shadow")
         elif actual[key] != expected[key]:
-            errs.append(f"edge {key} colors {sorted(actual[key])} "
-                        f"!= expected {sorted(expected[key])}")
+            errs.append(f"edge {key} owners {actual[key]} != expected {expected[key]}")
     return errs

@@ -1,16 +1,16 @@
-"""Colored multigraph primitives for the self-healing overlay simulator.
+"""Graph primitives for the self-healing overlay simulator.
 
 Two graph values drive every run:
 
 * ``ColoredGraph`` is the live network.  An edge is its canonical key
-  ``(u, v)``, ``u < v``, and its *set* of colors, nothing more: the
-  sentinel ``BLACK`` marks edges that were present initially or were
-  wired in by the adversary, and each non-black color is the id of one
-  healing cloud that uses the edge.  An edge stays alive as long as at
-  least one color needs it; the healer only ever deletes an edge whose
-  color set has drained to empty.  All of one repair step's edge edits
-  (strip old colors, color new edges, purge drained ones) are one
-  ``recolor`` call.
+  ``(u, v)``, ``u < v``, and its count of owners, nothing more: one for
+  an edge that was present initially or wired in by the adversary while
+  both its ends live (a *black* edge), plus one for each healing cloud
+  whose topology uses it.  Its colors are not stored: the baseline and
+  the cloud registry hold which owners they are.  An edge stays alive as
+  long as it has an owner; the healer only ever deletes an edge whose
+  count has drained to zero.  All of one repair step's edge edits (drop
+  old owners, add new ones, purge drained edges) are one ``reown`` call.
 
 * ``ShadowGraph`` is the deletion-free baseline: every node ever seen
   and every black edge ever created, kept forever as one adjacency, of
@@ -28,11 +28,6 @@ from typing import Iterable, Iterator, KeysView, NamedTuple
 
 import numpy as np
 
-# Sentinel color for original / adversary-inserted edges.  Cloud colors are
-# the (non-negative) cloud ids, so a plain int covers both cases.
-BLACK: int = -1
-
-Color = int
 EdgeKey = tuple[int, int]
 
 # The largest node id: CSR snapshots hold ids as int64.
@@ -63,10 +58,6 @@ class UnknownEdge(GraphError):
     pass
 
 
-class ColorAbsent(GraphError):
-    pass
-
-
 class EmptySubset(GraphError):
     pass
 
@@ -82,19 +73,19 @@ def _check_id(v: int) -> None:
 
 
 class ColoredGraph:
-    """The live network: simple undirected graph with color-set edges."""
+    """The live network: simple undirected graph with owner-counted edges."""
 
     def __init__(self) -> None:
         self._adj: dict[int, set[int]] = {}
-        self._edges: dict[EdgeKey, set[Color]] = {}
+        self._edges: dict[EdgeKey, int] = {}  # edge -> its owners
         self._csr: Csr | None = None  # see Csr.of; dropped on adjacency change
 
     @classmethod
     def from_edges(cls, nodes: Iterable[int], edges: Iterable[tuple[int, int]]
                    ) -> "ColoredGraph":
         """The graph that ``add_node`` over *nodes*, then ``add_edge`` over
-        the canonical keys of *edges* in sorted order build, every edge
-        black; raises what the first call to fail raises.  So an input
+        the canonical keys of *edges* in sorted order build, each edge of
+        one owner; raises what the first call to fail raises.  So an input
         with two faults reports the one those calls meet first: a node
         fault before any edge fault, and of two edge faults the one on
         the smaller key."""
@@ -122,8 +113,7 @@ class ColoredGraph:
         self._adj[v] = set()
 
     def remove_node(self, v: int) -> None:
-        """Drop *v* and all incident edges.  A caller that needs the lost
-        edges' colors reads them with ``edge`` first."""
+        """Drop *v* and all incident edges, whatever their owners."""
         if v not in self._adj:
             raise UnknownNode(f"node {v} not present")
         self._csr = None
@@ -142,23 +132,16 @@ class ColoredGraph:
     def degree(self, v: int) -> int:
         return len(self.neighbors(v))
 
-    def edge(self, u: int, v: int) -> set[Color]:
-        """The colors of the edge between *u* and *v*: the graph's own set."""
-        try:
-            return self._edges[edge_key(u, v)]
-        except KeyError:
-            raise UnknownEdge(f"no edge {edge_key(u, v)}") from None
-
-    def edges(self) -> Iterator[tuple[EdgeKey, set[Color]]]:
-        """Every edge, as its key and its colors."""
+    def edges(self) -> Iterator[tuple[EdgeKey, int]]:
+        """Every edge, as its key and its owner count."""
         return iter(self._edges.items())
 
     def edge_count(self) -> int:
         return len(self._edges)
 
     def add_edge(self, u: int, v: int) -> None:
-        """Wire a fresh black edge, an original or adversary one.  The
-        pair must be new."""
+        """Wire a fresh edge of one owner, an original or adversary one.
+        The pair must be new."""
         if u == v:
             raise SelfLoop(f"self loop ({u},{u})")
         if u not in self._adj or v not in self._adj:
@@ -167,41 +150,38 @@ class ColoredGraph:
         if key in self._edges:
             raise GraphError(f"edge ({key[0]},{key[1]}) already exists")
         self._csr = None
-        self._edges[key] = {BLACK}
+        self._edges[key] = 1
         self._adj[u].add(v)
         self._adj[v].add(u)
 
-    def recolor(self, strip: Iterable[tuple[Color, Iterable[EdgeKey]]],
-                paint: Iterable[tuple[Color, Iterable[EdgeKey]]]) -> tuple[int, int, int]:
+    def reown(self, strip: Iterable[Iterable[EdgeKey]],
+              paint: Iterable[Iterable[EdgeKey]]) -> tuple[int, int, int]:
         """One repair step's edge edits, in three phases.
 
-        Each ``(color, keys)`` of *strip* takes *color* off its edges,
-        which must exist and carry it.  Each ``(color, keys)`` of *paint*
-        gives its edges the cloud color *color*, reusing an existing edge
-        or creating one.  Last, the stripped edges left colorless are
-        deleted.  Keys are canonical (``u < v``, as ``edge_key`` gives).
-        Returns the counts of edges created, reused and deleted.
+        Each key of each set in *strip* loses one owner; its edge must
+        exist.  Each key of each set in *paint* gains one, reusing an
+        existing edge or creating one.  Last, the stripped edges left
+        with no owner are deleted; one stripped below that is kept, for
+        ``integrity_errors`` to name.  Keys are canonical (``u < v``, as
+        ``edge_key`` gives).  Returns the counts of edges created,
+        reused and deleted.
         """
         edges, adj = self._edges, self._adj
         drained = []
-        for color, keys in strip:
+        for keys in strip:
             for key in keys:
-                colors = edges.get(key)
-                if colors is None:
+                owners = edges.get(key)
+                if owners is None:
                     raise UnknownEdge(f"no edge {key}")
-                if color not in colors:
-                    raise ColorAbsent(f"edge {key} does not carry color {color}")
-                colors.remove(color)
-                if not colors:
+                edges[key] = owners - 1
+                if owners == 1:
                     drained.append(key)
         created = reused = 0
-        for color, keys in paint:
-            if color == BLACK:
-                raise ValueError("cloud colors only; black edges come from insertions")
+        for keys in paint:
             for key in keys:
-                colors = edges.get(key)
-                if colors is not None:
-                    colors.add(color)
+                owners = edges.get(key)
+                if owners is not None:
+                    edges[key] = owners + 1
                     reused += 1
                     continue
                 u, v = key
@@ -212,7 +192,7 @@ class ColoredGraph:
                 if u not in adj or v not in adj:
                     raise UnknownNode(f"endpoint of ({u},{v}) not present")
                 self._csr = None
-                edges[key] = {color}
+                edges[key] = 1
                 adj[u].add(v)
                 adj[v].add(u)
                 created += 1
@@ -232,7 +212,7 @@ class ColoredGraph:
     def integrity_errors(self) -> list[str]:
         """Structural self-check, used by tests and the verify command."""
         errs = []
-        for key, colors in self._edges.items():
+        for key, owners in self._edges.items():
             u, v = key
             if not u < v:
                 errs.append(f"edge key {key} is not canonical")
@@ -241,8 +221,8 @@ class ColoredGraph:
                     errs.append(f"edge {key} endpoint {end} missing")
                 elif other not in self._adj[end]:
                     errs.append(f"edge {key} missing from adjacency of {end}")
-            if not colors:
-                errs.append(f"edge {key} colorless")
+            if owners < 1:
+                errs.append(f"edge {key} has {owners} owners")
         for v, nbrs in self._adj.items():
             for nb in nbrs:
                 if edge_key(v, nb) not in self._edges:
@@ -363,7 +343,7 @@ class Csr(NamedTuple):
     @classmethod
     def of(cls, view: ColoredGraph | ShadowGraph) -> "Csr":
         """The snapshot of *view*, cached on it until a node or an edge
-        is added or deleted (recoloring an edge keeps it)."""
+        is added or deleted (a change of an edge's owners keeps it)."""
         if view._csr is None:
             order = sorted(view.node_set)
             ids = np.array(order, dtype=np.int64)

@@ -4,9 +4,9 @@ Everything here deliberately avoids the production code paths it is
 used to check: densities count pairs, expansion enumerates subsets in
 descending size order (or, for larger graphs, tabulates every cut as
 the replaced kernel did), graphs are built edge by edge.  The per-edge
-recoloring calls, the stdlib-drawing pairing sampler and the free-node
-scan are the code paths the library inlined or indexed, kept here as
-its references.
+owner edits, the stdlib-drawing pairing sampler and the free-node scan
+are the code paths the library inlined or indexed, kept here as its
+references.
 """
 from __future__ import annotations
 
@@ -19,15 +19,7 @@ import numpy as np
 
 from xhealsim.engine import CloudKind
 from xhealsim.expander import ExpanderConfig, _cheeger_lower_bound, expansion_exact
-from xhealsim.graph import (
-    BLACK,
-    ColorAbsent,
-    ColoredGraph,
-    EmptySubset,
-    UnknownEdge,
-    UnknownNode,
-    edge_key,
-)
+from xhealsim.graph import ColoredGraph, EmptySubset, UnknownEdge, UnknownNode, edge_key
 from xhealsim.metrics import ALL_PAIRS_LIMIT
 
 
@@ -271,59 +263,54 @@ def index_arrays(adj) -> tuple[int, np.ndarray, np.ndarray]:
 # -- references for the inlined hot loops ------------------------------------
 
 
-def ensure_edge_color(g: ColoredGraph, u: int, v: int, color: int) -> bool:
-    """Give the pair (u, v) the cloud color *color*, reusing any existing
-    edge, otherwise creating one.  True when created."""
-    if color == BLACK:
-        raise ValueError("cloud colors only; black edges come from insertions")
-    try:
-        g.edge(u, v).add(color)
+def gain_owner(g: ColoredGraph, key) -> bool:
+    """Give the edge *key* one more owner, reusing an existing edge,
+    otherwise creating one.  True when created."""
+    if key in g._edges:
+        g._edges[key] += 1
         return False
-    except UnknownEdge:
-        g.add_edge(u, v)
-        g.edge(u, v).symmetric_difference_update((BLACK, color))  # black becomes color
-        return True
+    g.add_edge(*key)
+    return True
 
 
-def strip_color(g: ColoredGraph, u: int, v: int, color: int) -> bool:
-    """Remove *color* from the edge; True when it drained to colorless."""
-    colors = g.edge(u, v)
-    if color not in colors:
-        raise ColorAbsent(f"edge {edge_key(u, v)} does not carry color {color}")
-    colors.discard(color)
-    return not colors
+def lose_owner(g: ColoredGraph, key) -> bool:
+    """Take one owner off the edge *key*; True when it drained to none."""
+    if key not in g._edges:
+        raise UnknownEdge(f"no edge {key}")
+    g._edges[key] -= 1
+    return g._edges[key] == 0
 
 
-def purge_colorless(g: ColoredGraph, keys) -> int:
-    """Delete those of the edges *keys* that are still colorless."""
+def purge_ownerless(g: ColoredGraph, keys) -> int:
+    """Delete those of the edges *keys* that still have no owner."""
     deleted = 0
     for u, v in keys:
-        if not g.edge(u, v):
+        if g._edges[u, v] == 0:
             g._csr = None
-            del g._edges[edge_key(u, v)]
+            del g._edges[u, v]
             g._adj[u].discard(v)
             g._adj[v].discard(u)
             deleted += 1
     return deleted
 
 
-def recolor_oracle(g: ColoredGraph, strip, paint) -> tuple[int, int, int]:
-    """``ColoredGraph.recolor`` one edge call at a time: strip each
-    color's edges in sorted order, color the painted ones, then purge
-    the drained keys in sorted order."""
+def reown_oracle(g: ColoredGraph, strip, paint) -> tuple[int, int, int]:
+    """``ColoredGraph.reown`` one edge call at a time: take an owner off
+    each stripped key in sorted order, give one to each painted key,
+    then purge the drained keys in sorted order."""
     drained = set()
-    for color, keys in strip:
-        for u, v in sorted(keys):
-            if strip_color(g, u, v, color):
-                drained.add(edge_key(u, v))
+    for keys in strip:
+        for key in sorted(keys):
+            if lose_owner(g, key):
+                drained.add(key)
     created = reused = 0
-    for color, keys in paint:
-        for u, v in keys:
-            if ensure_edge_color(g, u, v, color):
+    for keys in paint:
+        for key in keys:
+            if gain_owner(g, key):
                 created += 1
             else:
                 reused += 1
-    return created, reused, purge_colorless(g, sorted(drained))
+    return created, reused, purge_ownerless(g, sorted(drained))
 
 
 def changed_oracle(plan, first_fresh: int) -> set[int]:
@@ -338,8 +325,8 @@ def changed_oracle(plan, first_fresh: int) -> set[int]:
 def apply_full_oracle(healer, plan, before: dict) -> None:
     """``Healer._apply`` as a full strip and paint: every changed or
     retired cloud's edges in the clouds *before* the plan, less the dead
-    node's, lose its color and every such cloud's edges in *plan*'s
-    registry take it, so an edge a rebuilt cloud keeps is stripped,
+    node's, lose its owner and every such cloud's edges in *plan*'s
+    registry gain one, so an edge a rebuilt cloud keeps is stripped,
     repainted and counted as reused.  The clouds are the dying node's,
     the scrub's lists say which, and those registered on only one side.
     A cloud paints the edges it adds first, in the order ``_apply``
@@ -349,9 +336,9 @@ def apply_full_oracle(healer, plan, before: dict) -> None:
     for cid in sorted({*plan.primaries, *plan.secondaries} | (old.keys() ^ new.keys())):
         was = old[cid].topology.edges - plan.dying_keys if cid in old else frozenset()
         now = new[cid].topology.edges if cid in new else frozenset()
-        strip.append((cid, was))
-        paint.append((cid, [*(now - was), *(now & was)]))
-    created, reused, deleted = healer.graph.recolor(strip, paint)
+        strip.append(was)
+        paint.append([*(now - was), *(now & was)])
+    created, reused, deleted = healer.graph.reown(strip, paint)
     healer.counters.edges_created += created
     healer.counters.edges_reused += reused
     healer.counters.edges_deleted += deleted

@@ -190,6 +190,20 @@ def test_gen_refuses_a_kappa_no_healer_can_use(tmp_path, capsys, kappa):
     assert not out.exists()
 
 
+def test_run_refuses_a_trace_whose_header_kappa_is_not_its_own(tmp_path, capsys):
+    # a trace written for kappa 8 is healed at kappa 8 or not at all
+    trace, out = tmp_path / "t.jsonl", tmp_path / "r.csv"
+    run_cli(["gen", "--strategy", "uniform", "--n0", "20", "--steps", "10",
+             "--kappa", "8", "-o", str(trace)])
+    capsys.readouterr()
+    assert run_cli(["run", "--trace", str(trace), "-o", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "seed 0: error: trace header kappa 8 differs from --kappa 6\n")
+    assert not out.exists()
+    assert run_cli(["run", "--trace", str(trace), "--kappa", "8", "-o", str(out)]) == 0
+    assert out.exists()
+
+
 def test_run_requires_trace_or_strategy(tmp_path, capsys):
     assert run_cli(["run", "-o", "-"]) == 2
 
@@ -245,7 +259,7 @@ def test_verify_trace_replays_without_checkpoints_and_names_each_mismatch(
     assert evaluated == [30]
     capsys.readouterr()
     assert run_cli(["verify", "--snapshot", str(snap), "--trace", str(other)]) == 1
-    assert "VIOLATION replayed trace does not reproduce the snapshot's edges" in (
+    assert "VIOLATION replayed trace does not reproduce the snapshot's clouds" in (
         capsys.readouterr().err.splitlines())
     saved = json.loads(snap.read_text())
     # a bridge entry moved to an idle member of its secondary, and other
@@ -313,6 +327,8 @@ def test_a_run_resumed_from_a_snapshot_writes_the_uninterrupted_runs_rows(seed, 
         head.handle_event(event)
     resumed, loaded = cli.load_snapshot(json.loads(json.dumps(
         cli.snapshot_state(head, seed, cfg), sort_keys=True)))
+    # the snapshot holds no edges: the loader derives each one's owners
+    assert dict(resumed.graph.edges()) == dict(head.graph.edges())
     rows = [cli._checkpoint(resumed, cut, loaded)] if cut % 10 == 0 or cut == 300 else []
     for t, event in enumerate(trace.events[cut:], start=cut + 1):
         resumed.handle_event(event)
@@ -362,20 +378,40 @@ def small_snapshot(tmp_path):
 
 
 def test_verify_detects_corrupted_color(tmp_path, capsys):
+    # an edge's colors are derived from the baseline, the live node set
+    # and the cloud topologies, so damage to them is written there: a
+    # topology edge that leaves its cloud, and a live node set that
+    # lacks an alive node, and so the edges at it
     data = small_snapshot(tmp_path)
-    stray = data["edges"][0]["colors"] + [424242]
-    for name, colors in (("stray", stray), ("colorless", [])):
+    cloud = next(c for c in data["clouds"] if c["topology"]["edges"])
+    u, outsider = cloud["members"][0], min(set(data["nodes"]) - set(cloud["members"]))
+    stray, lost = sorted([u, outsider]), tuple(cloud["topology"]["edges"][0])
+    damages = {
+        "stray": (lambda d: topology_edges(d).append(stray),
+                  [f"VIOLATION cloud {cloud['id']} topology edge ({stray[0]},{stray[1]}) "
+                   "leaves member set"]),
+        "colorless": (lambda d: d["nodes"].remove(lost[0]),
+                      ["VIOLATION live node set differs from shadow alive set",
+                       f"VIOLATION edge {lost} expected but missing from graph"]),
+    }
+    for name, (damage, expected) in damages.items():
         victim = copy.deepcopy(data)
-        victim["edges"][0]["colors"] = colors
+        damage(victim)
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(victim))
         capsys.readouterr()
         assert run_cli(["verify", "--snapshot", str(path)]) == 1, name
-        assert "VIOLATION" in capsys.readouterr().err
+        lines = capsys.readouterr().err.splitlines()
+        assert set(expected) <= set(lines), name
+
+
+def topology_edges(data):
+    """The edge list of the first cloud whose topology has an edge."""
+    return next(c["topology"]["edges"] for c in data["clouds"] if c["topology"]["edges"])
 
 
 def repeat_topology_edge(data, orient):
-    edges = next(c["topology"]["edges"] for c in data["clouds"] if c["topology"]["edges"])
+    edges = topology_edges(data)
     edges.append(orient(list(edges[0])))
 
 
@@ -427,8 +463,10 @@ def test_verify_missing_or_malformed_snapshot(tmp_path, capsys):
         "v3": lambda d: d.update(v=3),
         # v4 recorded a kind in each cloud topology, which its size decides
         "v4": lambda d: d.update(v=4),
+        # v5 recorded each edge's colors, which v6 derives
+        "v5": lambda d: d.update(v=5),
         "string-seed": lambda d: d.update(seed="5"),
-        "string-color": lambda d: d["edges"][0]["colors"].append("7"),
+        "string-topology-end": lambda d: topology_edges(d)[0].__setitem__(1, "7"),
         "no-checkpoint-settings": lambda d: d.pop("checkpoint"),
         "zero-stretch-pairs": lambda d: d["checkpoint"].update(stretch_pairs=0),
         "string-density-samples": lambda d: d["checkpoint"].update(density_samples="100"),
@@ -451,6 +489,9 @@ def test_verify_missing_or_malformed_snapshot(tmp_path, capsys):
         # a topology is a set of edges, which would drop a repeat unseen
         "topology-edge-twice": lambda d: repeat_topology_edge(d, lambda e: e),
         "topology-edge-twice-flipped": lambda d: repeat_topology_edge(d, lambda e: e[::-1]),
+        # the loader paints each topology edge between live nodes, and a
+        # self loop is refused as the baseline's is
+        "topology-self-loop": lambda d: topology_edges(d).append([d["nodes"][0]] * 2),
         # the baseline is checked by the live graph's rules
         "shadow-edge-twice": lambda d: d["shadow"]["edges"].append(d["shadow"]["edges"][0][:]),
         "shadow-edge-twice-flipped":
@@ -469,7 +510,7 @@ def test_verify_missing_or_malformed_snapshot(tmp_path, capsys):
         "unknown-config-key": lambda d: d["config"].update(seed=5),
         "unknown-checkpoint-key": lambda d: d["checkpoint"].update(checkpoint_every=10),
         "unknown-shadow-key": lambda d: d["shadow"].update(dead=[]),
-        "unknown-edge-key": lambda d: d["edges"][0].update(w=1),
+        "edges-section": lambda d: d.update(edges=[]),
         "unknown-cloud-key": lambda d: d["clouds"][0].update(size=2),
         # v4 recorded it, v5 leaves it to the cloud's size
         "topology-kind": lambda d: d["clouds"][0]["topology"].update(kind="clique"),
@@ -941,13 +982,8 @@ def test_verify_checks_a_cloud_by_its_size_not_its_recorded_kind(tmp_path, capsy
     data = json.loads(snap.read_text())
     cloud = next(c for c in data["clouds"] if c["id"] == 192)
     assert len(cloud["members"]) == 39 and len(cloud["topology"]["edges"]) == 117
-    # drop 59 of its edges, and its color on them
-    dropped = {tuple(e) for e in cloud["topology"]["edges"][:59]}
+    # drop 59 of its edges
     cloud["topology"]["edges"] = cloud["topology"]["edges"][59:]
-    for record in data["edges"]:
-        if (record["u"], record["v"]) in dropped:
-            record["colors"].remove(192)
-    data["edges"] = [record for record in data["edges"] if record["colors"]]
     assert cloud["topology"] == {"edges": cloud["topology"]["edges"], "certified": "1/2"}
     cloud["topology"]["certified"] = "0/1"
     path = tmp_path / "s.json"

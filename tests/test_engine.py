@@ -21,7 +21,7 @@ from xhealsim.engine import (
     expected_edge_state,
 )
 from xhealsim.expander import CloudTopology, ExpanderConfig, RetriesExhausted, build_topology
-from xhealsim.graph import BLACK, ShadowGraph, edge_key
+from xhealsim.graph import ShadowGraph
 from helpers import changed_oracle, is_connected
 
 
@@ -68,7 +68,7 @@ def test_plan_blacks_are_the_dying_nodes_black_neighbours():
     assert Plan(h).blacks == Plan(make_healer([0], []), 0).blacks == frozenset()
 
     h2 = make_healer([0, 1, 2], [(0, 1)])
-    h2.graph.recolor([], [(1, [(0, 1), (0, 2)])])
+    h2.graph.reown([], [[(0, 1), (0, 2)]])
     plan = Plan(h2, 0)
     assert plan.blacks == {1}
     assert plan.dying_keys == {(0, 1), (0, 2)}
@@ -76,7 +76,7 @@ def test_plan_blacks_are_the_dying_nodes_black_neighbours():
     # a black edge stripped from the graph, as drop-black-edge strips
     # one: its baseline neighbour is still a black neighbour, and its key
     # leaves the dying node's edges
-    h.graph.recolor([(BLACK, [(0, 2)])], [])
+    h.graph.reown([[(0, 2)]], [])
     plan = Plan(h, 0)
     assert plan.blacks == {1, 2, 3}
     assert plan.dying_keys == {(0, 1), (0, 3)}
@@ -84,8 +84,8 @@ def test_plan_blacks_are_the_dying_nodes_black_neighbours():
 
 def test_plan_branch_follows_cloud_membership_not_edge_colors():
     # a node that sits in one cloud and bridges nothing, with that cloud's
-    # color stripped from its edges, still takes the branch of the cloud's
-    # kind: the repair reads membership from the registry
+    # ownership stripped from its edges, still takes the branch of the
+    # cloud's kind: the repair reads membership from the registry
     trace = gen_trace(Strategy("uniform", insert_fraction=0.4), 50, 120, 4)
     h = Healer.from_initial(trace.initial_nodes, trace.initial_edges, ExpanderConfig(),
                             random.Random("4/engine"))
@@ -97,10 +97,9 @@ def test_plan_branch_follows_cloud_membership_not_edge_colors():
         v, cid = next((v, cid) for v in sorted(h.shadow.alive)
                       if v not in reg.bridges and len(reg.member_of.get(v, ())) == 1
                       for cid in reg.member_of[v] if reg.clouds[cid].kind is kind)
-        colored = [edge_key(v, nb) for nb in h.graph.neighbors(v)
-                   if cid in h.graph.edge(v, nb)]
+        colored = [key for key in reg.clouds[cid].topology.edges if v in key]
         assert colored, kind
-        h.graph.recolor([(cid, colored)], [])
+        h.graph.reown([colored], [])
         errs = coherence_errors(h)
         assert all(any(e.startswith(f"edge {key} ") for e in errs) for key in colored), kind
         plan = Plan(h, v)
@@ -113,8 +112,7 @@ def test_plan_branch_follows_cloud_membership_not_edge_colors():
 def test_insert_wires_black_edges_only():
     h = make_healer([0, 1], [(0, 1)])
     h.handle_event(Event("ins", 2, (0, 1)))
-    assert h.graph.edge(0, 2) == {BLACK}
-    assert h.graph.edge(1, 2) == {BLACK}
+    assert dict(h.graph.edges()) == {(0, 1): 1, (0, 2): 1, (1, 2): 1}
     assert h.registry.clouds == {}
     assert h.shadow.edges == {(0, 1), (0, 2), (1, 2)}
 
@@ -143,10 +141,9 @@ def test_all_black_deletion_builds_primary_clique():
     h = make_healer([0, 1, 2, 3], [(0, 1), (0, 2), (0, 3)])
     h.handle_event(Event("del", 0))
     assert sorted(key for key, _ in h.graph.edges()) == [(1, 2), (1, 3), (2, 3)]
-    ((cid, cloud),) = h.registry.clouds.items()
+    (cloud,) = h.registry.clouds.values()
     assert cloud.kind is CloudKind.PRIMARY and cloud.members == {1, 2, 3}
-    assert all(h.graph.edge(u, v) == {cid}
-               for u, v in cloud.topology.edges)
+    assert dict(h.graph.edges()) == dict.fromkeys(cloud.topology.edges, 1)
     assert h.counters.branch_all_black == 1
     assert coherence_errors(h) == []
 
@@ -154,8 +151,7 @@ def test_all_black_deletion_builds_primary_clique():
 def test_all_black_deletion_reuses_existing_black_edge():
     h = make_healer([0, 1, 2], [(0, 1), (0, 2), (1, 2)])
     h.handle_event(Event("del", 0))
-    (cid,) = h.registry.clouds
-    assert h.graph.edge(1, 2) == {BLACK, cid}
+    assert dict(h.graph.edges()) == {(1, 2): 2}  # black, and the new cloud's
     assert h.counters.edges_reused == 1 and h.counters.edges_created == 0
 
 
@@ -203,8 +199,8 @@ def test_cloud_only_edges_of_dead_node_disappear_cleanly():
     h.handle_event(Event("del", 4))
     live_keys = {key for key, _ in h.graph.edges()}
     assert all(4 not in key for key in live_keys)
-    # black edges never existed among leaves, so everything left is cloud-colored
-    assert all(BLACK not in h.graph.edge(u, v) for u, v in live_keys)
+    # black edges never existed among leaves, so every edge left is a cloud's
+    assert not live_keys & h.shadow.edges
 
 
 def test_secondary_branch_repairs_bridge_loss():
@@ -222,7 +218,7 @@ def test_secondary_branch_repairs_bridge_loss():
     (fid,) = [cid for cid, c in h.registry.clouds.items() if c.kind is CloudKind.SECONDARY]
     assert h.registry.bridges == {2: (fid, p1)}
     assert h.registry.clouds[fid].members == {2, 4}
-    h.handle_event(Event("del", 2))     # branch 3: 2 carries secondary color
+    h.handle_event(Event("del", 2))     # branch 3: 2 is in the secondary cloud
     assert h.counters.branch_secondary == 1
     assert coherence_errors(h) == []
     assert is_connected(h.graph)
@@ -750,7 +746,7 @@ def test_replay_determinism():
         for ev in script:
             h.handle_event(ev)
         snapshots.append((
-            sorted((key, tuple(sorted(colors))) for key, colors in h.graph.edges()),
+            sorted(h.graph.edges()),
             h.counters.as_dict(),
             {cid: sorted(c.members) for cid, c in h.registry.clouds.items()},
         ))
@@ -767,7 +763,7 @@ def rebuild_sets_shuffled(h, rng):
         rng.shuffle(items)
         return kind(items)
 
-    for adj in (h.graph._adj, h.graph._edges, h.shadow._adj):
+    for adj in (h.graph._adj, h.shadow._adj):
         for key, items in adj.items():
             adj[key] = shuffled(items)
     h.shadow.alive = shuffled(h.shadow.alive)
@@ -816,7 +812,7 @@ def test_no_phase_debris_after_events():
     h = make_healer(list(range(6)), [(i, (i + 1) % 6) for i in range(6)])
     for ev in [Event("del", 0), Event("del", 2), Event("del", 4)]:
         h.handle_event(ev)
-        assert all(colors for _, colors in h.graph.edges())
+        assert all(owners > 0 for _, owners in h.graph.edges())
 
 
 def test_skip_heal_fault_disables_repair():

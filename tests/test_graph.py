@@ -16,11 +16,10 @@ from helpers import (
     graph_from_edges,
     is_connected,
     random_adjacency,
+    reown_oracle,
 )
 from xhealsim.graph import (
-    BLACK,
     ColoredGraph,
-    ColorAbsent,
     Csr,
     DuplicateNode,
     EmptySubset,
@@ -46,27 +45,19 @@ def test_add_node_basics():
         g.add_node(0)
 
 
-def incident(g, v):
-    """The colors of *v*'s edges, read before ``remove_node`` drops them."""
-    return [g.edge(v, nb) for nb in sorted(g.neighbors(v))]
-
-
 def test_remove_node_drops_incident_edges():
     g = graph_from_edges([0, 1, 2, 3], [(0, 1), (0, 2), (0, 3)])
-    removed = incident(g, 0)
+    assert dict(g.edges()) == {(0, 1): 1, (0, 2): 1, (0, 3): 1}
     assert g.remove_node(0) is None
-    assert len(removed) == 3
-    assert all(colors == {BLACK} for colors in removed)
     assert g.node_set == {1, 2, 3} and g.edge_count() == 0
     assert all(g.neighbors(v) == set() for v in (1, 2, 3))
 
 
-def test_remove_node_keeps_color_sets_intact():
-    g = graph_from_edges([0, 1], [(0, 1)])
-    g.recolor([], [(1, [(0, 1)])])
-    (colors,) = incident(g, 0)
+def test_remove_node_keeps_the_other_edges_owners():
+    g = graph_from_edges([0, 1, 2], [(0, 1), (1, 2)])
+    g.reown([], [[(0, 1), (1, 2)]])
     g.remove_node(0)
-    assert colors == {BLACK, 1}
+    assert dict(g.edges()) == {(1, 2): 2}
 
 
 def test_remove_isolated_node():
@@ -80,67 +71,66 @@ def test_remove_isolated_node():
 
 def test_ensure_edge_color_reuse_and_create():
     g = graph_from_edges([0, 1, 2], [(0, 1)])
-    assert g.recolor([], [(7, [(0, 1)])]) == (0, 1, 0)  # reused
-    assert g.edge(0, 1) == {BLACK, 7}
-    assert g.recolor([], [(7, [(1, 2)])]) == (1, 0, 0)  # created
-    assert g.edge(1, 2) == {7}
-    assert g.recolor([], [(8, [(0, 2), (1, 2)]), (9, [(0, 2)])]) == (1, 2, 0)
-    assert g.edge(0, 2) == {8, 9}
+    assert g.reown([], [[(0, 1)]]) == (0, 1, 0)  # reused
+    assert dict(g.edges()) == {(0, 1): 2}
+    assert g.reown([], [[(1, 2)]]) == (1, 0, 0)  # created
+    assert g.reown([], [[(0, 2), (1, 2)], [(0, 2)]]) == (1, 2, 0)
+    assert dict(g.edges()) == {(0, 1): 2, (1, 2): 2, (0, 2): 2}
     with pytest.raises(SelfLoop):
-        g.recolor([], [(7, [(1, 1)])])
+        g.reown([], [[(1, 1)]])
     with pytest.raises(UnknownNode):
-        g.recolor([], [(7, [(0, 9)])])
+        g.reown([], [[(0, 9)]])
     with pytest.raises(GraphError):
-        g.recolor([], [(7, [(2, 0)])])  # keys are canonical
-    with pytest.raises(ValueError):
-        g.recolor([], [(BLACK, [(0, 1)])])
+        g.reown([], [[(2, 0)]])  # keys are canonical
     assert g.integrity_errors() == []
 
 
 def test_strip_color_variants():
     g = graph_from_edges([0, 1], [(0, 1)])
-    g.recolor([], [(3, [(0, 1)])])
-    assert g.recolor([(3, [(0, 1)])], []) == (0, 0, 0)  # still black
-    assert g.edge(0, 1) == {BLACK}
+    g.reown([], [[(0, 1)]])
+    assert g.reown([[(0, 1)]], []) == (0, 0, 0)  # its black owner keeps it
+    assert dict(g.edges()) == {(0, 1): 1}
 
     g2 = ColoredGraph()
     for v in (0, 1):
         g2.add_node(v)
-    g2.recolor([], [(3, [(0, 1)]), (5, [(0, 1)])])
-    assert g2.recolor([(3, [(0, 1)])], []) == (0, 0, 0)
-    assert g2.edge(0, 1) == {5}
-    assert g2.recolor([(5, [(0, 1)])], []) == (0, 0, 1)  # drained, so deleted
+    g2.reown([], [[(0, 1)], [(0, 1)]])
+    assert g2.reown([[(0, 1)]], []) == (0, 0, 0)
+    assert dict(g2.edges()) == {(0, 1): 1}
+    assert g2.reown([[(0, 1)]], []) == (0, 0, 1)  # drained, so deleted
     assert g2.edge_count() == 0 and g2.integrity_errors() == []
 
-    with pytest.raises(ColorAbsent):
-        g.recolor([(99, [(0, 1)])], [])
+    # an owner stripped twice in one call leaves the edge short of one,
+    # which the integrity check names
+    assert g.reown([[(0, 1)], [(0, 1)]], []) == (0, 0, 0)
+    assert g.integrity_errors() == ["edge (0, 1) has -1 owners"]
     with pytest.raises(UnknownEdge):
-        g.recolor([(3, [(0, 99)])], [])
+        g.reown([[(0, 99)]], [])
 
 
 def test_purge_if_colorless():
     g = ColoredGraph()
     for v in (0, 1, 2):
         g.add_node(v)
-    g.recolor([], [(3, [(0, 1), (1, 2)])])
-    assert g.recolor([(3, [(0, 1), (1, 2)])], []) == (0, 0, 2)
+    g.reown([], [[(0, 1), (1, 2)]])
+    assert g.reown([[(0, 1), (1, 2)]], []) == (0, 0, 2)
     assert 1 not in g.neighbors(0) and 1 not in g.neighbors(2)
 
-    g.recolor([], [(3, [(0, 1), (1, 2)])])
-    # a rebuild in the same step recolors (0, 1), so only (1, 2) goes
-    assert g.recolor([(3, [(0, 1), (1, 2)])], [(9, [(0, 1)])]) == (0, 1, 1)
-    assert g.neighbors(1) == {0} and g.edge(0, 1) == {9}
+    g.reown([], [[(0, 1), (1, 2)]])
+    # a rebuild in the same step repaints (0, 1), so only (1, 2) goes
+    assert g.reown([[(0, 1), (1, 2)]], [[(0, 1)]]) == (0, 1, 1)
+    assert g.neighbors(1) == {0} and dict(g.edges()) == {(0, 1): 1}
     assert g.integrity_errors() == []
 
 
 def test_integrity_errors_name_each_broken_fact():
     faults = {
         "edge key (2, 1) is not canonical":
-            lambda g: (g._edges.__setitem__((2, 1), {BLACK}), g._adj[1].add(2),
+            lambda g: (g._edges.__setitem__((2, 1), 1), g._adj[1].add(2),
                        g._adj[2].add(1)),
-        "edge (1, 5) endpoint 5 missing": lambda g: g._edges.__setitem__((1, 5), {BLACK}),
+        "edge (1, 5) endpoint 5 missing": lambda g: g._edges.__setitem__((1, 5), 1),
         "edge (0, 1) missing from adjacency of 0": lambda g: g._adj[0].discard(1),
-        "edge (0, 1) colorless": lambda g: g.edge(0, 1).clear(),
+        "edge (0, 1) has 0 owners": lambda g: g._edges.__setitem__((0, 1), 0),
         "adjacency 1-2 has no edge record": lambda g: (g._adj[1].add(2), g._adj[2].add(1)),
     }
     for message, damage in faults.items():
@@ -193,23 +183,20 @@ def test_is_connected():
     assert is_connected(c6)
 
 
-def sequential_graph(nodes, edges, colors):
+def sequential_graph(nodes, edges):
     """``ColoredGraph.from_edges``' reference: one call per node and per
     edge, edges in sorted order."""
     g = ColoredGraph()
     for v in nodes:
         g.add_node(v)
-    for (u, v), paint in sorted(zip(map(sorted, edges), colors)):
+    for u, v in sorted(map(sorted, edges)):
         g.add_edge(u, v)
-        own = g.edge(u, v)  # the graph's own color set, repainted in place
-        own.clear()
-        own.update(paint)
     return g
 
 
 def graph_layout(g: ColoredGraph) -> tuple[list, list]:
     """Everything iteration order shows: nodes with their neighbor sets
-    in set order, and edge keys with their colors in insertion order."""
+    in set order, and edge keys with their owners in insertion order."""
     return ([(v, list(g.neighbors(v))) for v in g.node_set], list(g.edges()))
 
 
@@ -222,16 +209,15 @@ def test_from_edges_builds_what_add_edge_builds(n, p, seed):
              for i, u in enumerate(nodes) for v in nodes[i + 1:] if rng.random() < p]
     rng.shuffle(edges)
     black = ColoredGraph.from_edges(nodes, edges)
-    assert graph_layout(black) == graph_layout(
-        sequential_graph(nodes, edges, [[BLACK]] * len(edges)))
+    sequential = sequential_graph(nodes, edges)
+    assert graph_layout(black) == graph_layout(sequential)
     assert black.integrity_errors() == []
-    # repainted in input order, as load_snapshot repaints a snapshot's edges
-    colors = [rng.sample([BLACK, 0, 1, 2], rng.randrange(3)) for _ in edges]
-    for (u, v), paint in zip(edges, colors):
-        own = black.edge(u, v)
-        own.clear()
-        own.update(paint)
-    assert graph_layout(black) == graph_layout(sequential_graph(nodes, edges, colors))
+    # then painted cloud by cloud, as load_snapshot paints the topologies
+    pairs = [edge_key(u, v) for i, u in enumerate(nodes) for v in nodes[i + 1:]]
+    paints = [rng.sample(pairs, rng.randrange(min(len(pairs), 5) + 1)) for _ in range(3)]
+    black.reown([], paints)
+    reown_oracle(sequential, [], paints)
+    assert graph_layout(black) == graph_layout(sequential)
 
 
 @pytest.mark.parametrize("nodes, edges, error, message", [
@@ -249,7 +235,7 @@ def test_from_edges_rejects_what_add_edge_rejects(nodes, edges, error, message):
     with pytest.raises(error) as bulk:
         ColoredGraph.from_edges(nodes, edges)
     with pytest.raises(error) as one_by_one:
-        sequential_graph(nodes, edges, [[BLACK]] * len(edges))
+        sequential_graph(nodes, edges)
     with pytest.raises(error) as baseline:
         ShadowGraph.from_edges(nodes, edges)
     assert str(bulk.value) == str(one_by_one.value) == str(baseline.value) == message
@@ -364,9 +350,9 @@ LIVE_MUTATIONS = {
     "add_node": lambda g: g.add_node(9),
     "remove_node": lambda g: g.remove_node(1),
     "add_edge": lambda g: g.add_edge(0, 3),
-    # a recolor that creates an edge, and one that deletes an edge
-    "ensure_edge_color": lambda g: g.recolor([], [(5, [(0, 3)])]),
-    "purge_colorless": lambda g: g.recolor([(BLACK, [(0, 1)])], []),
+    # a reown that creates an edge, and one that deletes an edge
+    "ensure_edge_color": lambda g: g.reown([], [[(0, 3)]]),
+    "purge_colorless": lambda g: g.reown([[(0, 1)]], []),
 }
 
 
@@ -383,12 +369,12 @@ def test_live_snapshot_is_rebuilt_after_each_adjacency_change(mutation):
 
 def test_recoloring_keeps_the_live_snapshot():
     g = graph_from_edges([0, 1, 2], [(0, 1), (1, 2)])
-    g.recolor([], [(5, [(0, 1)])])
+    g.reown([], [[(0, 1)]])
     snap = Csr.of(g)
-    assert g.recolor([(5, [(0, 1)])], []) == (0, 0, 0)
+    assert g.reown([[(0, 1)]], []) == (0, 0, 0)
     assert Csr.of(g) is snap
-    # drained by the strip, recolored by the paint, so kept
-    assert g.recolor([(BLACK, [(0, 1)])], [(7, [(0, 1)])]) == (0, 1, 0)
+    # drained by the strip, repainted by the paint, so kept
+    assert g.reown([[(0, 1)]], [[(0, 1)]]) == (0, 1, 0)
     assert Csr.of(g) is snap
     assert snapshot_adjacency(snap) == view_adjacency(g)
     with pytest.raises(ValueError):

@@ -3,11 +3,11 @@
 ``expander.partial_shuffle`` (and so ``_pairing_attempt``) draws from
 ``getrandbits`` directly instead of through ``Random.shuffle``; it must
 return the same values and leave the generator in the same state, or
-every cloud after it changes.  ``ColoredGraph.recolor`` makes a repair
-step's edge edits in one call; a healer driven through it must match one
-driven through the per-edge calls in ``helpers``.  ``Healer._apply``
+every cloud after it changes.  ``ColoredGraph.reown`` makes a repair
+step's owner edits in one call; a healer driven through it must match
+one driven through the per-edge calls in ``helpers``.  ``Healer._apply``
 derives a delete's edge step from the registry before and after its
-plan, recoloring only what the topology of a cloud the plan touched
+plan, reowning only what the topology of a cloud the plan touched
 gained or lost; a healer driven through it must match one that strips
 every old edge of each changed or retired cloud and repaints every new
 one.  The density sampler's draws must be subsets of distinct alive ids
@@ -23,9 +23,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (apply_full_oracle, checked_pick, pairing_attempt_oracle,
-                     recolor_oracle)
+                     reown_oracle)
 from xhealsim.adversary import Strategy, gen_trace
-from xhealsim.engine import Healer, Plan, coherence_errors
+from xhealsim.engine import Healer, Plan, coherence_errors, expected_edge_state
 from xhealsim.expander import (ExpanderConfig, RetriesExhausted, _pairing_attempt,
                                partial_shuffle)
 from xhealsim.metrics import sample_subsets
@@ -103,8 +103,8 @@ def replay_pair(n0: int, steps: int, seed: int, fault: str | None, reference):
         yield healers
 
 
-def per_edge_recolor(healer):
-    healer.graph.recolor = types.MethodType(recolor_oracle, healer.graph)
+def per_edge_reown(healer):
+    healer.graph.reown = types.MethodType(reown_oracle, healer.graph)
 
 
 def full_strip_and_paint(healer):
@@ -132,8 +132,8 @@ def edge_state(healer):
 @example(n0=40, steps=60, seed=3, fault="skip-heal")
 @example(n0=40, steps=60, seed=3, fault="drop-black-edge")
 def test_recolor_matches_per_edge_calls_on_healer_states(n0, steps, seed, fault):
-    for batched, per_edge in replay_pair(n0, steps, seed, fault, per_edge_recolor):
-        # colors, edge insertion order and adjacency iteration order
+    for batched, per_edge in replay_pair(n0, steps, seed, fault, per_edge_reown):
+        # owners, edge insertion order and adjacency iteration order
         assert edge_state(batched) == edge_state(per_edge)
         assert batched.counters == per_edge.counters
         assert batched.graph.integrity_errors() == []
@@ -143,8 +143,9 @@ def test_recolor_matches_per_edge_calls_on_healer_states(n0, steps, seed, fault)
 def assert_apply_parity(n0: int, steps: int, seed: int, fault: str | None):
     """The graph, every counter but edges_reused and the registry agree
     after each event; the full path counts at least as many reuses, and
-    no edge carries the color of a cloud that an event registered and
-    retired.  Returns the last pair of healers and the ids of those
+    no edge has an owner that neither the baseline nor a registered cloud
+    explains, such as a cloud that an event registered and retired.
+    Returns the last pair of healers and the ids of those
     clouds."""
     last, first_fresh, registered_and_retired = None, 0, []
     for diffed, full in replay_pair(n0, steps, seed, fault, full_strip_and_paint):
@@ -154,7 +155,9 @@ def assert_apply_parity(n0: int, steps: int, seed: int, fault: str | None):
         assert ours == ref
         assert diffed.registry.clouds == full.registry.clouds
         gone = set(range(first_fresh, diffed.next_cloud_id)) - diffed.registry.clouds.keys()
-        assert not [key for key, colors in diffed.graph.edges() if colors & gone]
+        expected = expected_edge_state(diffed)
+        assert not [key for key, owners in diffed.graph.edges()
+                    if owners > expected.get(key, 0)]
         registered_and_retired += sorted(gone)
         first_fresh = diffed.next_cloud_id
         last = diffed, full

@@ -13,7 +13,7 @@ from xhealsim.adversary import Event, Strategy, gen_trace
 from xhealsim.cli import RunConfig, run_trace
 from xhealsim.engine import Healer
 from xhealsim.expander import ExpanderConfig, lambda2_of_adjacency
-from xhealsim.graph import BLACK, ShadowGraph, UnknownNode, edge_key
+from xhealsim.graph import ShadowGraph, UnknownNode, edge_key
 from xhealsim.metrics import (
     LAMBDA_SIZE_CAP,
     check_connectivity,
@@ -49,7 +49,7 @@ def test_edge_preservation_clean_and_faulted():
 
     # plant a fault: remove a live black edge behind the healer's back
     h.handle_event(Event("ins", 4, (1, 2)))
-    assert h.graph.recolor([(BLACK, [(1, 4)])], []) == (0, 0, 1)
+    assert h.graph.reown([[(1, 4)]], []) == (0, 0, 1)
     ok, missing = check_edge_preservation(h.graph, h.shadow)
     assert not ok and missing == [(1, 4)]
 
@@ -89,7 +89,7 @@ def test_density_lower_singleton_and_fault():
 
     h2 = healed_star()
     h2.handle_event(Event("ins", 4, (1, 2)))
-    assert h2.graph.recolor([(BLACK, [(1, 4)])], []) == (0, 0, 1)
+    assert h2.graph.reown([[(1, 4)]], []) == (0, 0, 1)
     _, missing = check_edge_preservation(h2.graph, h2.shadow)
     assert missing == [(1, 4)]
     assert check_density_lower(h2.graph, h2.shadow, [frozenset([1, 2, 4])], missing)

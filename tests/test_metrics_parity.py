@@ -206,7 +206,7 @@ def test_evaluate_reports_a_sampled_subset_over_the_degree_budget():
     # per-subset bound (2*45 <= 4*25), so only sampled subsets heavy in
     # clique members break it.
     healer = Healer.from_initial(range(25), [], ExpanderConfig(kappa=4), random.Random(0))
-    healer.graph.recolor([], [(0, [(u, v) for u in range(10) for v in range(u + 1, 10)])])
+    healer.graph.reown([], [[(u, v) for u in range(10) for v in range(u + 1, 10)]])
     over = over_budget(healer.graph, healer.shadow, 4)
     assert over == list(range(10))
     assert check_density_upper(healer.graph, healer.shadow, 4, mandatory_subsets(healer),
