@@ -200,7 +200,7 @@ def snapshot_state(healer: Healer, seed: int, cfg: RunConfig | None = None) -> d
                 "certified": _fmt_fraction(cloud.topology.certified_expansion),
             },
         })
-    return {
+    state = {
         "v": SNAPSHOT_VERSION,
         "seed": seed,
         "config": {name: _fmt_fraction(value) if isinstance(value, Fraction) else value
@@ -218,6 +218,8 @@ def snapshot_state(healer: Healer, seed: int, cfg: RunConfig | None = None) -> d
         "last_black_neighbors": sorted(healer.last_black_neighbors),
         "counters": healer.counters.as_dict(),
     }
+    lost = sorted([u, v] for u, v in healer.stripped_black if {u, v} <= healer.shadow.alive)
+    return state | ({"lost_black_edges": lost} if lost else {})
 
 
 def _snapshot_count(value: object, what: str) -> int:
@@ -254,21 +256,21 @@ def load_snapshot(data: dict) -> tuple[Healer, RunConfig]:
     id or count that is not a non-negative JSON integer as written
     (checked as ``decode_trace`` checks node ids, with no coercion), a
     checkpoint setting that is not positive, a certificate that is not
-    a non-negative fraction string, and an alive id, cloud id, bridge
-    key, bridge holder or topology edge listed twice, which a set or a
-    dict would drop unseen, and a key of an object that it does not read;
-    semantic damage surfaces in coherence checks.  The live graph is not
-    read but derived: each baseline edge between live alive nodes has
-    one owner, and each cloud whose topology holds an edge between live
-    nodes adds one; a topology edge that leaves them is left out, for
-    the coherence check to report."""
+    a non-negative fraction string, an alive id, cloud id, bridge key,
+    bridge holder, topology edge or lost black edge listed twice, which
+    a set or a dict would drop unseen, and a key of an object that it
+    does not read; semantic damage surfaces in coherence checks.  The
+    live graph is derived: each baseline edge between live alive nodes
+    has one owner unless ``lost_black_edges`` lists it (a listed edge
+    must be one), and each cloud adds one to each of its topology edges
+    between live nodes; one that leaves them is left for coherence."""
     if not isinstance(data, dict):
         raise ValueError("snapshot is not a JSON object")
     if data.get("v") != SNAPSHOT_VERSION:
         raise ValueError(f"snapshot version {data.get('v')!r} not supported")
     _snapshot_keys(data, {"v", "seed", "config", "checkpoint", "next_cloud_id", "nodes",
-                          "shadow", "clouds", "bridges", "last_black_neighbors", "counters"},
-                   "snapshot")
+                          "shadow", "clouds", "bridges", "last_black_neighbors", "counters",
+                          "lost_black_edges"}, "snapshot")
     config = _snapshot_keys(data["config"], {f.name for f in fields(ExpanderConfig)},
                             "snapshot config")
     cfg = ExpanderConfig(**{
@@ -292,9 +294,14 @@ def load_snapshot(data: dict) -> tuple[Healer, RunConfig]:
     nodes = node_ids(data["nodes"], "nodes")
     live = set(nodes)
     black = live & baseline.alive
-    graph = ColoredGraph.from_edges(nodes, (e for e in baseline.edges
-                                            if e[0] in black and e[1] in black))
+    owned = {e for e in baseline.edges if e[0] in black and e[1] in black}
+    rows = node_id_rows(data.get("lost_black_edges", []), 2, "lost_black_edges")
+    lost = {edge_key(u, v) for u, v in rows}
+    if len(lost) < len(rows) or not lost <= owned:
+        raise ValueError("lost_black_edges lists an edge twice or one with no black owner")
+    graph = ColoredGraph.from_edges(nodes, owned - lost)
     healer = Healer(graph, baseline, cfg, random.Random(f"{seed}/engine"))
+    healer.stripped_black = lost
     for entry in data["clouds"]:
         _snapshot_keys(entry, {"id", "kind", "members", "topology"}, "snapshot cloud")
         cid = _snapshot_count(entry["id"], "cloud id")
@@ -514,7 +521,7 @@ def _replay_mismatch(args: argparse.Namespace, healer: Healer, cfg: RunConfig) -
         replayed.handle_event(event)
     want, have = (snapshot_state(h, cfg.seed, cfg) for h in (replayed, healer))
     return [f"replayed trace does not reproduce the snapshot's {key}"
-            for key in want if want[key] != have[key]]
+            for key in sorted(want.keys() | have.keys()) if want.get(key) != have.get(key)]
 
 
 def cmd_report(args: argparse.Namespace) -> int:

@@ -377,6 +377,7 @@ class Healer:
         self.counters = RepairCounters()
         self.next_cloud_id = 0
         self.last_black_neighbors: set[int] = set()
+        self.stripped_black: set[EdgeKey] = set()  # edges whose black owner drop-black-edge took
 
     @classmethod
     def from_initial(cls, nodes: Iterable[int], edges: Iterable[EdgeKey],
@@ -466,7 +467,9 @@ class Healer:
         candidates = sorted(key for key, owners in self.graph.edges() if owners > held[key])
         if not candidates:
             return
-        self.graph.reown([[rng.choice(candidates)]], [])
+        key = rng.choice(candidates)
+        self.stripped_black.add(key)
+        self.graph.reown([[key]], [])
 
 
 class LazyRandom:

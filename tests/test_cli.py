@@ -367,6 +367,44 @@ def test_verify_repeats_the_runs_final_checkpoint(tmp_path, capsys):
     assert 0 < sum("stretch: pair" in line for line in lines) < 16
 
 
+def test_verify_repeats_a_dropped_black_edge_runs_damage(tmp_path, capsys):
+    # the loader derives each edge's owners from the record, which a
+    # stripped black owner leaves intact: the snapshot lists those edges,
+    # so verify reports the run's coherence lines and final checkpoint
+    trace = gen_trace(Strategy("uniform", insert_fraction=0.4), 50, 100, 1)
+    path, snap = tmp_path / "t.jsonl", tmp_path / "s.json"
+    path.write_text(encode_trace(trace))
+    assert run_cli(["run", "--trace", str(path), "--seed", "1", "--fault", "drop-black-edge",
+                    "--snapshot", str(snap), "-o", str(tmp_path / "r.csv")]) == 1
+    healer, reports = cli.run_trace(trace, cli.RunConfig(seed=1), fault="drop-black-edge")
+    coherence = coherence_errors(healer)
+    assert any("expected but missing" in line for line in coherence)
+    assert any("owners 1 != expected 2" in line for line in coherence)
+    data = json.loads(snap.read_text())
+    assert cli.snapshot_state(cli.load_snapshot(data)[0], 1) == data
+    capsys.readouterr()
+    assert run_cli(["verify", "--snapshot", str(snap)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [f"VIOLATION {line}"
+                     for line in coherence + reports[-1].violation_detail]
+    # the replay of the trace heals with no fault, so it strips no owner
+    assert run_cli(["verify", "--snapshot", str(snap), "--trace", str(path)]) == 1
+    assert ("VIOLATION replayed trace does not reproduce the snapshot's lost_black_edges"
+            in capsys.readouterr().err.splitlines())
+
+
+def black_edge(data):
+    """A baseline edge of *data* between live alive nodes."""
+    black = set(data["nodes"]) & set(data["shadow"]["alive"])
+    return next(e for e in data["shadow"]["edges"] if set(e) <= black)
+
+
+def dead_end_edge(data):
+    """A baseline edge of *data* with a dead end."""
+    return next(e for e in data["shadow"]["edges"]
+                if not set(e) <= set(data["shadow"]["alive"]))
+
+
 def small_snapshot(tmp_path):
     trace = tmp_path / "t.jsonl"
     snap = tmp_path / "s.json"
@@ -511,6 +549,11 @@ def test_verify_missing_or_malformed_snapshot(tmp_path, capsys):
         "unknown-checkpoint-key": lambda d: d["checkpoint"].update(checkpoint_every=10),
         "unknown-shadow-key": lambda d: d["shadow"].update(dead=[]),
         "edges-section": lambda d: d.update(edges=[]),
+        # a listed edge must be one the loader would give a black owner
+        "lost-black-edge-twice": lambda d: d.update(lost_black_edges=[black_edge(d)] * 2),
+        "lost-black-edge-flipped-twice":
+            lambda d: d.update(lost_black_edges=[black_edge(d), black_edge(d)[::-1]]),
+        "lost-black-edge-dead-end": lambda d: d.update(lost_black_edges=[dead_end_edge(d)]),
         "unknown-cloud-key": lambda d: d["clouds"][0].update(size=2),
         # v4 recorded it, v5 leaves it to the cloud's size
         "topology-kind": lambda d: d["clouds"][0]["topology"].update(kind="clique"),
