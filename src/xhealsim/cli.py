@@ -200,7 +200,8 @@ def snapshot_state(healer: Healer, seed: int, cfg: RunConfig | None = None) -> d
                 "certified": _fmt_fraction(cloud.topology.certified_expansion),
             },
         })
-    state = {
+    lost = sorted([u, v] for u, v in healer.stripped_black if {u, v} <= healer.shadow.alive)
+    return {
         "v": SNAPSHOT_VERSION,
         "seed": seed,
         "config": {name: _fmt_fraction(value) if isinstance(value, Fraction) else value
@@ -217,9 +218,7 @@ def snapshot_state(healer: Healer, seed: int, cfg: RunConfig | None = None) -> d
         "bridges": sorted([f, c, node] for node, (f, c) in healer.registry.bridges.items()),
         "last_black_neighbors": sorted(healer.last_black_neighbors),
         "counters": healer.counters.as_dict(),
-    }
-    lost = sorted([u, v] for u, v in healer.stripped_black if {u, v} <= healer.shadow.alive)
-    return state | ({"lost_black_edges": lost} if lost else {})
+    } | ({"lost_black_edges": lost} if lost else {})
 
 
 def _snapshot_count(value: object, what: str) -> int:

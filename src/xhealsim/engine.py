@@ -460,11 +460,11 @@ class Healer:
     # -- fault injection ----------------------------------------------------
 
     def _drop_one_black_edge(self, rng: random.Random) -> None:
-        """Strip the black owner of one live edge that still holds it: an
-        edge with more owners than the registry's clouds that hold it."""
-        held = Counter(key for cloud in self.registry.clouds.values()
-                       for key in cloud.topology.edges)
-        candidates = sorted(key for key, owners in self.graph.edges() if owners > held[key])
+        """Strip the black owner of one live edge that still holds it: a
+        baseline edge between alive nodes that no earlier drop stripped."""
+        alive = self.shadow.alive
+        candidates = sorted(key for key in self.shadow.edges - self.stripped_black
+                            if key[0] in alive and key[1] in alive)
         if not candidates:
             return
         key = rng.choice(candidates)
@@ -499,7 +499,7 @@ class Plan:
     so a delete planned twice gives one plan.  The stream is seeded on
     its first draw (``LazyRandom``), so a plan that designs only cliques
     seeds none.  Its branch, black neighbors and free nodes come from the
-    registry and the baseline, never from edge colors; the graph gives
+    registry and the baseline, never from edge owners; the graph gives
     only the dying node's edges.
 
     The registry's ``touched`` is the plan's one record of the delete:
@@ -700,14 +700,14 @@ class Plan:
 
     def _new_cloud(self, members: Iterable[int], kind: CloudKind,
                    grow_from: CloudTopology = UNDESIGNED) -> int:
-        """Register a cloud of a fresh color over the non-empty *members*,
+        """Register a cloud of a fresh id over the non-empty *members*,
         to be designed from *grow_from* when that has edges (a merge),
         from scratch otherwise."""
-        color = self.next_cloud_id
+        cid = self.next_cloud_id
         self.next_cloud_id += 1
         self.counters.clouds_built += 1
-        self.registry.store(color, Cloud(kind, frozenset(members), grow_from))
-        return color
+        self.registry.store(cid, Cloud(kind, frozenset(members), grow_from))
+        return cid
 
     def _design(self) -> None:
         """Design each touched cloud still registered, the dying node's
@@ -736,14 +736,10 @@ def expected_edge_state(healer: Healer) -> dict[EdgeKey, int]:
     count every live edge is supposed to have: one if it is black, the
     baseline holding it with both ends alive, plus one for each cloud
     whose topology holds it."""
-    expected: dict[EdgeKey, int] = {}
     alive = healer.shadow.alive
-    for u, v in healer.shadow.edges:
-        if u in alive and v in alive:
-            expected[u, v] = 1
+    expected = Counter(key for key in healer.shadow.edges if key[0] in alive and key[1] in alive)
     for cloud in healer.registry.clouds.values():
-        for key in cloud.topology.edges:
-            expected[key] = expected.get(key, 0) + 1
+        expected.update(cloud.topology.edges)
     return expected
 
 
@@ -786,7 +782,7 @@ def coherence_errors(healer: Healer) -> list[str]:
     recount (the registry's membership and bridge indexes and its set of
     free members, and the shadow's dead counts), no edge without an
     owner is left behind, every cloud id is below the next cloud id (which
-    ``Plan._new_cloud`` relies on for a fresh color), every cloud of more
+    ``Plan._new_cloud`` relies on for a fresh id), every cloud of more
     than kappa+1 members, as ``verify`` sizes one, certifies
     ``alpha_target``, every node keeps its cloud budget, and the last
     delete's black neighbours are alive.
