@@ -15,7 +15,7 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Container, NamedTuple
+from typing import TYPE_CHECKING, Container, Iterator, NamedTuple
 
 from .graph import MAX_NODE_ID, EdgeKey, edge_key
 
@@ -106,6 +106,12 @@ class Strategy:
         return self.name in ADAPTIVE_STRATEGIES
 
 
+def run_stream(seed: int, name: str) -> random.Random:
+    """The stream *name* of the run of *seed*: ``trace``, ``adversary``,
+    ``engine``, or a checkpoint's ``density/{t}`` and ``stretch/{t}``."""
+    return random.Random(f"{seed}/{name}")
+
+
 def _insert_event(alive: list[int], next_id: int, degree: int, rng: random.Random) -> Event:
     k = min(degree, len(alive))
     nbrs = tuple(sorted(rng.sample(alive, k))) if k else ()
@@ -145,6 +151,16 @@ def next_event(strategy: Strategy, state: "Healer", rng: random.Random) -> Event
     max_deg = max(state.graph.degree(v) for v in alive)
     target = min(v for v in alive if state.graph.degree(v) == max_deg)
     return Event("del", target)
+
+
+def online_events(strategy: Strategy, state: "Healer", steps: int, rng: random.Random,
+                  recorded: list[Event]) -> Iterator[Event]:
+    """*steps* events of *strategy* against *state*, each drawn when asked
+    for, so after the one before was applied, and appended to *recorded*."""
+    for _ in range(steps):
+        event = next_event(strategy, state, rng)
+        recorded.append(event)
+        yield event
 
 
 def initial_graph(n0: int, rng: random.Random, extra_edge_frac: float = 0.5
@@ -190,7 +206,7 @@ def gen_trace(strategy: Strategy, n0: int, steps: int, seed: int,
     if strategy.adaptive:
         raise InvalidParams(f"{strategy.name} inspects live state; run it online")
     check_run_length(strategy, n0, steps)
-    rng = random.Random(f"{seed}/trace")
+    rng = run_stream(seed, "trace")
     nodes, edges = initial_graph(n0, rng, extra_edge_frac)
     # sorted: ids only rise, so an insert appends and a delete bisects
     alive = list(nodes)

@@ -23,15 +23,16 @@ import concurrent.futures
 import csv
 import io
 import json
-import random
 import re
 import sys
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from .adversary import (
     AdversaryError,
+    Event,
     Strategy,
     Trace,
     check_run_length,
@@ -39,9 +40,10 @@ from .adversary import (
     encode_trace,
     gen_trace,
     initial_graph,
-    next_event,
     node_id_rows,
     node_ids,
+    online_events,
+    run_stream,
     validate_trace,
 )
 from .engine import (
@@ -130,24 +132,42 @@ def render_report_csv(reports: list[MetricsReport]) -> str:
 # -- simulation drivers ----------------------------------------------------
 
 
-def _trace_healer(trace: Trace, cfg: RunConfig, fault: str | None = None) -> Healer:
+def applied(healer: Healer, events: Iterable[Event]) -> Iterator[int]:
+    """The run's one event loop: yield the t *healer* is at, its event
+    count, then apply each event and yield its t.  A hook is the caller's
+    loop body, run at t before the next event is drawn; an event that
+    raises ends the caller's loop."""
+    yield healer.counters.events
+    for event in events:
+        healer.handle_event(event)
+        yield healer.counters.events
+
+
+def checkpoint_due(t: int, total: int, every: int) -> bool:
+    """Every *every* events from t=0, and after the last of *total*; so a
+    resumed run checkpoints at its cut as the uninterrupted run did."""
+    return t % every == 0 or t == total
+
+
+def checkpoint_reports(healer: Healer, events: Iterable[Event], total: int, cfg: RunConfig
+                       ) -> list[MetricsReport]:
+    """The run's report at each checkpoint due from *healer*'s t on."""
+    return [_checkpoint(healer, t, cfg) for t in applied(healer, events)
+            if checkpoint_due(t, total, cfg.checkpoint_every)]
+
+
+def trace_healer(trace: Trace, cfg: RunConfig, fault: str | None = None) -> Healer:
     """The healer a replay of the checked *trace* starts from."""
     validate_trace(trace)
     return Healer.from_initial(trace.initial_nodes, trace.initial_edges, cfg.expander(),
-                               random.Random(f"{cfg.seed}/engine"), fault=fault)
+                               run_stream(cfg.seed, "engine"), fault=fault)
 
 
 def run_trace(trace: Trace, cfg: RunConfig, fault: str | None = None
               ) -> tuple[Healer, list[MetricsReport]]:
     """Replay a trace, evaluating all metrics at every checkpoint."""
-    healer = _trace_healer(trace, cfg, fault)
-    reports = [_checkpoint(healer, 0, cfg)]
-    total = len(trace.events)
-    for t, event in enumerate(trace.events, start=1):
-        healer.handle_event(event)
-        if t % cfg.checkpoint_every == 0 or t == total:
-            reports.append(_checkpoint(healer, t, cfg))
-    return healer, reports
+    healer = trace_healer(trace, cfg, fault)
+    return healer, checkpoint_reports(healer, trace.events, len(trace.events), cfg)
 
 
 def run_adaptive(strategy: Strategy, n0: int, steps: int, cfg: RunConfig,
@@ -155,22 +175,22 @@ def run_adaptive(strategy: Strategy, n0: int, steps: int, cfg: RunConfig,
                  ) -> tuple[Healer, list[MetricsReport], Trace]:
     """Drive a strategy online against live state, recording the trace."""
     check_run_length(strategy, n0, steps)
-    rng_trace = random.Random(f"{cfg.seed}/trace")
-    nodes, edges = initial_graph(n0, rng_trace)
-    rng_engine = random.Random(f"{cfg.seed}/engine")
-    healer = Healer.from_initial(nodes, edges, cfg.expander(), rng_engine, fault=fault)
-    rng_adv = random.Random(f"{cfg.seed}/adversary")
     params = {"insert_fraction": strategy.insert_fraction,
               "insert_degree": strategy.insert_degree, "n0": n0, "steps": steps}
-    trace = Trace(cfg.kappa, cfg.seed, strategy.name, params, nodes, edges)
-    reports = [_checkpoint(healer, 0, cfg)]
-    for t in range(1, steps + 1):
-        event = next_event(strategy, healer, rng_adv)
-        trace.events.append(event)
-        healer.handle_event(event)
-        if t % cfg.checkpoint_every == 0 or t == steps:
-            reports.append(_checkpoint(healer, t, cfg))
-    return healer, reports, trace
+    trace = Trace(cfg.kappa, cfg.seed, strategy.name, params,
+                  *initial_graph(n0, run_stream(cfg.seed, "trace")))
+    healer = trace_healer(trace, cfg, fault)
+    events = online_events(strategy, healer, steps, run_stream(cfg.seed, "adversary"),
+                           trace.events)
+    return healer, checkpoint_reports(healer, events, steps, cfg), trace
+
+
+def replay(trace: Trace, cfg: RunConfig) -> Healer:
+    """The healer after every event of *trace*, with no checkpoint."""
+    healer = trace_healer(trace, cfg)
+    for _ in applied(healer, trace.events):
+        pass
+    return healer
 
 
 def _checkpoint(healer: Healer, t: int, cfg: RunConfig) -> MetricsReport:
@@ -292,14 +312,13 @@ def load_snapshot(data: dict) -> tuple[Healer, RunConfig]:
     baseline.alive.update(set(alive) - baseline.nodes)
     nodes = node_ids(data["nodes"], "nodes")
     live = set(nodes)
-    black = live & baseline.alive
-    owned = {e for e in baseline.edges if e[0] in black and e[1] in black}
+    owned = baseline.edges_within(live & baseline.alive)
     rows = node_id_rows(data.get("lost_black_edges", []), 2, "lost_black_edges")
     lost = {edge_key(u, v) for u, v in rows}
     if len(lost) < len(rows) or not lost <= owned:
         raise ValueError("lost_black_edges lists an edge twice or one with no black owner")
     graph = ColoredGraph.from_edges(nodes, owned - lost)
-    healer = Healer(graph, baseline, cfg, random.Random(f"{seed}/engine"))
+    healer = Healer(graph, baseline, cfg, run_stream(seed, "engine"))
     healer.stripped_black = lost
     for entry in data["clouds"]:
         _snapshot_keys(entry, {"id", "kind", "members", "topology"}, "snapshot cloud")
@@ -390,6 +409,19 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
+class KappaMismatch(ValueError):
+    """A trace whose header kappa is not the healer's: a usage error."""
+
+
+def read_trace(path: str, kappa: int, source: str) -> Trace:
+    """The trace at *path*, refused unless its header kappa is *kappa*,
+    which *source* names: ``run``'s ``--kappa`` or the snapshot's."""
+    trace = decode_trace(Path(path).read_text(encoding="utf-8"))
+    if trace.kappa != kappa:
+        raise KappaMismatch(f"trace header kappa {trace.kappa} differs from {source} {kappa}")
+    return trace
+
+
 def _run_one_seed(args: argparse.Namespace, seed: int) -> tuple[int, list[str], str]:
     """Run one seed: its exit code, its lines for stderr, and its CSV
     when ``-o -`` sends that to stdout (else "").  A trace whose header
@@ -398,17 +430,15 @@ def _run_one_seed(args: argparse.Namespace, seed: int) -> tuple[int, list[str], 
     cfg = _run_config(args, seed)
     try:
         if args.trace:
-            trace = decode_trace(Path(args.trace).read_text(encoding="utf-8"))
-            if trace.kappa != cfg.kappa:
-                return 2, [f"error: trace header kappa {trace.kappa} differs from "
-                           f"--kappa {cfg.kappa}"], ""
-            healer, reports = run_trace(trace, cfg, fault=args.fault)
-            recorded = trace
+            recorded = read_trace(args.trace, cfg.kappa, "--kappa")
+            healer, reports = run_trace(recorded, cfg, fault=args.fault)
         else:
             strategy = Strategy(args.strategy, insert_fraction=args.insert_fraction,
                                 insert_degree=args.insert_degree)
             healer, reports, recorded = run_adaptive(strategy, args.n0, args.steps,
                                                      cfg, fault=args.fault)
+    except KappaMismatch as exc:
+        return 2, [f"error: {exc}"], ""
     except RetriesExhausted as exc:
         return 3, [f"error: {exc}"], ""
     if args.record:
@@ -486,6 +516,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except (json.JSONDecodeError, KeyError, TypeError, ValueError, GraphError) as exc:
         print(f"malformed snapshot: {exc}", file=sys.stderr)
         return 2
+    trace = read_trace(args.trace, cfg.kappa, "the snapshot's kappa") if args.trace else None
     problems = coherence_errors(healer)
     problems.extend(_design_errors(healer))
     try:
@@ -494,8 +525,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         # the checks read the live graph for every alive node and cloud
         # member, so only a state the coherence lines above fault gets here
         problems.append(f"metrics: not evaluated ({exc})")
-    if args.trace:
-        problems.extend(_replay_mismatch(args, healer, cfg))
+    if trace is not None:
+        want, have = (snapshot_state(h, cfg.seed, cfg) for h in (replay(trace, cfg), healer))
+        problems.extend(f"replayed trace does not reproduce the snapshot's {key}"
+                        for key in sorted(want.keys() | have.keys())
+                        if want.get(key) != have.get(key))
     for line in problems:
         print(f"VIOLATION {line}", file=sys.stderr)
     if not problems:
@@ -511,16 +545,6 @@ def _design_errors(healer: Healer) -> list[str]:
     return [f"cloud {cid} topology {error}"
             for cid, cloud in sorted(healer.registry.clouds.items())
             if (error := topology_error(cloud.members, cloud.topology, healer.cfg))]
-
-
-def _replay_mismatch(args: argparse.Namespace, healer: Healer, cfg: RunConfig) -> list[str]:
-    trace = decode_trace(Path(args.trace).read_text(encoding="utf-8"))
-    replayed = _trace_healer(trace, cfg)
-    for event in trace.events:
-        replayed.handle_event(event)
-    want, have = (snapshot_state(h, cfg.seed, cfg) for h in (replayed, healer))
-    return [f"replayed trace does not reproduce the snapshot's {key}"
-            for key in sorted(want.keys() | have.keys()) if want.get(key) != have.get(key)]
 
 
 def cmd_report(args: argparse.Namespace) -> int:

@@ -462,9 +462,7 @@ class Healer:
     def _drop_one_black_edge(self, rng: random.Random) -> None:
         """Strip the black owner of one live edge that still holds it: a
         baseline edge between alive nodes that no earlier drop stripped."""
-        alive = self.shadow.alive
-        candidates = sorted(key for key in self.shadow.edges - self.stripped_black
-                            if key[0] in alive and key[1] in alive)
+        candidates = sorted(self.shadow.edges_within(self.shadow.alive) - self.stripped_black)
         if not candidates:
             return
         key = rng.choice(candidates)
@@ -736,8 +734,7 @@ def expected_edge_state(healer: Healer) -> dict[EdgeKey, int]:
     count every live edge is supposed to have: one if it is black, the
     baseline holding it with both ends alive, plus one for each cloud
     whose topology holds it."""
-    alive = healer.shadow.alive
-    expected = Counter(key for key in healer.shadow.edges if key[0] in alive and key[1] in alive)
+    expected = Counter(healer.shadow.edges_within(healer.shadow.alive))
     for cloud in healer.registry.clouds.values():
         expected.update(cloud.topology.edges)
     return expected

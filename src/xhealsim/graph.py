@@ -210,7 +210,16 @@ class ColoredGraph:
     # -- integrity -----------------------------------------------------
 
     def integrity_errors(self) -> list[str]:
-        """Structural self-check, used by tests and the verify command."""
+        """Structural self-check, used by tests and the verify command.
+        One pass accepts a sound graph: each key canonical, owned and in
+        both ends' adjacency, and ``2 * len(records)`` adjacency entries.
+        Distinct canonical keys fill distinct pairs of entries, so then no
+        entry lacks a record.  The walk below only names a difference."""
+        adj, edges = self._adj, self._edges
+        if (sum(map(len, adj.values())) == 2 * len(edges)
+                and all(u < v and owners > 0 and v in adj.get(u, ()) and u in adj.get(v, ())
+                        for (u, v), owners in edges.items())):
+            return []
         errs = []
         for key, owners in self._edges.items():
             u, v = key
@@ -265,6 +274,12 @@ class ShadowGraph:
     @property
     def edges(self) -> set[EdgeKey]:
         return {(u, v) for u, nbrs in self._adj.items() for v in nbrs if u < v}
+
+    def edges_within(self, nodes: set[int]) -> set[EdgeKey]:
+        """The baseline edges with both ends in *nodes*, read from their
+        adjacency alone; a node the baseline never recorded has none."""
+        adj = self._adj
+        return {(u, v) for u in nodes for v in adj.get(u, ()) if u < v and v in nodes}
 
     @property
     def node_set(self) -> set[int]:

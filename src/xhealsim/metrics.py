@@ -30,6 +30,7 @@ from typing import TYPE_CHECKING, Collection, Iterable, Sequence
 import numpy as np
 
 from . import expander
+from .adversary import run_stream
 from .expander import TooLarge, lambda2_of_adjacency
 from .graph import (
     ColoredGraph,
@@ -348,8 +349,8 @@ def evaluate(healer: "Healer", t: int, seed: int, *, density_samples: int,
 
     family: list[Collection[int]] = [*mandatory_subsets(healer)]
     if not preserved or degree_viols:
-        rng_density = random.Random(f"{seed}/density/{t}")
-        family += sample_subsets(shadow.alive, density_samples, rng_density)
+        family += sample_subsets(shadow.alive, density_samples,
+                                 run_stream(seed, f"density/{t}"))
     lower_viols = check_density_lower(graph, shadow, family, missing)
     upper_viols = check_density_upper(graph, shadow, healer.cfg.kappa, family,
                                       [v for v, _ in degree_viols])
@@ -376,8 +377,8 @@ def evaluate(healer: "Healer", t: int, seed: int, *, density_samples: int,
     if 2 <= n_live <= LAMBDA_SIZE_CAP:
         lam = lambda2(graph)
 
-    rng_stretch = random.Random(f"{seed}/stretch/{t}")
-    worst, stretch_viols, _ = stretch(graph, shadow, stretch_pairs, rng_stretch)
+    worst, stretch_viols, _ = stretch(graph, shadow, stretch_pairs,
+                                      run_stream(seed, f"stretch/{t}"))
     detail.extend(f"stretch: {v}" for v in stretch_viols)
     bound = stretch_bound(len(shadow.alive), stretch_constant)
     s_ok: bool | None = None

@@ -15,7 +15,7 @@ import pytest
 from helpers import (certificate_oracle, checked_pick, complete_adjacency, cycle_adjacency,
                      density, density_oracle, expansion_oracle, index_arrays, random_adjacency)
 from xhealsim import cli
-from xhealsim.adversary import Strategy, gen_trace, initial_graph, next_event
+from xhealsim.adversary import Strategy, gen_trace, initial_graph, online_events, run_stream
 from xhealsim.engine import Healer, Plan, coherence_errors
 from xhealsim.expander import ExpanderConfig, build_topology, lambda2_of_adjacency
 from xhealsim.graph import edge_key
@@ -72,8 +72,7 @@ def drive(healer: Healer, events, seed: int, total: int,
 
 def drive_checked(healer: Healer, events, seed: int, total: int,
                   result: SuiteResult, checkpoint_every: int) -> None:
-    for t, event in enumerate(events, start=1):
-        healer.handle_event(event)
+    for t in cli.applied(healer, events):
         ok, missing = check_edge_preservation(healer.graph, healer.shadow)
         if not ok:
             result.preservation_failures.append((seed, t, missing[:3]))
@@ -92,10 +91,9 @@ def drive_checked(healer: Healer, events, seed: int, total: int,
                                         [healer.shadow.alive], over)
             if upper:
                 result.density_ub_failures.append((seed, t, upper[:2]))
-        if t % checkpoint_every == 0 or t == total:
+        if cli.checkpoint_due(t, total, checkpoint_every):
             result.checkpoints += 1
-            drawn = sample_subsets(healer.shadow.alive, 100,
-                                   random.Random(f"{seed}/density/{t}"))
+            drawn = sample_subsets(healer.shadow.alive, 100, run_stream(seed, f"density/{t}"))
             subsets = mandatory_subsets(healer) + drawn
             lower = check_density_lower(healer.graph, healer.shadow, subsets, missing)
             if lower:
@@ -104,7 +102,7 @@ def drive_checked(healer: Healer, events, seed: int, total: int,
             if upper:
                 result.density_ub_failures.append((seed, t, upper[:2]))
             worst, viols, _ = stretch(healer.graph, healer.shadow, 200,
-                                      random.Random(f"{seed}/stretch/{t}"))
+                                      run_stream(seed, f"stretch/{t}"))
             bound = stretch_bound(len(healer.shadow.alive), 4)
             if viols:
                 result.stretch_failures.append((seed, t, viols[:2]))
@@ -122,9 +120,7 @@ def standard_suite():
     for seed in STANDARD_SEEDS:
         trace = gen_trace(Strategy("uniform", insert_fraction=0.4),
                           50, 300, seed, kappa=KAPPA)
-        healer = Healer.from_initial(trace.initial_nodes, trace.initial_edges,
-                                     ExpanderConfig(kappa=KAPPA),
-                                     random.Random(f"{seed}/engine"))
+        healer = cli.trace_healer(trace, cli.RunConfig(seed=seed, kappa=KAPPA))
         drive(healer, trace.events, seed, len(trace.events), result)
     result.elapsed = time.time() - start
     return result
@@ -137,16 +133,11 @@ def bridge_suite():
     start = time.time()
     strategy = Strategy("target-bridge", insert_fraction=0.5)
     for seed in BRIDGE_SEEDS:
-        nodes, edges = initial_graph(40, random.Random(f"{seed}/trace"))
+        nodes, edges = initial_graph(40, run_stream(seed, "trace"))
         healer = Healer.from_initial(nodes, edges, ExpanderConfig(kappa=KAPPA),
-                                     random.Random(f"{seed}/engine"))
-        rng = random.Random(f"{seed}/adversary")
-
-        def online():
-            for _ in range(200):
-                yield next_event(strategy, healer, rng)
-
-        drive(healer, online(), seed, 200, result)
+                                     run_stream(seed, "engine"))
+        events = online_events(strategy, healer, 200, run_stream(seed, "adversary"), [])
+        drive(healer, events, seed, 200, result)
     result.elapsed = time.time() - start
     return result
 
@@ -202,13 +193,13 @@ def test_expansion_small_traces():
         trace = gen_trace(Strategy("uniform", insert_fraction=0.42),
                           10, 40, seed, kappa=KAPPA)
         healer = Healer.from_initial(trace.initial_nodes, trace.initial_edges,
-                                     cfg, random.Random(f"{seed}/engine"))
-        for t, event in enumerate(trace.events, start=1):
-            healer.handle_event(event)
+                                     cfg, run_stream(seed, "engine"))
+        for t in cli.applied(healer, trace.events):
             assert len(healer.shadow.alive) <= 16, (seed, t)
             assert len(healer.shadow.nodes) <= EXPANSION_EXACT_LIMIT, (seed, t)
             assert not coherence_errors(healer), (seed, t)
-            if t % 10 == 0 or t == len(trace.events):
+            # t=0 is not counted: its live graph is its baseline
+            if t and cli.checkpoint_due(t, len(trace.events), 10):
                 if len(healer.shadow.alive) < 2:
                     continue
                 live = expansion(healer.graph, EXPANSION_EXACT_LIMIT)

@@ -1,7 +1,6 @@
 import copy
 import itertools
 import json
-import random
 import re
 from fractions import Fraction
 
@@ -11,7 +10,7 @@ from hypothesis import strategies as st
 
 from xhealsim import cli
 from xhealsim.adversary import Strategy, decode_trace, encode_trace, gen_trace
-from xhealsim.engine import Healer, coherence_errors
+from xhealsim.engine import coherence_errors
 
 
 def run_cli(args):
@@ -204,6 +203,22 @@ def test_run_refuses_a_trace_whose_header_kappa_is_not_its_own(tmp_path, capsys)
     assert out.exists()
 
 
+def test_verify_refuses_a_trace_whose_header_kappa_is_not_the_snapshots(tmp_path, capsys):
+    # run's check: a kappa-8 snapshot is replayed from a kappa-8 trace only
+    own, other, snap = tmp_path / "t8.jsonl", tmp_path / "t6.jsonl", tmp_path / "s8.json"
+    for path, kappa in ((own, "8"), (other, "6")):
+        run_cli(["gen", "--strategy", "uniform", "--n0", "20", "--steps", "30",
+                 "--seed", "5", "--kappa", kappa, "-o", str(path)])
+    assert run_cli(["run", "--trace", str(own), "--kappa", "8", "--seed", "5",
+                    "--snapshot", str(snap), "-o", str(tmp_path / "r.csv")]) == 0
+    capsys.readouterr()
+    assert run_cli(["verify", "--snapshot", str(snap), "--trace", str(other)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: trace header kappa 6 differs from the snapshot's kappa 8\n")
+    assert run_cli(["verify", "--snapshot", str(snap), "--trace", str(own)]) == 0
+    assert capsys.readouterr().out.startswith("snapshot coherent: ")
+
+
 def test_run_requires_trace_or_strategy(tmp_path, capsys):
     assert run_cli(["run", "-o", "-"]) == 2
 
@@ -213,15 +228,18 @@ def test_run_missing_trace_file_exits_2(tmp_path):
 
 
 def test_run_adaptive_records_replayable_trace(tmp_path):
+    # the online run and its replay share one event loop and one engine
+    # stream, so they write the same rows and the same final state
     rec = tmp_path / "rec.jsonl"
-    rep1 = tmp_path / "r1.csv"
-    rep2 = tmp_path / "r2.csv"
+    rep1, rep2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
+    snap1, snap2 = tmp_path / "s1.json", tmp_path / "s2.json"
     assert run_cli(["run", "--strategy", "target-bridge", "--n0", "20",
                     "--steps", "40", "--insert-fraction", "0.5", "--seed", "4",
-                    "--record", str(rec), "-o", str(rep1)]) == 0
+                    "--record", str(rec), "-o", str(rep1), "--snapshot", str(snap1)]) == 0
     assert run_cli(["run", "--trace", str(rec), "--seed", "4",
-                    "-o", str(rep2)]) == 0
+                    "-o", str(rep2), "--snapshot", str(snap2)]) == 0
     assert rep1.read_bytes() == rep2.read_bytes()
+    assert snap1.read_bytes() == snap2.read_bytes()
 
 
 def test_verify_snapshot_roundtrip(tmp_path, capsys):
@@ -299,15 +317,14 @@ def test_a_run_continued_from_a_snapshot_ends_as_the_uninterrupted_run(n0, steps
     # keyed by the run and the dying node, which no earlier event moves
     trace = gen_trace(Strategy("uniform", insert_fraction=0.4), n0, steps, seed)
     cfg = cli.RunConfig(seed=seed, alpha_target=alpha)
-    healer = Healer.from_initial(trace.initial_nodes, trace.initial_edges, cfg.expander(),
-                                 random.Random(f"{seed}/engine"))
-    for event in trace.events[:k]:
-        healer.handle_event(event)
-    continued, _ = cli.load_snapshot(json.loads(json.dumps(cli.snapshot_state(healer, seed))))
-    for event in trace.events[k:]:
-        healer.handle_event(event)
-        continued.handle_event(event)
-    assert cli.snapshot_state(continued, seed) == cli.snapshot_state(healer, seed)
+    head = cli.trace_healer(trace, cfg)
+    for _ in cli.applied(head, trace.events[:k]):
+        pass
+    continued, _ = cli.load_snapshot(json.loads(json.dumps(cli.snapshot_state(head, seed))))
+    for healer in (head, continued):
+        for _ in cli.applied(healer, trace.events[k:]):
+            pass
+    assert cli.snapshot_state(continued, seed) == cli.snapshot_state(head, seed)
 
 
 @settings(max_examples=20, deadline=None)
@@ -322,18 +339,14 @@ def test_a_run_resumed_from_a_snapshot_writes_the_uninterrupted_runs_rows(seed, 
     trace = gen_trace(Strategy("uniform", insert_fraction=0.4), 50, 300, seed)
     cfg = cli.RunConfig(seed=seed, checkpoint_every=10)
     healer, reports = cli.run_trace(trace, cfg)
-    head = cli._trace_healer(trace, cfg)
-    for event in trace.events[:cut]:
-        head.handle_event(event)
+    head = cli.trace_healer(trace, cfg)
+    for _ in cli.applied(head, trace.events[:cut]):
+        pass
     resumed, loaded = cli.load_snapshot(json.loads(json.dumps(
         cli.snapshot_state(head, seed, cfg), sort_keys=True)))
     # the snapshot holds no edges: the loader derives each one's owners
     assert dict(resumed.graph.edges()) == dict(head.graph.edges())
-    rows = [cli._checkpoint(resumed, cut, loaded)] if cut % 10 == 0 or cut == 300 else []
-    for t, event in enumerate(trace.events[cut:], start=cut + 1):
-        resumed.handle_event(event)
-        if t % loaded.checkpoint_every == 0 or t == 300:
-            rows.append(cli._checkpoint(resumed, t, loaded))
+    rows = cli.checkpoint_reports(resumed, trace.events[cut:], 300, loaded)
     assert (cli.render_report_csv(rows)
             == cli.render_report_csv([r for r in reports if r.t >= cut]))
     assert (json.dumps(cli.snapshot_state(resumed, seed, loaded), sort_keys=True)
@@ -415,8 +428,8 @@ def small_snapshot(tmp_path):
     return json.loads(snap.read_text())
 
 
-def test_verify_detects_corrupted_color(tmp_path, capsys):
-    # an edge's colors are derived from the baseline, the live node set
+def test_verify_detects_damage_to_derived_owners(tmp_path, capsys):
+    # an edge's owners are derived from the baseline, the live node set
     # and the cloud topologies, so damage to them is written there: a
     # topology edge that leaves its cloud, and a live node set that
     # lacks an alive node, and so the edges at it
@@ -428,7 +441,7 @@ def test_verify_detects_corrupted_color(tmp_path, capsys):
         "stray": (lambda d: topology_edges(d).append(stray),
                   [f"VIOLATION cloud {cloud['id']} topology edge ({stray[0]},{stray[1]}) "
                    "leaves member set"]),
-        "colorless": (lambda d: d["nodes"].remove(lost[0]),
+        "ownerless": (lambda d: d["nodes"].remove(lost[0]),
                       ["VIOLATION live node set differs from shadow alive set",
                        f"VIOLATION edge {lost} expected but missing from graph"]),
     }

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import pytest
 
 from xhealsim import cli, engine
-from xhealsim.adversary import Event, Strategy, gen_trace
+from xhealsim.adversary import Event, Strategy, gen_trace, run_stream
 from xhealsim.engine import (
     Cloud,
     CloudKind,
@@ -27,7 +27,7 @@ from helpers import changed_oracle, is_connected
 
 def make_healer(nodes, edges, seed=0, fault=None, **cfg):
     return Healer.from_initial(nodes, edges, ExpanderConfig(**cfg),
-                               random.Random(f"{seed}/engine"), fault=fault)
+                               run_stream(seed, "engine"), fault=fault)
 
 
 def held_by(h, secondary, primary):
@@ -87,10 +87,7 @@ def test_plan_branch_follows_cloud_membership_not_edge_colors():
     # ownership stripped from its edges, still takes the branch of the
     # cloud's kind: the repair reads membership from the registry
     trace = gen_trace(Strategy("uniform", insert_fraction=0.4), 50, 120, 4)
-    h = Healer.from_initial(trace.initial_nodes, trace.initial_edges, ExpanderConfig(),
-                            random.Random("4/engine"))
-    for event in trace.events:
-        h.handle_event(event)
+    h = cli.replay(trace, cli.RunConfig(seed=4))
     reg = h.registry
     for kind, branch in ((CloudKind.PRIMARY, "branch_primary"),
                          (CloudKind.SECONDARY, "branch_secondary")):
@@ -446,9 +443,8 @@ def test_rolling_back_a_plan_of_every_branch_leaves_the_indexes_as_they_were():
     h = make_healer(trace.initial_nodes, trace.initial_edges, alpha_target=Fraction(1))
     reached = dict.fromkeys(("branch_all_black", "branch_primary", "branch_secondary",
                              "merges", "bridges_borrowed"), 0)
-    for t, event in enumerate(trace.events, 1):
-        h.handle_event(event)
-        if t % 30:
+    for t in cli.applied(h, trace.events):
+        if not t or t % 30:
             continue
         indexes, reg = index_state(h), h.registry
         for v in sorted(h.shadow.alive):
@@ -529,10 +525,9 @@ def test_certification_failure_on_a_real_trace_changes_nothing():
     # at alpha 1, event 304 of this trace needs an 80-member cloud and no
     # 6-regular draw certifies it (the exit-3 trace of the CLI tests)
     trace = gen_trace(Strategy("uniform", insert_fraction=0.4), 200, 400, 38)
-    h = Healer.from_initial(trace.initial_nodes, trace.initial_edges,
-                            cli.RunConfig(seed=38).expander(), random.Random("38/engine"))
-    for event in trace.events[:303]:
-        h.handle_event(event)
+    h = cli.trace_healer(trace, cli.RunConfig(seed=38))
+    for _ in cli.applied(h, trace.events[:303]):
+        pass
     assert assert_failed_event_changes_nothing(h, trace.events[303], 38) is not None
 
 
@@ -577,11 +572,7 @@ def test_a_plan_seeds_its_stream_only_when_it_draws(monkeypatch):
     monkeypatch.setattr(Plan, "repair", checked_repair)
     for seed in (1, 2, 3):
         trace = gen_trace(Strategy("uniform", insert_fraction=0.4), 1000, 700, seed)
-        cfg = cli.RunConfig(seed=seed, alpha_target=Fraction(1, 2))
-        h = Healer.from_initial(trace.initial_nodes, trace.initial_edges, cfg.expander(),
-                                random.Random(f"{seed}/engine"))
-        for event in trace.events:
-            h.handle_event(event)
+        cli.replay(trace, cli.RunConfig(seed=seed, alpha_target=Fraction(1, 2)))
     assert (len(seeded), sum(plans), len(plans)) == (75, 75, 1265)
 
 
@@ -610,13 +601,10 @@ def test_certification_failure_after_a_planned_rebuild_changes_nothing():
 
 
 def merge_heavy_healer():
-    """A healer over a trace whose repairs merge clouds of up to 80
-    members, and its events."""
+    """The healer after a trace whose repairs merge clouds of up to 80
+    members."""
     trace = gen_trace(Strategy("uniform", insert_fraction=0.4), 200, 300, 0)
-    cfg = cli.RunConfig(seed=0, alpha_target=Fraction(1, 2))
-    h = Healer.from_initial(trace.initial_nodes, trace.initial_edges, cfg.expander(),
-                            random.Random("0/engine"))
-    return h, trace.events
+    return cli.replay(trace, cli.RunConfig(seed=0, alpha_target=Fraction(1, 2)))
 
 
 def test_no_plan_designs_a_cloud_it_retires(monkeypatch):
@@ -643,9 +631,7 @@ def test_no_plan_designs_a_cloud_it_retires(monkeypatch):
 
     monkeypatch.setattr(engine, "build_topology", recording_build)
     monkeypatch.setattr(Plan, "repair", checked_repair)
-    h, events = merge_heavy_healer()
-    for event in events:
-        h.handle_event(event)
+    h = merge_heavy_healer()
     assert h.counters.merges > 10 and sum(designed) > h.counters.deletes
     assert coherence_errors(h) == []
 
@@ -681,9 +667,7 @@ def test_a_plan_keeps_every_cloud_outside_touched(monkeypatch):
 def merge_heavy_and_target_bridge_runs():
     """``merge_heavy_healer`` after its trace, and the healer of an
     adaptive target-bridge run whose deletes reach the secondary branch."""
-    h, events = merge_heavy_healer()
-    for event in events:
-        h.handle_event(event)
+    h = merge_heavy_healer()
     strategy = Strategy("target-bridge", insert_fraction=0.5)
     adaptive, _, _ = cli.run_adaptive(strategy, 40, 200,
                                       cli.RunConfig(seed=3, checkpoint_every=200))
@@ -787,11 +771,11 @@ def test_each_event_depends_on_the_record_not_on_set_layout(seed):
     plain, shuffled = (make_healer(trace.initial_nodes, trace.initial_edges, seed=seed)
                        for _ in range(2))
     rng = random.Random(seed)
-    for t, event in enumerate(trace.events, start=1):
-        rebuild_sets_shuffled(shuffled, rng)
-        plain.handle_event(event)
-        shuffled.handle_event(event)
+    # each step applies one event to both, then *shuffled*'s sets are
+    # rebuilt before the next
+    for t, _ in zip(cli.applied(plain, trace.events), cli.applied(shuffled, trace.events)):
         assert cli.snapshot_state(shuffled, seed) == cli.snapshot_state(plain, seed), t
+        rebuild_sets_shuffled(shuffled, rng)
     assert coherence_errors(shuffled) == []
 
 
@@ -858,11 +842,9 @@ def test_every_event_keeps_the_cloud_budget_and_the_degree_bound(n0, seed, alpha
     trace = gen_trace(Strategy("uniform", insert_fraction=0.4), n0,
                       750 if n0 == 500 else 300, seed)
     cfg = cli.RunConfig(seed=seed, alpha_target=alpha)
-    h = Healer.from_initial(trace.initial_nodes, trace.initial_edges, cfg.expander(),
-                            random.Random(f"{seed}/engine"))
+    h = cli.trace_healer(trace, cfg)
     kappa, alive = cfg.kappa, h.shadow.alive
-    for t, event in enumerate(trace.events, start=1):
-        h.handle_event(event)
+    for t in cli.applied(h, trace.events):
         assert budget_errors(h) == [], t
         over = [x for x in alive
                 if h.graph.degree(x) > kappa * len(h.shadow.neighbors(x)) + kappa]

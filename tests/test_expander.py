@@ -18,9 +18,8 @@ from helpers import (
     index_arrays,
     random_adjacency,
 )
-from xhealsim import engine, expander
+from xhealsim import cli, engine, expander
 from xhealsim.adversary import Strategy, gen_trace
-from xhealsim.engine import Healer
 from xhealsim.expander import (
     HARD_ENUMERATION_CEILING,
     CloudTopology,
@@ -733,11 +732,7 @@ def test_cloud_design_wastes_no_draw_and_no_array(monkeypatch):
     monkeypatch.setattr(engine, "build_topology", checked_build)
     for seed in range(4):
         trace = gen_trace(Strategy("uniform", insert_fraction=0.4), 50, 300, seed)
-        cfg = ExpanderConfig(kappa=kappa, alpha_target=alpha)
-        healer = Healer.from_initial(trace.initial_nodes, trace.initial_edges, cfg,
-                                     random.Random(f"{seed}/engine"))
-        for event in trace.events:
-            healer.handle_event(event)
+        cli.replay(trace, cli.RunConfig(seed=seed, kappa=kappa, alpha_target=alpha))
     # the traces design closed-form clouds and directly drawn ones
     assert {m for m in sizes if 2 * kappa + 2 - m > s} - set(range(kappa + 2)), sizes
     assert max(sizes) > 2 * kappa

@@ -32,7 +32,6 @@ import csv
 import hashlib
 import io
 import json
-import random
 import sys
 from fractions import Fraction
 from functools import cache
@@ -101,9 +100,9 @@ def replay_membership(healer: Healer, events) -> str:
     """Drive *healer* through *events* and hash its membership after
     each, as the seed ladder does."""
     membership = Membership()
-    for event in events:
-        healer.handle_event(event)
-        membership.update(healer.registry)
+    for t in cli.applied(healer, events):
+        if t:
+            membership.update(healer.registry)
     return membership.hexdigest()
 
 
@@ -135,10 +134,8 @@ def membership_case(name: str, fault: str | None = None) -> str:
     else:
         seed = int(name.split("-")[1])
         trace = gen_trace(Strategy("uniform", insert_fraction=0.4), 50, 300, seed)
-    healer = Healer.from_initial(trace.initial_nodes, trace.initial_edges,
-                                 cli.RunConfig(seed=seed).expander(),
-                                 random.Random(f"{seed}/engine"), fault=fault)
-    return replay_membership(healer, trace.events)
+    return replay_membership(cli.trace_healer(trace, cli.RunConfig(seed=seed), fault),
+                             trace.events)
 
 
 @cache
@@ -147,8 +144,7 @@ def snapshot_trace_run() -> tuple[str, str]:
     churn-mid-sized trace, from one replay."""
     trace = gen_trace(Strategy("uniform", insert_fraction=0.4), 500, 750, 0)
     cfg = cli.RunConfig(alpha_target=Fraction(1, 2), seed=0)
-    healer = Healer.from_initial(trace.initial_nodes, trace.initial_edges,
-                                 cfg.expander(), random.Random("0/engine"))
+    healer = cli.trace_healer(trace, cfg)
     membership = replay_membership(healer, trace.events)
     text = json.dumps(cli.snapshot_state(healer, 0), sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest(), membership

@@ -69,7 +69,7 @@ def test_remove_isolated_node():
         g.remove_node(5)
 
 
-def test_ensure_edge_color_reuse_and_create():
+def test_reown_reuses_and_creates_edges():
     g = graph_from_edges([0, 1, 2], [(0, 1)])
     assert g.reown([], [[(0, 1)]]) == (0, 1, 0)  # reused
     assert dict(g.edges()) == {(0, 1): 2}
@@ -85,7 +85,7 @@ def test_ensure_edge_color_reuse_and_create():
     assert g.integrity_errors() == []
 
 
-def test_strip_color_variants():
+def test_reown_strips_owners():
     g = graph_from_edges([0, 1], [(0, 1)])
     g.reown([], [[(0, 1)]])
     assert g.reown([[(0, 1)]], []) == (0, 0, 0)  # its black owner keeps it
@@ -108,7 +108,7 @@ def test_strip_color_variants():
         g.reown([[(0, 99)]], [])
 
 
-def test_purge_if_colorless():
+def test_reown_purges_ownerless_edges():
     g = ColoredGraph()
     for v in (0, 1, 2):
         g.add_node(v)
@@ -138,6 +138,16 @@ def test_integrity_errors_name_each_broken_fact():
         assert g.integrity_errors() == []
         damage(g)
         assert message in g.integrity_errors(), message
+
+
+def test_integrity_errors_name_faults_that_keep_the_entry_count():
+    # an entry moved off a record's pair onto a stray pair keeps the
+    # 2 * len(records) adjacency entries that the one-pass check counts
+    g = graph_from_edges([0, 1, 2], [(0, 1)])
+    g._adj[0].discard(1)
+    g._adj[0].add(2)
+    assert g.integrity_errors() == ["edge (0, 1) missing from adjacency of 0",
+                                    "adjacency 0-2 has no edge record"]
 
 
 @pytest.mark.parametrize("edges,subset,expected", [
@@ -351,8 +361,8 @@ LIVE_MUTATIONS = {
     "remove_node": lambda g: g.remove_node(1),
     "add_edge": lambda g: g.add_edge(0, 3),
     # a reown that creates an edge, and one that deletes an edge
-    "ensure_edge_color": lambda g: g.reown([], [[(0, 3)]]),
-    "purge_colorless": lambda g: g.reown([[(0, 1)]], []),
+    "reown_create": lambda g: g.reown([], [[(0, 3)]]),
+    "reown_purge": lambda g: g.reown([[(0, 1)]], []),
 }
 
 
@@ -367,7 +377,7 @@ def test_live_snapshot_is_rebuilt_after_each_adjacency_change(mutation):
     assert Csr.of(g) is after
 
 
-def test_recoloring_keeps_the_live_snapshot():
+def test_reowning_keeps_the_live_snapshot():
     g = graph_from_edges([0, 1, 2], [(0, 1), (1, 2)])
     g.reown([], [[(0, 1)]])
     snap = Csr.of(g)

@@ -131,7 +131,7 @@ def edge_state(healer):
 @example(n0=40, steps=60, seed=3, fault=None).via("rebuilds, merges and reuse")
 @example(n0=40, steps=60, seed=3, fault="skip-heal")
 @example(n0=40, steps=60, seed=3, fault="drop-black-edge")
-def test_recolor_matches_per_edge_calls_on_healer_states(n0, steps, seed, fault):
+def test_reown_matches_per_edge_calls_on_healer_states(n0, steps, seed, fault):
     for batched, per_edge in replay_pair(n0, steps, seed, fault, per_edge_reown):
         # owners, edge insertion order and adjacency iteration order
         assert edge_state(batched) == edge_state(per_edge)

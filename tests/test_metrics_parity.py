@@ -19,8 +19,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import density_lower_oracle, density_upper_oracle, graph_from_edges, stretch_oracle
-from xhealsim import metrics
-from xhealsim.adversary import Event, Strategy, gen_trace
+from xhealsim import cli, metrics
+from xhealsim.adversary import Event, Strategy, gen_trace, run_stream
 from xhealsim.cli import RunConfig, run_trace
 from xhealsim.engine import Healer
 from xhealsim.expander import ExpanderConfig
@@ -42,16 +42,16 @@ def checks_and_oracles(healer: Healer, seed: int, t: int, samples: int = 100,
                        pairs: int = 200):
     """(new, oracle) results of the three checks at one state."""
     graph, shadow = healer.graph, healer.shadow
-    drawn = sample_subsets(shadow.alive, samples, random.Random(f"{seed}/density/{t}"))
+    drawn = sample_subsets(shadow.alive, samples, run_stream(seed, f"density/{t}"))
     subsets = mandatory_subsets(healer) + drawn
     frozen = mandatory_subsets(healer) + [frozenset(s) for s in drawn]
     new = (check_density_lower(graph, shadow, subsets,
                                check_edge_preservation(graph, shadow)[1]),
            check_density_upper(graph, shadow, KAPPA, subsets, over_budget(graph, shadow, KAPPA)),
-           stretch(graph, shadow, pairs, random.Random(f"{seed}/stretch/{t}")))
+           stretch(graph, shadow, pairs, run_stream(seed, f"stretch/{t}")))
     old = (density_lower_oracle(graph, shadow, frozen),
            density_upper_oracle(graph, shadow, KAPPA, frozen),
-           stretch_oracle(graph, shadow, pairs, random.Random(f"{seed}/stretch/{t}")))
+           stretch_oracle(graph, shadow, pairs, run_stream(seed, f"stretch/{t}")))
     return new, old
 
 
@@ -60,14 +60,9 @@ def replay(n0: int, steps: int, seed: int, insert_fraction: float = 0.4,
     """Yield (t, healer) at t=0 and at every checkpoint of a uniform trace."""
     trace = gen_trace(Strategy("uniform", insert_fraction=insert_fraction),
                       n0, steps, seed, kappa=KAPPA)
-    healer = Healer.from_initial(trace.initial_nodes, trace.initial_edges,
-                                 ExpanderConfig(kappa=KAPPA),
-                                 random.Random(f"{seed}/engine"), fault=fault)
-    yield 0, healer
-    for t, event in enumerate(trace.events, start=1):
-        healer.handle_event(event)
-        if t % checkpoint_every == 0 or t == steps:
-            yield t, healer
+    healer = cli.trace_healer(trace, RunConfig(seed=seed, kappa=KAPPA), fault)
+    return ((t, healer) for t in cli.applied(healer, trace.events)
+            if cli.checkpoint_due(t, steps, checkpoint_every))
 
 
 @settings(max_examples=40, deadline=None)
@@ -171,7 +166,7 @@ def eager_density(healer: Healer, seed: int, t: int, samples: int):
     """Density counts and lines of both checks on the family that draws
     its random subsets at every checkpoint."""
     graph, shadow = healer.graph, healer.shadow
-    drawn = sample_subsets(shadow.alive, samples, random.Random(f"{seed}/density/{t}"))
+    drawn = sample_subsets(shadow.alive, samples, run_stream(seed, f"density/{t}"))
     subsets = mandatory_subsets(healer) + drawn
     lower = check_density_lower(graph, shadow, subsets,
                                 check_edge_preservation(graph, shadow)[1])

@@ -28,14 +28,14 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import random
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from xhealsim.adversary import Strategy, gen_trace  # noqa: E402
+from xhealsim.adversary import Strategy, gen_trace, run_stream  # noqa: E402
+from xhealsim.cli import applied  # noqa: E402
 from xhealsim.engine import Healer, budget_errors, coherence_errors  # noqa: E402
 from xhealsim.expander import ExpanderConfig, RetriesExhausted  # noqa: E402
 
@@ -111,20 +111,19 @@ def run_seed(n0: int, steps: int, cfg: ExpanderConfig, seed: int) -> dict:
     trace = gen_trace(Strategy("uniform", insert_fraction=0.4), n0, steps, seed,
                       kappa=cfg.kappa)
     healer = Healer.from_initial(trace.initial_nodes, trace.initial_edges, cfg,
-                                 random.Random(f"{seed}/engine"))
+                                 run_stream(seed, "engine"))
     line: dict = {"seed": seed, "exit": 0}
     budget = coherence = 0
     membership, design = Membership(), Design()
-    for t, event in enumerate(trace.events, start=1):
-        try:
-            healer.handle_event(event)
-        except RetriesExhausted as exc:
-            line.update(exit=3, event=t, size=exc.size)
-            break
-        budget += len(budget_errors(healer))
-        coherence += len(coherence_errors(healer))
-        membership.update(healer.registry)
-        design.update(healer.registry)
+    try:
+        for t in applied(healer, trace.events):
+            if t:
+                budget += len(budget_errors(healer))
+                coherence += len(coherence_errors(healer))
+                membership.update(healer.registry)
+                design.update(healer.registry)
+    except RetriesExhausted as exc:
+        line.update(exit=3, event=t + 1, size=exc.size)
     line.update({name: getattr(healer.counters, name) for name in COUNTERS})
     line.update(budget_errors=budget, coherence_errors=coherence,
                 membership=membership.hexdigest(), design=design.hexdigest())
