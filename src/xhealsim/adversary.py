@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Container, Iterator, NamedTuple
 
-from .graph import MAX_NODE_ID, EdgeKey, edge_key
+from .graph import MAX_NODE_ID, EdgeKey, InputError, edge_key
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import Healer
@@ -28,25 +28,21 @@ STRATEGY_NAMES = ("uniform", "delete-only", "target-max-degree", "target-bridge"
 ADAPTIVE_STRATEGIES = ("target-max-degree", "target-bridge")
 
 
-class AdversaryError(Exception):
+class EmptyNetwork(Exception):
+    """No node is left to delete: a run length ``check_run_length`` let through."""
+
+
+class InvalidParams(InputError):
     pass
 
 
-class EmptyNetwork(AdversaryError):
-    pass
-
-
-class InvalidParams(AdversaryError):
-    pass
-
-
-class ParseError(AdversaryError):
+class ParseError(InputError):
     def __init__(self, line_no: int, message: str) -> None:
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
 
 
-class VersionMismatch(AdversaryError):
+class VersionMismatch(InputError):
     pass
 
 
@@ -273,14 +269,14 @@ _scan_once = json.JSONDecoder().scan_once
 def node_ids(values: object, what: str) -> list[int]:
     """*values* if it is a list of node ids, JSON integers in
     ``[0, MAX_NODE_ID]`` taken as written: a string, a float or a bool
-    raises ValueError, never coerced.  Checked a list at a time, so the
+    raises InputError, never coerced.  Checked a list at a time, so the
     ids cost no Python call each.  Trace and snapshot loading share this
     rule."""
     if type(values) is not list or values and (set(map(type, values)) != {int}
                                                or min(values) < 0):
-        raise ValueError(f"{what} must be a list of non-negative integers")
+        raise InputError(f"{what} must be a list of non-negative integers")
     if values and max(values) > MAX_NODE_ID:
-        raise ValueError(f"{what} must be at most {MAX_NODE_ID}")
+        raise InputError(f"{what} must be at most {MAX_NODE_ID}")
     return values
 
 
@@ -289,7 +285,7 @@ def node_id_rows(values: object, width: int, what: str) -> list[list[int]]:
     id checked by ``node_ids``' rule."""
     if type(values) is not list or values and (set(map(type, values)) != {list}
                                                or set(map(len, values)) != {width}):
-        raise ValueError(f"{what} must be a list of {width}-element lists")
+        raise InputError(f"{what} must be a list of {width}-element lists")
     node_ids(list(itertools.chain.from_iterable(values)), what)
     return values
 

@@ -9,29 +9,34 @@ Subcommands:
               expander cloud's design, and its metrics
 * ``report``  summarize one or more CSV report files
 
-Exit codes: 0 all checks passed, 1 an invariant was violated, 2 usage,
-I/O, or parse errors, 3 a cloud could not be certified within its
-retries: the failed repair plan is dropped, so the healer is as it was
-before the failing event, and each later delete draws what it would
-have drawn had that event never been tried.  ``run --seeds`` runs every
-seed and exits with the worst code of its seeds.
+Exit codes: 0 all checks passed, 1 an invariant was violated, 2 input
+refused where it is parsed or validated (``graph.InputError``) or an
+I/O error, 3 a cloud could not be certified within its retries: the
+failed repair plan is dropped, so the healer is as it was before the
+failing event, and each later delete draws what it would have drawn had
+that event never been tried; 4 any other exception, an internal error.
+``exit_line`` maps each exception to its code and line.  ``run`` checks
+the input its seeds share before any seed runs, and prints an error
+there once, unprefixed; what a seed raises ends that seed alone, after
+``seed N:``, naming its ``event t deletes node v`` or ``checkpoint at
+t=...``.  ``run --seeds`` runs every seed and exits with the worst code.
 """
 from __future__ import annotations
 
 import argparse
 import concurrent.futures
 import csv
+import functools
 import io
 import json
 import re
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Iterator
 
 from .adversary import (
-    AdversaryError,
     Event,
     Strategy,
     Trace,
@@ -51,18 +56,16 @@ from .engine import (
     Cloud,
     CloudKind,
     Healer,
-    InvalidEvent,
     RepairCounters,
     coherence_errors,
 )
 from .expander import (
     CloudTopology,
     ExpanderConfig,
-    ExpanderError,
     RetriesExhausted,
     topology_error,
 )
-from .graph import ColoredGraph, GraphError, ShadowGraph, edge_key
+from .graph import ColoredGraph, GraphError, InputError, ShadowGraph, edge_key
 from .metrics import MetricsReport, evaluate
 
 SNAPSHOT_VERSION = 6
@@ -87,7 +90,7 @@ class RunConfig(ExpanderConfig):
         for name in ("checkpoint_every", "density_samples", "stretch_pairs",
                      "stretch_constant"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
+                raise InputError(f"{name} must be positive")
 
     def expander(self) -> ExpanderConfig:
         return ExpanderConfig(**{f.name: getattr(self, f.name) for f in fields(ExpanderConfig)})
@@ -157,10 +160,14 @@ def checkpoint_reports(healer: Healer, events: Iterable[Event], total: int, cfg:
 
 
 def trace_healer(trace: Trace, cfg: RunConfig, fault: str | None = None) -> Healer:
-    """The healer a replay of the checked *trace* starts from."""
+    """The healer a replay of the checked *trace* starts from; an initial
+    graph that ``graph.initial_views`` refuses raises InputError."""
     validate_trace(trace)
-    return Healer.from_initial(trace.initial_nodes, trace.initial_edges, cfg.expander(),
-                               run_stream(cfg.seed, "engine"), fault=fault)
+    try:
+        return Healer.from_initial(trace.initial_nodes, trace.initial_edges, cfg.expander(),
+                                   run_stream(cfg.seed, "engine"), fault=fault)
+    except GraphError as exc:
+        raise InputError(str(exc)) from exc
 
 
 def run_trace(trace: Trace, cfg: RunConfig, fault: str | None = None
@@ -173,8 +180,8 @@ def run_trace(trace: Trace, cfg: RunConfig, fault: str | None = None
 def run_adaptive(strategy: Strategy, n0: int, steps: int, cfg: RunConfig,
                  fault: str | None = None
                  ) -> tuple[Healer, list[MetricsReport], Trace]:
-    """Drive a strategy online against live state, recording the trace."""
-    check_run_length(strategy, n0, steps)
+    """Drive a strategy online for a run length ``check_run_length``
+    passed, recording the trace."""
     params = {"insert_fraction": strategy.insert_fraction,
               "insert_degree": strategy.insert_degree, "n0": n0, "steps": steps}
     trace = Trace(cfg.kappa, cfg.seed, strategy.name, params,
@@ -194,11 +201,15 @@ def replay(trace: Trace, cfg: RunConfig) -> Healer:
 
 
 def _checkpoint(healer: Healer, t: int, cfg: RunConfig) -> MetricsReport:
-    return evaluate(healer, t, cfg.seed,
-                    density_samples=cfg.density_samples,
-                    stretch_pairs=cfg.stretch_pairs,
-                    stretch_constant=cfg.stretch_constant,
-                    exact_limit=cfg.exact_limit)
+    try:
+        return evaluate(healer, t, cfg.seed,
+                        density_samples=cfg.density_samples,
+                        stretch_pairs=cfg.stretch_pairs,
+                        stretch_constant=cfg.stretch_constant,
+                        exact_limit=cfg.exact_limit)
+    except Exception as exc:
+        exc.add_note(f"checkpoint at t={t}")
+        raise
 
 
 # -- snapshots --------------------------------------------------------------
@@ -389,12 +400,6 @@ def _add_run_config_flags(parser: argparse.ArgumentParser) -> None:
                             metavar="P/Q" if kind is Fraction else None)
 
 
-def _run_config(args: argparse.Namespace, seed: int) -> RunConfig:
-    values = {f.name: getattr(args, f.name) for f in fields(RunConfig)}
-    values["seed"] = seed
-    return RunConfig(**values)
-
-
 def cmd_gen(args: argparse.Namespace) -> int:
     ExpanderConfig(kappa=args.kappa)  # refuses a kappa no healer can use
     strategy = Strategy(args.strategy, insert_fraction=args.insert_fraction,
@@ -409,50 +414,55 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-class KappaMismatch(ValueError):
-    """A trace whose header kappa is not the healer's: a usage error."""
-
-
 def read_trace(path: str, kappa: int, source: str) -> Trace:
     """The trace at *path*, refused unless its header kappa is *kappa*,
     which *source* names: ``run``'s ``--kappa`` or the snapshot's."""
     trace = decode_trace(Path(path).read_text(encoding="utf-8"))
     if trace.kappa != kappa:
-        raise KappaMismatch(f"trace header kappa {trace.kappa} differs from {source} {kappa}")
+        raise InputError(f"trace header kappa {trace.kappa} differs from {source} {kappa}")
     return trace
 
 
-def _run_one_seed(args: argparse.Namespace, seed: int) -> tuple[int, list[str], str]:
-    """Run one seed: its exit code, its lines for stderr, and its CSV
-    when ``-o -`` sends that to stdout (else "").  A trace whose header
-    kappa is not ``--kappa`` ends the seed with code 2, and a cloud that
-    cannot be certified with code 3, and neither writes its files."""
-    cfg = _run_config(args, seed)
+def exit_line(exc: Exception) -> tuple[int, str]:
+    """The exit code for *exc* and its line, the notes naming where it
+    happened in front: 3 for a cloud that could not be certified, 2 for
+    input, I/O or a file that is not UTF-8, else 4, an internal error."""
+    where = "".join(f"{note}: " for note in getattr(exc, "__notes__", ()))
+    if isinstance(exc, RetriesExhausted):
+        return 3, f"error: {where}{exc}"
+    if isinstance(exc, (InputError, OSError, UnicodeDecodeError)):
+        return 2, f"error: {where}{exc}"
+    return 4, f"internal error: {where}{type(exc).__name__}: {exc}"
+
+
+def _run_one_seed(args: argparse.Namespace, source: Trace | Strategy, cfg: RunConfig
+                  ) -> tuple[int, list[str], str]:
+    """Run the seed of *cfg* from the checked trace or strategy *source*:
+    its exit code, its lines for stderr, and its CSV when ``-o -`` sends
+    that to stdout (else "").  Whatever the seed raises ends it with
+    ``exit_line``'s code and line, and one raised first writes no file."""
     try:
         if args.trace:
-            recorded = read_trace(args.trace, cfg.kappa, "--kappa")
+            recorded = source
             healer, reports = run_trace(recorded, cfg, fault=args.fault)
         else:
-            strategy = Strategy(args.strategy, insert_fraction=args.insert_fraction,
-                                insert_degree=args.insert_degree)
-            healer, reports, recorded = run_adaptive(strategy, args.n0, args.steps,
+            healer, reports, recorded = run_adaptive(source, args.n0, args.steps,
                                                      cfg, fault=args.fault)
-    except KappaMismatch as exc:
-        return 2, [f"error: {exc}"], ""
-    except RetriesExhausted as exc:
-        return 3, [f"error: {exc}"], ""
-    if args.record:
-        Path(_expand_seed(args.record, seed)).write_text(
-            encode_trace(recorded), encoding="utf-8")
-    if args.snapshot:
-        payload = json.dumps(snapshot_state(healer, seed, cfg), sort_keys=True)
-        Path(_expand_seed(args.snapshot, seed)).write_text(payload, encoding="utf-8")
-    csv_text = render_report_csv(reports)
-    if args.out != "-":
-        Path(_expand_seed(args.out, seed)).write_text(csv_text, encoding="utf-8")
-        csv_text = ""
-    violations = [line for rep in reports for line in rep.violation_detail]
-    violations.extend(f"coherence: {err}" for err in coherence_errors(healer))
+        if args.record:
+            Path(_expand_seed(args.record, cfg.seed)).write_text(
+                encode_trace(recorded), encoding="utf-8")
+        if args.snapshot:
+            payload = json.dumps(snapshot_state(healer, cfg.seed, cfg), sort_keys=True)
+            Path(_expand_seed(args.snapshot, cfg.seed)).write_text(payload, encoding="utf-8")
+        csv_text = render_report_csv(reports)
+        if args.out != "-":
+            Path(_expand_seed(args.out, cfg.seed)).write_text(csv_text, encoding="utf-8")
+            csv_text = ""
+        violations = [line for rep in reports for line in rep.violation_detail]
+        violations.extend(f"coherence: {err}" for err in coherence_errors(healer))
+    except Exception as exc:
+        code, line = exit_line(exc)
+        return code, [line], ""
     return (1 if violations else 0), [f"VIOLATION {line}" for line in violations], csv_text
 
 
@@ -462,56 +472,48 @@ def _expand_seed(path: str, seed: int) -> str:
 
 def cmd_run(args: argparse.Namespace) -> int:
     if bool(args.trace) == bool(args.strategy):
-        print("run needs exactly one of --trace or --strategy", file=sys.stderr)
-        return 2
+        raise InputError("run needs exactly one of --trace or --strategy")
     if args.jobs < 1:
-        print(f"--jobs must be at least 1, got {args.jobs}", file=sys.stderr)
-        return 2
+        raise InputError(f"--jobs must be at least 1, got {args.jobs}")
     seeds = args.seeds or [args.seed]  # ``_flag_seeds`` gives no empty list
     repeated = sorted({s for s in seeds if seeds.count(s) > 1})
     if repeated:
-        print(f"--seeds lists {', '.join(map(str, repeated))} more than once",
-              file=sys.stderr)
-        return 2
+        raise InputError(f"--seeds lists {', '.join(map(str, repeated))} more than once")
     # one file per seed, or the seeds overwrite (and race on) one path
     paths = {"--out": args.out if args.out != "-" else None,
              "--snapshot": args.snapshot, "--record": args.record}
     for flag, path in paths.items():
         if len(seeds) > 1 and path and "{seed}" not in path:
-            print(f"multiple seeds need '{{seed}}' in {flag}", file=sys.stderr)
-            return 2
-    results: list[tuple[int, list[str], str]] = []
+            raise InputError(f"multiple seeds need '{{seed}}' in {flag}")
+    # the input every seed shares is checked once, before any seed runs
+    cfg = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})
+    if args.trace:
+        source = read_trace(args.trace, cfg.kappa, "--kappa")
+        trace_healer(source, cfg, args.fault)  # validates it and builds its initial graph
+    else:
+        source = Strategy(args.strategy, insert_fraction=args.insert_fraction,
+                          insert_degree=args.insert_degree)
+        check_run_length(source, args.n0, args.steps)
+    run_seed = functools.partial(_run_one_seed, args, source)
+    configs = [replace(cfg, seed=seed) for seed in seeds]
     # the pool starts all its workers at once, so start no more than seeds
     workers = min(args.jobs, len(seeds))
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_seed_worker,
-                                    [(vars(args), s) for s in seeds]))
+            results = list(pool.map(run_seed, configs))
     else:
-        for seed in seeds:
-            results.append(_run_one_seed(args, seed))
-    worst = 0
+        results = list(map(run_seed, configs))
     # in seed order, whichever worker finished first
-    for (code, lines, csv_text), seed in zip(results, seeds):
+    for (_, lines, csv_text), seed in zip(results, seeds):
         sys.stdout.write(csv_text)
         for line in lines:
             print(f"seed {seed}: {line}", file=sys.stderr)
-        worst = max(worst, code)
-    return worst
-
-
-def _run_seed_worker(packed: tuple[dict, int]) -> tuple[int, list[str], str]:
-    arg_dict, seed = packed
-    return _run_one_seed(argparse.Namespace(**arg_dict), seed)
+    return max(code for code, _, _ in results)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    path = Path(args.snapshot)
-    if not path.exists():
-        print(f"snapshot {path} not found", file=sys.stderr)
-        return 2
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        data = json.loads(Path(args.snapshot).read_text(encoding="utf-8"))
         healer, cfg = load_snapshot(data)
     except (json.JSONDecodeError, KeyError, TypeError, ValueError, GraphError) as exc:
         print(f"malformed snapshot: {exc}", file=sys.stderr)
@@ -573,13 +575,14 @@ def cmd_report(args: argparse.Namespace) -> int:
             print(f"{path}: empty report", file=sys.stderr)
             return 2
         final = rows[-1]
-        slacks = [int(r["degree_slack_min"]) for r in rows
-                  if r["degree_slack_min"] != "skipped"]
         try:
+            slacks = [int(r["degree_slack_min"]) for r in rows
+                      if r["degree_slack_min"] != "skipped"]
             stretches = [Fraction(r["max_stretch"]) for r in rows
                          if r["max_stretch"] != "skipped"]
-        except ZeroDivisionError as exc:
-            print(f"{path}: a max_stretch cell has a zero denominator: {exc}", file=sys.stderr)
+        except (ValueError, ZeroDivisionError) as exc:
+            kind = "has a zero denominator" if type(exc) is ZeroDivisionError else "is malformed"
+            print(f"{path}: a degree_slack_min or max_stretch cell {kind}: {exc}", file=sys.stderr)
             return 2
         print(f"== {path}")
         print(f"  checkpoints: {len(rows)}  final t={final['t']} "
@@ -658,13 +661,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except RetriesExhausted as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (AdversaryError, ExpanderError, GraphError, InvalidEvent,
-            OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except Exception as exc:
+        code, line = exit_line(exc)
+        print(line, file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

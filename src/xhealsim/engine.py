@@ -68,8 +68,8 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .adversary import Event, insert_error
-from .expander import CloudTopology, ExpanderConfig, RetriesExhausted, build_topology, is_clique
-from .graph import ColoredGraph, EdgeKey, ShadowGraph, edge_key, initial_views
+from .expander import CloudTopology, ExpanderConfig, build_topology, is_clique
+from .graph import ColoredGraph, EdgeKey, InputError, ShadowGraph, edge_key, initial_views
 
 FAULTS = ("skip-heal", "drop-black-edge")
 
@@ -77,7 +77,7 @@ FAULTS = ("skip-heal", "drop-black-edge")
 UNDESIGNED = CloudTopology(frozenset(), Fraction(0))
 
 
-class InvalidEvent(Exception):
+class InvalidEvent(InputError):
     pass
 
 
@@ -368,7 +368,7 @@ class Healer:
     def __init__(self, graph: ColoredGraph, shadow: ShadowGraph, cfg: ExpanderConfig,
                  rng: random.Random, fault: str | None = None) -> None:
         if fault is not None and fault not in FAULTS:
-            raise ValueError(f"unknown fault {fault!r}")
+            raise InputError(f"unknown fault {fault!r}")
         self.cfg = cfg
         self.run_key = rng.getrandbits(64)  # seeds each ``Plan``'s draws
         self.fault = fault
@@ -390,21 +390,22 @@ class Healer:
     # -- event entry point ----------------------------------------------
 
     def handle_event(self, event: Event) -> None:
-        if event.is_insert:
-            shadow = self.shadow
-            problem = insert_error(event.node, event.neighbors, shadow.nodes,
-                                   shadow.max_node, shadow.alive)
-            if problem is not None:
-                raise InvalidEvent(problem)
-            self._insert(event)
-        else:
-            if event.node not in self.shadow.alive:
-                raise InvalidEvent(f"delete of non-alive node {event.node}")
-            try:
+        try:
+            if event.is_insert:
+                shadow = self.shadow
+                problem = insert_error(event.node, event.neighbors, shadow.nodes,
+                                       shadow.max_node, shadow.alive)
+                if problem is not None:
+                    raise InvalidEvent(problem)
+                self._insert(event)
+            else:
+                if event.node not in self.shadow.alive:
+                    raise InvalidEvent(f"delete of non-alive node {event.node}")
                 self._delete(event.node)
-            except RetriesExhausted as exc:
-                where = f"event {self.counters.events + 1} deletes node {event.node}"
-                raise RetriesExhausted(f"{where}: {exc}", exc.size, exc.best) from None
+        except Exception as exc:
+            exc.add_note(f"event {self.counters.events + 1} "
+                         f"{'inserts' if event.is_insert else 'deletes'} node {event.node}")
+            raise
         self.counters.events += 1
 
     def _insert(self, event: Event) -> None:

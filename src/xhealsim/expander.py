@@ -52,31 +52,23 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graph import EdgeKey
+from .graph import EdgeKey, InputError
 
 
-class ExpanderError(Exception):
+class TooLarge(Exception):
     pass
 
 
-class TooLarge(ExpanderError):
+class ZeroNodes(Exception):
     pass
 
 
-class ZeroNodes(ExpanderError):
-    pass
-
-
-class RetriesExhausted(ExpanderError):
+class RetriesExhausted(Exception):
     """No candidate certified the cloud of ``size`` members; ``best`` is their best certificate."""
 
     def __init__(self, message: str, size: int, best: Fraction) -> None:
         super().__init__(message)
         self.size, self.best = size, best
-
-    def __reduce__(self):
-        # a --jobs worker's exception is pickled back to the parent
-        return type(self), (self.args[0], self.size, self.best)
 
 
 # Largest graph expansion_exact enumerates.  Its memory is fixed by the
@@ -116,18 +108,18 @@ class ExpanderConfig:
 
     def __post_init__(self) -> None:
         if self.kappa < 4 or self.kappa % 2 != 0:
-            raise ValueError(f"kappa must be even and >= 4, got {self.kappa}")
+            raise InputError(f"kappa must be even and >= 4, got {self.kappa}")
         if self.alpha_target <= 0:
-            raise ValueError("alpha_target must be positive")
+            raise InputError("alpha_target must be positive")
         ceiling = Fraction(self.kappa * (self.kappa + 4), 2 * (self.kappa + 2))
         if self.alpha_target > ceiling:
-            raise ValueError(f"alpha_target {self.alpha_target} exceeds {ceiling}, the most "
+            raise InputError(f"alpha_target {self.alpha_target} exceeds {ceiling}, the most "
                              f"a non-clique {self.kappa}-regular cloud can certify")
         if not 2 <= self.exact_limit <= HARD_ENUMERATION_CEILING:
-            raise ValueError(f"exact_limit must be in [2, {HARD_ENUMERATION_CEILING}], "
+            raise InputError(f"exact_limit must be in [2, {HARD_ENUMERATION_CEILING}], "
                              f"got {self.exact_limit}")
         if self.max_retries < 1:
-            raise ValueError("max_retries must be >= 1")
+            raise InputError("max_retries must be >= 1")
 
     @cached_property
     def gate_threshold(self) -> float:

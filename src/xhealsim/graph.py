@@ -34,6 +34,10 @@ EdgeKey = tuple[int, int]
 MAX_NODE_ID: int = 2**63 - 1
 
 
+class InputError(ValueError):
+    """Input refused where it is parsed or validated; the CLI exits 2 on it."""
+
+
 class GraphError(Exception):
     """Base class for graph contract violations."""
 

@@ -6,7 +6,8 @@ descending size order (or, for larger graphs, tabulates every cut as
 the replaced kernel did), graphs are built edge by edge.  The per-edge
 owner edits, the stdlib-drawing pairing sampler and the free-node scan
 are the code paths the library inlined or indexed, kept here as its
-references.
+references.  ``plant_defect`` plants an engine defect, for the tests of
+what a run reports when one is hit.
 """
 from __future__ import annotations
 
@@ -17,7 +18,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from xhealsim.engine import CloudKind
+from xhealsim.adversary import run_stream
+from xhealsim.engine import CloudKind, CloudRegistry, Plan
 from xhealsim.expander import ExpanderConfig, _cheeger_lower_bound, expansion_exact
 from xhealsim.graph import ColoredGraph, EmptySubset, UnknownEdge, UnknownNode, edge_key
 from xhealsim.metrics import ALL_PAIRS_LIMIT
@@ -426,3 +428,34 @@ def switch_in_oracle(edges, stubs, rng: random.Random):
         pool[i] = new[0]
         pool.append(new[1])
     return edges
+
+
+def plant_defect(monkeypatch, defect: str, seed: int) -> None:
+    """Plant *defect* in the repairs of ``run --seed`` *seed* alone, found
+    by the engine key that keys their draws.  ``pick-free`` raises
+    ``KeyError(0)`` in ``Plan._pick_free_node``; ``bridge-twice`` makes
+    ``Plan._fix_secondary_cloud`` bridge its replacement twice, which the
+    registry refuses with a ValueError.  A ``--jobs`` worker is forked,
+    so it runs the planted method too."""
+    doomed = f"{run_stream(seed, 'engine').getrandbits(64)}/"
+    name = {"pick-free": "_pick_free_node", "bridge-twice": "_fix_secondary_cloud"}[defect]
+    original = getattr(Plan, name)
+
+    def planted(plan, *args):
+        if not plan.stream._key.startswith(doomed):
+            return original(plan, *args)
+        if defect == "pick-free":
+            raise KeyError(0)
+        registry = plan.registry
+
+        def bridge_twice(*entry):
+            CloudRegistry.bridge(registry, *entry)
+            CloudRegistry.bridge(registry, *entry)
+
+        registry.bridge = bridge_twice
+        try:
+            return original(plan, *args)
+        finally:
+            del registry.bridge
+
+    monkeypatch.setattr(Plan, name, planted)

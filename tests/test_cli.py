@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import plant_defect
 from xhealsim import cli
 from xhealsim.adversary import Strategy, decode_trace, encode_trace, gen_trace
 from xhealsim.engine import coherence_errors
@@ -196,8 +197,8 @@ def test_run_refuses_a_trace_whose_header_kappa_is_not_its_own(tmp_path, capsys)
              "--kappa", "8", "-o", str(trace)])
     capsys.readouterr()
     assert run_cli(["run", "--trace", str(trace), "-o", str(out)]) == 2
-    assert capsys.readouterr().err == (
-        "seed 0: error: trace header kappa 8 differs from --kappa 6\n")
+    # checked once before any seed runs, so printed with no seed prefix
+    assert capsys.readouterr().err == "error: trace header kappa 8 differs from --kappa 6\n"
     assert not out.exists()
     assert run_cli(["run", "--trace", str(trace), "--kappa", "8", "-o", str(out)]) == 0
     assert out.exists()
@@ -759,12 +760,24 @@ def test_report_rejects_a_csv_that_is_not_a_report(tmp_path, capsys):
     cells[header.split(",").index("max_stretch")] = "1/0"
     zero_stretch = tmp_path / "zero.csv"
     zero_stretch.write_text("\n".join([header, ",".join(cells), *rest]) + "\n")
+    # so is a slack that is not an integer or a stretch that is not a fraction
+    malformed = []
+    for column in ("degree_slack_min", "max_stretch"):
+        cells = first.split(",")
+        cells[header.split(",").index(column)] = "x"
+        malformed.append(tmp_path / f"{column}.csv")
+        malformed[-1].write_text("\n".join([header, ",".join(cells), *rest]) + "\n")
     for path, message in ((foreign, "not a report, missing columns connected_shadow"),
                           (short_row, "line 2 does not match the header"),
-                          (zero_stretch, "cell has a zero denominator: Fraction(1, 0)")):
+                          (zero_stretch, "cell has a zero denominator: Fraction(1, 0)"),
+                          (malformed[0], "max_stretch cell is malformed: invalid literal for "
+                                         "int() with base 10: 'x'"),
+                          (malformed[1], "max_stretch cell is malformed: Invalid literal for "
+                                         "Fraction: 'x'")):
         capsys.readouterr()
         assert run_cli(["report", str(path)]) == 2, path.name
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"{path}: ") and message in err, path.name
 
 
 def test_run_rejects_malformed_trace_input_before_event_1(tmp_path, capsys):
@@ -827,6 +840,75 @@ def test_run_rejects_malformed_trace_input_before_event_1(tmp_path, capsys):
         assert run_cli(["run", "--trace", str(path), "-o", str(out)]) == 2, name
         assert capsys.readouterr().err == f"error: {message}\n", name
         assert not out.exists(), name
+
+
+def test_run_checks_a_trace_once_before_any_seed_or_worker_starts(tmp_path, capsys):
+    # the workers get the decoded trace, so a malformed one is refused
+    # once, unprefixed, and no exception has to cross the pool
+    header = '{"v":1,"kappa":6,"seed":0,"strategy":"uniform","params":{}}'
+    path = tmp_path / "float-node.jsonl"
+    path.write_text("\n".join([header, '{"nodes":[0,1,2,3],"edges":[[0,1],[1,2],[2,3]]}',
+                               '{"t":1,"op":"del","node":2.7}']) + "\n")
+    for jobs in ("1", "2"):
+        capsys.readouterr()
+        assert run_cli(["run", "--trace", str(path), "--seeds", "1,2", "--jobs", jobs,
+                        "-o", str(tmp_path / "r{seed}.csv")]) == 2, jobs
+        assert capsys.readouterr().err == (
+            "error: line 3: node 2.7 is not a non-negative integer\n"), jobs
+    assert not list(tmp_path.glob("r*.csv"))
+
+
+@pytest.mark.parametrize("defect, line", [
+    ("pick-free", "event 3 deletes node 10: KeyError: 0"),
+    ("bridge-twice", "event 20 deletes node 35: ValueError: node 49 already holds bridge "
+                     "entry (9,4)"),
+], ids=["pick-free", "bridge-twice"])
+def test_an_engine_defect_exits_4_naming_its_event_and_spares_the_other_seeds(
+        tmp_path, monkeypatch, capsys, defect, line):
+    # a defect is neither a violation (1) nor bad input (2); seed 8 never
+    # meets it and writes its files, in order or in parallel
+    trace = tmp_path / "t.jsonl"
+    run_cli(["gen", "--strategy", "uniform", "--n0", "50", "--steps", "300",
+             "--seed", "7", "-o", str(trace)])
+    plant_defect(monkeypatch, defect, seed=7)
+    for jobs in ("1", "2"):
+        out = tmp_path / jobs
+        out.mkdir()
+        capsys.readouterr()
+        assert run_cli(["run", "--trace", str(trace), "--seeds", "7,8", "--jobs", jobs,
+                        "-o", str(out / "r{seed}.csv"),
+                        "--snapshot", str(out / "s{seed}.json")]) == 4, jobs
+        assert capsys.readouterr().err == f"seed 7: internal error: {line}\n", jobs
+        assert sorted(p.name for p in out.iterdir()) == ["r8.csv", "s8.json"], jobs
+
+
+def test_a_checkpoint_defect_exits_4_naming_its_checkpoint(tmp_path, monkeypatch, capsys):
+    evaluate = cli.evaluate
+
+    def broken(healer, t, *args, **kwargs):
+        if t == 20:
+            raise ZeroDivisionError("division by zero")
+        return evaluate(healer, t, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "evaluate", broken)
+    out = tmp_path / "r.csv"
+    assert run_cli(["run", "--strategy", "uniform", "--n0", "20", "--steps", "30",
+                    "-o", str(out)]) == 4
+    assert capsys.readouterr().err == (
+        "seed 0: internal error: checkpoint at t=20: ZeroDivisionError: division by zero\n")
+    assert not out.exists()
+
+
+def test_a_verify_defect_exits_4(tmp_path, monkeypatch, capsys):
+    small_snapshot(tmp_path)  # writes s.json
+
+    def broken(*args):
+        raise RuntimeError("no design")
+
+    monkeypatch.setattr(cli, "topology_error", broken)
+    capsys.readouterr()
+    assert run_cli(["verify", "--snapshot", str(tmp_path / "s.json")]) == 4
+    assert capsys.readouterr() == ("", "internal error: RuntimeError: no design\n")
 
 
 def test_report_summary_and_ordering(tmp_path, capsys):

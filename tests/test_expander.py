@@ -1,6 +1,5 @@
 import itertools
 import math
-import pickle
 import random
 import tracemalloc
 from collections import Counter
@@ -177,10 +176,6 @@ def test_retries_exhausted():
     exc = info.value
     assert exc.size == 10 and 0 < exc.best <= Fraction(20, 9)
     assert "on 10 nodes" in str(exc) and f"(best certificate {float(exc.best):.3f};" in str(exc)
-    # the --jobs pool re-raises a worker's exception in the parent
-    twin = pickle.loads(pickle.dumps(exc))
-    assert type(twin) is RetriesExhausted and str(twin) == str(exc)
-    assert (twin.size, twin.best) == (exc.size, exc.best)
 
 
 GATE_ALPHAS = [Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(3, 4), Fraction(1)]

@@ -1,9 +1,12 @@
 """Smoke test of ``tools/ladder.py``, the seed ladder, run as a script."""
+import importlib.util
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+from helpers import plant_defect
 from test_golden import MEMBERSHIP_GOLDEN
 
 LADDER = Path(__file__).resolve().parent.parent / "tools" / "ladder.py"
@@ -34,3 +37,17 @@ def test_ladder_membership_is_the_golden_membership_digest():
     lines = ladder("--alpha", "1", "--seeds", "0-2", n0="50", steps="300")
     assert [line["membership"] for line in lines] == [
         MEMBERSHIP_GOLDEN[f"uniform-{seed}"] for seed in range(3)]
+
+
+def test_a_defect_ends_its_seed_and_the_ladder_goes_on(monkeypatch, capsys):
+    # run in this process, so that the planted defect is in its engine
+    spec = importlib.util.spec_from_file_location("ladder", LADDER)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    plant_defect(monkeypatch, "pick-free", seed=0)
+    assert tool.main(["--n0", "30", "--steps", "40", "--alpha", "1", "--seeds", "0-1"]) == 0
+    doomed, spared = (json.loads(line) for line in capsys.readouterr().out.splitlines())
+    assert list(doomed) == KEYS[:2] + ["event", "error"] + KEYS[2:] and doomed["exit"] == 4
+    assert re.fullmatch(rf"internal error: event {doomed['event']} deletes node \d+: KeyError: 0",
+                        doomed["error"])
+    assert [spared] == ladder("--alpha", "1", "--seeds", "1")

@@ -3,7 +3,8 @@
 Each ``*.jsonl`` in ``tests/regressions/`` is a trace that once crashed
 the simulator or misreported a defect.  ``EXPECTED_EXIT`` holds the exit
 code each must give now; a trace without an entry fails the test, so a
-new trace comes with its expected exit.
+new trace comes with its expected exit.  ``EXPECTED_ERR`` pins the
+stderr of some.
 """
 from pathlib import Path
 
@@ -35,6 +36,12 @@ EXPECTED_EXIT = {
     "whole-graph-density-906.jsonl": 0,
 }
 
+EXPECTED_ERR = {
+    # raised at its event, so it is the seed's error and names the event
+    "insert-id-below-an-initial-id.jsonl":
+        "seed 0: error: event 3 inserts node 5: node ids must be strictly increasing, got 5\n",
+}
+
 
 def test_regression_traces_exit_as_pinned(tmp_path, capsys):
     traces = sorted(REGRESSIONS.glob("*.jsonl"))
@@ -44,3 +51,4 @@ def test_regression_traces_exit_as_pinned(tmp_path, capsys):
         err = capsys.readouterr().err
         assert code == EXPECTED_EXIT[path.name], (path.name, err)
         assert "Traceback" not in err, path.name
+        assert err == EXPECTED_ERR.get(path.name, err), path.name

@@ -9,9 +9,12 @@ Seed s replays the trace of ``xhealsim gen --strategy uniform --n0 N
 --steps T --seed s`` (insert fraction 0.4) through a healer keyed as
 ``xhealsim run --seed s`` keys it, with no checkpoint.  ``--alpha``
 takes a fraction p/q; ``--seeds`` takes ranges and lists, as in
-``0-39`` or ``1,5,9-12``.  Each line holds the seed and its ``exit``: 0,
-or 3 with the ``event`` whose cloud failed to certify and that cloud's
-``size``.  Then the repair counters ``branch_*``, ``clouds_built``,
+``0-39`` or ``1,5,9-12``.  Each line holds the seed and its ``exit``, the
+code ``xhealsim run`` would give the failure (``cli.exit_line``): 0, or 3
+with the ``event`` whose cloud failed to certify and that cloud's
+``size``, or any other code with the ``event`` that raised and the
+``error`` line, so a defect ends its seed and the ladder goes on.  Then
+the repair counters ``branch_*``, ``clouds_built``,
 ``merges``, ``bridges_borrowed`` and ``free_node_misses``, and the
 number of ``budget_errors`` and ``coherence_errors`` lines summed over
 the state after every event applied (these recount the registry's and
@@ -35,7 +38,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from xhealsim.adversary import Strategy, gen_trace, run_stream  # noqa: E402
-from xhealsim.cli import applied  # noqa: E402
+from xhealsim.cli import applied, exit_line  # noqa: E402
 from xhealsim.engine import Healer, budget_errors, coherence_errors  # noqa: E402
 from xhealsim.expander import ExpanderConfig, RetriesExhausted  # noqa: E402
 
@@ -122,8 +125,13 @@ def run_seed(n0: int, steps: int, cfg: ExpanderConfig, seed: int) -> dict:
                 coherence += len(coherence_errors(healer))
                 membership.update(healer.registry)
                 design.update(healer.registry)
-    except RetriesExhausted as exc:
-        line.update(exit=3, event=t + 1, size=exc.size)
+    except Exception as exc:  # a defect ends its seed, not the ladder
+        code, error = exit_line(exc)
+        line.update(exit=code, event=t + 1)
+        if isinstance(exc, RetriesExhausted):
+            line["size"] = exc.size
+        else:
+            line["error"] = error
     line.update({name: getattr(healer.counters, name) for name in COUNTERS})
     line.update(budget_errors=budget, coherence_errors=coherence,
                 membership=membership.hexdigest(), design=design.hexdigest())
